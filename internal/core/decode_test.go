@@ -1,0 +1,218 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"testing"
+
+	"vrdag/internal/dyngraph"
+	"vrdag/internal/nn"
+	"vrdag/internal/tensor"
+)
+
+// TestPairScorerMatchesMLPForward holds the hoisted, transposed scoring of
+// decode.go against Eq. 11 evaluated the plain way — f_θ and f_α run by
+// MLP.Forward on the matrix of differences s_i − s_j — for every node of a
+// real decodeStructure call. Only the first layer's rounding may differ.
+func TestPairScorerMatchesMLPForward(t *testing.T) {
+	cases := []struct {
+		name     string
+		n, cap   int
+		zeroH    bool // t=0: the H half of every difference is exactly 0
+		inactive bool // some nodes have left the active set (DynamicNodes)
+		wantC    int  // candidates per active node (capped: of the fullest node)
+	}{
+		{name: "exact C=1", n: 2, wantC: 1},
+		{name: "exact C=7 zero H", n: 8, zeroH: true, wantC: 7},
+		{name: "capped C=7", n: 40, cap: 7, wantC: 7},
+		{name: "capped C=7 inactive", n: 40, cap: 7, inactive: true, wantC: 7},
+		{name: "exact C=93", n: 94, wantC: 93},
+		{name: "exact C=93 zero H inactive", n: 94, zeroH: true, inactive: true, wantC: 93},
+		{name: "cap at N-1 is exact", n: 94, cap: 93, wantC: 93},
+		{name: "capped C=128", n: 400, cap: 128, wantC: 128},
+		{name: "capped C=128 zero H inactive", n: 400, cap: 128, zeroH: true, inactive: true, wantC: 128},
+	}
+	comps := make(map[int]bool) // components some node drew, over all cases
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(tc.n*1000 + tc.cap)))
+			cfg := DefaultConfig(tc.n, 0)
+			cfg.CandidateCap = tc.cap
+			cfg.Seed = 3
+			m := New(cfg)
+			// A fresh model's biases are zero; the scorer must carry them.
+			for _, mlp := range []*nn.MLP{m.fTheta, m.fAlpha} {
+				for _, l := range mlp.Layers {
+					for i := range l.B.Value.Data {
+						l.B.Value.Data[i] = rng.NormFloat64()
+					}
+				}
+			}
+			ds := cfg.LatentDim + cfg.HiddenDim
+			s := tensor.Randn(tc.n, ds, 1, rng)
+			if tc.zeroH {
+				for i := 0; i < tc.n; i++ {
+					clear(s.Row(i)[cfg.LatentDim:])
+				}
+			}
+
+			st := m.newGenState(GenOptions{T: 1, Seed: 11, DynamicNodes: tc.inactive, Parallel: true}, false, nil)
+			defer st.release()
+			if tc.inactive {
+				for i := 1; i < tc.n; i += 5 {
+					st.active[i] = false
+				}
+			}
+			// History for the candidate builder: previous out-neighbours and
+			// uneven degrees.
+			st.prev = dyngraph.NewSnapshot(tc.n, 0)
+			for e := 0; e < 3*tc.n; e++ {
+				st.prev.AddEdge(rng.Intn(tc.n), rng.Intn(tc.n))
+			}
+			for i := range st.degree {
+				st.degree[i] = float64(rng.Intn(9))
+			}
+			st.decodeStructure(dyngraph.NewSnapshot(tc.n, 0), s, 0)
+
+			ps, maxC := st.ps, 0
+			for i := 0; i < tc.n; i++ {
+				c := ps.cnt[i]
+				if !st.active[i] {
+					if c != 0 {
+						t.Fatalf("inactive node %d scored %d candidates", i, c)
+					}
+					continue
+				}
+				// The capped builder's rejection sampling may stop short of the cap.
+				if c == 0 || c > tc.wantC || (ps.exact && c != tc.wantC) {
+					t.Fatalf("node %d scored %d candidates, want %d", i, c, tc.wantC)
+				}
+				maxC = max(maxC, c)
+				diff := tensor.New(c, ds)
+				seen := make(map[int]bool, c)
+				for k := 0; k < c; k++ {
+					j := ps.candidate(i, k)
+					if j == i || j < 0 || j >= tc.n || seen[j] {
+						t.Fatalf("node %d: candidate %d is %d (self, out of range or repeated)", i, k, j)
+					}
+					seen[j] = true
+					for x := 0; x < ds; x++ {
+						diff.Set(k, x, s.At(i, x)-s.At(j, x))
+					}
+				}
+				theta := m.fTheta.Forward(diff)
+				tensor.VSigmoid(theta.Data)
+				aOut := m.fAlpha.Forward(diff)
+				aSum := make([]float64, cfg.K)
+				for k := 0; k < c; k++ {
+					for q := range aSum {
+						aSum[q] += aOut.At(k, q)
+					}
+				}
+				alpha := make([]float64, cfg.K)
+				tensor.SoftmaxSlice(alpha, aSum)
+
+				for q, want := range alpha {
+					if got := ps.alpha[i*cfg.K+q]; math.Abs(got-want) > 1e-12 {
+						t.Fatalf("alpha[%d][%d] = %v, MLP.Forward gives %v", i, q, got, want)
+					}
+				}
+				comp := st.comp[i]
+				comps[comp] = true
+				for k := 0; k < c; k++ {
+					got, want := ps.theta[i*ps.stride+k], theta.At(k, comp)
+					if math.Abs(got-want) > 1e-12 {
+						t.Fatalf("theta[%d][%d] under component %d = %v, MLP.Forward gives %v", i, k, comp, got, want)
+					}
+				}
+				tensor.Put(theta)
+				tensor.Put(aOut)
+			}
+			if maxC != tc.wantC {
+				t.Fatalf("fullest candidate set has %d, want %d", maxC, tc.wantC)
+			}
+		})
+	}
+	if len(comps) < 2 {
+		t.Fatalf("only components %v were drawn; the θ check did not cover every second-layer row", comps)
+	}
+}
+
+// TestPairScorerPlan: a timestep fans out only from decodeFanOutPairs
+// pairs, and then into ranges of equal active-node count, wherever the
+// inactive nodes sit.
+func TestPairScorerPlan(t *testing.T) {
+	const n = 400
+	cfg := DefaultConfig(n, 0)
+	cfg.CandidateCap = 0
+	ps := New(cfg).newPairScorer(true)
+	ps.workers = make([]*pairWorker, 4) // plan reads only the count
+	active := make([]bool, n)
+	for i := n / 2; i < n; i++ {
+		active[i] = true
+	}
+	ps.plan(active)
+	if want := []int{0, 250, 300, 350, 400}; !reflect.DeepEqual(ps.bounds, want) {
+		t.Fatalf("200 active nodes in the upper half over 4 workers: bounds %v, want %v", ps.bounds, want)
+	}
+	for i := n/2 + decodeFanOutPairs/(n-1); i < n; i++ {
+		active[i] = false
+	}
+	ps.plan(active)
+	if want := []int{0, n}; !reflect.DeepEqual(ps.bounds, want) {
+		t.Fatalf("below decodeFanOutPairs pairs: bounds %v, want %v", ps.bounds, want)
+	}
+}
+
+// TestGenerateFanOutIdentical is TestGenerateDeterministicForSeed at a size
+// whose timesteps clear decodeFanOutPairs, so Parallel really fans out:
+// exact and capped decoding, with nodes leaving the active set.
+func TestGenerateFanOutIdentical(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("needs two Ps to fan out")
+	}
+	for _, cap := range []int{0, 128} {
+		t.Run(fmt.Sprintf("cap%d", cap), func(t *testing.T) {
+			const n = 300
+			cfg := DefaultConfig(n, 2)
+			cfg.CandidateCap = cap
+			cfg.Seed = 5
+			m := New(cfg)
+			opts := GenOptions{T: 4, Seed: 42, DynamicNodes: true, Tdel: 1, Parallel: true}
+
+			st := m.newGenState(opts, false, nil)
+			st.ps.plan(st.active)
+			if len(st.ps.bounds) < 3 {
+				t.Fatalf("N=%d cap %d does not fan out (bounds %v); the comparison below would be serial against serial", n, cap, st.ps.bounds)
+			}
+			st.release()
+
+			par, err := m.GenerateOpts(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts.Parallel = false
+			ser, err := m.GenerateOpts(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			edges := 0
+			for tt := range par.Snapshots {
+				a, b := par.At(tt), ser.At(tt)
+				edges += a.NumEdges()
+				if !reflect.DeepEqual(a.Out, b.Out) {
+					t.Fatalf("snapshot %d: edges differ between Parallel true and false", tt)
+				}
+				if !reflect.DeepEqual(a.X.Data, b.X.Data) {
+					t.Fatalf("snapshot %d: attributes differ between Parallel true and false", tt)
+				}
+			}
+			if edges == 0 {
+				t.Fatal("generated no edges")
+			}
+		})
+	}
+}

@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"sort"
-	"sync"
 
 	"vrdag/internal/dyngraph"
 	"vrdag/internal/obs"
@@ -148,18 +146,11 @@ type genState struct {
 	spare   *dyngraph.Snapshot
 
 	// Decode scratch, reused across timesteps.
-	scores []nodeScores
+	ps     *pairScorer
 	cum    []float64
+	totalW float64
 	seeds  []int64
 	comp   []int
-}
-
-// nodeScores carries one node's candidate set, Bernoulli means, and
-// mixture weights between the scoring and sampling phases of a decode.
-type nodeScores struct {
-	cands []int
-	theta *tensor.Matrix // C×K Bernoulli means per component
-	alpha []float64      // K mixture weights
 }
 
 func (m *Model) newGenState(opts GenOptions, recycle bool, init *ForecastState) *genState {
@@ -174,7 +165,7 @@ func (m *Model) newGenState(opts GenOptions, recycle bool, init *ForecastState) 
 		active:   make([]bool, n),
 		isolated: make([]int, n),
 		degree:   make([]float64, n),
-		scores:   make([]nodeScores, n),
+		ps:       m.newPairScorer(opts.Parallel),
 		cum:      make([]float64, n+1),
 		seeds:    make([]int64, n),
 		comp:     make([]int, n),
@@ -312,6 +303,12 @@ func (st *genState) step(t int) *dyngraph.Snapshot {
 // the mixture weights α_i, then samples edges from the selected component.
 // With DegreeCalibration the Bernoulli means are rescaled so the expected
 // edge count matches the training statistics for this timestep.
+//
+// The scoring (pairScorer, decode.go) runs node-parallel in two passes
+// around the serial component draws; everything that consumes the main
+// random stream — persistence replay, per-node seeds, component draws in
+// node order, Bernoulli draws — stays on this goroutine in a fixed order,
+// so the output depends on neither Parallel nor the fan-out.
 func (st *genState) decodeStructure(snap *dyngraph.Snapshot, s *tensor.Matrix, t int) {
 	m, n, rng, prev := st.m, st.n, st.rng, st.prev
 	active := st.active
@@ -336,13 +333,8 @@ func (st *genState) decodeStructure(snap *dyngraph.Snapshot, s *tensor.Matrix, t
 		}
 	}
 
-	// Per-node scores live in the stepper's scratch. Entries left over
-	// from the previous timestep have a nil theta (cleared after
-	// sampling), so stale candidate sets are never re-read.
-	scores := st.scores
-
 	// Candidate weights: degree-proportional with +1 smoothing.
-	cum := st.cum
+	ps, cum := st.ps, st.cum
 	for v := 0; v < n; v++ {
 		w := st.degree[v] + 1
 		if !active[v] {
@@ -350,99 +342,40 @@ func (st *genState) decodeStructure(snap *dyngraph.Snapshot, s *tensor.Matrix, t
 		}
 		cum[v+1] = cum[v] + w
 	}
-	totalW := cum[n]
+	st.totalW = cum[n]
 
 	// Pre-draw per-node RNG seeds so the parallel path stays deterministic.
 	// Each node's candidate draws come from a per-worker splitmix64 source
 	// re-seeded per node: seeding Go's default source costs ~600 modular
 	// multiplications to fill 607 state words, of which a node consumes only
-	// a handful — it was ~20% of a whole generation run.
+	// a handful — it was ~20% of a whole generation run. (Exact decoding
+	// samples no candidates but draws the seeds all the same: the main
+	// stream's draw order is part of the output.)
 	seeds := st.seeds
 	for i := range seeds {
 		seeds[i] = rng.Int63()
 	}
 
-	work := func(i int, nrng *rand.Rand, nsrc *splitmixSource, mark []bool) {
-		if !active[i] {
-			return
-		}
-		nsrc.Seed(seeds[i])
-		cands := m.candidates(i, prev, cum, totalW, nrng, mark)
-		if len(cands) == 0 {
-			return
-		}
-		// diffs[j] = s_i - s_cands[j]; pooled scratch, recycled per node.
-		ds := s.Cols
-		diff := tensor.Get(len(cands), ds)
-		srow := s.Row(i)
-		for k, j := range cands {
-			drow := diff.Row(k)
-			jrow := s.Row(j)
-			for c := 0; c < ds; c++ {
-				drow[c] = srow[c] - jrow[c]
-			}
-		}
-		theta := m.fTheta.Forward(diff) // C×K logits
-		tensor.VSigmoid(theta.Data)
-		aOut := m.fAlpha.Forward(diff) // C×K
-		tensor.Put(diff)
-		aSum := make([]float64, m.Cfg.K)
-		for k := 0; k < len(cands); k++ {
-			row := aOut.Row(k)
-			for c := 0; c < m.Cfg.K; c++ {
-				aSum[c] += row[c]
-			}
-		}
-		tensor.Put(aOut)
-		alpha := make([]float64, m.Cfg.K)
-		tensor.SoftmaxSlice(alpha, aSum)
-		scores[i] = nodeScores{cands: cands, theta: theta, alpha: alpha}
-	}
+	// Mixture weights: candidates, then α, node by node on the workers.
+	ps.hoist(s)
+	ps.plan(active)
+	ps.run(st.scoreAlpha)
 
-	if st.opts.Parallel && runtime.GOMAXPROCS(0) > 1 {
-		var wg sync.WaitGroup
-		workers := runtime.GOMAXPROCS(0)
-		chunk := (n + workers - 1) / workers
-		for w := 0; w < workers; w++ {
-			lo, hi := w*chunk, (w+1)*chunk
-			if hi > n {
-				hi = n
-			}
-			if lo >= hi {
-				continue
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				mark := make([]bool, n) // candidate-dedup scratch, one per worker
-				var nsrc splitmixSource
-				nrng := rand.New(&nsrc)
-				for i := lo; i < hi; i++ {
-					work(i, nrng, &nsrc, mark)
-				}
-			}(lo, hi)
-		}
-		wg.Wait()
-	} else {
-		mark := make([]bool, n)
-		var nsrc splitmixSource
-		nrng := rand.New(&nsrc)
-		for i := 0; i < n; i++ {
-			work(i, nrng, &nsrc, mark)
-		}
-	}
-
-	// Choose mixture components and collect Bernoulli means.
+	// Draw each node's mixture component from the main stream, in node
+	// order; only then is it known which θ row a node needs.
 	comp := st.comp
+	for i := 0; i < n; i++ {
+		if ps.cnt[i] > 0 {
+			comp[i] = sampleCategorical(ps.alpha[i*ps.k:(i+1)*ps.k], rng)
+		}
+	}
+	ps.run(st.scoreTheta)
+
+	// Summed serially in node order: λ must not depend on the fan-out.
 	expected := 0.0
 	for i := 0; i < n; i++ {
-		sc := &scores[i]
-		if sc.theta == nil {
-			continue
-		}
-		comp[i] = sampleCategorical(sc.alpha, rng)
-		for k := range sc.cands {
-			expected += sc.theta.At(k, comp[i])
+		for _, th := range ps.theta[i*ps.stride:][:ps.cnt[i]] {
+			expected += th
 		}
 	}
 
@@ -459,22 +392,41 @@ func (st *genState) decodeStructure(snap *dyngraph.Snapshot, s *tensor.Matrix, t
 
 	// Bernoulli sampling (serial for determinism).
 	for i := 0; i < n; i++ {
-		sc := &scores[i]
-		if sc.theta == nil {
-			continue
-		}
-		k := comp[i]
-		for c, j := range sc.cands {
-			p := sc.theta.At(c, k) * lambda
+		for k, th := range ps.theta[i*ps.stride:][:ps.cnt[i]] {
+			p := th * lambda
 			if p > 1 {
 				p = 1
 			}
 			if rng.Float64() < p {
-				snap.AddEdge(i, j)
+				snap.AddEdge(i, ps.candidate(i, k))
 			}
 		}
-		tensor.Put(sc.theta)
-		sc.theta = nil
+	}
+}
+
+// scoreAlpha is the first scoring pass over node i: fix its candidate set
+// for this timestep and compute its mixture weights.
+func (st *genState) scoreAlpha(w *pairWorker, i int) {
+	ps, c := st.ps, 0
+	switch {
+	case !st.active[i]:
+	case ps.exact:
+		c = st.n - 1
+	default:
+		w.nsrc.Seed(st.seeds[i])
+		c = len(st.m.candidates(ps.cands[i*ps.stride:][:0:ps.stride], i, st.prev, st.cum, st.totalW, w.nrng, w.mark))
+	}
+	ps.cnt[i] = c
+	if c > 0 {
+		ps.scoreAlpha(w, i, c)
+	}
+}
+
+// scoreTheta is the second scoring pass: node i's Bernoulli means under
+// the component it drew.
+func (st *genState) scoreTheta(w *pairWorker, i int) {
+	if c := st.ps.cnt[i]; c > 0 {
+		st.ps.scoreTheta(w, i, c, st.comp[i])
 	}
 }
 
@@ -742,25 +694,17 @@ func (m *Model) edgeTarget(t int) float64 {
 	return sum / float64(len(m.edgeTargets))
 }
 
-// candidates builds the destination candidate set for node i: the node's
-// previous out-neighbours (temporal persistence) filled up to CandidateCap
-// with degree-proportional random draws. CandidateCap == 0 scores every
-// other node (exact Eq. 11 decoding). mark is caller-provided dedup
-// scratch of length N, false on entry; it is cleaned before returning so
-// the worker can reuse it for the next node without reallocation.
-func (m *Model) candidates(i int, prev *dyngraph.Snapshot, cum []float64, totalW float64, rng *rand.Rand, mark []bool) []int {
+// candidates builds the destination candidate set for node i when the
+// model decodes through a CandidateCap: the node's previous out-neighbours
+// (temporal persistence) filled up to the cap with degree-proportional
+// random draws. (Exact Eq. 11 decoding scores every other node and never
+// materialises a list; see pairScorer.) The set is appended to out, the
+// node's empty slice of capacity CandidateCap. mark is caller-provided
+// dedup scratch of length N, false on entry; it is cleaned before
+// returning so the worker can reuse it for the next node.
+func (m *Model) candidates(out []int, i int, prev *dyngraph.Snapshot, cum []float64, totalW float64, rng *rand.Rand, mark []bool) []int {
 	n := m.Cfg.N
-	limit := m.Cfg.CandidateCap
-	if limit <= 0 || limit >= n-1 {
-		out := make([]int, 0, n-1)
-		for j := 0; j < n; j++ {
-			if j != i {
-				out = append(out, j)
-			}
-		}
-		return out
-	}
-	out := make([]int, 0, limit)
+	limit := cap(out)
 	defer func() {
 		for _, j := range out {
 			mark[j] = false

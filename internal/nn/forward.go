@@ -22,19 +22,25 @@ func (l *Linear) Forward(x *tensor.Matrix) *tensor.Matrix {
 	return out
 }
 
-func applyActValueInPlace(m *tensor.Matrix, a Activation) {
+// ApplyInPlace applies the activation elementwise over a raw slice — the
+// tape-free counterpart of the fused tape activations. Exported for
+// inference code that builds a layer's pre-activations itself (the Eq. 11
+// pair decode in internal/core).
+func (a Activation) ApplyInPlace(x []float64) {
 	switch a {
 	case ActReLU:
 		// Stays math.Max rather than tensor.VReLU: Max(0, -0) = +0 while
 		// the blend kernel keeps -0, and the taped forward this must match
 		// bit-for-bit uses Max.
-		m.ApplyInPlace(func(v float64) float64 { return math.Max(0, v) })
+		for i, v := range x {
+			x[i] = math.Max(0, v)
+		}
 	case ActLeakyReLU:
-		tensor.VLeakyReLU(m.Data, 0.2)
+		tensor.VLeakyReLU(x, 0.2)
 	case ActTanh:
-		tensor.VTanh(m.Data)
+		tensor.VTanh(x)
 	case ActSigmoid:
-		tensor.VSigmoid(m.Data)
+		tensor.VSigmoid(x)
 	}
 }
 
@@ -45,9 +51,9 @@ func (m *MLP) Forward(x *tensor.Matrix) *tensor.Matrix {
 	for i, l := range m.Layers {
 		nxt := l.Forward(cur)
 		if i+1 < len(m.Layers) {
-			applyActValueInPlace(nxt, m.Hidden)
+			m.Hidden.ApplyInPlace(nxt.Data)
 		} else {
-			applyActValueInPlace(nxt, m.OutAct)
+			m.OutAct.ApplyInPlace(nxt.Data)
 		}
 		if cur != x {
 			tensor.Put(cur)
@@ -65,7 +71,7 @@ func (g *GRUCell) Forward(x, h *tensor.Matrix) *tensor.Matrix {
 		tensor.MatMulInto(out, x, w.Value)
 		tensor.MatMulInto(out, h, u.Value)
 		out.AddRowVecInPlace(b.Value)
-		applyActValueInPlace(out, act)
+		act.ApplyInPlace(out.Data)
 		return out
 	}
 	z := gate(g.Wz, g.Uz, g.Bz, ActSigmoid)

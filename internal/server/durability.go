@@ -368,8 +368,13 @@ func (s *Server) loadSessionLocked(fs *forecastSession) error {
 // the read lock; handlers treat that as the retryable errSpilled.
 func (s *Server) ensureResident(fs *forecastSession) error {
 	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return s.loadSessionLocked(fs)
+	reloaded := fs.spilled
+	err := s.loadSessionLocked(fs)
+	fs.mu.Unlock()
+	if reloaded && err == nil {
+		s.sweepSessions(time.Now()) // the resident set grew: hold MaxResident
+	}
+	return err
 }
 
 // flushDirtySessions compacts every resident session with un-snapshotted
@@ -434,7 +439,12 @@ func (s *Server) sweepDurable(now time.Time) {
 	}
 	var resident []cand
 	for _, fs := range all {
-		fs.mu.RLock()
+		// An ingest holds the write lock across its fsync. A session that
+		// busy is in use, hence not idle: pass it over — for the cap as
+		// well, the next sweep counts it — and never wait for its lock.
+		if !fs.mu.TryRLock() {
+			continue
+		}
 		closed, spilled, ready := fs.closed, fs.spilled, fs.diskReady
 		fs.mu.RUnlock()
 		if closed || spilled {

@@ -90,8 +90,9 @@ type Config struct {
 	// beyond the cap, and they reload lazily on next use.
 	MaxResident int
 	// SweepInterval is the background session sweeper period (default
-	// 1m; negative disables the background goroutine — sweeps then only
-	// happen inline on session access, as before).
+	// 1m; negative disables the background goroutine — full sweeps then
+	// only happen when a session is created or reloaded from spill, and
+	// each request still applies the TTL to its own session).
 	SweepInterval time.Duration
 
 	// QuotaRate, when > 0, enables per-tenant token-bucket quotas on the

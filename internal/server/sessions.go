@@ -103,6 +103,13 @@ func (fs *forecastSession) release() {
 // never stalls unrelated requests behind a busy session's lock. In
 // durable mode idle sessions are spilled to disk instead of destroyed
 // (see sweepDurable).
+//
+// A sweep visits every session, so it stays off the per-request path: it
+// runs from sweepLoop, and on a request only at the two moments the
+// resident set can outgrow a cap — a session is created (MaxSessions
+// admits a newcomer only after the expired have gone) or reloaded from
+// spill (MaxResident). A request otherwise applies the TTL to its own
+// session alone (expireIdle).
 func (s *Server) sweepSessions(now time.Time) {
 	if s.durable() {
 		s.sweepDurable(now)
@@ -122,19 +129,49 @@ func (s *Server) sweepSessions(now time.Time) {
 	}
 }
 
+// expireIdle applies the TTL to the one session a request is about, with
+// the outcome a sweep would have had for it: past the TTL a volatile
+// session (or a durable one with nothing on disk yet) is dropped and
+// released, a durable one is spilled and reloads lazily when the request
+// goes on to use it. It takes no other session's lock, so a request never
+// queues behind another session's ingest. It reports whether the session
+// is gone.
+func (s *Server) expireIdle(fs *forecastSession, now time.Time) bool {
+	if now.Sub(fs.used()) <= s.cfg.SessionTTL {
+		return false
+	}
+	if s.durable() {
+		if s.degraded.Load() {
+			return false // as in sweepDurable: a snapshot would fail, keep it resident
+		}
+		fs.mu.RLock()
+		ready := fs.diskReady
+		fs.mu.RUnlock()
+		if ready {
+			if err := s.spillSession(fs); err != nil {
+				s.logger.Error("spill session", "session", fs.name, "err", err)
+				s.setDegraded(err)
+			}
+			return false
+		}
+	}
+	s.dropSession(fs)
+	return true
+}
+
 // lookupSession resolves a live session by name, refreshing its TTL.
 func (s *Server) lookupSession(name string) (*forecastSession, error) {
 	if name == "" {
 		return nil, fmt.Errorf("session name required")
 	}
-	s.sweepSessions(time.Now())
 	s.sessMu.Lock()
 	fs, ok := s.sessions[name]
 	s.sessMu.Unlock()
-	if !ok {
+	now := time.Now()
+	if !ok || s.expireIdle(fs, now) {
 		return nil, fmt.Errorf("unknown session %q (expired or never created)", name)
 	}
-	fs.touch(time.Now())
+	fs.touch(now)
 	return fs, nil
 }
 
@@ -368,7 +405,7 @@ func (s *Server) handleIngestPost(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	var resp IngestResponse
 	var genErr error
-	var persistErr bool
+	var persistErr, reloaded bool
 	ok = s.runPooled(w, r, func() {
 		fs.mu.Lock()
 		defer fs.mu.Unlock()
@@ -376,6 +413,7 @@ func (s *Server) handleIngestPost(w http.ResponseWriter, r *http.Request) {
 			genErr = fmt.Errorf("session %q was evicted mid-request", fs.name)
 			return
 		}
+		reloaded = fs.spilled
 		if genErr = s.loadSessionLocked(fs); genErr != nil {
 			persistErr = true
 			return
@@ -448,6 +486,9 @@ func (s *Server) handleIngestPost(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	if reloaded {
+		s.sweepSessions(time.Now()) // the resident set grew: hold MaxResident
+	}
 	if genErr != nil {
 		if r.Context().Err() != nil {
 			return // client gone mid-request
@@ -468,17 +509,18 @@ func (s *Server) handleIngestPost(w http.ResponseWriter, r *http.Request) {
 }
 
 // getOrCreateSession finds or creates the named session, enforcing the
-// session capacity (expired sessions are swept first; live ones are never
-// evicted for a newcomer).
+// session capacity (before a newcomer is counted the expired sessions are
+// swept; live ones are never evicted for it). Finding an existing session
+// sweeps nothing.
 func (s *Server) getOrCreateSession(iq ingestQuery) (*forecastSession, bool, error) {
-	s.sweepSessions(time.Now())
+	now := time.Now()
 	s.sessMu.Lock()
-	if fs, ok := s.sessions[iq.session]; ok {
-		s.sessMu.Unlock()
-		fs.touch(time.Now())
+	fs, ok := s.sessions[iq.session]
+	s.sessMu.Unlock()
+	if ok && !s.expireIdle(fs, now) {
+		fs.touch(now)
 		return fs, false, nil
 	}
-	s.sessMu.Unlock()
 
 	entry, err := s.lookup(iq.model)
 	if err != nil {
@@ -496,8 +538,7 @@ func (s *Server) getOrCreateSession(iq ingestQuery) (*forecastSession, bool, err
 	if err != nil {
 		return nil, false, err
 	}
-	now := time.Now()
-	fs := &forecastSession{
+	fs = &forecastSession{
 		name:    iq.session,
 		entry:   entry,
 		stream:  stream,
@@ -518,6 +559,7 @@ func (s *Server) getOrCreateSession(iq ingestQuery) (*forecastSession, bool, err
 	}
 	fs.touch(now)
 
+	s.sweepSessions(now)
 	s.sessMu.Lock()
 	if existing, ok := s.sessions[iq.session]; ok {
 		// Lost a creation race; use the winner and drop ours.

@@ -90,29 +90,41 @@ func TestBackendDifferentialGEMM(t *testing.T) {
 	ms := []int{1, 2, 3, 5, 8, 17}
 	ks := []int{1, 2, 3, 4, 7, 8, 31, 32, 127, 128, 129, 130}
 	ns := []int{1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 64, 65}
+	var shapes [][3]int
+	for _, m := range ms {
+		for _, k := range ks {
+			for _, n := range ns {
+				shapes = append(shapes, [3]int{m, k, n})
+			}
+		}
+	}
+	// The Eq. 11 decode's second layer (internal/core/decode.go): W₂ᵀ
+	// (K×d_h, or the one row of the drawn component) times a node's
+	// transposed hidden block (d_h×C), the candidate count C on the vector
+	// axis — wider than anything in the grid above.
+	for _, c := range []int{1, 7, 93, 128, 1890} {
+		shapes = append(shapes, [3]int{2, 16, c}, [3]int{1, 16, c})
+	}
 	for _, bk := range diffBackends() {
 		bk := bk
 		t.Run(bk.Name(), func(t *testing.T) {
 			for _, v := range gemmVariants {
 				rng := rand.New(rand.NewSource(42))
-				for _, m := range ms {
-					for _, k := range ks {
-						for _, n := range ns {
-							ar, ac, br, bc := v.dims(m, k, n)
-							a, b := New(ar, ac), New(br, bc)
-							fillMixed(a.Data, rng)
-							fillMixed(b.Data, rng)
-							want, got := New(m, n), New(m, n)
-							fillMixed(want.Data, rng) // accumulate into non-zero out
-							copy(got.Data, want.Data)
-							v.call(ref, want, a, b)
-							v.call(bk, got, a, b)
-							if i, ok := sameBits(want.Data, got.Data); !ok {
-								t.Fatalf("Gemm%s %dx%dx%d: out[%d] = %x, reference %x",
-									v.name, m, k, n, i,
-									math.Float64bits(got.Data[i]), math.Float64bits(want.Data[i]))
-							}
-						}
+				for _, sh := range shapes {
+					m, k, n := sh[0], sh[1], sh[2]
+					ar, ac, br, bc := v.dims(m, k, n)
+					a, b := New(ar, ac), New(br, bc)
+					fillMixed(a.Data, rng)
+					fillMixed(b.Data, rng)
+					want, got := New(m, n), New(m, n)
+					fillMixed(want.Data, rng) // accumulate into non-zero out
+					copy(got.Data, want.Data)
+					v.call(ref, want, a, b)
+					v.call(bk, got, a, b)
+					if i, ok := sameBits(want.Data, got.Data); !ok {
+						t.Fatalf("Gemm%s %dx%dx%d: out[%d] = %x, reference %x",
+							v.name, m, k, n, i,
+							math.Float64bits(got.Data[i]), math.Float64bits(want.Data[i]))
 					}
 				}
 			}
