@@ -325,7 +325,8 @@ func (m *Model) runEpoch(g *dyngraph.Sequence, epoch int) (TrainStats, error) {
 
 					// Structure reconstruction (Eq. 17) on positive edges plus Q
 					// sampled negatives per node.
-					src, dst, targets := m.samplePairs(snap)
+					esrc, edst := snap.EdgeLists()
+					src, dst, targets := m.samplePairs(snap, esrc, edst, m.rng)
 					if len(src) > 0 {
 						p := m.mixBernoulliProb(c, s, src, dst, n)
 						strucTerms = append(strucTerms, tape.BCEProb(p, targets))
@@ -334,7 +335,6 @@ func (m *Model) runEpoch(g *dyngraph.Sequence, epoch int) (TrainStats, error) {
 					// Attribute reconstruction (Eq. 18) with teacher forcing on the
 					// observed adjacency.
 					if m.Cfg.F > 0 {
-						esrc, edst := snap.EdgeLists()
 						dec := m.gat.Apply(c, s, esrc, edst, n)
 						xHat := m.attrMLP.Apply(c, dec)
 						if m.Cfg.UseSCE {
@@ -572,20 +572,16 @@ func (m *Model) gruInput(c *nn.Ctx, eps, z *tensor.Node, t, n int) *tensor.Node 
 	return tape.ConcatCols(eps, z, tape.GatherRows(ft, idx))
 }
 
-// samplePairs returns the training pairs for the structure loss: all
-// positive edges of the snapshot plus NegSamples random non-edges per node.
-func (m *Model) samplePairs(s *dyngraph.Snapshot) (src, dst []int, targets *tensor.Matrix) {
-	return m.samplePairsRng(s, m.rng)
-}
-
-// samplePairsRng is samplePairs with an explicit negative-sampling stream,
-// so the window-parallel trainer can prepare every timestep's pairs
-// concurrently from per-timestep derived sources.
-func (m *Model) samplePairsRng(s *dyngraph.Snapshot, rng *rand.Rand) (src, dst []int, targets *tensor.Matrix) {
+// samplePairs returns the training pairs for the structure loss: the
+// snapshot's positive edges (esrc, edst — its EdgeLists, which the caller
+// also feeds to the attribute decoder) plus NegSamples random non-edges per
+// node, drawn from rng: the model's stream in the sequential trainer, a
+// per-timestep derived one in the window-parallel trainer's prep pass.
+func (m *Model) samplePairs(s *dyngraph.Snapshot, esrc, edst []int, rng *rand.Rand) (src, dst []int, targets *tensor.Matrix) {
 	n := s.N
-	esrc, edst := s.EdgeLists()
-	src = append(src, esrc...)
-	dst = append(dst, edst...)
+	size := len(esrc) + n*m.Cfg.NegSamples
+	src = append(make([]int, 0, size), esrc...)
+	dst = append(make([]int, 0, size), edst...)
 	for i := 0; i < n; i++ {
 		for q := 0; q < m.Cfg.NegSamples; q++ {
 			j := rng.Intn(n)
@@ -610,11 +606,23 @@ func (m *Model) samplePairsRng(s *dyngraph.Snapshot, rng *rand.Rand) (src, dst [
 //
 // where θ = sigmoid(f_θ(s_i − s_j)) and the component weights α_i =
 // softmax(Σ_j f_α(s_i − s_j)) aggregate over the sampled pairs of node i.
+// The layout is the decode's (decode.go): both heads' linear first layers
+// run once over the N nodes, P = S·[W₁θ ‖ W₁α], and each head's hidden
+// block is built from Pᵀ with the E pairs on the column axis, so the
+// K-wide second layer is K rows of E columns — the axis every
+// tensor.Backend vectorises — forward and in both backward products.
 func (m *Model) mixBernoulliProb(c *nn.Ctx, s *tensor.Node, src, dst []int, n int) *tensor.Node {
 	tape := c.Tape
-	diff := tape.Sub(tape.GatherRows(s, src), tape.GatherRows(s, dst)) // E×(dz+dh)
-	theta := tape.Sigmoid(m.fTheta.Apply(c, diff))                     // E×K
-	alphaLogits := tape.ScatterAddRows(m.fAlpha.Apply(c, diff), src, n)
+	w1 := tape.ConcatCols(c.Var(m.fTheta.Layers[0].W), c.Var(m.fAlpha.Layers[0].W))
+	pT := tape.Transpose(tape.MatMul(s, w1)) // 2d_h×N, θ rows first
+	logits := func(f *nn.MLP, head int) *tensor.Node {
+		l1, l2 := f.Layers[0], f.Layers[1]
+		hidT := tape.PairDiffT(pT, c.Var(l1.B), head*l1.Out, src, dst, f.Hidden.Fused()) // d_h×E
+		outT := tape.MatMul(tape.Transpose(c.Var(l2.W)), hidT)                           // K×E
+		return tape.AddRowVec(tape.Transpose(outT), c.Var(l2.B))                         // E×K
+	}
+	theta := tape.Sigmoid(logits(m.fTheta, headTheta))
+	alphaLogits := tape.ScatterAddRows(logits(m.fAlpha, headAlpha), src, n)
 	alpha := tape.SoftmaxRows(alphaLogits)       // N×K
 	alphaE := tape.GatherRows(alpha, src)        // E×K
 	return tape.SumRows(tape.Mul(alphaE, theta)) // E×1

@@ -70,10 +70,11 @@ func (m *Model) trainSeed(epoch, t int, stream uint64) int64 {
 // matrix is arena-owned by the epoch and returned when the epoch ends;
 // encSnap and the pair slices are plain heap objects.
 type stepPrep struct {
-	encSnap  *dyngraph.Snapshot
-	noise    *tensor.Matrix // N×LatentDim reparameterization draws
-	src, dst []int
-	targets  *tensor.Matrix
+	encSnap    *dyngraph.Snapshot
+	noise      *tensor.Matrix // N×LatentDim reparameterization draws
+	esrc, edst []int          // the snapshot's edge lists
+	src, dst   []int          // structure-loss pairs: the edges, then the sampled negatives
+	targets    *tensor.Matrix
 }
 
 type windowSpan struct{ start, end int }
@@ -148,7 +149,8 @@ func (m *Model) runEpochParallel(ctx context.Context, g *dyngraph.Sequence, epoc
 			p.noise.Data[i] = noiseRng.NormFloat64()
 		}
 		negRng := rand.New(rand.NewSource(m.trainSeed(epoch, t, streamNegative)))
-		p.src, p.dst, p.targets = m.samplePairsRng(snap, negRng)
+		p.esrc, p.edst = snap.EdgeLists()
+		p.src, p.dst, p.targets = m.samplePairs(snap, p.esrc, p.edst, negRng)
 	})
 	if err := ctx.Err(); err != nil {
 		return TrainStats{}, err
@@ -314,8 +316,7 @@ func (m *Model) runWindow(tape *tensor.Tape, g *dyngraph.Sequence, prep []stepPr
 				}
 
 				if m.Cfg.F > 0 {
-					esrc, edst := snap.EdgeLists()
-					dec := m.gat.Apply(c, s, esrc, edst, n)
+					dec := m.gat.Apply(c, s, p.esrc, p.edst, n)
 					xHat := m.attrMLP.Apply(c, dec)
 					if m.Cfg.UseSCE {
 						attrTerms = append(attrTerms, tape.SCELoss(xHat, snap.X, m.Cfg.SCEAlpha))

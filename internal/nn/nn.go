@@ -75,7 +75,7 @@ func (l *Linear) Apply(c *Ctx, x *tensor.Node) *tensor.Node {
 // ApplyAct computes act(x·W + b) on the tape with the activation fused
 // into the affine node, avoiding the intermediate pre-activation matrix.
 func (l *Linear) ApplyAct(c *Ctx, x *tensor.Node, act Activation) *tensor.Node {
-	return c.Tape.Affine(x, c.Var(l.W), c.Var(l.B), fusedAct(act))
+	return c.Tape.Affine(x, c.Var(l.W), c.Var(l.B), act.Fused())
 }
 
 // Activation selects the nonlinearity used between MLP layers.
@@ -105,9 +105,10 @@ func applyAct(t *tensor.Tape, x *tensor.Node, a Activation) *tensor.Node {
 	}
 }
 
-// fusedAct maps an Activation onto the tensor package's fusable set.
+// Fused maps an Activation onto the tensor package's fusable set, for tape
+// ops that take the activation as an argument (Affine, PairDiffT).
 // ActLeakyReLU relies on both packages using slope 0.2.
-func fusedAct(a Activation) tensor.Act {
+func (a Activation) Fused() tensor.Act {
 	switch a {
 	case ActReLU:
 		return tensor.ActReLU

@@ -105,6 +105,14 @@ func TestBackendDifferentialGEMM(t *testing.T) {
 	for _, c := range []int{1, 7, 93, 128, 1890} {
 		shapes = append(shapes, [3]int{2, 16, c}, [3]int{1, 16, c})
 	}
+	// The Eq. 11 training loss's second layer (core.mixBernoulliProb): the
+	// same W₂ᵀ·hidᵀ with all E pairs of a timestep on the vector axis, and
+	// its two backward products — into the hidden block, a two-deep
+	// contraction E columns wide, and into W₂, the contraction over E, which
+	// walks many matMulKBlock panels where the grid above stops at two.
+	for _, e := range []int{1, 7, 590, 6150} {
+		shapes = append(shapes, [3]int{2, 16, e}, [3]int{16, 2, e}, [3]int{2, e, 16})
+	}
 	for _, bk := range diffBackends() {
 		bk := bk
 		t.Run(bk.Name(), func(t *testing.T) {

@@ -769,6 +769,88 @@ func (t *Tape) ScatterAddRows(a *Node, idx []int, outRows int) *Node {
 	return n
 }
 
+// Transpose returns aᵀ.
+func (t *Tape) Transpose(a *Node) *Node {
+	rows, cols := a.Value.Rows, a.Value.Cols
+	n := t.newOp(a.needGrad, func() *Matrix {
+		out := Get(cols, rows)
+		for i := 0; i < rows; i++ {
+			for j, v := range a.Value.Row(i) {
+				out.Data[j*rows+i] = v
+			}
+		}
+		return out
+	}, a)
+	n.backward = func() {
+		if a.needGrad {
+			g := a.grad()
+			for i := 0; i < rows; i++ {
+				for j := range g.Row(i) {
+					g.Data[i*cols+j] += n.Grad.Data[j*rows+i]
+				}
+			}
+		}
+	}
+	return n
+}
+
+// PairDiffT builds the hidden block of a pair MLP whose linear first layer
+// was hoisted out of the pairs, W₁(sᵢ−sⱼ)+b = (SW₁)ᵢ − (SW₁)ⱼ + b. pT holds
+// (S·W₁)ᵀ, one row per hidden unit and one column per node; b (1×d) is the
+// first-layer bias of the head whose units sit in rows [lo, lo+d) of pT.
+// The output is transposed, d×E with the pairs on the column axis:
+//
+//	out[r][k] = act((pT[lo+r][src[k]] − pT[lo+r][dst[k]]) + b[r])
+//
+// so the layer that follows runs as W₂ᵀ·out, E output columns wide. One
+// node replaces two GatherRows, a Sub and the first Affine of the E-row
+// form. The loops are plain Go: every backend computes the same bits.
+func (t *Tape) PairDiffT(pT, b *Node, lo int, src, dst []int, act Act) *Node {
+	d, e := b.Value.Cols, len(src)
+	if b.Value.Rows != 1 || lo < 0 || lo+d > pT.Value.Rows || len(dst) != e {
+		panic(fmt.Sprintf("tensor: PairDiffT rows [%d,%d) of %s with bias %s, %d src vs %d dst",
+			lo, lo+d, pT.Value.shape(), b.Value.shape(), e, len(dst)))
+	}
+	n := t.newOp(anyGrad(pT, b), func() *Matrix {
+		out := Get(d, e)
+		for r := 0; r < d; r++ {
+			p, bias, orow := pT.Value.Row(lo+r), b.Value.Data[r], out.Row(r)
+			for k, i := range src {
+				orow[k] = (p[i] - p[dst[k]]) + bias
+			}
+		}
+		applyActSlice(out.Data, act)
+		return out
+	}, pT, b)
+	n.backward = func() {
+		dPre, scratch := preGrad(n.Value, n.Grad, act)
+		if pT.needGrad {
+			g := pT.grad()
+			for r := 0; r < d; r++ {
+				grow := g.Row(lo + r)
+				for k, v := range dPre.Row(r) {
+					grow[src[k]] += v
+					grow[dst[k]] -= v
+				}
+			}
+		}
+		if b.needGrad {
+			g := b.grad()
+			for r := 0; r < d; r++ {
+				sum := 0.0
+				for _, v := range dPre.Row(r) {
+					sum += v
+				}
+				g.Data[r] += sum
+			}
+		}
+		if scratch {
+			Put(dPre)
+		}
+	}
+	return n
+}
+
 // SegmentSoftmax normalises the E×1 column a with a softmax within each
 // segment: entries sharing seg[k] form one softmax group. Used for graph
 // attention (softmax over each node's incoming edges). nSeg is the number

@@ -147,6 +147,22 @@ func TestSchedEquivAllOps(t *testing.T) {
 			w := tp.Var(testMat(6, 1, 33))
 			return SchedProbe{Loss: tp.SumAll(tp.Mul(o, w)), Outputs: []*Node{o}, Leaves: []*Node{a, w}}
 		}},
+		{"Transpose", func(tp *Tape) SchedProbe {
+			a := tp.Var(testMat(3, 5, 46))
+			o := tp.Transpose(a)
+			return SchedProbe{Loss: tp.SumAll(tp.Mul(o, o)), Outputs: []*Node{o}, Leaves: []*Node{a}}
+		}},
+		{"PairDiffT/two-heads", func(tp *Tape) SchedProbe {
+			// The trainer's shape: one pT, a head per row window, each
+			// head's block feeding a MatMul from the left.
+			pT, w := tp.Var(testMat(4, 5, 47)), tp.Var(testMat(2, 2, 48))
+			b0, b1 := tp.Var(testMat(1, 2, 49)), tp.Var(testMat(1, 2, 50))
+			src, dst := []int{0, 0, 3, 1, 4, 2}, []int{1, 3, 1, 0, 4, 0}
+			h0 := tp.PairDiffT(pT, b0, 0, src, dst, ActLeakyReLU)
+			h1 := tp.PairDiffT(pT, b1, 2, src, dst, ActTanh)
+			o := tp.Add(tp.MatMul(w, h0), tp.MatMul(w, h1))
+			return SchedProbe{Loss: tp.SumAll(tp.Mul(o, o)), Outputs: []*Node{o, h0, h1}, Leaves: []*Node{pT, w, b0, b1}}
+		}},
 		{"SumAll", unaryCase(func(tp *Tape, a *Node) *Node { return tp.SumAll(a) })},
 		{"MeanAll", unaryCase(func(tp *Tape, a *Node) *Node { return tp.MeanAll(a) })},
 		{"SumRows", unaryCase(func(tp *Tape, a *Node) *Node { return tp.SumRows(a) })},

@@ -8,8 +8,18 @@ func fuzzCSR() *CSR {
 		[]float64{1, -0.5, 2, 0.25, -1})
 }
 
+// fuzzSel is a program byte's op selector: the low nibble, in a second
+// table of sixteen when the top bit is set. Bytes below 0x80 — every
+// committed corpus entry older than the second table — select what they
+// always did; a selector without a case in applyOp records nothing.
+func fuzzSel(op byte) int { return int(op&0x0f) | int(op>>7)<<4 }
+
+// fuzzSelCheckpoint opens a Checkpoint segment (handled by the program
+// loop, not the op table).
+const fuzzSelCheckpoint = 14
+
 // fuzzBuild interprets data as a stack-machine program over 3×3 matrices
-// and records it on tp. Each byte's low nibble selects the op, the high
+// and records it on tp. fuzzSel of each byte selects the op, the high
 // nibble parameterises it (scale factor, activation, checkpoint span). The
 // interpretation is fully deterministic, so the same bytes replayed on a
 // plain and a scheduled tape must produce bit-identical results.
@@ -33,10 +43,13 @@ func fuzzBuild(tp *Tape, data []byte) SchedProbe {
 		}
 	}
 	acts := [...]Act{ActIdent, ActSigmoid, ActTanh, ActReLU, ActLeakyReLU}
+	// Pairs over the three columns of a 3×3 operand: node 0 is src twice,
+	// node 1 sits on both sides, the last pair is a self pair.
+	pairSrc, pairDst := []int{0, 0, 1}, []int{1, 2, 1}
 
 	applyOp := func(op byte) {
 		hi := float64(op>>4)/8 - 0.9 // deterministic parameter in [-0.9, 0.975]
-		switch op % 16 {
+		switch fuzzSel(op) {
 		case 0:
 			push(tp.Add(pop(), pop()))
 		case 1:
@@ -69,6 +82,10 @@ func fuzzBuild(tp *Tape, data []byte) SchedProbe {
 			push(stack[len(stack)-1]) // dup: aliased consumption
 		case 15:
 			push(tp.Exp(tp.Scale(pop(), 0.1)))
+		case 16:
+			push(tp.PairDiffT(pop(), bias, 0, pairSrc, pairDst, acts[int(op>>4)%len(acts)]))
+		case 17:
+			push(tp.Transpose(pop()))
 		}
 	}
 
@@ -76,7 +93,7 @@ func fuzzBuild(tp *Tape, data []byte) SchedProbe {
 	for i < len(data) {
 		op := data[i]
 		i++
-		if op%16 == 14 {
+		if fuzzSel(op) == fuzzSelCheckpoint {
 			// Checkpoint segment wrapping the next 1..4 ops; everything
 			// still on the stack at close crosses the boundary and must
 			// be pinned, exactly like the trainer pins the hidden state.
@@ -85,7 +102,7 @@ func fuzzBuild(tp *Tape, data []byte) SchedProbe {
 				for j := 0; j < span && i < len(data); j++ {
 					inner := data[i]
 					i++
-					if inner%16 == 14 {
+					if fuzzSel(inner) == fuzzSelCheckpoint {
 						inner = 7 // no nesting: remap to Tanh
 					}
 					applyOp(inner)
@@ -124,6 +141,8 @@ func FuzzTapeSchedule(f *testing.F) {
 		"\x0e\x0e\x0e\x0e",                 // checkpoint ops with nothing to wrap
 		"?N3?N3",                           // Exp, segment-wrapped MatMul
 		"0123456789:;<=>?@ABCDEFGHIJKLMNO", // two full opcode sweeps
+		"\xc0\r7\x02>\xa0\xb0\r\x00",       // PairDiffT consumed twice, then two inside a segment and the second consumed twice
+		"\x81\r3>\x81\x81\r\x02\x81",       // Transpose likewise, feeding MatMul and Mul
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))

@@ -150,6 +150,59 @@ func TestGradGatherScatter(t *testing.T) {
 	})
 }
 
+func TestGradTranspose(t *testing.T) {
+	for _, shape := range [][2]int{{3, 4}, {1, 4}, {3, 1}} {
+		w := rnd(shape[1], shape[0], 120)
+		checkGrad(t, []*Matrix{rnd(shape[0], shape[1], 121)}, func(tp *Tape, v []*Node) *Node {
+			return tp.SumAll(tp.Mul(tp.Tanh(tp.Transpose(v[0])), tp.Const(w)))
+		})
+	}
+}
+
+// TestGradPairDiffT checks the pair-difference op against finite
+// differences. The long pair list repeats a src (0), hits node 1 from
+// three pairs on both sides, leaves node 3 in no pair (its gradient column
+// must stay zero) and holds a self pair (2,2: a zero difference); the short
+// one is E=1. lo=3 windows the op onto the last two rows of a five-row pT,
+// so the rows in front of the window must receive no gradient either.
+func TestGradPairDiffT(t *testing.T) {
+	pairs := []struct{ src, dst []int }{
+		{[]int{0, 0, 2, 1, 2}, []int{1, 2, 1, 0, 2}},
+		{[]int{2}, []int{0}},
+	}
+	for _, act := range []Act{ActIdent, ActReLU, ActLeakyReLU, ActTanh, ActSigmoid} {
+		for _, lo := range []int{0, 3} {
+			for _, pr := range pairs {
+				w := rnd(2, len(pr.src), 122)
+				checkGrad(t, []*Matrix{rnd(5, 4, 123), rnd(1, 2, 124)}, func(tp *Tape, v []*Node) *Node {
+					return tp.SumAll(tp.Mul(tp.PairDiffT(v[0], v[1], lo, pr.src, pr.dst, act), tp.Const(w)))
+				})
+			}
+		}
+	}
+}
+
+// TestPairDiffTMatchesGatherSubAffine pins the op to the formulation it
+// replaces: gather both endpoints' rows of S, subtract, Affine. Only the
+// first layer's rounding may differ (the product is taken per node instead
+// of per difference).
+func TestPairDiffTMatchesGatherSubAffine(t *testing.T) {
+	const n, ds, d = 6, 5, 3
+	src, dst := []int{0, 0, 4, 1, 5, 3}, []int{1, 2, 1, 0, 5, 4}
+	s, w1, b1 := rnd(n, ds, 125), rnd(ds, d, 126), rnd(1, d, 127)
+	tp := NewTape()
+	sv, wv, bv := tp.Const(s), tp.Const(w1), tp.Const(b1)
+	want := tp.Affine(tp.Sub(tp.GatherRows(sv, src), tp.GatherRows(sv, dst)), wv, bv, ActLeakyReLU)
+	got := tp.PairDiffT(tp.Transpose(tp.MatMul(sv, wv)), bv, 0, src, dst, ActLeakyReLU)
+	for k := range src {
+		for r := 0; r < d; r++ {
+			if diff := math.Abs(got.Value.At(r, k) - want.Value.At(k, r)); diff > 1e-14 {
+				t.Fatalf("pair %d unit %d: PairDiffT %g vs Affine %g", k, r, got.Value.At(r, k), want.Value.At(k, r))
+			}
+		}
+	}
+}
+
 func TestGradSpMM(t *testing.T) {
 	s := NewCSR(3, 3, []int{0, 1, 1, 2}, []int{1, 0, 2, 2}, nil)
 	checkGrad(t, []*Matrix{rnd(3, 2, 18)}, func(tp *Tape, v []*Node) *Node {
