@@ -9,23 +9,8 @@
 // fig10 ablation all. Scale 1 reproduces the Table-I dataset sizes (slow
 // on CPU); smaller scales preserve the comparative shapes.
 //
-// -serve switches to the HTTP load benchmark instead: concurrent clients
-// against an in-process server, reporting RPS, p50/p99 latency, and peak
-// RSS per endpoint (unary, streaming, batch):
-//
-//	vrdag-bench -serve -serve-clients 8 -serve-requests 64 -serve-out BENCH_serve.json
-//
-// -train switches to the training-path benchmark: epoch wall-time,
-// windows/sec, and the allocation profile of the sequential TBPTT engine
-// versus the window-parallel engine at several worker counts:
-//
-//	vrdag-bench -train -train-scale 0.05 -train-workers 1,2,0 -train-out BENCH_train.json
-//
-// -forecast switches to the ingest-and-forecast benchmark: edge-stream
-// encode throughput (edges/sec through parse → window → EncodeSnapshot)
-// and conditioned-generation latency (p50/p99 over repeated forecasts):
-//
-//	vrdag-bench -forecast -forecast-requests 32 -forecast-out BENCH_forecast.json
+// Performance is measured by the benchmark in bench/ (go run -C bench .),
+// not by this command.
 package main
 
 import (
@@ -45,80 +30,8 @@ func main() {
 		scale   = flag.Float64("scale", 0.05, "replica scale factor (1 = paper size)")
 		seed    = flag.Int64("seed", 1, "random seed")
 		epochs  = flag.Int("epochs", 10, "VRDAG training epochs")
-
-		serve         = flag.Bool("serve", false, "run the HTTP serving-path load benchmark instead of paper experiments")
-		serveClients  = flag.Int("serve-clients", 8, "concurrent load-generating clients")
-		serveRequests = flag.Int("serve-requests", 64, "total requests per scenario")
-		serveT        = flag.Int("serve-t", 32, "snapshots per generation request")
-		serveN        = flag.Int("serve-n", 48, "nodes in the benchmark model")
-		serveEpochs   = flag.Int("serve-epochs", 3, "training epochs for the benchmark model")
-		serveCluster  = flag.Int("serve-cluster-nodes", 3, "nodes in the cluster ingest scenario (0 skips it)")
-		serveOut      = flag.String("serve-out", "", "write serve-bench JSON here (default stdout)")
-
-		train        = flag.Bool("train", false, "run the training-path benchmark instead of paper experiments")
-		trainScale   = flag.Float64("train-scale", 0.05, "Email replica scale for the training benchmark")
-		trainEpochs  = flag.Int("train-epochs", 4, "measured epochs per scenario")
-		trainWindow  = flag.Int("train-window", 2, "TBPTT window length (0 = full sequence)")
-		trainWorkers = flag.String("train-workers", "1,0", "CSV of parallel worker counts (0 = GOMAXPROCS)")
-		trainOut     = flag.String("train-out", "", "write train-bench JSON here (default stdout)")
-
-		forecast         = flag.Bool("forecast", false, "run the ingest-and-forecast benchmark instead of paper experiments")
-		forecastScale    = flag.Float64("forecast-scale", 0.05, "Email replica scale for the forecast benchmark")
-		forecastRequests = flag.Int("forecast-requests", 32, "forecast requests measured for latency percentiles")
-		forecastT        = flag.Int("forecast-t", 16, "forecast horizon per request")
-		forecastEpochs   = flag.Int("forecast-epochs", 3, "training epochs for the benchmark model")
-		forecastRepeats  = flag.Int("forecast-repeats", 4, "full ingest->encode passes for the throughput figure")
-		forecastOut      = flag.String("forecast-out", "", "write forecast-bench JSON here (default stdout)")
 	)
 	flag.Parse()
-
-	if *forecast {
-		err := runForecastBench(forecastBenchOptions{
-			scale:    *forecastScale,
-			requests: *forecastRequests,
-			t:        *forecastT,
-			epochs:   *forecastEpochs,
-			repeats:  *forecastRepeats,
-			seed:     *seed,
-			out:      *forecastOut,
-		})
-		if err != nil {
-			log.Fatalf("vrdag-bench: forecast: %v", err)
-		}
-		return
-	}
-
-	if *train {
-		err := runTrainBench(trainOptions{
-			scale:   *trainScale,
-			epochs:  *trainEpochs,
-			window:  *trainWindow,
-			workers: *trainWorkers,
-			seed:    *seed,
-			out:     *trainOut,
-		})
-		if err != nil {
-			log.Fatalf("vrdag-bench: train: %v", err)
-		}
-		return
-	}
-
-	if *serve {
-		err := runServeBench(serveOptions{
-			clients:      *serveClients,
-			requests:     *serveRequests,
-			t:            *serveT,
-			n:            *serveN,
-			epochs:       *serveEpochs,
-			seed:         *seed,
-			clusterNodes: *serveCluster,
-			out:          *serveOut,
-		})
-		if err != nil {
-			log.Fatalf("vrdag-bench: serve: %v", err)
-		}
-		return
-	}
 
 	o := experiments.Options{Scale: *scale, Seed: *seed, Epochs: *epochs}
 	w := os.Stdout

@@ -53,19 +53,16 @@ func BenchmarkFitEpoch(b *testing.B) {
 	}
 }
 
-// benchFitTBPTT runs one windowed training epoch per iteration, shared by
-// the sequential/parallel comparison benchmarks.
-func benchFitTBPTT(b *testing.B, scale float64, parallel bool, workers int) {
-	b.Helper()
-	g, _, err := datasets.Replica(datasets.Email, scale, 1)
+// BenchmarkFitEpochTBPTT runs one windowed training epoch per iteration
+// (TBPTT=2: one optimizer step per two-snapshot window).
+func BenchmarkFitEpochTBPTT(b *testing.B) {
+	g, _, err := datasets.Replica(datasets.Email, 0.05, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	cfg := DefaultConfig(g.N, g.F)
 	cfg.Epochs = 1
 	cfg.TBPTT = 2
-	cfg.ParallelWindows = parallel
-	cfg.TrainWorkers = workers
 	m := New(cfg)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -74,18 +71,6 @@ func benchFitTBPTT(b *testing.B, scale float64, parallel bool, workers int) {
 		}
 	}
 }
-
-// BenchmarkFitEpochTBPTT is the sequential windowed baseline the parallel
-// engine is measured against (same windows, one optimizer step each).
-func BenchmarkFitEpochTBPTT(b *testing.B) { benchFitTBPTT(b, 0.05, false, 0) }
-
-// BenchmarkFitEpochParallel measures the window-parallel engine at
-// GOMAXPROCS workers on the same workload.
-func BenchmarkFitEpochParallel(b *testing.B) { benchFitTBPTT(b, 0.05, true, 0) }
-
-// BenchmarkFitEpochParallel1 pins one worker: the two-pass overhead
-// (prep + seed recurrence) relative to the sequential baseline.
-func BenchmarkFitEpochParallel1(b *testing.B) { benchFitTBPTT(b, 0.05, true, 1) }
 
 // BenchmarkGenerate measures full-sequence one-shot generation
 // (Algorithm 1) including attribute decoding and recurrence updates.

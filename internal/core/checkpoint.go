@@ -18,13 +18,11 @@ import (
 // so a killed training run resumes mid-schedule and finishes with Save
 // bytes identical to an uninterrupted run.
 //
-// Epoch boundaries are clean cut points by construction: the sequential
-// trainer restarts the hidden state at H_0 = 0 every epoch, the
-// window-parallel trainer derives its random streams from (seed, epoch,
-// timestep) rather than the shared rng, and the residual moments are
-// accumulated only during the final epoch — which a resumed run always
-// re-runs, because checkpoints are only written while at least one epoch
-// remains.
+// Epoch boundaries are clean cut points by construction: the trainer
+// restarts the hidden state at H_0 = 0 every epoch, and the residual
+// moments are accumulated only during the final epoch — which a resumed
+// run always re-runs, because checkpoints are only written while at least
+// one epoch remains.
 
 // fitFS is the filesystem resume checkpoints are written through.
 // Package-level so fault-injection tests can swap in a durable.FaultFS.
@@ -91,7 +89,6 @@ type fitCheckpoint struct {
 // hint rather than a model hyper-parameter, so checkpoint compatibility
 // compares only what determines the trained weights.
 func stripVolatileCfg(c Config) Config {
-	c.TrainWorkers = 0
 	c.TapeSched = 0
 	c.CheckpointEvery = 0
 	c.CheckpointPath = ""

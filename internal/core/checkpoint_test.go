@@ -63,9 +63,8 @@ func fitInterrupted(t *testing.T, cfg Config, stopAfter int) []byte {
 
 // TestFitResumeBitIdentical is the training half of the PR's acceptance
 // bar: a Fit interrupted at an epoch boundary and resumed from its crash
-// checkpoint must produce Save bytes identical to an uninterrupted run —
-// sequential and window-parallel, with and without the RNG-consuming
-// neighbour sampling.
+// checkpoint must produce Save bytes identical to an uninterrupted run,
+// with and without the RNG-consuming neighbour sampling.
 func TestFitResumeBitIdentical(t *testing.T) {
 	base := smallConfig(16, 2)
 	base.Epochs = 5
@@ -75,7 +74,6 @@ func TestFitResumeBitIdentical(t *testing.T) {
 	}{
 		{"sequential", func(c *Config) {}},
 		{"sequential/neighborSample", func(c *Config) { c.NeighborSample = 3; c.TBPTT = 2 }},
-		{"parallel", func(c *Config) { c.ParallelWindows = true; c.TBPTT = 2; c.TrainWorkers = 2 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -58,30 +58,14 @@ type Config struct {
 	// through the full sequence.
 	TBPTT int
 
-	// ParallelWindows opts in to the window-parallel training engine: a
-	// tape-free forward pass computes detached hidden-state seeds at every
-	// TBPTT window boundary, all windows then run concurrently on
-	// per-worker tapes, and their gradients are accumulated in window
-	// order into a single optimizer step per epoch. Results are
-	// bit-identical for any worker count (per-timestep random streams are
-	// derived from Seed, epoch, and timestep rather than drawn from the
-	// shared model rng). Off by default: the sequential path takes one
-	// Adam step per window, which converges faster on very short
-	// schedules; see docs/ARCHITECTURE.md "Training at scale".
-	ParallelWindows bool
-	// TrainWorkers caps the number of concurrent window workers when
-	// ParallelWindows is set (0 = GOMAXPROCS). The worker count never
-	// changes the trained weights, only the wall-time.
-	TrainWorkers int
-
 	// TapeSched selects the tape executor for training: 0 (auto) enables
 	// the scheduled executor — lifetime release of dead intermediates
 	// mid-Backward plus backward fusion — unless the VRDAG_TAPE_SCHED
 	// environment variable is "0" or "off"; 1 forces it on; -1 forces the
-	// plain record-order executor. Like TrainWorkers it is a scheduling
-	// hint, never a model hyper-parameter: losses, gradients, and trained
-	// weights are bit-identical in every mode (pinned by
-	// tensor.AssertSchedEquiv and the core scheduling tests).
+	// plain record-order executor. It is a scheduling hint, never a model
+	// hyper-parameter: losses, gradients, and trained weights are
+	// bit-identical in every mode (pinned by tensor.AssertSchedEquiv and
+	// the core scheduling tests).
 	TapeSched int
 	// CheckpointEvery opts in to gradient checkpointing: each TBPTT window
 	// is recorded as rematerialization segments of this many timesteps,
@@ -99,8 +83,8 @@ type Config struct {
 	// file when it exists at the next Fit. A run interrupted at any point
 	// and resumed produces Save bytes identical to an uninterrupted run
 	// (pinned by TestFitResumeBitIdentical); the file is removed when Fit
-	// completes. Like TrainWorkers this is a durability hint, not a model
-	// hyper-parameter: Save zeroes it.
+	// completes. This is a durability hint, not a model hyper-parameter:
+	// Save zeroes it.
 	CheckpointPath string
 	// CheckpointEveryEpochs is the epoch interval between resume
 	// checkpoints (default 1 when CheckpointPath is set).
@@ -199,10 +183,6 @@ type Model struct {
 	// steady-state training allocates almost nothing.
 	tape *tensor.Tape
 
-	// workerTapes are the per-worker tapes of the window-parallel training
-	// engine, grown on demand and reused across epochs like tape.
-	workerTapes []*tensor.Tape
-
 	// Statistics captured from the training sequence, used for the
 	// generation-time density/attribute calibration and the node
 	// add/delete extension of Section III-H.
@@ -283,30 +263,20 @@ func (m *Model) tapeSched() tensor.Sched {
 }
 
 // TapePeakLiveBytes returns the high-water mark of tape-owned buffer bytes
-// across the model's training tapes (the sequential tape and any
-// window-parallel worker tapes). The mark survives Tape.Reset, so after a
+// on the model's training tape. The mark survives Tape.Reset, so after a
 // Fit it reports the per-window training footprint the scheduler achieved.
 func (m *Model) TapePeakLiveBytes() int64 {
-	var peak int64
-	if m.tape != nil {
-		peak = m.tape.PeakLiveBytes()
+	if m.tape == nil {
+		return 0
 	}
-	for _, tp := range m.workerTapes {
-		if p := tp.PeakLiveBytes(); p > peak {
-			peak = p
-		}
-	}
-	return peak
+	return m.tape.PeakLiveBytes()
 }
 
-// ResetTapePeakLiveBytes rewinds every training tape's high-water mark
+// ResetTapePeakLiveBytes rewinds the training tape's high-water mark
 // (benchmark phase boundaries).
 func (m *Model) ResetTapePeakLiveBytes() {
 	if m.tape != nil {
 		m.tape.ResetPeakLiveBytes()
-	}
-	for _, tp := range m.workerTapes {
-		tp.ResetPeakLiveBytes()
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"vrdag/internal/datasets"
 	"vrdag/internal/dyngraph"
 	"vrdag/internal/metrics"
 )
@@ -279,6 +280,41 @@ func TestTrainedBeatsUntrainedOnStructure(t *testing.T) {
 	// the decoder.
 	if rt.InDegMMD > ru.InDegMMD*2+0.05 {
 		t.Fatalf("training degraded structure badly: trained=%g untrained=%g", rt.InDegMMD, ru.InDegMMD)
+	}
+}
+
+// TestFitFidelityPinned holds the trainer's fidelity by value: the model
+// bench/ generates from (Email×0.05, N=94, DefaultConfig, seed 1, 24
+// epochs) must land where it does today on the two scores bench/probes.go
+// reports as metrics.degree_mmd and metrics.attr_jsd. An untrained model
+// reads 0.137 and 0.234, so a broken objective falls far outside the band.
+func TestFitFidelityPinned(t *testing.T) {
+	g, _, err := datasets.Replica(datasets.Email, 0.05, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(g.N, g.F)
+	cfg.Seed = 1
+	cfg.Epochs = 24
+	m := New(cfg)
+	if _, err := m.Fit(g); err != nil {
+		t.Fatal(err)
+	}
+	gen, err := m.GenerateOpts(GenOptions{T: g.T(), Seed: 1, Parallel: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := metrics.CompareStructure(g, gen)
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"degree MMD", (rep.InDegMMD + rep.OutDegMMD) / 2, 0.029564},
+		{"attribute JSD", metrics.AttrJSD(g, gen, 32), 0.016425},
+	} {
+		if math.Abs(c.got-c.want) > 0.25*c.want {
+			t.Errorf("%s = %.6f, want %.6f ± 25 %%", c.name, c.got, c.want)
+		}
 	}
 }
 

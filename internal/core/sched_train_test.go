@@ -7,11 +7,28 @@ import (
 	"vrdag/internal/tensor"
 )
 
+// fitStats trains a fresh model and returns every epoch's stats plus the
+// serialized checkpoint bytes.
+func fitStats(t *testing.T, cfg Config) ([]TrainStats, []byte) {
+	t.Helper()
+	seq := toyGraph(cfg.N, cfg.F, 8, 41)
+	m := New(cfg)
+	var all []TrainStats
+	if _, err := m.Fit(seq, WithProgress(func(s TrainStats) { all = append(all, s) })); err != nil {
+		t.Fatalf("Fit: %v", err)
+	}
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatalf("Save: %v", err)
+	}
+	return all, buf.Bytes()
+}
+
 // TestTapeSchedBitIdentitySequential pins the end-to-end contract of the
-// scheduled tape executor on the sequential trainer: per-epoch loss stats
-// (including gradient norms) and post-Fit checkpoint bytes are
-// bit-identical with scheduling off, on, and on with rematerialization
-// segments of various lengths.
+// scheduled tape executor on the trainer: per-epoch loss stats (including
+// gradient norms) and post-Fit checkpoint bytes are bit-identical with
+// scheduling off, on, and on with rematerialization segments of various
+// lengths.
 func TestTapeSchedBitIdentitySequential(t *testing.T) {
 	base := smallConfig(14, 2)
 	base.TBPTT = 2
@@ -50,42 +67,6 @@ func TestTapeSchedBitIdentitySequential(t *testing.T) {
 				t.Fatal("checkpoint bytes differ from the plain-executor run")
 			}
 		})
-	}
-}
-
-// TestTapeSchedBitIdentityParallel re-runs the worker-invariance and
-// Save-byte-determinism contract with the scheduled executor and
-// rematerialization enabled: every (workers, schedule) combination must
-// reproduce the plain single-worker run bit for bit.
-func TestTapeSchedBitIdentityParallel(t *testing.T) {
-	off := parallelConfig(14, 2, 1)
-	off.TapeSched = -1
-	refStats, refBytes := fitStats(t, off)
-
-	for _, workers := range []int{1, 2, 8} {
-		for _, v := range []struct {
-			name      string
-			ckptEvery int
-		}{{"sched-on", 0}, {"sched-on/ckpt-1", 1}} {
-			t.Run(v.name, func(t *testing.T) {
-				cfg := parallelConfig(14, 2, workers)
-				cfg.TapeSched = 1
-				cfg.CheckpointEvery = v.ckptEvery
-				stats, ckpt := fitStats(t, cfg)
-				if len(stats) != len(refStats) {
-					t.Fatalf("workers=%d: %d epochs, want %d", workers, len(stats), len(refStats))
-				}
-				for e := range stats {
-					if stats[e] != refStats[e] {
-						t.Fatalf("workers=%d epoch %d: stats %+v differ from plain %+v",
-							workers, e, stats[e], refStats[e])
-					}
-				}
-				if !bytes.Equal(ckpt, refBytes) {
-					t.Fatalf("workers=%d: checkpoint bytes differ from the plain run", workers)
-				}
-			})
-		}
 	}
 }
 

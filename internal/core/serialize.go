@@ -15,7 +15,8 @@ import (
 // map so Save is byte-deterministic: two models with identical weights
 // produce identical checkpoint files (gob serialises map entries in
 // iteration order, which Go randomises), which is what lets tests pin
-// that the parallel trainer's output is invariant to the worker count.
+// that the trained bytes are invariant to the tape executor and to a
+// resume from a crash checkpoint.
 type modelState struct {
 	Cfg     Config
 	Params  []savedParam
@@ -58,14 +59,13 @@ func (m *Model) Save(w io.Writer) error {
 		AttrCorrChol:  m.attrCorrChol,
 		AttrQuantiles: m.attrQuantiles,
 	}
-	// TrainWorkers, TapeSched, CheckpointEvery, and the resume-checkpoint
-	// settings are scheduling/durability hints, not model hyper-parameters:
-	// a checkpoint trained with 8 workers, with the scheduled tape executor
-	// and rematerialization, or resumed mid-run from a crash checkpoint
-	// must be byte-identical to one trained sequentially in a single
-	// uninterrupted pass (the invariance contracts pinned by the
-	// serialization tests), and must not pin execution details on whatever
-	// machine later loads it.
+	// TapeSched, CheckpointEvery, and the resume-checkpoint settings are
+	// scheduling/durability hints, not model hyper-parameters: a checkpoint
+	// trained with the scheduled tape executor and rematerialization, or
+	// resumed mid-run from a crash checkpoint, must be byte-identical to
+	// one trained on the plain executor in a single uninterrupted pass (the
+	// invariance contracts pinned by the serialization tests), and must not
+	// pin execution details on whatever machine later loads it.
 	st.Cfg = stripVolatileCfg(st.Cfg)
 	seen := make(map[string]bool)
 	for _, p := range nn.CollectParams(m.Modules()...) {

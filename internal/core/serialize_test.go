@@ -74,3 +74,24 @@ func TestSaveUntrainedModel(t *testing.T) {
 		t.Fatal("untrained flag must survive round-trip")
 	}
 }
+
+// TestSaveDeterministicBytes pins the serialization property the
+// bit-identity tests rely on: two Save calls on the same model produce
+// identical bytes.
+func TestSaveDeterministicBytes(t *testing.T) {
+	g := toyGraph(10, 1, 3, 53)
+	m := New(smallConfig(10, 1))
+	if _, err := m.Fit(g); err != nil {
+		t.Fatal(err)
+	}
+	var a, b bytes.Buffer
+	if err := m.Save(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Save(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatal("two Save calls on one model produced different bytes")
+	}
+}

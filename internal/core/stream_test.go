@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"vrdag/internal/dyngraph"
@@ -173,21 +175,38 @@ func TestGenerateCtxCancelled(t *testing.T) {
 }
 
 // TestFitContextCancellation verifies that training checks its context
-// between epochs and that an interrupted model stays untrained.
+// between epochs, that an interrupted model stays untrained, and that the
+// cancelled run returned every pooled buffer its windows took: arena gets
+// and puts balance exactly.
 func TestFitContextCancellation(t *testing.T) {
 	g := toyGraph(12, 2, 4, 19)
 	cfg := smallConfig(12, 2)
 	cfg.Epochs = 50
-	m := New(cfg)
+	cfg.TBPTT = 1 // four windows, four optimizer steps an epoch
 
-	ctx, cancel := context.WithCancel(context.Background())
-	epochs := 0
-	_, err := m.FitContext(ctx, g, WithProgress(func(s TrainStats) {
-		epochs++
-		if epochs == 2 {
-			cancel()
-		}
-	}))
+	fitCancelledAt2 := func(m *Model) (int, error) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		epochs := 0
+		_, err := m.FitContext(ctx, g, WithProgress(func(TrainStats) {
+			epochs++
+			if epochs == 2 {
+				cancel()
+			}
+		}))
+		return epochs, err
+	}
+
+	// Warm-up on a separate model so caches that outlive a Fit (snapshot
+	// CSR/edge-list caches on g) don't skew the counter delta.
+	if _, err := fitCancelledAt2(New(cfg)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("warm-up err = %v, want context.Canceled", err)
+	}
+
+	m := New(cfg)
+	before := tensor.ReadPoolStats()
+	epochs, err := fitCancelledAt2(m)
+	after := tensor.ReadPoolStats()
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -196,6 +215,45 @@ func TestFitContextCancellation(t *testing.T) {
 	}
 	if m.Trained() {
 		t.Fatal("cancelled training must leave the model untrained")
+	}
+	if gets, puts := after.Gets-before.Gets, after.Puts-before.Puts; gets == 0 || gets != puts {
+		t.Fatalf("cancelled Fit leaked arena buffers: %d gets vs %d puts", gets, puts)
+	}
+}
+
+// TestFitNonFiniteLossReleasesArena drives the trainer's other early exit:
+// a NaN weight makes the first window's loss non-finite, Fit reports it,
+// the model stays untrained, the aborted window's buffers all went back to
+// the arena, and training a new model afterwards works.
+func TestFitNonFiniteLossReleasesArena(t *testing.T) {
+	g := toyGraph(12, 2, 4, 19)
+	cfg := smallConfig(12, 2)
+	cfg.Epochs = 3
+	cfg.TBPTT = 2
+
+	// Warm-up, as in TestFitContextCancellation.
+	if _, err := New(cfg).Fit(g); err != nil {
+		t.Fatal(err)
+	}
+
+	m := New(cfg)
+	m.postHid.W.Value.Data[0] = math.NaN()
+	before := tensor.ReadPoolStats()
+	_, err := m.Fit(g)
+	after := tensor.ReadPoolStats()
+	if err == nil || !strings.Contains(err.Error(), "non-finite loss at epoch 0") {
+		t.Fatalf("err = %v, want non-finite loss at epoch 0", err)
+	}
+	if m.Trained() {
+		t.Fatal("a Fit that failed must leave the model untrained")
+	}
+	if gets, puts := after.Gets-before.Gets, after.Puts-before.Puts; gets == 0 || gets != puts {
+		t.Fatalf("failed Fit leaked arena buffers: %d gets vs %d puts", gets, puts)
+	}
+
+	fresh := New(cfg)
+	if _, err := fresh.Fit(g); err != nil || !fresh.Trained() {
+		t.Fatalf("Fit after a failed one: err = %v, trained = %v", err, fresh.Trained())
 	}
 }
 

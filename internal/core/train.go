@@ -35,19 +35,21 @@ func WithProgress(f func(TrainStats)) FitOption {
 }
 
 // Fit trains the model on an observed dynamic attributed graph by
-// maximising the step-wise ELBO of Eq. (14) with full-sequence
-// backpropagation through time. It returns the stats of the final epoch.
+// maximising the step-wise ELBO of Eq. (14) with backpropagation through
+// time, over the full sequence or truncated to windows of Cfg.TBPTT
+// snapshots. It returns the stats of the final epoch.
 func (m *Model) Fit(g *dyngraph.Sequence, opts ...FitOption) (TrainStats, error) {
 	return m.FitContext(context.Background(), g, opts...)
 }
 
 // FitContext is Fit with cooperative cancellation, the same contract the
-// generation engine offers: ctx is checked once per epoch, so a long
-// training run started from tooling stops within one epoch of the caller
-// cancelling. On cancellation the stats of the last completed epoch are
-// returned together with the context's error, and the model stays
-// untrained (Trained reports false) because the generation-time
-// calibration statistics of the final epoch were never captured.
+// generation engine offers: ctx is checked once per epoch, before the
+// epoch starts, so a long training run started from tooling stops within
+// one epoch of the caller cancelling. On cancellation the stats of the
+// last completed epoch are returned together with the context's error, and
+// the model stays untrained (Trained reports false) because the
+// generation-time calibration statistics of the final epoch were never
+// captured.
 func (m *Model) FitContext(ctx context.Context, g *dyngraph.Sequence, opts ...FitOption) (TrainStats, error) {
 	var o fitOpts
 	for _, opt := range opts {
@@ -83,17 +85,8 @@ func (m *Model) FitContext(ctx context.Context, g *dyngraph.Sequence, opts ...Fi
 		if err := ctx.Err(); err != nil {
 			return last, err
 		}
-		var stats TrainStats
-		var err error
-		if m.Cfg.ParallelWindows {
-			stats, err = m.runEpochParallel(ctx, g, epoch)
-		} else {
-			stats, err = m.runEpoch(g, epoch)
-		}
+		stats, err := m.runEpoch(g, epoch)
 		if err != nil {
-			if ctx.Err() != nil { // cancelled mid-epoch: report the last full epoch
-				return last, ctx.Err()
-			}
 			return stats, err
 		}
 		if m.Cfg.CheckpointPath != "" && epoch+1 < m.Cfg.Epochs && (epoch+1)%m.checkpointEvery() == 0 {
@@ -416,9 +409,7 @@ func (m *Model) runEpoch(g *dyngraph.Sequence, epoch int) (TrainStats, error) {
 // decoder parameterises the *mean* of the attribute likelihood; the
 // squared correlation is its scale-free explanatory power (the scaled
 // cosine loss of Eq. 18 deliberately ignores output scale, so a
-// variance-ratio R² would be meaningless). The window-parallel trainer
-// keeps one accumulator per window and merges them in window order, so
-// the sums are identical whatever the worker count.
+// variance-ratio R² would be meaningless).
 type residMoments struct {
 	predSum, predSq []float64 // decoder-output moment sums
 	trueSum, trueSq []float64 // ground-truth moment sums
@@ -455,27 +446,8 @@ func (r *residMoments) record(xHat, x *tensor.Matrix) {
 	}
 }
 
-// merge folds another accumulator into r (per-dimension sums add; the
-// caller controls merge order for float determinism).
-func (r *residMoments) merge(o *residMoments) {
-	if o.predSum == nil {
-		return
-	}
-	if r.predSum == nil {
-		r.init(len(o.predSum))
-	}
-	for j := range r.predSum {
-		r.predSum[j] += o.predSum[j]
-		r.predSq[j] += o.predSq[j]
-		r.trueSum[j] += o.trueSum[j]
-		r.trueSq[j] += o.trueSq[j]
-		r.crossSum[j] += o.crossSum[j]
-	}
-	r.count += o.count
-}
-
-// recordResiduals is the sequential trainer's entry point into the moment
-// accumulator; reset starts a fresh final-epoch accumulation.
+// recordResiduals adds one timestep to the moment accumulator; reset
+// starts a fresh final-epoch accumulation.
 func (m *Model) recordResiduals(xHat, x *tensor.Matrix, reset bool) {
 	if reset {
 		m.resid.reset()
@@ -575,8 +547,7 @@ func (m *Model) gruInput(c *nn.Ctx, eps, z *tensor.Node, t, n int) *tensor.Node 
 // samplePairs returns the training pairs for the structure loss: the
 // snapshot's positive edges (esrc, edst — its EdgeLists, which the caller
 // also feeds to the attribute decoder) plus NegSamples random non-edges per
-// node, drawn from rng: the model's stream in the sequential trainer, a
-// per-timestep derived one in the window-parallel trainer's prep pass.
+// node, drawn from rng.
 func (m *Model) samplePairs(s *dyngraph.Snapshot, esrc, edst []int, rng *rand.Rand) (src, dst []int, targets *tensor.Matrix) {
 	n := s.N
 	size := len(esrc) + n*m.Cfg.NegSamples

@@ -7,10 +7,8 @@ import (
 )
 
 // GradSink receives parameter gradients flushed from a forward/backward
-// pass. *Adam accumulates them straight into the optimizer buffers (the
-// sequential training path); *GradBuffer collects them privately so
-// concurrent workers can each own a sink and merge deterministically
-// afterwards.
+// pass. *Adam accumulates them straight into the optimizer buffers; a test
+// can substitute a sink that records them instead.
 type GradSink interface {
 	Accumulate(p *Param, grad *tensor.Matrix)
 }
@@ -65,70 +63,6 @@ func (a *Adam) Accumulate(p *Param, grad *tensor.Matrix) {
 	}
 	if grad != nil {
 		a.grads[i].AddInPlace(grad)
-	}
-}
-
-// GradBuffer is a detached gradient accumulator over the same parameter
-// set as its parent Adam. Window-parallel training gives every in-flight
-// window its own buffer: workers flush into it without synchronisation,
-// and the engine merges the buffers into the optimizer in deterministic
-// window order with Adam.AddFrom, so the summed gradient — and therefore
-// every weight byte after Step — is independent of the worker count.
-//
-// Buffers are lazily drawn from the pooled tensor arena (a window usually
-// touches every parameter, but a cancelled one may touch none) and must be
-// returned with Release.
-type GradBuffer struct {
-	adam  *Adam
-	grads []*tensor.Matrix // lazily pooled, parallel to adam.params
-}
-
-// NewGradBuffer creates an empty gradient accumulator bound to a's
-// parameter set.
-func (a *Adam) NewGradBuffer() *GradBuffer {
-	return &GradBuffer{adam: a, grads: make([]*tensor.Matrix, len(a.params))}
-}
-
-// Accumulate implements GradSink: it adds grad into the buffer's private
-// slot for p. Unlike Adam.Accumulate it never touches optimizer state, so
-// concurrent GradBuffers are independent.
-func (b *GradBuffer) Accumulate(p *Param, grad *tensor.Matrix) {
-	i, ok := b.adam.binding[p]
-	if !ok {
-		panic("nn: Accumulate on unknown parameter " + p.Name)
-	}
-	if grad == nil {
-		return
-	}
-	if b.grads[i] == nil {
-		b.grads[i] = tensor.Get(p.Value.Rows, p.Value.Cols)
-	}
-	b.grads[i].AddInPlace(grad)
-}
-
-// Release returns every pooled gradient matrix to the arena. The buffer
-// is reusable afterwards (it reverts to the empty state).
-func (b *GradBuffer) Release() {
-	for i, g := range b.grads {
-		if g != nil {
-			tensor.Put(g)
-			b.grads[i] = nil
-		}
-	}
-}
-
-// AddFrom folds a worker's gradient buffer into the optimizer's
-// accumulated gradients. Call once per buffer, in a deterministic order
-// (window order for the parallel trainer), then Step exactly as in the
-// sequential path.
-func (a *Adam) AddFrom(b *GradBuffer) {
-	if b.adam != a {
-		panic("nn: AddFrom with a GradBuffer bound to a different optimizer")
-	}
-	for i, g := range b.grads {
-		if g != nil {
-			a.grads[i].AddInPlace(g)
-		}
 	}
 }
 
@@ -188,8 +122,8 @@ func NewTrainCtx(tape *tensor.Tape, adam *Adam) *Ctx {
 }
 
 // NewSinkCtx creates a training context whose Flush delivers gradients to
-// an arbitrary sink — a detached GradBuffer for window-parallel workers,
-// or the optimizer itself (equivalent to NewTrainCtx).
+// an arbitrary sink: the optimizer itself (equivalent to NewTrainCtx) or a
+// test's recorder.
 func NewSinkCtx(tape *tensor.Tape, sink GradSink) *Ctx {
 	return &Ctx{Tape: tape, sink: sink, nodes: make(map[*Param][]*tensor.Node)}
 }
@@ -215,9 +149,8 @@ func (c *Ctx) Var(p *Param) *tensor.Node {
 }
 
 // Flush moves all captured node gradients into the sink. Call after
-// Tape.Backward and before the gradients are consumed (Adam.Step for the
-// sequential path, Adam.AddFrom for buffered workers). Under the
-// lifetime-scheduled executor each gradient buffer is returned to the
+// Tape.Backward and before the gradients are consumed (Adam.Step). Under
+// the lifetime-scheduled executor each gradient buffer is returned to the
 // arena as soon as it has been accumulated — Var grads are the one class
 // of buffer the scheduled Backward cannot release itself, because Flush
 // reads them after the sweep finishes.

@@ -218,72 +218,6 @@ func TestCtxFlushAccumulatesSharedParam(t *testing.T) {
 	}
 }
 
-func TestGradBufferMatchesDirectAccumulation(t *testing.T) {
-	// Routing gradients through a detached GradBuffer and merging with
-	// AddFrom must be bit-identical to flushing straight into the optimizer.
-	build := func() (*Adam, []*Param) {
-		rng := rand.New(rand.NewSource(31))
-		l := NewLinear("l", 3, 2, rng)
-		return NewAdam(l.Params(), 0.1), l.Params()
-	}
-	run := func(adam *Adam, sink GradSink, params []*Param) {
-		tape := tensor.NewTape()
-		c := NewSinkCtx(tape, sink)
-		x := tensor.FromSlice(2, 3, []float64{1, 2, 3, 4, 5, 6})
-		out := tape.Affine(tape.Const(x), c.Var(params[0]), c.Var(params[1]), tensor.ActTanh)
-		tape.Backward(tape.MeanAll(tape.Mul(out, out)))
-		c.Flush()
-	}
-
-	direct, dp := build()
-	run(direct, direct, dp)
-
-	buffered, bp := build()
-	gb := buffered.NewGradBuffer()
-	run(buffered, gb, bp)
-	buffered.AddFrom(gb)
-	gb.Release()
-
-	for i := range direct.grads {
-		if !direct.grads[i].Equal(buffered.grads[i], 0) {
-			t.Fatalf("param %d: buffered gradient differs from direct accumulation", i)
-		}
-	}
-}
-
-func TestGradBufferReleaseBalancesArena(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	l := NewLinear("l", 4, 4, rng)
-	adam := NewAdam(l.Params(), 0.1)
-	grad := tensor.FromSlice(4, 4, make([]float64, 16))
-
-	gb := adam.NewGradBuffer()
-	gb.Accumulate(l.W, grad)
-	gb.Release() // warm the arena so the measured round is steady-state
-
-	before := tensor.ReadPoolStats()
-	gb.Accumulate(l.W, grad)
-	gb.Accumulate(l.W, grad) // second hit reuses the lazily-allocated slot
-	gb.Release()
-	after := tensor.ReadPoolStats()
-	if gets, puts := after.Gets-before.Gets, after.Puts-before.Puts; gets != puts {
-		t.Fatalf("GradBuffer leaked arena buffers: %d gets vs %d puts", gets, puts)
-	}
-	gb.Release() // idempotent on an empty buffer
-}
-
-func TestGradBufferForeignOptimizerPanics(t *testing.T) {
-	rng := rand.New(rand.NewSource(35))
-	a := NewAdam(NewLinear("a", 2, 2, rng).Params(), 0.1)
-	b := NewAdam(NewLinear("b", 2, 2, rng).Params(), 0.1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("AddFrom accepted a buffer bound to another optimizer")
-		}
-	}()
-	a.AddFrom(b.NewGradBuffer())
-}
-
 func TestCollectParamsFlattens(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	a := NewLinear("a", 2, 2, rng)
