@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"vrdag/internal/dyngraph"
@@ -126,8 +125,7 @@ func TestMixBernoulliMatchesPairwiseMLP(t *testing.T) {
 // TestFitBitIdenticalAcrossBackends trains the same seed under every
 // compiled backend and compares the saved bytes. The suite's other
 // bit-identity tests run under whichever backend is active; this one holds
-// the backends against each other through a whole Fit. The opt-in FMA
-// tolerance mode (VRDAG_FMA=1) is the one backend allowed to differ.
+// the backends against each other through a whole Fit.
 func TestFitBitIdenticalAcrossBackends(t *testing.T) {
 	active := tensor.ActiveBackend()
 	defer func() {
@@ -142,9 +140,6 @@ func TestFitBitIdenticalAcrossBackends(t *testing.T) {
 	var refStats []TrainStats
 	var refBytes []byte
 	for _, name := range tensor.BackendNames() {
-		if strings.Contains(name, "fma") {
-			continue
-		}
 		if err := tensor.SetBackend(name); err != nil {
 			t.Fatal(err)
 		}

@@ -276,10 +276,10 @@ type RuntimeStats struct {
 	GCPauseTotalMS  float64 `json:"gc_pause_total_ms"`
 	Goroutines      int     `json:"goroutines"`
 
-	// ComputeBackend names the SIMD kernel set serving every tensor op
-	// (e.g. "avx2", "avx512", "neon", "go-tuned"); CPUFeatures lists what
-	// the startup probe detected, so a fleet-wide metrics scrape shows at
-	// a glance which hosts fell back to scalar kernels.
+	// ComputeBackend names the kernel set serving every tensor op
+	// ("avx2", "tuned" or "purego"); CPUFeatures lists what the startup
+	// probe detected, so a fleet-wide metrics scrape shows at a glance
+	// which hosts fell back to scalar kernels.
 	ComputeBackend string   `json:"compute_backend"`
 	CPUFeatures    []string `json:"cpu_features"`
 

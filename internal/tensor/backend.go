@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"os"
 )
 
@@ -32,18 +33,12 @@ import (
 //   - GemmTN skips zero multipliers (a[p][i] == 0 contributes nothing and
 //     one-hot feature matrices are common on that path); the skip is part
 //     of the kernel contract and every backend applies it identically.
-//
-// The one sanctioned divergence is the opt-in FMA tolerance mode
-// (VRDAG_FMA=1, amd64): fused multiply-add removes one rounding per
-// product, so results drift from the reference at the ULP level. The
-// drift is pinned by TestFMAToleranceULP; the default mode never uses
-// FMA. See docs/ARCHITECTURE.md "Compute backends".
 
 // Backend implements the hot compute kernels. Implementations must be
 // stateless and safe for concurrent use: the parallel GEMM/SpMM paths
 // invoke kernels from multiple goroutines on disjoint output rows.
 type Backend interface {
-	// Name identifies the backend ("purego", "tuned", "avx2", "neon", …).
+	// Name identifies the backend ("purego", "tuned", "avx2").
 	Name() string
 
 	// GemmNN accumulates out += a·b (a: m×k, b: k×n, out: m×n).
@@ -64,15 +59,10 @@ type Backend interface {
 	// Scale computes x[i] *= s in place.
 	Scale(x []float64, s float64)
 
-	// VSigmoid, VTanh, VExp, VReLU, VLeakyReLU apply the activation in
-	// place. VExp clamps inputs to 40 before exponentiation (the Tape.Exp
-	// stability clamp). All backends currently share one scalar
-	// implementation so the transcendental rounding is identical
-	// everywhere; the interface carries them so a tolerance-mode
-	// polynomial implementation can slot in per backend.
-	VSigmoid(x []float64)
-	VTanh(x []float64)
-	VExp(x []float64)
+	// VReLU and VLeakyReLU apply the activation in place. The
+	// transcendental activations (VSigmoid, VTanh, VExp below) are not
+	// backend kernels: one scalar implementation keeps their rounding
+	// identical everywhere.
 	VReLU(x []float64)
 	VLeakyReLU(x []float64, slope float64)
 
@@ -87,7 +77,8 @@ type Backend interface {
 
 // compiledBackends lists every backend compiled into this binary in
 // preference order (later entries preferred by auto-selection). The
-// build-tagged asm files append to it from init when the CPU qualifies.
+// build-tagged asm file appends to it during package variable
+// initialisation when the CPU qualifies.
 var compiledBackends = []Backend{pureBackend{}, tunedBackend{}}
 
 // backendImpl is the active backend. It is chosen once before main (or
@@ -100,15 +91,8 @@ var backendImpl Backend = pureBackend{}
 
 func init() { backendImpl = initBackend() }
 
-// registerBackend appends a build-tagged backend during package variable
-// initialisation (before any init() runs, so selection sees it).
-func registerBackend(b Backend) struct{} {
-	compiledBackends = append(compiledBackends, b)
-	return struct{}{}
-}
-
 // initBackend resolves the active backend: the VRDAG_BACKEND environment
-// variable if set ("purego", "tuned", "avx2", "neon"), otherwise the most
+// variable if set ("purego", "tuned", "avx2"), otherwise the most
 // capable compiled-in backend for this CPU.
 func initBackend() Backend {
 	if name := os.Getenv("VRDAG_BACKEND"); name != "" {
@@ -162,21 +146,33 @@ func CPUFeatures() []string { return cpuFeatureNames }
 // cpuFeatureNames is populated by the per-architecture probe's init.
 var cpuFeatureNames []string
 
-// ---- Exported vector-math dispatch ----
+// ---- Exported vector math ----
 //
 // The tape-free forward paths (internal/nn, internal/gnn, the decode loop
 // in internal/core) apply activations over raw slices; routing them here
-// keeps every elementwise transcendental on the backend's kernel.
+// keeps them on the same kernels as the tape ops.
 
 // VSigmoid applies the logistic function elementwise in place.
-func VSigmoid(x []float64) { backendImpl.VSigmoid(x) }
+func VSigmoid(x []float64) {
+	for i, v := range x {
+		x[i] = sigmoid(v)
+	}
+}
 
 // VTanh applies tanh elementwise in place.
-func VTanh(x []float64) { backendImpl.VTanh(x) }
+func VTanh(x []float64) {
+	for i, v := range x {
+		x[i] = math.Tanh(v)
+	}
+}
 
 // VExp applies exp(min(x, 40)) elementwise in place (the tape's Exp
 // stability clamp).
-func VExp(x []float64) { backendImpl.VExp(x) }
+func VExp(x []float64) {
+	for i, v := range x {
+		x[i] = math.Exp(math.Min(v, 40))
+	}
+}
 
 // VReLU applies max(0, x) elementwise in place.
 func VReLU(x []float64) { backendImpl.VReLU(x) }

@@ -2,8 +2,6 @@
 
 package tensor
 
-import "os"
-
 // Assembly kernel entry points (backend_amd64.s). All are leaf routines
 // over raw pointers; the //go:noescape pragma keeps the compaction
 // buffers and row slices they receive on the caller's stack.
@@ -12,28 +10,10 @@ import "os"
 func axpyAVX2(dst, src *float64, n int, a float64)
 
 //go:noescape
-func axpyAVX512(dst, src *float64, n int, a float64)
-
-//go:noescape
 func addAVX2(dst, src *float64, n int)
 
 //go:noescape
 func scaleAVX2(x *float64, n int, s float64)
-
-//go:noescape
-func gemmRow4AVX2(o, b0, b1, b2, b3, avs *float64, n int)
-
-//go:noescape
-func gemmRow4AVX512(o, b0, b1, b2, b3, avs *float64, n int)
-
-//go:noescape
-func gemmRow4FMA(o, b0, b1, b2, b3, avs *float64, n int)
-
-//go:noescape
-func ntRow4AVX2(a, b0, b1, b2, b3 *float64, k4 int, sums *float64)
-
-//go:noescape
-func ntRow8AVX2(a, bj *float64, k4, kstride int, sums *float64)
 
 //go:noescape
 func vreluAVX2(x *float64, n4 int)
@@ -54,35 +34,16 @@ func actGradSigmoidAVX2(dst, grad, out *float64, n4 int)
 func gemmRowNZAVX2(o, bdata, avs *float64, ps *int32, nz, n int)
 
 //go:noescape
-func gemmRowNZAVX512(o, bdata, avs *float64, ps *int32, nz, n int)
-
-//go:noescape
 func ntRowBulkAVX2(o, a, bdata *float64, n4, k, k4 int)
 
-// amd64feat is probed once during package variable initialisation, before
-// backend registration below and backend selection in init().
-var amd64feat = detectAMD64()
+// The CPU is probed during package variable initialisation, so the
+// registration lands before backend selection in init().
+var _ = registerAMD64Backend()
 
-var _ = registerAMD64Backends()
-
-func registerAMD64Backends() struct{} {
-	if amd64feat.avx2 {
+func registerAMD64Backend() struct{} {
+	if detectAMD64() {
 		cpuFeatureNames = append(cpuFeatureNames, "avx2")
-		registerBackend(avx2Backend{})
-	}
-	if amd64feat.fma {
-		cpuFeatureNames = append(cpuFeatureNames, "fma")
-	}
-	if amd64feat.avx512 {
-		cpuFeatureNames = append(cpuFeatureNames, "avx512f")
-		registerBackend(avx512Backend{})
-	}
-	// The FMA tolerance mode is opt-in: it is the one backend that is NOT
-	// bit-identical to the reference (one rounding fewer per product), so
-	// it must never be auto-selected. Registered last = preferred, which
-	// is what VRDAG_FMA=1 asks for.
-	if amd64feat.avx2 && amd64feat.fma && os.Getenv("VRDAG_FMA") == "1" {
-		registerBackend(fmaBackend{})
+		compiledBackends = append(compiledBackends, avx2Backend{})
 	}
 	return struct{}{}
 }
@@ -90,8 +51,7 @@ func registerAMD64Backends() struct{} {
 // avx2Backend runs the hand-written AVX2 kernels: 4-wide no-FMA mul+add
 // pairs, bit-identical to the reference (vectorisation across output
 // elements only; see backend_amd64.s). GEMM drivers reuse the tuned
-// backend's compaction scheme; GemmTT and the vector transcendentals are
-// inherited.
+// backend's compaction scheme; GemmTT is inherited.
 type avx2Backend struct{ tunedBackend }
 
 func (avx2Backend) Name() string { return "avx2" }
@@ -121,8 +81,8 @@ func (avx2Backend) Scale(x []float64, s float64) {
 	scaleAVX2(&x[0], len(x), s)
 }
 
-func (avx2Backend) GemmNN(out, a, b *Matrix) { gemmNNAsm(out, a, b, rowKernelAVX2) }
-func (avx2Backend) GemmTN(out, a, b *Matrix) { gemmTNAsm(out, a, b, rowKernelAVX2) }
+func (avx2Backend) GemmNN(out, a, b *Matrix) { gemmNNAsm(out, a, b) }
+func (avx2Backend) GemmTN(out, a, b *Matrix) { gemmTNAsm(out, a, b) }
 func (avx2Backend) GemmNT(out, a, b *Matrix) { gemmNTAsm(out, a, b) }
 
 // The branch-free activation kernels replace data-dependent branches
@@ -176,68 +136,12 @@ func (avx2Backend) VActGrad(dst, grad, out []float64, act Act) {
 	}
 }
 
-// avx512Backend widens the row kernels to 8-lane zmm vectors. Without FMA
-// the mul+add pair costs two port slots per vector, so the 512-bit lanes
-// are what lift GEMM past the AVX2 ceiling while keeping bit-identity.
-type avx512Backend struct{ avx2Backend }
-
-func (avx512Backend) Name() string { return "avx512" }
-
-func (avx512Backend) AxpyRow(dst, src []float64, a float64) {
-	n := len(src)
-	dst = dst[:n]
-	if n == 0 {
-		return
-	}
-	axpyAVX512(&dst[0], &src[0], n, a)
-}
-
-// Below avx512MinCols the 8-wide main loop runs ≤3 iterations and the
-// tail dominates; the AVX2 kernels win there. Both kernels are
-// bit-identical to the reference, so the cut is pure dispatch.
-const avx512MinCols = 32
-
-func (avx512Backend) GemmNN(out, a, b *Matrix) {
-	if b.Cols < avx512MinCols {
-		gemmNNAsm(out, a, b, rowKernelAVX2)
-		return
-	}
-	gemmNNAsm(out, a, b, rowKernelAVX512)
-}
-
-func (avx512Backend) GemmTN(out, a, b *Matrix) {
-	if b.Cols < avx512MinCols {
-		gemmTNAsm(out, a, b, rowKernelAVX2)
-		return
-	}
-	gemmTNAsm(out, a, b, rowKernelAVX512)
-}
-
-// fmaBackend is the VRDAG_FMA=1 tolerance mode: AVX2 with fused
-// multiply-add in the GEMM row kernels. Results drift from the reference
-// at the ULP level (documented in ARCHITECTURE.md, pinned by
-// TestFMAToleranceULP); everything outside GemmNN/GemmTN stays no-FMA.
-type fmaBackend struct{ avx2Backend }
-
-func (fmaBackend) Name() string { return "avx2+fma" }
-
-func (fmaBackend) GemmNN(out, a, b *Matrix) { gemmNNAsm(out, a, b, rowKernelFMA) }
-func (fmaBackend) GemmTN(out, a, b *Matrix) { gemmTNAsm(out, a, b, rowKernelFMA) }
-
-// rowKernel selects which assembly row kernel a GEMM driver dispatches
-// to. A constant rather than a function value: an indirect kernel call
-// would force the drivers' stack compaction buffers to escape.
-type rowKernel int
-
-const (
-	rowKernelAVX2 rowKernel = iota
-	rowKernelAVX512
-	rowKernelFMA
-)
-
 // gemmNNAsm is the tuned backend's out += a·b compaction driver (see
-// backend_tuned.go) feeding an assembly row kernel.
-func gemmNNAsm(out, a, b *Matrix, kern rowKernel) {
+// backend_tuned.go) handing each output row's compacted multipliers to
+// the assembly row kernel in one call. The call is direct, not through a
+// function value: an indirect one would force the stack compaction
+// buffers to escape.
+func gemmNNAsm(out, a, b *Matrix) {
 	m, k, n := a.Rows, a.Cols, b.Cols
 	if n == 0 {
 		return
@@ -262,14 +166,15 @@ func gemmNNAsm(out, a, b *Matrix, kern rowKernel) {
 			if nz == 0 {
 				continue
 			}
-			gemmRowAsm(out.Data[i*n:(i+1)*n], b.Data, &avs, &ps, nz, n, kern)
+			orow := out.Data[i*n : (i+1)*n]
+			gemmRowNZAVX2(&orow[0], &b.Data[0], &avs[0], &ps[0], nz, n)
 		}
 	}
 }
 
-// gemmTNAsm is the out += aᵀ·b compaction driver feeding an assembly row
+// gemmTNAsm is the out += aᵀ·b compaction driver feeding the same row
 // kernel.
-func gemmTNAsm(out, a, b *Matrix, kern rowKernel) {
+func gemmTNAsm(out, a, b *Matrix) {
 	m, k, n := a.Cols, a.Rows, b.Cols
 	if n == 0 || m == 0 {
 		return
@@ -293,31 +198,9 @@ func gemmTNAsm(out, a, b *Matrix, kern rowKernel) {
 			if nz == 0 {
 				continue
 			}
-			gemmRowAsm(out.Data[i*n:(i+1)*n], b.Data, &avs, &ps, nz, n, kern)
+			orow := out.Data[i*n : (i+1)*n]
+			gemmRowNZAVX2(&orow[0], &b.Data[0], &avs[0], &ps[0], nz, n)
 		}
-	}
-}
-
-// gemmRowAsm feeds one output row's compacted multipliers to the selected
-// assembly kernel. The AVX2 path hands the whole row to gemmRowNZAVX2 in
-// one call (the per-4-multiplier call overhead dominated small GEMMs);
-// the wide kernels go four multipliers at a time, remainder via axpy.
-func gemmRowAsm(orow, bdata []float64, avs *[matMulKBlock]float64, ps *[matMulKBlock]int32, nz, n int, kern rowKernel) {
-	o := &orow[0]
-	q := 0
-	switch kern {
-	case rowKernelAVX512:
-		gemmRowNZAVX512(o, &bdata[0], &avs[0], &ps[0], nz, n)
-	case rowKernelFMA:
-		for ; q+3 < nz; q += 4 {
-			gemmRow4FMA(o, &bdata[int(ps[q])*n], &bdata[int(ps[q+1])*n],
-				&bdata[int(ps[q+2])*n], &bdata[int(ps[q+3])*n], &avs[q], n)
-		}
-		for ; q < nz; q++ {
-			axpyAVX2(o, &bdata[int(ps[q])*n], n, avs[q])
-		}
-	default:
-		gemmRowNZAVX2(o, &bdata[0], &avs[0], &ps[0], nz, n)
 	}
 }
 

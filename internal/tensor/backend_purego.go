@@ -1,31 +1,8 @@
 package tensor
 
-import "math"
-
 // scalarKernels supplies the elementwise vector-math methods shared by
-// every backend. Transcendentals go through math.Tanh/math.Exp on all
-// paths so their rounding is identical everywhere; a backend that swaps
-// in a polynomial approximation must also opt out of the bit-exact
-// differential suite (see the FMA tolerance mode).
+// every backend that does not override them.
 type scalarKernels struct{}
-
-func (scalarKernels) VSigmoid(x []float64) {
-	for i, v := range x {
-		x[i] = sigmoid(v)
-	}
-}
-
-func (scalarKernels) VTanh(x []float64) {
-	for i, v := range x {
-		x[i] = math.Tanh(v)
-	}
-}
-
-func (scalarKernels) VExp(x []float64) {
-	for i, v := range x {
-		x[i] = math.Exp(math.Min(v, 40))
-	}
-}
 
 func (scalarKernels) VReLU(x []float64) {
 	for i, v := range x {

@@ -5,9 +5,6 @@ package tensor
 // so its results are bit-identical to pureBackend on every input. It is
 // pure Go — compiled everywhere, including under the purego tag — and is
 // what auto-selection falls back to when no assembly backend qualifies.
-// Built with GOAMD64=v3 the compiler additionally gets the v3 ISA baseline
-// to schedule against (no float auto-vectorisation, but better scalar
-// codegen); the structural wins below do not depend on it.
 //
 // The two ideas:
 //
@@ -23,8 +20,8 @@ package tensor
 //     output element summed sequentially over ascending p, so per element
 //     nothing changed.
 //
-// The same compaction drivers power the assembly backends: they pass a
-// SIMD row kernel instead of gemmRow4Go/ntRowGo.
+// The same compaction drivers power the avx2 backend, with SIMD row
+// kernels in place of gemmRow4Go/ntRowGo.
 type tunedBackend struct{ pureBackend }
 
 func (tunedBackend) Name() string { return "tuned" }
@@ -34,8 +31,8 @@ func (tunedBackend) AxpyRow(dst, src []float64, a float64) { axpyRowTuned(dst, s
 // The compaction drivers below are duplicated, not parameterised by a
 // kernel function value, on purpose: an indirect row-kernel call makes
 // the stack-allocated compaction buffers escape to the heap, costing two
-// allocations per GEMM call. The assembly backends carry their own copies
-// of these ~20-line drivers with their row kernels called directly.
+// allocations per GEMM call. The avx2 backend carries its own copies of
+// these ~20-line drivers with its row kernels called directly.
 
 // GemmNN is the out += a·b driver: k-blocked like the reference, but each
 // a-row's nonzero (p, a[i][p]) pairs are compacted once per block so the

@@ -13,48 +13,29 @@ func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 // xgetbv reads XCR0 (requires OSXSAVE); implemented in cpuid_amd64.s.
 func xgetbv() (eax, edx uint32)
 
-type amd64Features struct {
-	avx2   bool // AVX2 ISA + OS support for YMM state
-	avx512 bool // AVX-512F ISA + OS support for opmask/ZMM state
-	fma    bool // FMA3 ISA (used only by the opt-in tolerance mode)
-}
-
-// detectAMD64 probes the CPU and OS for the vector extensions the
-// assembly kernels need. Instruction support alone is not enough: the OS
-// must have enabled the wider register state in XCR0, or executing a
-// VEX/EVEX instruction faults.
-func detectAMD64() amd64Features {
-	var f amd64Features
+// detectAMD64 reports whether the CPU and OS support the AVX2 assembly
+// kernels. Instruction support alone is not enough: the OS must have
+// enabled the YMM register state in XCR0, or executing a VEX instruction
+// faults.
+func detectAMD64() (avx2 bool) {
 	maxLeaf, _, _, _ := cpuid(0, 0)
-	if maxLeaf < 1 {
-		return f
+	if maxLeaf < 7 {
+		return false
 	}
 	_, _, ecx1, _ := cpuid(1, 0)
 	const (
-		fmaBit     = 1 << 12
 		osxsaveBit = 1 << 27
 		avxBit     = 1 << 28
 	)
 	if ecx1&osxsaveBit == 0 || ecx1&avxBit == 0 {
-		return f
+		return false
 	}
 	xcr0, _ := xgetbv()
-	const (
-		ymmState = 0x6  // XMM + YMM
-		zmmState = 0xe6 // XMM + YMM + opmask + ZMM_Hi256 + Hi16_ZMM
-	)
+	const ymmState = 0x6 // XMM + YMM
 	if xcr0&ymmState != ymmState {
-		return f
+		return false
 	}
-	if maxLeaf >= 7 {
-		_, ebx7, _, _ := cpuid(7, 0)
-		const (
-			avx2Bit    = 1 << 5
-			avx512fBit = 1 << 16
-		)
-		f.avx2 = ebx7&avx2Bit != 0
-		f.avx512 = ebx7&avx512fBit != 0 && xcr0&zmmState == zmmState
-	}
-	f.fma = ecx1&fmaBit != 0
-	return f
+	_, ebx7, _, _ := cpuid(7, 0)
+	const avx2Bit = 1 << 5
+	return ebx7&avx2Bit != 0
 }

@@ -272,9 +272,9 @@ func applyActSlice(data []float64, act Act) {
 	case ActLeakyReLU:
 		backendImpl.VLeakyReLU(data, 0.2)
 	case ActTanh:
-		backendImpl.VTanh(data)
+		VTanh(data)
 	case ActSigmoid:
-		backendImpl.VSigmoid(data)
+		VSigmoid(data)
 	}
 }
 
@@ -408,7 +408,7 @@ func (t *Tape) Sigmoid(a *Node) *Node {
 	n := t.newOp(a.needGrad, func() *Matrix {
 		out := Get(a.Value.Rows, a.Value.Cols)
 		copy(out.Data, a.Value.Data)
-		backendImpl.VSigmoid(out.Data)
+		VSigmoid(out.Data)
 		return out
 	}, a)
 	n.backward = func() {
@@ -434,7 +434,7 @@ func (t *Tape) Tanh(a *Node) *Node {
 	n := t.newOp(a.needGrad, func() *Matrix {
 		out := Get(a.Value.Rows, a.Value.Cols)
 		copy(out.Data, a.Value.Data)
-		backendImpl.VTanh(out.Data)
+		VTanh(out.Data)
 		return out
 	}, a)
 	n.backward = func() {
@@ -527,7 +527,7 @@ func (t *Tape) Exp(a *Node) *Node {
 	n := t.newOp(a.needGrad, func() *Matrix {
 		out := Get(a.Value.Rows, a.Value.Cols)
 		copy(out.Data, a.Value.Data)
-		backendImpl.VExp(out.Data)
+		VExp(out.Data)
 		return out
 	}, a)
 	n.backward = func() {

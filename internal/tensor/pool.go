@@ -20,8 +20,8 @@ import (
 // Each size bucket is sharded: GOMAXPROCS-many free lists (capped at
 // maxPoolShards) each behind their own mutex, plus one shared overflow
 // list per bucket. A caller picks a shard with a cheap per-thread random
-// hint, so concurrent training workers and generation requests almost
-// never contend on the same lock. A Get that misses its home shard scans
+// hint, so concurrent generation requests almost never contend on the
+// same lock. A Get that misses its home shard scans
 // the other shards with try-locks (a "steal"), then the overflow list,
 // and only then allocates. A Put lands on the caller's home shard until
 // that shard reaches its byte budget, after which the buffer spills to
@@ -178,7 +178,7 @@ func shardHint() int {
 }
 
 // cacheLineFloats is the allocation alignment in float64s: 64 bytes, one
-// cache line and one AVX-512 vector. Go only guarantees 8-byte alignment
+// cache line. Go only guarantees 8-byte alignment
 // for float64 slices; the arena over-allocates by one line and slides the
 // base so every pooled buffer starts on a line boundary. SIMD kernels
 // then never split a vector load across lines, and two matrices never
