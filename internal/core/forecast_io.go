@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"math"
 
 	"vrdag/internal/dyngraph"
 	"vrdag/internal/tensor"
@@ -84,6 +85,13 @@ func (m *Model) DecodeForecastState(data []byte) (*ForecastState, error) {
 	}
 	if len(w.Degree) != n {
 		return nil, fmt.Errorf("core: decoded ForecastState has %d degree entries, want %d", len(w.Degree), n)
+	}
+	// A degree becomes the candidate weight degree+1 of capped decoding,
+	// whose prefix sums must come out finite and non-decreasing.
+	for v, d := range w.Degree {
+		if !(d >= 0) || math.IsInf(d, 1) {
+			return nil, fmt.Errorf("core: decoded ForecastState has degree[%d] = %v, want finite and non-negative", v, d)
+		}
 	}
 	if w.Steps < 0 {
 		return nil, fmt.Errorf("core: decoded ForecastState has negative step count %d", w.Steps)

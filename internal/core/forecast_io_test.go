@@ -1,11 +1,17 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
+	"fmt"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"vrdag/internal/dyngraph"
+	"vrdag/internal/tensor"
 )
 
 // TestForecastStateEncodeDecodeRoundTrip pins the durability contract the
@@ -116,6 +122,55 @@ func TestDecodeForecastStateRejectsMismatches(t *testing.T) {
 	}
 	if _, err := EncodeForecastState(nil); err == nil {
 		t.Fatal("nil state encoded")
+	}
+}
+
+// TestDecodeForecastStateRejectsBadDegree: a state read back from disk whose
+// running degrees are not finite and non-negative would hand capped decoding
+// a candidate CDF that is not non-decreasing; the decoder refuses it, names
+// the entry, and takes nothing from the arena.
+func TestDecodeForecastStateRejectsBadDegree(t *testing.T) {
+	m := streamTestModel(t)
+	st, err := m.Encode(context.Background(), toyGraph(20, 2, 5, 37))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Release()
+	good, err := EncodeForecastState(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		index int
+		value float64
+	}{
+		{"negative", 0, -1},
+		{"barely negative", 7, -math.SmallestNonzeroFloat64},
+		{"NaN", 13, math.NaN()},
+		{"+Inf", 19, math.Inf(1)},
+		{"-Inf", 3, math.Inf(-1)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var w forecastStateWire
+			if err := gob.NewDecoder(bytes.NewReader(good)).Decode(&w); err != nil {
+				t.Fatal(err)
+			}
+			w.Degree[tc.index] = tc.value
+			var bad bytes.Buffer
+			if err := gob.NewEncoder(&bad).Encode(&w); err != nil {
+				t.Fatal(err)
+			}
+			before := tensor.ReadPoolStats()
+			_, err := m.DecodeForecastState(bad.Bytes())
+			after := tensor.ReadPoolStats()
+			if want := fmt.Sprintf("degree[%d]", tc.index); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("Degree[%d] = %v: err = %v, want one naming %s", tc.index, tc.value, err, want)
+			}
+			if gets, puts := after.Gets-before.Gets, after.Puts-before.Puts; gets != puts {
+				t.Fatalf("rejected state leaked: %d gets vs %d puts", gets, puts)
+			}
+		})
 	}
 }
 

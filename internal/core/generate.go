@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"vrdag/internal/dyngraph"
 	"vrdag/internal/obs"
@@ -146,11 +145,10 @@ type genState struct {
 	spare   *dyngraph.Snapshot
 
 	// Decode scratch, reused across timesteps.
-	ps     *pairScorer
-	cum    []float64
-	totalW float64
-	seeds  []int64
-	comp   []int
+	ps    *pairScorer
+	cdf   *candCDF // candidate distribution of the current timestep; nil with exact decoding
+	seeds []int64
+	comp  []int
 }
 
 func (m *Model) newGenState(opts GenOptions, recycle bool, init *ForecastState) *genState {
@@ -166,9 +164,11 @@ func (m *Model) newGenState(opts GenOptions, recycle bool, init *ForecastState) 
 		isolated: make([]int, n),
 		degree:   make([]float64, n),
 		ps:       m.newPairScorer(opts.Parallel),
-		cum:      make([]float64, n+1),
 		seeds:    make([]int64, n),
 		comp:     make([]int, n),
+	}
+	if !st.ps.exact {
+		st.cdf = newCandCDF(n)
 	}
 	for i := range st.active {
 		st.active[i] = true
@@ -334,15 +334,17 @@ func (st *genState) decodeStructure(snap *dyngraph.Snapshot, s *tensor.Matrix, t
 	}
 
 	// Candidate weights: degree-proportional with +1 smoothing.
-	ps, cum := st.ps, st.cum
-	for v := 0; v < n; v++ {
-		w := st.degree[v] + 1
-		if !active[v] {
-			w = 0
+	ps := st.ps
+	if cdf := st.cdf; cdf != nil {
+		for v := 0; v < n; v++ {
+			w := st.degree[v] + 1
+			if !active[v] {
+				w = 0
+			}
+			cdf.cum[v+1] = cdf.cum[v] + w
 		}
-		cum[v+1] = cum[v] + w
+		cdf.index()
 	}
-	st.totalW = cum[n]
 
 	// Pre-draw per-node RNG seeds so the parallel path stays deterministic.
 	// Each node's candidate draws come from a per-worker splitmix64 source
@@ -414,7 +416,7 @@ func (st *genState) scoreAlpha(w *pairWorker, i int) {
 		c = st.n - 1
 	default:
 		w.nsrc.Seed(st.seeds[i])
-		c = len(st.m.candidates(ps.cands[i*ps.stride:][:0:ps.stride], i, st.prev, st.cum, st.totalW, w.nrng, w.mark))
+		c = len(candidates(ps.cands[i*ps.stride:][:0:ps.stride], i, st.prev, st.cdf, w.nrng, w.mark))
 	}
 	ps.cnt[i] = c
 	if c > 0 {
@@ -692,54 +694,6 @@ func (m *Model) edgeTarget(t int) float64 {
 		sum += v
 	}
 	return sum / float64(len(m.edgeTargets))
-}
-
-// candidates builds the destination candidate set for node i when the
-// model decodes through a CandidateCap: the node's previous out-neighbours
-// (temporal persistence) filled up to the cap with degree-proportional
-// random draws. (Exact Eq. 11 decoding scores every other node and never
-// materialises a list; see pairScorer.) The set is appended to out, the
-// node's empty slice of capacity CandidateCap. mark is caller-provided
-// dedup scratch of length N, false on entry; it is cleaned before
-// returning so the worker can reuse it for the next node.
-func (m *Model) candidates(out []int, i int, prev *dyngraph.Snapshot, cum []float64, totalW float64, rng *rand.Rand, mark []bool) []int {
-	n := m.Cfg.N
-	limit := cap(out)
-	defer func() {
-		for _, j := range out {
-			mark[j] = false
-		}
-	}()
-	add := func(j int) {
-		if j == i || mark[j] {
-			return
-		}
-		mark[j] = true
-		out = append(out, j)
-	}
-	if prev != nil {
-		for _, j := range prev.Out[i] {
-			add(j)
-			if len(out) >= limit {
-				return out
-			}
-		}
-	}
-	if totalW <= 0 {
-		for len(out) < limit {
-			add(rng.Intn(n))
-		}
-		return out
-	}
-	for attempts := 0; len(out) < limit && attempts < limit*4; attempts++ {
-		u := rng.Float64() * totalW
-		j := sort.SearchFloat64s(cum[1:], u)
-		if j >= n {
-			j = n - 1
-		}
-		add(j)
-	}
-	return out
 }
 
 // updateActiveSet applies the Section III-H extension: deletion after Tdel
