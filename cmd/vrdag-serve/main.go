@@ -2,32 +2,32 @@
 //
 // Models come from checkpoints written with `vrdag-gen -save-model`
 // (repeatable -model name=path flags) and/or are trained at startup on
-// named dataset replicas (-dataset, comma-separated). Dataset-trained
-// models keep their training sequence as the /v1/metrics reference;
-// checkpoint models serve generation only unless -ref name=path supplies
-// a reference in the vrdag-graph text format.
+// named dataset replicas (-dataset, comma-separated); at least one of
+// the two is required. The server scores nothing: for the fidelity of a
+// served model, generate offline and compare with vrdag-metrics.
 //
 //	vrdag-serve -dataset email,bitcoin -scale 0.05 -epochs 10
-//	vrdag-serve -model email=email.ckpt -ref email=email.vg -addr :9090
+//	vrdag-serve -model email=email.ckpt -addr :9090
 //
 // Endpoints: POST /v1/generate, POST /v1/generate/stream (NDJSON),
-// POST /v1/generate/batch, POST /v1/ingest (observed edge streams →
-// named forecast sessions; GET lists, DELETE removes), POST /v1/forecast
-// and /v1/forecast/stream (conditioned generation), GET /v1/metrics,
-// GET /v1/models, GET /healthz. With -data-dir, forecast sessions are
-// durable: every ingest is WAL-appended and fsynced before it is
-// acknowledged, snapshots compact the log, and a restarted server
-// recovers all sessions — kill -9 included — with forecasts identical
-// to the pre-crash state. With -peers/-advertise, several processes form
-// a cluster: forecast sessions are placed on a consistent-hash ring with
-// -replicas copies, any node routes session traffic to its primary, a
-// killed primary fails over to its replica with byte-identical forecasts,
-// and -quota-rate meters tenants (X-Vrdag-Tenant) with per-tenant 429s.
-// On SIGINT/SIGTERM the server stops admitting work,
-// signals in-flight streaming responses to finish the snapshot they are
-// on and append a truncation trailer, and drains everything within
-// -drain before exiting — connections are handed a well-formed end of
-// stream instead of being cut.
+// POST /v1/ingest (observed edge streams → named forecast sessions; GET
+// lists, DELETE removes), POST /v1/forecast and /v1/forecast/stream
+// (conditioned generation), GET /v1/models, GET /v1/trace, GET /healthz,
+// and GET /metrics (Prometheus text — the one stats surface, served from
+// counters alone). With -data-dir, forecast sessions are durable: every
+// ingest is WAL-appended and fsynced before it is acknowledged, snapshots
+// compact the log, and a restarted server recovers all sessions —
+// kill -9 included — with forecasts identical to the pre-crash state.
+// With -peers/-advertise, several processes form a cluster: forecast
+// sessions are placed on a consistent-hash ring with -replicas copies,
+// any node routes session traffic to its primary, a killed primary fails
+// over to its replica with byte-identical forecasts, and -quota-rate
+// meters tenants (X-Vrdag-Tenant) with per-tenant 429s. On
+// SIGINT/SIGTERM the server stops admitting work, signals in-flight
+// streaming responses to finish the snapshot they are on and append a
+// truncation trailer, and drains everything within -drain before exiting
+// — connections are handed a well-formed end of stream instead of being
+// cut.
 package main
 
 import (
@@ -46,7 +46,6 @@ import (
 	"vrdag/internal/cluster"
 	"vrdag/internal/core"
 	"vrdag/internal/datasets"
-	"vrdag/internal/dyngraph"
 	"vrdag/internal/obs"
 	"vrdag/internal/server"
 	"vrdag/internal/tensor"
@@ -91,16 +90,24 @@ func main() {
 	flag.Func("model", "checkpoint to serve, as name=path (repeatable)", func(v string) error {
 		return parsePair(v, modelFlags)
 	})
-	refFlags := map[string]string{}
-	flag.Func("ref", "reference sequence for a checkpoint model, as name=path (repeatable)", func(v string) error {
-		return parsePair(v, refFlags)
-	})
 	flag.Parse()
 
 	logger := obs.NewLogger(os.Stderr, *logFmt)
 	fatal := func(msg string, args ...any) {
 		logger.Error(msg, args...)
 		os.Exit(1)
+	}
+	var datasetNames []string
+	for _, name := range strings.Split(*dataset, ",") {
+		if name = strings.TrimSpace(name); name != "" {
+			datasetNames = append(datasetNames, name)
+		}
+	}
+	if len(modelFlags)+len(datasetNames) == 0 {
+		fatal("no model to serve: give -model name=path and/or -dataset")
+	}
+	if *clusterAck != "replicate" && *clusterAck != "local" {
+		fatal("-cluster-ack must be replicate or local", "got", *clusterAck)
 	}
 	logger.Info("compute backend", "backend", tensor.ActiveBackend(),
 		"cpu_features", strings.Join(tensor.CPUFeatures(), ","))
@@ -122,49 +129,32 @@ func main() {
 		if err != nil {
 			fatal("load model", "model", name, "err", err)
 		}
-		var ref *dyngraph.Sequence
-		if refPath, ok := refFlags[name]; ok {
-			if ref, err = loadSequence(refPath); err != nil {
-				fatal("load reference", "model", name, "err", err)
-			}
-		}
-		if err := srv.Register(name, m, ref); err != nil {
+		if err := srv.Register(name, m, nil); err != nil {
 			fatal("register model", "model", name, "err", err)
 		}
 		logger.Info("model loaded", "model", name, "params", m.NumParams(), "checkpoint", path)
 	}
-	for name := range refFlags {
-		if _, ok := modelFlags[name]; !ok {
-			fatal("-ref given without a matching -model", "model", name)
-		}
-	}
 
-	if *dataset != "" {
-		for _, name := range strings.Split(*dataset, ",") {
-			name = strings.TrimSpace(name)
-			if name == "" {
-				continue
+	for _, name := range datasetNames {
+		g, _, err := datasets.Replica(name, *scale, *seed)
+		if err != nil {
+			fatal("dataset", "dataset", name, "err", err)
+		}
+		cfg := core.DefaultConfig(g.N, g.F)
+		cfg.Epochs = *epochs
+		cfg.Seed = *seed
+		m := core.New(cfg)
+		logger.Info("training", "model", name, "n", g.N, "f", g.F, "t", g.T(), "params", m.NumParams())
+		progress := func(s core.TrainStats) {
+			if !*quiet {
+				logger.Info("epoch", "model", name, "epoch", s.Epoch, "loss", s.Loss)
 			}
-			g, _, err := datasets.Replica(name, *scale, *seed)
-			if err != nil {
-				fatal("dataset", "dataset", name, "err", err)
-			}
-			cfg := core.DefaultConfig(g.N, g.F)
-			cfg.Epochs = *epochs
-			cfg.Seed = *seed
-			m := core.New(cfg)
-			logger.Info("training", "model", name, "n", g.N, "f", g.F, "t", g.T(), "params", m.NumParams())
-			progress := func(s core.TrainStats) {
-				if !*quiet {
-					logger.Info("epoch", "model", name, "epoch", s.Epoch, "loss", s.Loss)
-				}
-			}
-			if _, err := m.Fit(g, core.WithProgress(progress)); err != nil {
-				fatal("train", "model", name, "err", err)
-			}
-			if err := srv.Register(name, m, g); err != nil {
-				fatal("register model", "model", name, "err", err)
-			}
+		}
+		if _, err := m.Fit(g, core.WithProgress(progress)); err != nil {
+			fatal("train", "model", name, "err", err)
+		}
+		if err := srv.Register(name, m, nil); err != nil {
+			fatal("register model", "model", name, "err", err)
 		}
 	}
 
@@ -296,13 +286,4 @@ func loadCheckpoint(path string) (*core.Model, error) {
 	}
 	defer f.Close()
 	return core.Load(f)
-}
-
-func loadSequence(path string) (*dyngraph.Sequence, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return dyngraph.Load(f)
 }

@@ -255,6 +255,21 @@ func (c *testCluster) mustForecast(via int, sess string, seed int64, T int) (int
 	return steps, seq
 }
 
+// scrape fetches node i's /metrics exposition.
+func (c *testCluster) scrape(i int) string {
+	c.t.Helper()
+	resp, err := http.Get(c.urls[i] + "/metrics")
+	if err != nil {
+		c.t.Fatalf("GET /metrics on node %d: %v", i, err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		c.t.Fatalf("GET /metrics on node %d: status %d, err %v", i, resp.StatusCode, err)
+	}
+	return string(body)
+}
+
 // waitReplicationDrained blocks until node i's catch-up queues are empty
 // (payloads pop only after the follower confirmed them).
 func (c *testCluster) waitReplicationDrained(i int, timeout time.Duration) {
@@ -504,6 +519,14 @@ func TestClusterDrainHandsSessionsOff(t *testing.T) {
 	_, before := c.mustForecast(third, sess, 9, 3)
 
 	c.nodes[p].Drain(2 * time.Second)
+
+	// /metrics says which node is handing off.
+	if got := c.scrape(p); !strings.Contains(got, "\nvrdag_cluster_draining 1\n") {
+		t.Fatalf("draining node's scrape lacks vrdag_cluster_draining 1:\n%s", got)
+	}
+	if got := c.scrape(third); !strings.Contains(got, "\nvrdag_cluster_draining 0\n") {
+		t.Fatalf("serving node's scrape lacks vrdag_cluster_draining 0:\n%s", got)
+	}
 
 	// The draining node's healthz flips to 503/"draining" so peers route
 	// around it without counting it dead.

@@ -56,7 +56,7 @@ func (s PeerState) String() string {
 }
 
 // PeerHealth is one peer's externally visible probe state, reported on
-// /healthz and /v1/metrics.
+// /healthz.
 type PeerHealth struct {
 	Peer     string  `json:"peer"`
 	State    string  `json:"state"`
@@ -304,7 +304,7 @@ func (m *Membership) Routable(peer string) bool {
 	return s == StateAlive || s == StateSuspect
 }
 
-// Snapshot renders every peer's probe state for /healthz and /v1/metrics.
+// Snapshot renders every peer's probe state for /healthz and Stats.
 func (m *Membership) Snapshot() []PeerHealth {
 	now := time.Now()
 	m.mu.Lock()

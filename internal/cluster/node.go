@@ -97,9 +97,9 @@ const sessStripes = 64
 // Node is the cluster front end wrapped around one local server.Server.
 // It serves the same HTTP surface; session endpoints are routed to the
 // session's primary, everything else is handled locally. Create with
-// NewNode (which also decorates the local /healthz and /v1/metrics via
-// the server hooks), serve it instead of the server, and Close it after
-// the HTTP listener is down.
+// NewNode (which also decorates the local /healthz and /metrics via the
+// server hooks), serve it instead of the server, and Close it after the
+// HTTP listener is down.
 type Node struct {
 	cfg     Config
 	local   *server.Server
@@ -159,7 +159,6 @@ func NewNode(local *server.Server, cfg Config) (*Node, error) {
 			h.Reason = "cluster drain: handing sessions to replicas"
 		}
 	})
-	local.SetStatsHook(func() any { return n.Stats() })
 	local.SetPromHook(n.renderProm)
 	n.members.Start()
 	for _, r := range n.replicators {
@@ -247,36 +246,37 @@ func (n *Node) Close() {
 	}
 }
 
-// Stats renders the cluster counters attached to /v1/metrics.
+// Stats is the cluster counters as a Go value, for embedders and tests;
+// an operator reads the same numbers as vrdag_cluster_* on /metrics.
 type Stats struct {
-	Self     string       `json:"self"`
-	Ack      string       `json:"ack"` // "replicate" or "local"
-	Replicas int          `json:"replicas"`
-	Draining bool         `json:"draining,omitempty"`
-	Peers    []PeerHealth `json:"peers"`
+	Self     string
+	Ack      string // "replicate" or "local"
+	Replicas int
+	Draining bool
+	Peers    []PeerHealth
 
-	Proxied      int64 `json:"proxied"`
-	ProxyRetries int64 `json:"proxy_retries"`
+	Proxied      int64
+	ProxyRetries int64
 
-	AckReplicated   int64 `json:"ack_replicated"`
-	AckLocal        int64 `json:"ack_local"`
-	ReplicaApplied  int64 `json:"replica_applied"`
-	ReplicaSkipped  int64 `json:"replica_skipped,omitempty"`
-	ReplicaRejected int64 `json:"replica_rejected,omitempty"`
+	AckReplicated   int64
+	AckLocal        int64
+	ReplicaApplied  int64
+	ReplicaSkipped  int64
+	ReplicaRejected int64
 
-	Replication []ReplicatorStats `json:"replication"`
+	Replication []ReplicatorStats // sorted by peer
 }
 
 // ReplicatorStats is one peer's replication stream state; QueueLen and
 // QueueBytes are the replication-lag gauge (0 = follower caught up).
 type ReplicatorStats struct {
-	Peer       string `json:"peer"`
-	QueueLen   int    `json:"queue_len"`
-	QueueBytes int64  `json:"queue_bytes"`
-	Sent       int64  `json:"sent"`
-	Flushed    int64  `json:"flushed"`
-	Failed     int64  `json:"failed"`
-	Dropped    int64  `json:"dropped,omitempty"`
+	Peer       string
+	QueueLen   int
+	QueueBytes int64
+	Sent       int64
+	Flushed    int64
+	Failed     int64
+	Dropped    int64
 }
 
 func (n *Node) Stats() Stats {
@@ -284,7 +284,7 @@ func (n *Node) Stats() Stats {
 	if n.cfg.AckLocal {
 		ack = "local"
 	}
-	s := Stats{
+	return Stats{
 		Self:            n.cfg.Self,
 		Ack:             ack,
 		Replicas:        n.cfg.Replicas,
@@ -297,14 +297,19 @@ func (n *Node) Stats() Stats {
 		ReplicaApplied:  n.replicaApplied.Load(),
 		ReplicaSkipped:  n.replicaSkipped.Load(),
 		ReplicaRejected: n.replicaRejected.Load(),
+		Replication:     n.replicationStats(),
 	}
+}
+
+// replicationStats snapshots every peer's stream once, sorted by peer URL
+// so /metrics renders deterministically.
+func (n *Node) replicationStats() []ReplicatorStats {
+	out := make([]ReplicatorStats, 0, len(n.replicators))
 	for _, r := range n.replicators {
-		s.Replication = append(s.Replication, r.statsSnapshot())
+		out = append(out, r.statsSnapshot())
 	}
-	// Map iteration order would leak into the JSON rendering; keep the
-	// /v1/metrics body byte-stable across scrapes of a quiesced node.
-	sort.Slice(s.Replication, func(i, j int) bool { return s.Replication[i].Peer < s.Replication[j].Peer })
-	return s
+	sort.Slice(out, func(i, j int) bool { return out[i].Peer < out[j].Peer })
+	return out
 }
 
 // recorder buffers a locally served response so the primary-ingest path

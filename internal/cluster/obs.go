@@ -91,6 +91,12 @@ func (n *Node) renderProm(e *obs.Expo) {
 	}
 	e.Family("vrdag_cluster_info", "Cluster identity (value is always 1; self and ack mode are the labels).", "gauge")
 	e.Int("vrdag_cluster_info", []obs.L{{K: "self", V: n.cfg.Self}, {K: "ack", V: ack}}, 1)
+	draining := int64(0)
+	if n.draining.Load() {
+		draining = 1
+	}
+	e.Family("vrdag_cluster_draining", "Whether this node is handing its sessions to replicas (set ahead of vrdag_up going 0).", "gauge")
+	e.Int("vrdag_cluster_draining", nil, draining)
 	e.Family("vrdag_cluster_proxied_total", "Session requests proxied to a peer owner.", "counter")
 	e.Int("vrdag_cluster_proxied_total", nil, n.proxied.Load())
 	e.Family("vrdag_cluster_proxy_retries_total", "Proxy attempts beyond the first owner.", "counter")
@@ -105,43 +111,40 @@ func (n *Node) renderProm(e *obs.Expo) {
 	e.Family("vrdag_cluster_replica_rejected_total", "Replication bodies rejected by checksum or size.", "counter")
 	e.Int("vrdag_cluster_replica_rejected_total", nil, n.replicaRejected.Load())
 
-	peers := make([]string, 0, len(n.replicators))
-	for p := range n.replicators {
-		peers = append(peers, p)
-	}
-	sort.Strings(peers)
+	// One snapshot per peer: its queue length and bytes come from the same
+	// lock acquisition.
+	stats := n.replicationStats()
+	peer := func(st ReplicatorStats) []obs.L { return []obs.L{{K: "peer", V: st.Peer}} }
 	e.Family("vrdag_cluster_replication_queue_len", "Catch-up queue depth toward a peer (0 = caught up).", "gauge")
-	for _, p := range peers {
-		st := n.replicators[p].statsSnapshot()
-		e.Int("vrdag_cluster_replication_queue_len", []obs.L{{K: "peer", V: p}}, int64(st.QueueLen))
+	for _, st := range stats {
+		e.Int("vrdag_cluster_replication_queue_len", peer(st), int64(st.QueueLen))
 	}
 	e.Family("vrdag_cluster_replication_queue_bytes", "Catch-up queue bytes toward a peer.", "gauge")
-	for _, p := range peers {
-		st := n.replicators[p].statsSnapshot()
-		e.Int("vrdag_cluster_replication_queue_bytes", []obs.L{{K: "peer", V: p}}, st.QueueBytes)
+	for _, st := range stats {
+		e.Int("vrdag_cluster_replication_queue_bytes", peer(st), st.QueueBytes)
 	}
 	e.Family("vrdag_cluster_replication_sent_total", "Synchronous replication sends confirmed, by peer.", "counter")
-	for _, p := range peers {
-		e.Int("vrdag_cluster_replication_sent_total", []obs.L{{K: "peer", V: p}}, n.replicators[p].sent.Load())
+	for _, st := range stats {
+		e.Int("vrdag_cluster_replication_sent_total", peer(st), st.Sent)
 	}
 	e.Family("vrdag_cluster_replication_flushed_total", "Catch-up queue sends confirmed, by peer.", "counter")
-	for _, p := range peers {
-		e.Int("vrdag_cluster_replication_flushed_total", []obs.L{{K: "peer", V: p}}, n.replicators[p].flushed.Load())
+	for _, st := range stats {
+		e.Int("vrdag_cluster_replication_flushed_total", peer(st), st.Flushed)
 	}
 	e.Family("vrdag_cluster_replication_failed_total", "Replication send attempts that errored, by peer.", "counter")
-	for _, p := range peers {
-		e.Int("vrdag_cluster_replication_failed_total", []obs.L{{K: "peer", V: p}}, n.replicators[p].failed.Load())
+	for _, st := range stats {
+		e.Int("vrdag_cluster_replication_failed_total", peer(st), st.Failed)
 	}
 	e.Family("vrdag_cluster_replication_dropped_total", "Replication payloads dropped as permanently rejected, by peer.", "counter")
-	for _, p := range peers {
-		e.Int("vrdag_cluster_replication_dropped_total", []obs.L{{K: "peer", V: p}}, n.replicators[p].dropped.Load())
+	for _, st := range stats {
+		e.Int("vrdag_cluster_replication_dropped_total", peer(st), st.Dropped)
 	}
 	e.Family("vrdag_cluster_peer_routable", "Whether the membership probe currently routes to a peer.", "gauge")
-	for _, p := range peers {
+	for _, st := range stats {
 		routable := int64(0)
-		if n.members.Routable(p) {
+		if n.members.Routable(st.Peer) {
 			routable = 1
 		}
-		e.Int("vrdag_cluster_peer_routable", []obs.L{{K: "peer", V: p}}, routable)
+		e.Int("vrdag_cluster_peer_routable", peer(st), routable)
 	}
 }

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -207,17 +206,12 @@ func TestClusterTraceEndToEnd(t *testing.T) {
 
 	// The cluster families ride the local /metrics exposition and the
 	// whole scrape stays lint-clean.
-	mresp, err := http.Get(c.urls[primary] + "/metrics")
-	if err != nil {
-		t.Fatalf("GET /metrics: %v", err)
-	}
-	mbody, _ := io.ReadAll(mresp.Body)
-	mresp.Body.Close()
-	if errs := obs.Lint(bytes.NewReader(mbody)); len(errs) > 0 {
+	mbody := c.scrape(primary)
+	if errs := obs.Lint(strings.NewReader(mbody)); len(errs) > 0 {
 		t.Errorf("cluster exposition lint: %v", errs)
 	}
-	for _, family := range []string{"vrdag_cluster_info", "vrdag_cluster_replication_sent_total", "vrdag_cluster_peer_routable"} {
-		if !bytes.Contains(mbody, []byte(family)) {
+	for _, family := range []string{"vrdag_cluster_info", "vrdag_cluster_draining", "vrdag_cluster_replication_sent_total", "vrdag_cluster_peer_routable"} {
+		if !strings.Contains(mbody, family) {
 			t.Errorf("exposition missing cluster family %s", family)
 		}
 	}

@@ -28,8 +28,7 @@ type Snapshot struct {
 	// both matrices once per layer per epoch; rebuilding them from the
 	// neighbour lists dominated encoder time on static snapshots. AddEdge
 	// and RemoveEdge invalidate the cache; the mutex makes concurrent
-	// readers (e.g. /v1/metrics requests sharing a reference sequence)
-	// safe.
+	// readers of one shared snapshot safe.
 	csrMu    sync.Mutex
 	adjCSR   *tensor.CSR
 	adjTCSRc *tensor.CSR

@@ -12,6 +12,17 @@ import (
 // tiny returns options that keep experiment tests fast.
 func tiny() Options { return Options{Scale: 0.015, Seed: 5, Epochs: 2} }
 
+// skipIfShort keeps `go test -short ./...` an inner loop of seconds. It
+// marks the four sweeps and the two timing comparisons; of this package's
+// ≈ 60 s, TestFigure9OrderingVRDAGFastestGeneration is ≈ 43 s and
+// TestScalabilityRows ≈ 11 s (the sweeps together ≈ 3 s).
+func skipIfShort(t *testing.T) {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("skipped in -short mode; run `go test ./internal/experiments` for all twelve tests")
+	}
+}
+
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 func TestTable1EmailIncludesAllMethods(t *testing.T) {
@@ -135,6 +146,7 @@ func TestFigures7to8(t *testing.T) {
 }
 
 func TestFigure9OrderingVRDAGFastestGeneration(t *testing.T) {
+	skipIfShort(t)
 	rows, err := Figure9(Options{Scale: 0.015, Seed: 6, Epochs: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -161,6 +173,7 @@ func TestFigure9OrderingVRDAGFastestGeneration(t *testing.T) {
 }
 
 func TestScalabilityRows(t *testing.T) {
+	skipIfShort(t)
 	rows, err := Scalability(Options{Scale: 1, Seed: 7, Epochs: 2}, []int{1000, 4000})
 	if err != nil {
 		t.Fatal(err)
@@ -177,6 +190,7 @@ func TestScalabilityRows(t *testing.T) {
 }
 
 func TestFigure10Rows(t *testing.T) {
+	skipIfShort(t)
 	rows, err := Figure10(tiny())
 	if err != nil {
 		t.Fatal(err)
@@ -198,6 +212,7 @@ func TestFigure10Rows(t *testing.T) {
 }
 
 func TestAblationVariants(t *testing.T) {
+	skipIfShort(t)
 	rows, err := Ablation(tiny())
 	if err != nil {
 		t.Fatal(err)
@@ -225,6 +240,7 @@ func TestAblationVariants(t *testing.T) {
 }
 
 func TestFigure9Sweep(t *testing.T) {
+	skipIfShort(t)
 	rows, err := Figure9Sweep(Options{Scale: 0.01, Seed: 8, Epochs: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -241,6 +257,7 @@ func TestFigure9Sweep(t *testing.T) {
 }
 
 func TestParamAnalysis(t *testing.T) {
+	skipIfShort(t)
 	rows, err := ParamAnalysis(Options{Scale: 0.01, Seed: 9, Epochs: 1})
 	if err != nil {
 		t.Fatal(err)

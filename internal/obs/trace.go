@@ -452,8 +452,8 @@ func (t *Tracer) ByID(id string) []TraceView {
 	return out
 }
 
-// TracerStats are the tracer's own counters, rendered on /v1/metrics
-// and /metrics.
+// TracerStats are the tracer's own counters, rendered on /metrics and
+// /v1/trace.
 type TracerStats struct {
 	Enabled      bool  `json:"enabled"`
 	Started      int64 `json:"started"`

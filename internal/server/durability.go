@@ -47,8 +47,9 @@ import (
 // mode: ingest is refused with 503 + Retry-After (accepting writes that
 // cannot be made durable would silently break the recovery contract),
 // while forecasts — which only read — keep serving. The latch is
-// surfaced on /v1/metrics and /healthz; restarting the process after
-// fixing the disk clears it through the normal recovery path.
+// surfaced on /metrics (vrdag_durability_degraded) and, with its reason,
+// on /healthz; restarting the process after fixing the disk clears it
+// through the normal recovery path.
 
 const (
 	sessionMetaFile = "meta.json"
@@ -87,9 +88,9 @@ type sessionSnap struct {
 // handler's reload and its read-lock; the client retries.
 var errSpilled = errors.New("session spilled to disk mid-request; retry")
 
-// durStats aggregates durability counters for /v1/metrics. Fsync
-// latencies land in a bounded ring so percentiles reflect recent
-// behaviour without unbounded memory.
+// durStats aggregates durability counters for /metrics. Fsync latencies
+// land in a bounded ring so percentiles reflect recent behaviour without
+// unbounded memory.
 type durStats struct {
 	walAppends atomic.Int64
 	snapshots  atomic.Int64
@@ -657,7 +658,30 @@ func (s *Server) recoverSession(name string) (*forecastSession, error) {
 	return fs, nil
 }
 
-// durabilityStats renders the durability counters for /v1/metrics.
+// DurabilityStats is the session persistence state renderProm turns into
+// families: how often the WAL is hit, what the fsync tax looks like, and
+// whether the server has latched into degraded read-only mode (the reason
+// is on /healthz).
+type DurabilityStats struct {
+	Degraded bool
+
+	WALAppends int64
+	Snapshots  int64
+	Recoveries int64
+	TornTails  int64
+	Spills     int64
+	Reloads    int64
+
+	ResidentSessions int
+	SpilledSessions  int
+
+	// Fsync latency over a bounded window of recent WAL appends.
+	FsyncCount int64
+	FsyncP50MS float64
+	FsyncP99MS float64
+}
+
+// durabilityStats renders the durability counters for /metrics.
 func (s *Server) durabilityStats() *DurabilityStats {
 	s.sessMu.Lock()
 	all := make([]*forecastSession, 0, len(s.sessions))
@@ -677,9 +701,7 @@ func (s *Server) durabilityStats() *DurabilityStats {
 	}
 	count, p50, p99 := s.dur.fsyncQuantiles()
 	return &DurabilityStats{
-		Enabled:          true,
 		Degraded:         s.degraded.Load(),
-		DegradedReason:   s.degradedReason(),
 		WALAppends:       s.dur.walAppends.Load(),
 		Snapshots:        s.dur.snapshots.Load(),
 		Recoveries:       s.dur.recoveries.Load(),

@@ -224,8 +224,8 @@ func TestDrainFlushesSessionsToSnapshot(t *testing.T) {
 
 // TestIngestDegradedReadOnly: a full disk (ENOSPC on the WAL fsync path)
 // flips the server into read-only mode — ingest sheds with 503 and
-// Retry-After, forecasts keep serving, and both /healthz and /v1/metrics
-// surface the latch.
+// Retry-After, forecasts keep serving, /healthz reports the latch with
+// its reason and /metrics reports it as vrdag_durability_degraded.
 func TestIngestDegradedReadOnly(t *testing.T) {
 	ff := durable.NewFaultFS(durable.OS, durable.Fault{WriteBudget: -1})
 	s, ts := newDurableServer(t, t.TempDir(), func(c *Config) { c.FS = ff })
@@ -263,25 +263,17 @@ func TestIngestDegradedReadOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	hr.Body.Close()
-	if !health.Degraded || health.Status != "degraded" {
-		t.Fatalf("healthz = %+v, want degraded", health)
+	if !health.Degraded || health.Status != "degraded" || health.Reason == "" {
+		t.Fatalf("healthz = %+v, want degraded with a reason", health)
 	}
 
-	mr, err := http.Get(ts.URL + "/v1/metrics?model=email&t=2")
-	if err != nil {
-		t.Fatal(err)
+	text := scrape(t, ts.URL)
+	if v := promSample(t, text, "vrdag_durability_degraded"); v != 1 {
+		t.Fatalf("vrdag_durability_degraded = %v, want 1", v)
 	}
-	var metrics MetricsResponse
-	if err := json.NewDecoder(mr.Body).Decode(&metrics); err != nil {
-		t.Fatal(err)
-	}
-	mr.Body.Close()
-	d := metrics.Server.Durability
-	if d == nil || !d.Degraded || d.DegradedReason == "" {
-		t.Fatalf("metrics durability = %+v, want degraded with a reason", d)
-	}
-	if d.WALAppends < 1 || d.FsyncCount < 1 {
-		t.Fatalf("durability counters = %+v, want wal_appends and fsyncs from the healthy phase", d)
+	appends, fsyncs := promSample(t, text, "vrdag_wal_appends_total"), promSample(t, text, "vrdag_fsync_total")
+	if appends < 1 || fsyncs < 1 {
+		t.Fatalf("wal_appends=%v fsyncs=%v, want both >= 1 from the healthy phase", appends, fsyncs)
 	}
 }
 

@@ -31,10 +31,10 @@ func Example() {
 		return
 	}
 
-	// Stand the service up and register the model with its reference.
+	// Stand the service up and register the model.
 	s := server.New(server.Config{Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
 	defer s.Close()
-	if err := s.Register("demo", m, g); err != nil {
+	if err := s.Register("demo", m, nil); err != nil {
 		fmt.Println("register failed:", err)
 		return
 	}

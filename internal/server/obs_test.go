@@ -8,6 +8,8 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"regexp"
 	"strconv"
 	"strings"
 	"sync"
@@ -18,15 +20,14 @@ import (
 )
 
 // Tests for the observability surface: the lock-free endpoint histogram's
-// bucket discipline under both renderings, deterministic /v1/metrics JSON,
-// a lint-clean Prometheus exposition, and the /v1/trace query endpoint.
+// bucket discipline, a deterministic and lint-clean Prometheus exposition,
+// and the /v1/trace query endpoint.
 
 // TestEndpointStatsBucketBoundaries pins the strict-> bucket walk: a
 // latency exactly on a bound lands in that bound's bucket, one microsecond
 // over rolls into the next, and anything past the last bound lands in the
-// implicit +Inf slot. Both the JSON snapshot and the Prometheus histogram
-// rendering are checked against the same table so the two surfaces cannot
-// drift apart.
+// implicit +Inf slot. The per-bucket atomics and the cumulative Prometheus
+// histogram rendered from them are checked against the same table.
 func TestEndpointStatsBucketBoundaries(t *testing.T) {
 	cases := []struct {
 		d      time.Duration
@@ -44,75 +45,88 @@ func TestEndpointStatsBucketBoundaries(t *testing.T) {
 		{6 * time.Second, len(latencyBucketsMS)},     // +Inf
 	}
 
-	var e endpointStats
+	s := New(Config{Queue: 4, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	defer s.Close()
+	st := s.statsFor("/v1/generate")
 	want := make([]int64, len(latencyBucketsMS)+1)
 	for _, c := range cases {
-		e.observe(http.StatusOK, c.d)
+		st.observe(http.StatusOK, c.d)
 		want[c.bucket]++
 	}
-
-	// JSON rendering: the snapshot's per-bucket counts.
-	snap := e.snapshot()
-	if snap.Requests != int64(len(cases)) {
-		t.Fatalf("requests = %d, want %d", snap.Requests, len(cases))
+	if got := st.requests.Load(); got != int64(len(cases)) {
+		t.Fatalf("requests = %d, want %d", got, len(cases))
 	}
 	for i, w := range want {
-		if snap.Buckets[i] != w {
-			t.Errorf("json bucket[%d] = %d, want %d", i, snap.Buckets[i], w)
+		if got := st.buckets[i].Load(); got != w {
+			t.Errorf("bucket[%d] = %d, want %d", i, got, w)
 		}
 	}
 
 	// Prometheus rendering: cumulative counts per le bound, read back out
-	// of a real server's exposition for the /v1/generate path.
-	s := New(Config{Queue: 4, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
-	defer s.Close()
-	st := s.statsFor("/v1/generate")
-	for _, c := range cases {
-		st.observe(http.StatusOK, c.d)
-	}
+	// of the server's exposition for the /v1/generate path.
 	var expo obs.Expo
 	s.renderProm(&expo)
 	text := string(expo.Bytes())
-
+	const family, path = "vrdag_http_request_duration_ms_bucket", `path="/v1/generate"`
 	cum := int64(0)
 	for i, bound := range latencyBucketsMS {
 		cum += want[i]
-		le := strconv.FormatFloat(bound, 'g', -1, 64)
-		if got := promBucketValue(t, text, "/v1/generate", le); got != cum {
-			t.Errorf("prom bucket le=%s = %d, want %d", le, got, cum)
+		le := `le="` + strconv.FormatFloat(bound, 'g', -1, 64) + `"`
+		if got := promSample(t, text, family, path, le); got != float64(cum) {
+			t.Errorf("prom bucket %s = %v, want %d", le, got, cum)
 		}
 	}
-	if got := promBucketValue(t, text, "/v1/generate", "+Inf"); got != int64(len(cases)) {
-		t.Errorf("prom bucket le=+Inf = %d, want %d", got, len(cases))
+	if got := promSample(t, text, family, path, `le="+Inf"`); got != float64(len(cases)) {
+		t.Errorf("prom bucket le=+Inf = %v, want %d", got, len(cases))
 	}
 }
 
-// promBucketValue extracts one vrdag_http_request_duration_ms_bucket
-// sample from rendered exposition text, matching on labels rather than
-// label order.
-func promBucketValue(t *testing.T, text, path, le string) int64 {
+// promSample extracts one sample of family from exposition text: the
+// first line of exactly that metric name carrying every given label
+// (`key="value"`, matched regardless of label order).
+func promSample(t *testing.T, text, family string, labels ...string) float64 {
 	t.Helper()
+next:
 	for _, line := range strings.Split(text, "\n") {
-		if !strings.HasPrefix(line, "vrdag_http_request_duration_ms_bucket{") {
+		rest, ok := strings.CutPrefix(line, family)
+		if !ok || rest == "" || (rest[0] != '{' && rest[0] != ' ') {
 			continue
 		}
-		if !strings.Contains(line, `path="`+path+`"`) || !strings.Contains(line, `le="`+le+`"`) {
-			continue
+		for _, l := range labels {
+			if !strings.Contains(rest, l) {
+				continue next
+			}
 		}
 		fields := strings.Fields(line)
-		v, err := strconv.ParseInt(fields[len(fields)-1], 10, 64)
+		v, err := strconv.ParseFloat(fields[len(fields)-1], 64)
 		if err != nil {
-			t.Fatalf("parse bucket sample %q: %v", line, err)
+			t.Fatalf("parse sample %q: %v", line, err)
 		}
 		return v
 	}
-	t.Fatalf("no duration bucket sample for path=%s le=%s in exposition", path, le)
+	t.Fatalf("no %s sample with labels %v in exposition", family, labels)
 	return 0
 }
 
-// TestEndpointStatsConcurrentObserve races writers against snapshot
-// readers (run under -race in CI) and checks nothing is lost: every
-// observation lands in exactly one bucket and the counters agree.
+// scrape fetches /metrics from a live server.
+func scrape(t *testing.T, url string) string {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatalf("GET /metrics: %v", err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /metrics: status %d, err %v", resp.StatusCode, err)
+	}
+	return string(body)
+}
+
+// TestEndpointStatsConcurrentObserve races writers against readers of the
+// same atomics a scrape loads (run under -race in CI) and checks nothing
+// is lost: every observation lands in exactly one bucket and the counters
+// agree.
 func TestEndpointStatsConcurrentObserve(t *testing.T) {
 	const writers, perWriter = 8, 500
 	var e endpointStats
@@ -122,18 +136,20 @@ func TestEndpointStatsConcurrentObserve(t *testing.T) {
 		readers.Add(1)
 		go func() {
 			defer readers.Done()
-			// Mid-flight snapshots carry no cross-counter invariant (the
-			// loads are independent), so the readers' job is purely to
-			// race against observe — -race flags any unsynchronized access.
+			// Mid-flight loads carry no cross-counter invariant (they are
+			// independent), so the readers' job is purely to race against
+			// observe — -race flags any unsynchronized access.
 			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				snap := e.snapshot()
-				if snap.Requests < 0 {
-					t.Error("negative request count")
+				for i := range e.buckets {
+					e.buckets[i].Load()
+				}
+				if e.requests.Load() < 0 || e.totalUS.Load() < 0 {
+					t.Error("negative counter")
 					return
 				}
 			}
@@ -157,27 +173,26 @@ func TestEndpointStatsConcurrentObserve(t *testing.T) {
 	close(stop)
 	readers.Wait()
 
-	snap := e.snapshot()
-	if snap.Requests != writers*perWriter {
-		t.Fatalf("requests = %d, want %d", snap.Requests, writers*perWriter)
+	if got := e.requests.Load(); got != writers*perWriter {
+		t.Fatalf("requests = %d, want %d", got, writers*perWriter)
 	}
 	var inBuckets int64
-	for _, b := range snap.Buckets {
-		inBuckets += b
+	for i := range e.buckets {
+		inBuckets += e.buckets[i].Load()
 	}
 	if inBuckets != writers*perWriter {
 		t.Fatalf("bucket sum = %d, want %d", inBuckets, writers*perWriter)
 	}
-	if snap.Errors != snap.Shed || snap.Shed == 0 {
-		t.Fatalf("errors=%d shed=%d, want equal and non-zero (all errors were 429s)", snap.Errors, snap.Shed)
+	if errs, shed := e.errors.Load(), e.shed.Load(); errs != shed || shed == 0 {
+		t.Fatalf("errors=%d shed=%d, want equal and non-zero (all errors were 429s)", errs, shed)
 	}
 }
 
-// TestMetricsJSONDeterministic renders the stats twice on a quiesced
-// server and requires byte-identical JSON once the only legitimately
-// time-varying field (uptime) is zeroed — pinning that map iteration
-// order never leaks into the /v1/metrics wire form.
-func TestMetricsJSONDeterministic(t *testing.T) {
+// TestPromRenderDeterministic renders the exposition twice on a quiesced
+// server and requires identical bytes once the lines that legitimately
+// move between two renders (uptime, heap, goroutines, GC pause) are
+// dropped — pinning that map iteration order never leaks into /metrics.
+func TestPromRenderDeterministic(t *testing.T) {
 	srv, ts := newTestServer(t)
 	seed := int64(7)
 	if resp, _ := postGenerate(t, ts.URL, GenerateRequest{Model: "email", T: 2, Seed: &seed}); resp.StatusCode != http.StatusOK {
@@ -185,17 +200,22 @@ func TestMetricsJSONDeterministic(t *testing.T) {
 	}
 	http.Get(ts.URL + "/no/such/path") // populate the catch-all slot too
 
-	render := func() []byte {
-		st := srv.serverStats()
-		st.UptimeS = 0
-		enc, err := json.Marshal(st)
-		if err != nil {
-			t.Fatalf("marshal: %v", err)
+	render := func() string {
+		var e obs.Expo
+		srv.renderProm(&e)
+		var keep []string
+	lines:
+		for _, line := range strings.Split(string(e.Bytes()), "\n") {
+			for _, moving := range []string{"vrdag_uptime_seconds ", "vrdag_heap_alloc_bytes ", "vrdag_goroutines ", "vrdag_gc_pause_total_ms "} {
+				if strings.HasPrefix(line, moving) {
+					continue lines
+				}
+			}
+			keep = append(keep, line)
 		}
-		return enc
+		return strings.Join(keep, "\n")
 	}
-	a, b := render(), render()
-	if !bytes.Equal(a, b) {
+	if a, b := render(), render(); a != b {
 		t.Fatalf("successive renders differ:\n%s\n%s", a, b)
 	}
 }
@@ -240,6 +260,75 @@ func TestPromExpositionLintsClean(t *testing.T) {
 	post.Body.Close()
 	if post.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("POST /metrics: status %d, want 405", post.StatusCode)
+	}
+}
+
+// TestScrapesNeverWaitForAdmission pins that no read-only endpoint does
+// admitted work: with the single admission slot taken, generation sheds
+// with 429 while every scrape and listing still answers 200.
+func TestScrapesNeverWaitForAdmission(t *testing.T) {
+	m, ref := trainedModel(t)
+	s := New(Config{AdmitDepth: 1, AdmitWait: 20 * time.Millisecond, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	defer s.Close()
+	if err := s.Register("email", m, ref); err != nil {
+		t.Fatalf("register: %v", err)
+	}
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	s.admitCh <- struct{}{} // occupy the single admission slot
+	defer func() { <-s.admitCh }()
+
+	for _, path := range []string{"/metrics", "/healthz", "/v1/models", "/v1/trace"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("GET %s with admission full: status %d, want 200", path, resp.StatusCode)
+		}
+	}
+	seed := int64(1)
+	if resp, data := postGenerate(t, ts.URL, GenerateRequest{Model: "email", T: 2, Seed: &seed}); resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("generate with admission full: status %d, want 429 (%s)", resp.StatusCode, data)
+	}
+}
+
+// TestRoutesMatchREADME holds README's endpoint table and the mux to each
+// other: every routed path has a row and every row's path is routed.
+func TestRoutesMatchREADME(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(string(readme), "| Endpoint | Meaning |\n")
+	if !ok {
+		t.Fatal("README has no endpoint table")
+	}
+	row := regexp.MustCompile("^\\| `(?:GET|POST|DELETE) (/[^ ?`]*)")
+	documented := map[string]bool{}
+	for _, line := range strings.Split(table, "\n") {
+		if !strings.HasPrefix(line, "|") {
+			break // end of the table
+		}
+		if m := row.FindStringSubmatch(line); m != nil {
+			documented[m[1]] = true
+		}
+	}
+
+	s := New(Config{Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	defer s.Close()
+	for path := range s.endpointStats {
+		if path != "other" && !documented[path] {
+			t.Errorf("route %s has no row in README's endpoint table", path)
+		}
+	}
+	for path := range documented {
+		if _, routed := s.endpointStats[path]; !routed {
+			t.Errorf("README documents %s, which is not routed", path)
+		}
 	}
 }
 

@@ -40,16 +40,14 @@ type task struct {
 
 // Pool is a bounded worker pool for CPU-bound generation work. A fixed
 // number of workers (default GOMAXPROCS) drain a bounded queue; Do rejects
-// immediately with ErrBusy when the queue is full, DoWait blocks for a
-// slot. Tasks whose context is cancelled before a worker claims them are
-// skipped.
+// immediately with ErrBusy when the queue is full. Tasks whose context is
+// cancelled before a worker claims them are skipped.
 type Pool struct {
 	tasks chan *task
 
-	mu      sync.Mutex
-	closed  bool
-	senders sync.WaitGroup // in-flight DoWait submissions, drained before close(tasks)
-	wg      sync.WaitGroup
+	mu     sync.Mutex
+	closed bool
+	wg     sync.WaitGroup
 }
 
 // NewPool starts a pool with the given worker and queue sizes; zero or
@@ -111,52 +109,25 @@ func runTask(f func()) (err error) {
 // is contained and returned as an error), so state shared with f —
 // including an http.ResponseWriter f streamed to — is safe to use again.
 func (p *Pool) Do(ctx context.Context, f func()) error {
-	t, err := p.submit(ctx, f, false)
+	t, err := p.submit(ctx, f)
 	if err != nil {
 		return err
 	}
 	return p.await(ctx, t)
 }
 
-// DoWait is Do for callers that prefer waiting over shedding: when the
-// queue is full it blocks until a slot frees, ctx fires, or the pool
-// closes. Batch fan-out uses it so R sub-tasks from one admitted request
-// queue behind each other instead of tripping ErrBusy.
-func (p *Pool) DoWait(ctx context.Context, f func()) error {
-	t, err := p.submit(ctx, f, true)
-	if err != nil {
-		return err
-	}
-	return p.await(ctx, t)
-}
-
-func (p *Pool) submit(ctx context.Context, f func(), wait bool) (*task, error) {
+func (p *Pool) submit(ctx context.Context, f func()) (*task, error) {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	if p.closed {
-		p.mu.Unlock()
 		return nil, ErrClosed
 	}
 	t := &task{ctx: ctx, f: f, done: make(chan struct{})}
-	if !wait {
-		select {
-		case p.tasks <- t:
-			p.mu.Unlock()
-			return t, nil
-		default:
-			p.mu.Unlock()
-			return nil, ErrBusy
-		}
-	}
-	// Register as a sender before releasing the lock so Close cannot close
-	// the channel out from under the blocking send below.
-	p.senders.Add(1)
-	p.mu.Unlock()
-	defer p.senders.Done()
 	select {
 	case p.tasks <- t:
 		return t, nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
+	default:
+		return nil, ErrBusy
 	}
 }
 
@@ -187,7 +158,6 @@ func (p *Pool) Close() {
 	}
 	p.closed = true
 	p.mu.Unlock()
-	p.senders.Wait()
 	close(p.tasks)
 	p.wg.Wait()
 }

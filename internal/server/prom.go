@@ -11,9 +11,10 @@ import (
 )
 
 // Prometheus text exposition at GET /metrics, rendered with the
-// zero-dependency writer in internal/obs. The same counters /v1/metrics
-// reports as JSON appear here as families with stable, sorted label
-// values, so two scrapes of a quiesced server are byte-identical and an
+// zero-dependency writer in internal/obs. It is the server's one stats
+// surface and reads counters only — a scrape takes no admission slot and
+// no pool worker. Families carry stable, sorted label values, so two
+// scrapes of a quiesced server are byte-identical and an
 // exposition-format linter (internal/obs.Lint, cmd/vrdag-promlint) can
 // gate the output in CI. The cluster layer appends its families through
 // SetPromHook.

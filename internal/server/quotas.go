@@ -91,7 +91,14 @@ func (s *Server) checkQuota(w http.ResponseWriter, r *http.Request) bool {
 	return false
 }
 
-// tenantStats renders the per-tenant counters for /v1/metrics.
+// TenantStats is one tenant's quota accounting as renderProm reads it.
+type TenantStats struct {
+	Admitted  int64
+	Throttled int64
+	Tokens    float64 // bucket level at scrape time
+}
+
+// tenantStats renders the per-tenant counters for /metrics.
 func (s *Server) tenantStats() map[string]TenantStats {
 	s.quotaMu.Lock()
 	defer s.quotaMu.Unlock()

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
@@ -90,30 +89,21 @@ func TestQuotaCountersOnMetrics(t *testing.T) {
 	}
 	ingestAs(t, ts.URL, "bob", "qm2", 0)
 
-	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/metrics?model=email&t=2", nil)
-	req.Header.Set(HeaderTenant, "ops")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatalf("metrics: %v", err)
+	// The scrape is not admitted work: it names no tenant and spends no token.
+	text := scrape(t, ts.URL)
+	for _, c := range []struct {
+		tenant              string
+		admitted, throttled float64
+	}{{"alice", 3, 1}, {"bob", 1, 0}} {
+		label := `tenant="` + c.tenant + `"`
+		admitted := promSample(t, text, "vrdag_tenant_admitted_total", label)
+		throttled := promSample(t, text, "vrdag_tenant_throttled_total", label)
+		if admitted != c.admitted || throttled != c.throttled {
+			t.Fatalf("%s: %v admitted / %v throttled, want %v / %v", c.tenant, admitted, throttled, c.admitted, c.throttled)
+		}
 	}
-	data, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("metrics status %d: %s", resp.StatusCode, data)
-	}
-	var out MetricsResponse
-	if err := json.Unmarshal(data, &out); err != nil {
-		t.Fatalf("decode metrics: %v", err)
-	}
-	if out.Server == nil || out.Server.Tenants == nil {
-		t.Fatal("metrics response missing per-tenant counters")
-	}
-	alice := out.Server.Tenants["alice"]
-	if alice.Admitted != 3 || alice.Throttled != 1 {
-		t.Fatalf("alice counters %+v, want 3 admitted / 1 throttled", alice)
-	}
-	if bob := out.Server.Tenants["bob"]; bob.Admitted != 1 || bob.Throttled != 0 {
-		t.Fatalf("bob counters %+v, want 1 admitted / 0 throttled", bob)
+	if strings.Contains(text, `tenant="ops"`) || strings.Contains(text, `tenant="default"`) {
+		t.Fatal("scraping /metrics was billed to a tenant")
 	}
 }
 

@@ -2,12 +2,11 @@
 // service: POST /v1/generate samples a snapshot sequence in one response,
 // POST /v1/generate/stream emits snapshots as NDJSON lines the moment
 // they are decoded (O(1) resident snapshots per request),
-// POST /v1/generate/batch fans R independent seeds across the worker
-// pool, POST /v1/ingest folds an observed temporal edge stream into a
+// POST /v1/ingest folds an observed temporal edge stream into a
 // named forecast session, POST /v1/forecast and /v1/forecast/stream
 // generate futures conditioned on a session's observed history,
-// GET /v1/metrics scores a fresh sample against the model's
-// reference sequence and reports runtime/endpoint stats, and
+// GET /metrics is the stats surface (Prometheus text, served from
+// counters alone), GET /v1/trace serves request traces, and
 // GET /v1/models and GET /healthz report registry and liveness state.
 //
 // Models are read-only after registration and every generation request
@@ -34,7 +33,6 @@ import (
 	"os"
 	"runtime"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,17 +40,14 @@ import (
 	"vrdag/internal/core"
 	"vrdag/internal/durable"
 	"vrdag/internal/dyngraph"
-	"vrdag/internal/metrics"
 	"vrdag/internal/obs"
-	"vrdag/internal/tensor"
 )
 
 // Config tunes the service; zero values select the documented defaults.
 type Config struct {
-	Workers  int // generation workers (default GOMAXPROCS)
-	Queue    int // queued requests beyond in-flight (default 4×workers, min 16)
-	MaxT     int // largest accepted horizon per request (default 512)
-	MaxBatch int // largest count accepted by /v1/generate/batch (default 16)
+	Workers int // generation workers (default GOMAXPROCS)
+	Queue   int // queued requests beyond in-flight (default 4×workers, min 16)
+	MaxT    int // largest accepted horizon per request (default 512)
 
 	// AdmitDepth bounds how many generation requests may be admitted
 	// (in-flight plus waiting for a worker) at once; default workers+queue.
@@ -159,20 +154,17 @@ type Server struct {
 	quotaMu sync.Mutex
 	quotas  map[string]*tenantBucket
 
-	// healthHook/statsHook/promHook let an embedding layer
-	// (internal/cluster) decorate /healthz, /v1/metrics, and /metrics
-	// with cluster state without the import cycle a reverse dependency
-	// would create. Each holds nil or a func; set once at wiring time
-	// via SetHealthHook/SetStatsHook/SetPromHook.
+	// healthHook/promHook let an embedding layer (internal/cluster)
+	// decorate /healthz and /metrics with cluster state without the
+	// import cycle a reverse dependency would create. Each holds nil or
+	// a func; set once at wiring time via SetHealthHook/SetPromHook.
 	healthHook atomic.Value // func(*HealthResponse)
-	statsHook  atomic.Value // func() any
 	promHook   atomic.Value // func(*obs.Expo)
 }
 
 type modelEntry struct {
 	name      string
 	model     *core.Model
-	ref       *dyngraph.Sequence
 	generated atomic.Int64
 }
 
@@ -189,9 +181,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.MaxT <= 0 {
 		cfg.MaxT = 512
-	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 16
 	}
 	if cfg.AdmitDepth <= 0 {
 		cfg.AdmitDepth = cfg.Workers + cfg.Queue
@@ -251,11 +240,9 @@ func New(cfg Config) *Server {
 	routes := map[string]http.HandlerFunc{
 		"/v1/generate":        s.handleGenerate,
 		"/v1/generate/stream": s.handleGenerateStream,
-		"/v1/generate/batch":  s.handleGenerateBatch,
 		"/v1/ingest":          s.handleIngest,
 		"/v1/forecast":        s.handleForecast,
 		"/v1/forecast/stream": s.handleForecastStream,
-		"/v1/metrics":         s.handleMetrics,
 		"/v1/models":          s.handleModels,
 		"/v1/trace":           s.handleTrace,
 		"/metrics":            s.handleProm,
@@ -274,11 +261,11 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Register adds a trained model under name. ref, when non-nil, is the
-// reference sequence /v1/metrics compares generated samples against
-// (typically the training data). The model must not be mutated (trained,
-// refitted) after registration: handlers rely on it being read-only.
-func (s *Server) Register(name string, m *core.Model, ref *dyngraph.Sequence) error {
+// Register adds a trained model under name. The model must not be mutated
+// (trained, refitted) after registration: handlers rely on it being
+// read-only. The third argument is unused; it is kept for the bench/
+// module's two call sites until ROADMAP item 5's bench-only PR drops it.
+func (s *Server) Register(name string, m *core.Model, _ *dyngraph.Sequence) error {
 	if name == "" {
 		return fmt.Errorf("server: model name must be non-empty")
 	}
@@ -288,16 +275,12 @@ func (s *Server) Register(name string, m *core.Model, ref *dyngraph.Sequence) er
 	if !m.Trained() {
 		return fmt.Errorf("server: model %q is untrained", name)
 	}
-	if ref != nil && (ref.N != m.Cfg.N || ref.F != m.Cfg.F) {
-		return fmt.Errorf("server: model %q reference shape (%d,%d) does not match model (%d,%d)",
-			name, ref.N, ref.F, m.Cfg.N, m.Cfg.F)
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, dup := s.models[name]; dup {
 		return fmt.Errorf("server: model %q already registered", name)
 	}
-	s.models[name] = &modelEntry{name: name, model: m, ref: ref}
+	s.models[name] = &modelEntry{name: name, model: m}
 	return nil
 }
 
@@ -343,10 +326,6 @@ func (s *Server) Close() {
 // before it is written; internal/cluster uses it to attach peer state and
 // to surface a cluster drain. Call once, at wiring time.
 func (s *Server) SetHealthHook(f func(*HealthResponse)) { s.healthHook.Store(f) }
-
-// SetStatsHook installs a provider whose result is attached to the
-// Cluster field of /v1/metrics server stats. Call once, at wiring time.
-func (s *Server) SetStatsHook(f func() any) { s.statsHook.Store(f) }
 
 // SetPromHook installs a renderer appending extra families to the
 // Prometheus /metrics exposition (internal/cluster attaches its
@@ -604,16 +583,6 @@ func (s *Server) checkHorizon(w http.ResponseWriter, t int) bool {
 	return true
 }
 
-// lookupOr404 resolves a model name, writing the 404 response on failure.
-func (s *Server) lookupOr404(w http.ResponseWriter, name string) (*modelEntry, bool) {
-	entry, err := s.lookup(name)
-	if err != nil {
-		s.writeError(w, http.StatusNotFound, "%v", err)
-		return nil, false
-	}
-	return entry, true
-}
-
 // decodeGenerateRequest parses and validates the shared body of the
 // unary and streaming generation endpoints, resolving the model and the
 // seed. It reports false after writing the error response.
@@ -622,8 +591,9 @@ func (s *Server) decodeGenerateRequest(w http.ResponseWriter, r *http.Request) (
 	if !s.decodeBody(w, r, &req) || !s.checkHorizon(w, req.T) {
 		return req, nil, 0, false
 	}
-	entry, ok := s.lookupOr404(w, req.Model)
-	if !ok {
+	entry, err := s.lookup(req.Model)
+	if err != nil {
+		s.writeError(w, http.StatusNotFound, "%v", err)
 		return req, nil, 0, false
 	}
 	seed := s.drawSeed()
@@ -808,203 +778,6 @@ func (s *Server) streamSnapshots(w http.ResponseWriter, r *http.Request, entry *
 	}
 }
 
-func (s *Server) handleGenerateBatch(w http.ResponseWriter, r *http.Request) {
-	var req BatchRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	count := req.Count
-	if count == 0 {
-		count = len(req.Seeds)
-	}
-	if count == 0 {
-		count = 1
-	}
-	if count < len(req.Seeds) {
-		s.writeError(w, http.StatusBadRequest, "count %d smaller than %d provided seeds", count, len(req.Seeds))
-		return
-	}
-	if count < 1 || count > s.cfg.MaxBatch {
-		s.writeError(w, http.StatusBadRequest, "count must be in 1..%d, got %d", s.cfg.MaxBatch, count)
-		return
-	}
-	if !s.checkHorizon(w, req.T) {
-		return
-	}
-	entry, ok := s.lookupOr404(w, req.Model)
-	if !ok {
-		return
-	}
-	seeds := make([]int64, count)
-	copy(seeds, req.Seeds)
-	for i := len(req.Seeds); i < count; i++ {
-		seeds[i] = s.drawSeed()
-	}
-
-	// The whole batch holds a single admission slot; its sub-tasks queue
-	// on the pool with DoWait, so one large batch cannot starve the
-	// admission queue for everyone else while still fanning out across
-	// idle workers.
-	release, ok := s.admit(w, r)
-	if !ok {
-		return
-	}
-	defer release()
-
-	start := time.Now()
-	results := make([]BatchItem, count)
-	var wg sync.WaitGroup
-	for i := range seeds {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			itemStart := time.Now()
-			var seq *dyngraph.Sequence
-			var genErr error
-			err := s.pool.DoWait(r.Context(), func() {
-				seq, genErr = entry.model.GenerateCtx(r.Context(), core.GenOptions{
-					T:            req.T,
-					Source:       rand.NewSource(seeds[i]),
-					DynamicNodes: req.DynamicNodes,
-					Parallel:     true,
-				})
-			})
-			if err == nil {
-				err = genErr
-			}
-			results[i] = BatchItem{
-				Seed:      seeds[i],
-				ElapsedMS: float64(time.Since(itemStart).Microseconds()) / 1000,
-			}
-			if err != nil {
-				results[i].Error = err.Error()
-			} else {
-				results[i].Sequence = seq
-				entry.generated.Add(1)
-			}
-		}(i)
-	}
-	wg.Wait()
-	if r.Context().Err() != nil {
-		return // client gone; every sub-task has already unwound
-	}
-	s.writeJSON(w, http.StatusOK, BatchResponse{
-		Model:     entry.name,
-		Count:     count,
-		ElapsedMS: float64(time.Since(start).Microseconds()) / 1000,
-		Results:   results,
-	})
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.writeError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	q := r.URL.Query()
-	entry, ok := s.lookupOr404(w, q.Get("model"))
-	if !ok {
-		return
-	}
-	if entry.ref == nil {
-		s.writeError(w, http.StatusConflict, "model %q has no reference sequence for metrics", entry.name)
-		return
-	}
-	t := entry.ref.T()
-	if t > s.cfg.MaxT {
-		t = s.cfg.MaxT
-	}
-	if v := q.Get("t"); v != "" {
-		parsed, err := strconv.Atoi(v)
-		if err != nil || parsed <= 0 || parsed > s.cfg.MaxT {
-			s.writeError(w, http.StatusBadRequest, "t must be in 1..%d, got %q", s.cfg.MaxT, v)
-			return
-		}
-		t = parsed
-	}
-	var seed int64 = 1
-	if v := q.Get("seed"); v != "" {
-		parsed, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			s.writeError(w, http.StatusBadRequest, "bad seed %q", v)
-			return
-		}
-		seed = parsed
-	}
-
-	release, ok := s.admit(w, r)
-	if !ok {
-		return
-	}
-	defer release()
-
-	var resp MetricsResponse
-	var genErr error
-	start := time.Now()
-	ok = s.runPooled(w, r, func() {
-		var seq *dyngraph.Sequence
-		seq, genErr = entry.model.GenerateCtx(r.Context(), core.GenOptions{
-			T: t, Source: rand.NewSource(seed), Parallel: true,
-		})
-		if genErr != nil {
-			return
-		}
-		resp.Structure = metrics.CompareStructure(entry.ref, seq)
-		if entry.ref.F > 0 {
-			jsd := metrics.AttrJSD(entry.ref, seq, 32)
-			emd := metrics.AttrEMD(entry.ref, seq)
-			resp.AttrJSD, resp.AttrEMD = &jsd, &emd
-		}
-	})
-	if !ok {
-		return
-	}
-	if genErr != nil {
-		if r.Context().Err() != nil {
-			return
-		}
-		s.writeError(w, http.StatusInternalServerError, "generation failed: %v", genErr)
-		return
-	}
-	resp.Model = entry.name
-	resp.Seed = seed
-	resp.T = t
-	resp.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
-	resp.Runtime = readRuntimeStats()
-	resp.Server = s.serverStats()
-	s.writeJSON(w, http.StatusOK, resp)
-}
-
-// readRuntimeStats snapshots allocator, GC, and tensor-arena counters so
-// the effect of buffer reuse on the serving path is observable from the
-// metrics endpoint.
-func readRuntimeStats() *RuntimeStats {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	ps := tensor.ReadPoolStats()
-	hitRate := 0.0
-	if ps.Gets > 0 {
-		hitRate = float64(ps.Hits) / float64(ps.Gets)
-	}
-	return &RuntimeStats{
-		HeapAllocBytes:  ms.HeapAlloc,
-		TotalAllocBytes: ms.TotalAlloc,
-		Mallocs:         ms.Mallocs,
-		NumGC:           ms.NumGC,
-		GCPauseTotalMS:  float64(ms.PauseTotalNs) / 1e6,
-		Goroutines:      runtime.NumGoroutine(),
-		ComputeBackend:  tensor.ActiveBackend(),
-		CPUFeatures:     tensor.CPUFeatures(),
-		PoolGets:        ps.Gets,
-		PoolHits:        ps.Hits,
-		PoolPuts:        ps.Puts,
-		PoolSteals:      ps.Steals,
-		PoolHitRate:     hitRate,
-		PoolRetainedB:   ps.RetainedBytes,
-		PoolShards:      ps.Shards,
-	}
-}
-
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		s.writeError(w, http.StatusMethodNotAllowed, "GET required")
@@ -1013,19 +786,14 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
 	infos := make([]ModelInfo, 0, len(s.models))
 	for _, e := range s.models {
-		info := ModelInfo{
+		infos = append(infos, ModelInfo{
 			Name:      e.name,
 			N:         e.model.Cfg.N,
 			F:         e.model.Cfg.F,
 			Params:    e.model.NumParams(),
 			Trained:   e.model.Trained(),
 			Generated: e.generated.Load(),
-		}
-		if e.ref != nil {
-			info.RefT = e.ref.T()
-			info.HasRef = true
-		}
-		infos = append(infos, info)
+		})
 	}
 	s.mu.RUnlock()
 	sort.Slice(infos, func(i, j int) bool { return infos[i].Name < infos[j].Name })

@@ -203,90 +203,6 @@ func TestGenerateErrors(t *testing.T) {
 	}
 }
 
-func TestMetricsEndpoint(t *testing.T) {
-	_, ts := newTestServer(t)
-	resp, err := http.Get(ts.URL + "/v1/metrics?model=email&t=3&seed=7")
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, data)
-	}
-	var out MetricsResponse
-	if err := json.Unmarshal(data, &out); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if out.Model != "email" || out.T != 3 || out.Seed != 7 {
-		t.Fatalf("echo fields wrong: %+v", out)
-	}
-	if out.AttrJSD == nil || out.AttrEMD == nil {
-		t.Fatal("attributed model should report attr metrics")
-	}
-	if out.Runtime == nil {
-		t.Fatal("metrics response should include runtime stats")
-	}
-	if len(out.Runtime.PoolShards) == 0 {
-		t.Fatal("runtime stats should include the arena shard breakdown")
-	}
-	if out.Runtime.PoolGets > 0 && out.Runtime.PoolHitRate <= 0 {
-		t.Fatalf("warm arena reported hit rate %v with %d gets",
-			out.Runtime.PoolHitRate, out.Runtime.PoolGets)
-	}
-	var shardGets int64
-	for _, sh := range out.Runtime.PoolShards {
-		shardGets += sh.Gets
-	}
-	if shardGets != out.Runtime.PoolGets {
-		t.Fatalf("shard gets sum %d != total %d", shardGets, out.Runtime.PoolGets)
-	}
-}
-
-func TestMetricsDefaultHorizonClampedToMaxT(t *testing.T) {
-	m, ref := trainedModel(t)
-	s := New(Config{MaxT: 2, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
-	defer s.Close()
-	if err := s.Register("email", m, ref); err != nil {
-		t.Fatalf("register: %v", err)
-	}
-	ts := httptest.NewServer(s)
-	defer ts.Close()
-	// ref.T() == 6 > MaxT == 2: the default horizon must respect the cap.
-	resp, err := http.Get(ts.URL + "/v1/metrics?model=email")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out MetricsResponse
-	err = json.NewDecoder(resp.Body).Decode(&out)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d, err %v", resp.StatusCode, err)
-	}
-	if out.T != 2 {
-		t.Fatalf("default horizon %d, want MaxT clamp 2", out.T)
-	}
-}
-
-func TestMetricsWithoutReference(t *testing.T) {
-	m, _ := trainedModel(t)
-	s := New(Config{Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
-	defer s.Close()
-	if err := s.Register("bare", m, nil); err != nil {
-		t.Fatalf("register: %v", err)
-	}
-	ts := httptest.NewServer(s)
-	defer ts.Close()
-	resp, err := http.Get(ts.URL + "/v1/metrics?model=bare")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("status %d, want 409", resp.StatusCode)
-	}
-}
-
 func TestModelsAndHealth(t *testing.T) {
 	_, ts := newTestServer(t)
 	resp, err := http.Get(ts.URL + "/v1/models")
@@ -299,7 +215,7 @@ func TestModelsAndHealth(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode models: %v", err)
 	}
-	if len(infos) != 1 || infos[0].Name != "email" || !infos[0].Trained || !infos[0].HasRef {
+	if len(infos) != 1 || infos[0].Name != "email" || !infos[0].Trained {
 		t.Fatalf("bad model list: %+v", infos)
 	}
 	if infos[0].N != 24 || infos[0].F != 2 || infos[0].Params <= 0 {
@@ -327,10 +243,6 @@ func TestRegisterValidation(t *testing.T) {
 	}
 	if err := s.Register("x", core.New(core.DefaultConfig(4, 0)), nil); err == nil {
 		t.Error("untrained model accepted")
-	}
-	bad := dyngraph.NewSequence(ref.N+1, ref.F, 2)
-	if err := s.Register("x", m, bad); err == nil {
-		t.Error("mismatched reference accepted")
 	}
 	if err := s.Register("x", m, ref); err != nil {
 		t.Errorf("valid registration failed: %v", err)

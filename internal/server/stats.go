@@ -7,9 +7,9 @@ import (
 
 // Per-endpoint request accounting: a counter triple and a small
 // fixed-bucket latency histogram, updated lock-free on every request and
-// reported by /v1/metrics alongside the runtime/arena stats. Buckets are
-// fixed at compile time — the point is a cheap always-on signal (is p99
-// drifting? are 429s climbing?), not a general metrics system.
+// rendered by GET /metrics (prom.go) straight from the atomics. Buckets
+// are fixed at compile time — the point is a cheap always-on signal (is
+// p99 drifting? are 429s climbing?), not a general metrics system.
 
 // latencyBucketsMS are the histogram upper bounds in milliseconds; an
 // implicit +Inf bucket catches the rest. The range spans a cache-warm
@@ -41,24 +41,6 @@ func (e *endpointStats) observe(status int, d time.Duration) {
 	e.buckets[i].Add(1)
 }
 
-// snapshot renders the counters into the wire form.
-func (e *endpointStats) snapshot() EndpointStats {
-	s := EndpointStats{
-		Requests: e.requests.Load(),
-		Errors:   e.errors.Load(),
-		Shed:     e.shed.Load(),
-		MeanMS:   0,
-		Buckets:  make([]int64, len(e.buckets)),
-	}
-	for i := range e.buckets {
-		s.Buckets[i] = e.buckets[i].Load()
-	}
-	if s.Requests > 0 {
-		s.MeanMS = float64(e.totalUS.Load()) / 1000 / float64(s.Requests)
-	}
-	return s
-}
-
 // statsFor resolves the stats slot for a request path. Routes are
 // registered up front in New; anything else lands in the catch-all slot
 // so unknown paths cannot grow the map (which is read without a lock).
@@ -67,28 +49,4 @@ func (s *Server) statsFor(path string) *endpointStats {
 		return e
 	}
 	return s.endpointStats["other"]
-}
-
-// serverStats renders all endpoint counters for /v1/metrics.
-func (s *Server) serverStats() *ServerStats {
-	out := &ServerStats{
-		UptimeS:        time.Since(s.started).Seconds(),
-		BucketBoundsMS: latencyBucketsMS[:],
-		Endpoints:      make(map[string]EndpointStats, len(s.endpointStats)),
-	}
-	for path, e := range s.endpointStats {
-		if e.requests.Load() == 0 {
-			continue
-		}
-		out.Endpoints[path] = e.snapshot()
-	}
-	if s.durable() {
-		out.Durability = s.durabilityStats()
-	}
-	out.Tenants = s.tenantStats()
-	if f, ok := s.statsHook.Load().(func() any); ok && f != nil {
-		out.Cluster = f()
-	}
-	out.Trace = s.tracer.Stats()
-	return out
 }

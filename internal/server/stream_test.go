@@ -197,78 +197,6 @@ func TestStreamClientDisconnect(t *testing.T) {
 	}
 }
 
-// TestBatchEndpoint verifies the fan-out endpoint: R sequences, explicit
-// seeds honoured, missing seeds drawn and reported, each sequence equal to
-// the unary result for its seed.
-func TestBatchEndpoint(t *testing.T) {
-	_, ts := newTestServer(t)
-	body, _ := json.Marshal(BatchRequest{Model: "email", T: 3, Count: 3, Seeds: []int64{21, 22}})
-	resp, err := http.Post(ts.URL+"/v1/generate/batch", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatalf("POST /v1/generate/batch: %v", err)
-	}
-	data, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, data)
-	}
-	var out BatchResponse
-	if err := json.Unmarshal(data, &out); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if out.Count != 3 || len(out.Results) != 3 {
-		t.Fatalf("bad batch shape: count=%d results=%d", out.Count, len(out.Results))
-	}
-	if out.Results[0].Seed != 21 || out.Results[1].Seed != 22 {
-		t.Fatalf("explicit seeds not honoured: %+v", out.Results)
-	}
-	for i, item := range out.Results {
-		if item.Error != "" || item.Sequence == nil {
-			t.Fatalf("item %d failed: %+v", i, item)
-		}
-		if err := item.Sequence.Validate(); err != nil {
-			t.Fatalf("item %d invalid: %v", i, err)
-		}
-		// Cross-check against the unary endpoint for the same seed.
-		seed := item.Seed
-		uresp, udata := postGenerate(t, ts.URL, GenerateRequest{Model: "email", T: 3, Seed: &seed})
-		if uresp.StatusCode != http.StatusOK {
-			t.Fatalf("unary cross-check %d: status %d", i, uresp.StatusCode)
-		}
-		var unary GenerateResponse
-		if err := json.Unmarshal(udata, &unary); err != nil {
-			t.Fatalf("decode unary: %v", err)
-		}
-		assertSameSequence(t, unary.Sequence, item.Sequence)
-	}
-}
-
-func TestBatchValidation(t *testing.T) {
-	s, ts := newTestServer(t)
-	cases := []struct {
-		name string
-		req  BatchRequest
-		want int
-	}{
-		{"zero t", BatchRequest{Model: "email", Count: 2}, http.StatusBadRequest},
-		{"count too large", BatchRequest{Model: "email", T: 2, Count: s.cfg.MaxBatch + 1}, http.StatusBadRequest},
-		{"count below seeds", BatchRequest{Model: "email", T: 2, Count: 1, Seeds: []int64{1, 2}}, http.StatusBadRequest},
-		{"unknown model", BatchRequest{Model: "nope", T: 2, Count: 1}, http.StatusNotFound},
-	}
-	for _, c := range cases {
-		body, _ := json.Marshal(c.req)
-		resp, err := http.Post(ts.URL+"/v1/generate/batch", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		data, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != c.want {
-			t.Errorf("%s: status %d, want %d (%s)", c.name, resp.StatusCode, c.want, data)
-		}
-	}
-}
-
 // TestAdmissionQueueOverflow fills the admission queue directly (the
 // tests live in the package) and checks the 429 + Retry-After contract.
 func TestAdmissionQueueOverflow(t *testing.T) {
@@ -386,9 +314,9 @@ func TestStreamDrainTruncates(t *testing.T) {
 	}
 }
 
-// TestMetricsReportsEndpointStats checks the /v1/metrics satellite: the
-// response carries per-endpoint counters and a latency histogram whose
-// buckets sum to the request count.
+// TestMetricsReportsEndpointStats checks that a scrape carries the
+// per-endpoint counters and a latency histogram whose +Inf bucket equals
+// the request count.
 func TestMetricsReportsEndpointStats(t *testing.T) {
 	_, ts := newTestServer(t)
 	seed := int64(2)
@@ -397,37 +325,16 @@ func TestMetricsReportsEndpointStats(t *testing.T) {
 			t.Fatalf("generate %d: status %d: %s", i, resp.StatusCode, data)
 		}
 	}
-	resp, err := http.Get(ts.URL + "/v1/metrics?model=email&t=2")
-	if err != nil {
-		t.Fatal(err)
+	text := scrape(t, ts.URL)
+	const path = `path="/v1/generate"`
+	count := promSample(t, text, "vrdag_http_request_duration_ms_count", path)
+	if count < 3 {
+		t.Fatalf("generate _count = %v, want >= 3", count)
 	}
-	var out MetricsResponse
-	err = json.NewDecoder(resp.Body).Decode(&out)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("metrics: status %d err %v", resp.StatusCode, err)
+	if requests := promSample(t, text, "vrdag_http_requests_total", path); requests != count {
+		t.Fatalf("requests_total %v, histogram _count %v", requests, count)
 	}
-	if out.Server == nil {
-		t.Fatal("metrics response missing server stats")
-	}
-	if len(out.Server.BucketBoundsMS) == 0 {
-		t.Fatal("no histogram bucket bounds")
-	}
-	gen, ok := out.Server.Endpoints["/v1/generate"]
-	if !ok {
-		t.Fatalf("no stats for /v1/generate: %+v", out.Server.Endpoints)
-	}
-	if gen.Requests < 3 {
-		t.Fatalf("generate requests = %d, want >= 3", gen.Requests)
-	}
-	if len(gen.Buckets) != len(out.Server.BucketBoundsMS)+1 {
-		t.Fatalf("bucket count %d, bounds %d", len(gen.Buckets), len(out.Server.BucketBoundsMS))
-	}
-	var sum int64
-	for _, b := range gen.Buckets {
-		sum += b
-	}
-	if sum != gen.Requests {
-		t.Fatalf("histogram sums to %d, requests %d", sum, gen.Requests)
+	if inf := promSample(t, text, "vrdag_http_request_duration_ms_bucket", path, `le="+Inf"`); inf != count {
+		t.Fatalf("+Inf bucket %v, _count %v", inf, count)
 	}
 }

@@ -2,9 +2,7 @@ package server
 
 import (
 	"vrdag/internal/dyngraph"
-	"vrdag/internal/metrics"
 	"vrdag/internal/obs"
-	"vrdag/internal/tensor"
 )
 
 // GenerateRequest is the body of POST /v1/generate.
@@ -54,39 +52,6 @@ type StreamTrailer struct {
 	ElapsedMS float64 `json:"elapsed_ms"`
 	Truncated string  `json:"truncated,omitempty"`
 	Error     string  `json:"error,omitempty"`
-}
-
-// BatchRequest is the body of POST /v1/generate/batch: R independent
-// sequences from one model, fanned out across the worker pool.
-type BatchRequest struct {
-	Model string `json:"model,omitempty"`
-	// T is the horizon of every sequence in the batch (required, 1..MaxT).
-	T int `json:"t"`
-	// Count is the number of sequences R (1..MaxBatch). Defaults to
-	// len(Seeds), or 1 when no seeds are given.
-	Count int `json:"count,omitempty"`
-	// Seeds pins the random streams of the first len(Seeds) sequences; the
-	// server draws the rest and reports every seed in the response.
-	Seeds        []int64 `json:"seeds,omitempty"`
-	DynamicNodes bool    `json:"dynamic_nodes,omitempty"`
-}
-
-// BatchItem is one generated sequence of a batch response. Error is set
-// (and Sequence nil) when that item's generation failed; other items are
-// unaffected.
-type BatchItem struct {
-	Seed      int64              `json:"seed"`
-	ElapsedMS float64            `json:"elapsed_ms"`
-	Sequence  *dyngraph.Sequence `json:"sequence,omitempty"`
-	Error     string             `json:"error,omitempty"`
-}
-
-// BatchResponse is the body of a successful POST /v1/generate/batch.
-type BatchResponse struct {
-	Model     string      `json:"model"`
-	Count     int         `json:"count"`
-	ElapsedMS float64     `json:"elapsed_ms"`
-	Results   []BatchItem `json:"results"`
 }
 
 // IngestResponse is the body of a successful POST /v1/ingest: the
@@ -174,41 +139,6 @@ type GenerateResponse struct {
 	Sequence  *dyngraph.Sequence `json:"sequence"`
 }
 
-// MetricsResponse is the body of GET /v1/metrics: the Table-I structure
-// metrics (and, for attributed models, the attribute distribution
-// divergences) of a freshly generated sequence against the model's
-// reference sequence.
-type MetricsResponse struct {
-	Model     string                  `json:"model"`
-	Seed      int64                   `json:"seed"`
-	T         int                     `json:"t"`
-	ElapsedMS float64                 `json:"elapsed_ms"`
-	Structure metrics.StructureReport `json:"structure"`
-	AttrJSD   *float64                `json:"attr_jsd,omitempty"`
-	AttrEMD   *float64                `json:"attr_emd,omitempty"`
-	Runtime   *RuntimeStats           `json:"runtime,omitempty"`
-	Server    *ServerStats            `json:"server,omitempty"`
-}
-
-// ServerStats reports per-endpoint request accounting alongside the
-// runtime/arena stats: who is being called, how often requests shed
-// (429/503), and where latency sits against fixed histogram buckets.
-type ServerStats struct {
-	UptimeS        float64                  `json:"uptime_s"`
-	BucketBoundsMS []float64                `json:"bucket_bounds_ms"`
-	Endpoints      map[string]EndpointStats `json:"endpoints"`
-	// Durability is present only when the server runs with a DataDir.
-	Durability *DurabilityStats `json:"durability,omitempty"`
-	// Tenants is present only when per-tenant quotas are enabled and at
-	// least one tenant has been seen.
-	Tenants map[string]TenantStats `json:"tenants,omitempty"`
-	// Cluster is present only when the server runs behind a cluster node
-	// (internal/cluster attaches its routing/replication counters here).
-	Cluster any `json:"cluster,omitempty"`
-	// Trace reports the request tracer's counters (see internal/obs).
-	Trace obs.TracerStats `json:"trace"`
-}
-
 // TraceQueryResponse is the body of GET /v1/trace. With ?id= the
 // matching traces are in Traces (one per node that served a piece of the
 // request, in a cluster); otherwise Recent holds the newest completed
@@ -220,79 +150,6 @@ type TraceQueryResponse struct {
 	Slowest []obs.TraceView `json:"slowest,omitempty"`
 }
 
-// TenantStats is one tenant's quota accounting.
-type TenantStats struct {
-	Admitted  int64   `json:"admitted"`
-	Throttled int64   `json:"throttled"`
-	Tokens    float64 `json:"tokens"` // bucket level at scrape time
-}
-
-// DurabilityStats reports the session persistence counters: how often
-// the WAL is hit, what the fsync tax looks like, and whether the server
-// has latched into degraded read-only mode.
-type DurabilityStats struct {
-	Enabled        bool   `json:"enabled"`
-	Degraded       bool   `json:"degraded,omitempty"`
-	DegradedReason string `json:"degraded_reason,omitempty"`
-
-	WALAppends int64 `json:"wal_appends"`
-	Snapshots  int64 `json:"snapshots"`
-	Recoveries int64 `json:"recoveries"`
-	TornTails  int64 `json:"torn_tails,omitempty"`
-	Spills     int64 `json:"spills"`
-	Reloads    int64 `json:"reloads"`
-
-	ResidentSessions int `json:"resident_sessions"`
-	SpilledSessions  int `json:"spilled_sessions"`
-
-	// Fsync latency over a bounded window of recent WAL appends.
-	FsyncCount int64   `json:"fsync_count"`
-	FsyncP50MS float64 `json:"fsync_p50_ms"`
-	FsyncP99MS float64 `json:"fsync_p99_ms"`
-}
-
-// EndpointStats is one endpoint's counters. Buckets has one count per
-// entry of BucketBoundsMS plus a final overflow bucket; counts are
-// per-bucket, not cumulative.
-type EndpointStats struct {
-	Requests int64   `json:"requests"`
-	Errors   int64   `json:"errors"`
-	Shed     int64   `json:"shed"`
-	MeanMS   float64 `json:"mean_ms"`
-	Buckets  []int64 `json:"buckets"`
-}
-
-// RuntimeStats reports allocator, garbage-collector, and tensor-arena
-// health alongside the fidelity metrics, so the serving layer's memory
-// behaviour under load is observable without attaching a profiler. The
-// arena counters include the sharded free-list breakdown: a skewed shard
-// or a climbing steal rate is the production signal that pool contention
-// (not kernel math) is eating concurrency.
-type RuntimeStats struct {
-	HeapAllocBytes  uint64  `json:"heap_alloc_bytes"`
-	TotalAllocBytes uint64  `json:"total_alloc_bytes"`
-	Mallocs         uint64  `json:"mallocs"`
-	NumGC           uint32  `json:"num_gc"`
-	GCPauseTotalMS  float64 `json:"gc_pause_total_ms"`
-	Goroutines      int     `json:"goroutines"`
-
-	// ComputeBackend names the kernel set serving every tensor op
-	// ("avx2", "tuned" or "purego"); CPUFeatures lists what the startup
-	// probe detected, so a fleet-wide metrics scrape shows at a glance
-	// which hosts fell back to scalar kernels.
-	ComputeBackend string   `json:"compute_backend"`
-	CPUFeatures    []string `json:"cpu_features"`
-
-	PoolGets      int64   `json:"tensor_pool_gets"`
-	PoolHits      int64   `json:"tensor_pool_hits"`
-	PoolPuts      int64   `json:"tensor_pool_puts"`
-	PoolSteals    int64   `json:"tensor_pool_steals"`
-	PoolHitRate   float64 `json:"tensor_pool_hit_rate"` // hits/gets since process start
-	PoolRetainedB int64   `json:"tensor_pool_retained_bytes"`
-
-	PoolShards []tensor.PoolShardStats `json:"tensor_pool_shards"`
-}
-
 // ModelInfo is one entry of GET /v1/models.
 type ModelInfo struct {
 	Name      string `json:"name"`
@@ -300,8 +157,6 @@ type ModelInfo struct {
 	F         int    `json:"f"`
 	Params    int    `json:"params"`
 	Trained   bool   `json:"trained"`
-	RefT      int    `json:"ref_t"` // reference sequence length; 0 when none registered
-	HasRef    bool   `json:"has_ref"`
 	Generated int64  `json:"generated"` // completed generation requests served
 }
 
