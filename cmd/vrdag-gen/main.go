@@ -23,30 +23,54 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fatalf("vrdag-gen: %v", err)
+	}
+}
+
+// run is the whole command: parse args, train or restore, generate, write
+// to -out or stdout. Every failure comes back as an error so main has one
+// exit path.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("vrdag-gen", flag.ExitOnError)
 	var (
-		dataset  = flag.String("dataset", "", "named dataset replica (email, bitcoin, wiki, guarantee, brain, gdelt)")
-		scale    = flag.Float64("scale", 0.1, "replica scale factor (1 = paper size)")
-		inPath   = flag.String("in", "", "input graph file (vrdag-graph format); overrides -dataset")
-		outPath  = flag.String("out", "", "output file (default stdout)")
-		horizon  = flag.Int("T", 0, "snapshots to generate (default: same as input)")
-		epochs   = flag.Int("epochs", 20, "training epochs")
-		seed     = flag.Int64("seed", 1, "random seed")
-		hidden   = flag.Int("hidden", 16, "hidden state size d_h")
-		latent   = flag.Int("latent", 8, "latent size d_z")
-		k        = flag.Int("k", 2, "MixBernoulli components")
-		cap_     = flag.Int("cap", 128, "candidate cap during decoding (0 = exact)")
-		dyn      = flag.Bool("dynamic-nodes", false, "enable the node add/delete extension (§III-H)")
-		quiet    = flag.Bool("quiet", false, "suppress progress output")
-		tbptt    = flag.Int("tbptt", 0, "truncated-BPTT window (0 = full-sequence backprop)")
-		nbrs     = flag.Int("neighbor-sample", 0, "encoder neighbour-sampling cap r (0 = full neighbourhoods)")
-		saveTo   = flag.String("save-model", "", "write the trained model to this file")
-		loadFrom = flag.String("load-model", "", "skip training: restore a model saved with -save-model")
+		dataset  = fs.String("dataset", "", "named dataset replica (email, bitcoin, wiki, guarantee, brain, gdelt)")
+		scale    = fs.Float64("scale", 0.1, "replica scale factor (1 = paper size)")
+		inPath   = fs.String("in", "", "input graph file (vrdag-graph format); overrides -dataset")
+		outPath  = fs.String("out", "", "output file (default stdout)")
+		horizon  = fs.Int("T", 0, "snapshots to generate (default: same as input)")
+		epochs   = fs.Int("epochs", 20, "training epochs")
+		seed     = fs.Int64("seed", 1, "random seed")
+		hidden   = fs.Int("hidden", 16, "hidden state size d_h")
+		latent   = fs.Int("latent", 8, "latent size d_z")
+		k        = fs.Int("k", 2, "MixBernoulli components")
+		cap_     = fs.Int("cap", 128, "candidate cap during decoding (0 = exact)")
+		dyn      = fs.Bool("dynamic-nodes", false, "enable the node add/delete extension (§III-H)")
+		quiet    = fs.Bool("quiet", false, "suppress progress output")
+		tbptt    = fs.Int("tbptt", 0, "truncated-BPTT window (0 = full-sequence backprop)")
+		nbrs     = fs.Int("neighbor-sample", 0, "encoder neighbour-sampling cap r (0 = full neighbourhoods)")
+		saveTo   = fs.String("save-model", "", "write the trained model to this file")
+		loadFrom = fs.String("load-model", "", "skip training: restore a model saved with -save-model")
 	)
-	flag.Parse()
+	fs.Parse(args)
+
+	// core.Config treats 0 as "use the default" and panics on negative
+	// shapes, so out-of-range sizes are turned away here, before any work.
+	for _, f := range []struct {
+		name     string
+		val, min int
+	}{
+		{"epochs", *epochs, 1}, {"hidden", *hidden, 1}, {"latent", *latent, 1}, {"k", *k, 1},
+		{"cap", *cap_, 0}, {"tbptt", *tbptt, 0}, {"neighbor-sample", *nbrs, 0},
+	} {
+		if f.val < f.min {
+			return fmt.Errorf("-%s must be at least %d, got %d", f.name, f.min, f.val)
+		}
+	}
 
 	g, err := loadInput(*inPath, *dataset, *scale, *seed)
 	if err != nil {
-		fatalf("vrdag-gen: %v", err)
+		return err
 	}
 	if !*quiet {
 		fmt.Fprintf(os.Stderr, "input: N=%d F=%d T=%d M=%d\n", g.N, g.F, g.T(), g.TotalTemporalEdges())
@@ -56,12 +80,12 @@ func main() {
 	if *loadFrom != "" {
 		f, err := os.Open(*loadFrom)
 		if err != nil {
-			fatalf("vrdag-gen: %v", err)
+			return err
 		}
 		model, err = core.Load(f)
 		f.Close()
 		if err != nil {
-			fatalf("vrdag-gen: %v", err)
+			return err
 		}
 		if !*quiet {
 			fmt.Fprintf(os.Stderr, "restored model: %d parameters\n", model.NumParams())
@@ -87,17 +111,12 @@ func main() {
 			}
 		}
 		if _, err := model.Fit(g, core.WithProgress(progress)); err != nil {
-			fatalf("vrdag-gen: training failed: %v", err)
+			return fmt.Errorf("training failed: %w", err)
 		}
 		if *saveTo != "" {
-			f, err := os.Create(*saveTo)
-			if err != nil {
-				fatalf("vrdag-gen: %v", err)
+			if err := writeFile(*saveTo, model.Save); err != nil {
+				return fmt.Errorf("save failed: %w", err)
 			}
-			if err := model.Save(f); err != nil {
-				fatalf("vrdag-gen: save failed: %v", err)
-			}
-			f.Close()
 		}
 	}
 
@@ -109,24 +128,36 @@ func main() {
 		T: t, Seed: *seed + 1, DynamicNodes: *dyn, Parallel: true,
 	})
 	if err != nil {
-		fatalf("vrdag-gen: generation failed: %v", err)
+		return fmt.Errorf("generation failed: %w", err)
 	}
 	if !*quiet {
 		fmt.Fprintf(os.Stderr, "generated: T=%d M=%d\n", synth.T(), synth.TotalTemporalEdges())
 	}
 
-	var w io.Writer = os.Stdout
+	write := func(w io.Writer) error { return dyngraph.Save(w, synth) }
 	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
-			fatalf("vrdag-gen: %v", err)
-		}
-		defer f.Close()
-		w = f
+		err = writeFile(*outPath, write)
+	} else {
+		err = write(stdout)
 	}
-	if err := dyngraph.Save(w, synth); err != nil {
-		fatalf("vrdag-gen: write failed: %v", err)
+	if err != nil {
+		return fmt.Errorf("write failed: %w", err)
 	}
+	return nil
+}
+
+// writeFile creates path, hands it to write, and closes it; a Close error
+// (the write-back of a full disk) fails the call like a Write error does.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func loadInput(inPath, dataset string, scale float64, seed int64) (*dyngraph.Sequence, error) {

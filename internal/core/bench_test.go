@@ -28,10 +28,10 @@ func benchModel(b *testing.B, scale float64) (*Model, int) {
 }
 
 // BenchmarkFitEpoch measures one ELBO training epoch (forward + BPTT +
-// Adam) on a small Email replica, once per tape-executor mode. The
-// peak-live-B metric is the high-water mark of tape-owned buffer bytes;
-// the sched/plain ratio is the lifetime pass's saving on the real
-// training loop.
+// Adam) on a small Email replica, once on the scheduled executor training
+// uses and once on the plain reference executor. The peak-live-B metric
+// is the high-water mark of tape-owned buffer bytes; the sched/plain ratio
+// is the lifetime pass's saving on the real training loop.
 func BenchmarkFitEpoch(b *testing.B) {
 	g, _, err := datasets.Replica(datasets.Email, 0.03, 1)
 	if err != nil {
@@ -39,12 +39,14 @@ func BenchmarkFitEpoch(b *testing.B) {
 	}
 	for _, v := range []struct {
 		name  string
-		sched int
-	}{{"sched", 1}, {"plain", -1}} {
+		plain bool
+	}{{"sched", false}, {"plain", true}} {
 		b.Run(v.name, func(b *testing.B) {
+			if v.plain {
+				usePlainTape(b)
+			}
 			cfg := DefaultConfig(g.N, g.F)
 			cfg.Epochs = 1
-			cfg.TapeSched = v.sched
 			m := New(cfg)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

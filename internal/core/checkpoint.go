@@ -89,7 +89,6 @@ type fitCheckpoint struct {
 // hint rather than a model hyper-parameter, so checkpoint compatibility
 // compares only what determines the trained weights.
 func stripVolatileCfg(c Config) Config {
-	c.TapeSched = 0
 	c.CheckpointEvery = 0
 	c.CheckpointPath = ""
 	c.CheckpointEveryEpochs = 0

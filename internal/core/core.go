@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
 
 	"vrdag/internal/gnn"
 	"vrdag/internal/nn"
@@ -58,23 +57,16 @@ type Config struct {
 	// through the full sequence.
 	TBPTT int
 
-	// TapeSched selects the tape executor for training: 0 (auto) enables
-	// the scheduled executor — lifetime release of dead intermediates
-	// mid-Backward plus backward fusion — unless the VRDAG_TAPE_SCHED
-	// environment variable is "0" or "off"; 1 forces it on; -1 forces the
-	// plain record-order executor. It is a scheduling hint, never a model
-	// hyper-parameter: losses, gradients, and trained weights are
-	// bit-identical in every mode (pinned by tensor.AssertSchedEquiv and
-	// the core scheduling tests).
-	TapeSched int
 	// CheckpointEvery opts in to gradient checkpointing: each TBPTT window
 	// is recorded as rematerialization segments of this many timesteps,
 	// whose intermediate values are dropped after the forward pass and
 	// recomputed during Backward. 0 disables checkpointing. Trades ~1/3
 	// more forward FLOPs for a peak-memory footprint that scales with the
 	// segment length instead of the window length, which is what makes 4×
-	// longer windows trainable in roughly flat memory. Results remain
-	// bit-identical. Ignored when the scheduler is off.
+	// longer windows trainable in roughly flat memory. It is a scheduling
+	// hint, never a model hyper-parameter: losses, gradients, and trained
+	// weights are bit-identical with and without it (pinned by the core
+	// scheduling tests).
 	CheckpointEvery int
 
 	// CheckpointPath, when non-empty, makes Fit write an atomic resume
@@ -247,19 +239,18 @@ func New(cfg Config) *Model {
 	return m
 }
 
-// tapeSched resolves Cfg.TapeSched and Cfg.CheckpointEvery into the
-// tensor-layer scheduling configuration installed on every training tape.
+// plainTape makes training run on tensor's plain record-order executor,
+// the reference the scheduling tests compare against. Set only by tests.
+var plainTape bool
+
+// tapeSched is the scheduling configuration installed on every training
+// tape: lifetime release of dead intermediates mid-Backward, plus
+// rematerialization segments when Cfg.CheckpointEvery asks for them.
 func (m *Model) tapeSched() tensor.Sched {
-	on := m.Cfg.TapeSched >= 0
-	if m.Cfg.TapeSched == 0 {
-		if v := os.Getenv("VRDAG_TAPE_SCHED"); v == "0" || v == "off" {
-			on = false
-		}
-	}
-	if !on {
+	if plainTape {
 		return tensor.Sched{}
 	}
-	return tensor.Sched{Lifetime: true, Fuse: true, Remat: m.Cfg.CheckpointEvery > 0}
+	return tensor.Sched{Lifetime: true, Remat: m.Cfg.CheckpointEvery > 0}
 }
 
 // TapePeakLiveBytes returns the high-water mark of tape-owned buffer bytes
@@ -270,14 +261,6 @@ func (m *Model) TapePeakLiveBytes() int64 {
 		return 0
 	}
 	return m.tape.PeakLiveBytes()
-}
-
-// ResetTapePeakLiveBytes rewinds the training tape's high-water mark
-// (benchmark phase boundaries).
-func (m *Model) ResetTapePeakLiveBytes() {
-	if m.tape != nil {
-		m.tape.ResetPeakLiveBytes()
-	}
 }
 
 // Modules lists every trainable sub-module.
@@ -300,15 +283,13 @@ func (m *Model) Trained() bool { return m.trained }
 
 // prior evaluates the prior network on hidden states (taped).
 func (m *Model) prior(c *nn.Ctx, h *tensor.Node) (mu, logSig *tensor.Node) {
-	t := c.Tape
-	hid := t.LeakyReLU(m.priorHid.Apply(c, h), 0.2)
+	hid := m.priorHid.ApplyAct(c, h, nn.ActLeakyReLU)
 	return m.priorMu.Apply(c, hid), m.priorSig.Apply(c, hid)
 }
 
 // posterior evaluates the posterior network on [ε ‖ h] (taped).
 func (m *Model) posterior(c *nn.Ctx, eps, h *tensor.Node) (mu, logSig *tensor.Node) {
-	t := c.Tape
-	hid := t.LeakyReLU(m.postHid.Apply(c, t.ConcatCols(eps, h)), 0.2)
+	hid := m.postHid.ApplyAct(c, c.Tape.ConcatCols(eps, h), nn.ActLeakyReLU)
 	return m.postMu.Apply(c, hid), m.postSig.Apply(c, hid)
 }
 

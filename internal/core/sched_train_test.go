@@ -7,6 +7,15 @@ import (
 	"vrdag/internal/tensor"
 )
 
+// usePlainTape switches training to tensor's plain record-order executor
+// until the test (or sub-benchmark) ends. It flips a package variable, so
+// callers must not run in parallel.
+func usePlainTape(tb testing.TB) {
+	tb.Helper()
+	plainTape = true
+	tb.Cleanup(func() { plainTape = false })
+}
+
 // fitStats trains a fresh model and returns every epoch's stats plus the
 // serialized checkpoint bytes.
 func fitStats(t *testing.T, cfg Config) ([]TrainStats, []byte) {
@@ -26,33 +35,30 @@ func fitStats(t *testing.T, cfg Config) ([]TrainStats, []byte) {
 
 // TestTapeSchedBitIdentitySequential pins the end-to-end contract of the
 // scheduled tape executor on the trainer: per-epoch loss stats (including
-// gradient norms) and post-Fit checkpoint bytes are bit-identical with
-// scheduling off, on, and on with rematerialization segments of various
-// lengths.
+// gradient norms) and post-Fit checkpoint bytes are bit-identical on the
+// plain reference executor, on the scheduled one, and on the scheduled one
+// with rematerialization segments of various lengths.
 func TestTapeSchedBitIdentitySequential(t *testing.T) {
 	base := smallConfig(14, 2)
 	base.TBPTT = 2
 	base.Epochs = 3
 	base.NeighborSample = 3
 
-	off := base
-	off.TapeSched = -1
-	refStats, refBytes := fitStats(t, off)
+	usePlainTape(t)
+	refStats, refBytes := fitStats(t, base)
+	plainTape = false // the variants below train on the scheduled executor
 
 	variants := []struct {
 		name      string
-		sched     int
 		ckptEvery int
 	}{
-		{"sched-on", 1, 0},
-		{"sched-on/ckpt-1", 1, 1},
-		{"sched-on/ckpt-2", 1, 2},
-		{"auto", 0, 0},
+		{"sched-on", 0},
+		{"sched-on/ckpt-1", 1},
+		{"sched-on/ckpt-2", 2},
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
 			cfg := base
-			cfg.TapeSched = v.sched
 			cfg.CheckpointEvery = v.ckptEvery
 			stats, ckpt := fitStats(t, cfg)
 			if len(stats) != len(refStats) {
@@ -76,10 +82,9 @@ func TestTapeSchedBitIdentitySequential(t *testing.T) {
 // window, and checkpointing must cut it further.
 func TestTapeSchedPeakReduction(t *testing.T) {
 	g := toyGraph(14, 2, 8, 41)
-	run := func(sched, ckptEvery int) int64 {
+	run := func(ckptEvery int) int64 {
 		cfg := smallConfig(14, 2)
 		cfg.Epochs = 2
-		cfg.TapeSched = sched
 		cfg.CheckpointEvery = ckptEvery
 		m := New(cfg)
 		if _, err := m.Fit(g); err != nil {
@@ -87,9 +92,10 @@ func TestTapeSchedPeakReduction(t *testing.T) {
 		}
 		return m.TapePeakLiveBytes()
 	}
-	plain := run(-1, 0)
-	sched := run(1, 0)
-	ckpt := run(1, 1)
+	sched := run(0)
+	ckpt := run(1)
+	usePlainTape(t)
+	plain := run(0)
 	if sched > plain*6/10 {
 		t.Fatalf("scheduled peak %d > 60%% of plain peak %d", sched, plain)
 	}
@@ -107,7 +113,6 @@ func TestTapeSchedCheckpointArenaBalance(t *testing.T) {
 	cfg := smallConfig(12, 2)
 	cfg.TBPTT = 3
 	cfg.Epochs = 2
-	cfg.TapeSched = 1
 	cfg.CheckpointEvery = 1
 
 	// Warm-up on a separate model so lazily built caches that outlive a
@@ -124,28 +129,5 @@ func TestTapeSchedCheckpointArenaBalance(t *testing.T) {
 	after := tensor.ReadPoolStats()
 	if gets, puts := after.Gets-before.Gets, after.Puts-before.Puts; gets != puts {
 		t.Fatalf("checkpointed Fit leaked arena buffers: %d gets vs %d puts", gets, puts)
-	}
-}
-
-// TestTapeSchedEnvOverride pins the resolver: auto mode honours
-// VRDAG_TAPE_SCHED, explicit settings ignore it.
-func TestTapeSchedEnvOverride(t *testing.T) {
-	m := New(smallConfig(8, 1))
-	t.Setenv("VRDAG_TAPE_SCHED", "") // isolate from the CI sched-off leg
-	if s := m.tapeSched(); !s.Lifetime || !s.Fuse || s.Remat {
-		t.Fatalf("auto default = %+v, want lifetime+fuse on, remat off", s)
-	}
-	t.Setenv("VRDAG_TAPE_SCHED", "off")
-	if s := m.tapeSched(); s != (tensor.Sched{}) {
-		t.Fatalf("auto with VRDAG_TAPE_SCHED=off = %+v, want all off", s)
-	}
-	m.Cfg.TapeSched = 1
-	m.Cfg.CheckpointEvery = 2
-	if s := m.tapeSched(); !s.Lifetime || !s.Fuse || !s.Remat {
-		t.Fatalf("forced-on with env off = %+v, want all on", s)
-	}
-	m.Cfg.TapeSched = -1
-	if s := m.tapeSched(); s != (tensor.Sched{}) {
-		t.Fatalf("forced-off = %+v, want all off", s)
 	}
 }

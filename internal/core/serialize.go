@@ -59,13 +59,13 @@ func (m *Model) Save(w io.Writer) error {
 		AttrCorrChol:  m.attrCorrChol,
 		AttrQuantiles: m.attrQuantiles,
 	}
-	// TapeSched, CheckpointEvery, and the resume-checkpoint settings are
+	// CheckpointEvery and the resume-checkpoint settings are
 	// scheduling/durability hints, not model hyper-parameters: a checkpoint
-	// trained with the scheduled tape executor and rematerialization, or
-	// resumed mid-run from a crash checkpoint, must be byte-identical to
-	// one trained on the plain executor in a single uninterrupted pass (the
-	// invariance contracts pinned by the serialization tests), and must not
-	// pin execution details on whatever machine later loads it.
+	// trained with rematerialization, or resumed mid-run from a crash
+	// checkpoint, must be byte-identical to one trained without it in a
+	// single uninterrupted pass (the invariance contracts pinned by the
+	// serialization tests), and must not pin execution details on whatever
+	// machine later loads it.
 	st.Cfg = stripVolatileCfg(st.Cfg)
 	seen := make(map[string]bool)
 	for _, p := range nn.CollectParams(m.Modules()...) {

@@ -2,7 +2,11 @@ package core
 
 import (
 	"bytes"
+	"os"
+	"runtime"
 	"testing"
+
+	"vrdag/internal/dyngraph"
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -93,5 +97,62 @@ func TestSaveDeterministicBytes(t *testing.T) {
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("two Save calls on one model produced different bytes")
+	}
+}
+
+// TestLoadCheckpointWithRetiredConfigFields pins that a checkpoint written
+// before a Config field was retired still loads: testdata/model_pr21.gob
+// is the Save output of the commit before PR 23 (toyGraph(10,1,3,53) on
+// smallConfig(10,1)), whose gob descriptor still lists Config.TapeSched.
+// gob skips stream fields the receiver lacks, so the loaded model must be
+// the model this build trains from the same inputs: same Save bytes (the
+// new descriptor aside, nothing in the file changed) and the same
+// generated sequence, byte for byte.
+func TestLoadCheckpointWithRetiredConfigFields(t *testing.T) {
+	old, err := os.ReadFile("testdata/model_pr21.gob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(old, []byte("TapeSched")) {
+		t.Fatal("fixture no longer carries the retired field; regenerate it from the pre-PR-23 commit")
+	}
+	loaded, err := Load(bytes.NewReader(old))
+	if err != nil {
+		t.Fatalf("Load of a pre-PR-23 checkpoint: %v", err)
+	}
+	if !loaded.Trained() {
+		t.Fatal("loaded model must keep trained flag")
+	}
+	if runtime.GOARCH != "amd64" {
+		t.Skip("fixture was trained on amd64; other architectures may contract multiply-adds differently")
+	}
+
+	fresh := New(smallConfig(10, 1))
+	if _, err := fresh.Fit(toyGraph(10, 1, 3, 53)); err != nil {
+		t.Fatal(err)
+	}
+	saved := func(m *Model) []byte {
+		var buf bytes.Buffer
+		if err := m.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	if !bytes.Equal(saved(loaded), saved(fresh)) {
+		t.Fatal("re-saved fixture differs from a model trained the same way at this build")
+	}
+	generated := func(m *Model) []byte {
+		seq, err := m.Generate(3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := dyngraph.Save(&buf, seq); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	if !bytes.Equal(generated(loaded), generated(fresh)) {
+		t.Fatal("Generate(3) from the fixture differs from a model trained the same way at this build")
 	}
 }

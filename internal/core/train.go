@@ -261,9 +261,8 @@ func (m *Model) runEpoch(g *dyngraph.Sequence, epoch int) (TrainStats, error) {
 	// One tape serves every window of every epoch: Reset returns all op
 	// outputs and gradient buffers to the pooled arena, so after the first
 	// window the forward/backward pass runs allocation-free. The scheduled
-	// executor (Cfg.TapeSched) additionally releases dead intermediates
-	// mid-Backward, so the window's peak footprint is a fraction of its
-	// recorded size. Reset before SetSched: a previous epoch aborted by an
+	// executor additionally releases dead intermediates mid-Backward, so
+	// the window's peak footprint is a fraction of its recorded size. Reset before SetSched: a previous epoch aborted by an
 	// error may have left recordings behind, and the schedule can only be
 	// (re)installed on an empty tape.
 	if m.tape == nil {

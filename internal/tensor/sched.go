@@ -1,8 +1,8 @@
 package tensor
 
-// This file implements the tape's scheduled executor: the lifetime,
-// fusion, and rematerialization passes that turn the recorded op DAG from
-// a retain-everything log into a memory-aware schedule.
+// This file implements the tape's scheduled executor: the lifetime and
+// rematerialization passes that turn the recorded op DAG from a
+// retain-everything log into a memory-aware schedule.
 //
 // The framing is a retain set under a memory budget: of everything the
 // forward pass produced, only three classes of buffer must survive any
@@ -24,22 +24,12 @@ package tensor
 // interior values have no readers outside the segment (boundary values are
 // Keep-pinned by the caller), so they can be dropped at record time and
 // rebuilt from the fwd closures just before the sweep enters the segment.
-//
-// The fusion pass rewrites the schedule rather than the arithmetic: an
-// elementwise consumer (activation, Scale, AddScalar) of a single-consumer
-// producer (MatMul/Affine/SpMM/elementwise-affine) computes the producer's
-// would-be gradient into a scratch buffer using the consumer's exact
-// standalone update, then feeds the producer's own input-gradient code
-// directly — skipping the producer's full-size Grad allocation entirely.
-// Every fused closure replicates the unfused pair's floating-point
-// operations in the same order, so results are bit-identical; the
-// differential harness (AssertSchedEquiv) and FuzzTapeSchedule pin that.
 
 // Sched configures the tape's scheduled executor. The zero value is the
-// plain record-order executor: nothing released before Reset, no fusion,
-// Checkpoint segments inert. All three passes preserve bit-identical
-// outputs, gradients, and optimizer state; they only change when buffers
-// live and which closures run.
+// plain record-order executor: nothing released before Reset, Checkpoint
+// segments inert. Both passes preserve bit-identical outputs, gradients,
+// and optimizer state; they only change when buffers live (the
+// differential harness AssertSchedEquiv and FuzzTapeSchedule pin that).
 type Sched struct {
 	// Lifetime releases each node's Value and Grad back to the arena as
 	// soon as the backward sweep passes it, instead of holding every
@@ -47,11 +37,6 @@ type Sched struct {
 	// are exempt. Backward then consumes the recording (one Backward per
 	// recording, then Reset).
 	Lifetime bool
-	// Fuse lets Backward collapse single-consumer elementwise chains
-	// (Sigmoid/Tanh/ReLU/LeakyReLU after an unactivated Affine/Affine2/
-	// MatMul/SpMM, Scale/AddScalar compositions) into one closure that
-	// bypasses the intermediate gradient buffer.
-	Fuse bool
 	// Remat arms Checkpoint segments: recorded intermediates inside a
 	// segment are dropped when it closes and rematerialized from their
 	// recompute closures during Backward. With Remat off, Checkpoint
@@ -59,8 +44,8 @@ type Sched struct {
 	Remat bool
 }
 
-// SchedAll enables every scheduling pass; the training engine's default.
-var SchedAll = Sched{Lifetime: true, Fuse: true, Remat: true}
+// SchedAll enables both scheduling passes.
+var SchedAll = Sched{Lifetime: true, Remat: true}
 
 // SetSched installs the scheduling configuration. It must be called while
 // the tape is empty (freshly created or just Reset) so recording and
@@ -126,7 +111,6 @@ func (t *Tape) Checkpoint(fn func()) {
 			t.putBuf(&n.Value)
 			n.pooled = false
 			n.dropped = true
-			n.segEnd = int32(end)
 			dropped = true
 		}
 	}
@@ -147,144 +131,6 @@ func (t *Tape) remat(s seg) {
 			n.dropped = false
 			n.pooled = true
 			t.trackAlloc(int64(len(n.Value.Data)) * 8)
-		}
-	}
-}
-
-// fusePass installs prepared fused closures where the single-consumer gate
-// holds. It runs after the loss gradient is seeded so a producer that is
-// itself the loss (Grad already set) keeps its own closure, and after
-// Checkpoint segments have dropped their interiors, so operand residency
-// can be checked against the rematerialization schedule.
-func (t *Tape) fusePass() {
-	for i, n := range t.nodes {
-		if n.fused == nil {
-			continue
-		}
-		p := n.fuseSrc
-		if p.uses == 1 && p.needGrad && p.backward != nil && p.Grad == nil &&
-			t.fuseOperandsReady(p, i) {
-			n.backward = n.fused
-			t.fusedOps++
-		}
-	}
-}
-
-// fuseOperandsReady reports whether every operand the fused closure would
-// touch (values read by producerGrads, plus the shapes behind each grad()
-// call) will be resident when the consumer at index ci runs. An operand
-// dropped by a Checkpoint segment is rebuilt when the descending sweep
-// reaches the segment's last index, so it is available to the consumer only
-// if the consumer sits inside that segment (ci < segEnd). A consumer after
-// the segment runs before the remat and must keep the unfused schedule,
-// which defers the in-segment reads until after rematerialization.
-func (t *Tape) fuseOperandsReady(p *Node, ci int) bool {
-	ready := func(o *Node) bool {
-		return o == nil || !o.dropped || ci < int(o.segEnd)
-	}
-	in := &p.info
-	return ready(in.x) && ready(in.w) && ready(in.h) && ready(in.u) &&
-		ready(in.b) && ready(in.src)
-}
-
-// prepFuse offers consumer n's fused backward over producer p. The closure
-// is installed only if the fusion gate (sole consumer, gradient-bearing
-// producer) still holds at Backward time. dFill must write the consumer's
-// exact standalone gradient-to-producer contribution into the zeroed
-// scratch buffer with the same floating-point expressions the standalone
-// backward uses, so fused and unfused sweeps stay bit-identical.
-func (t *Tape) prepFuse(n, p *Node, dFill func(d *Matrix)) {
-	if !t.sched.Fuse {
-		return
-	}
-	switch p.info.kind {
-	case opAffineKind:
-		if p.info.act != ActIdent {
-			return
-		}
-	case opMatMulKind, opSpMMKind, opElemAffineKind:
-	default:
-		return
-	}
-	n.fuseSrc = p
-	n.fused = func() {
-		d := Get(n.Grad.Rows, n.Grad.Cols)
-		dFill(d)
-		producerGrads(p, d)
-		Put(d)
-	}
-}
-
-// opKind tags the producer patterns the fusion pass understands.
-type opKind uint8
-
-const (
-	opPlainKind opKind = iota
-	opAffineKind
-	opMatMulKind
-	opSpMMKind
-	opElemAffineKind
-)
-
-// opInfo carries the structural metadata the fusion pass needs to route a
-// consumer's gradient directly into a producer's inputs.
-type opInfo struct {
-	kind opKind
-	act  Act // activation baked into an opAffineKind producer
-
-	x, w *Node // MatMul operands / Affine input·weight
-	h, u *Node // Affine2 recurrent input·weight (nil for plain Affine)
-	b    *Node // Affine bias
-	csr  *CSR  // SpMM constant sparse operand (input in x)
-
-	src   *Node   // opElemAffineKind input
-	scale float64 // opElemAffineKind multiplier (1 for AddScalar)
-}
-
-// producerGrads propagates dPre — the gradient a bypassed producer would
-// have received in its Grad buffer — into the producer's inputs, using the
-// producer's own backward arithmetic in its original order.
-func producerGrads(p *Node, dPre *Matrix) {
-	in := &p.info
-	switch in.kind {
-	case opMatMulKind:
-		if in.x.needGrad {
-			matMulInto(in.x.grad(), dPre, in.w.Value, false, true)
-		}
-		if in.w.needGrad {
-			matMulInto(in.w.grad(), in.x.Value, dPre, true, false)
-		}
-	case opSpMMKind:
-		if in.x.needGrad {
-			in.csr.MulDenseTInto(in.x.grad(), dPre)
-		}
-	case opAffineKind:
-		if in.x.needGrad {
-			matMulInto(in.x.grad(), dPre, in.w.Value, false, true)
-		}
-		if in.w.needGrad {
-			matMulInto(in.w.grad(), in.x.Value, dPre, true, false)
-		}
-		if in.h != nil {
-			if in.h.needGrad {
-				matMulInto(in.h.grad(), dPre, in.u.Value, false, true)
-			}
-			if in.u.needGrad {
-				matMulInto(in.u.grad(), in.h.Value, dPre, true, false)
-			}
-		}
-		if in.b.needGrad {
-			g := in.b.grad()
-			for i := 0; i < dPre.Rows; i++ {
-				row := dPre.Row(i)
-				for j := range g.Data {
-					g.Data[j] += row[j]
-				}
-			}
-		}
-	case opElemAffineKind:
-		if in.src.needGrad {
-			in.src.grad().Axpy(in.scale, dPre)
 		}
 	}
 }
@@ -311,13 +157,6 @@ func (t *Tape) putBuf(m **Matrix) {
 func (t *Tape) LiveBytes() int64 { return t.live }
 
 // PeakLiveBytes returns the high-water mark of LiveBytes since the tape
-// was created or the mark was last reset. It survives Reset, so it
-// reports the per-window peak across a whole training run.
+// was created. It survives Reset, so it reports the per-window peak across
+// a whole training run.
 func (t *Tape) PeakLiveBytes() int64 { return t.peak }
-
-// ResetPeakLiveBytes rewinds the high-water mark to the current level.
-func (t *Tape) ResetPeakLiveBytes() { t.peak = t.live }
-
-// FusedBackwards returns how many backward closures the fusion pass has
-// replaced since the tape was created (diagnostics).
-func (t *Tape) FusedBackwards() int64 { return t.fusedOps }

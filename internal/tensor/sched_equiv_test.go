@@ -38,7 +38,7 @@ func testCSR() *CSR {
 
 // TestSchedEquivAllOps drives every tape op kind (and the aliasing/reuse
 // patterns from matrix_test.go) through the differential harness with the
-// full schedule (lifetime + fusion + rematerialization) against the plain
+// full schedule (lifetime + rematerialization) against the plain
 // record-order executor.
 func TestSchedEquivAllOps(t *testing.T) {
 	cases := []struct {
@@ -194,7 +194,9 @@ func TestSchedEquivAllOps(t *testing.T) {
 			return SchedProbe{Loss: o, Outputs: []*Node{o}, Leaves: []*Node{mq, sq, mp, sp}}
 		}},
 
-		// Fusion candidates: elementwise consumers over fusable producers.
+		// Elementwise consumers over MatMul/Affine/SpMM/Scale producers: the
+		// chains the deleted backward-time fusion pass (PR 23) rewrote, kept
+		// as lifetime + rematerialization cases under their old names.
 		{"fuse/sigmoid-after-affine", func(tp *Tape) SchedProbe {
 			x, w, b := tp.Var(testMat(3, 4, 50)), tp.Var(testMat(4, 2, 51)), tp.Var(testMat(1, 2, 52))
 			o := tp.Sigmoid(tp.Affine(x, w, b, ActIdent))
@@ -229,7 +231,7 @@ func TestSchedEquivAllOps(t *testing.T) {
 		}},
 		{"fuse/blocked-two-consumers", func(tp *Tape) SchedProbe {
 			x, w, b := tp.Var(testMat(3, 4, 63)), tp.Var(testMat(4, 2, 64)), tp.Var(testMat(1, 2, 65))
-			pre := tp.Affine(x, w, b, ActIdent) // two consumers: fusion must stay off
+			pre := tp.Affine(x, w, b, ActIdent) // two consumers accumulate into one Grad
 			o := tp.Add(tp.Sigmoid(pre), tp.Tanh(pre))
 			return SchedProbe{Loss: tp.SumAll(o), Outputs: []*Node{o}, Leaves: []*Node{x, w, b}}
 		}},
@@ -295,11 +297,11 @@ func TestSchedEquivAllOps(t *testing.T) {
 			return gruProbe(tp, 6, 2)
 		}},
 		{"checkpoint/fuse-across-boundary", func(tp *Tape) SchedProbe {
-			// Found by FuzzTapeSchedule: a fusable producer recorded
-			// inside a segment, consumed by an activation outside it. The
+			// Found by FuzzTapeSchedule: a producer recorded inside a
+			// segment, consumed by an activation outside it. The
 			// producer's interior operands are dropped at segment close,
-			// so the fusion pass must leave the unfused schedule in place
-			// (the fused closure would read them before rematerialization).
+			// so its backward must not run before the segment is
+			// rematerialized.
 			a := tp.Var(testMat(3, 3, 94))
 			var m *Node
 			tp.Checkpoint(func() {

@@ -123,21 +123,21 @@ func fuzzBuild(tp *Tape, data []byte) SchedProbe {
 }
 
 // FuzzTapeSchedule feeds random op DAGs through the differential harness:
-// the scheduled executor (lifetime release + fusion + rematerialization)
+// the scheduled executor (lifetime release + rematerialization)
 // must produce bit-identical outputs and leaf gradients to the plain
 // record-order executor, with no use-after-release and an exactly balanced
 // arena (the harness checks get/put deltas and the live-byte ledger).
 func FuzzTapeSchedule(f *testing.F) {
 	seeds := []string{
 		"0123456789:;<=>?",                 // every opcode once, checkpoint near the tail
-		"33773377",                         // MatMul/Tanh fusion chains
+		"33773377",                         // MatMul/Tanh chains
 		">012>345>678",                     // repeated checkpoint segments
 		"=3=3=3",                           // dup + self-MatMul aliasing
 		"J6:7J6:7",                         // Affine/activation mixes
 		"N01N01N01",                        // single-op segments back to back
 		"<<<???",                           // Lerp pressure then Exp chain
-		"4455445544",                       // elementwise fusion chains (Scale/AddScalar)
-		";8;8;8",                           // SpMM/ReLU fusion
+		"4455445544",                       // elementwise chains (Scale/AddScalar)
+		";8;8;8",                           // SpMM/ReLU chains
 		"\x0e\x0e\x0e\x0e",                 // checkpoint ops with nothing to wrap
 		"?N3?N3",                           // Exp, segment-wrapped MatMul
 		"0123456789:;<=>?@ABCDEFGHIJKLMNO", // two full opcode sweeps
