@@ -19,19 +19,20 @@ import (
 // rows, and every tensor.Backend vectorises across output columns only
 // (the bit-stability contract in tensor/backend.go): d_h = 16 and K = 2
 // output columns are the kernels' scalar-tail shapes, paid once per pair.
-// pairScorer lays the same arithmetic out with the pairs on the column
+// pairScorer lays the same arithmetic out with the pairs on the vector
 // axis instead:
 //
 //  1. The first layer is linear, so W₁ᵀ(s_i − s_j) + b₁ equals
 //     (SW₁)_i − (SW₁)_j + b₁. P = S·[W₁θ ‖ W₁α] is one N-row GEMM per
-//     timestep (hoist), kept transposed, 2d_h×N, so one hidden unit's
-//     value for every node is a contiguous row.
-//  2. Per node the hidden block is built transposed, d_h×C: row r is
-//     (P[r][i] − P[r][cand_k]) + b₁[r] over the candidates k — with exact
-//     decoding a contiguous subtraction — followed by one activation call.
-//     The logits are W₂ᵀ (K×d_h) · hidᵀ (d_h×C): K kernel calls of width C
-//     instead of C calls of width K, and bias, sigmoid and α's sum over
-//     the candidates run along contiguous length-C rows.
+//     timestep (hoist), N×2d_h row-major as the GEMM writes it: a node's
+//     d_h first-layer values for one head are contiguous.
+//  2. Per node, tensor.PairLogits does the rest in one pass with nothing
+//     stored in between: it forms (P[i][r] − P[cand_k][r]) + b₁[r],
+//     activates it, and adds its product with W₂ᵀ[q][r] to candidate k's
+//     logit q, r ascending — the order in which a GEMM over a stored
+//     hidden block would have summed them — with the candidates, not the
+//     hidden units, on the vector lanes. Bias, sigmoid and α's sum over the
+//     candidates then run along contiguous length-C rows.
 //
 // α needs all K logit rows; θ is only ever read under the component the
 // node drew, so its second layer and sigmoid run for that one row, after
@@ -51,16 +52,22 @@ const (
 // tensor's parallelThreshold, and like it a property of the input. A
 // timestep pays two fork/joins (α pass, θ pass) whose workers have parked
 // by the time the next one starts. Measured on two cores with exact
-// decoding: a T=16 generation at N=94 (8 742 pairs per step) takes 13 ms
-// on one goroutine and 16 ms fanned out, N=200 (39 800) breaks even, N=300
-// (89 700) is a fifth faster fanned out.
-const decodeFanOutPairs = 1 << 15
+// decoding and the fused pair kernel, T=16 generations, one goroutine
+// against fanned out: N=94 (8 742 pairs per step) 9.1 against 9.8 ms,
+// N=130 (16 770) 15.3 against 14.7 ms and ahead in two sessions of four,
+// N=160 (25 440) 21.0 against 20.0, N=200 (39 800) 31.0 against 27.1,
+// N=400 (159 600) 107 against 79, N=600 (359 400) 208 against 138.
+const decodeFanOutPairs = 20000
+
+// pairSlope is the hidden layers' LeakyReLU slope (nn.ActLeakyReLU), the
+// one activation the fused kernel implements.
+const pairSlope = 0.2
 
 // pairHead is one head's parameters in the layout the scorer consumes.
 type pairHead struct {
-	b1  []float64      // first-layer bias, d_h
-	w2T *tensor.Matrix // second-layer weights transposed, K×d_h
-	b2  []float64      // second-layer bias, K
+	b1  []float64 // first-layer bias, d_h
+	w2T []float64 // second-layer weights transposed, K×d_h row-major
+	b2  []float64 // second-layer bias, K
 }
 
 // pairScorer owns the per-request buffers of the Eq. 11 scoring phases.
@@ -71,11 +78,9 @@ type pairScorer struct {
 	exact    bool // every other node is a candidate; no list is materialised
 	stride   int  // pair slots per node: N−1 when exact, CandidateCap otherwise
 
-	act      nn.Activation
-	w1       *tensor.Matrix // d_s×2d_h: [W₁θ ‖ W₁α]
-	head     [2]pairHead
-	thetaRow []tensor.Matrix // 1×d_h views of the θ head's w2T rows
-	pT       []float64       // 2d_h×N: (S·w1)ᵀ, θ rows first
+	w1   *tensor.Matrix // d_s×2d_h: [W₁θ ‖ W₁α]
+	head [2]pairHead
+	p    *tensor.Matrix // N×2d_h: S·w1, each row θ's d_h values then α's
 
 	cands []int     // N×stride candidate ids (capped decoding only)
 	cnt   []int     // candidates per node this timestep; 0: inactive or none found
@@ -92,16 +97,13 @@ type pairWorker struct {
 	nrng *rand.Rand
 	mark []bool // candidate-dedup scratch (capped decoding only)
 
-	hid   tensor.Matrix // d_h×C view of buf: the node's transposed hidden block
-	out   tensor.Matrix // logits view: K×C of logit (α) or 1×C of the node's theta slots
-	buf   []float64     // d_h×stride
-	logit []float64     // K×stride
-	aSum  []float64     // K
+	logit []float64 // K×stride: the α head's logits
+	aSum  []float64 // K
 }
 
 func (m *Model) newPairScorer(parallel bool) *pairScorer {
 	n, dh, k := m.Cfg.N, m.Cfg.HiddenDim, m.Cfg.K
-	ps := &pairScorer{n: n, dh: dh, k: k, act: m.fTheta.Hidden}
+	ps := &pairScorer{n: n, dh: dh, k: k}
 	ps.stride = m.Cfg.CandidateCap
 	if ps.stride <= 0 || ps.stride >= n-1 {
 		ps.exact, ps.stride = true, n-1
@@ -110,18 +112,17 @@ func (m *Model) newPairScorer(parallel bool) *pairScorer {
 	ds := m.fTheta.Layers[0].In
 	ps.w1 = tensor.New(ds, 2*dh)
 	for h, mlp := range [2]*nn.MLP{headTheta: m.fTheta, headAlpha: m.fAlpha} {
+		if mlp.Hidden != nn.ActLeakyReLU {
+			panic("core: the Eq. 11 pair kernel implements LeakyReLU hidden layers only")
+		}
 		l1, l2 := mlp.Layers[0], mlp.Layers[1]
 		for r := 0; r < ds; r++ {
 			copy(ps.w1.Row(r)[h*dh:(h+1)*dh], l1.W.Value.Row(r))
 		}
-		ps.head[h] = pairHead{b1: l1.B.Value.Data, w2T: l2.W.Value.Transpose(), b2: l2.B.Value.Data}
-	}
-	ps.thetaRow = make([]tensor.Matrix, k)
-	for q := range ps.thetaRow {
-		ps.thetaRow[q] = tensor.Matrix{Rows: 1, Cols: dh, Data: ps.head[headTheta].w2T.Row(q)}
+		ps.head[h] = pairHead{b1: l1.B.Value.Data, w2T: l2.W.Value.Transpose().Data, b2: l2.B.Value.Data}
 	}
 
-	ps.pT = make([]float64, 2*dh*n)
+	ps.p = tensor.New(n, 2*dh)
 	ps.cnt = make([]int, n)
 	ps.alpha = make([]float64, n*k)
 	ps.theta = make([]float64, n*ps.stride)
@@ -137,7 +138,6 @@ func (m *Model) newPairScorer(parallel bool) *pairScorer {
 	ps.workers = make([]*pairWorker, workers)
 	for i := range ps.workers {
 		w := &pairWorker{
-			buf:   make([]float64, dh*ps.stride),
 			logit: make([]float64, k*ps.stride),
 			aSum:  make([]float64, k),
 		}
@@ -151,17 +151,10 @@ func (m *Model) newPairScorer(parallel bool) *pairScorer {
 }
 
 // hoist runs the first layer of both heads once for every node:
-// pT = (S·[W₁θ ‖ W₁α])ᵀ.
+// p = S·[W₁θ ‖ W₁α].
 func (ps *pairScorer) hoist(s *tensor.Matrix) {
-	n := ps.n
-	p := tensor.Get(n, 2*ps.dh)
-	tensor.MatMulInto(p, s, ps.w1)
-	for i := 0; i < n; i++ {
-		for r, v := range p.Row(i) {
-			ps.pT[r*n+i] = v
-		}
-	}
-	tensor.Put(p)
+	clear(ps.p.Data)
+	tensor.MatMulInto(ps.p, s, ps.w1)
 }
 
 // plan splits the nodes into contiguous per-worker ranges for this
@@ -226,56 +219,29 @@ func (ps *pairScorer) candidate(i, k int) int {
 	return k
 }
 
-// hidden builds head h's transposed hidden block for node i over its c
-// candidates into w.hid: hid[r][k] = act((P[r][i] − P[r][cand_k]) + b₁[r]).
-func (ps *pairScorer) hidden(w *pairWorker, h, i, c int) {
-	n, dh := ps.n, ps.dh
-	hid := w.buf[:dh*c]
-	b1 := ps.head[h].b1
-	for r := 0; r < dh; r++ {
-		src := ps.pT[(h*dh+r)*n:][:n]
-		dst := hid[r*c:][:c]
-		pi, b := src[i], b1[r]
-		if ps.exact {
-			subBias(dst[:i], src[:i], pi, b)
-			subBias(dst[i:], src[i+1:], pi, b)
-			continue
-		}
-		for k, j := range ps.cands[i*ps.stride:][:c] {
-			dst[k] = (pi - src[j]) + b
-		}
+// logits writes rows w2 (kq of them, d_h each) of head h's second layer
+// for node i's c candidates: out[q*c+k] = w2[q] · act(P_i − P_cand_k + b₁).
+func (ps *pairScorer) logits(out []float64, h int, w2 []float64, kq, i, c int) {
+	dh, ld := ps.dh, 2*ps.dh
+	p, b1 := ps.p.Data[h*dh:], ps.head[h].b1
+	pi := p[i*ld:][:dh]
+	if !ps.exact {
+		tensor.PairLogits(out, c, w2, kq, dh, pi, b1, p, ld, ps.cands[i*ps.stride:][:c], c, pairSlope)
+		return
 	}
-	ps.act.ApplyInPlace(hid)
-	w.hid.Rows, w.hid.Cols, w.hid.Data = dh, c, hid
-}
-
-// subBias writes dst[k] = (a − src[k]) + b. Elementwise, so the 4-way
-// unroll (a third faster than the plain loop) cannot change a result.
-func subBias(dst, src []float64, a, b float64) {
-	n := len(dst)
-	src = src[:n]
-	k := 0
-	for ; k+3 < n; k += 4 {
-		d, s := dst[k:k+4:k+4], src[k:k+4:k+4]
-		d[0] = (a - s[0]) + b
-		d[1] = (a - s[1]) + b
-		d[2] = (a - s[2]) + b
-		d[3] = (a - s[3]) + b
-	}
-	for ; k < n; k++ {
-		dst[k] = (a - src[k]) + b
+	// Every other node, in node order: the rows before i, then those after.
+	tensor.PairLogits(out, c, w2, kq, dh, pi, b1, p, ld, nil, i, pairSlope)
+	if i < c {
+		tensor.PairLogits(out[i:], c, w2, kq, dh, pi, b1, p[(i+1)*ld:], ld, nil, c-i, pairSlope)
 	}
 }
 
 // scoreAlpha writes node i's mixture weights over its c candidates,
 // softmax_q(Σ_k f_α(s_i − s_cand_k)_q), into ps.alpha.
 func (ps *pairScorer) scoreAlpha(w *pairWorker, i, c int) {
-	ps.hidden(w, headAlpha, i, c)
 	k, hd := ps.k, &ps.head[headAlpha]
 	logits := w.logit[:k*c]
-	clear(logits)
-	w.out.Rows, w.out.Cols, w.out.Data = k, c, logits
-	tensor.MatMulInto(&w.out, hd.w2T, &w.hid)
+	ps.logits(logits, headAlpha, hd.w2T, k, i, c)
 	for q := 0; q < k; q++ {
 		b, sum := hd.b2[q], 0.0
 		for _, v := range logits[q*c : (q+1)*c] {
@@ -289,13 +255,11 @@ func (ps *pairScorer) scoreAlpha(w *pairWorker, i, c int) {
 // scoreTheta writes node i's Bernoulli means under component comp,
 // σ(f_θ(s_i − s_cand_k)_comp) for each of its c candidates, into the
 // node's theta slots.
-func (ps *pairScorer) scoreTheta(w *pairWorker, i, c, comp int) {
-	ps.hidden(w, headTheta, i, c)
+func (ps *pairScorer) scoreTheta(i, c, comp int) {
+	dh, hd := ps.dh, &ps.head[headTheta]
 	th := ps.theta[i*ps.stride:][:c]
-	clear(th)
-	w.out.Rows, w.out.Cols, w.out.Data = 1, c, th
-	tensor.MatMulInto(&w.out, &ps.thetaRow[comp], &w.hid)
-	b := ps.head[headTheta].b2[comp]
+	ps.logits(th, headTheta, hd.w2T[comp*dh:][:dh], 1, i, c)
+	b := hd.b2[comp]
 	for k := range th {
 		th[k] += b
 	}

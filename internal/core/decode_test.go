@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -214,5 +215,56 @@ func TestGenerateFanOutIdentical(t *testing.T) {
 				t.Fatal("generated no edges")
 			}
 		})
+	}
+}
+
+// TestGenerateBitIdenticalAcrossBackends generates the same seed under
+// every compiled backend and compares the saved bytes: exact decoding at
+// N=94 (the pair kernel over consecutive rows, both tails) and capped
+// decoding at N=400 with nodes leaving the active set (gathered rows), on
+// one goroutine and fanned out. TestFitBitIdenticalAcrossBackends holds
+// training the same way; without this one generation was only ever run
+// under whichever backend is active.
+func TestGenerateBitIdenticalAcrossBackends(t *testing.T) {
+	active := tensor.ActiveBackend()
+	defer func() {
+		if err := tensor.SetBackend(active); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	for _, tc := range []struct{ n, cap int }{{94, 0}, {400, 128}} {
+		for _, parallel := range []bool{false, true} {
+			t.Run(fmt.Sprintf("N%d_cap%d_parallel=%v", tc.n, tc.cap, parallel), func(t *testing.T) {
+				cfg := DefaultConfig(tc.n, 2)
+				cfg.CandidateCap = tc.cap
+				cfg.Seed = 7
+				opts := GenOptions{T: 4, Seed: 24, DynamicNodes: tc.cap > 0, Tdel: 1, Parallel: parallel}
+				var refName string
+				var ref []byte
+				for _, name := range tensor.BackendNames() {
+					if err := tensor.SetBackend(name); err != nil {
+						t.Fatal(err)
+					}
+					// A model per backend: New draws no kernel-dependent value,
+					// and a shared one would hide a backend that writes to it.
+					seq, err := New(cfg).GenerateOpts(opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if seq.At(opts.T-1).NumEdges() == 0 {
+						t.Fatal("generated no edges in the last snapshot")
+					}
+					var buf bytes.Buffer
+					if err := dyngraph.Save(&buf, seq); err != nil {
+						t.Fatal(err)
+					}
+					if refName == "" {
+						refName, ref = name, buf.Bytes()
+					} else if !bytes.Equal(buf.Bytes(), ref) {
+						t.Fatalf("dyngraph.Save bytes under %s differ from %s", name, refName)
+					}
+				}
+			})
+		}
 	}
 }

@@ -426,9 +426,9 @@ func (st *genState) scoreAlpha(w *pairWorker, i int) {
 
 // scoreTheta is the second scoring pass: node i's Bernoulli means under
 // the component it drew.
-func (st *genState) scoreTheta(w *pairWorker, i int) {
+func (st *genState) scoreTheta(_ *pairWorker, i int) {
 	if c := st.ps.cnt[i]; c > 0 {
-		st.ps.scoreTheta(w, i, c, st.comp[i])
+		st.ps.scoreTheta(i, c, st.comp[i])
 	}
 }
 

@@ -22,11 +22,9 @@ func (l *Linear) Forward(x *tensor.Matrix) *tensor.Matrix {
 	return out
 }
 
-// ApplyInPlace applies the activation elementwise over a raw slice — the
-// tape-free counterpart of the fused tape activations. Exported for
-// inference code that builds a layer's pre-activations itself (the Eq. 11
-// pair decode in internal/core).
-func (a Activation) ApplyInPlace(x []float64) {
+// applyInPlace applies the activation elementwise over a raw slice — the
+// tape-free counterpart of the fused tape activations.
+func (a Activation) applyInPlace(x []float64) {
 	switch a {
 	case ActReLU:
 		// Stays math.Max rather than tensor.VReLU: Max(0, -0) = +0 while
@@ -51,9 +49,9 @@ func (m *MLP) Forward(x *tensor.Matrix) *tensor.Matrix {
 	for i, l := range m.Layers {
 		nxt := l.Forward(cur)
 		if i+1 < len(m.Layers) {
-			m.Hidden.ApplyInPlace(nxt.Data)
+			m.Hidden.applyInPlace(nxt.Data)
 		} else {
-			m.OutAct.ApplyInPlace(nxt.Data)
+			m.OutAct.applyInPlace(nxt.Data)
 		}
 		if cur != x {
 			tensor.Put(cur)
@@ -71,7 +69,7 @@ func (g *GRUCell) Forward(x, h *tensor.Matrix) *tensor.Matrix {
 		tensor.MatMulInto(out, x, w.Value)
 		tensor.MatMulInto(out, h, u.Value)
 		out.AddRowVecInPlace(b.Value)
-		act.ApplyInPlace(out.Data)
+		act.applyInPlace(out.Data)
 		return out
 	}
 	z := gate(g.Wz, g.Uz, g.Bz, ActSigmoid)

@@ -16,8 +16,12 @@ import (
 // exercise whichever backend is active for free.
 //
 // Bit-stability contract: every backend must produce bit-identical
-// results to the pure-Go reference for all finite inputs. The kernels are
-// written so this is achievable with SIMD:
+// results to the pure-Go reference for all inputs, non-finite ones
+// included, with one carve-out: when a single multiply or add meets two
+// NaNs of different bit patterns the hardware returns its first operand's,
+// and operand order in the reference is the compiler's choice, so there
+// the backends agree only on the result being NaN. The kernels are written
+// so this is achievable with SIMD:
 //
 //   - Elementwise kernels (axpy, add, scale, activations) round each
 //     element independently; vectorising across elements cannot change
@@ -30,9 +34,14 @@ import (
 //     SIMD variants vectorise across output elements (rows/columns), never
 //     across the contraction, so each element sees the exact scalar
 //     sequence of roundings.
-//   - GemmTN skips zero multipliers (a[p][i] == 0 contributes nothing and
-//     one-hot feature matrices are common on that path); the skip is part
-//     of the kernel contract and every backend applies it identically.
+//   - GemmNN/GemmTN skip zero multipliers (a zero a[i][p] contributes
+//     nothing and one-hot feature matrices are common on that path); the
+//     skip is part of the kernel contract and every backend applies it
+//     identically.
+//   - PairLogits fixes, per output element, hidden unit r ascending: one
+//     subtract, one add, the LeakyReLU select, one multiply, and one add
+//     into a sum that starts at +0 — no zero skip, no FMA. SIMD variants
+//     vectorise across the candidates (output elements), never across r.
 
 // Backend implements the hot compute kernels. Implementations must be
 // stateless and safe for concurrent use: the parallel GEMM/SpMM paths
@@ -73,6 +82,60 @@ type Backend interface {
 	// tanh, y(1−y) for sigmoid), so SIMD implementations stay
 	// bit-identical: each element is the same multiply chain.
 	VActGrad(dst, grad, out []float64, act Act)
+
+	// PairLogits scores c rows of the row-major matrix p (row j starts at
+	// p[j*ld] and holds dh values) against the row pi through one hidden
+	// layer, the Eq. 11 pair decode of internal/core. The rows are
+	// j_k = idx[k], or k itself when idx is nil, and for q in [0, kq):
+	//
+	//	out[q*stride+k] = Σ_r w2[q*dh+r] · leaky((pi[r] − p[j_k*ld+r]) + b1[r])
+	//
+	// with leaky(x) = x<0 ? slope*x : x, in the order the contract above
+	// fixes. It writes, not accumulates, and touches nothing else of out.
+	// Arguments that would read or write out of range panic before
+	// anything is written.
+	PairLogits(out []float64, stride int, w2 []float64, kq, dh int, pi, b1, p []float64, ld int, idx []int, c int, slope float64)
+}
+
+// checkPairLogits panics unless every access PairLogits' contract names
+// is in range. The assembly kernel takes raw pointers, so its wrapper
+// cannot lean on bounds checks; the pure-Go kernels call it too, so a
+// bad call fails the same way on every backend, before any write.
+func checkPairLogits(out []float64, stride int, w2 []float64, kq, dh int, pi, b1, p []float64, ld int, idx []int, c int) {
+	switch {
+	case c < 0 || kq < 0 || dh <= 0:
+		panic(fmt.Sprintf("tensor: PairLogits with c=%d kq=%d dh=%d", c, kq, dh))
+	case ld < dh:
+		panic(fmt.Sprintf("tensor: PairLogits row stride %d below dh=%d", ld, dh))
+	case len(pi) < dh || len(b1) < dh:
+		panic(fmt.Sprintf("tensor: PairLogits needs dh=%d values of pi and b1, got %d and %d", dh, len(pi), len(b1)))
+	case len(w2) < kq*dh:
+		panic(fmt.Sprintf("tensor: PairLogits needs %dx%d second-layer weights, got %d", kq, dh, len(w2)))
+	case c == 0 || kq == 0:
+		return
+	case stride < c && kq > 1:
+		panic(fmt.Sprintf("tensor: PairLogits output rows of stride %d overlap at c=%d", stride, c))
+	case len(out) < (kq-1)*stride+c:
+		panic(fmt.Sprintf("tensor: PairLogits needs %d output values (kq=%d stride=%d c=%d), got %d", (kq-1)*stride+c, kq, stride, c, len(out)))
+	}
+	rows := 0 // whole rows of dh values that p holds at stride ld
+	if len(p) >= dh {
+		rows = (len(p)-dh)/ld + 1
+	}
+	if idx == nil {
+		if c > rows {
+			panic(fmt.Sprintf("tensor: PairLogits over %d consecutive rows of a %d-row matrix", c, rows))
+		}
+		return
+	}
+	if len(idx) < c {
+		panic(fmt.Sprintf("tensor: PairLogits needs %d row indices, got %d", c, len(idx)))
+	}
+	for k, j := range idx[:c] {
+		if j < 0 || j >= rows {
+			panic(fmt.Sprintf("tensor: PairLogits idx[%d] = %d outside the matrix's %d rows", k, j, rows))
+		}
+	}
 }
 
 // compiledBackends lists every backend compiled into this binary in
@@ -179,3 +242,9 @@ func VReLU(x []float64) { backendImpl.VReLU(x) }
 
 // VLeakyReLU applies x>0 ? x : slope*x elementwise in place.
 func VLeakyReLU(x []float64, slope float64) { backendImpl.VLeakyReLU(x, slope) }
+
+// PairLogits runs the active backend's fused pair-scoring kernel; see
+// Backend.PairLogits.
+func PairLogits(out []float64, stride int, w2 []float64, kq, dh int, pi, b1, p []float64, ld int, idx []int, c int, slope float64) {
+	backendImpl.PairLogits(out, stride, w2, kq, dh, pi, b1, p, ld, idx, c, slope)
+}

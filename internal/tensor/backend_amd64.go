@@ -36,6 +36,9 @@ func gemmRowNZAVX2(o, bdata, avs *float64, ps *int32, nz, n int)
 //go:noescape
 func ntRowBulkAVX2(o, a, bdata *float64, n4, k, k4 int)
 
+//go:noescape
+func pairLogitsAVX2(out *float64, stride int, w2 *float64, kq, dh int, pi, b1, p *float64, ld int, idx *int, c int, slope float64)
+
 // The CPU is probed during package variable initialisation, so the
 // registration lands before backend selection in init().
 var _ = registerAMD64Backend()
@@ -133,6 +136,28 @@ func (avx2Backend) VActGrad(dst, grad, out []float64, act Act) {
 	}
 	for i := n4; i < n; i++ {
 		dst[i] = grad[i] * actGradFromOutput(out[i], act)
+	}
+}
+
+// PairLogits hands the assembly kernel two second-layer rows per call —
+// what it keeps in registers — after checkPairLogits has vouched for every
+// address it will form. The kernel transposes 4×4 tiles, so a dh that is
+// not a multiple of 4 takes the portable loop.
+func (b avx2Backend) PairLogits(out []float64, stride int, w2 []float64, kq, dh int, pi, b1, p []float64, ld int, idx []int, c int, slope float64) {
+	if dh%4 != 0 {
+		b.tunedBackend.PairLogits(out, stride, w2, kq, dh, pi, b1, p, ld, idx, c, slope)
+		return
+	}
+	checkPairLogits(out, stride, w2, kq, dh, pi, b1, p, ld, idx, c)
+	if c == 0 {
+		return
+	}
+	var ix *int
+	if idx != nil {
+		ix = &idx[0]
+	}
+	for q := 0; q < kq; q += 2 {
+		pairLogitsAVX2(&out[q*stride], stride, &w2[q*dh], min(2, kq-q), dh, &pi[0], &b1[0], &p[0], ld, ix, c, slope)
 	}
 }
 

@@ -733,3 +733,207 @@ ntb4_store:
 ntb_done:
 	VZEROUPPER
 	RET
+
+// PAIR_HIDDEN turns H — the 4 candidates' p values of hidden unit r, at
+// byte offset OFF from the cursor R13 — into that unit's activation:
+// (pi[r] − p) + b1[r], then the vleakyAVX2 select. PAIR_ACC adds row W's
+// product with it to ACC. Same operations and operand order as the scalar
+// forms in the tail below, so a candidate's bits do not depend on which
+// of the two scored it.
+#define PAIR_HIDDEN(H, OFF) \
+	VBROADCASTSD OFF(AX)(R13*1), Y8 \
+	VSUBPD       H, Y8, H           \ // pi[r] − p
+	VBROADCASTSD OFF(BX)(R13*1), Y8 \
+	VADDPD       Y8, H, H           \ // + b1[r]
+	VMULPD       H, Y1, Y9          \ // slope*h
+	VCMPPD       $0x11, Y0, H, Y10  \ // mask = h < 0 (LT_OQ)
+	VBLENDVPD    Y10, Y9, H, H        // mask ? slope*h : h
+
+#define PAIR_ACC(H, OFF, W, ACC) \
+	VBROADCASTSD OFF(W)(R13*1), Y8 \
+	VMULPD       H, Y8, Y9         \ // w2[q][r]*h
+	VADDPD       Y9, ACC, ACC
+
+// PAIR_TILE loads hidden units r..r+3 of the tile's four rows and
+// transposes the 4×4 block in registers: Y4..Y7 end up holding one hidden
+// unit each, across the four candidates.
+#define PAIR_TILE \
+	VMOVUPD    (R8)(R13*1), Y4      \
+	VMOVUPD    (R9)(R13*1), Y5      \
+	VMOVUPD    (R10)(R13*1), Y6     \
+	VMOVUPD    (R11)(R13*1), Y7     \
+	VUNPCKLPD  Y5, Y4, Y8           \
+	VUNPCKHPD  Y5, Y4, Y9           \
+	VUNPCKLPD  Y7, Y6, Y10          \
+	VUNPCKHPD  Y7, Y6, Y11          \
+	VPERM2F128 $0x20, Y10, Y8, Y4   \
+	VPERM2F128 $0x20, Y11, Y9, Y5   \
+	VPERM2F128 $0x31, Y10, Y8, Y6   \
+	VPERM2F128 $0x31, Y11, Y9, Y7
+
+// func pairLogitsAVX2(out *float64, stride int, w2 *float64, kq, dh int, pi, b1, p *float64, ld int, idx *int, c int, slope float64)
+// Backend.PairLogits for kq ∈ {1, 2} and dh a positive multiple of 4; the
+// Go wrapper has checked every address. Candidates go four at a time, one
+// per vector lane, each lane summing its products over ascending r from
+// +0; the c%4 tail runs the same sequence one candidate at a time.
+//
+//	DI  out[0][k]; the second row is stride values on
+//	DX  idx cursor, or nil: the rows are consecutive and SI walks them
+//	SI  p, R12 its row stride in bytes, R8–R11 the tile's four rows
+//	AX  pi, BX b1, R15 w2[0], R14 w2[1]
+//	R13 byte cursor over the hidden units, −8·dh up to 0: every pointer
+//	    above except DI and DX is biased to the end of its dh values
+//	Y0  zero, Y1 slope, Y2 Y3 the two rows' sums, Y4–Y7 tile, Y8–Y11 scratch
+TEXT ·pairLogitsAVX2(SB), NOSPLIT, $0-96
+	MOVQ dh+32(FP), R13
+	SHLQ $3, R13
+	MOVQ pi+40(FP), AX
+	ADDQ R13, AX
+	MOVQ b1+48(FP), BX
+	ADDQ R13, BX
+	MOVQ w2+16(FP), R15
+	ADDQ R13, R15
+	LEAQ (R15)(R13*1), R14
+	MOVQ p+56(FP), SI
+	ADDQ R13, SI
+	MOVQ ld+64(FP), R12
+	SHLQ $3, R12
+	MOVQ idx+72(FP), DX
+	MOVQ c+80(FP), CX
+	MOVQ out+0(FP), DI
+	VBROADCASTSD slope+88(FP), Y1
+	VXORPD Y0, Y0, Y0
+
+pair_tile:
+	CMPQ  CX, $4
+	JLT   pair_tail
+	TESTQ DX, DX
+	JEQ   pair_tile_consecutive
+	MOVQ  (DX), R8
+	IMULQ R12, R8
+	ADDQ  SI, R8
+	MOVQ  8(DX), R9
+	IMULQ R12, R9
+	ADDQ  SI, R9
+	MOVQ  16(DX), R10
+	IMULQ R12, R10
+	ADDQ  SI, R10
+	MOVQ  24(DX), R11
+	IMULQ R12, R11
+	ADDQ  SI, R11
+	ADDQ  $32, DX
+	JMP   pair_tile_rows
+
+pair_tile_consecutive:
+	MOVQ SI, R8
+	LEAQ (R8)(R12*1), R9
+	LEAQ (R9)(R12*1), R10
+	LEAQ (R10)(R12*1), R11
+	LEAQ (R11)(R12*1), SI
+
+pair_tile_rows:
+	MOVQ   dh+32(FP), R13
+	SHLQ   $3, R13
+	NEGQ   R13
+	VXORPD Y2, Y2, Y2
+	CMPQ   kq+24(FP), $2
+	JEQ    pair_tile_two
+
+pair_tile_one:
+	PAIR_TILE
+	PAIR_HIDDEN(Y4, 0)
+	PAIR_ACC(Y4, 0, R15, Y2)
+	PAIR_HIDDEN(Y5, 8)
+	PAIR_ACC(Y5, 8, R15, Y2)
+	PAIR_HIDDEN(Y6, 16)
+	PAIR_ACC(Y6, 16, R15, Y2)
+	PAIR_HIDDEN(Y7, 24)
+	PAIR_ACC(Y7, 24, R15, Y2)
+	ADDQ    $32, R13
+	JNE     pair_tile_one
+	VMOVUPD Y2, (DI)
+	JMP     pair_tile_next
+
+pair_tile_two:
+	VXORPD Y3, Y3, Y3
+
+pair_tile_two_loop:
+	PAIR_TILE
+	PAIR_HIDDEN(Y4, 0)
+	PAIR_ACC(Y4, 0, R15, Y2)
+	PAIR_ACC(Y4, 0, R14, Y3)
+	PAIR_HIDDEN(Y5, 8)
+	PAIR_ACC(Y5, 8, R15, Y2)
+	PAIR_ACC(Y5, 8, R14, Y3)
+	PAIR_HIDDEN(Y6, 16)
+	PAIR_ACC(Y6, 16, R15, Y2)
+	PAIR_ACC(Y6, 16, R14, Y3)
+	PAIR_HIDDEN(Y7, 24)
+	PAIR_ACC(Y7, 24, R15, Y2)
+	PAIR_ACC(Y7, 24, R14, Y3)
+	ADDQ    $32, R13
+	JNE     pair_tile_two_loop
+	VMOVUPD Y2, (DI)
+	MOVQ    stride+8(FP), R13
+	VMOVUPD Y3, (DI)(R13*8)
+
+pair_tile_next:
+	ADDQ $32, DI
+	SUBQ $4, CX
+	JMP  pair_tile
+
+pair_tail:
+	TESTQ CX, CX
+	JEQ   pair_done
+	TESTQ DX, DX
+	JEQ   pair_tail_consecutive
+	MOVQ  (DX), R8
+	IMULQ R12, R8
+	ADDQ  SI, R8
+	ADDQ  $8, DX
+	JMP   pair_tail_row
+
+pair_tail_consecutive:
+	MOVQ SI, R8
+	ADDQ R12, SI
+
+pair_tail_row:
+	MOVQ   dh+32(FP), R13
+	SHLQ   $3, R13
+	NEGQ   R13
+	VXORPD X2, X2, X2
+	VXORPD X3, X3, X3
+
+pair_tail_loop:
+	VMOVSD    (AX)(R13*1), X4
+	VSUBSD    (R8)(R13*1), X4, X4 // pi[r] − p
+	VADDSD    (BX)(R13*1), X4, X4 // + b1[r]
+	VMULSD    X4, X1, X9          // slope*h
+	VCMPSD    $0x11, X0, X4, X10  // mask = h < 0 (LT_OQ)
+	VBLENDVPD X10, X9, X4, X4     // mask ? slope*h : h
+	VMOVSD    (R15)(R13*1), X8
+	VMULSD    X4, X8, X9          // w2[0][r]*h
+	VADDSD    X9, X2, X2
+	CMPQ      kq+24(FP), $2
+	JNE       pair_tail_step
+	VMOVSD    (R14)(R13*1), X8
+	VMULSD    X4, X8, X9          // w2[1][r]*h
+	VADDSD    X9, X3, X3
+
+pair_tail_step:
+	ADDQ   $8, R13
+	JNE    pair_tail_loop
+	VMOVSD X2, (DI)
+	CMPQ   kq+24(FP), $2
+	JNE    pair_tail_next
+	MOVQ   stride+8(FP), R13
+	VMOVSD X3, (DI)(R13*8)
+
+pair_tail_next:
+	ADDQ $8, DI
+	DECQ CX
+	JMP  pair_tail
+
+pair_done:
+	VZEROUPPER
+	RET

@@ -255,6 +255,184 @@ func TestBackendDifferentialActivations(t *testing.T) {
 	}
 }
 
+// pairLogitsArgs is one PairLogits call; run hands it to a backend with a
+// fresh output buffer pre-filled with a sentinel.
+type pairLogitsArgs struct {
+	stride, kq, dh, ld, c int
+	w2, pi, b1, p         []float64
+	idx                   []int
+	slope                 float64
+	outLen                int
+}
+
+func (a *pairLogitsArgs) run(bk Backend) []float64 {
+	out := make([]float64, a.outLen)
+	for i := range out {
+		out[i] = -7.25
+	}
+	bk.PairLogits(out, a.stride, a.w2, a.kq, a.dh, a.pi, a.b1, a.p, a.ld, a.idx, a.c, a.slope)
+	return out
+}
+
+// pairLogitsThreePass is the form the decode used before the kernel
+// existed: the transposed hidden block (subtract, add), one VLeakyReLU
+// over it, then GemmNN — which skips zero multipliers — into a zeroed
+// block.
+func pairLogitsThreePass(a *pairLogitsArgs) []float64 {
+	hid := New(a.dh, a.c)
+	for k := 0; k < a.c; k++ {
+		j := k
+		if a.idx != nil {
+			j = a.idx[k]
+		}
+		for r := 0; r < a.dh; r++ {
+			hid.Data[r*a.c+k] = (a.pi[r] - a.p[j*a.ld+r]) + a.b1[r]
+		}
+	}
+	pureBackend{}.VLeakyReLU(hid.Data, a.slope)
+	logits := New(a.kq, a.c)
+	pureBackend{}.GemmNN(logits, &Matrix{Rows: a.kq, Cols: a.dh, Data: a.w2[:a.kq*a.dh]}, hid)
+	return logits.Data
+}
+
+// TestBackendDifferentialPairLogits holds every backend's fused Eq. 11
+// pair kernel against the reference triple loop: candidate counts on both
+// sides of every tile and tail boundary, consecutive rows and gathered
+// ones (a permutation, and a list with repeats), one to three second-layer
+// rows, a hidden width the assembly does not take (6), output rows wider
+// than c whose slack must stay untouched, and inputs holding ±0,
+// denormals and second-layer weights that are exactly 0. On those finite
+// inputs the reference must also equal the three-pass form it replaced,
+// zero skip and all. A second round feeds the suite's non-finite pool;
+// there two NaNs of different payload can meet (∞−∞ against the pool's
+// NaN), which is the contract's one carve-out, so NaN matches NaN.
+func TestBackendDifferentialPairLogits(t *testing.T) {
+	ref := pureBackend{}
+	const rows = 131
+	tiny := []float64{0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 3e-310}
+	fill := func(x []float64, rng *rand.Rand, finite bool) {
+		if !finite {
+			copy(x, specialValues(rng, len(x)))
+			return
+		}
+		fillMixed(x, rng)
+		for i := range x {
+			if rng.Intn(6) == 0 {
+				x[i] = tiny[rng.Intn(len(tiny))]
+			}
+		}
+	}
+	same := func(finite bool, a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || (!finite && math.IsNaN(a) && math.IsNaN(b))
+	}
+	for _, bk := range compiledBackends {
+		t.Run(bk.Name(), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(24))
+			for _, finite := range []bool{true, false} {
+				for _, dh := range []int{4, 6, 16} {
+					for _, kq := range []int{1, 2, 3} {
+						for _, c := range []int{0, 1, 2, 3, 4, 5, 7, 8, 93, 127, 128, 129} {
+							for _, mode := range []string{"consecutive", "permutation", "repeats"} {
+								a := &pairLogitsArgs{stride: c + 3, kq: kq, dh: dh, ld: 2*dh + 1, c: c, slope: 0.2}
+								a.outLen = kq*a.stride + 2
+								a.w2, a.pi, a.b1 = make([]float64, kq*dh), make([]float64, dh), make([]float64, dh)
+								a.p = make([]float64, (rows-1)*a.ld+dh)
+								for _, x := range [][]float64{a.w2, a.pi, a.b1, a.p} {
+									fill(x, rng, finite)
+								}
+								a.w2[rng.Intn(len(a.w2))] = 0
+								switch mode {
+								case "permutation":
+									a.idx = rng.Perm(rows)[:c]
+								case "repeats":
+									a.idx = make([]int, c)
+									for k := range a.idx {
+										a.idx[k] = rng.Intn(5) * (rows - 1) / 4
+									}
+								}
+								want, got := a.run(ref), a.run(bk)
+								for i := range want {
+									if !same(finite, got[i], want[i]) {
+										t.Fatalf("finite=%v dh=%d kq=%d c=%d %s: out[%d] = %x, reference %x",
+											finite, dh, kq, c, mode, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+									}
+								}
+								for i, v := range want {
+									if q, k := i/a.stride, i%a.stride; (q >= kq || k >= c) && v != -7.25 {
+										t.Fatalf("dh=%d kq=%d c=%d %s: reference wrote out[%d] outside its %d×%d block", dh, kq, c, mode, i, kq, c)
+									}
+								}
+								if !finite || bk != Backend(ref) {
+									continue
+								}
+								old := pairLogitsThreePass(a)
+								for q := 0; q < kq; q++ {
+									for k := 0; k < c; k++ {
+										if g, w := want[q*a.stride+k], old[q*c+k]; math.Float64bits(g) != math.Float64bits(w) {
+											t.Fatalf("dh=%d kq=%d c=%d %s: [%d][%d] = %x, three-pass form %x", dh, kq, c, mode, q, k, math.Float64bits(g), math.Float64bits(w))
+										}
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestPairLogitsRejectsBadArguments: the assembly kernel takes raw
+// pointers, so each thing its wrapper checks gets a call that violates
+// only that, on every backend, and must panic before writing anything.
+func TestPairLogitsRejectsBadArguments(t *testing.T) {
+	const dh, ld, rows, c, kq = 4, 8, 10, 5, 2
+	good := func() *pairLogitsArgs {
+		return &pairLogitsArgs{stride: c, kq: kq, dh: dh, ld: ld, c: c, slope: 0.2, outLen: kq * c,
+			w2: make([]float64, kq*dh), pi: make([]float64, dh), b1: make([]float64, dh),
+			p: make([]float64, (rows-1)*ld+dh), idx: []int{9, 0, 3, 3, 7}}
+	}
+	bad := map[string]func(a *pairLogitsArgs){
+		"idx past the last row":   func(a *pairLogitsArgs) { a.idx[4] = rows },
+		"negative idx":            func(a *pairLogitsArgs) { a.idx[0] = -1 },
+		"idx shorter than c":      func(a *pairLogitsArgs) { a.idx = a.idx[:c-1] },
+		"consecutive rows past p": func(a *pairLogitsArgs) { a.idx, a.p = nil, a.p[:(c-2)*ld+dh] },
+		"last row cut short":      func(a *pairLogitsArgs) { a.p = a.p[:len(a.p)-1] },
+		"out short by one":        func(a *pairLogitsArgs) { a.outLen-- },
+		"stride below c":          func(a *pairLogitsArgs) { a.stride = c - 1 },
+		"pi shorter than dh":      func(a *pairLogitsArgs) { a.pi = a.pi[:dh-1] },
+		"b1 shorter than dh":      func(a *pairLogitsArgs) { a.b1 = a.b1[:dh-1] },
+		"w2 short by one":         func(a *pairLogitsArgs) { a.w2 = a.w2[:kq*dh-1] },
+		"negative c":              func(a *pairLogitsArgs) { a.c = -1 },
+		"row stride below dh":     func(a *pairLogitsArgs) { a.ld = dh - 1 },
+		"dh zero":                 func(a *pairLogitsArgs) { a.dh = 0 },
+		"negative kq":             func(a *pairLogitsArgs) { a.kq = -1 },
+	}
+	for _, bk := range compiledBackends {
+		if out := good().run(bk); len(out) != kq*c {
+			t.Fatalf("%s: the unmodified call did not run", bk.Name())
+		}
+		for name, breakIt := range bad {
+			t.Run(bk.Name()+"/"+name, func(t *testing.T) {
+				a := good()
+				breakIt(a)
+				out := make([]float64, a.outLen)
+				defer func() {
+					if recover() == nil {
+						t.Fatal("no panic")
+					}
+					for i, v := range out {
+						if v != 0 {
+							t.Fatalf("out[%d] = %v written before the panic", i, v)
+						}
+					}
+				}()
+				bk.PairLogits(out, a.stride, a.w2, a.kq, a.dh, a.pi, a.b1, a.p, a.ld, a.idx, a.c, a.slope)
+			})
+		}
+	}
+}
+
 // TestArenaAlignment pins the arena allocator's 64-byte guarantee: every
 // pool-miss buffer comes from alignedAlloc, whose base lands on a cache
 // line so the SIMD kernels' rows start aligned whenever strides are

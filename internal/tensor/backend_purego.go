@@ -112,6 +112,31 @@ func (pureBackend) GemmNT(out, a, b *Matrix) {
 	}
 }
 
+// PairLogits is the kernel's definition: the scalar triple loop, one
+// candidate, one second-layer row, one hidden unit at a time.
+func (pureBackend) PairLogits(out []float64, stride int, w2 []float64, kq, dh int, pi, b1, p []float64, ld int, idx []int, c int, slope float64) {
+	checkPairLogits(out, stride, w2, kq, dh, pi, b1, p, ld, idx, c)
+	for k := 0; k < c; k++ {
+		j := k
+		if idx != nil {
+			j = idx[k]
+		}
+		row := p[j*ld:][:dh]
+		for q := 0; q < kq; q++ {
+			w := w2[q*dh:][:dh]
+			s := 0.0
+			for r, pj := range row {
+				h := (pi[r] - pj) + b1[r]
+				if h < 0 {
+					h = slope * h
+				}
+				s += w[r] * h
+			}
+			out[q*stride+k] = s
+		}
+	}
+}
+
 // GemmTT computes out += aᵀ·bᵀ (rare: both operands transposed).
 func (pureBackend) GemmTT(out, a, b *Matrix) { gemmTTRef(out, a, b) }
 

@@ -114,6 +114,47 @@ func (tunedBackend) GemmNT(out, a, b *Matrix) {
 	}
 }
 
+// PairLogits keeps two second-layer rows' sums in registers per pass over
+// a candidate's hidden units, and selects the LeakyReLU multiplier from a
+// two-entry table instead of branching on the sign — random signs cost the
+// reference loop a misprediction every other hidden unit. h·1 is h bit for
+// bit (h comes out of an add, so even a NaN is already quiet), so the
+// table changes no result.
+func (tunedBackend) PairLogits(out []float64, stride int, w2 []float64, kq, dh int, pi, b1, p []float64, ld int, idx []int, c int, slope float64) {
+	checkPairLogits(out, stride, w2, kq, dh, pi, b1, p, ld, idx, c)
+	pi, b1 = pi[:dh], b1[:dh]
+	mul := [2]float64{1, slope}
+	for q := 0; q < kq; q += 2 {
+		two := q+1 < kq
+		wa := w2[q*dh:][:dh]
+		wb := wa
+		if two {
+			wb = w2[(q+1)*dh:][:dh]
+		}
+		for k := 0; k < c; k++ {
+			j := k
+			if idx != nil {
+				j = idx[k]
+			}
+			var sa, sb float64
+			for r, pj := range p[j*ld:][:dh] {
+				h := (pi[r] - pj) + b1[r]
+				neg := 0
+				if h < 0 {
+					neg = 1
+				}
+				h *= mul[neg]
+				sa += wa[r] * h
+				sb += wb[r] * h
+			}
+			out[q*stride+k] = sa
+			if two {
+				out[(q+1)*stride+k] = sb
+			}
+		}
+	}
+}
+
 // gemmRow4Go fuses four compacted multipliers per pass over the output
 // row; the adds into v stay one-at-a-time in ascending-q (= ascending-p)
 // order, so each element's rounding sequence matches the reference.

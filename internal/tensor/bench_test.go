@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -160,5 +161,56 @@ func BenchmarkSegmentSoftmax(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tp := NewTape()
 		tp.SegmentSoftmax(tp.Const(scores), seg, 512)
+	}
+}
+
+// BenchmarkPairLogits reads the fused Eq. 11 pair kernel in ns per scored
+// pair on every compiled backend, at the two shapes the gen_offline
+// benchmark decodes: exact decoding at N=94 (93 consecutive rows, as the
+// two runs either side of the node's own row) and a gathered 128-candidate
+// list over N=1891 rows, each with the α head's two second-layer rows and
+// the θ head's one. Rows are 32 wide, 16 per head, as the decode lays them
+// out.
+func BenchmarkPairLogits(b *testing.B) {
+	const dh, ld, slope = 16, 32, 0.2
+	for _, bk := range compiledBackends {
+		for _, shape := range []struct {
+			name   string
+			n, c   int
+			gather bool
+		}{
+			{name: "consecutive_N94_C93", n: 94, c: 93},
+			{name: "gathered_N1891_C128", n: 1891, c: 128, gather: true},
+		} {
+			for _, kq := range []int{1, 2} {
+				b.Run(fmt.Sprintf("%s/%s/kq%d", bk.Name(), shape.name, kq), func(b *testing.B) {
+					rng := rand.New(rand.NewSource(6))
+					p := Randn(shape.n, ld, 1, rng)
+					w2, b1 := Randn(kq, dh, 1, rng).Data, Randn(1, dh, 1, rng).Data
+					out := make([]float64, kq*shape.c)
+					var lists [][]int
+					if shape.gather {
+						lists = make([][]int, shape.n)
+						for i := range lists {
+							lists[i] = append([]int(nil), rng.Perm(shape.n)[:shape.c]...)
+						}
+					}
+					b.ResetTimer()
+					for it := 0; it < b.N; it++ {
+						i := it % shape.n
+						pi := p.Row(i)[:dh]
+						if shape.gather {
+							bk.PairLogits(out, shape.c, w2, kq, dh, pi, b1, p.Data, ld, lists[i], shape.c, slope)
+							continue
+						}
+						bk.PairLogits(out, shape.c, w2, kq, dh, pi, b1, p.Data, ld, nil, i, slope)
+						if i+1 < shape.n {
+							bk.PairLogits(out[i:], shape.c, w2, kq, dh, pi, b1, p.Data[(i+1)*ld:], ld, nil, shape.c-i, slope)
+						}
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*shape.c), "ns/pair")
+				})
+			}
+		}
 	}
 }

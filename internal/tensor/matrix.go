@@ -247,7 +247,8 @@ func axpyRow(dst, src []float64, a float64) {
 // kernel for the transpose variant. out must be pre-shaped; it is
 // accumulated into. Every backend honours the per-element accumulation
 // contract documented in backend.go, so results are bit-identical across
-// backends (FMA tolerance mode excepted).
+// backends for all inputs (that contract's one carve-out: which of two
+// different NaNs an operation returns).
 func matMulInto(out, a, b *Matrix, ta, tb bool) {
 	switch {
 	case !ta && !tb:
