@@ -58,8 +58,7 @@ func main() {
 		scale    = flag.Float64("scale", 0.05, "replica scale factor (1 = paper size)")
 		epochs   = flag.Int("epochs", 10, "training epochs for -dataset models")
 		seed     = flag.Int64("seed", 1, "seed for replica generation and training")
-		workers  = flag.Int("workers", 0, "generation workers (0 = GOMAXPROCS)")
-		queue    = flag.Int("queue", 0, "request queue slots (0 = 4x workers)")
+		workers  = flag.Int("workers", 0, "requests decoding at once (0 = GOMAXPROCS)")
 		maxT     = flag.Int("max-t", 512, "largest horizon accepted per request")
 		drain    = flag.Duration("drain", 30*time.Second, "graceful-shutdown deadline for draining in-flight (incl. streaming) responses")
 		quiet    = flag.Bool("quiet", false, "suppress training progress output")
@@ -119,7 +118,7 @@ func main() {
 		Logger:   logger,
 	})
 	srv := server.New(server.Config{
-		Workers: *workers, Queue: *queue, MaxT: *maxT, Logger: logger, Tracer: tracer,
+		Workers: *workers, MaxT: *maxT, Logger: logger, Tracer: tracer,
 		DataDir: *dataDir, SnapshotEvery: *snapEvery, MaxResident: *maxResident,
 		QuotaRate: *quotaRate, QuotaBurst: *quotaBurst, RequestTimeout: *reqTimeout,
 	})

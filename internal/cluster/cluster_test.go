@@ -105,7 +105,7 @@ func newTestCluster(t *testing.T, size int, mutate func(i int, cfg *Config)) *te
 		c.hosts = append(c.hosts, u.Host)
 	}
 	for i := 0; i < size; i++ {
-		s := server.New(server.Config{Queue: 64, Logger: discard})
+		s := server.New(server.Config{Logger: discard})
 		if err := s.Register("email", m, ref); err != nil {
 			t.Fatalf("register: %v", err)
 		}
@@ -580,7 +580,7 @@ func TestClusterChaosKillDuringTraffic(t *testing.T) {
 	c := newTestCluster(t, 3, nil)
 	m, ref := clusterModel(t)
 
-	refSrv := server.New(server.Config{Queue: 64, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	refSrv := server.New(server.Config{Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
 	if err := refSrv.Register("email", m, ref); err != nil {
 		t.Fatalf("register reference: %v", err)
 	}

@@ -331,6 +331,10 @@ func sampleLatent(mu, logSig *tensor.Matrix, rng *rand.Rand) *tensor.Matrix {
 	return z
 }
 
+// expClamp is exp(v) with v clamped to [-20, 20], the same ±20 bound
+// GaussianKL puts on log σ. It is not the tape's convention: tensor.VExp
+// clamps one side only, min(v, 40), so at the extremes training and
+// generation draw z from different σ (ROADMAP item 3).
 func expClamp(v float64) float64 {
 	if v > 20 {
 		v = 20
@@ -338,6 +342,5 @@ func expClamp(v float64) float64 {
 	if v < -20 {
 		v = -20
 	}
-	// exp computed via the tensor package's clamping convention
 	return math.Exp(v)
 }

@@ -25,7 +25,6 @@ func newDurableServer(t *testing.T, dir string, mut func(*Config)) (*Server, *ht
 	t.Helper()
 	m, ref := trainedModel(t)
 	cfg := Config{
-		Queue:         64,
 		DataDir:       dir,
 		SweepInterval: -1,
 		Logger:        slog.New(slog.NewTextHandler(io.Discard, nil)),

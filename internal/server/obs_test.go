@@ -45,7 +45,7 @@ func TestEndpointStatsBucketBoundaries(t *testing.T) {
 		{6 * time.Second, len(latencyBucketsMS)},     // +Inf
 	}
 
-	s := New(Config{Queue: 4, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	s := New(Config{Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
 	defer s.Close()
 	st := s.statsFor("/v1/generate")
 	want := make([]int64, len(latencyBucketsMS)+1)
@@ -410,7 +410,6 @@ func TestTraceEndpointClientSuppliedID(t *testing.T) {
 func TestTraceCoversDurableIngest(t *testing.T) {
 	m, ref := trainedModel(t)
 	s := New(Config{
-		Queue:   16,
 		DataDir: t.TempDir(),
 		Logger:  slog.New(slog.NewTextHandler(io.Discard, nil)),
 	})

@@ -13,7 +13,7 @@ import (
 // Prometheus text exposition at GET /metrics, rendered with the
 // zero-dependency writer in internal/obs. It is the server's one stats
 // surface and reads counters only — a scrape takes no admission slot and
-// no pool worker. Families carry stable, sorted label values, so two
+// no CPU slot. Families carry stable, sorted label values, so two
 // scrapes of a quiesced server are byte-identical and an
 // exposition-format linter (internal/obs.Lint, cmd/vrdag-promlint) can
 // gate the output in CI. The cluster layer appends its families through

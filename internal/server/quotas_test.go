@@ -17,7 +17,7 @@ func newQuotaServer(t *testing.T, burst int) (*Server, *httptest.Server) {
 	t.Helper()
 	m, ref := trainedModel(t)
 	s := New(Config{
-		Queue: 64, Logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
+		Logger:    slog.New(slog.NewTextHandler(io.Discard, nil)),
 		QuotaRate: 0.001, QuotaBurst: burst,
 	})
 	if err := s.Register("email", m, ref); err != nil {
@@ -136,7 +136,7 @@ func TestQuotaReplicaTrafficBypasses(t *testing.T) {
 }
 
 func TestRetryAfterJitterStaysInRange(t *testing.T) {
-	s := New(Config{Queue: 4, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	s := New(Config{Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
 	t.Cleanup(s.Close)
 	seen := map[string]bool{}
 	for i := 0; i < 200; i++ {

@@ -11,13 +11,13 @@
 //
 // Models are read-only after registration and every generation request
 // samples through its own rand.Source, so request handling needs no
-// per-model locking. Load is shaped in two layers: a bounded admission
-// queue (configurable depth and wait timeout, 429 on overflow) sits in
-// front of a bounded worker pool sized to GOMAXPROCS, so excess demand
-// sheds at the edge before it can pile goroutines behind the CPU-bound
-// decoding work. Request contexts thread through generation, so a client
-// disconnect aborts its sequence mid-decode and returns the request's
-// buffers to the tensor arena.
+// per-model locking. Load is shaped at one gate: a bounded admission
+// queue (configurable depth and wait timeout, 429 on overflow) bounds how
+// many generation requests wait, and an admitted request then runs its
+// CPU-bound decoding on its own handler goroutine once it holds one of
+// Workers CPU slots (default GOMAXPROCS). Request contexts thread through
+// generation, so a client disconnect aborts its sequence mid-decode and
+// returns the request's buffers to the tensor arena.
 package server
 
 import (
@@ -45,12 +45,12 @@ import (
 
 // Config tunes the service; zero values select the documented defaults.
 type Config struct {
-	Workers int // generation workers (default GOMAXPROCS)
-	Queue   int // queued requests beyond in-flight (default 4×workers, min 16)
+	Workers int // requests decoding at once, one CPU slot each (default GOMAXPROCS)
 	MaxT    int // largest accepted horizon per request (default 512)
 
 	// AdmitDepth bounds how many generation requests may be admitted
-	// (in-flight plus waiting for a worker) at once; default workers+queue.
+	// (in-flight plus waiting for a CPU slot) at once; default
+	// Workers + max(4×Workers, 16).
 	AdmitDepth int
 	// AdmitWait bounds how long a request waits for an admission slot
 	// before it is shed with 429 (default 2s).
@@ -115,19 +115,21 @@ type Config struct {
 	Tracer *obs.Tracer
 }
 
-// Server routes HTTP requests onto the worker pool. Create with New,
-// register at least one model, then use it as an http.Handler.
+// Server serves the generation, ingest and forecast routes. Create with
+// New, register at least one model, then use it as an http.Handler.
 type Server struct {
 	cfg    Config
-	pool   *Pool
 	logger *slog.Logger
 	tracer *obs.Tracer
 	mux    *http.ServeMux
 
 	admitCh chan struct{} // admission slots; buffered to AdmitDepth
+	slots   chan struct{} // CPU slots; buffered to Workers
 
 	drain     chan struct{} // closed by BeginDrain
 	drainOnce sync.Once
+	closed    chan struct{} // closed by Close
+	closeOnce sync.Once
 
 	started       time.Time
 	endpointStats map[string]*endpointStats
@@ -173,17 +175,11 @@ func New(cfg Config) *Server {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	if cfg.Queue <= 0 {
-		cfg.Queue = 4 * cfg.Workers
-		if cfg.Queue < 16 {
-			cfg.Queue = 16
-		}
-	}
 	if cfg.MaxT <= 0 {
 		cfg.MaxT = 512
 	}
 	if cfg.AdmitDepth <= 0 {
-		cfg.AdmitDepth = cfg.Workers + cfg.Queue
+		cfg.AdmitDepth = cfg.Workers + max(4*cfg.Workers, 16)
 	}
 	if cfg.AdmitWait <= 0 {
 		cfg.AdmitWait = 2 * time.Second
@@ -223,11 +219,12 @@ func New(cfg Config) *Server {
 	}
 	s := &Server{
 		cfg:      cfg,
-		pool:     NewPool(cfg.Workers, cfg.Queue),
 		logger:   cfg.Logger,
 		tracer:   cfg.Tracer,
 		admitCh:  make(chan struct{}, cfg.AdmitDepth),
+		slots:    make(chan struct{}, cfg.Workers),
 		drain:    make(chan struct{}),
+		closed:   make(chan struct{}),
 		started:  time.Now(),
 		models:   make(map[string]*modelEntry),
 		sessions: make(map[string]*forecastSession),
@@ -311,14 +308,21 @@ func (s *Server) draining() bool {
 	}
 }
 
-// Close drains the worker pool and releases every forecast session's
-// pooled state. In-flight requests finish; new ones are rejected. In
+// Close waits out the requests holding a CPU slot, answers 503 to those
+// still waiting for one, and releases every forecast session's pooled
+// state; once it returns no generation, ingest or forecast work runs. In
 // durable mode BeginDrain has already flushed each session to its
 // snapshot, and anything an in-flight ingest appended after that flush
 // is still safe in its WAL — releasing here never loses durable state.
+// Idempotent.
 func (s *Server) Close() {
 	s.BeginDrain()
-	s.pool.Close()
+	s.closeOnce.Do(func() {
+		close(s.closed)
+		for range cap(s.slots) {
+			s.slots <- struct{}{} // held for good: nothing runs after Close
+		}
+	})
 	s.releaseAllSessions()
 }
 
@@ -491,7 +495,7 @@ func (s *Server) writeError(w http.ResponseWriter, status int, format string, ar
 }
 
 // admit reserves a slot in the bounded admission queue in front of the
-// worker pool, waiting up to AdmitWait for one to free. It reports false
+// CPU slots, waiting up to AdmitWait for one to free. It reports false
 // after writing the appropriate rejection (429 on overflow, 503 while
 // draining, nothing when the client is already gone); on success the
 // returned release must be called once the request's generation work is
@@ -536,24 +540,44 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) (release func(), 
 	}
 }
 
-// runPooled executes f on the worker pool, translating pool saturation,
-// task panics, and request cancellation into HTTP errors. It reports
-// whether f completed successfully. When it returns true, f has fully
-// finished (the pool never lets a claimed task outlive Do).
-func (s *Server) runPooled(w http.ResponseWriter, r *http.Request, f func()) bool {
-	err := s.pool.Do(r.Context(), f)
-	switch {
-	case err == nil:
-		return true
-	case err == ErrBusy || err == ErrClosed:
-		s.writeError(w, http.StatusServiceUnavailable, "server overloaded: %v", err)
-	case r.Context().Err() != nil: // client gone, nothing to write
-	default: // contained task panic
-		s.logger.Error("handler", "method", r.Method, "path", r.URL.Path,
-			"trace", obs.TraceID(r.Context()), "err", err)
-		s.writeError(w, http.StatusInternalServerError, "%v", err)
+// run executes f on the handler's own goroutine once it holds one of the
+// Workers CPU slots, and reports whether f ran to completion. It reports
+// false with nothing written when the client goes away first — a request
+// cancelled while waiting never runs — and after answering 503 once the
+// server is closed. A panic in f is contained and logged; a unary route
+// answers it with 500, while a stream (whose response may already have
+// begun) gets no JSON body and ends with the log line alone.
+func (s *Server) run(w http.ResponseWriter, r *http.Request, stream bool, f func()) bool {
+	select {
+	case s.slots <- struct{}{}:
+	case <-r.Context().Done():
+		return false
+	case <-s.closed:
+		s.writeError(w, http.StatusServiceUnavailable, "server closed")
+		return false
 	}
-	return false
+	defer func() { <-s.slots }()
+	// Both checks again: the slot may have been won in the same instant
+	// the client hung up or Close began.
+	select {
+	case <-s.closed:
+		s.writeError(w, http.StatusServiceUnavailable, "server closed")
+		return false
+	case <-r.Context().Done():
+		return false
+	default:
+	}
+	defer func() {
+		if p := recover(); p != nil {
+			s.logger.Error("handler panic", "method", r.Method, "path", r.URL.Path,
+				"trace", obs.TraceID(r.Context()), "panic", p)
+			if !stream {
+				s.writeError(w, http.StatusInternalServerError, "server: panic: %v", p)
+			}
+		}
+	}() // a recovered panic returns the zero result: false
+	f()
+	return true
 }
 
 // decodeBody enforces the shared request plumbing of every generation
@@ -619,7 +643,7 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		genErr error
 		start  = time.Now()
 	)
-	ok = s.runPooled(w, r, func() {
+	ok = s.run(w, r, false, func() {
 		seq, genErr = entry.model.GenerateCtx(r.Context(), core.GenOptions{
 			T:            req.T,
 			Source:       rand.NewSource(seed),
@@ -660,21 +684,10 @@ func (s *Server) handleGenerateStream(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	err := s.pool.Do(r.Context(), func() { s.streamGenerate(w, r, entry, seed, req) })
-	switch {
-	case err == nil:
-	case err == ErrBusy || err == ErrClosed:
-		s.writeError(w, http.StatusServiceUnavailable, "server overloaded: %v", err)
-	case r.Context().Err() != nil: // client gone before a worker picked it up
-	default:
-		// A panic after the stream began: the response may be half-written,
-		// so the log line and the dropped connection are the only signals.
-		s.logger.Error("stream handler", "method", r.Method, "path", r.URL.Path,
-			"trace", obs.TraceID(r.Context()), "err", err)
-	}
+	s.run(w, r, true, func() { s.streamGenerate(w, r, entry, seed, req) })
 }
 
-// streamGenerate runs on a pool worker: the unconditional generation
+// streamGenerate runs under a CPU slot: the unconditional generation
 // stream through the shared NDJSON emitter.
 func (s *Server) streamGenerate(w http.ResponseWriter, r *http.Request, entry *modelEntry, seed int64, req GenerateRequest) {
 	m := entry.model

@@ -51,10 +51,7 @@ func trainedModel(t *testing.T) (*core.Model, *dyngraph.Sequence) {
 func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
 	m, ref := trainedModel(t)
-	// Queue deep enough that the concurrency tests' burst of requests is
-	// absorbed instead of shed with 503 (backpressure itself is covered by
-	// the pool tests).
-	s := New(Config{Queue: 64, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	s := New(Config{Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
 	if err := s.Register("email", m, ref); err != nil {
 		t.Fatalf("register: %v", err)
 	}

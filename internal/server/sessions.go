@@ -378,8 +378,8 @@ func (s *Server) handleIngestPost(w http.ResponseWriter, r *http.Request) {
 	defer release()
 
 	// Spool the size-bounded body under the admission slot but before the
-	// pool: a slow network upload must not occupy a GOMAXPROCS-sized CPU
-	// worker while blocked on socket reads, yet concurrent spools (up to
+	// CPU slot: a slow network upload must not hold one of the Workers
+	// slots while blocked on socket reads, yet concurrent spools (up to
 	// MaxIngestBytes each) stay bounded by AdmitDepth rather than by
 	// however many sockets the listener accepts.
 	var body bytes.Buffer
@@ -406,7 +406,7 @@ func (s *Server) handleIngestPost(w http.ResponseWriter, r *http.Request) {
 	var resp IngestResponse
 	var genErr error
 	var persistErr, reloaded bool
-	ok = s.runPooled(w, r, func() {
+	ok = s.run(w, r, false, func() {
 		fs.mu.Lock()
 		defer fs.mu.Unlock()
 		if fs.closed {
@@ -619,7 +619,7 @@ func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request) {
 		genErr error
 		start  = time.Now()
 	)
-	ok = s.runPooled(w, r, func() {
+	ok = s.run(w, r, false, func() {
 		fs.mu.RLock()
 		defer fs.mu.RUnlock()
 		if fs.closed {
@@ -676,7 +676,7 @@ func (s *Server) handleForecastStream(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	err := s.pool.Do(r.Context(), func() {
+	s.run(w, r, true, func() {
 		fs.mu.RLock()
 		defer fs.mu.RUnlock()
 		if fs.closed {
@@ -702,13 +702,4 @@ func (s *Server) handleForecastStream(w http.ResponseWriter, r *http.Request) {
 			}, yield)
 		})
 	})
-	switch {
-	case err == nil:
-	case err == ErrBusy || err == ErrClosed:
-		s.writeError(w, http.StatusServiceUnavailable, "server overloaded: %v", err)
-	case r.Context().Err() != nil: // client gone before a worker picked it up
-	default:
-		s.logger.Error("stream handler", "method", r.Method, "path", r.URL.Path,
-			"trace", obs.TraceID(r.Context()), "err", err)
-	}
 }

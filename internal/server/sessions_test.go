@@ -322,7 +322,7 @@ func TestSessionList(t *testing.T) {
 // state is released.
 func TestSessionTTLEviction(t *testing.T) {
 	m, ref := trainedModel(t)
-	s := New(Config{Queue: 16, SessionTTL: 50 * time.Millisecond, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	s := New(Config{SessionTTL: 50 * time.Millisecond, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
 	if err := s.Register("email", m, ref); err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +342,7 @@ func TestSessionTTLEviction(t *testing.T) {
 // sessions are not evicted for newcomers.
 func TestSessionCapacity(t *testing.T) {
 	m, ref := trainedModel(t)
-	s := New(Config{Queue: 16, MaxSessions: 1, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	s := New(Config{MaxSessions: 1, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
 	if err := s.Register("email", m, ref); err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ var latencyBucketsMS = [...]float64{1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 
 type endpointStats struct {
 	requests atomic.Int64
 	errors   atomic.Int64 // responses with status >= 400
-	shed     atomic.Int64 // responses with status 429 or 503 (admission/pool overload)
+	shed     atomic.Int64 // responses with status 429 or 503 (admission, quota, drain, degraded or closed server)
 	totalUS  atomic.Int64 // summed latency in microseconds
 	buckets  [len(latencyBucketsMS) + 1]atomic.Int64
 }

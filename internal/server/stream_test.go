@@ -262,7 +262,7 @@ func TestDrainRejectsAndReportsHealth(t *testing.T) {
 // in-band truncation trailer rather than a cut connection.
 func TestStreamDrainTruncates(t *testing.T) {
 	m, ref := trainedModel(t)
-	s := New(Config{Queue: 64, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	s := New(Config{Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
 	defer s.Close()
 	if err := s.Register("email", m, ref); err != nil {
 		t.Fatalf("register: %v", err)

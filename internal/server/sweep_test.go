@@ -64,7 +64,7 @@ func TestRequestsDoNotWaitForAnotherSessionsFsync(t *testing.T) {
 	}
 	s, ts := newDurableServer(t, t.TempDir(), func(c *Config) {
 		c.FS = fsys
-		c.Workers = 4 // the parked ingest keeps one pool worker
+		c.Workers = 4 // the parked ingest keeps one CPU slot
 	})
 	defer func() { ts.Close(); s.Close() }()
 	var openGate sync.Once

@@ -26,7 +26,7 @@ func TestSweepRacesForecastStream(t *testing.T) {
 
 func runSweepStreamRace(t *testing.T, durable bool) {
 	m, ref := trainedModel(t)
-	cfg := Config{Queue: 64, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))}
+	cfg := Config{Logger: slog.New(slog.NewTextHandler(io.Discard, nil))}
 	if durable {
 		cfg.DataDir = t.TempDir()
 	}

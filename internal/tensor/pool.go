@@ -304,40 +304,20 @@ type PoolStats struct {
 	RetainedBytes int64 // bytes currently held on free lists
 	LiveBytes     int64 // bytes of bucketed buffers currently checked out
 	PeakLiveBytes int64 // high-water mark of LiveBytes (ResetPoolPeakLive rewinds)
-
-	Shards []PoolShardStats // per-shard traffic, indexed by shard id
 }
 
-// PoolShardStats is one shard's slice of the arena counters.
-type PoolShardStats struct {
-	Gets          int64 `json:"gets"`
-	Hits          int64 `json:"hits"`
-	Puts          int64 `json:"puts"`
-	Steals        int64 `json:"steals"`
-	RetainedBytes int64 `json:"retained_bytes"`
-}
-
-// ReadPoolStats returns current arena counters, including the per-shard
-// breakdown (len(Shards) == the process's shard count).
+// ReadPoolStats returns current arena counters, summed over the shards.
 func ReadPoolStats() PoolStats {
 	s := PoolStats{
-		Shards:        make([]PoolShardStats, poolShards),
 		LiveBytes:     poolLive.Load(),
 		PeakLiveBytes: poolPeakLive.Load(),
 	}
 	for h := range shardStats {
 		sc := &shardStats[h]
-		sh := PoolShardStats{
-			Gets:   sc.gets.Load(),
-			Hits:   sc.hits.Load(),
-			Puts:   sc.frees.Load(),
-			Steals: sc.steals.Load(),
-		}
-		s.Gets += sh.Gets
-		s.Hits += sh.Hits
-		s.Puts += sh.Puts
-		s.Steals += sh.Steals
-		s.Shards[h] = sh
+		s.Gets += sc.gets.Load()
+		s.Hits += sc.hits.Load()
+		s.Puts += sc.frees.Load()
+		s.Steals += sc.steals.Load()
 	}
 	for i := range arena {
 		bp := &arena[i]
@@ -345,10 +325,8 @@ func ReadPoolStats() PoolStats {
 		for h := range bp.shards {
 			l := &bp.shards[h]
 			l.mu.Lock()
-			held := int64(len(l.free)) * bufBytes
+			s.RetainedBytes += int64(len(l.free)) * bufBytes
 			l.mu.Unlock()
-			s.Shards[h].RetainedBytes += held
-			s.RetainedBytes += held
 		}
 		bp.overflow.mu.Lock()
 		s.RetainedBytes += int64(len(bp.overflow.free)) * bufBytes
