@@ -163,8 +163,6 @@ func (s *Server) renderProm(e *obs.Expo) {
 	e.Int("vrdag_tensor_pool_hits_total", nil, ps.Hits)
 	e.Family("vrdag_tensor_pool_puts_total", "Tensor arena buffer returns.", "counter")
 	e.Int("vrdag_tensor_pool_puts_total", nil, ps.Puts)
-	e.Family("vrdag_tensor_pool_steals_total", "Cross-shard steals in the tensor arena.", "counter")
-	e.Int("vrdag_tensor_pool_steals_total", nil, ps.Steals)
 	e.Family("vrdag_tensor_pool_retained_bytes", "Bytes retained on tensor arena free lists.", "gauge")
 	e.Int("vrdag_tensor_pool_retained_bytes", nil, ps.RetainedBytes)
 }

@@ -30,6 +30,25 @@ func BenchmarkMatMul256(b *testing.B) {
 	}
 }
 
+// BenchmarkArenaGetPut times one arena round trip at the shape of a
+// decode-time N=94, 16-wide scratch matrix: serial, and from GOMAXPROCS
+// goroutines sharing the bucket's lock. Run it at -cpu 1,2 to see the
+// uncontended and the contended cost.
+func BenchmarkArenaGetPut(b *testing.B) {
+	b.Run("serial", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			Put(Get(94, 16))
+		}
+	})
+	b.Run("parallel", func(b *testing.B) {
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				Put(Get(94, 16))
+			}
+		})
+	})
+}
+
 func benchCSR(n, nnz int) (*CSR, *Matrix) {
 	rng := rand.New(rand.NewSource(2))
 	var ri, ci []int

@@ -2,8 +2,6 @@ package tensor
 
 import (
 	"math/bits"
-	"math/rand/v2"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -17,16 +15,12 @@ import (
 // recycling the backing slices removes that load from the garbage
 // collector entirely once the pool is warm.
 //
-// Each size bucket is sharded: GOMAXPROCS-many free lists (capped at
-// maxPoolShards) each behind their own mutex, plus one shared overflow
-// list per bucket. A caller picks a shard with a cheap per-thread random
-// hint, so concurrent generation requests almost never contend on the
-// same lock. A Get that misses its home shard scans
-// the other shards with try-locks (a "steal"), then the overflow list,
-// and only then allocates. A Put lands on the caller's home shard until
-// that shard reaches its byte budget, after which the buffer spills to
-// the overflow list or, past the bucket-wide budget, is dropped for the
-// GC to reclaim.
+// Each size bucket is one mutex-guarded free list. A Get pops the most
+// recently freed buffer or, on an empty list, allocates; a Put pushes
+// until the bucket holds maxBucketBytes, after which the buffer is dropped
+// for the GC to reclaim. The critical sections are a slice pop or push,
+// so the lock is held for nanoseconds; BenchmarkArenaGetPut times the
+// round trip alone and with every core contending for one bucket.
 //
 // Ownership discipline:
 //
@@ -36,8 +30,10 @@ import (
 //   - Put transfers ownership of the buffer to the arena: it must be
 //     called at most once per matrix, only by the buffer's sole owner, and
 //     neither the matrix nor any view sharing its buffer may be used
-//     afterwards. Buffers with non-bucket capacities (views, odd-size
-//     allocations) are dropped rather than pooled, but that is a
+//     afterwards. Put only what Get returned. Put pools any buffer whose
+//     capacity is a bucket size, so a New matrix of bucket size would be
+//     pooled too and skew the live-byte count; only non-bucket capacities
+//     (views, odd-size allocations) are dropped, and that is a
 //     memory-behaviour detail, not a licence to Put shared data.
 //   - Tape-recorded operations allocate their outputs from the pool and
 //     Tape.Reset returns them, so callers of the autodiff layer never Put
@@ -49,88 +45,23 @@ const (
 	numBuckets    = maxBucketBits - minBucketBits + 1
 
 	// maxBucketBytes bounds the memory one bucket retains so a burst of
-	// huge intermediates cannot pin unbounded memory. Half the budget is
-	// split evenly across the shards, half goes to the overflow list.
+	// huge intermediates cannot pin unbounded memory.
 	maxBucketBytes = 1 << 25 // 32 MB per bucket
-
-	// maxPoolShards caps the shard count: past ~16 ways the locks stop
-	// being the bottleneck and the extra lists only fragment the pool.
-	maxPoolShards = 16
 )
 
-// poolShards is fixed at init from GOMAXPROCS; shard ids index both the
-// per-bucket free lists and the per-shard counters.
-var poolShards = func() int {
-	n := runtime.GOMAXPROCS(0)
-	if n < 1 {
-		n = 1
-	}
-	if n > maxPoolShards {
-		n = maxPoolShards
-	}
-	return n
-}()
-
-// maxShardBytes is one shard's retained-byte budget within a bucket.
-var maxShardBytes = maxBucketBytes / 2 / poolShards
-
-type freeList struct {
-	mu   sync.Mutex
-	free [][]float64
-	_    [5]uint64 // keep neighbouring shard locks off one cache line
-}
-
-// pop removes and returns the most recently freed buffer, or nil when the
-// list is empty. With try set it gives up instead of blocking on the lock
-// (the steal path must never serialize behind a busy shard).
-func (l *freeList) pop(try bool) []float64 {
-	if try {
-		if !l.mu.TryLock() {
-			return nil
-		}
-	} else {
-		l.mu.Lock()
-	}
-	var data []float64
-	if k := len(l.free); k > 0 {
-		data = l.free[k-1]
-		l.free[k-1] = nil
-		l.free = l.free[:k-1]
-	}
-	l.mu.Unlock()
-	return data
-}
-
-// push appends buf if the list stays within budget bytes; reports whether
-// the buffer was retained.
-func (l *freeList) push(buf []float64, budget int) bool {
-	l.mu.Lock()
-	ok := (len(l.free)+1)*cap(buf)*8 <= budget
-	if ok {
-		l.free = append(l.free, buf)
-	}
-	l.mu.Unlock()
-	return ok
-}
-
+// bucketPool is one bucket's free list. Its traffic counters are plain
+// ints under the same lock rather than package-level atomics: Get and Put
+// take the lock anyway, and counters beside it measured faster in
+// BenchmarkArenaGetPut, most of all under contention, than three shared
+// atomics that every core writes.
 type bucketPool struct {
-	shards   []freeList // len poolShards
-	overflow freeList
-}
-
-// shardCounters accumulate per-shard arena traffic. They are keyed by the
-// caller's shard hint, not by where a buffer physically came from, so the
-// numbers describe contention domains: a hot shard means many goroutines
-// hash there, a high steal count means Puts and Gets land on different
-// shards (e.g. producer/consumer pipelines).
-type shardCounters struct {
-	gets, hits, frees, steals atomic.Int64
-	_                         [4]uint64 // pad to a cache line
+	mu               sync.Mutex
+	free             [][]float64
+	gets, hits, puts int64
 }
 
 var (
-	arena      [numBuckets]bucketPool
-	shardStats []shardCounters
+	arena [numBuckets]bucketPool
 
 	// poolLive tracks bytes of bucketed buffers currently checked out
 	// (Get minus Put); poolPeakLive is its high-water mark. Buffers that
@@ -139,13 +70,6 @@ var (
 	poolLive     atomic.Int64
 	poolPeakLive atomic.Int64
 )
-
-func init() {
-	for i := range arena {
-		arena[i].shards = make([]freeList, poolShards)
-	}
-	shardStats = make([]shardCounters, poolShards)
-}
 
 // trackPoolLive adjusts the checked-out byte count and, for positive
 // deltas, advances the high-water mark.
@@ -165,17 +89,6 @@ func trackPoolLive(delta int64) {
 // ResetPoolPeakLive rewinds the arena's live-byte high-water mark to the
 // current level (benchmark phase boundaries).
 func ResetPoolPeakLive() { poolPeakLive.Store(poolLive.Load()) }
-
-// shardHint picks the caller's home shard. rand/v2's global generator is
-// backed by per-thread runtime state, so this is a few nanoseconds, scales
-// with cores, and — unlike a shared atomic counter — adds no contention of
-// its own. The choice never affects results, only which lock is taken.
-func shardHint() int {
-	if poolShards == 1 {
-		return 0
-	}
-	return int(rand.Uint32N(uint32(poolShards)))
-}
 
 // cacheLineFloats is the allocation alignment in float64s: 64 bytes, one
 // cache line. Go only guarantees 8-byte alignment
@@ -200,9 +113,9 @@ func alignedAlloc(n int) []float64 {
 
 // matrixHeaders recycles Matrix structs alongside the buffer arena so a
 // warm Get/Put cycle performs no allocation at all: the buffer comes from
-// a shard free list, the header from here. Put detaches the buffer before
-// recycling the header, so a stale reference to a Put matrix can never
-// reach a recycled buffer through it.
+// a bucket's free list, the header from here. Put detaches the buffer
+// before recycling the header, so a stale reference to a Put matrix can
+// never reach a recycled buffer through it.
 var matrixHeaders = sync.Pool{New: func() any { return new(Matrix) }}
 
 // bucketIndex returns the arena bucket for a buffer of n floats, or -1
@@ -229,28 +142,23 @@ func Get(rows, cols int) *Matrix {
 	if idx < 0 {
 		return New(rows, cols)
 	}
-	bp := &arena[idx]
-	h := shardHint()
-	sc := &shardStats[h]
-	sc.gets.Add(1)
 	trackPoolLive(8 << (idx + minBucketBits))
 
-	data := bp.shards[h].pop(false)
-	if data == nil && poolShards > 1 {
-		for i := 1; i < poolShards; i++ {
-			if data = bp.shards[(h+i)%poolShards].pop(true); data != nil {
-				sc.steals.Add(1)
-				break
-			}
-		}
+	bp := &arena[idx]
+	var data []float64
+	bp.mu.Lock()
+	bp.gets++
+	if k := len(bp.free); k > 0 {
+		bp.hits++
+		data = bp.free[k-1]
+		bp.free[k-1] = nil
+		bp.free = bp.free[:k-1]
 	}
-	if data == nil {
-		data = bp.overflow.pop(false)
-	}
+	bp.mu.Unlock()
+
 	if data == nil {
 		data = alignedAlloc(1 << (idx + minBucketBits))
 	} else {
-		sc.hits.Add(1)
 		data = data[:n]
 		for i := range data {
 			data[i] = 0
@@ -277,9 +185,6 @@ func Put(m *Matrix) {
 	if b < minBucketBits || b > maxBucketBits {
 		return
 	}
-	bp := &arena[b-minBucketBits]
-	h := shardHint()
-	shardStats[h].frees.Add(1)
 	trackPoolLive(-int64(c) * 8)
 	buf := m.Data[:c]
 	// Recycle the header only on the pooled path: double-Putting a pooled
@@ -288,10 +193,14 @@ func Put(m *Matrix) {
 	// keep today's forgiving behaviour for views and odd-size matrices.
 	m.Rows, m.Cols, m.Data = 0, 0, nil
 	matrixHeaders.Put(m)
-	if bp.shards[h].push(buf, maxShardBytes) {
-		return
+
+	bp := &arena[b-minBucketBits]
+	bp.mu.Lock()
+	bp.puts++
+	if (len(bp.free)+1)*c*8 <= maxBucketBytes {
+		bp.free = append(bp.free, buf)
 	}
-	bp.overflow.push(buf, maxBucketBytes/2)
+	bp.mu.Unlock()
 }
 
 // PoolStats is a snapshot of the arena counters; exposed so serving-layer
@@ -300,37 +209,25 @@ type PoolStats struct {
 	Gets          int64 // pool allocations requested since process start
 	Hits          int64 // requests served by recycling a buffer
 	Puts          int64 // buffers returned
-	Steals        int64 // hits served by a shard other than the caller's
 	RetainedBytes int64 // bytes currently held on free lists
 	LiveBytes     int64 // bytes of bucketed buffers currently checked out
 	PeakLiveBytes int64 // high-water mark of LiveBytes (ResetPoolPeakLive rewinds)
 }
 
-// ReadPoolStats returns current arena counters, summed over the shards.
+// ReadPoolStats returns current arena counters.
 func ReadPoolStats() PoolStats {
 	s := PoolStats{
 		LiveBytes:     poolLive.Load(),
 		PeakLiveBytes: poolPeakLive.Load(),
 	}
-	for h := range shardStats {
-		sc := &shardStats[h]
-		s.Gets += sc.gets.Load()
-		s.Hits += sc.hits.Load()
-		s.Puts += sc.frees.Load()
-		s.Steals += sc.steals.Load()
-	}
 	for i := range arena {
 		bp := &arena[i]
-		bufBytes := int64(8 << (i + minBucketBits))
-		for h := range bp.shards {
-			l := &bp.shards[h]
-			l.mu.Lock()
-			s.RetainedBytes += int64(len(l.free)) * bufBytes
-			l.mu.Unlock()
-		}
-		bp.overflow.mu.Lock()
-		s.RetainedBytes += int64(len(bp.overflow.free)) * bufBytes
-		bp.overflow.mu.Unlock()
+		bp.mu.Lock()
+		s.Gets += bp.gets
+		s.Hits += bp.hits
+		s.Puts += bp.puts
+		s.RetainedBytes += int64(len(bp.free)) * int64(8<<(i+minBucketBits))
+		bp.mu.Unlock()
 	}
 	return s
 }

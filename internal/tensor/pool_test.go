@@ -29,10 +29,9 @@ func TestGetReturnsZeroedBuffers(t *testing.T) {
 	}
 }
 
-// TestPoolShardStats: the sharded arena must account every Get/Put against
-// exactly one shard and recycle across shards via the steal/overflow
-// paths.
-func TestPoolShardStats(t *testing.T) {
+// TestPoolStats: the arena must count every Get and Put exactly once and
+// recycle returned buffers.
+func TestPoolStats(t *testing.T) {
 	before := ReadPoolStats()
 	const rounds = 64
 	ms := make([]*Matrix, rounds)
@@ -43,7 +42,7 @@ func TestPoolShardStats(t *testing.T) {
 		Put(m)
 	}
 	for i := 0; i < rounds; i++ {
-		Put(Get(16, 16)) // hot loop: recycles regardless of shard landing
+		Put(Get(16, 16))
 	}
 	after := ReadPoolStats()
 	if g := after.Gets - before.Gets; g != 2*rounds {
@@ -57,22 +56,24 @@ func TestPoolShardStats(t *testing.T) {
 	}
 }
 
-// TestPoolShardedConcurrent hammers one bucket from many goroutines; run
-// with -race in CI. Every buffer must come back zeroed whichever shard or
-// steal path produced it.
-func TestPoolShardedConcurrent(t *testing.T) {
+// TestPoolConcurrent hammers one bucket from many goroutines; run with
+// -race in CI. Every buffer must come back zeroed, and every Get and Put
+// must be counted and balance the live bytes, under contention on the
+// bucket's lock.
+func TestPoolConcurrent(t *testing.T) {
+	const workers, rounds = 16, 200
+	before := ReadPoolStats()
 	var wg sync.WaitGroup
-	errs := make(chan string, 16)
-	for w := 0; w < 16; w++ {
+	errs := make(chan string, workers)
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < 200; i++ {
+			for i := 0; i < rounds; i++ {
 				m := Get(33, 3)
-				for j, v := range m.Data {
+				for _, v := range m.Data {
 					if v != 0 {
 						errs <- "dirty recycled buffer"
-						_ = j
 						break
 					}
 				}
@@ -87,6 +88,45 @@ func TestPoolShardedConcurrent(t *testing.T) {
 	close(errs)
 	for msg := range errs {
 		t.Fatal(msg)
+	}
+	after := ReadPoolStats()
+	if g := after.Gets - before.Gets; g != workers*rounds {
+		t.Fatalf("gets delta = %d, want %d", g, workers*rounds)
+	}
+	if p := after.Puts - before.Puts; p != workers*rounds {
+		t.Fatalf("puts delta = %d, want %d", p, workers*rounds)
+	}
+	if after.LiveBytes != before.LiveBytes {
+		t.Fatalf("live bytes %d → %d, want unchanged", before.LiveBytes, after.LiveBytes)
+	}
+}
+
+// TestPoolBucketBudget pins the retention bound: a bucket keeps at most
+// maxBucketBytes of free buffers and drops the rest for the GC.
+func TestPoolBucketBudget(t *testing.T) {
+	const rows, cols = 1 << 10, 1 << 10 // 8 MB buffers: four fill the budget
+	const bufBytes = rows * cols * 8
+	ms := make([]*Matrix, 5)
+	for i := range ms {
+		ms[i] = Get(rows, cols) // also drains whatever the bucket held
+	}
+	before := ReadPoolStats()
+	for _, m := range ms {
+		Put(m)
+	}
+	if got := ReadPoolStats().RetainedBytes - before.RetainedBytes; got != maxBucketBytes {
+		t.Fatalf("retained bytes grew by %d, want %d (%d buffers)", got, maxBucketBytes, maxBucketBytes/bufBytes)
+	}
+	for i := range ms {
+		h := ReadPoolStats().Hits
+		ms[i] = Get(rows, cols)
+		hit := ReadPoolStats().Hits > h
+		if want := i < maxBucketBytes/bufBytes; hit != want {
+			t.Fatalf("Get %d after the Puts: hit = %v, want %v", i, hit, want)
+		}
+	}
+	for _, m := range ms {
+		Put(m)
 	}
 }
 
