@@ -18,7 +18,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"vrdag/internal/gnn"
@@ -323,24 +322,25 @@ func reparameterize(t *tensor.Tape, mu, logSig *tensor.Node, rng *rand.Rand) *te
 }
 
 // sampleLatent draws z = µ + ε·σ without the tape into a pooled buffer.
+// It overwrites logSig with σ, which the caller puts back right after.
+//
+// σ = exp(log σ) with log σ clamped to [-20, 20], the same ±20 bound
+// GaussianKL puts on log σ. It is not the tape's convention: Tape.Exp
+// clamps one side only, min(v, 40), so at the extremes training and
+// generation draw z from different σ (ROADMAP item 4).
 func sampleLatent(mu, logSig *tensor.Matrix, rng *rand.Rand) *tensor.Matrix {
+	sig := logSig.Data
+	for i, v := range sig {
+		if v > 20 {
+			sig[i] = 20
+		} else if v < -20 {
+			sig[i] = -20
+		}
+	}
+	tensor.VExp(sig)
 	z := tensor.Get(mu.Rows, mu.Cols)
 	for i, v := range mu.Data {
-		z.Data[i] = v + rng.NormFloat64()*expClamp(logSig.Data[i])
+		z.Data[i] = v + rng.NormFloat64()*sig[i]
 	}
 	return z
-}
-
-// expClamp is exp(v) with v clamped to [-20, 20], the same ±20 bound
-// GaussianKL puts on log σ. It is not the tape's convention: tensor.VExp
-// clamps one side only, min(v, 40), so at the extremes training and
-// generation draw z from different σ (ROADMAP item 3).
-func expClamp(v float64) float64 {
-	if v > 20 {
-		v = 20
-	}
-	if v < -20 {
-		v = -20
-	}
-	return math.Exp(v)
 }

@@ -105,9 +105,12 @@ func (g *GAT) Forward(states *tensor.Matrix, src, dst []int, n int) *tensor.Matr
 			mx[ed[k]] = score[k]
 		}
 	}
+	for k := 0; k < e; k++ {
+		score[k] -= mx[ed[k]]
+	}
+	tensor.VExp(score)
 	sum := make([]float64, n)
 	for k := 0; k < e; k++ {
-		score[k] = math.Exp(score[k] - mx[ed[k]])
 		sum[ed[k]] += score[k]
 	}
 	out := tensor.Get(n, d)

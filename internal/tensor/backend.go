@@ -23,10 +23,16 @@ import (
 // the backends agree only on the result being NaN. The kernels are written
 // so this is achievable with SIMD:
 //
-//   - Elementwise kernels (axpy, add, scale, activations) round each
-//     element independently; vectorising across elements cannot change
-//     any element's result as long as no FMA contraction is introduced,
-//     so SIMD variants use separate multiply and add instructions.
+//   - Elementwise kernels (axpy, add, scale, the ReLU family, the
+//     activation gradients) round each element independently;
+//     vectorising across elements cannot change any element's result as
+//     long as no FMA contraction is introduced, so SIMD variants use
+//     separate multiply and add instructions.
+//   - VExp and VSigmoid are defined by math.Exp. A SIMD variant may run
+//     only the instruction sequence math.Exp itself runs on this CPU —
+//     its FMAs included, since they are the reference's own — and must
+//     hand every input outside that sequence's branch-free range back to
+//     math.Exp.
 //   - GEMM kernels fix one accumulation order per output element —
 //     ascending p (the contraction index), with GemmNN/GemmTN adding each
 //     product directly into the output element and GemmNT/GemmTT summing
@@ -68,12 +74,15 @@ type Backend interface {
 	// Scale computes x[i] *= s in place.
 	Scale(x []float64, s float64)
 
-	// VReLU and VLeakyReLU apply the activation in place. The
-	// transcendental activations (VSigmoid, VTanh, VExp below) are not
-	// backend kernels: one scalar implementation keeps their rounding
-	// identical everywhere.
+	// VReLU and VLeakyReLU apply the activation in place.
 	VReLU(x []float64)
 	VLeakyReLU(x []float64, slope float64)
+
+	// VExp computes x[i] = math.Exp(x[i]) and VSigmoid the logistic
+	// function through it, in place. Tanh stays one scalar loop
+	// (tensor.VTanh) on every backend.
+	VExp(x []float64)
+	VSigmoid(x []float64)
 
 	// VActGrad computes dst[i] = grad[i] * act'(out[i]) with the
 	// derivative expressed through the activation output — the fused
@@ -216,11 +225,7 @@ var cpuFeatureNames []string
 // keeps them on the same kernels as the tape ops.
 
 // VSigmoid applies the logistic function elementwise in place.
-func VSigmoid(x []float64) {
-	for i, v := range x {
-		x[i] = sigmoid(v)
-	}
-}
+func VSigmoid(x []float64) { backendImpl.VSigmoid(x) }
 
 // VTanh applies tanh elementwise in place.
 func VTanh(x []float64) {
@@ -229,13 +234,9 @@ func VTanh(x []float64) {
 	}
 }
 
-// VExp applies exp(min(x, 40)) elementwise in place (the tape's Exp
-// stability clamp).
-func VExp(x []float64) {
-	for i, v := range x {
-		x[i] = math.Exp(math.Min(v, 40))
-	}
-}
+// VExp applies math.Exp elementwise in place. It clamps nothing: callers
+// that need a bound (Tape.Exp's min(x, 40)) apply it first.
+func VExp(x []float64) { backendImpl.VExp(x) }
 
 // VReLU applies max(0, x) elementwise in place.
 func VReLU(x []float64) { backendImpl.VReLU(x) }

@@ -2,6 +2,8 @@
 
 package tensor
 
+import "math"
+
 // Assembly kernel entry points (backend_amd64.s). All are leaf routines
 // over raw pointers; the //go:noescape pragma keeps the compaction
 // buffers and row slices they receive on the caller's stack.
@@ -39,22 +41,63 @@ func ntRowBulkAVX2(o, a, bdata *float64, n4, k, k4 int)
 //go:noescape
 func pairLogitsAVX2(out *float64, stride int, w2 *float64, kq, dh int, pi, b1, p *float64, ld int, idx *int, c int, slope float64)
 
+//go:noescape
+func vexpAVX2(x *float64, n4 int) (done int)
+
+//go:noescape
+func vsigmoidAVX2(x *float64, n4 int) (done int)
+
 // The CPU is probed during package variable initialisation, so the
 // registration lands before backend selection in init().
 var _ = registerAMD64Backend()
 
+// expKernel is set when the avx2 backend's VExp and VSigmoid run the
+// assembly exp kernel; otherwise they keep the scalar loops. "fma" in
+// CPUFeatures says which of the two a process runs.
+var expKernel bool
+
 func registerAMD64Backend() struct{} {
-	if detectAMD64() {
-		cpuFeatureNames = append(cpuFeatureNames, "avx2")
-		compiledBackends = append(compiledBackends, avx2Backend{})
+	avx2, fma := detectAMD64()
+	if !avx2 {
+		return struct{}{}
+	}
+	cpuFeatureNames = append(cpuFeatureNames, "avx2")
+	compiledBackends = append(compiledBackends, avx2Backend{})
+	if fma && expKernelMatchesMath() {
+		expKernel = true
+		cpuFeatureNames = append(cpuFeatureNames, "fma")
 	}
 	return struct{}{}
 }
 
-// avx2Backend runs the hand-written AVX2 kernels: 4-wide no-FMA mul+add
-// pairs, bit-identical to the reference (vectorisation across output
-// elements only; see backend_amd64.s). GEMM drivers reuse the tuned
-// backend's compaction scheme; GemmTT is inherited.
+// expProbe holds inputs on which math.Exp's two amd64 paths give
+// different last bits: the FMA sequence the kernel replays, and the
+// separate multiply and add math.Exp runs when its own CPU probe says no
+// FMA (GODEBUG=cpu.fma=off says so on any CPU).
+var expProbe = [8]float64{0.375, -0.09375, 0.59375, -0.109375, 1.03125, -0.1875, 0.9684157578347397, -1.15625}
+
+// expKernelMatchesMath reports whether the exp kernel reproduces math.Exp
+// bit for bit on expProbe. The CPUID bit says only that the kernel can
+// run; whether math.Exp takes the FMA path in this process decides
+// whether it may.
+func expKernelMatchesMath() bool {
+	x := expProbe
+	if vexpAVX2(&x[0], len(x)) != len(x) {
+		return false
+	}
+	for i, v := range expProbe {
+		if math.Float64bits(x[i]) != math.Float64bits(math.Exp(v)) {
+			return false
+		}
+	}
+	return true
+}
+
+// avx2Backend runs the hand-written AVX2 kernels, bit-identical to the
+// reference: 4-wide no-FMA mul+add pairs vectorised across output
+// elements only, and the exp kernel replaying math.Exp's own FMA
+// sequence lane by lane (see backend_amd64.s). GEMM drivers reuse the
+// tuned backend's compaction scheme; GemmTT is inherited.
 type avx2Backend struct{ tunedBackend }
 
 func (avx2Backend) Name() string { return "avx2" }
@@ -114,6 +157,29 @@ func (avx2Backend) VLeakyReLU(x []float64, slope float64) {
 			x[i] = slope * x[i]
 		}
 	}
+}
+
+func (avx2Backend) VExp(x []float64)     { expBlocks(x, vexpAVX2, scalarKernels{}.VExp) }
+func (avx2Backend) VSigmoid(x []float64) { expBlocks(x, vsigmoidAVX2, scalarKernels{}.VSigmoid) }
+
+// expBlocks runs kernel over x's whole 4-lane blocks, or scalar over all
+// of x where the init probe left the kernel off. The kernel returns at
+// the first block holding a NaN or a lane outside [−708, 708], where
+// math.Exp leaves its branch-free path; scalar finishes that block, and
+// the kernel resumes past it. scalar also takes the len(x)%4 tail.
+func expBlocks(x []float64, kernel func(x *float64, n4 int) int, scalar func([]float64)) {
+	if !expKernel {
+		scalar(x)
+		return
+	}
+	n4 := len(x) &^ 3
+	for i := 0; i < n4; {
+		if i += kernel(&x[i], n4-i); i < n4 {
+			scalar(x[i : i+4])
+			i += 4
+		}
+	}
+	scalar(x[n4:])
 }
 
 func (avx2Backend) VActGrad(dst, grad, out []float64, act Act) {

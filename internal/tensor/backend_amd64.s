@@ -5,8 +5,9 @@
 // SIMD kernels for the avx2 compute backend. Bit-stability rules (see
 // backend.go):
 //
-//   - No FMA anywhere. Separate VMULPD + VADDPD keep each element's
-//     rounding identical to the scalar reference.
+//   - No FMA of our own. Separate VMULPD + VADDPD keep each element's
+//     rounding identical to the scalar reference. The exp kernel's FMAs
+//     are the reference's: math.Exp runs the same fused operations.
 //   - Vectorisation is across output elements only. Every lane of every
 //     vector below is a distinct output element receiving its products in
 //     ascending contraction order, so no element ever sees a reordered or
@@ -935,5 +936,133 @@ pair_tail_next:
 	JMP  pair_tail
 
 pair_done:
+	VZEROUPPER
+	RET
+
+// The exp kernel replays math.Exp's amd64 routine, archExp
+// ($GOROOT/src/math/exp_amd64.s), on four lanes at once: its avxfma path,
+// one packed instruction per scalar one, each rounding every lane as the
+// scalar instruction rounds its one value. The constants are archExp's,
+// written the same way, four copies each so they serve as memory
+// operands.
+#define EXPCONST(off, v) \
+	DATA expconst<>+(off)(SB)/8, v    \
+	DATA expconst<>+(off+8)(SB)/8, v  \
+	DATA expconst<>+(off+16)(SB)/8, v \
+	DATA expconst<>+(off+24)(SB)/8, v
+
+EXPCONST(0, $1.4426950408889634073599246810018920)           // LOG2E
+EXPCONST(32, $0.69314718055966295651160180568695068359375)   // LN2U
+EXPCONST(64, $0.28235290563031577122588448175013436025525412068e-12) // LN2L
+EXPCONST(96, $0.0625)
+EXPCONST(128, $2.4801587301587301587e-5)
+EXPCONST(160, $1.9841269841269841270e-4)
+EXPCONST(192, $1.3888888888888888889e-3)
+EXPCONST(224, $8.3333333333333333333e-3)
+EXPCONST(256, $4.1666666666666666667e-2)
+EXPCONST(288, $1.6666666666666666667e-1)
+EXPCONST(320, $0.5)
+EXPCONST(352, $1.0)
+EXPCONST(384, $2.0)
+EXPCONST(416, $0x3FF)                 // exponent bias
+EXPCONST(448, $0x7FFFFFFFFFFFFFFF)    // |x| mask
+EXPCONST(480, $708.0)                 // the kernel's range bound
+EXPCONST(512, $0x8000000000000000)    // sign bit
+GLOBL expconst<>(SB), RODATA|NOPTR, $544
+
+// EXP_RANGE jumps to FAIL unless every lane of X lies in [−708, 708].
+// There archExp takes no branch (it branches on NaN, ±Inf, x > 709.78 and
+// a 2^k that is not normal), so the lanes EXP4 sees are the ones its
+// straight-line path serves. NaN fails the ordered compare.
+#define EXP_RANGE(X, FAIL) \
+	VANDPD    expconst<>+448(SB), X, Y3         \
+	VCMPPD    $0x12, expconst<>+480(SB), Y3, Y3 \ // |x| <= 708 (LE_OQ)
+	VMOVMSKPD Y3, BX                            \
+	CMPQ      BX, $15                           \
+	JNE       FAIL
+
+// EXP4 replaces each lane of Y0 by its exp; Y1 and Y2 are scratch. Beside
+// each line, the archExp instruction it replays (X0 = x, BX = k).
+#define EXP4 \
+	VMULPD       expconst<>+0(SB), Y0, Y1   \ // MULSD X0, X1: x·LOG2E
+	VCVTPD2DQY   Y1, X2                     \ // CVTSD2SL X1, BX: k, to nearest
+	VCVTDQ2PD    X2, Y1                     \ // CVTSL2SD BX, X1
+	VFNMADD231PD expconst<>+32(SB), Y1, Y0  \ // VFNMADD231SD: x − k·LN2U
+	VFNMADD231PD expconst<>+64(SB), Y1, Y0  \ // VFNMADD231SD: − k·LN2L
+	VMULPD       expconst<>+96(SB), Y0, Y0  \ // MULSD $0.0625, X0
+	VMOVUPD      expconst<>+128(SB), Y1     \ // Taylor series, Horner form:
+	VFMADD213PD  expconst<>+160(SB), Y0, Y1 \ // seven VFMADD213SD
+	VFMADD213PD  expconst<>+192(SB), Y0, Y1 \
+	VFMADD213PD  expconst<>+224(SB), Y0, Y1 \
+	VFMADD213PD  expconst<>+256(SB), Y0, Y1 \
+	VFMADD213PD  expconst<>+288(SB), Y0, Y1 \
+	VFMADD213PD  expconst<>+320(SB), Y0, Y1 \
+	VFMADD213PD  expconst<>+352(SB), Y0, Y1 \
+	VMULPD       Y1, Y0, Y0                 \ // MULSD X1, X0: y
+	VADDPD       expconst<>+384(SB), Y0, Y1 \ // four y·(y+2) steps
+	VMULPD       Y1, Y0, Y0                 \
+	VADDPD       expconst<>+384(SB), Y0, Y1 \
+	VMULPD       Y1, Y0, Y0                 \
+	VADDPD       expconst<>+384(SB), Y0, Y1 \
+	VMULPD       Y1, Y0, Y0                 \
+	VADDPD       expconst<>+384(SB), Y0, Y1 \
+	VFMADD213PD  expconst<>+352(SB), Y1, Y0 \ // the last fused with +1
+	VPMOVSXDQ    X2, Y1                     \ // 2^k: ADDL $0x3FF, BX
+	VPADDQ       expconst<>+416(SB), Y1, Y1 \
+	VPSLLQ       $52, Y1, Y1                \ // SHLQ $52, BX
+	VMULPD       Y1, Y0, Y0                   // MULSD X1, X0
+
+// func vexpAVX2(x *float64, n4 int) (done int)
+// x[i] = math.Exp(x[i]) for i in [0, done), n4 a multiple of 4. done is
+// n4, or the start of the first block EXP_RANGE refused, which the Go
+// wrapper finishes with math.Exp before calling again past it.
+TEXT ·vexpAVX2(SB), NOSPLIT, $0-24
+	MOVQ x+0(FP), DI
+	MOVQ n4+8(FP), CX
+	XORQ AX, AX
+
+vexp_loop:
+	CMPQ    AX, CX
+	JGE     vexp_done
+	VMOVUPD (DI)(AX*8), Y0
+	EXP_RANGE(Y0, vexp_done)
+	EXP4
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ    $4, AX
+	JMP     vexp_loop
+
+vexp_done:
+	MOVQ AX, done+16(FP)
+	VZEROUPPER
+	RET
+
+// func vsigmoidAVX2(x *float64, n4 int) (done int)
+// x[i] = sigmoid(x[i]) for i in [0, done), as vexpAVX2. The reference's
+// two branches become a blend on its own x >= 0 test:
+// 1/(1+exp(−x)) there, exp(x)/(1+exp(x)) elsewhere.
+TEXT ·vsigmoidAVX2(SB), NOSPLIT, $0-24
+	MOVQ   x+0(FP), DI
+	MOVQ   n4+8(FP), CX
+	XORQ   AX, AX
+	VXORPD Y7, Y7, Y7
+
+vsig_loop:
+	CMPQ      AX, CX
+	JGE       vsig_done
+	VMOVUPD   (DI)(AX*8), Y5
+	EXP_RANGE(Y5, vsig_done)
+	VCMPPD    $0x1D, Y7, Y5, Y6                 // m = x >= 0 (GE_OQ)
+	VXORPD    expconst<>+512(SB), Y5, Y0        // −x
+	VBLENDVPD Y6, Y0, Y5, Y0                    // m ? −x : x
+	EXP4                                        // e
+	VADDPD    expconst<>+352(SB), Y0, Y1        // 1 + e
+	VBLENDVPD Y6, expconst<>+352(SB), Y0, Y0    // m ? 1 : e
+	VDIVPD    Y1, Y0, Y0
+	VMOVUPD   Y0, (DI)(AX*8)
+	ADDQ      $4, AX
+	JMP       vsig_loop
+
+vsig_done:
+	MOVQ AX, done+16(FP)
 	VZEROUPPER
 	RET

@@ -239,6 +239,15 @@ func TestBackendDifferentialActivations(t *testing.T) {
 							math.Float64bits(got[i]), math.Float64bits(want[i]))
 					}
 				}
+				for _, k := range expKernels {
+					want, got = cloneSlice(base), cloneSlice(base)
+					k.run(ref, want)
+					k.run(bk, got)
+					if i, ok := sameBits(want, got); !ok {
+						t.Fatalf("%s n=%d: [%d] in=%v got=%x want=%x", k.name, n, i, base[i],
+							math.Float64bits(got[i]), math.Float64bits(want[i]))
+					}
+				}
 				grad := specialValues(rng, n)
 				out := specialValues(rng, n)
 				for _, act := range acts {
@@ -249,6 +258,71 @@ func TestBackendDifferentialActivations(t *testing.T) {
 						t.Fatalf("VActGrad act=%d n=%d: [%d] grad=%v out=%v got=%x want=%x", act, n, i,
 							grad[i], out[i], math.Float64bits(got[i]), math.Float64bits(want[i]))
 					}
+				}
+			}
+		})
+	}
+}
+
+// expKernels are the two math.Exp-defined kernels with their scalar
+// definitions, which every backend must match bit for bit.
+var expKernels = []struct {
+	name string
+	run  func(Backend, []float64)
+	def  func(float64) float64
+}{
+	{"VExp", Backend.VExp, math.Exp},
+	{"VSigmoid", Backend.VSigmoid, sigmoid},
+}
+
+// TestBackendDifferentialExpSweep holds every backend's VExp to math.Exp
+// and its VSigmoid to the scalar sigmoid, bit for bit, on 2²² evenly
+// spaced points over [−708, 708] (the range the avx2 kernel serves), 10⁶
+// random bit patterns (about one 4-lane block in sixteen lies wholly in
+// that range; the rest take the scalar fallback), and the range's edges,
+// the overflow and underflow thresholds, ±0, ±Inf, NaN and the smallest
+// subnormal at each of the four lane positions of a middle block.
+func TestBackendDifferentialExpSweep(t *testing.T) {
+	check := func(t *testing.T, bk Backend, x []float64) {
+		t.Helper()
+		got := make([]float64, len(x))
+		for _, k := range expKernels {
+			copy(got, x)
+			k.run(bk, got)
+			for i, v := range x {
+				if w := k.def(v); math.Float64bits(got[i]) != math.Float64bits(w) {
+					t.Fatalf("%s(%v) [%#x at lane %d] = %#x, want %#x", k.name, v, math.Float64bits(v), i%4,
+						math.Float64bits(got[i]), math.Float64bits(w))
+				}
+			}
+		}
+	}
+	const sweep, chunk, patterns = 1 << 22, 1 << 16, 1_000_000
+	edges := []float64{708, -708, 709.78, 709.79, -745.13, -745.14, 0, math.Copysign(0, -1),
+		math.Inf(1), math.Inf(-1), math.NaN(), math.SmallestNonzeroFloat64}
+	for _, bk := range compiledBackends {
+		t.Run(bk.Name(), func(t *testing.T) {
+			x := make([]float64, chunk)
+			for c := 0; c < sweep; c += chunk {
+				for i := range x {
+					x[i] = -708 + 1416*float64(c+i)/(sweep-1)
+				}
+				check(t, bk, x)
+			}
+			rng := rand.New(rand.NewSource(27))
+			for c := 0; c < patterns; c += chunk {
+				x := x[:min(chunk, patterns-c)]
+				for i := range x {
+					x[i] = math.Float64frombits(rng.Uint64())
+				}
+				check(t, bk, x)
+			}
+			for _, e := range edges {
+				for lane := 0; lane < 4; lane++ {
+					// A kernel block either side of the edge's, and a tail.
+					x := []float64{0.5, -1, 2, -3, 0.25, -0.75, 1.5, -2.5, 3.5, -4.5, 6, -7, 0.125}
+					x[4+lane] = e
+					check(t, bk, x)
 				}
 			}
 		})

@@ -1,8 +1,22 @@
 package tensor
 
+import "math"
+
 // scalarKernels supplies the elementwise vector-math methods shared by
 // every backend that does not override them.
 type scalarKernels struct{}
+
+func (scalarKernels) VExp(x []float64) {
+	for i, v := range x {
+		x[i] = math.Exp(v)
+	}
+}
+
+func (scalarKernels) VSigmoid(x []float64) {
+	for i, v := range x {
+		x[i] = sigmoid(v)
+	}
+}
 
 func (scalarKernels) VReLU(x []float64) {
 	for i, v := range x {

@@ -183,6 +183,31 @@ func BenchmarkSegmentSoftmax(b *testing.B) {
 	}
 }
 
+// BenchmarkVExp and BenchmarkVSigmoid read the exp-defined kernels in ns
+// per value on purego and on the active backend, over 8 742 values — one
+// N=94 exact decode's θ pass (94·93 pairs). Every iteration copies the
+// inputs back first, and the copy is in the reading.
+func BenchmarkVExp(b *testing.B)     { benchExpKernel(b, Backend.VExp) }
+func BenchmarkVSigmoid(b *testing.B) { benchExpKernel(b, Backend.VSigmoid) }
+
+func benchExpKernel(b *testing.B, kernel func(Backend, []float64)) {
+	const n = 94 * 93
+	rng := rand.New(rand.NewSource(8))
+	src, x := make([]float64, n), make([]float64, n)
+	for i := range src {
+		src[i] = 4 * rng.NormFloat64()
+	}
+	for _, bk := range []Backend{pureBackend{}, backendImpl} {
+		b.Run(bk.Name(), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				copy(x, src)
+				kernel(bk, x)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/elem")
+		})
+	}
+}
+
 // BenchmarkPairLogits reads the fused Eq. 11 pair kernel in ns per scored
 // pair on every compiled backend, at the two shapes the gen_offline
 // benchmark decodes: exact decoding at N=94 (93 consecutive rows, as the

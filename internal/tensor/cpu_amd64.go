@@ -14,28 +14,31 @@ func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
 // detectAMD64 reports whether the CPU and OS support the AVX2 assembly
-// kernels. Instruction support alone is not enough: the OS must have
-// enabled the YMM register state in XCR0, or executing a VEX instruction
-// faults.
-func detectAMD64() (avx2 bool) {
+// kernels, and whether the CPU also executes the 256-bit FMA instructions
+// of the exp kernel. Instruction support alone is not enough: the OS must
+// have enabled the YMM register state in XCR0, or executing a VEX
+// instruction faults.
+func detectAMD64() (avx2, fma bool) {
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	if maxLeaf < 7 {
-		return false
+		return false, false
 	}
 	_, _, ecx1, _ := cpuid(1, 0)
 	const (
+		fmaBit     = 1 << 12
 		osxsaveBit = 1 << 27
 		avxBit     = 1 << 28
 	)
 	if ecx1&osxsaveBit == 0 || ecx1&avxBit == 0 {
-		return false
+		return false, false
 	}
 	xcr0, _ := xgetbv()
 	const ymmState = 0x6 // XMM + YMM
 	if xcr0&ymmState != ymmState {
-		return false
+		return false, false
 	}
 	_, ebx7, _, _ := cpuid(7, 0)
 	const avx2Bit = 1 << 5
-	return ebx7&avx2Bit != 0
+	avx2 = ebx7&avx2Bit != 0
+	return avx2, avx2 && ecx1&fmaBit != 0
 }

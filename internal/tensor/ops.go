@@ -504,7 +504,9 @@ func (t *Tape) LeakyReLU(a *Node, slope float64) *Node {
 func (t *Tape) Exp(a *Node) *Node {
 	n := t.newOp(a.needGrad, func() *Matrix {
 		out := Get(a.Value.Rows, a.Value.Cols)
-		copy(out.Data, a.Value.Data)
+		for i, v := range a.Value.Data {
+			out.Data[i] = math.Min(v, 40)
+		}
 		VExp(out.Data)
 		return out
 	})
