@@ -1,93 +1,49 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
-	"runtime"
 	"sort"
-
-	"vrdag/internal/tensor"
 )
 
 // MMD computes the (squared) maximum mean discrepancy between two empirical
-// samples using a Gaussian RBF kernel. The bandwidth defaults to the median
-// pairwise distance heuristic when sigma <= 0. This follows the evaluation
-// protocol of CPGAN/GraphRNN-style generator comparisons, which the paper
-// adopts for degree and clustering-coefficient distributions.
+// samples using a Gaussian RBF kernel of bandwidth sigma, which must be
+// positive. This follows the evaluation protocol of CPGAN/GraphRNN-style
+// generator comparisons, which the paper adopts for degree and
+// clustering-coefficient distributions.
 //
-// The O(n²) kernel sums dominate CompareStructure wall-time on large
-// snapshots, so above mmdParallelWork pairwise terms the rows are fanned
-// out across GOMAXPROCS goroutines. Accumulation is per-row: row i's
-// partial sums are computed by exactly one goroutine in ascending column
-// order and the partials are then reduced in ascending row order on the
-// calling goroutine, so the result is bit-identical to the serial path at
-// any core count.
+// Degrees and clustering coefficients repeat heavily, so each sample is
+// sorted and grouped into (value, count) pairs and the kernel is summed
+// once per pair of distinct values, weighted by both counts: O(N log N + D²)
+// for N elements with D distinct values, serially, with no fan-out. The
+// result is the pairwise sum over all N² element pairs up to summation
+// order.
 func MMD(x, y []float64, sigma float64) float64 {
+	if !(sigma > 0) {
+		panic(fmt.Sprintf("metrics: MMD sigma must be positive, got %v", sigma))
+	}
 	if len(x) == 0 || len(y) == 0 {
 		return 0
 	}
-	if sigma <= 0 {
-		sigma = medianPairwiseDistance(x, y)
-		if sigma == 0 {
-			sigma = 1
-		}
-	}
 	g := 1 / (2 * sigma * sigma)
-	k := func(a, b float64) float64 {
-		d := a - b
-		return math.Exp(-d * d * g)
-	}
-
-	// rowXX[i] = Σ_j k(x_i, x_j) + Σ_j k(x_i, y_j); rowYY[i] = Σ_j k(y_i, y_j).
-	rowXX := make([]float64, len(x))
-	rowXY := make([]float64, len(x))
-	rowYY := make([]float64, len(y))
-	xRow := func(i int) {
-		a := x[i]
-		var sxx, sxy float64
-		for _, b := range x {
-			sxx += k(a, b)
-		}
-		for _, b := range y {
-			sxy += k(a, b)
-		}
-		rowXX[i] = sxx
-		rowXY[i] = sxy
-	}
-	yRow := func(i int) {
-		a := y[i]
-		var syy float64
-		for _, b := range y {
-			syy += k(a, b)
-		}
-		rowYY[i] = syy
-	}
-
-	work := len(x)*(len(x)+len(y)) + len(y)*len(y)
-	if workers := runtime.GOMAXPROCS(0); work >= mmdParallelWork && workers > 1 {
-		tensor.ParallelFor(workers, len(x)+len(y), func(i int) {
-			if i < len(x) {
-				xRow(i)
-			} else {
-				yRow(i - len(x))
+	xv, xc := groupValues(x)
+	yv, yc := groupValues(y)
+	// sum returns Σ_i Σ_j ac[i]·bc[j]·k(av[i], bv[j]).
+	sum := func(av, ac, bv, bc []float64) float64 {
+		s := 0.0
+		for i, a := range av {
+			row := 0.0
+			for j, b := range bv {
+				d := a - b
+				row += bc[j] * math.Exp(-d*d*g)
 			}
-		})
-	} else {
-		for i := range x {
-			xRow(i)
+			s += ac[i] * row
 		}
-		for i := range y {
-			yRow(i)
-		}
+		return s
 	}
-
-	var kxx, kxy, kyy float64
-	for i := range x {
-		kxx += rowXX[i]
-		kxy += rowXY[i]
-	}
-	for i := range y {
-		kyy += rowYY[i]
-	}
+	kxx := sum(xv, xc, xv, xc)
+	kyy := sum(yv, yc, yv, yc)
+	kxy := sum(xv, xc, yv, yc)
 	nx, ny := float64(len(x)), float64(len(y))
 	v := kxx/(nx*nx) + kyy/(ny*ny) - 2*kxy/(nx*ny)
 	if v < 0 {
@@ -96,35 +52,23 @@ func MMD(x, y []float64, sigma float64) float64 {
 	return v
 }
 
-// mmdParallelWork is the minimum pairwise-term count before MMD fans out;
-// below it goroutine startup costs more than the kernel sums.
-const mmdParallelWork = 1 << 15
-
-func medianPairwiseDistance(x, y []float64) float64 {
-	all := make([]float64, 0, len(x)+len(y))
-	all = append(all, x...)
-	all = append(all, y...)
-	// subsample for large inputs
-	const maxN = 200
-	if len(all) > maxN {
-		step := len(all) / maxN
-		sub := make([]float64, 0, maxN)
-		for i := 0; i < len(all); i += step {
-			sub = append(sub, all[i])
+// groupValues returns the distinct values of s in ascending order and how
+// often each occurs. Every step of the loop consumes at least one element,
+// so a NaN, which equals nothing, ends up in a group of its own.
+func groupValues(s []float64) (vals, counts []float64) {
+	sorted := append([]float64(nil), s...)
+	sort.Float64s(sorted)
+	vals = sorted[:0] // writes never pass the read index i
+	for i := 0; i < len(sorted); {
+		j := i + 1
+		for j < len(sorted) && sorted[j] == sorted[i] {
+			j++
 		}
-		all = sub
+		vals = append(vals, sorted[i])
+		counts = append(counts, float64(j-i))
+		i = j
 	}
-	var ds []float64
-	for i := 0; i < len(all); i++ {
-		for j := i + 1; j < len(all); j++ {
-			ds = append(ds, math.Abs(all[i]-all[j]))
-		}
-	}
-	if len(ds) == 0 {
-		return 0
-	}
-	sort.Float64s(ds)
-	return ds[len(ds)/2]
+	return vals, counts
 }
 
 // Histogram bins values into nbins equal-width bins over [lo, hi] and
@@ -325,8 +269,7 @@ func SpearmanMAE(real, synth [][]float64) float64 {
 	}
 	f := len(a)
 	if f == 1 {
-		// Single attribute: compare the attribute's rank autocorrelation
-		// proxy instead (matching how a 1-attr dataset degenerates).
+		// A 1×1 correlation matrix has no off-diagonal entry to compare.
 		return 0
 	}
 	sum, cnt := 0.0, 0

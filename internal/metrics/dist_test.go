@@ -1,8 +1,10 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -14,6 +16,16 @@ func normalSample(n int, mu, sd float64, seed int64) []float64 {
 		out[i] = mu + sd*rng.NormFloat64()
 	}
 	return out
+}
+
+// degreeSample draws n heavy-tailed integer degrees in 0–150, the shape of
+// a ×1.0 replica's degree vector.
+func degreeSample(n int, alpha float64, seed int64) []float64 {
+	d := plSample(n, alpha, seed)
+	for i := range d {
+		d[i] = math.Min(d[i]-1, 150)
+	}
+	return d
 }
 
 func TestMMDIdenticalNearZero(t *testing.T) {
@@ -38,54 +50,145 @@ func TestMMDNonNegative(t *testing.T) {
 	f := func(seed int64) bool {
 		x := normalSample(30, 0, 1, seed)
 		y := normalSample(30, 1, 2, seed+1)
-		return MMD(x, y, 0) >= 0
+		return MMD(x, y, 1) >= 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
+	for _, sigma := range []float64{0, -2, math.NaN()} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, fmt.Sprint(sigma)) {
+					t.Errorf("MMD with sigma %v: panic %q, want one naming the value", sigma, msg)
+				}
+			}()
+			MMD([]float64{1}, []float64{2}, sigma)
+		}()
+	}
 }
 
-// TestMMDParallelMatchesSerial: above mmdParallelWork the row sums fan
-// out across cores; the per-row decomposition must keep the result
-// bit-identical to the serial path (forced by calling through chunks that
-// stay under the threshold and comparing against the full sample).
-func TestMMDParallelMatchesSerial(t *testing.T) {
-	// Large enough that len(x)·(len(x)+len(y)) + len(y)² crosses the
-	// threshold and the parallel path runs whenever GOMAXPROCS > 1.
-	x := normalSample(160, 0, 1, 11)
-	y := normalSample(140, 0.7, 1.5, 12)
-	got := MMD(x, y, 1)
-
-	// Serial reference via the same row decomposition, inline.
-	g := 1 / (2 * 1.0 * 1.0)
-	k := func(a, b float64) float64 { d := a - b; return math.Exp(-d * d * g) }
-	var kxx, kxy, kyy float64
-	for _, a := range x {
-		var sxx, sxy float64
-		for _, b := range x {
-			sxx += k(a, b)
+// pairwiseMMD is the reference MMD: the kernel evaluated on every element
+// pair of the two samples, with no grouping. Each row is summed on its own
+// before the rows are added up; one running sum over all N² terms would
+// itself drift by more than the 1e-12 the grouped sum is held to.
+func pairwiseMMD(x, y []float64, sigma float64) float64 {
+	g := 1 / (2 * sigma * sigma)
+	sum := func(a, b []float64) float64 {
+		s := 0.0
+		for _, u := range a {
+			row := 0.0
+			for _, v := range b {
+				d := u - v
+				row += math.Exp(-d * d * g)
+			}
+			s += row
 		}
-		for _, b := range y {
-			sxy += k(a, b)
-		}
-		kxx += sxx
-		kxy += sxy
-	}
-	for _, a := range y {
-		var syy float64
-		for _, b := range y {
-			syy += k(a, b)
-		}
-		kyy += syy
+		return s
 	}
 	nx, ny := float64(len(x)), float64(len(y))
-	want := kxx/(nx*nx) + kyy/(ny*ny) - 2*kxy/(nx*ny)
-	if want < 0 {
-		want = 0
+	v := sum(x, x)/(nx*nx) + sum(y, y)/(ny*ny) - 2*sum(x, y)/(nx*ny)
+	if v < 0 {
+		v = 0
 	}
-	if got != want {
-		t.Fatalf("MMD = %g, serial row-decomposed reference = %g (must be bit-identical)", got, want)
+	return v
+}
+
+// clusteringSample draws n local clustering coefficients the way they look
+// on a sparse snapshot: 2·links/(k(k−1)) for small k, half of them 0.
+func clusteringSample(n int, seed int64) []float64 {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]float64, n)
+	for i := range out {
+		if rng.Intn(2) == 0 {
+			continue
+		}
+		k := 2 + rng.Intn(20)
+		out[i] = 2 * float64(rng.Intn(k*(k-1)/2+1)) / float64(k*(k-1))
 	}
+	return out
+}
+
+// TestMMDGroupedMatchesPairwise: grouping equal values changes only the
+// order of the kernel sums, so MMD must stay within rounding of the
+// all-pairs reference on every shape of sample it is given.
+func TestMMDGroupedMatchesPairwise(t *testing.T) {
+	fill := func(n int, v float64) []float64 {
+		s := make([]float64, n)
+		for i := range s {
+			s[i] = v
+		}
+		return s
+	}
+	for _, tc := range []struct {
+		name  string
+		x, y  []float64
+		sigma float64
+	}{
+		{"degrees N=2000", degreeSample(2000, 2.2, 21), degreeSample(2000, 2.6, 22), 1},
+		{"degrees unequal lengths", degreeSample(1500, 2.2, 23), degreeSample(400, 2.0, 24), 1},
+		{"clustering", clusteringSample(1200, 25), clusteringSample(900, 26), 0.1},
+		{"distinct normals", normalSample(300, 0, 1, 27), normalSample(250, 0.5, 2, 28), 1},
+		{"one element each", []float64{3}, []float64{5}, 1},
+		{"one element against many", []float64{3}, degreeSample(500, 2.2, 29), 1},
+		{"all equal, same value", fill(200, 2), fill(300, 2), 1},
+		{"all equal, different values", fill(200, 2), fill(100, 3), 0.1},
+	} {
+		got := MMD(tc.x, tc.y, tc.sigma)
+		want := pairwiseMMD(tc.x, tc.y, tc.sigma)
+		if math.Abs(got-want) > 1e-12 {
+			t.Errorf("%s: grouped MMD = %.17g, pairwise = %.17g", tc.name, got, want)
+		}
+	}
+}
+
+// mmdFuzzSample maps each byte to a sample value: most bytes to one of 32
+// small integers, so values repeat as degrees do, and the top four to NaN,
+// +Inf, −Inf and −0, the values on which grouping could go wrong.
+func mmdFuzzSample(bs []byte) []float64 {
+	s := make([]float64, len(bs))
+	for i, b := range bs {
+		switch b {
+		case 0xfc:
+			s[i] = math.NaN()
+		case 0xfd:
+			s[i] = math.Inf(1)
+		case 0xfe:
+			s[i] = math.Inf(-1)
+		case 0xff:
+			s[i] = math.Copysign(0, -1)
+		default:
+			s[i] = float64(b % 32)
+		}
+	}
+	return s
+}
+
+// FuzzMMDGrouped holds the grouped MMD to the pairwise reference on
+// fuzzer-built samples at both of CompareStructure's bandwidths. Where a
+// NaN or an infinity makes the reference NaN, the grouped result must be
+// NaN too; that the call returns at all is the other half of the check.
+// testdata/fuzz/FuzzMMDGrouped holds seeds with NaN, ±0 and ±Inf.
+func FuzzMMDGrouped(f *testing.F) {
+	f.Fuzz(func(t *testing.T, xb, yb []byte) {
+		if len(xb) == 0 || len(yb) == 0 || len(xb)+len(yb) > 4096 {
+			t.Skip()
+		}
+		x, y := mmdFuzzSample(xb), mmdFuzzSample(yb)
+		for _, sigma := range []float64{1, 0.1} {
+			got := MMD(x, y, sigma)
+			want := pairwiseMMD(x, y, sigma)
+			if math.IsNaN(want) {
+				if !math.IsNaN(got) {
+					t.Fatalf("sigma %v: grouped MMD = %v, pairwise = NaN (x %v, y %v)", sigma, got, x, y)
+				}
+				continue
+			}
+			if !(math.Abs(got-want) <= 1e-12) {
+				t.Fatalf("sigma %v: grouped MMD = %.17g, pairwise = %.17g (x %v, y %v)", sigma, got, want, x, y)
+			}
+		}
+	})
 }
 
 func TestMMDEmptyInputs(t *testing.T) {

@@ -7,7 +7,6 @@ package metrics
 
 import (
 	"math"
-	"sort"
 
 	"vrdag/internal/dyngraph"
 )
@@ -42,25 +41,29 @@ func TotalDegrees(s *dyngraph.Snapshot) []float64 {
 // ClusteringCoefficients returns the local clustering coefficient of every
 // node on the underlying undirected graph.
 func ClusteringCoefficients(s *dyngraph.Snapshot) []float64 {
-	// Pre-compute neighbour sets for O(1) membership tests.
 	nbrs := make([][]int, s.N)
 	for v := 0; v < s.N; v++ {
 		nbrs[v] = s.UndirectedNeighbors(v)
 	}
-	has := func(list []int, x int) bool {
-		i := sort.SearchInts(list, x)
-		return i < len(list) && list[i] == x
+	// mark[w] == v exactly when w is a neighbour of the node v being scored.
+	mark := make([]int, s.N)
+	for w := range mark {
+		mark[w] = -1
 	}
 	cc := make([]float64, s.N)
-	for v := 0; v < s.N; v++ {
-		k := len(nbrs[v])
+	for v, nv := range nbrs {
+		k := len(nv)
 		if k < 2 {
 			continue
 		}
+		for _, u := range nv {
+			mark[u] = v
+		}
+		// Each linked neighbour pair u < w is counted once, from u's side.
 		links := 0
-		for i := 0; i < k; i++ {
-			for j := i + 1; j < k; j++ {
-				if has(nbrs[nbrs[v][i]], nbrs[v][j]) {
+		for _, u := range nv {
+			for _, w := range nbrs[u] {
+				if w > u && mark[w] == v {
 					links++
 				}
 			}

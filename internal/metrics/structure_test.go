@@ -3,6 +3,7 @@ package metrics
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -53,6 +54,71 @@ func TestClusteringTriangle(t *testing.T) {
 	want := (1 + 1 + 1.0/3 + 0) / 4
 	if math.Abs(gc-want) > 1e-12 {
 		t.Fatalf("GlobalClustering = %v, want %v", gc, want)
+	}
+}
+
+// clusteringReference is the binary-search form of ClusteringCoefficients:
+// every neighbour pair of v is tested for a link by searching the sorted
+// neighbour list of the first.
+func clusteringReference(s *dyngraph.Snapshot) []float64 {
+	nbrs := make([][]int, s.N)
+	for v := 0; v < s.N; v++ {
+		nbrs[v] = s.UndirectedNeighbors(v)
+	}
+	has := func(list []int, x int) bool {
+		i := sort.SearchInts(list, x)
+		return i < len(list) && list[i] == x
+	}
+	cc := make([]float64, s.N)
+	for v := 0; v < s.N; v++ {
+		k := len(nbrs[v])
+		if k < 2 {
+			continue
+		}
+		links := 0
+		for i := 0; i < k; i++ {
+			for j := i + 1; j < k; j++ {
+				if has(nbrs[nbrs[v][i]], nbrs[v][j]) {
+					links++
+				}
+			}
+		}
+		cc[v] = 2 * float64(links) / float64(k*(k-1))
+	}
+	return cc
+}
+
+// TestClusteringCoefficientsMatchReference: the marked-neighbour count
+// finds the same links as the binary search, so every coefficient is the
+// same float64, bit for bit.
+func TestClusteringCoefficientsMatchReference(t *testing.T) {
+	var snaps []*dyngraph.Snapshot
+	for seed := int64(0); seed < 6; seed++ {
+		g := randomSequence(60+40*int(seed), 0, 2, 150+200*int(seed), seed)
+		snaps = append(snaps, g.Snapshots...)
+	}
+	// A star whose hub 0 also belongs to a 6-clique {0..5}, both directions
+	// of some clique edges present, leaves 6..29 pendant.
+	star := dyngraph.NewSnapshot(30, 0)
+	for v := 1; v < 30; v++ {
+		star.AddEdge(0, v)
+	}
+	for u := 1; u < 6; u++ {
+		for w := u + 1; w < 6; w++ {
+			star.AddEdge(u, w)
+			if (u+w)%2 == 0 {
+				star.AddEdge(w, u)
+			}
+		}
+	}
+	snaps = append(snaps, star)
+	for i, s := range snaps {
+		got, want := ClusteringCoefficients(s), clusteringReference(s)
+		for v := range want {
+			if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
+				t.Fatalf("snapshot %d node %d: cc = %v, reference %v", i, v, got[v], want[v])
+			}
+		}
 	}
 }
 
