@@ -77,10 +77,9 @@ func main() {
 		headerRead  = flag.Duration("read-header-timeout", 10*time.Second, "http.Server ReadHeaderTimeout (slowloris guard)")
 		idleTimeout = flag.Duration("idle-timeout", 2*time.Minute, "http.Server IdleTimeout for keep-alive connections")
 
-		peers      = flag.String("peers", "", "comma-separated base URLs of every cluster node (this one included); empty runs single-node")
-		advertise  = flag.String("advertise", "", "this node's base URL as it appears in -peers (required with -peers)")
-		replicas   = flag.Int("replicas", 2, "copies per forecast session, primary included (cluster mode)")
-		clusterAck = flag.String("cluster-ack", "replicate", "ingest ack mode: replicate (confirm follower applied) or local (replicate async)")
+		peers     = flag.String("peers", "", "comma-separated base URLs of every cluster node (this one included); empty runs single-node")
+		advertise = flag.String("advertise", "", "this node's base URL as it appears in -peers (required with -peers)")
+		replicas  = flag.Int("replicas", 2, "copies per forecast session, primary included (cluster mode)")
 
 		quotaRate  = flag.Float64("quota-rate", 0, "per-tenant admission quota in requests/sec (X-Vrdag-Tenant header; 0 disables)")
 		quotaBurst = flag.Int("quota-burst", 0, "per-tenant quota burst capacity (0 = ceil(quota-rate))")
@@ -104,9 +103,6 @@ func main() {
 	}
 	if len(modelFlags)+len(datasetNames) == 0 {
 		fatal("no model to serve: give -model name=path and/or -dataset")
-	}
-	if *clusterAck != "replicate" && *clusterAck != "local" {
-		fatal("-cluster-ack must be replicate or local", "got", *clusterAck)
 	}
 	logger.Info("compute backend", "backend", tensor.ActiveBackend(),
 		"cpu_features", strings.Join(tensor.CPUFeatures(), ","))
@@ -208,14 +204,13 @@ func main() {
 			Self:     strings.TrimRight(*advertise, "/"),
 			Peers:    peerList,
 			Replicas: *replicas,
-			AckLocal: *clusterAck == "local",
 			Logger:   logger,
 		})
 		if err != nil {
 			fatal("cluster", "err", err)
 		}
 		handler = node
-		logger.Info("cluster mode", "peers", len(peerList), "replicas", *replicas, "ack", *clusterAck)
+		logger.Info("cluster mode", "peers", len(peerList), "replicas", *replicas)
 	}
 
 	httpSrv := &http.Server{

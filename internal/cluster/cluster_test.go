@@ -570,6 +570,133 @@ func TestClusterSingleNodeActsStandalone(t *testing.T) {
 	}
 }
 
+// TestClusterMirroredSessionsDoNotStall writes two sessions with mirrored
+// placement at once — X primary on A with its follower on B, Y the
+// reverse — and delays both hosts, so each replica lands while the other
+// primary is still inside its own write. The names share a hash bucket
+// mod 64, where a striped lock array would make the two writes wait on
+// each other; one ordering entry per session lets both replicate at once.
+func TestClusterMirroredSessionsDoNotStall(t *testing.T) {
+	c := newTestCluster(t, 2, nil)
+	var x, y string
+	byPrimary := [2]map[uint64]string{{}, {}} // primary index → bucket → first name
+	for i := 0; ; i++ {
+		name := fmt.Sprintf("mirror-%d", i)
+		bucket := hashKey(name) % 64
+		p, _ := c.placement(name)
+		if other, ok := byPrimary[1-p][bucket]; ok {
+			x, y = other, name
+			break
+		}
+		if _, ok := byPrimary[p][bucket]; !ok {
+			byPrimary[p][bucket] = name
+		}
+	}
+	a, b := c.placement(x)
+	if pa, pb := c.placement(y); pa != b || pb != a {
+		t.Fatalf("placement not mirrored: %s on %d→%d, %s on %d→%d", x, a, b, y, pa, pb)
+	}
+
+	const delay = 200 * time.Millisecond
+	c.ft.SetRule(c.hosts[a], FaultRule{Delay: delay})
+	c.ft.SetRule(c.hosts[b], FaultRule{Delay: delay})
+	writes := []struct {
+		via  int
+		sess string
+	}{{a, x}, {b, y}}
+	_, ref := clusterModel(t)
+	statuses, acks := make([]int, len(writes)), make([]string, len(writes))
+	start := time.Now()
+	var wg sync.WaitGroup
+	for i, wr := range writes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Post(c.urls[wr.via]+"/v1/ingest?session="+wr.sess, "text/csv",
+				strings.NewReader(chunkCSV(ref, 0)))
+			if err != nil {
+				t.Errorf("ingest %s: %v", wr.sess, err)
+				return
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			statuses[i], acks[i] = resp.StatusCode, resp.Header.Get(server.HeaderAck)
+		}()
+	}
+	wg.Wait()
+	elapsed := time.Since(start)
+	for i := range writes {
+		if statuses[i] != http.StatusOK || acks[i] != "replicated" {
+			t.Fatalf("mirrored writes %s, %s: statuses %v acks %v after %v, want 200 replicated",
+				x, y, statuses, acks, elapsed)
+		}
+	}
+	if elapsed >= 2*time.Second {
+		t.Fatalf("mirrored writes took %v, want < 2s", elapsed)
+	}
+	t.Logf("mirrored writes %s, %s acked replicated in %v", x, y, elapsed)
+}
+
+// TestClusterSlowFollowerAcksLocalBeforeProxyTimeout: a follower slower
+// than the proxy's response-header deadline must cost the client a
+// degraded local ack, not a 502 for a write the primary applied. A replica
+// send gets half of HeaderTimeout, so the primary answers first.
+func TestClusterSlowFollowerAcksLocalBeforeProxyTimeout(t *testing.T) {
+	c := newTestCluster(t, 3, func(_ int, cfg *Config) { cfg.HeaderTimeout = time.Second })
+	sess := "slow-follower"
+	p, f := c.placement(sess)
+	third := c.other(p, f)
+
+	c.ft.SetRule(c.hosts[f], FaultRule{Delay: 1500 * time.Millisecond})
+	start := time.Now()
+	status, ack, out := c.ingest(third, sess, 0)
+	if status != http.StatusOK || ack != "local" {
+		t.Fatalf("ingest through node %d with a silent follower: status %d ack %q after %v, want 200 local",
+			third, status, ack, time.Since(start))
+	}
+	if out.Steps != 1 {
+		t.Fatalf("steps %d, want 1", out.Steps)
+	}
+	t.Logf("acked local in %v", time.Since(start))
+}
+
+// TestClusterThreeReplicasShareOneSequence pins one replication sequence
+// per ingest at Replicas=3: the primary sends the same number to both
+// followers, so the follower promoted after a kill continues the other
+// follower's stream — its ingest is applied there, not skipped as a
+// duplicate — and the two survivors forecast identically.
+func TestClusterThreeReplicasShareOneSequence(t *testing.T) {
+	c := newTestCluster(t, 3, func(_ int, cfg *Config) { cfg.Replicas = 3 })
+	sess := "three"
+	owners := c.nodes[0].staticOwners(sess)
+	if len(owners) != 3 {
+		t.Fatalf("want 3 owners, got %v", owners)
+	}
+	p, f1, f2 := c.index(owners[0]), c.index(owners[1]), c.index(owners[2])
+
+	c.mustIngest(p, sess, 0, "replicated")
+	c.mustIngest(p, sess, 1, "replicated")
+	c.kill(p)
+	c.waitPeerState(f1, c.urls[p], "down", 5*time.Second)
+	c.waitPeerState(f2, c.urls[p], "down", 5*time.Second)
+
+	// The promoted follower's copy toward the dead node queues: ack local.
+	c.mustIngest(f1, sess, 2, "local")
+	if fs := c.nodes[f2].Stats(); fs.ReplicaApplied != 3 || fs.ReplicaSkipped != 0 {
+		t.Fatalf("remaining follower: applied %d skipped %d, want 3 and 0", fs.ReplicaApplied, fs.ReplicaSkipped)
+	}
+
+	steps, before := c.mustForecast(f1, sess, 17, 3)
+	if steps != 3 {
+		t.Fatalf("promoted primary: steps %d, want 3", steps)
+	}
+	c.kill(f1)
+	c.waitPeerState(f2, c.urls[f1], "down", 5*time.Second)
+	if steps, after := c.mustForecast(f2, sess, 17, 3); steps != 3 || after != before {
+		t.Fatalf("last survivor: steps %d (want 3), identical=%v", steps, after == before)
+	}
+}
+
 // TestClusterChaosKillDuringTraffic is the chaos smoke: concurrent
 // multi-session ingest across every node while one node is killed
 // mid-wave. Every acknowledged chunk must survive into the failover state:

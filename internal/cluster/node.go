@@ -17,33 +17,33 @@ import (
 // Config wires one vrdag-serve process into a cluster. Self and Peers are
 // base URLs ("http://host:port"); Peers includes Self, and every node
 // must be started with the same Peers list — placement is a pure function
-// of it.
+// of it. An ingest is acknowledged after its followers applied it, or
+// locally (degraded) when one is unreachable or lagging; a routed body is
+// spooled up to the wrapped server's MaxIngestBytes.
 type Config struct {
-	Self     string
-	Peers    []string
-	Replicas int // copies per session, primary included (default 2)
+	Self     string   // this node's base URL, as it appears in Peers
+	Peers    []string // every node's base URL, Self included
+	Replicas int      // copies per session, primary included (default 2)
 
-	// AckLocal switches ingest acks from ack-after-replicate (the
-	// default: the primary confirms the follower applied before
-	// answering the client) to ack-local (answer once locally durable,
-	// replicate asynchronously through the catch-up queue).
-	AckLocal bool
+	// ProxyBackoff is the wait before trying a session's next owner,
+	// doubling per attempt (default 50ms); each reachable owner is tried
+	// once.
+	ProxyBackoff time.Duration
+	// HeaderTimeout bounds the wait for a peer's response headers on every
+	// hop (default 5s). A synchronous replica send gets half of it, so a
+	// primary whose follower is silent acks local before the proxy in
+	// front of it gives up.
+	HeaderTimeout time.Duration
 
-	// MaxBodyBytes bounds the spooled body of a routed request (default
-	// 64 MiB, matching the server's ingest bound).
-	MaxBodyBytes int64
-
-	ProxyAttempts    int           // owners tried per routed request (default 2)
-	ProxyBackoff     time.Duration // backoff between proxy attempts, doubling (default 50ms)
-	HeaderTimeout    time.Duration // per-hop response-header deadline (default 5s)
-	ReplicateTimeout time.Duration // per synchronous replica send (default 5s)
-
+	// Membership tunes the peer prober.
 	Membership MembershipConfig
 
 	// Transport carries every cross-node request (probes, proxies,
 	// replication). Tests inject a FaultTransport; nil means the default.
 	Transport http.RoundTripper
-	Logger    *slog.Logger
+	// Logger receives routing and replication warnings; nil means a
+	// stderr text logger tagged component=cluster.
+	Logger *slog.Logger
 }
 
 func (c *Config) defaults() error {
@@ -65,20 +65,11 @@ func (c *Config) defaults() error {
 	if c.Replicas > len(c.Peers) {
 		c.Replicas = len(c.Peers)
 	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 64 << 20
-	}
-	if c.ProxyAttempts <= 0 {
-		c.ProxyAttempts = 2
-	}
 	if c.ProxyBackoff <= 0 {
 		c.ProxyBackoff = 50 * time.Millisecond
 	}
 	if c.HeaderTimeout <= 0 {
 		c.HeaderTimeout = 5 * time.Second
-	}
-	if c.ReplicateTimeout <= 0 {
-		c.ReplicateTimeout = 5 * time.Second
 	}
 	if c.Transport == nil {
 		c.Transport = http.DefaultTransport
@@ -89,10 +80,16 @@ func (c *Config) defaults() error {
 	return nil
 }
 
-// sessStripes is the size of the per-session ordering lock array: an
-// ingest holds its session's stripe across local-apply + replicate, so
-// replication payloads leave the primary in exactly fold order.
-const sessStripes = 64
+// sessionOrder is one session's write ordering on this node. A primary
+// holds mu across local apply and replicate, so replication payloads
+// leave in exactly fold order; a follower holds it across the dedupe
+// check and apply. seq is the last replication sequence this node
+// assigned as primary or applied as follower, so a promoted node's
+// counter continues where the dead primary's stream left off.
+type sessionOrder struct {
+	mu  sync.Mutex
+	seq uint64 // guarded by mu
+}
 
 // Node is the cluster front end wrapped around one local server.Server.
 // It serves the same HTTP surface; session endpoints are routed to the
@@ -110,10 +107,8 @@ type Node struct {
 
 	draining atomic.Bool
 
-	sessLocks [sessStripes]sync.Mutex
-
-	repMu  sync.Mutex
-	repSeq map[string]uint64 // per-session replication sequence, last assigned/applied
+	ordersMu sync.Mutex
+	orders   map[string]*sessionOrder // never pruned: see order
 
 	replicators map[string]*replicator
 
@@ -146,7 +141,7 @@ func NewNode(local *server.Server, cfg Config) (*Node, error) {
 		members:     NewMembership(others, cfg.Membership, cfg.Transport),
 		client:      &http.Client{Transport: cfg.Transport},
 		logger:      cfg.Logger,
-		repSeq:      make(map[string]uint64),
+		orders:      make(map[string]*sessionOrder),
 		replicators: make(map[string]*replicator, len(others)),
 	}
 	for _, p := range others {
@@ -167,40 +162,19 @@ func NewNode(local *server.Server, cfg Config) (*Node, error) {
 	return n, nil
 }
 
-// sessLock returns the ordering stripe for a session.
-func (n *Node) sessLock(sess string) *sync.Mutex {
-	return &n.sessLocks[hashKey(sess)%sessStripes]
-}
-
-// nextRepSeq assigns the next replication sequence number for a session.
-// The same map records sequences applied as a follower, so a promoted
-// node's counter continues where the dead primary's stream left off.
-func (n *Node) nextRepSeq(sess string) uint64 {
-	n.repMu.Lock()
-	defer n.repMu.Unlock()
-	n.repSeq[sess]++
-	return n.repSeq[sess]
-}
-
-// seenRepSeq reports whether seq was already applied for sess. Sequence 0
-// means "no sequence" and is never deduplicated.
-func (n *Node) seenRepSeq(sess string, seq uint64) bool {
-	if seq == 0 {
-		return false
+// order returns a session's ordering entry, creating it on first use.
+// Entries are never removed: a session deleted and re-created keeps its
+// sequence monotonic on every node, so a follower never mistakes the new
+// session's first bodies for duplicates of the old one's.
+func (n *Node) order(sess string) *sessionOrder {
+	n.ordersMu.Lock()
+	defer n.ordersMu.Unlock()
+	o := n.orders[sess]
+	if o == nil {
+		o = &sessionOrder{}
+		n.orders[sess] = o
 	}
-	n.repMu.Lock()
-	defer n.repMu.Unlock()
-	return seq <= n.repSeq[sess]
-}
-
-// recordRepSeq marks seq applied for sess; called only after the local
-// apply succeeded, so a failed apply stays retryable.
-func (n *Node) recordRepSeq(sess string, seq uint64) {
-	n.repMu.Lock()
-	defer n.repMu.Unlock()
-	if seq > n.repSeq[sess] {
-		n.repSeq[sess] = seq
-	}
+	return o
 }
 
 // routable reports whether session traffic may be routed to a node right
@@ -249,20 +223,19 @@ func (n *Node) Close() {
 // Stats is the cluster counters as a Go value, for embedders and tests;
 // an operator reads the same numbers as vrdag_cluster_* on /metrics.
 type Stats struct {
-	Self     string
-	Ack      string // "replicate" or "local"
-	Replicas int
-	Draining bool
-	Peers    []PeerHealth
+	Self     string       // this node's base URL
+	Replicas int          // copies per session, primary included
+	Draining bool         // handing sessions to replicas (Drain called)
+	Peers    []PeerHealth // every other node's probe state
 
-	Proxied      int64
-	ProxyRetries int64
+	Proxied      int64 // session requests proxied to a peer owner
+	ProxyRetries int64 // proxy attempts beyond the first owner
 
-	AckReplicated   int64
-	AckLocal        int64
-	ReplicaApplied  int64
-	ReplicaSkipped  int64
-	ReplicaRejected int64
+	AckReplicated   int64 // ingests acked after every follower applied
+	AckLocal        int64 // ingests acked on local durability alone (degraded or single-node)
+	ReplicaApplied  int64 // replicated bodies folded here as follower
+	ReplicaSkipped  int64 // duplicate deliveries dropped by sequence
+	ReplicaRejected int64 // torn or oversized bodies dropped
 
 	Replication []ReplicatorStats // sorted by peer
 }
@@ -280,13 +253,8 @@ type ReplicatorStats struct {
 }
 
 func (n *Node) Stats() Stats {
-	ack := "replicate"
-	if n.cfg.AckLocal {
-		ack = "local"
-	}
 	return Stats{
 		Self:            n.cfg.Self,
-		Ack:             ack,
 		Replicas:        n.cfg.Replicas,
 		Draining:        n.draining.Load(),
 		Peers:           n.members.Snapshot(),

@@ -85,12 +85,8 @@ func (n *Node) fetchPeerTraces(r *http.Request, peer, id string) ([]obs.TraceVie
 // exposition. Per-peer series are sorted by peer URL so the rendering is
 // deterministic.
 func (n *Node) renderProm(e *obs.Expo) {
-	ack := "replicate"
-	if n.cfg.AckLocal {
-		ack = "local"
-	}
-	e.Family("vrdag_cluster_info", "Cluster identity (value is always 1; self and ack mode are the labels).", "gauge")
-	e.Int("vrdag_cluster_info", []obs.L{{K: "self", V: n.cfg.Self}, {K: "ack", V: ack}}, 1)
+	e.Family("vrdag_cluster_info", "Cluster identity (value is always 1; self is the label).", "gauge")
+	e.Int("vrdag_cluster_info", []obs.L{{K: "self", V: n.cfg.Self}}, 1)
 	draining := int64(0)
 	if n.draining.Load() {
 		draining = 1

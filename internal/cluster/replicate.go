@@ -119,18 +119,11 @@ func (r *replicator) enqueueLocked(p repPayload) {
 	}
 }
 
-// enqueue appends a payload to the catch-up queue (async / AckLocal mode).
-func (r *replicator) enqueue(p repPayload) {
-	r.mu.Lock()
-	r.enqueueLocked(p)
-	r.mu.Unlock()
-}
-
 // replicate attempts a synchronous ordered send. If the stream is
 // lagging (queued payloads or a flush in progress) the payload joins the
 // queue — sending it directly would reorder the follower's folds — and
 // the error tells the primary to ack local. Called under the session's
-// stripe lock, so at most one payload per session is in flight.
+// ordering lock, so at most one payload per session is in flight.
 func (r *replicator) replicate(p repPayload) error {
 	r.mu.Lock()
 	if len(r.queue) > 0 || r.flushing || !r.n.members.Routable(r.peer) {
@@ -219,9 +212,11 @@ func (r *replicator) flushLoop() {
 
 // send delivers one payload to the peer's ingest handler with the replica
 // marker, checksum, and sequence headers. A 2xx is success, a 4xx is
-// permanent rejection, anything else is worth retrying.
+// permanent rejection, anything else is worth retrying. The send gets half
+// the proxy's HeaderTimeout, so a silent follower turns into a local ack
+// before a proxy in front of the primary gives up on it.
 func (r *replicator) send(p repPayload) error {
-	ctx, cancel := context.WithTimeout(context.Background(), r.n.cfg.ReplicateTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), r.n.cfg.HeaderTimeout/2)
 	defer cancel()
 	url := r.peer + "/v1/ingest"
 	if p.query != "" {
@@ -295,9 +290,9 @@ func (r *replicator) statsSnapshot() ReplicatorStats {
 // sits in its ordered catch-up queue, and the replication-lag gauge shows
 // the debt).
 func (n *Node) servePrimaryIngest(w http.ResponseWriter, r *http.Request, sess string, body []byte) {
-	lock := n.sessLock(sess)
-	lock.Lock()
-	defer lock.Unlock()
+	o := n.order(sess)
+	o.mu.Lock()
+	defer o.mu.Unlock()
 
 	rec := newRecorder()
 	local := r.Clone(r.Context())
@@ -309,26 +304,19 @@ func (n *Node) servePrimaryIngest(w http.ResponseWriter, r *http.Request, sess s
 		return
 	}
 
+	// One sequence number per ingest, the same to every follower, so
+	// whichever follower is promoted continues every other's stream.
+	o.seq++
+	p := repPayload{sess: sess, query: r.URL.RawQuery, body: body, crc: bodyCRC(body),
+		seq: o.seq, trace: obs.TraceID(r.Context())}
 	ack := "replicated"
 	replicated := 0
-	crc := bodyCRC(body)
 	for _, owner := range n.staticOwners(sess) {
-		if owner == n.cfg.Self {
-			continue
-		}
-		rep, ok := n.replicators[owner]
+		rep, ok := n.replicators[owner] // none for self
 		if !ok {
 			continue
 		}
-		p := repPayload{sess: sess, query: r.URL.RawQuery, body: body, crc: crc,
-			seq: n.nextRepSeq(sess), trace: obs.TraceID(r.Context())}
 		sp := obs.Start(r.Context(), "replicate").SetStr("peer", owner).SetInt("seq", int64(p.seq))
-		if n.cfg.AckLocal {
-			rep.enqueue(p)
-			sp.SetStr("outcome", "queued").End()
-			ack = "local"
-			continue
-		}
 		if err := rep.replicate(p); err != nil {
 			sp.SetErr(err).End()
 			ack = "local"
@@ -337,7 +325,7 @@ func (n *Node) servePrimaryIngest(w http.ResponseWriter, r *http.Request, sess s
 		sp.End()
 		replicated++
 	}
-	if replicated == 0 && ack == "replicated" {
+	if replicated == 0 {
 		// Single-node placement (Replicas=1 or a one-node peer list):
 		// local durability is the whole story.
 		ack = "local"
@@ -375,10 +363,11 @@ func (n *Node) serveReplica(w http.ResponseWriter, r *http.Request) {
 	}
 	seq, _ := strconv.ParseUint(r.Header.Get(server.HeaderRepSeq), 10, 64)
 
-	lock := n.sessLock(sess)
-	lock.Lock()
-	defer lock.Unlock()
-	if n.seenRepSeq(sess, seq) {
+	o := n.order(sess)
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	// Sequence 0 means "no sequence" and is never deduplicated.
+	if seq != 0 && seq <= o.seq {
 		n.replicaSkipped.Add(1)
 		n.writeJSON(w, http.StatusOK, map[string]any{"session": sess, "skipped": true, "seq": seq})
 		return
@@ -388,8 +377,10 @@ func (n *Node) serveReplica(w http.ResponseWriter, r *http.Request) {
 	local.Body = io.NopCloser(bytes.NewReader(body))
 	local.ContentLength = int64(len(body))
 	n.local.ServeHTTP(rec, local)
+	// Record the sequence only after a successful apply, so a failed one
+	// stays retryable.
 	if rec.status == http.StatusOK {
-		n.recordRepSeq(sess, seq)
+		o.seq = max(o.seq, seq)
 		n.replicaApplied.Add(1)
 	}
 	rec.writeTo(w)

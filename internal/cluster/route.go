@@ -138,10 +138,10 @@ func (n *Node) routeForecast(w http.ResponseWriter, r *http.Request) {
 }
 
 // routeSession sends a spooled session request to the first reachable
-// owner, self included. Candidates come from the session's static
-// placement filtered by liveness: a session whose owners are all down is
-// refused with 503 rather than silently served empty by a node that never
-// held it.
+// owner, self included, trying each (at most Replicas) once. Candidates
+// come from the session's static placement filtered by liveness: a
+// session whose owners are all down is refused with 503 rather than
+// silently served empty by a node that never held it.
 func (n *Node) routeSession(w http.ResponseWriter, r *http.Request, sess string, body []byte, idempotent bool) {
 	var candidates []string
 	for _, owner := range n.staticOwners(sess) {
@@ -154,9 +154,6 @@ func (n *Node) routeSession(w http.ResponseWriter, r *http.Request, sess string,
 		n.writeError(w, http.StatusServiceUnavailable,
 			"session %q: no reachable owner (placement %v)", sess, n.staticOwners(sess))
 		return
-	}
-	if len(candidates) > n.cfg.ProxyAttempts {
-		candidates = candidates[:n.cfg.ProxyAttempts]
 	}
 	backoff := n.cfg.ProxyBackoff
 	for i, target := range candidates {
@@ -409,14 +406,16 @@ func (n *Node) deleteSession(w http.ResponseWriter, r *http.Request) {
 }
 
 // spoolBody reads a routed request's body fully (the routing layer may
-// need to send it more than once), bounded by MaxBodyBytes.
+// need to send it more than once), bounded by the local server's ingest
+// limit.
 func (n *Node) spoolBody(r *http.Request) ([]byte, error) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, n.cfg.MaxBodyBytes+1))
+	limit := n.local.MaxIngestBytes()
+	body, err := io.ReadAll(io.LimitReader(r.Body, limit+1))
 	if err != nil {
 		return nil, err
 	}
-	if int64(len(body)) > n.cfg.MaxBodyBytes {
-		return nil, fmt.Errorf("body exceeds %d bytes", n.cfg.MaxBodyBytes)
+	if int64(len(body)) > limit {
+		return nil, fmt.Errorf("body exceeds %d bytes", limit)
 	}
 	return body, nil
 }

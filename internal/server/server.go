@@ -340,6 +340,10 @@ func (s *Server) SetPromHook(f func(*obs.Expo)) { s.promHook.Store(f) }
 // node, the bench harness) shares one trace ring with the local server.
 func (s *Server) Tracer() *obs.Tracer { return s.tracer }
 
+// MaxIngestBytes is the bound on one /v1/ingest body (Config.MaxIngestBytes
+// after defaults); the cluster node spools routed bodies up to it.
+func (s *Server) MaxIngestBytes() int64 { return s.cfg.MaxIngestBytes }
+
 // TraceableRequest reports whether a request should get a trace of its
 // own. Probe and scrape endpoints are excluded — a /healthz every few
 // hundred milliseconds per peer would wash every real request out of
