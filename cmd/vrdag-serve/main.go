@@ -51,38 +51,36 @@ import (
 	"vrdag/internal/tensor"
 )
 
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	var (
-		addr     = flag.String("addr", ":8080", "listen address")
-		dataset  = flag.String("dataset", "", "comma-separated dataset replicas to train and serve (email, bitcoin, wiki, guarantee, brain, gdelt)")
-		scale    = flag.Float64("scale", 0.05, "replica scale factor (1 = paper size)")
-		epochs   = flag.Int("epochs", 10, "training epochs for -dataset models")
-		seed     = flag.Int64("seed", 1, "seed for replica generation and training")
-		workers  = flag.Int("workers", 0, "requests decoding at once (0 = GOMAXPROCS)")
-		maxT     = flag.Int("max-t", 512, "largest horizon accepted per request")
-		drain    = flag.Duration("drain", 30*time.Second, "graceful-shutdown deadline for draining in-flight (incl. streaming) responses")
-		quiet    = flag.Bool("quiet", false, "suppress training progress output")
-		pprofOn  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty disables")
-		logFmt   = flag.String("log-format", "text", "structured log format: text or json")
-		traceOn  = flag.Bool("trace", true, "record request traces (served on /v1/trace; off leaves a few atomic ops per request)")
-		traceCap = flag.Int("trace-ring", 256, "completed traces retained in the in-memory ring")
-		sample   = flag.Int("trace-sample", 1, "trace 1 in N requests (client-supplied X-Vrdag-Trace IDs always trace)")
-		slowMS   = flag.Float64("slow-ms", 0, "log any trace at least this many ms of wall time, spans included (0 disables)")
+		addr    = flag.String("addr", ":8080", "listen address")
+		dataset = flag.String("dataset", "", "comma-separated dataset replicas to train and serve (email, bitcoin, wiki, guarantee, brain, gdelt)")
+		scale   = flag.Float64("scale", 0.05, "replica scale factor (1 = paper size)")
+		epochs  = flag.Int("epochs", 10, "training epochs for -dataset models")
+		seed    = flag.Int64("seed", 1, "seed for replica generation and training")
+		workers = flag.Int("workers", 0, "requests decoding at once (0 = GOMAXPROCS)")
+		maxT    = flag.Int("max-t", 512, "largest horizon accepted per request")
+		drain   = flag.Duration("drain", 30*time.Second, "graceful-shutdown deadline for draining in-flight (incl. streaming) responses")
+		quiet   = flag.Bool("quiet", false, "suppress training progress output")
+		pprofOn = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty disables")
+		logFmt  = flag.String("log-format", "text", "structured log format: text or json")
+		slowMS  = flag.Float64("slow-ms", 0, "log any trace at least this many ms of wall time, spans included (0 disables)")
 
 		dataDir     = flag.String("data-dir", "", "persist forecast sessions under this directory (WAL + snapshots); empty keeps sessions in memory only")
-		snapEvery   = flag.Int("snapshot-every", 0, "compact a session's WAL into a snapshot every N ingests (0 = default 8; needs -data-dir)")
 		maxResident = flag.Int("max-resident", 0, "sessions kept decoded in memory; idler ones spill to disk (0 = no cap beyond -data-dir defaults)")
 
-		reqTimeout  = flag.Duration("request-timeout", 0, "per-request handler deadline, streaming responses included (0 = unbounded)")
-		headerRead  = flag.Duration("read-header-timeout", 10*time.Second, "http.Server ReadHeaderTimeout (slowloris guard)")
-		idleTimeout = flag.Duration("idle-timeout", 2*time.Minute, "http.Server IdleTimeout for keep-alive connections")
+		reqTimeout = flag.Duration("request-timeout", 0, "per-request handler deadline, streaming responses included (0 = unbounded)")
 
 		peers     = flag.String("peers", "", "comma-separated base URLs of every cluster node (this one included); empty runs single-node")
 		advertise = flag.String("advertise", "", "this node's base URL as it appears in -peers (required with -peers)")
 		replicas  = flag.Int("replicas", 2, "copies per forecast session, primary included (cluster mode)")
 
-		quotaRate  = flag.Float64("quota-rate", 0, "per-tenant admission quota in requests/sec (X-Vrdag-Tenant header; 0 disables)")
-		quotaBurst = flag.Int("quota-burst", 0, "per-tenant quota burst capacity (0 = ceil(quota-rate))")
+		quotaRate = flag.Float64("quota-rate", 0, "per-tenant admission quota in requests/sec, burst max(1, ceil(rate)) (X-Vrdag-Tenant header; 0 disables)")
 	)
 	modelFlags := map[string]string{}
 	flag.Func("model", "checkpoint to serve, as name=path (repeatable)", func(v string) error {
@@ -106,17 +104,13 @@ func main() {
 	}
 	logger.Info("compute backend", "backend", tensor.ActiveBackend(),
 		"cpu_features", strings.Join(tensor.CPUFeatures(), ","))
-	tracer := obs.New(obs.Config{
-		Disabled: !*traceOn,
-		Ring:     *traceCap,
-		Sample:   *sample,
-		SlowMS:   *slowMS,
-		Logger:   logger,
-	})
+	// Every request is traced into the default 256-trace ring; the
+	// benchmark reads no overhead from it (docs/ARCHITECTURE.md).
+	tracer := obs.New(obs.Config{SlowMS: *slowMS, Logger: logger})
 	srv := server.New(server.Config{
 		Workers: *workers, MaxT: *maxT, Logger: logger, Tracer: tracer,
-		DataDir: *dataDir, SnapshotEvery: *snapEvery, MaxResident: *maxResident,
-		QuotaRate: *quotaRate, QuotaBurst: *quotaBurst, RequestTimeout: *reqTimeout,
+		DataDir: *dataDir, MaxResident: *maxResident,
+		QuotaRate: *quotaRate, RequestTimeout: *reqTimeout,
 	})
 
 	for name, path := range modelFlags {
@@ -220,8 +214,8 @@ func main() {
 		// (slowloris) or parking idle keep-alives cannot hold sockets
 		// open indefinitely. Request bodies and streaming responses stay
 		// unbounded here; -request-timeout governs handler work.
-		ReadHeaderTimeout: *headerRead,
-		IdleTimeout:       *idleTimeout,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -7,7 +7,7 @@
 // The API is nil-safe end to end so instrumented code needs no guards:
 // obs.Start returns a nil *Span when the context carries no trace, and
 // every Span/Trace method no-ops on a nil receiver. A request on a
-// disabled tracer therefore costs one atomic load at the root plus one
+// disabled tracer therefore costs one field load at the root plus one
 // context lookup per instrumented stage.
 package obs
 
@@ -24,49 +24,40 @@ import (
 
 // Header is the HTTP header that propagates a trace ID across cluster
 // hops and returns it to the client. A client may supply its own ID
-// (8–64 chars of [0-9A-Za-z_-]); supplied IDs bypass sampling so a
-// deliberate trace is never dropped.
+// (8–64 chars of [0-9A-Za-z_-]); an invalid one is replaced by a fresh ID.
 const Header = "X-Vrdag-Trace"
 
-// Config configures a Tracer. The zero value is a usable enabled tracer
-// with a 256-trace ring, 16-slot slowest list, and no slow-trace log.
-type Config struct {
-	// Disabled starts the tracer off: StartTrace returns a nil trace
-	// and every downstream span call no-ops. Flip at runtime with
-	// SetEnabled.
-	Disabled bool
+const (
+	// slowestCap is how many slowest traces are retained alongside the
+	// ring.
+	slowestCap = 16
+	// maxSpans bounds the spans recorded per trace; overflow increments
+	// the trace's dropped count instead of growing.
+	maxSpans = 192
+)
 
+// Config configures a Tracer. The zero value is a usable tracer with a
+// 256-trace ring and no slow-trace log.
+type Config struct {
 	// Ring is the capacity of the completed-trace ring (rounded up to a
 	// power of two; default 256).
 	Ring int
 
-	// Slowest is how many slowest traces are retained alongside the
-	// ring (default 16; 0 keeps the default, negative disables).
-	Slowest int
-
 	// SlowMS logs any trace whose wall time meets the threshold, spans
 	// included, through Logger (0 disables).
 	SlowMS float64
-
-	// Sample traces 1 in Sample root requests (<=1 traces all).
-	// Header-supplied trace IDs bypass sampling.
-	Sample int
-
-	// MaxSpans bounds the spans recorded per trace (default 192);
-	// overflow increments the trace's dropped count instead of growing.
-	MaxSpans int
 
 	// Logger receives slow-trace records. Nil means slow traces are
 	// counted but not logged.
 	Logger *slog.Logger
 }
 
-// Tracer owns trace lifecycle: sampling, the completed ring, the
-// slowest-N list, and slow-trace logging. A nil *Tracer is a valid
-// always-off tracer.
+// Tracer owns trace lifecycle: the completed ring, the slowest-N list,
+// and slow-trace logging. A tracer from New traces every request it is
+// handed; one from Disabled, or a nil *Tracer, traces none.
 type Tracer struct {
 	cfg     Config
-	enabled atomic.Bool
+	enabled bool
 
 	ring []atomic.Pointer[Trace] // power-of-two length
 	pos  atomic.Uint64           // next ring slot to write
@@ -75,12 +66,10 @@ type Tracer struct {
 	slowest   []*Trace     // ascending by wall time
 	slowFloor atomic.Int64 // wall ns of slowest[0] once full; -1 before
 
-	sampleCtr  atomic.Uint64
-	started    atomic.Int64
-	finished   atomic.Int64
-	sampledOut atomic.Int64
-	slowCount  atomic.Int64
-	dropped    atomic.Int64 // spans dropped by per-trace cap
+	started   atomic.Int64
+	finished  atomic.Int64
+	slowCount atomic.Int64
+	dropped   atomic.Int64 // spans dropped by per-trace cap
 }
 
 // New builds a Tracer. See Config for defaults.
@@ -92,30 +81,17 @@ func New(cfg Config) *Tracer {
 	for rl < cfg.Ring {
 		rl <<= 1
 	}
-	if cfg.Slowest == 0 {
-		cfg.Slowest = 16
-	}
-	if cfg.MaxSpans <= 0 {
-		cfg.MaxSpans = 192
-	}
-	t := &Tracer{cfg: cfg, ring: make([]atomic.Pointer[Trace], rl)}
+	t := &Tracer{cfg: cfg, enabled: true, ring: make([]atomic.Pointer[Trace], rl)}
 	t.slowFloor.Store(-1)
-	t.enabled.Store(!cfg.Disabled)
 	return t
 }
 
-// Disabled returns a tracer that is off until SetEnabled(true).
-func Disabled() *Tracer { return New(Config{Disabled: true}) }
+// Disabled returns a tracer that never traces: StartTrace returns a nil
+// trace and every downstream span call no-ops.
+func Disabled() *Tracer { return &Tracer{} }
 
-// Enabled reports whether the tracer is currently tracing.
-func (t *Tracer) Enabled() bool { return t != nil && t.enabled.Load() }
-
-// SetEnabled flips tracing at runtime.
-func (t *Tracer) SetEnabled(on bool) {
-	if t != nil {
-		t.enabled.Store(on)
-	}
-}
+// Enabled reports whether the tracer traces.
+func (t *Tracer) Enabled() bool { return t != nil && t.enabled }
 
 type ctxKey struct{}
 
@@ -135,23 +111,13 @@ func TraceID(ctx context.Context) string {
 
 // StartTrace begins a trace named name and returns a derived context
 // carrying it. id is the client- or peer-supplied trace ID ("" mints a
-// fresh one); valid supplied IDs bypass sampling so propagated traces
-// stay complete across hops. Returns (ctx, nil) when the tracer is nil,
-// disabled, or this request was sampled out.
+// fresh one, as does an invalid one). Returns (ctx, nil) when the tracer
+// is nil or disabled.
 func (t *Tracer) StartTrace(ctx context.Context, name, id string) (context.Context, *Trace) {
-	if t == nil || !t.enabled.Load() {
+	if !t.Enabled() {
 		return ctx, nil
 	}
-	if id != "" && !ValidID(id) {
-		id = ""
-	}
-	if id == "" && t.cfg.Sample > 1 {
-		if t.sampleCtr.Add(1)%uint64(t.cfg.Sample) != 0 {
-			t.sampledOut.Add(1)
-			return ctx, nil
-		}
-	}
-	if id == "" {
+	if !ValidID(id) {
 		id = NewID()
 	}
 	tr := &Trace{tracer: t, ID: id, Name: name, start: time.Now()}
@@ -202,7 +168,7 @@ func (tr *Trace) Timed(name string, start time.Time, d time.Duration) *Span {
 
 func (tr *Trace) addSpan(s *Span) {
 	tr.mu.Lock()
-	if tr.done || len(tr.spans) >= tr.tracer.cfg.MaxSpans {
+	if tr.done || len(tr.spans) >= maxSpans {
 		tr.nDrop++
 		tr.mu.Unlock()
 		tr.tracer.dropped.Add(1)
@@ -251,9 +217,6 @@ func (tr *Trace) Finish(status int) {
 }
 
 func (t *Tracer) noteSlow(tr *Trace) {
-	if t.cfg.Slowest < 0 {
-		return
-	}
 	if f := t.slowFloor.Load(); f >= 0 && int64(tr.wall) <= f {
 		return
 	}
@@ -263,11 +226,11 @@ func (t *Tracer) noteSlow(tr *Trace) {
 	t.slowest = append(t.slowest, nil)
 	copy(t.slowest[i+1:], t.slowest[i:])
 	t.slowest[i] = tr
-	if len(t.slowest) > t.cfg.Slowest {
+	if len(t.slowest) > slowestCap {
 		copy(t.slowest, t.slowest[1:])
-		t.slowest = t.slowest[:t.cfg.Slowest]
+		t.slowest = t.slowest[:slowestCap]
 	}
-	if len(t.slowest) == t.cfg.Slowest {
+	if len(t.slowest) == slowestCap {
 		t.slowFloor.Store(int64(t.slowest[0].wall))
 	}
 }
@@ -458,7 +421,6 @@ type TracerStats struct {
 	Enabled      bool  `json:"enabled"`
 	Started      int64 `json:"started"`
 	Finished     int64 `json:"finished"`
-	SampledOut   int64 `json:"sampled_out,omitempty"`
 	Slow         int64 `json:"slow,omitempty"`
 	SpansDropped int64 `json:"spans_dropped,omitempty"`
 }
@@ -469,10 +431,9 @@ func (t *Tracer) Stats() TracerStats {
 		return TracerStats{}
 	}
 	return TracerStats{
-		Enabled:      t.enabled.Load(),
+		Enabled:      t.enabled,
 		Started:      t.started.Load(),
 		Finished:     t.finished.Load(),
-		SampledOut:   t.sampledOut.Load(),
 		Slow:         t.slowCount.Load(),
 		SpansDropped: t.dropped.Load(),
 	}

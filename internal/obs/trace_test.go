@@ -41,9 +41,8 @@ func TestNilSafety(t *testing.T) {
 	if _, tr := dis.StartTrace(ctx, "req", ""); tr != nil {
 		t.Fatal("disabled tracer started a trace")
 	}
-	dis.SetEnabled(true)
-	if _, tr := dis.StartTrace(ctx, "req", ""); tr == nil {
-		t.Fatal("re-enabled tracer refused to trace")
+	if dis.Enabled() || len(dis.Recent(4)) != 0 || dis.ByID("client-chosen-id") != nil || dis.Stats() != (TracerStats{}) {
+		t.Fatal("disabled tracer holds traces or counts")
 	}
 }
 
@@ -133,58 +132,40 @@ func TestRingBoundedNewestFirst(t *testing.T) {
 }
 
 func TestSlowestOrderingAndCap(t *testing.T) {
-	tc := New(Config{Ring: 4, Slowest: 2})
-	for i := 0; i < 5; i++ {
+	tc := New(Config{Ring: 4})
+	for i := 0; i < slowestCap+1; i++ {
 		_, tr := tc.StartTrace(context.Background(), "req", "")
 		if i == 3 {
 			time.Sleep(30 * time.Millisecond)
 		}
 		tr.Finish(200 + i)
 	}
-	slow := tc.Slowest(10)
-	if len(slow) != 2 {
-		t.Fatalf("slowest kept %d, want 2", len(slow))
+	slow := tc.Slowest(100)
+	if len(slow) != slowestCap {
+		t.Fatalf("slowest kept %d, want %d", len(slow), slowestCap)
 	}
 	if slow[0].Status != 203 {
 		t.Fatalf("slowest[0].Status = %d, want the 30ms trace (203)", slow[0].Status)
 	}
-	if slow[0].WallUS < slow[1].WallUS {
-		t.Fatal("slowest list not descending")
+	for i := 1; i < len(slow); i++ {
+		if slow[i-1].WallUS < slow[i].WallUS {
+			t.Fatal("slowest list not descending")
+		}
 	}
 }
 
-func TestSamplingAndForcedIDs(t *testing.T) {
-	tc := New(Config{Sample: 4})
-	traced := 0
-	for i := 0; i < 100; i++ {
-		if _, tr := tc.StartTrace(context.Background(), "req", ""); tr != nil {
-			traced++
-			tr.Finish(200)
-		}
-	}
-	if traced != 25 {
-		t.Fatalf("sampled %d/100 traces, want 25", traced)
-	}
-	if tc.Stats().SampledOut != 75 {
-		t.Fatalf("sampled_out = %d, want 75", tc.Stats().SampledOut)
-	}
-
-	// A header-supplied ID always traces, regardless of the sample gate.
+func TestSuppliedIDs(t *testing.T) {
+	tc := New(Config{})
+	// A header-supplied ID is kept, so every hop shares it.
 	for i := 0; i < 10; i++ {
 		_, tr := tc.StartTrace(context.Background(), "req", "client-chosen-id")
-		if tr == nil {
-			t.Fatal("forced ID was sampled out")
-		}
-		if tr.ID != "client-chosen-id" {
-			t.Fatalf("ID = %q", tr.ID)
+		if tr == nil || tr.ID != "client-chosen-id" {
+			t.Fatalf("supplied ID not kept: %+v", tr)
 		}
 		tr.Finish(200)
 	}
 	// Invalid supplied IDs are replaced rather than propagated.
 	_, tr := tc.StartTrace(context.Background(), "req", "bad id with spaces")
-	for tr == nil { // may be sampled out now that the ID is discarded
-		_, tr = tc.StartTrace(context.Background(), "req", "bad id with spaces")
-	}
 	if !ValidID(tr.ID) || strings.Contains(tr.ID, " ") {
 		t.Fatalf("invalid supplied ID leaked: %q", tr.ID)
 	}
@@ -192,22 +173,22 @@ func TestSamplingAndForcedIDs(t *testing.T) {
 }
 
 func TestSpanCapDrops(t *testing.T) {
-	tc := New(Config{MaxSpans: 4})
+	tc := New(Config{})
 	_, tr := tc.StartTrace(context.Background(), "req", "")
-	for i := 0; i < 7; i++ {
+	for i := 0; i < maxSpans+3; i++ {
 		tr.StartSpan("s").End()
 	}
 	tr.Finish(200)
 	v := tc.Recent(1)[0]
-	if len(v.Spans) != 4 || v.SpansDropped != 3 {
-		t.Fatalf("spans=%d dropped=%d, want 4/3", len(v.Spans), v.SpansDropped)
+	if len(v.Spans) != maxSpans || v.SpansDropped != 3 {
+		t.Fatalf("spans=%d dropped=%d, want %d/3", len(v.Spans), v.SpansDropped, maxSpans)
 	}
 	if tc.Stats().SpansDropped != 3 {
 		t.Fatalf("tracer dropped counter = %d", tc.Stats().SpansDropped)
 	}
 	// Spans arriving after Finish are dropped, not appended.
 	tr.StartSpan("late").End()
-	if got := len(tc.Recent(1)[0].Spans); got != 4 {
+	if got := len(tc.Recent(1)[0].Spans); got != maxSpans {
 		t.Fatalf("late span appended: %d spans", got)
 	}
 }

@@ -37,7 +37,7 @@ import (
 // reconstructs the pre-crash session exactly, and a forecast from the
 // recovered state is byte-identical to one from the live state.
 //
-// Every SnapshotEvery appends the session compacts: the full state is
+// Every snapshotEvery appends the session compacts: the full state is
 // written with WriteFileAtomic recording the log position, the WAL
 // rotates to a fresh generation, and superseded generations are removed.
 // The same snapshot path lets idle sessions spill out of RAM entirely
@@ -54,6 +54,10 @@ import (
 const (
 	sessionMetaFile = "meta.json"
 	sessionSnapFile = "state.snap"
+
+	// snapshotEvery is how many appended ingest requests a session's WAL
+	// holds before it is compacted into a snapshot.
+	snapshotEvery = 8
 )
 
 // sessionMeta records what recovery needs before any snapshot exists:
@@ -282,7 +286,7 @@ func (s *Server) snapshotSessionLocked(fs *forecastSession) error {
 
 // maybeSnapshotLocked compacts when enough appends have accumulated.
 func (s *Server) maybeSnapshotLocked(fs *forecastSession) error {
-	if fs.sinceSnap < s.cfg.SnapshotEvery {
+	if fs.sinceSnap < snapshotEvery {
 		return nil
 	}
 	return s.snapshotSessionLocked(fs)

@@ -60,6 +60,18 @@ func edgeStreamCSVRange(t *testing.T, fromT, toT int) string {
 	return sb.String()
 }
 
+// csvChunks splits an ingest CSV into n bodies of consecutive rows, each
+// with the header.
+func csvChunks(csv string, n int) []string {
+	header, rows, _ := strings.Cut(csv, "\n")
+	lines := strings.Split(strings.TrimSuffix(rows, "\n"), "\n")
+	chunks := make([]string, n)
+	for i := range chunks {
+		chunks[i] = header + "\n" + strings.Join(lines[i*len(lines)/n:(i+1)*len(lines)/n], "\n") + "\n"
+	}
+	return chunks
+}
+
 // forecastSequenceJSON forecasts with a pinned seed and returns the
 // sequence re-marshalled on its own, so volatile fields (elapsed time)
 // don't enter the byte comparison.
@@ -99,15 +111,25 @@ func mustIngest(t *testing.T, url, query, body string) IngestResponse {
 // to the pre-crash session, including the half-built flush=false window.
 func TestSessionKillRecoverForecastIdentity(t *testing.T) {
 	dir := t.TempDir()
-	s1, ts1 := newDurableServer(t, dir, func(c *Config) { c.SnapshotEvery = 2 })
-	_ = s1 // killed: never drained, never closed
+	s1, ts1 := newDurableServer(t, dir, nil) // killed: never drained, never closed
 
-	mustIngest(t, ts1.URL, "session=live", edgeStreamCSVRange(t, 0, 2))
-	mustIngest(t, ts1.URL, "session=live", edgeStreamCSVRange(t, 2, 4))
-	// Third request leaves a window under construction.
+	// Windows 0–3 arrive split across snapshotEvery unflushed requests, so
+	// the session compacts once, mid-window; the next request lives only
+	// in the WAL tail.
+	sessDir := filepath.Join(dir, "sessions", "live")
+	for i, chunk := range csvChunks(edgeStreamCSVRange(t, 0, 4), snapshotEvery) {
+		mustIngest(t, ts1.URL, "session=live&flush=false", chunk)
+		if _, err := os.Stat(filepath.Join(sessDir, sessionSnapFile)); (err == nil) != (i == snapshotEvery-1) {
+			t.Fatalf("after ingest %d of %d: state.snap stat err = %v", i+1, snapshotEvery, err)
+		}
+	}
+	// The tail request seals window 3 and leaves window 4 under construction.
 	ing := mustIngest(t, ts1.URL, "session=live&flush=false", edgeStreamCSVRange(t, 4, 5))
 	if !ing.Pending || ing.Steps != 4 {
 		t.Fatalf("pre-crash session: steps=%d pending=%v, want 4/true", ing.Steps, ing.Pending)
+	}
+	if st := s1.durabilityStats(); st.Snapshots != 1 || st.WALAppends != snapshotEvery+1 {
+		t.Fatalf("pre-crash stats: %d snapshots / %d WAL appends, want 1 / %d", st.Snapshots, st.WALAppends, snapshotEvery+1)
 	}
 	wantSteps, want := forecastSequenceJSON(t, ts1.URL, "live", 42)
 	if wantSteps != 4 {
@@ -116,7 +138,7 @@ func TestSessionKillRecoverForecastIdentity(t *testing.T) {
 	ts1.Close() // kill: the server object is simply abandoned
 
 	// A later process recovers the session and forecasts identically.
-	s2, ts2 := newDurableServer(t, dir, func(c *Config) { c.SnapshotEvery = 2 })
+	s2, ts2 := newDurableServer(t, dir, nil)
 	n, err := s2.RecoverSessions()
 	if err != nil || n != 1 {
 		t.Fatalf("RecoverSessions = %d, %v, want 1 session", n, err)
@@ -143,7 +165,6 @@ func TestSessionKillRecoverForecastIdentity(t *testing.T) {
 	// A torn WAL tail — the unacknowledged debris of a crash mid-append —
 	// is truncated away; everything acknowledged still recovers.
 	var walPath string
-	sessDir := filepath.Join(dir, "sessions", "live")
 	entries, err := os.ReadDir(sessDir)
 	if err != nil {
 		t.Fatal(err)
@@ -184,14 +205,15 @@ func TestSessionKillRecoverForecastIdentity(t *testing.T) {
 // pinned by deleting the WAL files before recovering.
 func TestDrainFlushesSessionsToSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	s1, ts1 := newDurableServer(t, dir, func(c *Config) { c.SnapshotEvery = 100 })
+	s1, ts1 := newDurableServer(t, dir, nil)
 
+	// One ingest, fewer than snapshotEvery: only the drain can compact.
 	mustIngest(t, ts1.URL, "session=clean", edgeStreamCSVRange(t, 0, 3))
 	want, wantSeq := forecastSequenceJSON(t, ts1.URL, "clean", 7)
 
 	sessDir := filepath.Join(dir, "sessions", "clean")
 	if _, err := os.Stat(filepath.Join(sessDir, sessionSnapFile)); !os.IsNotExist(err) {
-		t.Fatalf("snapshot exists before drain (SnapshotEvery=100): %v", err)
+		t.Fatalf("snapshot exists before drain (1 of %d ingests): %v", snapshotEvery, err)
 	}
 	s1.BeginDrain()
 	if _, err := os.Stat(filepath.Join(sessDir, sessionSnapFile)); err != nil {
@@ -371,7 +393,6 @@ func TestConcurrentIngestForecastSpill(t *testing.T) {
 	s, ts := newDurableServer(t, t.TempDir(), func(c *Config) {
 		c.MaxResident = 1
 		c.SessionTTL = 20 * time.Millisecond
-		c.SnapshotEvery = 2
 	})
 	defer func() { ts.Close(); s.Close() }()
 

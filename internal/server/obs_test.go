@@ -441,6 +441,37 @@ func TestTraceCoversDurableIngest(t *testing.T) {
 	checkSpanCoverage(t, views, "admit", "ingest.fold", "wal.append", "encode")
 }
 
+// TestEveryRequestTraced: with the default tracer, every traceable request
+// without a client-supplied ID is traced under a fresh ID; none is skipped,
+// and /metrics carries no sampler family.
+func TestEveryRequestTraced(t *testing.T) {
+	s, ts := newTestServer(t)
+	const n = 6
+	ids := map[string]bool{}
+	for i := 0; i < n; i++ {
+		resp, err := http.Get(ts.URL + "/v1/models")
+		if err != nil {
+			t.Fatalf("GET /v1/models: %v", err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		ids[resp.Header.Get(obs.Header)] = true
+	}
+	if len(ids) != n || ids[""] {
+		t.Fatalf("%d requests returned trace IDs %v, want %d distinct", n, ids, n)
+	}
+	if st := s.tracer.Stats(); st.Started != n || st.Finished != n {
+		t.Fatalf("tracer stats %+v, want started == finished == %d", st, n)
+	}
+	text := scrape(t, ts.URL)
+	if got := promSample(t, text, "vrdag_traces_finished_total"); got != n {
+		t.Fatalf("vrdag_traces_finished_total = %v, want %d", got, n)
+	}
+	if strings.Contains(text, "vrdag_traces_sampled_out_total") {
+		t.Fatal("/metrics still exposes the trace sampler's family")
+	}
+}
+
 func countSpans(v obs.TraceView, name string) int {
 	n := 0
 	for _, sp := range v.Spans {

@@ -131,14 +131,12 @@ func (s *Server) renderProm(e *obs.Expo) {
 	if ts.Enabled {
 		enabled = 1
 	}
-	e.Family("vrdag_tracing_enabled", "Whether request tracing is recording (0 = disabled, atomic no-op path).", "gauge")
+	e.Family("vrdag_tracing_enabled", "Whether request tracing is recording (0 = disabled, no-op path).", "gauge")
 	e.Int("vrdag_tracing_enabled", nil, enabled)
 	e.Family("vrdag_traces_started_total", "Request traces started.", "counter")
 	e.Int("vrdag_traces_started_total", nil, ts.Started)
 	e.Family("vrdag_traces_finished_total", "Request traces finished and published to the ring.", "counter")
 	e.Int("vrdag_traces_finished_total", nil, ts.Finished)
-	e.Family("vrdag_traces_sampled_out_total", "Requests skipped by the trace sampler.", "counter")
-	e.Int("vrdag_traces_sampled_out_total", nil, ts.SampledOut)
 	e.Family("vrdag_traces_slow_total", "Finished traces over the slow-trace threshold.", "counter")
 	e.Int("vrdag_traces_slow_total", nil, ts.Slow)
 	e.Family("vrdag_trace_spans_dropped_total", "Spans dropped by the per-trace cap.", "counter")

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -12,9 +13,10 @@ import (
 // Per-tenant token-bucket quotas on the admission queue. The tenant is
 // named by the X-Vrdag-Tenant header (absent → "default"); each tenant
 // holds an independent bucket refilled at QuotaRate tokens/sec up to
-// QuotaBurst, and a request that finds the bucket empty is shed with 429
-// before it can take an admission slot — so one tenant's burst cannot
-// crowd the queue that every other tenant's latency depends on.
+// quotaBurst(QuotaRate), and a request that finds the bucket empty is
+// shed with 429 before it can take an admission slot — so one tenant's
+// burst cannot crowd the queue that every other tenant's latency depends
+// on.
 //
 // Replica-apply traffic (X-Vrdag-Replica, see internal/cluster) bypasses
 // the check: the quota was already charged on the node that admitted the
@@ -29,6 +31,10 @@ type tenantBucket struct {
 	admitted  int64
 	throttled int64
 }
+
+// quotaBurst is a tenant bucket's capacity: one second of refill, rounded
+// up, and never less than one request.
+func quotaBurst(rate float64) float64 { return max(1, math.Ceil(rate)) }
 
 // take removes one token, refilling from elapsed wall time first. It
 // reports whether the request may proceed and, when it may not, how many
@@ -78,7 +84,8 @@ func (s *Server) checkQuota(w http.ResponseWriter, r *http.Request) bool {
 		s.quotas[tenant] = b
 	}
 	s.quotaMu.Unlock()
-	ok, waitS := b.take(time.Now(), s.cfg.QuotaRate, float64(s.cfg.QuotaBurst))
+	burst := quotaBurst(s.cfg.QuotaRate)
+	ok, waitS := b.take(time.Now(), s.cfg.QuotaRate, burst)
 	if ok {
 		sp.SetStr("outcome", "ok").End()
 		return true
@@ -87,7 +94,7 @@ func (s *Server) checkQuota(w http.ResponseWriter, r *http.Request) bool {
 	base := int(waitS) + 1
 	w.Header().Set("Retry-After", s.retryAfterJitter(base, base))
 	s.writeError(w, http.StatusTooManyRequests,
-		"tenant %q over quota (%.3g req/s, burst %d)", tenant, s.cfg.QuotaRate, s.cfg.QuotaBurst)
+		"tenant %q over quota (%.3g req/s, burst %g)", tenant, s.cfg.QuotaRate, burst)
 	return false
 }
 

@@ -9,16 +9,18 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
-// newQuotaServer runs a server with a tiny refill rate so a tenant's burst
-// exhausts deterministically and stays exhausted for the test's duration.
-func newQuotaServer(t *testing.T, burst int) (*Server, *httptest.Server) {
+// newQuotaServer runs a server with a tiny refill rate, so each tenant's
+// burst is one request, exhausts deterministically, and stays exhausted for
+// the test's duration.
+func newQuotaServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
 	m, ref := trainedModel(t)
 	s := New(Config{
 		Logger:    slog.New(slog.NewTextHandler(io.Discard, nil)),
-		QuotaRate: 0.001, QuotaBurst: burst,
+		QuotaRate: 0.001,
 	})
 	if err := s.Register("email", m, ref); err != nil {
 		t.Fatalf("register: %v", err)
@@ -50,15 +52,35 @@ func ingestAs(t *testing.T, url, tenant, sess string, step int) *http.Response {
 	return resp
 }
 
-func TestQuotaExhaustionIsPerTenant(t *testing.T) {
-	_, ts := newQuotaServer(t, 3)
-
-	for i := 0; i < 3; i++ {
-		if resp := ingestAs(t, ts.URL, "alice", "qa", i); resp.StatusCode != http.StatusOK {
-			t.Fatalf("alice request %d inside burst: status %d", i, resp.StatusCode)
+// TestQuotaBurstFromRate pins the burst to max(1, ceil(QuotaRate)): a
+// fresh bucket admits exactly that many requests at one instant.
+func TestQuotaBurstFromRate(t *testing.T) {
+	for _, tc := range []struct {
+		rate float64
+		want int
+	}{{0.001, 1}, {1, 1}, {2.0005, 3}, {2.5, 3}} {
+		var b tenantBucket
+		now := time.Now()
+		admitted := 0
+		for {
+			if ok, _ := b.take(now, tc.rate, quotaBurst(tc.rate)); !ok {
+				break
+			}
+			admitted++
+		}
+		if admitted != tc.want {
+			t.Errorf("rate %g: a fresh bucket admitted %d, want %d", tc.rate, admitted, tc.want)
 		}
 	}
-	shed := ingestAs(t, ts.URL, "alice", "qa", 3)
+}
+
+func TestQuotaExhaustionIsPerTenant(t *testing.T) {
+	_, ts := newQuotaServer(t)
+
+	if resp := ingestAs(t, ts.URL, "alice", "qa", 0); resp.StatusCode != http.StatusOK {
+		t.Fatalf("alice request inside burst: status %d", resp.StatusCode)
+	}
+	shed := ingestAs(t, ts.URL, "alice", "qa", 1)
 	if shed.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("alice over burst: status %d, want 429", shed.StatusCode)
 	}
@@ -83,7 +105,7 @@ func TestQuotaExhaustionIsPerTenant(t *testing.T) {
 }
 
 func TestQuotaCountersOnMetrics(t *testing.T) {
-	_, ts := newQuotaServer(t, 3)
+	_, ts := newQuotaServer(t)
 	for i := 0; i < 4; i++ {
 		ingestAs(t, ts.URL, "alice", "qm", i)
 	}
@@ -94,7 +116,7 @@ func TestQuotaCountersOnMetrics(t *testing.T) {
 	for _, c := range []struct {
 		tenant              string
 		admitted, throttled float64
-	}{{"alice", 3, 1}, {"bob", 1, 0}} {
+	}{{"alice", 1, 3}, {"bob", 1, 0}} {
 		label := `tenant="` + c.tenant + `"`
 		admitted := promSample(t, text, "vrdag_tenant_admitted_total", label)
 		throttled := promSample(t, text, "vrdag_tenant_throttled_total", label)
@@ -108,11 +130,9 @@ func TestQuotaCountersOnMetrics(t *testing.T) {
 }
 
 func TestQuotaReplicaTrafficBypasses(t *testing.T) {
-	_, ts := newQuotaServer(t, 2)
-	for i := 0; i < 2; i++ {
-		ingestAs(t, ts.URL, "carol", "qr", i)
-	}
-	if resp := ingestAs(t, ts.URL, "carol", "qr", 2); resp.StatusCode != http.StatusTooManyRequests {
+	_, ts := newQuotaServer(t)
+	ingestAs(t, ts.URL, "carol", "qr", 0)
+	if resp := ingestAs(t, ts.URL, "carol", "qr", 1); resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("carol over burst: status %d, want 429", resp.StatusCode)
 	}
 

@@ -77,9 +77,6 @@ type Config struct {
 	// FS is the filesystem durable state goes through (default the real
 	// one); tests inject a durable.FaultFS to drive the crash matrix.
 	FS durable.FS
-	// SnapshotEvery compacts a session's WAL into a full snapshot after
-	// this many appended ingest requests (default 8).
-	SnapshotEvery int
 	// MaxResident bounds how many durable sessions stay decoded in RAM
 	// (default MaxSessions); the sweeper spills the longest-idle ones
 	// beyond the cap, and they reload lazily on next use.
@@ -92,10 +89,10 @@ type Config struct {
 
 	// QuotaRate, when > 0, enables per-tenant token-bucket quotas on the
 	// admission queue: each tenant (X-Vrdag-Tenant header) refills at
-	// QuotaRate requests/sec up to QuotaBurst, and an empty bucket sheds
-	// with 429 + jittered Retry-After (see quotas.go).
-	QuotaRate  float64
-	QuotaBurst int // bucket capacity (default ceil(QuotaRate), min 1)
+	// QuotaRate requests/sec up to a burst of max(1, ceil(QuotaRate)), and
+	// an empty bucket sheds with 429 + jittered Retry-After (see
+	// quotas.go).
+	QuotaRate float64
 
 	// RequestTimeout, when > 0, bounds every request's handler context:
 	// generation past the deadline aborts and returns its buffers. Set it
@@ -110,8 +107,8 @@ type Config struct {
 	Logger *slog.Logger
 
 	// Tracer records request traces (see internal/obs). Nil selects a
-	// default always-on tracer wired to Logger; pass obs.Disabled() to
-	// serve with tracing off (a few atomic loads per request).
+	// tracer that traces every request into a 256-trace ring, wired to
+	// Logger; obs.Disabled() serves untraced.
 	Tracer *obs.Tracer
 }
 
@@ -196,20 +193,11 @@ func New(cfg Config) *Server {
 	if cfg.FS == nil {
 		cfg.FS = durable.OS
 	}
-	if cfg.SnapshotEvery <= 0 {
-		cfg.SnapshotEvery = 8
-	}
 	if cfg.MaxResident <= 0 {
 		cfg.MaxResident = cfg.MaxSessions
 	}
 	if cfg.SweepInterval == 0 {
 		cfg.SweepInterval = time.Minute
-	}
-	if cfg.QuotaRate > 0 && cfg.QuotaBurst <= 0 {
-		cfg.QuotaBurst = int(cfg.QuotaRate + 0.999)
-		if cfg.QuotaBurst < 1 {
-			cfg.QuotaBurst = 1
-		}
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
@@ -261,7 +249,8 @@ func New(cfg Config) *Server {
 // Register adds a trained model under name. The model must not be mutated
 // (trained, refitted) after registration: handlers rely on it being
 // read-only. The third argument is unused; it is kept for the bench/
-// module's two call sites until ROADMAP item 5's bench-only PR drops it.
+// module's two call sites until ROADMAP item 8(g)'s bench-only change
+// drops it.
 func (s *Server) Register(name string, m *core.Model, _ *dyngraph.Sequence) error {
 	if name == "" {
 		return fmt.Errorf("server: model name must be non-empty")
