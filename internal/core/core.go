@@ -296,19 +296,10 @@ func (m *Model) posterior(c *nn.Ctx, eps, h *tensor.Node) (mu, logSig *tensor.No
 // matrices are pool-allocated; callers Put them when done.
 func (m *Model) priorValue(h *tensor.Matrix) (mu, logSig *tensor.Matrix) {
 	hid := m.priorHid.Forward(h)
-	leakyValInPlace(hid)
+	tensor.VLeakyReLU(hid.Data, 0.2)
 	mu, logSig = m.priorMu.Forward(hid), m.priorSig.Forward(hid)
 	tensor.Put(hid)
 	return mu, logSig
-}
-
-func leakyValInPlace(x *tensor.Matrix) {
-	x.ApplyInPlace(func(v float64) float64 {
-		if v > 0 {
-			return v
-		}
-		return 0.2 * v
-	})
 }
 
 // reparameterize draws z = µ + ε·σ on the tape with constant noise. The

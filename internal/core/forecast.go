@@ -297,7 +297,7 @@ func (m *Model) alignSnapshot(snap *dyngraph.Snapshot) (*dyngraph.Snapshot, func
 func (m *Model) posteriorMeanValue(eps, h *tensor.Matrix) *tensor.Matrix {
 	in := concatValue(eps, h)
 	hid := m.postHid.Forward(in)
-	leakyValInPlace(hid)
+	tensor.VLeakyReLU(hid.Data, 0.2)
 	mu := m.postMu.Forward(hid)
 	tensor.Put(hid)
 	tensor.Put(in)

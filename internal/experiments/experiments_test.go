@@ -13,9 +13,10 @@ import (
 func tiny() Options { return Options{Scale: 0.015, Seed: 5, Epochs: 2} }
 
 // skipIfShort keeps `go test -short ./...` an inner loop of seconds. It
-// marks the four sweeps and the two timing comparisons; of this package's
-// ≈ 60 s, TestFigure9OrderingVRDAGFastestGeneration is ≈ 43 s and
-// TestScalabilityRows ≈ 11 s (the sweeps together ≈ 3 s).
+// marks the four sweeps and the two timing comparisons, ≈ 5 s of this
+// package's ≈ 9 s: TestScalabilityRows ≈ 1.8 s,
+// TestFigure9OrderingVRDAGFastestGeneration ≈ 1.1–1.6 s and the sweeps
+// together ≈ 2.5 s.
 func skipIfShort(t *testing.T) {
 	t.Helper()
 	if testing.Short() {
@@ -145,25 +146,32 @@ func TestFigures7to8(t *testing.T) {
 	}
 }
 
+// TestFigure9OrderingVRDAGFastestGeneration checks the paper's headline,
+// that VRDAG generates faster than the walk-based baselines, on email
+// alone: there VRDAG takes 1.3–2.3 ms against TagGen's 0.84–1.04 s
+// (460–620×), and the four methods fit and generate in about 1.5 s.
+// Requiring 10× leaves room for a loaded machine, yet a VRDAG 100× slower
+// (about 6×) fails. The six-dataset table is CI's `vrdag-bench -exp fig9`
+// leg.
 func TestFigure9OrderingVRDAGFastestGeneration(t *testing.T) {
 	skipIfShort(t)
-	rows, err := Figure9(Options{Scale: 0.015, Seed: 6, Epochs: 2})
+	o := Options{Scale: 0.015, Seed: 6, Epochs: 2}.withDefaults()
+	orig, _, err := datasets.Replica(datasets.Email, o.Scale, o.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var rows []TimingRow
 	gen := map[string]float64{}
-	count := map[string]int{}
-	for _, r := range rows {
+	for _, g := range efficiencyGenerators(o) {
+		r := timeOne(datasets.Email, g, orig, orig.T())
 		if r.Err != nil {
-			t.Fatalf("%s/%s: %v", r.Dataset, r.Method, r.Err)
+			t.Fatalf("%s: %v", r.Method, r.Err)
 		}
-		gen[r.Method] += r.GenSec
-		count[r.Method]++
+		rows = append(rows, r)
+		gen[r.Method] = r.GenSec
 	}
-	// The paper's headline: VRDAG generation is faster than every
-	// walk-based baseline (by orders of magnitude at full scale).
-	if gen["VRDAG"] >= gen["TagGen"] {
-		t.Fatalf("VRDAG generation (%gs) must beat TagGen (%gs)", gen["VRDAG"], gen["TagGen"])
+	if 10*gen["VRDAG"] > gen["TagGen"] {
+		t.Fatalf("VRDAG generation (%gs) must be at least 10x faster than TagGen's (%gs)", gen["VRDAG"], gen["TagGen"])
 	}
 	var buf bytes.Buffer
 	PrintTimings(&buf, rows)

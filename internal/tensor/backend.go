@@ -41,9 +41,9 @@ import (
 //     across the contraction, so each element sees the exact scalar
 //     sequence of roundings.
 //   - GemmNN/GemmTN skip zero multipliers (a zero a[i][p] contributes
-//     nothing and one-hot feature matrices are common on that path); the
-//     skip is part of the kernel contract and every backend applies it
-//     identically.
+//     nothing and one-hot feature matrices are common on that path): +0
+//     and −0 are skipped, NaN is not. The skip is part of the kernel
+//     contract and every backend applies it identically.
 //   - PairLogits fixes, per output element, hidden unit r ascending: one
 //     subtract, one add, the LeakyReLU select, one multiply, and one add
 //     into a sum that starts at +0 — no zero skip, no FMA. SIMD variants

@@ -5,8 +5,8 @@ package tensor
 import "math"
 
 // Assembly kernel entry points (backend_amd64.s). All are leaf routines
-// over raw pointers; the //go:noescape pragma keeps the compaction
-// buffers and row slices they receive on the caller's stack.
+// over raw pointers; the //go:noescape pragma keeps the slices they
+// receive on the caller's stack.
 
 //go:noescape
 func axpyAVX2(dst, src *float64, n int, a float64)
@@ -33,7 +33,7 @@ func actGradTanhAVX2(dst, grad, out *float64, n4 int)
 func actGradSigmoidAVX2(dst, grad, out *float64, n4 int)
 
 //go:noescape
-func gemmRowNZAVX2(o, bdata, avs *float64, ps *int32, nz, n int)
+func gemmRowsAVX2(out, a, b *float64, m, k, n, rowStride, pStride int)
 
 //go:noescape
 func ntRowBulkAVX2(o, a, bdata *float64, n4, k, k4 int)
@@ -96,8 +96,10 @@ func expKernelMatchesMath() bool {
 // avx2Backend runs the hand-written AVX2 kernels, bit-identical to the
 // reference: 4-wide no-FMA mul+add pairs vectorised across output
 // elements only, and the exp kernel replaying math.Exp's own FMA
-// sequence lane by lane (see backend_amd64.s). GEMM drivers reuse the
-// tuned backend's compaction scheme; GemmTT is inherited.
+// sequence lane by lane (see backend_amd64.s). GemmNN and GemmTN are one
+// kernel that keeps two output rows' sums in registers and skips zero
+// multipliers itself; GemmNT runs four dot-product lanes per call; GemmTT
+// is inherited.
 type avx2Backend struct{ tunedBackend }
 
 func (avx2Backend) Name() string { return "avx2" }
@@ -127,8 +129,8 @@ func (avx2Backend) Scale(x []float64, s float64) {
 	scaleAVX2(&x[0], len(x), s)
 }
 
-func (avx2Backend) GemmNN(out, a, b *Matrix) { gemmNNAsm(out, a, b) }
-func (avx2Backend) GemmTN(out, a, b *Matrix) { gemmTNAsm(out, a, b) }
+func (avx2Backend) GemmNN(out, a, b *Matrix) { gemmRows(out, a, b, a.Rows, a.Cols, b.Cols, a.Cols, 1) }
+func (avx2Backend) GemmTN(out, a, b *Matrix) { gemmRows(out, a, b, a.Cols, a.Rows, b.Cols, 1, a.Cols) }
 func (avx2Backend) GemmNT(out, a, b *Matrix) { gemmNTAsm(out, a, b) }
 
 // The branch-free activation kernels replace data-dependent branches
@@ -227,71 +229,21 @@ func (b avx2Backend) PairLogits(out []float64, stride int, w2 []float64, kq, dh 
 	}
 }
 
-// gemmNNAsm is the tuned backend's out += a·b compaction driver (see
-// backend_tuned.go) handing each output row's compacted multipliers to
-// the assembly row kernel in one call. The call is direct, not through a
-// function value: an indirect one would force the stack compaction
-// buffers to escape.
-func gemmNNAsm(out, a, b *Matrix) {
-	m, k, n := a.Rows, a.Cols, b.Cols
-	if n == 0 {
+// gemmRows runs GemmNN or GemmTN through the assembly kernel, whose row
+// i's multipliers are a.Data[i*rowStride + p*pStride], one panel of
+// matMulKBlock rows of b per call: a panel stays in cache while every row
+// pair walks it, where a whole b taller than that (a TN weight gradient
+// over thousands of nodes) would stream from memory once per pair. Each
+// output element still takes its products in ascending p. The kernel takes
+// raw pointers, so the three index expressions first check that each
+// matrix holds the elements its shape names.
+func gemmRows(out, a, b *Matrix, m, k, n, rowStride, pStride int) {
+	if m == 0 || k == 0 || n == 0 {
 		return
 	}
-	var ps [matMulKBlock]int32
-	var avs [matMulKBlock]float64
+	_, _, _ = out.Data[m*n-1], a.Data[m*k-1], b.Data[k*n-1]
 	for k0 := 0; k0 < k; k0 += matMulKBlock {
-		k1 := k0 + matMulKBlock
-		if k1 > k {
-			k1 = k
-		}
-		for i := 0; i < m; i++ {
-			arow := a.Data[i*k+k0 : i*k+k1]
-			nz := 0
-			for pi, av := range arow {
-				if av != 0 {
-					ps[nz] = int32(k0 + pi)
-					avs[nz] = av
-					nz++
-				}
-			}
-			if nz == 0 {
-				continue
-			}
-			orow := out.Data[i*n : (i+1)*n]
-			gemmRowNZAVX2(&orow[0], &b.Data[0], &avs[0], &ps[0], nz, n)
-		}
-	}
-}
-
-// gemmTNAsm is the out += aᵀ·b compaction driver feeding the same row
-// kernel.
-func gemmTNAsm(out, a, b *Matrix) {
-	m, k, n := a.Cols, a.Rows, b.Cols
-	if n == 0 || m == 0 {
-		return
-	}
-	var ps [matMulKBlock]int32
-	var avs [matMulKBlock]float64
-	for k0 := 0; k0 < k; k0 += matMulKBlock {
-		k1 := k0 + matMulKBlock
-		if k1 > k {
-			k1 = k
-		}
-		for i := 0; i < m; i++ {
-			nz := 0
-			for p := k0; p < k1; p++ {
-				if av := a.Data[p*m+i]; av != 0 {
-					ps[nz] = int32(p)
-					avs[nz] = av
-					nz++
-				}
-			}
-			if nz == 0 {
-				continue
-			}
-			orow := out.Data[i*n : (i+1)*n]
-			gemmRowNZAVX2(&orow[0], &b.Data[0], &avs[0], &ps[0], nz, n)
-		}
+		gemmRowsAVX2(&out.Data[0], &a.Data[k0*pStride], &b.Data[k0*n], m, min(matMulKBlock, k-k0), n, rowStride, pStride)
 	}
 }
 

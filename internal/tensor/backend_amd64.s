@@ -13,7 +13,9 @@
 //     ascending contraction order, so no element ever sees a reordered or
 //     fused sum.
 //   - Tails narrow 256→scalar with VEX scalar ops (VMULSD/VADDSD), which
-//     round exactly like the Go compiler's SSE scalar code.
+//     round exactly like the Go compiler's SSE scalar code, or keep the
+//     packed ops under a lane mask (VMASKMOVPD) that loads and stores only
+//     the tail's elements.
 //
 // All functions are NOSPLIT leaf routines taking raw pointers (wrapped by
 // //go:noescape declarations in backend_amd64.go) and end with VZEROUPPER
@@ -327,186 +329,300 @@ actsig_done:
 	VZEROUPPER
 	RET
 
-// func gemmRowNZAVX2(o, bdata, avs *float64, ps *int32, nz, n int)
-// One call per output row: processes ALL nz compacted multipliers —
-// groups of four through the fused 4-stream loop (four sequential mul+adds
-// per element, ascending multiplier order), the nz%4 remainder as
-// single-stream axpys. Hoisting the group loop out of Go removes the
-// per-4-multiplier call overhead that dominated small-n GEMMs.
-TEXT ·gemmRowNZAVX2(SB), NOSPLIT, $0-48
-	MOVQ o+0(FP), DI
-	MOVQ bdata+8(FP), BX
-	MOVQ avs+16(FP), AX
-	MOVQ ps+24(FP), DX
-	MOVQ nz+32(FP), CX
+// GEMM_SKIP jumps to SKIP when the multiplier at M is +0 or −0: doubling
+// its bits shifts the sign out and leaves nothing else. NaN is not skipped.
+#define GEMM_SKIP(M, SKIP) \
+	MOVQ M, AX  \
+	ADDQ AX, AX \
+	JEQ  SKIP
+
+// GEMM_MUL_ADD adds A times the four b values at OFF(R8) into ACC, with a
+// separate multiply and add, as the scalar reference rounds them.
+#define GEMM_MUL_ADD(OFF, A, ACC, T) \
+	VMULPD OFF(R8), A, T \
+	VADDPD T, ACC, ACC
+
+// gemmmask<> row r−1 sets the first r lanes: the mask of a strip of r ≤ 4
+// columns.
+DATA gemmmask<>+0(SB)/8, $-1
+DATA gemmmask<>+32(SB)/8, $-1
+DATA gemmmask<>+40(SB)/8, $-1
+DATA gemmmask<>+64(SB)/8, $-1
+DATA gemmmask<>+72(SB)/8, $-1
+DATA gemmmask<>+80(SB)/8, $-1
+DATA gemmmask<>+96(SB)/8, $-1
+DATA gemmmask<>+104(SB)/8, $-1
+DATA gemmmask<>+112(SB)/8, $-1
+DATA gemmmask<>+120(SB)/8, $-1
+GLOBL gemmmask<>(SB), RODATA|NOPTR, $128
+
+// func gemmRowsAVX2(out, a, b *float64, m, k, n, rowStride, pStride int)
+// out[i][j] += x_i[p]·b[p][j] for p ascending, skipping x_i[p] = ±0, where
+// out is m×n and b k×n, both row-major, and row i's multipliers are
+// x_i[p] = a[i·rowStride + p·pStride] (GemmNN: k and 1; GemmTN: 1 and m).
+// m, k and n are positive. Rows go two at a time, an odd last row alone.
+// Their columns go in strips of 16, one of 8, then masked strips of at
+// most 4. A strip's sums stay in registers from one load of out, over
+// every p, to one store; the two rows share each load of b, which doubles
+// the independent add chains a strip keeps in flight. The Go wrapper calls
+// it once per panel of matMulKBlock rows of b.
+//
+//	DI  out row i, R13 x_i[0], BX b, R14 rows left
+//	R10 n·8, the row stride of out and b; DX rowStride·8; R9 pStride·8
+//	R11 the strip in out row i (row i+1 is R10 on), R15 the strip in b
+//	    row 0, R12 columns left
+//	SI  x_i[p] (x_{i+1}[p] is DX on), R8 the strip in b row p, CX p left
+//	Y0–Y3 row i's sums, Y4–Y7 row i+1's, Y8 Y9 the multipliers,
+//	Y10 the masked b values, Y11 the lane mask, Y12–Y15 products
+TEXT ·gemmRowsAVX2(SB), NOSPLIT, $0-64
+	MOVQ out+0(FP), DI
+	MOVQ a+8(FP), R13
+	MOVQ b+16(FP), BX
+	MOVQ m+24(FP), R14
+	MOVQ n+40(FP), R10
+	SHLQ $3, R10
+	MOVQ rowStride+48(FP), DX
+	SHLQ $3, DX
+	MOVQ pStride+56(FP), R9
+	SHLQ $3, R9
+
+gemm_pair:
+	CMPQ R14, $2
+	JLT  gemm_one
+	MOVQ DI, R11
+	MOVQ BX, R15
 	MOVQ n+40(FP), R12
 
-rownz_group:
-	CMPQ CX, $4
-	JLT  rownz_rem
+gemm_pair16:
+	CMPQ    R12, $16
+	JLT     gemm_pair8
+	VMOVUPD (R11), Y0
+	VMOVUPD 32(R11), Y1
+	VMOVUPD 64(R11), Y2
+	VMOVUPD 96(R11), Y3
+	VMOVUPD (R11)(R10*1), Y4
+	VMOVUPD 32(R11)(R10*1), Y5
+	VMOVUPD 64(R11)(R10*1), Y6
+	VMOVUPD 96(R11)(R10*1), Y7
+	MOVQ    R13, SI
+	MOVQ    R15, R8
+	MOVQ    k+32(FP), CX
 
-	// Row pointers for this group: bdata + ps[q+c]*n*8.
-	MOVLQSX (DX), R15
-	IMULQ   R12, R15
-	LEAQ    (BX)(R15*8), R8
-	MOVLQSX 4(DX), R15
-	IMULQ   R12, R15
-	LEAQ    (BX)(R15*8), R9
-	MOVLQSX 8(DX), R15
-	IMULQ   R12, R15
-	LEAQ    (BX)(R15*8), R10
-	MOVLQSX 12(DX), R15
-	IMULQ   R12, R15
-	LEAQ    (BX)(R15*8), R11
+gemm_pair16_p:
+	GEMM_SKIP((SI), gemm_pair16_row1)
+	VBROADCASTSD (SI), Y8
+	GEMM_MUL_ADD(0, Y8, Y0, Y12)
+	GEMM_MUL_ADD(32, Y8, Y1, Y13)
+	GEMM_MUL_ADD(64, Y8, Y2, Y14)
+	GEMM_MUL_ADD(96, Y8, Y3, Y15)
 
-	VBROADCASTSD (AX), Y4
-	VBROADCASTSD 8(AX), Y5
-	VBROADCASTSD 16(AX), Y6
-	VBROADCASTSD 24(AX), Y7
-	MOVQ         DI, R13
-	MOVQ         R12, R14
+gemm_pair16_row1:
+	GEMM_SKIP((SI)(DX*1), gemm_pair16_next)
+	VBROADCASTSD (SI)(DX*1), Y9
+	GEMM_MUL_ADD(0, Y9, Y4, Y12)
+	GEMM_MUL_ADD(32, Y9, Y5, Y13)
+	GEMM_MUL_ADD(64, Y9, Y6, Y14)
+	GEMM_MUL_ADD(96, Y9, Y7, Y15)
 
-rownz_loop8:
-	CMPQ R14, $8
-	JLT  rownz_loop4
-	VMOVUPD (R13), Y0
-	VMOVUPD 32(R13), Y1
-	VMULPD  (R8), Y4, Y2
-	VMULPD  32(R8), Y4, Y3
-	VADDPD  Y2, Y0, Y0
-	VADDPD  Y3, Y1, Y1
-	VMULPD  (R9), Y5, Y2
-	VMULPD  32(R9), Y5, Y3
-	VADDPD  Y2, Y0, Y0
-	VADDPD  Y3, Y1, Y1
-	VMULPD  (R10), Y6, Y2
-	VMULPD  32(R10), Y6, Y3
-	VADDPD  Y2, Y0, Y0
-	VADDPD  Y3, Y1, Y1
-	VMULPD  (R11), Y7, Y2
-	VMULPD  32(R11), Y7, Y3
-	VADDPD  Y2, Y0, Y0
-	VADDPD  Y3, Y1, Y1
-	VMOVUPD Y0, (R13)
-	VMOVUPD Y1, 32(R13)
-	ADDQ    $64, R13
-	ADDQ    $64, R8
-	ADDQ    $64, R9
-	ADDQ    $64, R10
+gemm_pair16_next:
+	ADDQ    R9, SI
+	ADDQ    R10, R8
+	DECQ    CX
+	JNE     gemm_pair16_p
+	VMOVUPD Y0, (R11)
+	VMOVUPD Y1, 32(R11)
+	VMOVUPD Y2, 64(R11)
+	VMOVUPD Y3, 96(R11)
+	VMOVUPD Y4, (R11)(R10*1)
+	VMOVUPD Y5, 32(R11)(R10*1)
+	VMOVUPD Y6, 64(R11)(R10*1)
+	VMOVUPD Y7, 96(R11)(R10*1)
+	ADDQ    $128, R11
+	ADDQ    $128, R15
+	SUBQ    $16, R12
+	JMP     gemm_pair16
+
+gemm_pair8:
+	CMPQ    R12, $8
+	JLT     gemm_pair4
+	VMOVUPD (R11), Y0
+	VMOVUPD 32(R11), Y1
+	VMOVUPD (R11)(R10*1), Y4
+	VMOVUPD 32(R11)(R10*1), Y5
+	MOVQ    R13, SI
+	MOVQ    R15, R8
+	MOVQ    k+32(FP), CX
+
+gemm_pair8_p:
+	GEMM_SKIP((SI), gemm_pair8_row1)
+	VBROADCASTSD (SI), Y8
+	GEMM_MUL_ADD(0, Y8, Y0, Y12)
+	GEMM_MUL_ADD(32, Y8, Y1, Y13)
+
+gemm_pair8_row1:
+	GEMM_SKIP((SI)(DX*1), gemm_pair8_next)
+	VBROADCASTSD (SI)(DX*1), Y9
+	GEMM_MUL_ADD(0, Y9, Y4, Y14)
+	GEMM_MUL_ADD(32, Y9, Y5, Y15)
+
+gemm_pair8_next:
+	ADDQ    R9, SI
+	ADDQ    R10, R8
+	DECQ    CX
+	JNE     gemm_pair8_p
+	VMOVUPD Y0, (R11)
+	VMOVUPD Y1, 32(R11)
+	VMOVUPD Y4, (R11)(R10*1)
+	VMOVUPD Y5, 32(R11)(R10*1)
 	ADDQ    $64, R11
-	SUBQ    $8, R14
-	JMP     rownz_loop8
+	ADDQ    $64, R15
+	SUBQ    $8, R12
 
-rownz_loop4:
-	CMPQ R14, $4
-	JLT  rownz_loop1
-	VMOVUPD (R13), Y0
-	VMULPD  (R8), Y4, Y2
-	VADDPD  Y2, Y0, Y0
-	VMULPD  (R9), Y5, Y2
-	VADDPD  Y2, Y0, Y0
-	VMULPD  (R10), Y6, Y2
-	VADDPD  Y2, Y0, Y0
-	VMULPD  (R11), Y7, Y2
-	VADDPD  Y2, Y0, Y0
-	VMOVUPD Y0, (R13)
-	ADDQ    $32, R13
-	ADDQ    $32, R8
-	ADDQ    $32, R9
-	ADDQ    $32, R10
-	ADDQ    $32, R11
-	SUBQ    $4, R14
-	JMP     rownz_loop4
+gemm_pair4:
+	TESTQ      R12, R12
+	JLE        gemm_pair_next
+	MOVQ       $4, AX
+	CMPQ       R12, AX
+	CMOVQLT    R12, AX
+	SHLQ       $5, AX
+	LEAQ       gemmmask<>(SB), CX
+	VMOVUPD    -32(CX)(AX*1), Y11
+	VMASKMOVPD (R11), Y11, Y0
+	VMASKMOVPD (R11)(R10*1), Y11, Y4
+	MOVQ       R13, SI
+	MOVQ       R15, R8
+	MOVQ       k+32(FP), CX
 
-rownz_loop1:
+gemm_pair4_p:
+	VMASKMOVPD (R8), Y11, Y10
+	GEMM_SKIP((SI), gemm_pair4_row1)
+	VBROADCASTSD (SI), Y8
+	VMULPD       Y10, Y8, Y12
+	VADDPD       Y12, Y0, Y0
+
+gemm_pair4_row1:
+	GEMM_SKIP((SI)(DX*1), gemm_pair4_next)
+	VBROADCASTSD (SI)(DX*1), Y9
+	VMULPD       Y10, Y9, Y13
+	VADDPD       Y13, Y4, Y4
+
+gemm_pair4_next:
+	ADDQ       R9, SI
+	ADDQ       R10, R8
+	DECQ       CX
+	JNE        gemm_pair4_p
+	VMASKMOVPD Y0, Y11, (R11)
+	VMASKMOVPD Y4, Y11, (R11)(R10*1)
+	ADDQ       $32, R11
+	ADDQ       $32, R15
+	SUBQ       $4, R12
+	JMP        gemm_pair4
+
+gemm_pair_next:
+	LEAQ (DI)(R10*2), DI
+	LEAQ (R13)(DX*2), R13
+	SUBQ $2, R14
+	JMP  gemm_pair
+
+gemm_one:
 	TESTQ R14, R14
-	JEQ   rownz_group_done
-	VMOVSD (R13), X0
-	VMOVSD (R8), X2
-	VMULSD X4, X2, X2
-	VADDSD X2, X0, X0
-	VMOVSD (R9), X2
-	VMULSD X5, X2, X2
-	VADDSD X2, X0, X0
-	VMOVSD (R10), X2
-	VMULSD X6, X2, X2
-	VADDSD X2, X0, X0
-	VMOVSD (R11), X2
-	VMULSD X7, X2, X2
-	VADDSD X2, X0, X0
-	VMOVSD X0, (R13)
-	ADDQ   $8, R13
-	ADDQ   $8, R8
-	ADDQ   $8, R9
-	ADDQ   $8, R10
-	ADDQ   $8, R11
-	DECQ   R14
-	JMP    rownz_loop1
+	JEQ   gemm_done
+	MOVQ  DI, R11
+	MOVQ  BX, R15
+	MOVQ  n+40(FP), R12
 
-rownz_group_done:
-	ADDQ $32, AX
-	ADDQ $16, DX
-	SUBQ $4, CX
-	JMP  rownz_group
+gemm_one16:
+	CMPQ    R12, $16
+	JLT     gemm_one8
+	VMOVUPD (R11), Y0
+	VMOVUPD 32(R11), Y1
+	VMOVUPD 64(R11), Y2
+	VMOVUPD 96(R11), Y3
+	MOVQ    R13, SI
+	MOVQ    R15, R8
+	MOVQ    k+32(FP), CX
 
-rownz_rem:
-	TESTQ CX, CX
-	JEQ   rownz_done
-	MOVLQSX (DX), R15
-	IMULQ   R12, R15
-	LEAQ    (BX)(R15*8), R8
-	VBROADCASTSD (AX), Y4
-	MOVQ    DI, R13
-	MOVQ    R12, R14
+gemm_one16_p:
+	GEMM_SKIP((SI), gemm_one16_next)
+	VBROADCASTSD (SI), Y8
+	GEMM_MUL_ADD(0, Y8, Y0, Y12)
+	GEMM_MUL_ADD(32, Y8, Y1, Y13)
+	GEMM_MUL_ADD(64, Y8, Y2, Y14)
+	GEMM_MUL_ADD(96, Y8, Y3, Y15)
 
-rownz_rem8:
-	CMPQ R14, $8
-	JLT  rownz_rem4
-	VMOVUPD (R13), Y0
-	VMOVUPD 32(R13), Y1
-	VMULPD  (R8), Y4, Y2
-	VMULPD  32(R8), Y4, Y3
-	VADDPD  Y2, Y0, Y0
-	VADDPD  Y3, Y1, Y1
-	VMOVUPD Y0, (R13)
-	VMOVUPD Y1, 32(R13)
-	ADDQ    $64, R13
-	ADDQ    $64, R8
-	SUBQ    $8, R14
-	JMP     rownz_rem8
+gemm_one16_next:
+	ADDQ    R9, SI
+	ADDQ    R10, R8
+	DECQ    CX
+	JNE     gemm_one16_p
+	VMOVUPD Y0, (R11)
+	VMOVUPD Y1, 32(R11)
+	VMOVUPD Y2, 64(R11)
+	VMOVUPD Y3, 96(R11)
+	ADDQ    $128, R11
+	ADDQ    $128, R15
+	SUBQ    $16, R12
+	JMP     gemm_one16
 
-rownz_rem4:
-	CMPQ R14, $4
-	JLT  rownz_rem1
-	VMOVUPD (R13), Y0
-	VMULPD  (R8), Y4, Y2
-	VADDPD  Y2, Y0, Y0
-	VMOVUPD Y0, (R13)
-	ADDQ    $32, R13
-	ADDQ    $32, R8
-	SUBQ    $4, R14
-	JMP     rownz_rem4
+gemm_one8:
+	CMPQ    R12, $8
+	JLT     gemm_one4
+	VMOVUPD (R11), Y0
+	VMOVUPD 32(R11), Y1
+	MOVQ    R13, SI
+	MOVQ    R15, R8
+	MOVQ    k+32(FP), CX
 
-rownz_rem1:
-	TESTQ R14, R14
-	JEQ   rownz_rem_done
-	VMOVSD (R13), X0
-	VMOVSD (R8), X2
-	VMULSD X4, X2, X2
-	VADDSD X2, X0, X0
-	VMOVSD X0, (R13)
-	ADDQ   $8, R13
-	ADDQ   $8, R8
-	DECQ   R14
-	JMP    rownz_rem1
+gemm_one8_p:
+	GEMM_SKIP((SI), gemm_one8_next)
+	VBROADCASTSD (SI), Y8
+	GEMM_MUL_ADD(0, Y8, Y0, Y12)
+	GEMM_MUL_ADD(32, Y8, Y1, Y13)
 
-rownz_rem_done:
-	ADDQ $8, AX
-	ADDQ $4, DX
-	DECQ CX
-	JMP  rownz_rem
+gemm_one8_next:
+	ADDQ    R9, SI
+	ADDQ    R10, R8
+	DECQ    CX
+	JNE     gemm_one8_p
+	VMOVUPD Y0, (R11)
+	VMOVUPD Y1, 32(R11)
+	ADDQ    $64, R11
+	ADDQ    $64, R15
+	SUBQ    $8, R12
 
-rownz_done:
+gemm_one4:
+	TESTQ      R12, R12
+	JLE        gemm_done
+	MOVQ       $4, AX
+	CMPQ       R12, AX
+	CMOVQLT    R12, AX
+	SHLQ       $5, AX
+	LEAQ       gemmmask<>(SB), CX
+	VMOVUPD    -32(CX)(AX*1), Y11
+	VMASKMOVPD (R11), Y11, Y0
+	MOVQ       R13, SI
+	MOVQ       R15, R8
+	MOVQ       k+32(FP), CX
+
+gemm_one4_p:
+	GEMM_SKIP((SI), gemm_one4_next)
+	VMASKMOVPD   (R8), Y11, Y10
+	VBROADCASTSD (SI), Y8
+	VMULPD       Y10, Y8, Y12
+	VADDPD       Y12, Y0, Y0
+
+gemm_one4_next:
+	ADDQ       R9, SI
+	ADDQ       R10, R8
+	DECQ       CX
+	JNE        gemm_one4_p
+	VMASKMOVPD Y0, Y11, (R11)
+	ADDQ       $32, R11
+	ADDQ       $32, R15
+	SUBQ       $4, R12
+	JMP        gemm_one4
+
+gemm_done:
 	VZEROUPPER
 	RET
 

@@ -10,9 +10,10 @@ import (
 // Differential suite: every backend compiled into this binary must be
 // bit-identical (math.Float64bits) to the pure-Go reference on every
 // kernel, for every shape — including ragged shapes that exercise the
-// SIMD tails (n%16, n%8, n%4 remainders), k spans crossing the
-// matMulKBlock panel boundary, the nz%4 compaction remainder, aliased
-// slices, and non-finite inputs through the branchless blend kernels.
+// SIMD strips and tails (n%16, n%8, n%4 remainders), odd row counts (the
+// avx2 GEMM kernel's lone last row), k spans crossing the matMulKBlock
+// panel boundary, the zero skip's edge cases, aliased slices, and
+// non-finite inputs through the branchless blend kernels.
 
 // diffBackends returns the compiled backends to hold against the
 // reference, excluding purego itself.
@@ -27,14 +28,15 @@ func diffBackends() []Backend {
 	return bs
 }
 
-// fillMixed fills x with a hostile mix: random magnitudes across many
-// exponents, exact zeros (the GemmNN/GemmTN zero-skip contract), and
+// fillMixed fills x with a hostile finite mix: random magnitudes across
+// many exponents, exact zeros (multipliers the GemmNN/GemmTN contract
+// skips; TestBackendDifferentialGemmZeroSkip adds −0, NaN and ±Inf), and
 // sign changes. Deterministic per (seed, len).
 func fillMixed(x []float64, rng *rand.Rand) {
 	for i := range x {
 		switch rng.Intn(8) {
 		case 0:
-			x[i] = 0 // exercises the nonzero-compaction path
+			x[i] = 0 // a skipped multiplier
 		case 1:
 			x[i] = math.Ldexp(rng.Float64()-0.5, rng.Intn(60)-30)
 		default:
@@ -82,9 +84,9 @@ var gemmVariants = []gemmVariant{
 // fails this way.
 func TestBackendDifferentialGEMM(t *testing.T) {
 	ref := pureBackend{}
-	// Shape grid: every n remainder class mod 16/8/4 (the unrolled,
-	// single-vector and scalar tails) and k crossing the matMulKBlock=128
-	// panel boundary.
+	// Shape grid: every n remainder class mod 16/8/4 (the SIMD strips and
+	// tails), odd and even m, and k crossing the matMulKBlock=128 panel
+	// boundary.
 	ms := []int{1, 2, 3, 5, 8, 17}
 	ks := []int{1, 2, 3, 4, 7, 8, 31, 32, 127, 128, 129, 130}
 	ns := []int{1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 64, 65}
@@ -131,6 +133,79 @@ func TestBackendDifferentialGEMM(t *testing.T) {
 						t.Fatalf("Gemm%s %dx%dx%d: out[%d] = %x, reference %x",
 							v.name, m, k, n, i,
 							math.Float64bits(got.Data[i]), math.Float64bits(want.Data[i]))
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestBackendDifferentialGemmZeroSkip holds GemmNN and GemmTN to the
+// reference where the zero skip decides the bits. Out starts at −0, and
+// the rows of a rotate through three kinds: finite multipliers a third of
+// them ±0, all ±0, and the first kind with one NaN. Every fourth
+// contraction index is ±0 in every row and sits over a row of b holding
+// ±Inf and NaN. A kernel that multiplies a ±0 instead of skipping it
+// turns those into NaN (0·Inf); one that treats −0 as nonzero turns an
+// all-zero row's −0 into +0 (−0 + +0); one that skips NaN leaves a NaN row
+// finite. Widths cover every strip of the avx2 kernel, and odd m leaves
+// it a last row alone. NaN matches NaN, under the contract's carve-out.
+func TestBackendDifferentialGemmZeroSkip(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	signedZero := func(rng *rand.Rand) float64 {
+		if rng.Intn(2) == 0 {
+			return negZero
+		}
+		return 0
+	}
+	nonFinite := []float64{math.Inf(1), math.Inf(-1), math.NaN()}
+	for _, bk := range diffBackends() {
+		t.Run(bk.Name(), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(31))
+			for _, v := range gemmVariants[:2] {
+				for _, m := range []int{1, 2, 3, 5, 6} {
+					for _, k := range []int{1, 4, 9, 130} {
+						for _, n := range []int{2, 8, 16, 17, 32, 40} {
+							ar, ac, br, bc := v.dims(m, k, n)
+							a, b := New(ar, ac), New(br, bc)
+							// x_i[p] is a[i][p] under NN and a[p][i] under TN.
+							x := func(i, p int) *float64 {
+								if v.name == "TN" {
+									return &a.Data[p*m+i]
+								}
+								return &a.Data[i*k+p]
+							}
+							for p := 0; p < k; p++ {
+								for j := 0; j < n; j++ {
+									b.Data[p*n+j] = rng.NormFloat64()
+									if p%4 == 3 && rng.Intn(2) == 0 {
+										b.Data[p*n+j] = nonFinite[rng.Intn(len(nonFinite))]
+									}
+								}
+								for i := 0; i < m; i++ {
+									*x(i, p) = rng.NormFloat64()
+									if p%4 == 3 || i%3 == 1 || rng.Intn(3) == 0 {
+										*x(i, p) = signedZero(rng)
+									}
+								}
+							}
+							for i := 2; i < m; i += 3 {
+								*x(i, rng.Intn(k)) = math.NaN()
+							}
+							want, got := New(m, n), New(m, n)
+							for i := range want.Data {
+								want.Data[i], got.Data[i] = negZero, negZero
+							}
+							v.call(pureBackend{}, want, a, b)
+							v.call(bk, got, a, b)
+							for i := range want.Data {
+								w, g := want.Data[i], got.Data[i]
+								if math.Float64bits(w) != math.Float64bits(g) && !(math.IsNaN(w) && math.IsNaN(g)) {
+									t.Fatalf("Gemm%s %dx%dx%d: out[%d][%d] = %v (%#x), reference %v (%#x)",
+										v.name, m, k, n, i/n, i%n, g, math.Float64bits(g), w, math.Float64bits(w))
+								}
+							}
+						}
 					}
 				}
 			}
@@ -536,6 +611,13 @@ func FuzzGemmDifferential(f *testing.F) {
 	f.Add(uint8(1), uint8(129), uint8(17), uint8(1), int64(2))
 	f.Add(uint8(8), uint8(31), uint8(33), uint8(2), int64(3))
 	f.Add(uint8(2), uint8(2), uint8(2), uint8(3), int64(4))
+	// Odd m, which leaves the avx2 GemmNN/GemmTN kernel a last row alone,
+	// at n = 16+r for every remainder r = n%16.
+	for r := uint8(0); r < 16; r++ {
+		for variant := uint8(0); variant < 2; variant++ {
+			f.Add(2*r, 9+r, 15+r, variant, int64(5+r))
+		}
+	}
 	bks := diffBackends()
 	f.Fuzz(func(t *testing.T, m8, k8, n8, variant uint8, seed int64) {
 		m := int(m8%32) + 1

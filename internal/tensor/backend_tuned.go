@@ -20,19 +20,18 @@ package tensor
 //     output element summed sequentially over ascending p, so per element
 //     nothing changed.
 //
-// The same compaction drivers power the avx2 backend, with SIMD row
-// kernels in place of gemmRow4Go/ntRowGo.
+// The avx2 backend runs ntRowGo's four lanes in assembly; its GemmNN/GemmTN
+// kernel skips zero multipliers inside its loop instead of compacting.
 type tunedBackend struct{ pureBackend }
 
 func (tunedBackend) Name() string { return "tuned" }
 
 func (tunedBackend) AxpyRow(dst, src []float64, a float64) { axpyRowTuned(dst, src, a) }
 
-// The compaction drivers below are duplicated, not parameterised by a
+// The two compaction drivers below call gemmRow4Go directly, not through a
 // kernel function value, on purpose: an indirect row-kernel call makes
 // the stack-allocated compaction buffers escape to the heap, costing two
-// allocations per GEMM call. The avx2 backend carries its own copies of
-// these ~20-line drivers with its row kernels called directly.
+// allocations per GEMM call.
 
 // GemmNN is the out += a·b driver: k-blocked like the reference, but each
 // a-row's nonzero (p, a[i][p]) pairs are compacted once per block so the

@@ -30,6 +30,35 @@ func BenchmarkMatMul256(b *testing.B) {
 	}
 }
 
+// BenchmarkGemmNarrow reads GemmNN and GemmTN on the active backend at
+// the narrow shapes (m×k×n) that carry the model's GEMM work, where n ≤ 32
+// holds all but about 1 % of it: the N=94 layers' NN products, and the TN
+// weight gradient over the N=945 rows of a TBPTT fit. The inputs are
+// dense, as the model's are (under 2 % of its multipliers are zero), and
+// out accumulates across iterations.
+func BenchmarkGemmNarrow(b *testing.B) {
+	for _, sh := range []struct {
+		tn      bool
+		m, k, n int
+	}{
+		{false, 94, 16, 16}, {false, 94, 28, 16}, {false, 94, 32, 16},
+		{false, 94, 24, 32}, {false, 94, 16, 8}, {true, 16, 945, 16},
+	} {
+		form, gemm, ar, ac := "NN", backendImpl.GemmNN, sh.m, sh.k
+		if sh.tn {
+			form, gemm, ar, ac = "TN", backendImpl.GemmTN, sh.k, sh.m
+		}
+		b.Run(fmt.Sprintf("%s_%dx%dx%d", form, sh.m, sh.k, sh.n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(9))
+			x, y, out := Randn(ar, ac, 1, rng), Randn(sh.k, sh.n, 1, rng), New(sh.m, sh.n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				gemm(out, x, y)
+			}
+		})
+	}
+}
+
 // BenchmarkArenaGetPut times one arena round trip at the shape of a
 // decode-time N=94, 16-wide scratch matrix: serial, and from GOMAXPROCS
 // goroutines sharing the bucket's lock. Run it at -cpu 1,2 to see the

@@ -282,14 +282,6 @@ func (m *Matrix) Apply(f func(float64) float64) *Matrix {
 	return out
 }
 
-// ApplyInPlace applies f elementwise, overwriting m. The hot tape-free
-// forward paths use it to skip the output allocation of Apply.
-func (m *Matrix) ApplyInPlace(f func(float64) float64) {
-	for i, v := range m.Data {
-		m.Data[i] = f(v)
-	}
-}
-
 // AddRowVecInPlace adds the 1×cols row vector b to every row of m (bias add).
 func (m *Matrix) AddRowVecInPlace(b *Matrix) {
 	if b.Rows != 1 || b.Cols != m.Cols {
