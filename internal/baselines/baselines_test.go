@@ -28,7 +28,7 @@ func trainSeq(t *testing.T) *dyngraph.Sequence {
 
 func allGens() []baselines.Generator {
 	return []baselines.Generator{
-		taggen.New(taggen.Config{Seed: 1}),
+		taggen.New(taggen.Config{Seed: 1, TrainFactor: 1, DiscHidden: 32}),
 		tggan.New(tggan.Config{Seed: 2}),
 		tigger.New(tigger.Config{Seed: 3}),
 		dymond.New(dymond.Config{Seed: 4}),
@@ -77,7 +77,7 @@ func TestAllBaselinesFitGenerateContract(t *testing.T) {
 func TestWalkBaselinesMatchDensity(t *testing.T) {
 	g := trainSeq(t)
 	for _, gen := range []baselines.Generator{
-		taggen.New(taggen.Config{Seed: 11}),
+		taggen.New(taggen.Config{Seed: 11, TrainFactor: 1, DiscHidden: 32}),
 		tggan.New(tggan.Config{Seed: 12}),
 		tigger.New(tigger.Config{Seed: 13}),
 	} {
@@ -94,6 +94,15 @@ func TestWalkBaselinesMatchDensity(t *testing.T) {
 		if got < orig/4 || got > orig*4 {
 			t.Errorf("%s: edge budget missed: orig=%v got=%v", gen.Name(), orig, got)
 		}
+	}
+}
+
+// TestTagGenDefaultConfigNeedsFit covers the shipped defaults that the
+// smaller walk budget and discriminator of the two tests above override:
+// a default TagGen still builds and still refuses to generate before Fit.
+func TestTagGenDefaultConfigNeedsFit(t *testing.T) {
+	if _, err := taggen.New(taggen.Config{}).Generate(3); err == nil {
+		t.Fatal("Generate before Fit must error")
 	}
 }
 

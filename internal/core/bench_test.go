@@ -28,10 +28,10 @@ func benchModel(b *testing.B, scale float64) (*Model, int) {
 }
 
 // BenchmarkFitEpoch measures one ELBO training epoch (forward + BPTT +
-// Adam) on a small Email replica, once on the scheduled executor training
-// uses and once on the plain reference executor. The peak-live-B metric
-// is the high-water mark of tape-owned buffer bytes; the sched/plain ratio
-// is the lifetime pass's saving on the real training loop.
+// Adam) on a small Email replica, once on the default tape training uses
+// and once on the reference tape. The peak-live-B metric is the high-water
+// mark of tape-owned buffer bytes; the sched/plain ratio is lifetime
+// release's saving on the real training loop.
 func BenchmarkFitEpoch(b *testing.B) {
 	g, _, err := datasets.Replica(datasets.Email, 0.03, 1)
 	if err != nil {

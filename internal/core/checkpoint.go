@@ -77,7 +77,7 @@ type residWire struct {
 // boundary. Params are name-sorted like Save's, so checkpoint bytes are a
 // pure function of training state.
 type fitCheckpoint struct {
-	Cfg        Config // durability/scheduling hints zeroed
+	Cfg        Config // durability hints zeroed
 	EpochsDone int
 	RNGDraws   uint64
 	Params     []savedParam
@@ -85,11 +85,10 @@ type fitCheckpoint struct {
 	Resid      residWire
 }
 
-// stripVolatileCfg zeroes every field that is an execution or durability
-// hint rather than a model hyper-parameter, so checkpoint compatibility
-// compares only what determines the trained weights.
+// stripVolatileCfg zeroes every field that is a durability hint rather
+// than a model hyper-parameter, so checkpoint compatibility compares only
+// what determines the trained weights.
 func stripVolatileCfg(c Config) Config {
-	c.CheckpointEvery = 0
 	c.CheckpointPath = ""
 	c.CheckpointEveryEpochs = 0
 	return c

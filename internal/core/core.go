@@ -56,18 +56,6 @@ type Config struct {
 	// through the full sequence.
 	TBPTT int
 
-	// CheckpointEvery opts in to gradient checkpointing: each TBPTT window
-	// is recorded as rematerialization segments of this many timesteps,
-	// whose intermediate values are dropped after the forward pass and
-	// recomputed during Backward. 0 disables checkpointing. Trades ~1/3
-	// more forward FLOPs for a peak-memory footprint that scales with the
-	// segment length instead of the window length, which is what makes 4×
-	// longer windows trainable in roughly flat memory. It is a scheduling
-	// hint, never a model hyper-parameter: losses, gradients, and trained
-	// weights are bit-identical with and without it (pinned by the core
-	// scheduling tests).
-	CheckpointEvery int
-
 	// CheckpointPath, when non-empty, makes Fit write an atomic resume
 	// checkpoint (parameters, Adam moments, epoch and RNG cursor) after
 	// every CheckpointEveryEpochs completed epochs, and resume from that
@@ -238,23 +226,14 @@ func New(cfg Config) *Model {
 	return m
 }
 
-// plainTape makes training run on tensor's plain record-order executor,
-// the reference the scheduling tests compare against. Set only by tests.
+// plainTape makes training record on tensor.NewReferenceTape, which holds
+// every buffer until Reset: the reference the tape tests compare against.
+// Set only by tests.
 var plainTape bool
-
-// tapeSched is the scheduling configuration installed on every training
-// tape: lifetime release of dead intermediates mid-Backward, plus
-// rematerialization segments when Cfg.CheckpointEvery asks for them.
-func (m *Model) tapeSched() tensor.Sched {
-	if plainTape {
-		return tensor.Sched{}
-	}
-	return tensor.Sched{Lifetime: true, Remat: m.Cfg.CheckpointEvery > 0}
-}
 
 // TapePeakLiveBytes returns the high-water mark of tape-owned buffer bytes
 // on the model's training tape. The mark survives Tape.Reset, so after a
-// Fit it reports the per-window training footprint the scheduler achieved.
+// Fit it reports the per-window training footprint lifetime release achieved.
 func (m *Model) TapePeakLiveBytes() int64 {
 	if m.tape == nil {
 		return 0

@@ -89,6 +89,7 @@ func TestMixBernoulliMatchesPairwiseMLP(t *testing.T) {
 				c := nn.NewSinkCtx(tape, grads)
 				s := tape.Var(sVal)
 				p := f(c, s)
+				tape.Keep(p) // read after Backward
 				tape.Backward(tape.BCEProb(p, targets))
 				c.Flush()
 				return result{p: p.Value.Clone(), sGrad: s.Grad.Clone(), grads: grads}

@@ -7,9 +7,9 @@ import (
 	"vrdag/internal/tensor"
 )
 
-// usePlainTape switches training to tensor's plain record-order executor
-// until the test (or sub-benchmark) ends. It flips a package variable, so
-// callers must not run in parallel.
+// usePlainTape switches training to tensor's reference tape (no release
+// before Reset) for models created until the test (or sub-benchmark) ends.
+// It flips a package variable, so callers must not run in parallel.
 func usePlainTape(tb testing.TB) {
 	tb.Helper()
 	plainTape = true
@@ -34,10 +34,9 @@ func fitStats(t *testing.T, cfg Config) ([]TrainStats, []byte) {
 }
 
 // TestTapeSchedBitIdentitySequential pins the end-to-end contract of the
-// scheduled tape executor on the trainer: per-epoch loss stats (including
+// tape's lifetime release on the trainer: per-epoch loss stats (including
 // gradient norms) and post-Fit checkpoint bytes are bit-identical on the
-// plain reference executor, on the scheduled one, and on the scheduled one
-// with rematerialization segments of various lengths.
+// reference tape and on the default one.
 func TestTapeSchedBitIdentitySequential(t *testing.T) {
 	base := smallConfig(14, 2)
 	base.TBPTT = 2
@@ -46,88 +45,80 @@ func TestTapeSchedBitIdentitySequential(t *testing.T) {
 
 	usePlainTape(t)
 	refStats, refBytes := fitStats(t, base)
-	plainTape = false // the variants below train on the scheduled executor
+	plainTape = false // the subtest trains on the default tape
 
-	variants := []struct {
-		name      string
-		ckptEvery int
-	}{
-		{"sched-on", 0},
-		{"sched-on/ckpt-1", 1},
-		{"sched-on/ckpt-2", 2},
-	}
-	for _, v := range variants {
-		t.Run(v.name, func(t *testing.T) {
-			cfg := base
-			cfg.CheckpointEvery = v.ckptEvery
-			stats, ckpt := fitStats(t, cfg)
-			if len(stats) != len(refStats) {
-				t.Fatalf("%d epochs, want %d", len(stats), len(refStats))
+	t.Run("sched-on", func(t *testing.T) {
+		stats, ckpt := fitStats(t, base)
+		if len(stats) != len(refStats) {
+			t.Fatalf("%d epochs, want %d", len(stats), len(refStats))
+		}
+		for e := range stats {
+			if stats[e] != refStats[e] {
+				t.Fatalf("epoch %d: stats %+v differ from reference-tape %+v", e, stats[e], refStats[e])
 			}
-			for e := range stats {
-				if stats[e] != refStats[e] {
-					t.Fatalf("epoch %d: stats %+v differ from plain-executor %+v", e, stats[e], refStats[e])
-				}
-			}
-			if !bytes.Equal(ckpt, refBytes) {
-				t.Fatal("checkpoint bytes differ from the plain-executor run")
-			}
-		})
-	}
+		}
+		if !bytes.Equal(ckpt, refBytes) {
+			t.Fatal("checkpoint bytes differ from the reference-tape run")
+		}
+	})
 }
 
-// TestTapeSchedPeakReduction asserts the point of the lifetime pass at the
-// training level: the per-window peak of tape-owned bytes with scheduling
-// on must be at most 60% of the plain executor's on a full-sequence
-// window, and checkpointing must cut it further.
+// TestTapeSchedPeakReduction asserts the point of lifetime release at the
+// training level: the per-window peak of tape-owned bytes on the default
+// tape must be at most 60% of the reference tape's on a full-sequence
+// window.
 func TestTapeSchedPeakReduction(t *testing.T) {
 	g := toyGraph(14, 2, 8, 41)
-	run := func(ckptEvery int) int64 {
+	run := func() int64 {
 		cfg := smallConfig(14, 2)
 		cfg.Epochs = 2
-		cfg.CheckpointEvery = ckptEvery
 		m := New(cfg)
 		if _, err := m.Fit(g); err != nil {
 			t.Fatal(err)
 		}
 		return m.TapePeakLiveBytes()
 	}
-	sched := run(0)
-	ckpt := run(1)
+	sched := run()
 	usePlainTape(t)
-	plain := run(0)
+	plain := run()
 	if sched > plain*6/10 {
-		t.Fatalf("scheduled peak %d > 60%% of plain peak %d", sched, plain)
-	}
-	if ckpt >= sched {
-		t.Fatalf("checkpointed peak %d not below scheduled peak %d", ckpt, sched)
+		t.Fatalf("default-tape peak %d > 60%% of reference-tape peak %d", sched, plain)
 	}
 }
 
-// TestTapeSchedCheckpointArenaBalance asserts a full Fit with
-// rematerialization segments returns every pooled buffer: the arena's
-// get/put delta across the run is exactly zero (dropped segment values
-// must be re-tracked when rematerialized, then released exactly once).
-func TestTapeSchedCheckpointArenaBalance(t *testing.T) {
-	g := toyGraph(12, 2, 6, 59)
-	cfg := smallConfig(12, 2)
-	cfg.TBPTT = 3
-	cfg.Epochs = 2
-	cfg.CheckpointEvery = 1
+// TestFitArenaBalance asserts a full Fit on the tape that ships returns
+// every pooled buffer: the arena's get/put delta across the run is exactly
+// zero, whether Backward sweeps one full-sequence window or several
+// truncated ones (values released mid-sweep, the kept loss terms and the
+// carried hidden state at Reset, Var gradients in Flush — each exactly
+// once).
+func TestFitArenaBalance(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		tbptt int
+	}{{"full-bptt", 0}, {"tbptt-3", 3}} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := toyGraph(12, 2, 6, 59)
+			cfg := smallConfig(12, 2)
+			cfg.TBPTT = tc.tbptt
+			cfg.Epochs = 2
 
-	// Warm-up on a separate model so lazily built caches that outlive a
-	// Fit (snapshot CSR/edge-list caches on g) don't skew the delta.
-	if _, err := New(cfg).Fit(g); err != nil {
-		t.Fatal(err)
-	}
+			// Warm-up on a separate model so lazily built caches that
+			// outlive a Fit (snapshot CSR/edge-list caches on g) don't skew
+			// the delta.
+			if _, err := New(cfg).Fit(g); err != nil {
+				t.Fatal(err)
+			}
 
-	m := New(cfg)
-	before := tensor.ReadPoolStats()
-	if _, err := m.Fit(g); err != nil {
-		t.Fatal(err)
-	}
-	after := tensor.ReadPoolStats()
-	if gets, puts := after.Gets-before.Gets, after.Puts-before.Puts; gets != puts {
-		t.Fatalf("checkpointed Fit leaked arena buffers: %d gets vs %d puts", gets, puts)
+			m := New(cfg)
+			before := tensor.ReadPoolStats()
+			if _, err := m.Fit(g); err != nil {
+				t.Fatal(err)
+			}
+			after := tensor.ReadPoolStats()
+			if gets, puts := after.Gets-before.Gets, after.Puts-before.Puts; gets != puts {
+				t.Fatalf("Fit leaked arena buffers: %d gets vs %d puts", gets, puts)
+			}
+		})
 	}
 }

@@ -59,13 +59,12 @@ func (m *Model) Save(w io.Writer) error {
 		AttrCorrChol:  m.attrCorrChol,
 		AttrQuantiles: m.attrQuantiles,
 	}
-	// CheckpointEvery and the resume-checkpoint settings are
-	// scheduling/durability hints, not model hyper-parameters: a checkpoint
-	// trained with rematerialization, or resumed mid-run from a crash
-	// checkpoint, must be byte-identical to one trained without it in a
-	// single uninterrupted pass (the invariance contracts pinned by the
-	// serialization tests), and must not pin execution details on whatever
-	// machine later loads it.
+	// The resume-checkpoint settings are durability hints, not model
+	// hyper-parameters: a checkpoint resumed mid-run from a crash checkpoint
+	// must be byte-identical to one trained in a single uninterrupted pass
+	// (the invariance contract pinned by the serialization tests), and must
+	// not pin paths of the machine that trained it on whatever machine later
+	// loads it.
 	st.Cfg = stripVolatileCfg(st.Cfg)
 	seen := make(map[string]bool)
 	for _, p := range nn.CollectParams(m.Modules()...) {

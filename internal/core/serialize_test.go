@@ -103,7 +103,8 @@ func TestSaveDeterministicBytes(t *testing.T) {
 // TestLoadCheckpointWithRetiredConfigFields pins that a checkpoint written
 // before a Config field was retired still loads: testdata/model_pr21.gob
 // is the Save output of the commit before PR 23 (toyGraph(10,1,3,53) on
-// smallConfig(10,1)), whose gob descriptor still lists Config.TapeSched.
+// smallConfig(10,1)), whose gob descriptor still lists Config.TapeSched
+// and Config.CheckpointEvery, both since retired.
 // gob skips stream fields the receiver lacks, so the loaded model must be
 // the model this build trains from the same inputs: same Save bytes (the
 // new descriptor aside, nothing in the file changed) and the same

@@ -260,17 +260,18 @@ func (m *Model) runEpoch(g *dyngraph.Sequence, epoch int) (TrainStats, error) {
 
 	// One tape serves every window of every epoch: Reset returns all op
 	// outputs and gradient buffers to the pooled arena, so after the first
-	// window the forward/backward pass runs allocation-free. The scheduled
-	// executor additionally releases dead intermediates mid-Backward, so
-	// the window's peak footprint is a fraction of its recorded size. Reset before SetSched: a previous epoch aborted by an
-	// error may have left recordings behind, and the schedule can only be
-	// (re)installed on an empty tape.
+	// window the forward/backward pass runs allocation-free. Backward
+	// releases dead intermediates mid-sweep, so the window's peak footprint
+	// is a fraction of its recorded size.
 	if m.tape == nil {
 		m.tape = tensor.NewTape()
+		if plainTape {
+			m.tape = tensor.NewReferenceTape()
+		}
 	}
 	tape := m.tape
+	// A previous epoch aborted by an error may have left recordings behind.
 	tape.Reset()
-	tape.SetSched(m.tapeSched())
 
 	for start := 0; start < g.T(); start += window {
 		end := start + window
@@ -281,72 +282,52 @@ func (m *Model) runEpoch(g *dyngraph.Sequence, epoch int) (TrainStats, error) {
 		h := tape.Const(hVal)
 		var strucTerms, attrTerms, klTerms []*tensor.Node
 
-		// With Cfg.CheckpointEvery set, the window is recorded as
-		// rematerialization segments of that many timesteps; everything
-		// that crosses a segment boundary — the hidden state and the
-		// per-step loss terms — is pinned before each segment closes.
-		span := end - start
-		if ce := m.Cfg.CheckpointEvery; ce > 0 && ce < span {
-			span = ce
-		}
-		for t0 := start; t0 < end; t0 += span {
-			t1 := t0 + span
-			if t1 > end {
-				t1 = end
+		for t := start; t < end; t++ {
+			snap := g.At(t)
+			encSnap := snap
+			if m.Cfg.NeighborSample > 0 {
+				encSnap = snap.SampleNeighbors(m.Cfg.NeighborSample, m.rng)
 			}
-			tape.Checkpoint(func() {
-				for t := t0; t < t1; t++ {
-					snap := g.At(t)
-					encSnap := snap
-					if m.Cfg.NeighborSample > 0 {
-						encSnap = snap.SampleNeighbors(m.Cfg.NeighborSample, m.rng)
-					}
 
-					// Encode the observed snapshot (bi-flow GNN, Eq. 5-7).
-					eps := m.enc.Encode(c, encSnap)
+			// Encode the observed snapshot (bi-flow GNN, Eq. 5-7).
+			eps := m.enc.Encode(c, encSnap)
 
-					// Posterior and prior latent distributions (Eq. 3-4, 8-9).
-					muQ, logSigQ := m.posterior(c, eps, h)
-					muP, logSigP := m.prior(c, h)
-					klTerms = append(klTerms, tape.Scale(tape.GaussianKL(muQ, logSigQ, muP, logSigP),
-						1/float64(n*m.Cfg.LatentDim)))
+			// Posterior and prior latent distributions (Eq. 3-4, 8-9).
+			muQ, logSigQ := m.posterior(c, eps, h)
+			muP, logSigP := m.prior(c, h)
+			klTerms = append(klTerms, tape.Scale(tape.GaussianKL(muQ, logSigQ, muP, logSigP),
+				1/float64(n*m.Cfg.LatentDim)))
 
-					// z ~ q via the reparameterization trick; S_t = [Z_t ‖ H_{t-1}].
-					z := reparameterize(tape, muQ, logSigQ, m.rng)
-					s := tape.ConcatCols(z, h)
+			// z ~ q via the reparameterization trick; S_t = [Z_t ‖ H_{t-1}].
+			z := reparameterize(tape, muQ, logSigQ, m.rng)
+			s := tape.ConcatCols(z, h)
 
-					// Structure reconstruction (Eq. 17) on positive edges plus Q
-					// sampled negatives per node.
-					esrc, edst := snap.EdgeLists()
-					src, dst, targets := m.samplePairs(snap, esrc, edst, m.rng)
-					if len(src) > 0 {
-						p := m.mixBernoulliProb(c, s, src, dst, n)
-						strucTerms = append(strucTerms, tape.BCEProb(p, targets))
-					}
+			// Structure reconstruction (Eq. 17) on positive edges plus Q
+			// sampled negatives per node.
+			esrc, edst := snap.EdgeLists()
+			src, dst, targets := m.samplePairs(snap, esrc, edst, m.rng)
+			if len(src) > 0 {
+				p := m.mixBernoulliProb(c, s, src, dst, n)
+				strucTerms = append(strucTerms, tape.BCEProb(p, targets))
+			}
 
-					// Attribute reconstruction (Eq. 18) with teacher forcing on the
-					// observed adjacency.
-					if m.Cfg.F > 0 {
-						dec := m.gat.Apply(c, s, esrc, edst, n)
-						xHat := m.attrMLP.Apply(c, dec)
-						if m.Cfg.UseSCE {
-							attrTerms = append(attrTerms, tape.SCELoss(xHat, snap.X, m.Cfg.SCEAlpha))
-						} else {
-							attrTerms = append(attrTerms, tape.MSELoss(xHat, snap.X))
-						}
-						if epoch == m.Cfg.Epochs-1 {
-							m.recordResiduals(xHat.Value, snap.X, t == 0)
-						}
-					}
-
-					// Recurrence update (Section III-D): H_t = GRU([ε‖z‖fT(t)], H_{t-1}).
-					h = m.gru.Step(c, m.gruInput(c, eps, z, t, n), h)
+			// Attribute reconstruction (Eq. 18) with teacher forcing on the
+			// observed adjacency.
+			if m.Cfg.F > 0 {
+				dec := m.gat.Apply(c, s, esrc, edst, n)
+				xHat := m.attrMLP.Apply(c, dec)
+				if m.Cfg.UseSCE {
+					attrTerms = append(attrTerms, tape.SCELoss(xHat, snap.X, m.Cfg.SCEAlpha))
+				} else {
+					attrTerms = append(attrTerms, tape.MSELoss(xHat, snap.X))
 				}
-				tape.Keep(h)
-				tape.Keep(strucTerms...)
-				tape.Keep(attrTerms...)
-				tape.Keep(klTerms...)
-			})
+				if epoch == m.Cfg.Epochs-1 {
+					m.recordResiduals(xHat.Value, snap.X, t == 0)
+				}
+			}
+
+			// Recurrence update (Section III-D): H_t = GRU([ε‖z‖fT(t)], H_{t-1}).
+			h = m.gru.Step(c, m.gruInput(c, eps, z, t, n), h)
 		}
 
 		sum := func(terms []*tensor.Node) *tensor.Node {
@@ -364,8 +345,8 @@ func (m *Model) runEpoch(g *dyngraph.Sequence, epoch int) (TrainStats, error) {
 		kl := sum(klTerms)
 		loss := tape.Add(tape.Add(struc, attr), tape.Scale(kl, m.Cfg.KLWeight))
 		// The loss components are read for the epoch stats after Backward,
-		// so the scheduled executor must not release them; h is read for
-		// the next window's detached state.
+		// so Backward must not release them; h is read for the next
+		// window's detached state.
 		tape.Keep(struc, attr, kl, loss, h)
 
 		lv := loss.Value.Data[0]

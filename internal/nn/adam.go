@@ -149,23 +149,19 @@ func (c *Ctx) Var(p *Param) *tensor.Node {
 }
 
 // Flush moves all captured node gradients into the sink. Call after
-// Tape.Backward and before the gradients are consumed (Adam.Step). Under
-// the lifetime-scheduled executor each gradient buffer is returned to the
-// arena as soon as it has been accumulated — Var grads are the one class
-// of buffer the scheduled Backward cannot release itself, because Flush
-// reads them after the sweep finishes.
+// Tape.Backward and before the gradients are consumed (Adam.Step). Each
+// gradient buffer is returned to the arena as soon as it has been
+// accumulated — Var grads are the one class of buffer Backward cannot
+// release itself, because Flush reads them after the sweep finishes.
 func (c *Ctx) Flush() {
 	if c.sink == nil {
 		return
 	}
-	release := c.Tape.Sched().Lifetime
 	for p, ns := range c.nodes {
 		for _, n := range ns {
 			if n.Grad != nil {
 				c.sink.Accumulate(p, n.Grad)
-				if release {
-					c.Tape.ReleaseGrad(n)
-				}
+				c.Tape.ReleaseGrad(n)
 			}
 		}
 	}

@@ -122,6 +122,7 @@ func TestAdamLearnsXOR(t *testing.T) {
 		c := NewTrainCtx(tape, adam)
 		out := mlp.Apply(c, tape.Const(x))
 		loss := tape.BCEWithLogits(out, y)
+		tape.Keep(loss) // read after Backward
 		tape.Backward(loss)
 		c.Flush()
 		adam.Step()

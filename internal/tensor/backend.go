@@ -8,12 +8,12 @@ import (
 
 // This file defines the pluggable compute backend: the set of hot kernels
 // every dense and sparse operation in the package funnels through. The
-// tape, the scheduled executor, and the tape-free forward paths all call
-// the same dispatch points (matMulInto, axpyRow, the V* vector-math
-// helpers), so swapping the backend swaps the inner loops of training and
-// generation wholesale while the recording / scheduling machinery above
-// them is untouched — the scheduler's differential tests and fuzzer
-// exercise whichever backend is active for free.
+// tape, its backward sweep, and the tape-free forward paths all call the
+// same dispatch points (matMulInto, axpyRow, the V* vector-math helpers),
+// so swapping the backend swaps the inner loops of training and
+// generation wholesale while the recording / release machinery above them
+// is untouched — the tape's differential tests and fuzzer exercise
+// whichever backend is active for free.
 //
 // Bit-stability contract: every backend must produce bit-identical
 // results to the pure-Go reference for all inputs, non-finite ones

@@ -146,37 +146,21 @@ func BenchmarkTapeStepPooled(b *testing.B) {
 }
 
 // benchTapeSched runs a GRU-like recurrent chain — the training loop's
-// shape — under one scheduling configuration, reporting the tape's peak
-// live bytes so the lifetime/rematerialization savings land in
-// BENCH_tensor.json alongside the op timings.
-func benchTapeSched(b *testing.B, s Sched, ckptEvery int) {
+// shape — on tp, reporting the tape's peak live bytes so the lifetime
+// release savings land in BENCH_tensor.json alongside the op timings.
+func benchTapeSched(b *testing.B, tp *Tape) {
 	rng := rand.New(rand.NewSource(5))
 	const n, din, dh, steps = 64, 32, 32, 12
 	wx := Randn(din, dh, 0.1, rng)
 	wh := Randn(dh, dh, 0.1, rng)
 	bz := Randn(1, dh, 0.1, rng)
 	x := Randn(n, din, 1, rng)
-	tp := NewTape()
-	tp.SetSched(s)
-	span := steps
-	if ckptEvery > 0 {
-		span = ckptEvery
-	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h := tp.Const(New(n, dh))
-		for s0 := 0; s0 < steps; s0 += span {
-			s1 := s0 + span
-			if s1 > steps {
-				s1 = steps
-			}
-			tp.Checkpoint(func() {
-				for s := s0; s < s1; s++ {
-					z := tp.Affine2(tp.Const(x), tp.Var(wx), h, tp.Var(wh), tp.Var(bz), ActSigmoid)
-					h = tp.Lerp(h, tp.Tanh(tp.MatMul(z, tp.Var(wh))), z)
-				}
-				tp.Keep(h)
-			})
+		for s := 0; s < steps; s++ {
+			z := tp.Affine2(tp.Const(x), tp.Var(wx), h, tp.Var(wh), tp.Var(bz), ActSigmoid)
+			h = tp.Lerp(h, tp.Tanh(tp.MatMul(z, tp.Var(wh))), z)
 		}
 		loss := tp.MeanAll(tp.Mul(h, h))
 		tp.Keep(loss)
@@ -186,16 +170,12 @@ func benchTapeSched(b *testing.B, s Sched, ckptEvery int) {
 	b.ReportMetric(float64(tp.PeakLiveBytes()), "peak-live-B")
 }
 
-// BenchmarkTapeBackwardPlain is the record-order executor baseline.
-func BenchmarkTapeBackwardPlain(b *testing.B) { benchTapeSched(b, Sched{}, 0) }
+// BenchmarkTapeBackwardPlain is the reference tape: nothing released
+// before Reset.
+func BenchmarkTapeBackwardPlain(b *testing.B) { benchTapeSched(b, NewReferenceTape()) }
 
-// BenchmarkTapeBackwardSched runs lifetime release.
-func BenchmarkTapeBackwardSched(b *testing.B) {
-	benchTapeSched(b, Sched{Lifetime: true}, 0)
-}
-
-// BenchmarkTapeBackwardCkpt adds rematerialization segments of 3 steps.
-func BenchmarkTapeBackwardCkpt(b *testing.B) { benchTapeSched(b, SchedAll, 3) }
+// BenchmarkTapeBackwardSched runs the default tape's lifetime release.
+func BenchmarkTapeBackwardSched(b *testing.B) { benchTapeSched(b, NewTape()) }
 
 func BenchmarkSegmentSoftmax(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))

@@ -5,15 +5,13 @@ import (
 	"math"
 )
 
-// SchedProbe names the nodes AssertSchedEquiv compares across the plain
-// and scheduled executions of one recorded computation.
+// SchedProbe names the nodes AssertSchedEquiv compares across the
+// reference and the default executions of one recorded computation.
 type SchedProbe struct {
 	// Loss is the scalar node passed to Backward. Required.
 	Loss *Node
 	// Outputs are op outputs whose post-Backward values are compared
-	// bitwise. The harness pins them with Keep, but outputs recorded
-	// inside a Checkpoint segment must additionally be Keep'd by the
-	// build function itself, before the segment closes.
+	// bitwise. The harness pins them with Keep.
 	Outputs []*Node
 	// Leaves are differentiable leaves (Var nodes) whose gradients are
 	// compared bitwise; a leaf whose Grad was never touched compares
@@ -21,41 +19,41 @@ type SchedProbe struct {
 	Leaves []*Node
 }
 
-// AssertSchedEquiv is the differential harness pinning the scheduled
-// executor: it records the same computation twice — once on a plain
-// record-order tape, once under sched — runs Backward on both, and
-// verifies that the loss, every probe output, and every leaf gradient are
-// bit-identical, that each tape's live-byte ledger returns to zero after
-// Reset, and that each run's arena traffic is exactly balanced (gets ==
-// puts). build must be deterministic and self-contained: given a tape it
-// records the computation (leaf matrices allocated with New, not Get) and
-// reports the probe nodes. A nil error means the runs were
-// indistinguishable.
-func AssertSchedEquiv(sched Sched, build func(tp *Tape) SchedProbe) error {
-	plain, err := runSchedProbe(Sched{}, build)
+// AssertSchedEquiv is the differential harness pinning the tape's lifetime
+// release: it records the same computation twice — once on the reference
+// tape, which releases nothing before Reset, once on a default tape —
+// runs Backward on both, and verifies that the loss, every probe output,
+// and every leaf gradient are bit-identical, that each tape's live-byte
+// ledger returns to zero after Reset, and that each run's arena traffic is
+// exactly balanced (gets == puts). build must be deterministic and
+// self-contained: given a tape it records the computation (leaf matrices
+// allocated with New, not Get) and reports the probe nodes. A nil error
+// means the runs were indistinguishable.
+func AssertSchedEquiv(build func(tp *Tape) SchedProbe) error {
+	ref, err := runSchedProbe(NewReferenceTape(), build)
 	if err != nil {
-		return fmt.Errorf("plain run: %w", err)
+		return fmt.Errorf("reference run: %w", err)
 	}
-	scheduled, err := runSchedProbe(sched, build)
+	def, err := runSchedProbe(NewTape(), build)
 	if err != nil {
-		return fmt.Errorf("scheduled run (%+v): %w", sched, err)
+		return fmt.Errorf("default run: %w", err)
 	}
-	if err := compareBits("loss", plain.loss, scheduled.loss); err != nil {
+	if err := compareBits("loss", ref.loss, def.loss); err != nil {
 		return err
 	}
-	if len(plain.outs) != len(scheduled.outs) {
-		return fmt.Errorf("probe output count differs: %d vs %d", len(plain.outs), len(scheduled.outs))
+	if len(ref.outs) != len(def.outs) {
+		return fmt.Errorf("probe output count differs: %d vs %d", len(ref.outs), len(def.outs))
 	}
-	for k := range plain.outs {
-		if err := compareBits(fmt.Sprintf("output %d", k), plain.outs[k], scheduled.outs[k]); err != nil {
+	for k := range ref.outs {
+		if err := compareBits(fmt.Sprintf("output %d", k), ref.outs[k], def.outs[k]); err != nil {
 			return err
 		}
 	}
-	if len(plain.grads) != len(scheduled.grads) {
-		return fmt.Errorf("probe leaf count differs: %d vs %d", len(plain.grads), len(scheduled.grads))
+	if len(ref.grads) != len(def.grads) {
+		return fmt.Errorf("probe leaf count differs: %d vs %d", len(ref.grads), len(def.grads))
 	}
-	for k := range plain.grads {
-		if err := compareBits(fmt.Sprintf("leaf %d gradient", k), plain.grads[k], scheduled.grads[k]); err != nil {
+	for k := range ref.grads {
+		if err := compareBits(fmt.Sprintf("leaf %d gradient", k), ref.grads[k], def.grads[k]); err != nil {
 			return err
 		}
 	}
@@ -69,14 +67,11 @@ type schedCapture struct {
 	grads [][]uint64 // nil entry: gradient never allocated
 }
 
-// runSchedProbe executes build under one scheduling configuration and
-// snapshots the probe, checking the run's memory invariants on the way
-// out.
-func runSchedProbe(s Sched, build func(tp *Tape) SchedProbe) (schedCapture, error) {
+// runSchedProbe executes build on the empty tape tp and snapshots the
+// probe, checking the run's memory invariants on the way out.
+func runSchedProbe(tp *Tape, build func(tp *Tape) SchedProbe) (schedCapture, error) {
 	var snap schedCapture
 	before := ReadPoolStats()
-	tp := NewTape()
-	tp.SetSched(s)
 	p := build(tp)
 	if p.Loss == nil {
 		return snap, fmt.Errorf("probe has nil loss")

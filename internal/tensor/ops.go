@@ -5,11 +5,11 @@ import (
 	"math"
 )
 
-// Every operation below follows one discipline: the forward computation
-// lives in a recompute closure handed to Tape.newOp (which runs it once at
-// record time and keeps it for Checkpoint rematerialization), the backward
-// closure reads n.Value rather than a captured output matrix (the buffer
-// may have been dropped and rebuilt in between).
+// Every operation below follows one discipline: it computes its output
+// into a buffer from Get, records it with Tape.op, and attaches a backward
+// closure that reads n.Value and n.Grad. Backward runs that closure before
+// it releases either buffer, so both are live whenever the closure reads
+// them.
 
 // ---- Elementwise binary operations ----
 
@@ -18,13 +18,11 @@ func (t *Tape) Add(a, b *Node) *Node {
 	if !a.Value.SameShape(b.Value) {
 		panic(fmt.Sprintf("tensor: Add shape mismatch %s vs %s", a.Value.shape(), b.Value.shape()))
 	}
-	n := t.newOp(anyGrad(a, b), func() *Matrix {
-		out := Get(a.Value.Rows, a.Value.Cols)
-		for i, v := range a.Value.Data {
-			out.Data[i] = v + b.Value.Data[i]
-		}
-		return out
-	})
+	out := Get(a.Value.Rows, a.Value.Cols)
+	for i, v := range a.Value.Data {
+		out.Data[i] = v + b.Value.Data[i]
+	}
+	n := t.op(out, anyGrad(a, b))
 	n.backward = func() {
 		if a.needGrad {
 			a.grad().AddInPlace(n.Grad)
@@ -41,13 +39,11 @@ func (t *Tape) Sub(a, b *Node) *Node {
 	if !a.Value.SameShape(b.Value) {
 		panic(fmt.Sprintf("tensor: Sub shape mismatch %s vs %s", a.Value.shape(), b.Value.shape()))
 	}
-	n := t.newOp(anyGrad(a, b), func() *Matrix {
-		out := Get(a.Value.Rows, a.Value.Cols)
-		for i, v := range a.Value.Data {
-			out.Data[i] = v - b.Value.Data[i]
-		}
-		return out
-	})
+	out := Get(a.Value.Rows, a.Value.Cols)
+	for i, v := range a.Value.Data {
+		out.Data[i] = v - b.Value.Data[i]
+	}
+	n := t.op(out, anyGrad(a, b))
 	n.backward = func() {
 		if a.needGrad {
 			a.grad().AddInPlace(n.Grad)
@@ -64,13 +60,11 @@ func (t *Tape) Mul(a, b *Node) *Node {
 	if !a.Value.SameShape(b.Value) {
 		panic(fmt.Sprintf("tensor: Mul shape mismatch %s vs %s", a.Value.shape(), b.Value.shape()))
 	}
-	n := t.newOp(anyGrad(a, b), func() *Matrix {
-		out := Get(a.Value.Rows, a.Value.Cols)
-		for i := range out.Data {
-			out.Data[i] = a.Value.Data[i] * b.Value.Data[i]
-		}
-		return out
-	})
+	out := Get(a.Value.Rows, a.Value.Cols)
+	for i := range out.Data {
+		out.Data[i] = a.Value.Data[i] * b.Value.Data[i]
+	}
+	n := t.op(out, anyGrad(a, b))
 	n.backward = func() {
 		if a.needGrad {
 			g := a.grad()
@@ -90,13 +84,11 @@ func (t *Tape) Mul(a, b *Node) *Node {
 
 // Scale returns s*a.
 func (t *Tape) Scale(a *Node, s float64) *Node {
-	n := t.newOp(a.needGrad, func() *Matrix {
-		out := Get(a.Value.Rows, a.Value.Cols)
-		for i, v := range a.Value.Data {
-			out.Data[i] = v * s
-		}
-		return out
-	})
+	out := Get(a.Value.Rows, a.Value.Cols)
+	for i, v := range a.Value.Data {
+		out.Data[i] = v * s
+	}
+	n := t.op(out, a.needGrad)
 	n.backward = func() {
 		if a.needGrad {
 			a.grad().Axpy(s, n.Grad)
@@ -107,13 +99,11 @@ func (t *Tape) Scale(a *Node, s float64) *Node {
 
 // AddScalar returns a + s elementwise.
 func (t *Tape) AddScalar(a *Node, s float64) *Node {
-	n := t.newOp(a.needGrad, func() *Matrix {
-		out := Get(a.Value.Rows, a.Value.Cols)
-		for i, v := range a.Value.Data {
-			out.Data[i] = v + s
-		}
-		return out
-	})
+	out := Get(a.Value.Rows, a.Value.Cols)
+	for i, v := range a.Value.Data {
+		out.Data[i] = v + s
+	}
+	n := t.op(out, a.needGrad)
 	n.backward = func() {
 		if a.needGrad {
 			a.grad().AddInPlace(n.Grad)
@@ -127,12 +117,10 @@ func (t *Tape) AddRowVec(a, b *Node) *Node {
 	if b.Value.Rows != 1 || b.Value.Cols != a.Value.Cols {
 		panic(fmt.Sprintf("tensor: AddRowVec needs 1x%d bias, got %s", a.Value.Cols, b.Value.shape()))
 	}
-	n := t.newOp(anyGrad(a, b), func() *Matrix {
-		out := Get(a.Value.Rows, a.Value.Cols)
-		copy(out.Data, a.Value.Data)
-		out.AddRowVecInPlace(b.Value)
-		return out
-	})
+	out := Get(a.Value.Rows, a.Value.Cols)
+	copy(out.Data, a.Value.Data)
+	out.AddRowVecInPlace(b.Value)
+	n := t.op(out, anyGrad(a, b))
 	n.backward = func() {
 		if a.needGrad {
 			a.grad().AddInPlace(n.Grad)
@@ -155,18 +143,16 @@ func (t *Tape) MulColVec(a, b *Node) *Node {
 	if b.Value.Cols != 1 || b.Value.Rows != a.Value.Rows {
 		panic(fmt.Sprintf("tensor: MulColVec needs %dx1 column, got %s", a.Value.Rows, b.Value.shape()))
 	}
-	n := t.newOp(anyGrad(a, b), func() *Matrix {
-		out := Get(a.Value.Rows, a.Value.Cols)
-		for i := 0; i < out.Rows; i++ {
-			s := b.Value.Data[i]
-			arow := a.Value.Row(i)
-			orow := out.Row(i)
-			for j := range orow {
-				orow[j] = arow[j] * s
-			}
+	out := Get(a.Value.Rows, a.Value.Cols)
+	for i := 0; i < out.Rows; i++ {
+		s := b.Value.Data[i]
+		arow := a.Value.Row(i)
+		orow := out.Row(i)
+		for j := range orow {
+			orow[j] = arow[j] * s
 		}
-		return out
-	})
+	}
+	n := t.op(out, anyGrad(a, b))
 	n.backward = func() {
 		if a.needGrad {
 			g := a.grad()
@@ -199,9 +185,7 @@ func (t *Tape) MulColVec(a, b *Node) *Node {
 
 // MatMul returns a·b with full gradient support for both operands.
 func (t *Tape) MatMul(a, b *Node) *Node {
-	n := t.newOp(anyGrad(a, b), func() *Matrix {
-		return MatMul(a.Value, b.Value)
-	})
+	n := t.op(MatMul(a.Value, b.Value), anyGrad(a, b))
 	n.backward = func() {
 		if a.needGrad { // dA = dOut · Bᵀ
 			matMulInto(a.grad(), n.Grad, b.Value, false, true)
@@ -217,9 +201,7 @@ func (t *Tape) MatMul(a, b *Node) *Node {
 // The gradient flows only into a: dA = sᵀ · dOut, accumulated directly
 // into the gradient buffer without an intermediate matrix.
 func (t *Tape) SpMM(s *CSR, a *Node) *Node {
-	n := t.newOp(a.needGrad, func() *Matrix {
-		return s.MulDense(a.Value)
-	})
+	n := t.op(s.MulDense(a.Value), a.needGrad)
 	n.backward = func() {
 		if a.needGrad {
 			s.MulDenseTInto(a.grad(), n.Grad)
@@ -327,13 +309,11 @@ func (t *Tape) Affine(x, w, b *Node, act Act) *Node {
 	if b.Value.Rows != 1 || b.Value.Cols != w.Value.Cols {
 		panic(fmt.Sprintf("tensor: Affine needs 1x%d bias, got %s", w.Value.Cols, b.Value.shape()))
 	}
-	n := t.newOp(anyGrad(x, w, b), func() *Matrix {
-		out := Get(x.Value.Rows, w.Value.Cols)
-		MatMulInto(out, x.Value, w.Value)
-		out.AddRowVecInPlace(b.Value)
-		applyActSlice(out.Data, act)
-		return out
-	})
+	out := Get(x.Value.Rows, w.Value.Cols)
+	MatMulInto(out, x.Value, w.Value)
+	out.AddRowVecInPlace(b.Value)
+	applyActSlice(out.Data, act)
+	n := t.op(out, anyGrad(x, w, b))
 	n.backward = func() {
 		dPre, scratch := preGrad(n.Value, n.Grad, act)
 		affineGrads(x, w, nil, nil, b, dPre)
@@ -352,14 +332,12 @@ func (t *Tape) Affine2(x, wx, h, wh, b *Node, act Act) *Node {
 		panic(fmt.Sprintf("tensor: Affine2 bias/width mismatch %s vs %s vs %s",
 			wx.Value.shape(), wh.Value.shape(), b.Value.shape()))
 	}
-	n := t.newOp(anyGrad(x, wx, h, wh, b), func() *Matrix {
-		out := Get(x.Value.Rows, wx.Value.Cols)
-		MatMulInto(out, x.Value, wx.Value)
-		MatMulInto(out, h.Value, wh.Value)
-		out.AddRowVecInPlace(b.Value)
-		applyActSlice(out.Data, act)
-		return out
-	})
+	out := Get(x.Value.Rows, wx.Value.Cols)
+	MatMulInto(out, x.Value, wx.Value)
+	MatMulInto(out, h.Value, wh.Value)
+	out.AddRowVecInPlace(b.Value)
+	applyActSlice(out.Data, act)
+	n := t.op(out, anyGrad(x, wx, h, wh, b))
 	n.backward = func() {
 		dPre, scratch := preGrad(n.Value, n.Grad, act)
 		affineGrads(x, wx, h, wh, b, dPre)
@@ -377,13 +355,11 @@ func (t *Tape) Lerp(a, b, z *Node) *Node {
 		panic(fmt.Sprintf("tensor: Lerp shape mismatch %s vs %s vs %s",
 			a.Value.shape(), b.Value.shape(), z.Value.shape()))
 	}
-	n := t.newOp(anyGrad(a, b, z), func() *Matrix {
-		out := Get(a.Value.Rows, a.Value.Cols)
-		for i, av := range a.Value.Data {
-			out.Data[i] = av + z.Value.Data[i]*(b.Value.Data[i]-av)
-		}
-		return out
-	})
+	out := Get(a.Value.Rows, a.Value.Cols)
+	for i, av := range a.Value.Data {
+		out.Data[i] = av + z.Value.Data[i]*(b.Value.Data[i]-av)
+	}
+	n := t.op(out, anyGrad(a, b, z))
 	n.backward = func() {
 		if a.needGrad {
 			g := a.grad()
@@ -411,12 +387,10 @@ func (t *Tape) Lerp(a, b, z *Node) *Node {
 
 // Sigmoid applies the logistic function elementwise.
 func (t *Tape) Sigmoid(a *Node) *Node {
-	n := t.newOp(a.needGrad, func() *Matrix {
-		out := Get(a.Value.Rows, a.Value.Cols)
-		copy(out.Data, a.Value.Data)
-		VSigmoid(out.Data)
-		return out
-	})
+	out := Get(a.Value.Rows, a.Value.Cols)
+	copy(out.Data, a.Value.Data)
+	VSigmoid(out.Data)
+	n := t.op(out, a.needGrad)
 	n.backward = func() {
 		if a.needGrad {
 			g := a.grad()
@@ -431,12 +405,10 @@ func (t *Tape) Sigmoid(a *Node) *Node {
 
 // Tanh applies tanh elementwise.
 func (t *Tape) Tanh(a *Node) *Node {
-	n := t.newOp(a.needGrad, func() *Matrix {
-		out := Get(a.Value.Rows, a.Value.Cols)
-		copy(out.Data, a.Value.Data)
-		VTanh(out.Data)
-		return out
-	})
+	out := Get(a.Value.Rows, a.Value.Cols)
+	copy(out.Data, a.Value.Data)
+	VTanh(out.Data)
+	n := t.op(out, a.needGrad)
 	n.backward = func() {
 		if a.needGrad {
 			g := a.grad()
@@ -451,13 +423,11 @@ func (t *Tape) Tanh(a *Node) *Node {
 
 // ReLU applies max(0,x) elementwise.
 func (t *Tape) ReLU(a *Node) *Node {
-	n := t.newOp(a.needGrad, func() *Matrix {
-		out := Get(a.Value.Rows, a.Value.Cols)
-		for i, v := range a.Value.Data {
-			out.Data[i] = math.Max(0, v)
-		}
-		return out
-	})
+	out := Get(a.Value.Rows, a.Value.Cols)
+	for i, v := range a.Value.Data {
+		out.Data[i] = math.Max(0, v)
+	}
+	n := t.op(out, a.needGrad)
 	n.backward = func() {
 		if a.needGrad {
 			g := a.grad()
@@ -473,17 +443,15 @@ func (t *Tape) ReLU(a *Node) *Node {
 
 // LeakyReLU applies x if x>0 else slope*x, elementwise.
 func (t *Tape) LeakyReLU(a *Node, slope float64) *Node {
-	n := t.newOp(a.needGrad, func() *Matrix {
-		out := Get(a.Value.Rows, a.Value.Cols)
-		for i, v := range a.Value.Data {
-			if v > 0 {
-				out.Data[i] = v
-			} else {
-				out.Data[i] = slope * v
-			}
+	out := Get(a.Value.Rows, a.Value.Cols)
+	for i, v := range a.Value.Data {
+		if v > 0 {
+			out.Data[i] = v
+		} else {
+			out.Data[i] = slope * v
 		}
-		return out
-	})
+	}
+	n := t.op(out, a.needGrad)
 	n.backward = func() {
 		if a.needGrad {
 			g := a.grad()
@@ -502,14 +470,12 @@ func (t *Tape) LeakyReLU(a *Node, slope float64) *Node {
 // Exp applies e^x elementwise. Inputs are clamped to 40 before
 // exponentiation to keep training numerically stable.
 func (t *Tape) Exp(a *Node) *Node {
-	n := t.newOp(a.needGrad, func() *Matrix {
-		out := Get(a.Value.Rows, a.Value.Cols)
-		for i, v := range a.Value.Data {
-			out.Data[i] = math.Min(v, 40)
-		}
-		VExp(out.Data)
-		return out
-	})
+	out := Get(a.Value.Rows, a.Value.Cols)
+	for i, v := range a.Value.Data {
+		out.Data[i] = math.Min(v, 40)
+	}
+	VExp(out.Data)
+	n := t.op(out, a.needGrad)
 	n.backward = func() {
 		if a.needGrad {
 			g := a.grad()
@@ -523,13 +489,11 @@ func (t *Tape) Exp(a *Node) *Node {
 
 // Log applies ln(max(x, 1e-12)) elementwise.
 func (t *Tape) Log(a *Node) *Node {
-	n := t.newOp(a.needGrad, func() *Matrix {
-		out := Get(a.Value.Rows, a.Value.Cols)
-		for i, v := range a.Value.Data {
-			out.Data[i] = math.Log(math.Max(v, 1e-12))
-		}
-		return out
-	})
+	out := Get(a.Value.Rows, a.Value.Cols)
+	for i, v := range a.Value.Data {
+		out.Data[i] = math.Log(math.Max(v, 1e-12))
+	}
+	n := t.op(out, a.needGrad)
 	n.backward = func() {
 		if a.needGrad {
 			g := a.grad()
@@ -543,13 +507,11 @@ func (t *Tape) Log(a *Node) *Node {
 
 // Sin applies sin elementwise (used by Time2Vec temporal embeddings).
 func (t *Tape) Sin(a *Node) *Node {
-	n := t.newOp(a.needGrad, func() *Matrix {
-		out := Get(a.Value.Rows, a.Value.Cols)
-		for i, v := range a.Value.Data {
-			out.Data[i] = math.Sin(v)
-		}
-		return out
-	})
+	out := Get(a.Value.Rows, a.Value.Cols)
+	for i, v := range a.Value.Data {
+		out.Data[i] = math.Sin(v)
+	}
+	n := t.op(out, a.needGrad)
 	n.backward = func() {
 		if a.needGrad {
 			g := a.grad()
@@ -563,13 +525,11 @@ func (t *Tape) Sin(a *Node) *Node {
 
 // SoftmaxRows applies a numerically stable softmax to each row independently.
 func (t *Tape) SoftmaxRows(a *Node) *Node {
-	n := t.newOp(a.needGrad, func() *Matrix {
-		out := Get(a.Value.Rows, a.Value.Cols)
-		for i := 0; i < a.Value.Rows; i++ {
-			softmaxInto(out.Row(i), a.Value.Row(i))
-		}
-		return out
-	})
+	out := Get(a.Value.Rows, a.Value.Cols)
+	for i := 0; i < a.Value.Rows; i++ {
+		softmaxInto(out.Row(i), a.Value.Row(i))
+	}
+	n := t.op(out, a.needGrad)
 	n.backward = func() {
 		if !a.needGrad {
 			return
@@ -631,18 +591,16 @@ func (t *Tape) ConcatCols(parts ...*Node) *Node {
 		}
 		total += p.Value.Cols
 	}
-	n := t.newOp(anyGrad(parts...), func() *Matrix {
-		out := Get(rows, total)
-		off := 0
-		for _, p := range parts {
-			c := p.Value.Cols
-			for i := 0; i < rows; i++ {
-				copy(out.Data[i*total+off:i*total+off+c], p.Value.Row(i))
-			}
-			off += c
+	out := Get(rows, total)
+	off := 0
+	for _, p := range parts {
+		c := p.Value.Cols
+		for i := 0; i < rows; i++ {
+			copy(out.Data[i*total+off:i*total+off+c], p.Value.Row(i))
 		}
-		return out
-	})
+		off += c
+	}
+	n := t.op(out, anyGrad(parts...))
 	n.backward = func() {
 		off := 0
 		for _, p := range parts {
@@ -669,13 +627,11 @@ func (t *Tape) SliceCols(a *Node, lo, hi int) *Node {
 		panic(fmt.Sprintf("tensor: SliceCols [%d,%d) out of range for %s", lo, hi, a.Value.shape()))
 	}
 	rows, w := a.Value.Rows, hi-lo
-	n := t.newOp(a.needGrad, func() *Matrix {
-		out := Get(rows, w)
-		for i := 0; i < rows; i++ {
-			copy(out.Row(i), a.Value.Row(i)[lo:hi])
-		}
-		return out
-	})
+	out := Get(rows, w)
+	for i := 0; i < rows; i++ {
+		copy(out.Row(i), a.Value.Row(i)[lo:hi])
+	}
+	n := t.op(out, a.needGrad)
 	n.backward = func() {
 		if a.needGrad {
 			g := a.grad()
@@ -694,13 +650,11 @@ func (t *Tape) SliceCols(a *Node, lo, hi int) *Node {
 // GatherRows selects rows of a by index: out[k] = a[idx[k]].
 func (t *Tape) GatherRows(a *Node, idx []int) *Node {
 	cols := a.Value.Cols
-	n := t.newOp(a.needGrad, func() *Matrix {
-		out := Get(len(idx), cols)
-		for k, i := range idx {
-			copy(out.Row(k), a.Value.Row(i))
-		}
-		return out
-	})
+	out := Get(len(idx), cols)
+	for k, i := range idx {
+		copy(out.Row(k), a.Value.Row(i))
+	}
+	n := t.op(out, a.needGrad)
 	n.backward = func() {
 		if a.needGrad {
 			g := a.grad()
@@ -723,17 +677,15 @@ func (t *Tape) ScatterAddRows(a *Node, idx []int, outRows int) *Node {
 		panic(fmt.Sprintf("tensor: ScatterAddRows idx len %d != rows %d", len(idx), a.Value.Rows))
 	}
 	cols := a.Value.Cols
-	n := t.newOp(a.needGrad, func() *Matrix {
-		out := Get(outRows, cols)
-		for k, i := range idx {
-			orow := out.Row(i)
-			arow := a.Value.Row(k)
-			for j := range orow {
-				orow[j] += arow[j]
-			}
+	out := Get(outRows, cols)
+	for k, i := range idx {
+		orow := out.Row(i)
+		arow := a.Value.Row(k)
+		for j := range orow {
+			orow[j] += arow[j]
 		}
-		return out
-	})
+	}
+	n := t.op(out, a.needGrad)
 	n.backward = func() {
 		if a.needGrad {
 			g := a.grad()
@@ -752,15 +704,13 @@ func (t *Tape) ScatterAddRows(a *Node, idx []int, outRows int) *Node {
 // Transpose returns aᵀ.
 func (t *Tape) Transpose(a *Node) *Node {
 	rows, cols := a.Value.Rows, a.Value.Cols
-	n := t.newOp(a.needGrad, func() *Matrix {
-		out := Get(cols, rows)
-		for i := 0; i < rows; i++ {
-			for j, v := range a.Value.Row(i) {
-				out.Data[j*rows+i] = v
-			}
+	out := Get(cols, rows)
+	for i := 0; i < rows; i++ {
+		for j, v := range a.Value.Row(i) {
+			out.Data[j*rows+i] = v
 		}
-		return out
-	})
+	}
+	n := t.op(out, a.needGrad)
 	n.backward = func() {
 		if a.needGrad {
 			g := a.grad()
@@ -791,17 +741,15 @@ func (t *Tape) PairDiffT(pT, b *Node, lo int, src, dst []int, act Act) *Node {
 		panic(fmt.Sprintf("tensor: PairDiffT rows [%d,%d) of %s with bias %s, %d src vs %d dst",
 			lo, lo+d, pT.Value.shape(), b.Value.shape(), e, len(dst)))
 	}
-	n := t.newOp(anyGrad(pT, b), func() *Matrix {
-		out := Get(d, e)
-		for r := 0; r < d; r++ {
-			p, bias, orow := pT.Value.Row(lo+r), b.Value.Data[r], out.Row(r)
-			for k, i := range src {
-				orow[k] = (p[i] - p[dst[k]]) + bias
-			}
+	out := Get(d, e)
+	for r := 0; r < d; r++ {
+		p, bias, orow := pT.Value.Row(lo+r), b.Value.Data[r], out.Row(r)
+		for k, i := range src {
+			orow[k] = (p[i] - p[dst[k]]) + bias
 		}
-		applyActSlice(out.Data, act)
-		return out
-	})
+	}
+	applyActSlice(out.Data, act)
+	n := t.op(out, anyGrad(pT, b))
 	n.backward = func() {
 		dPre, scratch := preGrad(n.Value, n.Grad, act)
 		if pT.needGrad {
@@ -840,30 +788,28 @@ func (t *Tape) SegmentSoftmax(a *Node, seg []int, nSeg int) *Node {
 		panic("tensor: SegmentSoftmax needs E×1 input with matching segment slice")
 	}
 	e := a.Value.Rows
-	n := t.newOp(a.needGrad, func() *Matrix {
-		mx := make([]float64, nSeg)
-		for i := range mx {
-			mx[i] = math.Inf(-1)
+	mx := make([]float64, nSeg)
+	for i := range mx {
+		mx[i] = math.Inf(-1)
+	}
+	for k := 0; k < e; k++ {
+		if v := a.Value.Data[k]; v > mx[seg[k]] {
+			mx[seg[k]] = v
 		}
-		for k := 0; k < e; k++ {
-			if v := a.Value.Data[k]; v > mx[seg[k]] {
-				mx[seg[k]] = v
-			}
+	}
+	sum := make([]float64, nSeg)
+	out := Get(e, 1)
+	for k := 0; k < e; k++ {
+		v := math.Exp(a.Value.Data[k] - mx[seg[k]])
+		out.Data[k] = v
+		sum[seg[k]] += v
+	}
+	for k := 0; k < e; k++ {
+		if s := sum[seg[k]]; s > 0 {
+			out.Data[k] /= s
 		}
-		sum := make([]float64, nSeg)
-		out := Get(e, 1)
-		for k := 0; k < e; k++ {
-			v := math.Exp(a.Value.Data[k] - mx[seg[k]])
-			out.Data[k] = v
-			sum[seg[k]] += v
-		}
-		for k := 0; k < e; k++ {
-			if s := sum[seg[k]]; s > 0 {
-				out.Data[k] /= s
-			}
-		}
-		return out
-	})
+	}
+	n := t.op(out, a.needGrad)
 	n.backward = func() {
 		if !a.needGrad {
 			return
@@ -884,11 +830,9 @@ func (t *Tape) SegmentSoftmax(a *Node, seg []int, nSeg int) *Node {
 
 // SumAll reduces a to a 1×1 scalar by summation.
 func (t *Tape) SumAll(a *Node) *Node {
-	n := t.newOp(a.needGrad, func() *Matrix {
-		out := Get(1, 1)
-		out.Data[0] = a.Value.Sum()
-		return out
-	})
+	out := Get(1, 1)
+	out.Data[0] = a.Value.Sum()
+	n := t.op(out, a.needGrad)
 	n.backward = func() {
 		if a.needGrad {
 			g := a.grad()
@@ -913,17 +857,15 @@ func (t *Tape) MeanAll(a *Node) *Node {
 // SumRows reduces each row to a single value, producing an N×1 column.
 func (t *Tape) SumRows(a *Node) *Node {
 	rows := a.Value.Rows
-	n := t.newOp(a.needGrad, func() *Matrix {
-		out := Get(rows, 1)
-		for i := 0; i < rows; i++ {
-			s := 0.0
-			for _, v := range a.Value.Row(i) {
-				s += v
-			}
-			out.Data[i] = s
+	out := Get(rows, 1)
+	for i := 0; i < rows; i++ {
+		s := 0.0
+		for _, v := range a.Value.Row(i) {
+			s += v
 		}
-		return out
-	})
+		out.Data[i] = s
+	}
+	n := t.op(out, a.needGrad)
 	n.backward = func() {
 		if a.needGrad {
 			g := a.grad()
@@ -949,17 +891,15 @@ func (t *Tape) BCEWithLogits(logits *Node, targets *Matrix) *Node {
 		panic(fmt.Sprintf("tensor: BCEWithLogits shape mismatch %s vs %s", logits.Value.shape(), targets.shape()))
 	}
 	count := float64(len(targets.Data))
-	n := t.newOp(logits.needGrad, func() *Matrix {
-		loss := 0.0
-		for i, x := range logits.Value.Data {
-			y := targets.Data[i]
-			// max(x,0) - x*y + log(1+exp(-|x|))
-			loss += math.Max(x, 0) - x*y + math.Log1p(math.Exp(-math.Abs(x)))
-		}
-		out := Get(1, 1)
-		out.Data[0] = loss / count
-		return out
-	})
+	loss := 0.0
+	for i, x := range logits.Value.Data {
+		y := targets.Data[i]
+		// max(x,0) - x*y + log(1+exp(-|x|))
+		loss += math.Max(x, 0) - x*y + math.Log1p(math.Exp(-math.Abs(x)))
+	}
+	out := Get(1, 1)
+	out.Data[0] = loss / count
+	n := t.op(out, logits.needGrad)
 	n.backward = func() {
 		if logits.needGrad {
 			g := logits.grad()
@@ -980,17 +920,15 @@ func (t *Tape) BCEProb(p *Node, targets *Matrix) *Node {
 	}
 	const eps = 1e-7
 	count := float64(len(targets.Data))
-	n := t.newOp(p.needGrad, func() *Matrix {
-		loss := 0.0
-		for i, v := range p.Value.Data {
-			v = clamp(v, eps, 1-eps)
-			y := targets.Data[i]
-			loss += -(y*math.Log(v) + (1-y)*math.Log(1-v))
-		}
-		out := Get(1, 1)
-		out.Data[0] = loss / count
-		return out
-	})
+	loss := 0.0
+	for i, v := range p.Value.Data {
+		v = clamp(v, eps, 1-eps)
+		y := targets.Data[i]
+		loss += -(y*math.Log(v) + (1-y)*math.Log(1-v))
+	}
+	out := Get(1, 1)
+	out.Data[0] = loss / count
+	n := t.op(out, p.needGrad)
 	n.backward = func() {
 		if p.needGrad {
 			g := p.grad()
@@ -1013,35 +951,31 @@ func (t *Tape) SCELoss(xhat *Node, x *Matrix, alpha float64) *Node {
 	}
 	const eps = 1e-9
 	rows := x.Rows
-	// Per-row norms and dot products assigned by the recompute closure so
-	// the backward always reads values consistent with the latest forward.
-	var cos, nx, nxh, dots []float64
-	n := t.newOp(xhat.needGrad, func() *Matrix {
-		cos = make([]float64, rows)
-		nx = make([]float64, rows)
-		nxh = make([]float64, rows)
-		dots = make([]float64, rows)
-		loss := 0.0
-		for i := 0; i < rows; i++ {
-			xr, hr := x.Row(i), xhat.Value.Row(i)
-			var dot, a2, b2 float64
-			for j := range xr {
-				dot += xr[j] * hr[j]
-				a2 += xr[j] * xr[j]
-				b2 += hr[j] * hr[j]
-			}
-			nx[i] = math.Sqrt(a2) + eps
-			nxh[i] = math.Sqrt(b2) + eps
-			dots[i] = dot
-			cos[i] = dot / (nx[i] * nxh[i])
-			loss += math.Pow(math.Max(1-cos[i], 0), alpha)
+	// Per-row cosines, norms and dot products, read again by the backward.
+	cos := make([]float64, rows)
+	nx := make([]float64, rows)
+	nxh := make([]float64, rows)
+	dots := make([]float64, rows)
+	loss := 0.0
+	for i := 0; i < rows; i++ {
+		xr, hr := x.Row(i), xhat.Value.Row(i)
+		var dot, a2, b2 float64
+		for j := range xr {
+			dot += xr[j] * hr[j]
+			a2 += xr[j] * xr[j]
+			b2 += hr[j] * hr[j]
 		}
-		out := Get(1, 1)
-		if rows > 0 {
-			out.Data[0] = loss / float64(rows)
-		}
-		return out
-	})
+		nx[i] = math.Sqrt(a2) + eps
+		nxh[i] = math.Sqrt(b2) + eps
+		dots[i] = dot
+		cos[i] = dot / (nx[i] * nxh[i])
+		loss += math.Pow(math.Max(1-cos[i], 0), alpha)
+	}
+	out := Get(1, 1)
+	if rows > 0 {
+		out.Data[0] = loss / float64(rows)
+	}
+	n := t.op(out, xhat.needGrad)
 	n.backward = func() {
 		if !xhat.needGrad || rows == 0 {
 			return
@@ -1073,18 +1007,16 @@ func (t *Tape) MSELoss(xhat *Node, x *Matrix) *Node {
 		panic(fmt.Sprintf("tensor: MSELoss shape mismatch %s vs %s", xhat.Value.shape(), x.shape()))
 	}
 	count := float64(len(x.Data))
-	n := t.newOp(xhat.needGrad, func() *Matrix {
-		loss := 0.0
-		for i, v := range xhat.Value.Data {
-			d := v - x.Data[i]
-			loss += d * d
-		}
-		out := Get(1, 1)
-		if count > 0 {
-			out.Data[0] = loss / count
-		}
-		return out
-	})
+	loss := 0.0
+	for i, v := range xhat.Value.Data {
+		d := v - x.Data[i]
+		loss += d * d
+	}
+	out := Get(1, 1)
+	if count > 0 {
+		out.Data[0] = loss / count
+	}
+	n := t.op(out, xhat.needGrad)
 	n.backward = func() {
 		if xhat.needGrad && count > 0 {
 			g := xhat.grad()
@@ -1111,22 +1043,19 @@ func (t *Tape) GaussianKL(muQ, logSigQ, muP, logSigP *Node) *Node {
 		}
 	}
 	size := len(shape.Data)
-	var sq2, sp2 []float64 // σq², σp², refreshed by each forward run
-	n := t.newOp(anyGrad(muQ, logSigQ, muP, logSigP), func() *Matrix {
-		sq2 = make([]float64, size)
-		sp2 = make([]float64, size)
-		kl := 0.0
-		for i := 0; i < size; i++ {
-			sq := math.Exp(clamp(logSigQ.Value.Data[i], -20, 20))
-			sp := math.Exp(clamp(logSigP.Value.Data[i], -20, 20))
-			sq2[i], sp2[i] = sq*sq, sp*sp
-			dm := muQ.Value.Data[i] - muP.Value.Data[i]
-			kl += logSigP.Value.Data[i] - logSigQ.Value.Data[i] + (sq2[i]+dm*dm)/(2*sp2[i]) - 0.5
-		}
-		out := Get(1, 1)
-		out.Data[0] = kl
-		return out
-	})
+	sq2 := make([]float64, size) // σq², read again by the backward
+	sp2 := make([]float64, size) // σp²
+	kl := 0.0
+	for i := 0; i < size; i++ {
+		sq := math.Exp(clamp(logSigQ.Value.Data[i], -20, 20))
+		sp := math.Exp(clamp(logSigP.Value.Data[i], -20, 20))
+		sq2[i], sp2[i] = sq*sq, sp*sp
+		dm := muQ.Value.Data[i] - muP.Value.Data[i]
+		kl += logSigP.Value.Data[i] - logSigQ.Value.Data[i] + (sq2[i]+dm*dm)/(2*sp2[i]) - 0.5
+	}
+	out := Get(1, 1)
+	out.Data[0] = kl
+	n := t.op(out, anyGrad(muQ, logSigQ, muP, logSigP))
 	n.backward = func() {
 		d := n.Grad.Data[0]
 		for i := 0; i < size; i++ {

@@ -154,6 +154,7 @@ func TestTapeResetNotObservable(t *testing.T) {
 		xv, wv, bv := tp.Var(x), tp.Var(w), tp.Var(b)
 		out := tp.Affine(xv, wv, bv, ActTanh)
 		loss := tp.MeanAll(tp.Mul(out, out))
+		tp.Keep(out) // read after Backward
 		tp.Backward(loss)
 		return out.Value.Clone(), wv.Grad.Clone()
 	}

@@ -37,9 +37,8 @@ func testCSR() *CSR {
 }
 
 // TestSchedEquivAllOps drives every tape op kind (and the aliasing/reuse
-// patterns from matrix_test.go) through the differential harness with the
-// full schedule (lifetime + rematerialization) against the plain
-// record-order executor.
+// patterns from matrix_test.go) through the differential harness: the
+// default tape's lifetime release against the reference tape.
 func TestSchedEquivAllOps(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -196,7 +195,7 @@ func TestSchedEquivAllOps(t *testing.T) {
 
 		// Elementwise consumers over MatMul/Affine/SpMM/Scale producers: the
 		// chains the deleted backward-time fusion pass (PR 23) rewrote, kept
-		// as lifetime + rematerialization cases under their old names.
+		// as lifetime cases under their old names.
 		{"fuse/sigmoid-after-affine", func(tp *Tape) SchedProbe {
 			x, w, b := tp.Var(testMat(3, 4, 50)), tp.Var(testMat(4, 2, 51)), tp.Var(testMat(1, 2, 52))
 			o := tp.Sigmoid(tp.Affine(x, w, b, ActIdent))
@@ -278,56 +277,44 @@ func TestSchedEquivAllOps(t *testing.T) {
 			return gruProbe(tp, 4, 0)
 		}},
 
-		// Checkpoint segments (inert on the plain run, drop+remat on the
-		// scheduled one).
+		// The rematerialization-segment cases, kept under their old names
+		// with the segments gone: Keep-pinned values between ops, the way
+		// segment boundaries pinned them.
 		{"checkpoint/chain", func(tp *Tape) SchedProbe {
 			a := tp.Var(testMat(4, 4, 90))
-			var mid, out *Node
-			tp.Checkpoint(func() {
-				mid = tp.Tanh(tp.MatMul(a, a))
-				tp.Keep(mid)
-			})
-			tp.Checkpoint(func() {
-				out = tp.Sigmoid(tp.MatMul(mid, a))
-				tp.Keep(out)
-			})
+			mid := tp.Tanh(tp.MatMul(a, a))
+			tp.Keep(mid)
+			out := tp.Sigmoid(tp.MatMul(mid, a))
+			tp.Keep(out)
 			return SchedProbe{Loss: tp.SumAll(out), Outputs: []*Node{mid, out}, Leaves: []*Node{a}}
 		}},
 		{"checkpoint/gru-segments", func(tp *Tape) SchedProbe {
 			return gruProbe(tp, 6, 2)
 		}},
 		{"checkpoint/fuse-across-boundary", func(tp *Tape) SchedProbe {
-			// Found by FuzzTapeSchedule: a producer recorded inside a
-			// segment, consumed by an activation outside it. The
-			// producer's interior operands are dropped at segment close,
-			// so its backward must not run before the segment is
-			// rematerialized.
+			// Found by FuzzTapeSchedule when segments existed: a pinned
+			// producer whose unpinned operands die first in record order,
+			// consumed by an activation recorded after it.
 			a := tp.Var(testMat(3, 3, 94))
-			var m *Node
-			tp.Checkpoint(func() {
-				mid := tp.Add(tp.Add(a, a), a) // interior, dropped at close
-				m = tp.MatMul(mid, a)
-				tp.Keep(m)
-			})
+			mid := tp.Add(tp.Add(a, a), a)
+			m := tp.MatMul(mid, a)
+			tp.Keep(m)
 			o := tp.Tanh(m)
 			return SchedProbe{Loss: tp.SumAll(o), Outputs: []*Node{o, m}, Leaves: []*Node{a}}
 		}},
 		{"checkpoint/owned-inside-segment", func(tp *Tape) SchedProbe {
 			mu, logSig := tp.Var(testMat(3, 2, 91)), tp.Var(testMat(3, 2, 92))
-			var z *Node
-			tp.Checkpoint(func() {
-				noise := Get(3, 2)
-				copy(noise.Data, testMat(3, 2, 93).Data)
-				z = tp.Mul(tp.Add(mu, tp.Mul(tp.Owned(noise), tp.Exp(logSig))), mu)
-				tp.Keep(z)
-			})
+			noise := Get(3, 2)
+			copy(noise.Data, testMat(3, 2, 93).Data)
+			z := tp.Mul(tp.Add(mu, tp.Mul(tp.Owned(noise), tp.Exp(logSig))), mu)
+			tp.Keep(z)
 			return SchedProbe{Loss: tp.SumAll(z), Outputs: []*Node{z}, Leaves: []*Node{mu, logSig}}
 		}},
 	}
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if err := AssertSchedEquiv(SchedAll, tc.build); err != nil {
+			if err := AssertSchedEquiv(tc.build); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -364,11 +351,11 @@ func affine2Case(act Act) func(tp *Tape) SchedProbe {
 	}
 }
 
-// gruProbe records a GRU-style recurrence over steps timesteps. With
-// ckptEvery > 0 the steps are wrapped in Checkpoint segments of that many
-// timesteps, the boundary hidden state Keep-pinned exactly like the
-// trainer does.
-func gruProbe(tp *Tape, steps, ckptEvery int) SchedProbe {
+// gruProbe records a GRU-style recurrence over steps timesteps. Every
+// step's loss term is Keep-pinned, and so is the hidden state every
+// keepEvery steps (keepEvery > 0) and after the last step, the way the
+// trainer pins what it reads after Backward.
+func gruProbe(tp *Tape, steps, keepEvery int) SchedProbe {
 	const n, din, dh = 3, 4, 5
 	wx := tp.Var(testMat(din, dh, 100))
 	wh := tp.Var(testMat(dh, dh, 101))
@@ -378,29 +365,20 @@ func gruProbe(tp *Tape, steps, ckptEvery int) SchedProbe {
 	bh := tp.Var(testMat(1, dh, 105))
 	h := tp.Const(New(n, dh))
 	var terms []*Node
-	span := steps
-	if ckptEvery > 0 {
-		span = ckptEvery
-	}
-	for s0 := 0; s0 < steps; s0 += span {
-		s1 := s0 + span
-		if s1 > steps {
-			s1 = steps
-		}
-		tp.Checkpoint(func() {
-			for s := s0; s < s1; s++ {
-				x := tp.Owned(Get(n, din))
-				copy(x.Value.Data, testMat(n, din, int64(110+s)).Data)
-				z := tp.Affine2(x, wx, h, wh, bz, ActSigmoid)
-				hTil := tp.Affine2(x, wxh, tp.Mul(z, h), whh, bh, ActTanh)
-				h = tp.Lerp(h, hTil, z)
-				term := tp.MeanAll(tp.Mul(h, h))
-				terms = append(terms, term)
-				tp.Keep(term)
-			}
+	for s := 0; s < steps; s++ {
+		x := tp.Owned(Get(n, din))
+		copy(x.Value.Data, testMat(n, din, int64(110+s)).Data)
+		z := tp.Affine2(x, wx, h, wh, bz, ActSigmoid)
+		hTil := tp.Affine2(x, wxh, tp.Mul(z, h), whh, bh, ActTanh)
+		h = tp.Lerp(h, hTil, z)
+		term := tp.MeanAll(tp.Mul(h, h))
+		terms = append(terms, term)
+		tp.Keep(term)
+		if keepEvery > 0 && (s+1)%keepEvery == 0 {
 			tp.Keep(h)
-		})
+		}
 	}
+	tp.Keep(h)
 	loss := terms[0]
 	for _, term := range terms[1:] {
 		loss = tp.Add(loss, term)

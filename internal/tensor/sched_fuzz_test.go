@@ -14,15 +14,11 @@ func fuzzCSR() *CSR {
 // always did; a selector without a case in applyOp records nothing.
 func fuzzSel(op byte) int { return int(op&0x0f) | int(op>>7)<<4 }
 
-// fuzzSelCheckpoint opens a Checkpoint segment (handled by the program
-// loop, not the op table).
-const fuzzSelCheckpoint = 14
-
 // fuzzBuild interprets data as a stack-machine program over 3×3 matrices
 // and records it on tp. fuzzSel of each byte selects the op, the high
-// nibble parameterises it (scale factor, activation, checkpoint span). The
-// interpretation is fully deterministic, so the same bytes replayed on a
-// plain and a scheduled tape must produce bit-identical results.
+// nibble parameterises it (scale factor, activation). The interpretation
+// is fully deterministic, so the same bytes replayed on the reference and
+// a default tape must produce bit-identical results.
 func fuzzBuild(tp *Tape, data []byte) SchedProbe {
 	a := tp.Var(testMat(3, 3, 201))
 	b := tp.Var(testMat(3, 3, 202))
@@ -80,6 +76,10 @@ func fuzzBuild(tp *Tape, data []byte) SchedProbe {
 			push(tp.Lerp(pop(), y, z))
 		case 13:
 			push(stack[len(stack)-1]) // dup: aliased consumption
+		case 14:
+			// Opened a rematerialization segment over the next ops until
+			// segments were deleted; it records nothing, so the committed
+			// corpus still parses.
 		case 15:
 			push(tp.Exp(tp.Scale(pop(), 0.1)))
 		case 16:
@@ -89,28 +89,7 @@ func fuzzBuild(tp *Tape, data []byte) SchedProbe {
 		}
 	}
 
-	i := 0
-	for i < len(data) {
-		op := data[i]
-		i++
-		if fuzzSel(op) == fuzzSelCheckpoint {
-			// Checkpoint segment wrapping the next 1..4 ops; everything
-			// still on the stack at close crosses the boundary and must
-			// be pinned, exactly like the trainer pins the hidden state.
-			span := int(op>>4)%4 + 1
-			tp.Checkpoint(func() {
-				for j := 0; j < span && i < len(data); j++ {
-					inner := data[i]
-					i++
-					if fuzzSel(inner) == fuzzSelCheckpoint {
-						inner = 7 // no nesting: remap to Tanh
-					}
-					applyOp(inner)
-				}
-				tp.Keep(stack...)
-			})
-			continue
-		}
+	for _, op := range data {
 		applyOp(op)
 	}
 
@@ -123,25 +102,25 @@ func fuzzBuild(tp *Tape, data []byte) SchedProbe {
 }
 
 // FuzzTapeSchedule feeds random op DAGs through the differential harness:
-// the scheduled executor (lifetime release + rematerialization)
-// must produce bit-identical outputs and leaf gradients to the plain
-// record-order executor, with no use-after-release and an exactly balanced
-// arena (the harness checks get/put deltas and the live-byte ledger).
+// the default tape's lifetime release must produce bit-identical outputs
+// and leaf gradients to the reference tape's record-order executor, with
+// no use-after-release and an exactly balanced arena (the harness checks
+// get/put deltas and the live-byte ledger).
 func FuzzTapeSchedule(f *testing.F) {
 	seeds := []string{
-		"0123456789:;<=>?",                 // every opcode once, checkpoint near the tail
+		"0123456789:;<=>?",                 // every opcode of the first table once
 		"33773377",                         // MatMul/Tanh chains
-		">012>345>678",                     // repeated checkpoint segments
+		">012>345>678",                     // once checkpoint segments, now inert selector 14 between runs
 		"=3=3=3",                           // dup + self-MatMul aliasing
 		"J6:7J6:7",                         // Affine/activation mixes
-		"N01N01N01",                        // single-op segments back to back
+		"N01N01N01",                        // once single-op segments, now Add/Sub runs
 		"<<<???",                           // Lerp pressure then Exp chain
 		"4455445544",                       // elementwise chains (Scale/AddScalar)
 		";8;8;8",                           // SpMM/ReLU chains
-		"\x0e\x0e\x0e\x0e",                 // checkpoint ops with nothing to wrap
-		"?N3?N3",                           // Exp, segment-wrapped MatMul
+		"\x0e\x0e\x0e\x0e",                 // inert selectors only: the leaves alone
+		"?N3?N3",                           // Exp then MatMul, an inert selector between
 		"0123456789:;<=>?@ABCDEFGHIJKLMNO", // two full opcode sweeps
-		"\xc0\r7\x02>\xa0\xb0\r\x00",       // PairDiffT consumed twice, then two inside a segment and the second consumed twice
+		"\xc0\r7\x02>\xa0\xb0\r\x00",       // PairDiffT consumed twice, then two more and the second consumed twice
 		"\x81\r3>\x81\x81\r\x02\x81",       // Transpose likewise, feeding MatMul and Mul
 	}
 	for _, s := range seeds {
@@ -151,7 +130,7 @@ func FuzzTapeSchedule(f *testing.F) {
 		if len(data) == 0 || len(data) > 64 {
 			t.Skip()
 		}
-		if err := AssertSchedEquiv(SchedAll, func(tp *Tape) SchedProbe {
+		if err := AssertSchedEquiv(func(tp *Tape) SchedProbe {
 			return fuzzBuild(tp, data)
 		}); err != nil {
 			t.Fatal(err)

@@ -13,22 +13,20 @@ func deepChain(tp *Tape, n, steps int, seed int64) (loss, leaf *Node) {
 	return tp.SumAll(cur), leaf
 }
 
-// TestSchedReleaseShrinksPeak pins the point of the lifetime pass: on a
-// deep chain the scheduled executor's peak live bytes must come in well
-// under the plain executor's, and the tape must be empty (zero live bytes)
-// once Backward has consumed it.
+// TestSchedReleaseShrinksPeak pins the point of lifetime release: on a
+// deep chain the default tape's peak live bytes must come in well under
+// the reference tape's, and the tape must be empty (zero live bytes) once
+// Backward has consumed it.
 func TestSchedReleaseShrinksPeak(t *testing.T) {
-	run := func(s Sched) (peak int64) {
-		tp := NewTape()
-		tp.SetSched(s)
+	run := func(tp *Tape) (peak int64) {
 		loss, _ := deepChain(tp, 64, 24, 7)
 		tp.Keep(loss)
 		tp.Backward(loss)
-		if s.Lifetime {
+		if !tp.reference {
 			// Everything but the kept loss scalar and the leaf's (Var)
 			// gradient should be gone already.
 			if lb := tp.LiveBytes(); lb > 64*64*8+4096 {
-				t.Fatalf("scheduled run: %d live bytes after Backward, want ~leaf grad only", lb)
+				t.Fatalf("default tape: %d live bytes after Backward, want ~leaf grad only", lb)
 			}
 		}
 		tp.Reset()
@@ -37,60 +35,17 @@ func TestSchedReleaseShrinksPeak(t *testing.T) {
 		}
 		return tp.PeakLiveBytes()
 	}
-	plain := run(Sched{})
-	sched := run(SchedAll)
+	plain := run(NewReferenceTape())
+	sched := run(NewTape())
 	if sched >= plain*6/10 {
-		t.Fatalf("scheduled peak %d >= 60%% of plain peak %d", sched, plain)
+		t.Fatalf("default peak %d >= 60%% of reference peak %d", sched, plain)
 	}
 }
 
-// TestSchedCheckpointShrinksPeak asserts rematerialization lowers the
-// forward-pass footprint: with segments, values recorded inside a closed
-// segment are dropped before Backward even starts.
-func TestSchedCheckpointShrinksPeak(t *testing.T) {
-	record := func(ckpt bool) (liveAfterForward int64, tp *Tape, loss *Node) {
-		tp = NewTape()
-		tp.SetSched(SchedAll)
-		leaf := tp.Var(testMat(64, 64, 9))
-		cur := leaf
-		for s := 0; s < 6; s++ {
-			tp.Checkpoint(func() {
-				for k := 0; k < 4; k++ {
-					cur = tp.Tanh(tp.MatMul(cur, tp.Scale(cur, 0.01)))
-				}
-				if !ckpt {
-					tp.Keep(cur)
-				}
-				tp.Keep(cur) // boundary value feeds the next segment
-			})
-		}
-		loss = tp.SumAll(cur)
-		tp.Keep(loss)
-		return tp.LiveBytes(), tp, loss
-	}
-	liveCk, tpCk, lossCk := record(true)
-	tp2 := NewTape() // plain: no segments at all
-	tp2.SetSched(Sched{Lifetime: true})
-	lossFlat, _ := deepChain(tp2, 64, 24, 9)
-	tp2.Keep(lossFlat)
-	liveFlat := tp2.LiveBytes()
-	if liveCk >= liveFlat/2 {
-		t.Fatalf("checkpointed forward holds %d live bytes, flat holds %d; want < half", liveCk, liveFlat)
-	}
-	// Both must still complete Backward and drain cleanly.
-	tpCk.Backward(lossCk)
-	tpCk.Reset()
-	tp2.Backward(lossFlat)
-	tp2.Reset()
-	if lb := tpCk.LiveBytes(); lb != 0 {
-		t.Fatalf("checkpointed tape: %d live bytes after Reset", lb)
-	}
-}
-
-// TestSchedResetBalance covers the Reset interaction for completed,
+// TestSchedResetBalance covers the Reset interaction for completed and
 // cancelled (recorded but never differentiated — the FitContext
-// cancellation path), and checkpoint-rematerialized epochs: in every case
-// the arena's get/put delta for the episode must be exactly zero.
+// cancellation path) epochs: in every case the arena's get/put delta for
+// the episode must be exactly zero.
 func TestSchedResetBalance(t *testing.T) {
 	episodes := []struct {
 		name string
@@ -113,14 +68,15 @@ func TestSchedResetBalance(t *testing.T) {
 			leaf.grad() // a gradient buffer was already allocated
 			tp.Reset()
 		}},
+		// The two episodes below keep the names they had when they ran in
+		// the since-deleted rematerialization segments: a Keep-pinned
+		// value carried from step to step, like the trainer's hidden state.
 		{"checkpointed-completed", func(tp *Tape) {
 			leaf := tp.Var(testMat(16, 16, 14))
 			cur := leaf
 			for s := 0; s < 3; s++ {
-				tp.Checkpoint(func() {
-					cur = tp.Tanh(tp.MatMul(cur, cur))
-					tp.Keep(cur)
-				})
+				cur = tp.Tanh(tp.MatMul(cur, cur))
+				tp.Keep(cur)
 			}
 			loss := tp.SumAll(cur)
 			tp.Keep(loss)
@@ -131,22 +87,19 @@ func TestSchedResetBalance(t *testing.T) {
 			leaf := tp.Var(testMat(16, 16, 15))
 			cur := leaf
 			for s := 0; s < 3; s++ {
-				tp.Checkpoint(func() {
-					cur = tp.Tanh(tp.MatMul(cur, cur))
-					tp.Keep(cur)
-				})
+				cur = tp.Tanh(tp.MatMul(cur, cur))
+				tp.Keep(cur)
 			}
-			tp.Reset() // dropped segment values must not be double-freed
+			tp.Reset() // pinned values must be released exactly once
 		}},
 	}
-	for _, sched := range []struct {
+	for _, tape := range []struct {
 		name string
-		s    Sched
-	}{{"plain", Sched{}}, {"sched", SchedAll}} {
+		new  func() *Tape
+	}{{"plain", NewReferenceTape}, {"sched", NewTape}} {
 		for _, ep := range episodes {
-			t.Run(sched.name+"/"+ep.name, func(t *testing.T) {
-				tp := NewTape()
-				tp.SetSched(sched.s)
+			t.Run(tape.name+"/"+ep.name, func(t *testing.T) {
+				tp := tape.new()
 				before := ReadPoolStats()
 				ep.run(tp)
 				after := ReadPoolStats()
@@ -161,32 +114,30 @@ func TestSchedResetBalance(t *testing.T) {
 	}
 }
 
-// TestSchedVarBuffersSurvive asserts the lifetime pass never touches
+// TestSchedVarBuffersSurvive asserts lifetime release never touches
 // caller-owned Var/Const buffers or Var gradients: nn.Ctx.Flush reads
 // parameter gradients after Backward returns.
 func TestSchedVarBuffersSurvive(t *testing.T) {
 	tp := NewTape()
-	tp.SetSched(SchedAll)
 	w := tp.Var(testMat(4, 4, 21))
 	c := tp.Const(testMat(4, 4, 22))
 	loss := tp.SumAll(tp.Mul(tp.Tanh(w), c))
 	tp.Keep(loss)
 	tp.Backward(loss)
 	if w.Grad == nil {
-		t.Fatal("Var gradient released by scheduled Backward")
+		t.Fatal("Var gradient released by Backward")
 	}
 	if w.Value == nil || c.Value == nil {
-		t.Fatal("leaf Value released by scheduled Backward")
+		t.Fatal("leaf Value released by Backward")
 	}
 	tp.Reset()
 }
 
 // TestSchedKeepRetainsValues asserts Keep-pinned intermediates stay
-// readable after a scheduled Backward (the trainer reads loss-component
-// scalars for its stats after differentiating).
+// readable after Backward (the trainer reads loss-component scalars for
+// its stats after differentiating).
 func TestSchedKeepRetainsValues(t *testing.T) {
 	tp := NewTape()
-	tp.SetSched(SchedAll)
 	a := tp.Var(testMat(3, 3, 23))
 	kept := tp.Tanh(a)
 	dead := tp.Sigmoid(kept)
@@ -197,44 +148,7 @@ func TestSchedKeepRetainsValues(t *testing.T) {
 		t.Fatal("Keep-pinned value released")
 	}
 	if dead.Value != nil {
-		t.Fatal("unkept intermediate still resident after scheduled Backward")
+		t.Fatal("unkept intermediate still resident after Backward")
 	}
 	tp.Reset()
-}
-
-// TestSetSchedRules pins the SetSched contract: reconfiguring a non-empty
-// tape panics, re-asserting the same config does not, and Reset unlocks
-// reconfiguration.
-func TestSetSchedRules(t *testing.T) {
-	tp := NewTape()
-	tp.SetSched(SchedAll)
-	tp.Var(testMat(2, 2, 31))
-	tp.SetSched(SchedAll) // same config: fine
-	didPanic := func(f func()) (p bool) {
-		defer func() { p = recover() != nil }()
-		f()
-		return
-	}
-	if !didPanic(func() { tp.SetSched(Sched{}) }) {
-		t.Fatal("SetSched reconfigure on non-empty tape did not panic")
-	}
-	tp.Reset()
-	tp.SetSched(Sched{}) // empty again: fine
-	if tp.Sched() != (Sched{}) {
-		t.Fatalf("Sched() = %+v after reconfigure", tp.Sched())
-	}
-}
-
-// TestCheckpointNesting pins the no-nesting contract.
-func TestCheckpointNesting(t *testing.T) {
-	tp := NewTape()
-	tp.SetSched(SchedAll)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("nested Checkpoint did not panic")
-		}
-		tp.segDepth = 0
-		tp.Reset()
-	}()
-	tp.Checkpoint(func() { tp.Checkpoint(func() {}) })
 }

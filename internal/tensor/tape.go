@@ -2,30 +2,23 @@ package tensor
 
 import "fmt"
 
-// Node is a value in the computation graph. Value is always populated
-// while the node is live; Grad is lazily allocated for nodes that require
-// gradients. The backward closure, when invoked, propagates this node's
-// Grad into its parents.
-//
-// Under the scheduled executor (Tape.SetSched) a node's buffers have
-// shorter lifetimes than the tape itself: Checkpoint segments may drop
-// Value after recording and rematerialize it from fwd during Backward, and
-// the lifetime pass releases Value and Grad as soon as the backward sweep
-// passes the node. Nodes marked with Tape.Keep opt out of both.
+// Node is a value in the computation graph. Value is populated from record
+// time until the backward sweep passes the node (or until Reset, for Var,
+// Const and Keep-pinned nodes); Grad is lazily allocated for nodes that
+// require gradients. The backward closure, when invoked, propagates this
+// node's Grad into its parents.
 type Node struct {
 	Value    *Matrix
 	Grad     *Matrix
 	needGrad bool
 	pooled   bool // Value is arena-owned and reclaimed by the tape
 	keep     bool // Value must stay resident until Reset (read after Backward)
-	dropped  bool // Value dropped by a Checkpoint segment, pending rematerialization
 	tape     *Tape
 	backward func()
-	fwd      func() *Matrix // recompute closure; rebuilds Value from parent Values
 }
 
 // grad returns the gradient buffer, allocating it from the arena on first
-// use; the tape reclaims it (Reset, or mid-Backward under scheduling).
+// use; the tape reclaims it (mid-Backward, or at Reset).
 func (n *Node) grad() *Matrix {
 	if n.Grad == nil {
 		n.Grad = Get(n.Value.Rows, n.Value.Cols)
@@ -41,41 +34,42 @@ func (n *Node) grad() *Matrix {
 // use; build one per training step (or reuse after Reset).
 //
 // Memory model: every operation output and every gradient buffer is
-// allocated from the pooled arena and owned by the tape. By default all of
-// them stay live until Reset, so a reused tape (TBPTT windows, repeated
-// epochs) runs with near-zero steady-state allocation. SetSched turns on
-// the scheduled executor, which releases dead buffers mid-Backward and
-// honours Checkpoint rematerialization segments — all while computing
-// bit-identical results (pinned by the package's differential tests and
-// FuzzTapeSchedule). Matrices wrapped by Var and Const are
-// caller-owned and never reclaimed; values that must survive a Reset (the
-// detached hidden state, loss scalars) must be copied out first, and values
-// read after a scheduled Backward must be pinned with Keep.
+// allocated from the pooled arena and owned by the tape. Backward returns
+// each op's Value and Grad to the arena as soon as the sweep has passed it
+// (see sched.go), and Reset returns whatever is left, so a reused tape
+// (TBPTT windows, repeated epochs) runs with near-zero steady-state
+// allocation and a window's peak is a fraction of its recorded size.
+// Matrices wrapped by Var and Const are caller-owned and never reclaimed;
+// values read after Backward must be pinned with Keep, and values that
+// must survive a Reset (the detached hidden state, loss scalars) must be
+// copied out first.
 type Tape struct {
-	nodes    []*Node
-	spare    []*Node // recycled Node structs, refilled by Reset
-	sched    Sched
-	segs     []seg // closed Checkpoint segments, in recording order
-	segDepth int
-	segStart int
+	nodes []*Node
+	spare []*Node // recycled Node structs, refilled by Reset
+	// reference makes Backward release nothing before Reset: the plain
+	// record-order executor the differential tests compare against. Set
+	// only by NewReferenceTape.
+	reference bool
 
 	live int64 // bytes of tape-owned buffers currently checked out
 	peak int64 // high-water mark of live (survives Reset)
 }
 
-// seg is a closed Checkpoint segment: nodes[start:end] recorded inside it.
-type seg struct{ start, end int }
-
-// NewTape returns an empty tape with scheduling off (record-order
-// execution, buffers held until Reset).
+// NewTape returns an empty tape.
 func NewTape() *Tape { return &Tape{} }
+
+// NewReferenceTape returns an empty tape whose Backward holds every buffer
+// until Reset. It computes the same bits as NewTape's and exists only as
+// the reference that tests compare the releasing executor with; training
+// has no use for it.
+func NewReferenceTape() *Tape { return &Tape{reference: true} }
 
 // Reset discards all recorded operations so the tape can be reused,
 // returning every remaining operation output and gradient buffer to the
-// pooled arena (buffers already released by the scheduled executor are
-// skipped). Node values recorded via Var/Const are left untouched. Nodes
-// (and their Value/Grad matrices) must not be used after Reset. The
-// scheduling configuration and the peak live-byte mark survive.
+// pooled arena (buffers Backward already released are skipped). Node
+// values recorded via Var/Const are left untouched. Nodes (and their
+// Value/Grad matrices) must not be used after Reset. The peak live-byte
+// mark survives.
 func (t *Tape) Reset() {
 	for _, n := range t.nodes {
 		if n.pooled && n.Value != nil {
@@ -88,8 +82,6 @@ func (t *Tape) Reset() {
 		t.spare = append(t.spare, n)
 	}
 	t.nodes = t.nodes[:0]
-	t.segs = t.segs[:0]
-	t.segDepth = 0
 }
 
 // Len returns the number of recorded nodes (diagnostics).
@@ -120,15 +112,6 @@ func (t *Tape) op(v *Matrix, needGrad bool) *Node {
 	return n
 }
 
-// newOp runs fwd once to materialise the output, records it as a pooled
-// node, and retains fwd so Checkpoint segments can rematerialize the value
-// during Backward.
-func (t *Tape) newOp(needGrad bool, fwd func() *Matrix) *Node {
-	n := t.op(fwd(), needGrad)
-	n.fwd = fwd
-	return n
-}
-
 // Const wraps a matrix as a node that does not require gradients. The
 // matrix is caller-owned: Reset does not reclaim it.
 func (t *Tape) Const(m *Matrix) *Node {
@@ -136,10 +119,9 @@ func (t *Tape) Const(m *Matrix) *Node {
 }
 
 // Owned wraps an arena-allocated matrix (from Get) as a constant node and
-// transfers ownership to the tape: Reset returns the buffer to the arena.
-// Used for per-step constants (input features, reparameterization noise)
-// built fresh inside a training window. Owned values have no recompute
-// closure, so Checkpoint segments retain rather than drop them.
+// transfers ownership to the tape: Backward or Reset returns the buffer to
+// the arena. Used for per-step constants (input features,
+// reparameterization noise) built fresh inside a training window.
 func (t *Tape) Owned(m *Matrix) *Node {
 	return t.op(m, false)
 }
@@ -157,41 +139,29 @@ func (t *Tape) Var(m *Matrix) *Node {
 // propagates gradients through every recorded operation in reverse order.
 // Gradients accumulate into Node.Grad.
 //
-// With scheduling enabled the sweep additionally (a) rematerializes
-// Checkpoint segments just before their nodes are needed, and (b) releases
-// each operation's Value and Grad back to the arena as soon as the sweep
-// passes it — a node's buffers are dead once its own closure has run,
-// because every consumer sits later on the tape and has already executed.
-// Values pinned with Keep and all Var/Const buffers are exempt. A scheduled
-// Backward therefore consumes the recording: call it at most once per
-// recording, then Reset.
+// The sweep releases each operation's Value and Grad back to the arena as
+// soon as it passes the node: a node's buffers are dead once its own
+// closure has run, because every consumer sits later on the tape and has
+// already executed. Values pinned with Keep and all Var/Const buffers are
+// exempt. Backward therefore consumes the recording: call it at most once
+// per recording, then Reset.
 func (t *Tape) Backward(loss *Node) {
 	if loss.Value.Rows != 1 || loss.Value.Cols != 1 {
 		panic(fmt.Sprintf("tensor: Backward requires scalar loss, got %s", loss.Value.shape()))
 	}
-	if t.segDepth != 0 {
-		panic("tensor: Backward inside an open Checkpoint segment")
-	}
 	loss.grad().Data[0] = 1
-	si := len(t.segs) - 1
 	for i := len(t.nodes) - 1; i >= 0; i-- {
-		for si >= 0 && t.segs[si].end-1 == i {
-			t.remat(t.segs[si])
-			si--
-		}
 		n := t.nodes[i]
 		if n.backward != nil && n.needGrad && n.Grad != nil {
 			n.backward()
 		}
-		if t.sched.Lifetime {
-			if n.pooled {
-				if n.Grad != nil {
-					t.putBuf(&n.Grad)
-				}
-				if !n.keep {
-					t.putBuf(&n.Value)
-					n.pooled = false
-				}
+		if n.pooled && !t.reference {
+			if n.Grad != nil {
+				t.putBuf(&n.Grad)
+			}
+			if !n.keep {
+				t.putBuf(&n.Value)
+				n.pooled = false
 			}
 		}
 	}
