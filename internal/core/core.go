@@ -161,6 +161,9 @@ type Model struct {
 	// every op output and gradient buffer to the pooled tensor arena, so
 	// steady-state training allocates almost nothing.
 	tape *tensor.Tape
+	// branchTapes[i] records the decoder losses of a window's i-th step
+	// (branch.go), reused the same way.
+	branchTapes []*tensor.Tape
 
 	// Statistics captured from the training sequence, used for the
 	// generation-time density/attribute calibration and the node
@@ -232,13 +235,18 @@ func New(cfg Config) *Model {
 var plainTape bool
 
 // TapePeakLiveBytes returns the high-water mark of tape-owned buffer bytes
-// on the model's training tape. The mark survives Tape.Reset, so after a
-// Fit it reports the per-window training footprint lifetime release achieved.
+// on the model's training tapes: the main tape's plus every branch tape's.
+// The marks survive Tape.Reset, so after a Fit it reports the per-window
+// training footprint lifetime release achieved.
 func (m *Model) TapePeakLiveBytes() int64 {
 	if m.tape == nil {
 		return 0
 	}
-	return m.tape.PeakLiveBytes()
+	peak := m.tape.PeakLiveBytes()
+	for _, t := range m.branchTapes {
+		peak += t.PeakLiveBytes()
+	}
+	return peak
 }
 
 // Modules lists every trainable sub-module.

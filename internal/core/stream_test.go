@@ -224,7 +224,9 @@ func TestFitContextCancellation(t *testing.T) {
 // TestFitNonFiniteLossReleasesArena drives the trainer's other early exit:
 // a NaN weight makes the first window's loss non-finite, Fit reports it,
 // the model stays untrained, the aborted window's buffers all went back to
-// the arena, and training a new model afterwards works.
+// the arena (the main tape's and, with the NaN in a decoder weight, those
+// of the branch tapes the worker recorded), and training a new model
+// afterwards works.
 func TestFitNonFiniteLossReleasesArena(t *testing.T) {
 	g := toyGraph(12, 2, 4, 19)
 	cfg := smallConfig(12, 2)
@@ -236,24 +238,34 @@ func TestFitNonFiniteLossReleasesArena(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m := New(cfg)
-	m.postHid.W.Value.Data[0] = math.NaN()
-	before := tensor.ReadPoolStats()
-	_, err := m.Fit(g)
-	after := tensor.ReadPoolStats()
-	if err == nil || !strings.Contains(err.Error(), "non-finite loss at epoch 0") {
-		t.Fatalf("err = %v, want non-finite loss at epoch 0", err)
-	}
-	if m.Trained() {
-		t.Fatal("a Fit that failed must leave the model untrained")
-	}
-	if gets, puts := after.Gets-before.Gets, after.Puts-before.Puts; gets == 0 || gets != puts {
-		t.Fatalf("failed Fit leaked arena buffers: %d gets vs %d puts", gets, puts)
-	}
+	for _, tc := range []struct {
+		name   string
+		weight func(m *Model) *tensor.Matrix
+	}{
+		{"chain", func(m *Model) *tensor.Matrix { return m.postHid.W.Value }},
+		{"branch", func(m *Model) *tensor.Matrix { return m.fTheta.Layers[0].W.Value }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := New(cfg)
+			tc.weight(m).Data[0] = math.NaN()
+			before := tensor.ReadPoolStats()
+			_, err := m.Fit(g)
+			after := tensor.ReadPoolStats()
+			if err == nil || !strings.Contains(err.Error(), "non-finite loss at epoch 0") {
+				t.Fatalf("err = %v, want non-finite loss at epoch 0", err)
+			}
+			if m.Trained() {
+				t.Fatal("a Fit that failed must leave the model untrained")
+			}
+			if gets, puts := after.Gets-before.Gets, after.Puts-before.Puts; gets == 0 || gets != puts {
+				t.Fatalf("failed Fit leaked arena buffers: %d gets vs %d puts", gets, puts)
+			}
 
-	fresh := New(cfg)
-	if _, err := fresh.Fit(g); err != nil || !fresh.Trained() {
-		t.Fatalf("Fit after a failed one: err = %v, trained = %v", err, fresh.Trained())
+			fresh := New(cfg)
+			if _, err := fresh.Fit(g); err != nil || !fresh.Trained() {
+				t.Fatalf("Fit after a failed one: err = %v, trained = %v", err, fresh.Trained())
+			}
+		})
 	}
 }
 

@@ -248,13 +248,12 @@ func (m *Model) captureStats(g *dyngraph.Sequence) {
 // Cfg.TBPTT is set (hidden state values carry across windows; gradients do
 // not). Returns loss statistics aggregated over the epoch.
 func (m *Model) runEpoch(g *dyngraph.Sequence, epoch int) (TrainStats, error) {
-	n := g.N
 	window := m.Cfg.TBPTT
 	if window <= 0 || window > g.T() {
 		window = g.T()
 	}
 
-	hVal := tensor.New(n, m.Cfg.HiddenDim) // H_0 = 0
+	hVal := tensor.New(g.N, m.Cfg.HiddenDim) // H_0 = 0
 	agg := TrainStats{Epoch: epoch}
 	windows := 0
 
@@ -264,114 +263,22 @@ func (m *Model) runEpoch(g *dyngraph.Sequence, epoch int) (TrainStats, error) {
 	// releases dead intermediates mid-sweep, so the window's peak footprint
 	// is a fraction of its recorded size.
 	if m.tape == nil {
-		m.tape = tensor.NewTape()
-		if plainTape {
-			m.tape = tensor.NewReferenceTape()
-		}
+		m.tape = newTrainTape()
 	}
-	tape := m.tape
-	// A previous epoch aborted by an error may have left recordings behind.
-	tape.Reset()
 
 	for start := 0; start < g.T(); start += window {
-		end := start + window
-		if end > g.T() {
-			end = g.T()
+		end := min(start+window, g.T())
+		ws, hNext, err := m.runWindow(g, epoch, start, end, hVal)
+		if err != nil {
+			return TrainStats{}, err
 		}
-		c := nn.NewTrainCtx(tape, m.adam)
-		h := tape.Const(hVal)
-		var strucTerms, attrTerms, klTerms []*tensor.Node
-
-		for t := start; t < end; t++ {
-			snap := g.At(t)
-			encSnap := snap
-			if m.Cfg.NeighborSample > 0 {
-				encSnap = snap.SampleNeighbors(m.Cfg.NeighborSample, m.rng)
-			}
-
-			// Encode the observed snapshot (bi-flow GNN, Eq. 5-7).
-			eps := m.enc.Encode(c, encSnap)
-
-			// Posterior and prior latent distributions (Eq. 3-4, 8-9).
-			muQ, logSigQ := m.posterior(c, eps, h)
-			muP, logSigP := m.prior(c, h)
-			klTerms = append(klTerms, tape.Scale(tape.GaussianKL(muQ, logSigQ, muP, logSigP),
-				1/float64(n*m.Cfg.LatentDim)))
-
-			// z ~ q via the reparameterization trick; S_t = [Z_t ‖ H_{t-1}].
-			z := reparameterize(tape, muQ, logSigQ, m.rng)
-			s := tape.ConcatCols(z, h)
-
-			// Structure reconstruction (Eq. 17) on positive edges plus Q
-			// sampled negatives per node.
-			esrc, edst := snap.EdgeLists()
-			src, dst, targets := m.samplePairs(snap, esrc, edst, m.rng)
-			if len(src) > 0 {
-				p := m.mixBernoulliProb(c, s, src, dst, n)
-				strucTerms = append(strucTerms, tape.BCEProb(p, targets))
-			}
-
-			// Attribute reconstruction (Eq. 18) with teacher forcing on the
-			// observed adjacency.
-			if m.Cfg.F > 0 {
-				dec := m.gat.Apply(c, s, esrc, edst, n)
-				xHat := m.attrMLP.Apply(c, dec)
-				if m.Cfg.UseSCE {
-					attrTerms = append(attrTerms, tape.SCELoss(xHat, snap.X, m.Cfg.SCEAlpha))
-				} else {
-					attrTerms = append(attrTerms, tape.MSELoss(xHat, snap.X))
-				}
-				if epoch == m.Cfg.Epochs-1 {
-					m.recordResiduals(xHat.Value, snap.X, t == 0)
-				}
-			}
-
-			// Recurrence update (Section III-D): H_t = GRU([ε‖z‖fT(t)], H_{t-1}).
-			h = m.gru.Step(c, m.gruInput(c, eps, z, t, n), h)
-		}
-
-		sum := func(terms []*tensor.Node) *tensor.Node {
-			if len(terms) == 0 {
-				return tape.Const(tensor.New(1, 1))
-			}
-			acc := terms[0]
-			for _, t := range terms[1:] {
-				acc = tape.Add(acc, t)
-			}
-			return tape.Scale(acc, 1/float64(len(terms)))
-		}
-		struc := sum(strucTerms)
-		attr := sum(attrTerms)
-		kl := sum(klTerms)
-		loss := tape.Add(tape.Add(struc, attr), tape.Scale(kl, m.Cfg.KLWeight))
-		// The loss components are read for the epoch stats after Backward,
-		// so Backward must not release them; h is read for the next
-		// window's detached state.
-		tape.Keep(struc, attr, kl, loss, h)
-
-		lv := loss.Value.Data[0]
-		if math.IsNaN(lv) || math.IsInf(lv, 0) {
-			tape.Reset()
-			return TrainStats{}, fmt.Errorf("core: non-finite loss at epoch %d", epoch)
-		}
-
-		tape.Backward(loss)
-		c.Flush()
-		norm := m.adam.Step()
-
-		// Detach the hidden state for the next window.
-		hVal = h.Value.Clone()
-
-		agg.Loss += lv
-		agg.StrucLoss += struc.Value.Data[0]
-		agg.AttrLoss += attr.Value.Data[0]
-		agg.KLLoss += kl.Value.Data[0]
-		agg.GradNorm += norm
+		hVal = hNext
+		agg.Loss += ws.Loss
+		agg.StrucLoss += ws.StrucLoss
+		agg.AttrLoss += ws.AttrLoss
+		agg.KLLoss += ws.KLLoss
+		agg.GradNorm += ws.GradNorm
 		windows++
-
-		// Everything read out of the window (loss terms, detached state,
-		// accumulated gradients) has been copied; recycle the tape buffers.
-		tape.Reset()
 	}
 	if windows > 0 {
 		w := float64(windows)
@@ -382,6 +289,148 @@ func (m *Model) runEpoch(g *dyngraph.Sequence, epoch int) (TrainStats, error) {
 		agg.GradNorm /= w
 	}
 	return agg, nil
+}
+
+// runWindow trains on snapshots [start, end) from the detached hidden state
+// hVal: one forward pass, one backward sweep, one Adam step. The decoder
+// losses of each step record on a branch of their own on a worker
+// goroutine (branch.go). It returns the window's loss terms and gradient
+// norm, and the hidden state to carry into the next window.
+func (m *Model) runWindow(g *dyngraph.Sequence, epoch, start, end int, hVal *tensor.Matrix) (TrainStats, *tensor.Matrix, error) {
+	n := g.N
+	tape := m.tape
+	c := nn.NewTrainCtx(tape, m.adam)
+	worker := startBranchWorker(2 * (end - start)) // each branch: a forward, a backward
+	var branches []*decoderBranch
+	// Every exit — success, a non-finite loss, a panic on either goroutine
+	// — drains the worker before any tape is reset, since a branch may
+	// still be reading S_t's value off the main tape.
+	defer func() {
+		worker.stop()
+		for _, b := range branches {
+			b.tape.Reset()
+		}
+		tape.Reset()
+	}()
+
+	residuals := epoch == m.Cfg.Epochs-1
+	h := tape.Const(hVal)
+	var klTerms []*tensor.Node
+	for t := start; t < end; t++ {
+		snap := g.At(t)
+		encSnap := snap
+		if m.Cfg.NeighborSample > 0 {
+			encSnap = snap.SampleNeighbors(m.Cfg.NeighborSample, m.rng)
+		}
+
+		// Encode the observed snapshot (bi-flow GNN, Eq. 5-7).
+		eps := m.enc.Encode(c, encSnap)
+
+		// Posterior and prior latent distributions (Eq. 3-4, 8-9).
+		muQ, logSigQ := m.posterior(c, eps, h)
+		muP, logSigP := m.prior(c, h)
+		klTerms = append(klTerms, tape.Scale(tape.GaussianKL(muQ, logSigQ, muP, logSigP),
+			1/float64(n*m.Cfg.LatentDim)))
+
+		// z ~ q via the reparameterization trick; S_t = [Z_t ‖ H_{t-1}].
+		z := reparameterize(tape, muQ, logSigQ, m.rng)
+		s := tape.ConcatCols(z, h)
+
+		// Structure (Eq. 17) and attribute (Eq. 18) reconstruction, on the
+		// worker; the negative pairs are drawn here, in the rng's order.
+		esrc, edst := snap.EdgeLists()
+		src, dst, targets := m.samplePairs(snap, esrc, edst, m.rng)
+		if len(src) > 0 || m.Cfg.F > 0 {
+			b := m.newBranch(len(branches), s)
+			branches = append(branches, b)
+			worker.submit(func() { m.decode(b, snap, esrc, edst, src, dst, targets, residuals, t == 0) })
+			tape.Hook(func() { // join: S_t's gradient is the leaf's
+				worker.wait()
+				s.AccumulateGrad(b.leaf.Grad)
+				b.tape.ReleaseGrad(b.leaf)
+			})
+		}
+
+		// Recurrence update (Section III-D): H_t = GRU([ε‖z‖fT(t)], H_{t-1}).
+		h = m.gru.Step(c, m.gruInput(c, eps, z, t, n), h)
+	}
+
+	var strucTerms, attrTerms []*tensor.Node
+	for range branches {
+		worker.wait() // the branch forwards, in step order
+	}
+	for _, b := range branches {
+		var ps, pa *tensor.Node
+		tape.Hook(func() { // dispatch: the proxies hold their gradients now
+			if ps != nil {
+				b.struc.AccumulateGrad(ps.Grad)
+				tape.ReleaseGrad(ps)
+			}
+			if pa != nil {
+				b.attr.AccumulateGrad(pa.Grad)
+				tape.ReleaseGrad(pa)
+			}
+			worker.submit(b.tape.BackwardSeeded)
+		})
+		if b.struc != nil {
+			ps = tape.Var(b.struc.Value)
+			strucTerms = append(strucTerms, ps)
+		}
+		if b.attr != nil {
+			pa = tape.Var(b.attr.Value)
+			attrTerms = append(attrTerms, pa)
+		}
+	}
+
+	sum := func(terms []*tensor.Node) *tensor.Node {
+		if len(terms) == 0 {
+			return tape.Const(tensor.New(1, 1))
+		}
+		acc := terms[0]
+		for _, t := range terms[1:] {
+			acc = tape.Add(acc, t)
+		}
+		return tape.Scale(acc, 1/float64(len(terms)))
+	}
+	struc := sum(strucTerms)
+	attr := sum(attrTerms)
+	kl := sum(klTerms)
+	loss := tape.Add(tape.Add(struc, attr), tape.Scale(kl, m.Cfg.KLWeight))
+	// The loss components are read for the epoch stats after Backward, so
+	// Backward must not release them; h is read for the next window's
+	// detached state.
+	tape.Keep(struc, attr, kl, loss, h)
+
+	lv := loss.Value.Data[0]
+	if math.IsNaN(lv) || math.IsInf(lv, 0) {
+		return TrainStats{}, nil, fmt.Errorf("core: non-finite loss at epoch %d", epoch)
+	}
+
+	tape.Backward(loss)
+	ctxs := make([]*nn.Ctx, len(branches))
+	for i, b := range branches {
+		ctxs[i] = b.c
+	}
+	nn.FlushOrdered(c, ctxs)
+	ws := TrainStats{
+		Loss:      lv,
+		StrucLoss: struc.Value.Data[0],
+		AttrLoss:  attr.Value.Data[0],
+		KLLoss:    kl.Value.Data[0],
+		GradNorm:  m.adam.Step(),
+	}
+	// Detach the hidden state for the next window; the deferred Reset
+	// recycles everything else.
+	return ws, h.Value.Clone(), nil
+}
+
+// newTrainTape returns a training tape: the releasing default, or the
+// reference tape when plainTape is set.
+func newTrainTape() *tensor.Tape {
+	if plainTape {
+		return tensor.NewReferenceTape()
+	}
+	return tensor.NewTape()
 }
 
 // residMoments accumulates, during the final training epoch, the moments

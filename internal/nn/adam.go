@@ -167,3 +167,24 @@ func (c *Ctx) Flush() {
 	}
 	c.nodes = make(map[*Param][]*tensor.Node)
 }
+
+// FlushOrdered flushes main, then each of rest in order: the sink sees
+// every parameter's gradients in the order the contexts are listed, so a
+// forward pass split across contexts that share no parameter with main —
+// one per timestep, say — delivers each parameter's per-step gradients in
+// step order, the same sums a single context would have made. A parameter
+// captured by main and by one of rest would have its sums reordered, so
+// FlushOrdered panics, naming it, before flushing anything.
+func FlushOrdered(main *Ctx, rest []*Ctx) {
+	for _, c := range rest {
+		for p := range c.nodes {
+			if _, ok := main.nodes[p]; ok {
+				panic("nn: FlushOrdered: parameter " + p.Name + " used by both the main context and a later one")
+			}
+		}
+	}
+	main.Flush()
+	for _, c := range rest {
+		c.Flush()
+	}
+}

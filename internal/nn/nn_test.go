@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"vrdag/internal/tensor"
@@ -217,6 +218,58 @@ func TestCtxFlushAccumulatesSharedParam(t *testing.T) {
 	if got := adam.GradNorm(); math.Abs(got-4) > 1e-9 {
 		t.Fatalf("accumulated grad = %g, want 4", got)
 	}
+}
+
+// orderSink records the gradients it receives, per parameter, in arrival
+// order.
+type orderSink map[*Param][]float64
+
+func (s orderSink) Accumulate(p *Param, g *tensor.Matrix) { s[p] = append(s[p], g.Data[0]) }
+
+func TestFlushOrdered(t *testing.T) {
+	shared := &Param{Name: "chain.w", Value: tensor.FromSlice(1, 1, []float64{2})}
+	step := &Param{Name: "branch.w", Value: tensor.FromSlice(1, 1, []float64{3})}
+	// record builds loss = k·Σ params on its own tape and sweeps it, so
+	// every captured gradient equals k.
+	record := func(sink GradSink, k float64, ps ...*Param) *Ctx {
+		tape := tensor.NewTape()
+		c := NewSinkCtx(tape, sink)
+		acc := c.Var(ps[0])
+		for _, p := range ps[1:] {
+			acc = tape.Add(acc, c.Var(p))
+		}
+		tape.Backward(tape.Scale(acc, k))
+		return c
+	}
+
+	t.Run("rest-in-order", func(t *testing.T) {
+		sink := orderSink{}
+		main := record(sink, 1, shared)
+		FlushOrdered(main, []*Ctx{record(sink, 10, step), record(sink, 20, step), record(sink, 30, step)})
+		if got := sink[step]; len(got) != 3 || got[0] != 10 || got[1] != 20 || got[2] != 30 {
+			t.Fatalf("per-step gradients arrived as %v, want [10 20 30]", got)
+		}
+		if got := sink[shared]; len(got) != 1 || got[0] != 1 {
+			t.Fatalf("main gradients %v, want [1]", got)
+		}
+	})
+
+	t.Run("shared-param-panics", func(t *testing.T) {
+		sink := orderSink{}
+		main := record(sink, 1, shared)
+		rest := []*Ctx{record(sink, 10, step), record(sink, 20, step, shared)}
+		defer func() {
+			r := recover()
+			msg, _ := r.(string)
+			if !strings.Contains(msg, "chain.w") {
+				t.Fatalf("panic %v does not name the shared parameter", r)
+			}
+			if len(sink) != 0 {
+				t.Fatalf("FlushOrdered flushed %d parameters before panicking", len(sink))
+			}
+		}()
+		FlushOrdered(main, rest)
+	})
 }
 
 func TestCollectParamsFlattens(t *testing.T) {

@@ -13,6 +13,7 @@ type Node struct {
 	needGrad bool
 	pooled   bool // Value is arena-owned and reclaimed by the tape
 	keep     bool // Value must stay resident until Reset (read after Backward)
+	hook     bool // backward runs whenever the sweep reaches the node (Hook)
 	tape     *Tape
 	backward func()
 }
@@ -27,6 +28,17 @@ func (n *Node) grad() *Matrix {
 		}
 	}
 	return n.Grad
+}
+
+// AccumulateGrad adds g into n's gradient, allocating a zeroed buffer on
+// first use (tape-owned, reclaimed like any other gradient). A nil g adds
+// nothing. It seeds BackwardSeeded and carries a gradient from one tape to
+// another; adding into a freshly zeroed buffer reproduces g bit for bit
+// unless g holds −0, which no gradient accumulated from zero does.
+func (n *Node) AccumulateGrad(g *Matrix) {
+	if g != nil {
+		n.grad().AddInPlace(g)
+	}
 }
 
 // Tape records operations for reverse-mode differentiation. Operations are
@@ -135,6 +147,14 @@ func (t *Tape) Var(m *Matrix) *Node {
 	return t.record(m, true, nil)
 }
 
+// Hook records fn to run when Backward's sweep reaches this point of the
+// recording, whether or not any gradient did. Everything recorded after
+// the hook has run its backward by then, and nothing recorded before it
+// has. The hook is a node with no value, so nothing can consume it.
+func (t *Tape) Hook(fn func()) {
+	t.record(nil, false, fn).hook = true
+}
+
 // Backward seeds the gradient of loss (which must be 1×1) with 1 and
 // propagates gradients through every recorded operation in reverse order.
 // Gradients accumulate into Node.Grad.
@@ -150,9 +170,17 @@ func (t *Tape) Backward(loss *Node) {
 		panic(fmt.Sprintf("tensor: Backward requires scalar loss, got %s", loss.Value.shape()))
 	}
 	loss.grad().Data[0] = 1
+	t.BackwardSeeded()
+}
+
+// BackwardSeeded is Backward without a loss: the sweep starts from the
+// gradients already placed on the recording with AccumulateGrad (a
+// sub-graph whose outputs feed another tape's loss). It releases buffers
+// and consumes the recording exactly as Backward does.
+func (t *Tape) BackwardSeeded() {
 	for i := len(t.nodes) - 1; i >= 0; i-- {
 		n := t.nodes[i]
-		if n.backward != nil && n.needGrad && n.Grad != nil {
+		if n.backward != nil && (n.hook || n.needGrad && n.Grad != nil) {
 			n.backward()
 		}
 		if n.pooled && !t.reference {

@@ -379,3 +379,56 @@ func TestBCEWithLogitsMatchesManual(t *testing.T) {
 		t.Fatalf("BCE(0,·) = %v, want ln2", loss.Value.Data[0])
 	}
 }
+
+// TestSplitTapeMatchesOneTape records loss = Σ s⊙s + Σ u, s = tanh(u),
+// u = x·w, once on one tape and once split the way the trainer splits a window: the
+// Σ s⊙s branch on a second tape from a leaf over s's value, tied back by a
+// Hook that adds the leaf's gradient into s and a Hook that seeds the
+// branch from a proxy of its output and runs BackwardSeeded. The parameter
+// gradients must agree bit for bit on both executors.
+func TestSplitTapeMatchesOneTape(t *testing.T) {
+	x, w := rnd(5, 3, 1), rnd(3, 4, 2)
+	for _, newTape := range []func() *Tape{NewTape, NewReferenceTape} {
+		one := newTape()
+		xv, wv := one.Var(x), one.Var(w)
+		u := one.MatMul(xv, wv)
+		s := one.Tanh(u)
+		branch := one.SumAll(one.Mul(s, s))
+		one.Backward(one.Add(branch, one.SumAll(u)))
+		wantX, wantW := xv.Grad.Clone(), wv.Grad.Clone()
+		one.Reset()
+
+		main, sub := newTape(), newTape()
+		xv, wv = main.Var(x), main.Var(w)
+		u = main.MatMul(xv, wv)
+		s = main.Tanh(u)
+		leaf := sub.Var(s.Value)
+		branch = sub.SumAll(sub.Mul(leaf, leaf))
+		sub.Keep(branch)
+		var order []string
+		main.Hook(func() {
+			order = append(order, "join")
+			s.AccumulateGrad(leaf.Grad)
+		})
+		chain := main.SumAll(u)
+		var proxy *Node
+		main.Hook(func() {
+			order = append(order, "dispatch")
+			branch.AccumulateGrad(proxy.Grad)
+			sub.BackwardSeeded()
+		})
+		proxy = main.Var(branch.Value)
+		main.Backward(main.Add(proxy, chain))
+		if len(order) != 2 || order[0] != "dispatch" || order[1] != "join" {
+			t.Fatalf("hooks ran as %v, want [dispatch join]", order)
+		}
+		if !xv.Grad.Equal(wantX, 0) || !wv.Grad.Equal(wantW, 0) {
+			t.Fatal("split-tape gradients differ from the one-tape gradients")
+		}
+		main.Reset()
+		sub.Reset()
+		if main.LiveBytes() != 0 || sub.LiveBytes() != 0 {
+			t.Fatalf("live bytes after Reset: main %d, sub %d", main.LiveBytes(), sub.LiveBytes())
+		}
+	}
+}
