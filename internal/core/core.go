@@ -161,8 +161,9 @@ type Model struct {
 	// every op output and gradient buffer to the pooled tensor arena, so
 	// steady-state training allocates almost nothing.
 	tape *tensor.Tape
-	// branchTapes[i] records the decoder losses of a window's i-th step
-	// (branch.go), reused the same way.
+	// branchTapes[2i] records the encoder of a window's i-th step and
+	// branchTapes[2i+1] its decoder losses (branch.go), reused the same
+	// way.
 	branchTapes []*tensor.Tape
 
 	// Statistics captured from the training sequence, used for the
@@ -235,9 +236,10 @@ func New(cfg Config) *Model {
 var plainTape bool
 
 // TapePeakLiveBytes returns the high-water mark of tape-owned buffer bytes
-// on the model's training tapes: the main tape's plus every branch tape's.
-// The marks survive Tape.Reset, so after a Fit it reports the per-window
-// training footprint lifetime release achieved.
+// on the model's training tapes: the main tape's plus every branch tape's,
+// 2W+1 peaks for windows of W steps. The tapes peak at different times, so
+// the sum is an upper bound. The marks survive Tape.Reset, so after a Fit
+// it reports the per-window training footprint lifetime release achieved.
 func (m *Model) TapePeakLiveBytes() int64 {
 	if m.tape == nil {
 		return 0
@@ -289,13 +291,10 @@ func (m *Model) priorValue(h *tensor.Matrix) (mu, logSig *tensor.Matrix) {
 	return mu, logSig
 }
 
-// reparameterize draws z = µ + ε·σ on the tape with constant noise. The
-// noise buffer is tape-owned so Reset recycles it.
-func reparameterize(t *tensor.Tape, mu, logSig *tensor.Node, rng *rand.Rand) *tensor.Node {
-	noise := tensor.Get(mu.Value.Rows, mu.Value.Cols)
-	for i := range noise.Data {
-		noise.Data[i] = rng.NormFloat64()
-	}
+// reparameterize records z = µ + ε·σ on the tape with the pooled noise ε,
+// drawn beforehand. The tape takes ownership of noise, so Reset recycles
+// it.
+func reparameterize(t *tensor.Tape, mu, logSig *tensor.Node, noise *tensor.Matrix) *tensor.Node {
 	return t.Add(mu, t.Mul(t.Owned(noise), t.Exp(logSig)))
 }
 

@@ -224,9 +224,9 @@ func TestFitContextCancellation(t *testing.T) {
 // TestFitNonFiniteLossReleasesArena drives the trainer's other early exit:
 // a NaN weight makes the first window's loss non-finite, Fit reports it,
 // the model stays untrained, the aborted window's buffers all went back to
-// the arena (the main tape's and, with the NaN in a decoder weight, those
-// of the branch tapes the worker recorded), and training a new model
-// afterwards works.
+// the arena (the main tape's and, with the NaN in a decoder or encoder
+// weight, those of the branch tapes that recorded it), and training a new
+// model afterwards works.
 func TestFitNonFiniteLossReleasesArena(t *testing.T) {
 	g := toyGraph(12, 2, 4, 19)
 	cfg := smallConfig(12, 2)
@@ -244,6 +244,7 @@ func TestFitNonFiniteLossReleasesArena(t *testing.T) {
 	}{
 		{"chain", func(m *Model) *tensor.Matrix { return m.postHid.W.Value }},
 		{"branch", func(m *Model) *tensor.Matrix { return m.fTheta.Layers[0].W.Value }},
+		{"encoder", func(m *Model) *tensor.Matrix { return m.enc.Params()[0].Value }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m := New(cfg)

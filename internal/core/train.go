@@ -292,39 +292,65 @@ func (m *Model) runEpoch(g *dyngraph.Sequence, epoch int) (TrainStats, error) {
 }
 
 // runWindow trains on snapshots [start, end) from the detached hidden state
-// hVal: one forward pass, one backward sweep, one Adam step. The decoder
-// losses of each step record on a branch of their own on a worker
-// goroutine (branch.go). It returns the window's loss terms and gradient
-// norm, and the hidden state to carry into the next window.
+// hVal: one forward pass, one backward sweep, one Adam step. The encoder
+// and the decoder losses of each step record on branches of their own,
+// which this goroutine and one worker run from a task pool (branch.go). It
+// returns the window's loss terms and gradient norm, and the hidden state
+// to carry into the next window.
+//
+// The trained bits are those of one tape on one goroutine, whichever
+// goroutine ran a task: every task records and sweeps a tape and context
+// of its own, the parameters are read-only until the Adam step, and the
+// arena and the snapshots' CSR caches are goroutine-safe. Points 1-4 below
+// give the rest.
 func (m *Model) runWindow(g *dyngraph.Sequence, epoch, start, end int, hVal *tensor.Matrix) (TrainStats, *tensor.Matrix, error) {
 	n := g.N
 	tape := m.tape
 	c := nn.NewTrainCtx(tape, m.adam)
-	worker := startBranchWorker(2 * (end - start)) // each branch: a forward, a backward
-	var branches []*decoderBranch
-	// Every exit — success, a non-finite loss, a panic on either goroutine
-	// — drains the worker before any tape is reset, since a branch may
-	// still be reading S_t's value off the main tape.
+	steps := m.drawWindow(g, start, end)
+	pool := startTaskPool()
+	// Every exit — success, a non-finite loss, a panic in a task or on this
+	// goroutine — stops the pool before any tape is reset, since a task may
+	// still be reading a value off another tape.
 	defer func() {
-		worker.stop()
-		for _, b := range branches {
-			b.tape.Reset()
+		pool.stop()
+		for _, st := range steps {
+			if st.noise != nil { // drawn for a step the loop never reached
+				tensor.Put(st.noise)
+			}
+		}
+		for _, bt := range m.branchTapes {
+			bt.Reset()
 		}
 		tape.Reset()
 	}()
 
+	for i := range steps {
+		st := &steps[i]
+		e := &encoderBranch{branch: m.newBranch(2 * i)}
+		e.fwd = pool.submit(func() { e.out = m.enc.Encode(e.c, st.encSnap) })
+		st.enc = e
+	}
+
 	residuals := epoch == m.Cfg.Epochs-1
 	h := tape.Const(hVal)
 	var klTerms []*tensor.Node
-	for t := start; t < end; t++ {
-		snap := g.At(t)
-		encSnap := snap
-		if m.Cfg.NeighborSample > 0 {
-			encSnap = snap.SampleNeighbors(m.Cfg.NeighborSample, m.rng)
-		}
+	for i := range steps {
+		st, e := &steps[i], steps[i].enc
 
-		// Encode the observed snapshot (bi-flow GNN, Eq. 5-7).
-		eps := m.enc.Encode(c, encSnap)
+		// The encoder's output (bi-flow GNN, Eq. 5-7), as a leaf.
+		pool.await(e.fwd)
+		eps := tape.Var(e.out.Value)
+		// 2. ε_t's gradient. The hook runs once gruInput's and then the
+		// posterior's concat have added into the leaf's zeroed gradient,
+		// exactly as they added into ε_t's node on one tape. Seeding the
+		// encoder's output with it is exact (Node.AccumulateGrad: a sum
+		// started at +0 is never −0).
+		tape.Hook(func() {
+			e.out.AccumulateGrad(eps.Grad)
+			tape.ReleaseGrad(eps)
+			e.bwd = pool.submit(e.tape.BackwardSeeded)
+		})
 
 		// Posterior and prior latent distributions (Eq. 3-4, 8-9).
 		muQ, logSigQ := m.posterior(c, eps, h)
@@ -333,51 +359,60 @@ func (m *Model) runWindow(g *dyngraph.Sequence, epoch, start, end int, hVal *ten
 			1/float64(n*m.Cfg.LatentDim)))
 
 		// z ~ q via the reparameterization trick; S_t = [Z_t ‖ H_{t-1}].
-		z := reparameterize(tape, muQ, logSigQ, m.rng)
+		z := reparameterize(tape, muQ, logSigQ, st.noise)
+		st.noise = nil
 		s := tape.ConcatCols(z, h)
 
-		// Structure (Eq. 17) and attribute (Eq. 18) reconstruction, on the
-		// worker; the negative pairs are drawn here, in the rng's order.
-		esrc, edst := snap.EdgeLists()
-		src, dst, targets := m.samplePairs(snap, esrc, edst, m.rng)
-		if len(src) > 0 || m.Cfg.F > 0 {
-			b := m.newBranch(len(branches), s)
-			branches = append(branches, b)
-			worker.submit(func() { m.decode(b, snap, esrc, edst, src, dst, targets, residuals, t == 0) })
+		// Structure (Eq. 17) and attribute (Eq. 18) reconstruction.
+		if len(st.src) > 0 || m.Cfg.F > 0 {
+			d := &decoderBranch{branch: m.newBranch(2*i + 1)}
+			d.leaf = d.tape.Var(s.Value)
+			d.fwd = pool.submit(func() { m.decode(d, st, residuals) })
+			st.dec = d
+			// S_t's gradient crosses back like ε_t's: the decoder tape
+			// records the structure, then the attribute loss, as one tape
+			// did, so the leaf's gradient is the old sum, and adding it
+			// into S_t's fresh gradient is exact.
 			tape.Hook(func() { // join: S_t's gradient is the leaf's
-				worker.wait()
-				s.AccumulateGrad(b.leaf.Grad)
-				b.tape.ReleaseGrad(b.leaf)
+				pool.await(d.bwd)
+				s.AccumulateGrad(d.leaf.Grad)
+				d.tape.ReleaseGrad(d.leaf)
 			})
 		}
 
 		// Recurrence update (Section III-D): H_t = GRU([ε‖z‖fT(t)], H_{t-1}).
-		h = m.gru.Step(c, m.gruInput(c, eps, z, t, n), h)
+		h = m.gru.Step(c, m.gruInput(c, eps, z, st.t, n), h)
 	}
 
 	var strucTerms, attrTerms []*tensor.Node
-	for range branches {
-		worker.wait() // the branch forwards, in step order
-	}
-	for _, b := range branches {
+	for _, st := range steps {
+		d := st.dec
+		if d == nil {
+			continue
+		}
+		pool.await(d.fwd)
+		// 4. Residual moments, summed in step order.
+		if d.xHat != nil {
+			m.recordResiduals(d.xHat.Value, st.snap.X, st.t == 0)
+		}
 		var ps, pa *tensor.Node
 		tape.Hook(func() { // dispatch: the proxies hold their gradients now
 			if ps != nil {
-				b.struc.AccumulateGrad(ps.Grad)
+				d.struc.AccumulateGrad(ps.Grad)
 				tape.ReleaseGrad(ps)
 			}
 			if pa != nil {
-				b.attr.AccumulateGrad(pa.Grad)
+				d.attr.AccumulateGrad(pa.Grad)
 				tape.ReleaseGrad(pa)
 			}
-			worker.submit(b.tape.BackwardSeeded)
+			d.bwd = pool.submit(d.tape.BackwardSeeded)
 		})
-		if b.struc != nil {
-			ps = tape.Var(b.struc.Value)
+		if d.struc != nil {
+			ps = tape.Var(d.struc.Value)
 			strucTerms = append(strucTerms, ps)
 		}
-		if b.attr != nil {
-			pa = tape.Var(b.attr.Value)
+		if d.attr != nil {
+			pa = tape.Var(d.attr.Value)
 			attrTerms = append(attrTerms, pa)
 		}
 	}
@@ -407,9 +442,20 @@ func (m *Model) runWindow(g *dyngraph.Sequence, epoch, start, end int, hVal *ten
 	}
 
 	tape.Backward(loss)
-	ctxs := make([]*nn.Ctx, len(branches))
-	for i, b := range branches {
-		ctxs[i] = b.c
+	// 3. Parameter gradients. The encoder's parameters appear only in the
+	// encoder branches, fTheta, fAlpha, gat and attrMLP only in the
+	// decoder branches. Flushing the main context, then the branches in
+	// the order one tape recorded them (nn.FlushOrdered, which panics if a
+	// parameter is in main and a branch), delivers each parameter's
+	// per-step gradients to Adam in step order; it would stay exact if a
+	// weight were shared between encoder and decoder.
+	ctxs := make([]*nn.Ctx, 0, 2*len(steps))
+	for _, st := range steps {
+		pool.await(st.enc.bwd)
+		ctxs = append(ctxs, st.enc.c)
+		if st.dec != nil {
+			ctxs = append(ctxs, st.dec.c)
+		}
 	}
 	nn.FlushOrdered(c, ctxs)
 	ws := TrainStats{
@@ -422,6 +468,33 @@ func (m *Model) runWindow(g *dyngraph.Sequence, epoch, start, end int, hVal *ten
 	// Detach the hidden state for the next window; the deferred Reset
 	// recycles everything else.
 	return ws, h.Value.Clone(), nil
+}
+
+// drawWindow makes every m.rng draw of the window [start, end) before any
+// task is submitted.
+//
+// 1. Draws. Per step, in the order one goroutine made them: the encoder's
+// neighbour sample, the N×d_z reparameterisation noise, the negative
+// pairs. None of their counts depends on a parameter value, so drawing
+// them up front reads the same stream in the same order.
+func (m *Model) drawWindow(g *dyngraph.Sequence, start, end int) []windowStep {
+	steps := make([]windowStep, end-start)
+	for i := range steps {
+		st := &steps[i]
+		st.t = start + i
+		st.snap = g.At(st.t)
+		st.encSnap = st.snap
+		if m.Cfg.NeighborSample > 0 {
+			st.encSnap = st.snap.SampleNeighbors(m.Cfg.NeighborSample, m.rng)
+		}
+		st.noise = tensor.Get(g.N, m.Cfg.LatentDim)
+		for k := range st.noise.Data {
+			st.noise.Data[k] = m.rng.NormFloat64()
+		}
+		st.esrc, st.edst = st.snap.EdgeLists()
+		st.src, st.dst, st.targets = m.samplePairs(st.snap, st.esrc, st.edst, m.rng)
+	}
+	return steps
 }
 
 // newTrainTape returns a training tape: the releasing default, or the

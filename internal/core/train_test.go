@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -76,10 +77,14 @@ func TestFitTrainedBitsPinned(t *testing.T) {
 	}
 }
 
-// TestFitBranchPanicSurfaces makes a decoder branch panic on the worker
-// goroutine — an attribute MLP one column too wide fails SCELoss's shape
-// check — and asserts Fit re-raises that panic on the caller's goroutine
-// with every arena buffer of the aborted window returned.
+// TestFitBranchPanicSurfaces makes a branch task panic, on whichever
+// goroutine claimed it, and asserts Fit re-raises it on the caller's
+// goroutine as a value that names the original panic and carries the stack
+// it was raised on, with every arena buffer of the aborted window returned
+// (the pre-drawn noise of steps the loop never reached included). The
+// decoder case widens the attribute MLP by one column, which fails
+// SCELoss's shape check; the encoder case gives the encoder's input
+// projection a bias one column too wide, which fails inside Encode.
 func TestFitBranchPanicSurfaces(t *testing.T) {
 	g := toyGraph(12, 2, 4, 19)
 	cfg := smallConfig(12, 2)
@@ -89,24 +94,49 @@ func TestFitBranchPanicSurfaces(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m := New(cfg)
-	m.attrMLP = nn.NewMLP("attr.mlp", []int{cfg.HiddenDim, cfg.HiddenDim, cfg.F + 1}, nn.ActLeakyReLU, rand.New(rand.NewSource(1)))
-	m.adam = nn.NewAdam(nn.CollectParams(m.Modules()...), cfg.LR)
-	before := tensor.ReadPoolStats()
-	r := func() (r any) {
-		defer func() { r = recover() }()
-		m.Fit(g)
-		return nil
-	}()
-	after := tensor.ReadPoolStats()
-	msg, _ := r.(string)
-	if !strings.Contains(msg, "SCELoss") {
-		t.Fatalf("Fit panicked with %v, want SCELoss's shape panic", r)
-	}
-	if m.Trained() {
-		t.Fatal("a Fit that panicked must leave the model untrained")
-	}
-	if gets, puts := after.Gets-before.Gets, after.Puts-before.Puts; gets == 0 || gets != puts {
-		t.Fatalf("panicked Fit leaked arena buffers: %d gets vs %d puts", gets, puts)
+	for _, tc := range []struct {
+		name         string
+		breakModel   func(m *Model)
+		value, stack string
+	}{
+		{"decoder", func(m *Model) {
+			m.attrMLP = nn.NewMLP("attr.mlp", []int{cfg.HiddenDim, cfg.HiddenDim, cfg.F + 1}, nn.ActLeakyReLU, rand.New(rand.NewSource(1)))
+		}, "SCELoss", "SCELoss"},
+		{"encoder", func(m *Model) {
+			b := m.enc.Params()[1] // the input projection's bias
+			b.Value = tensor.New(1, b.Value.Cols+1)
+		}, "Affine", "Encode"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := New(cfg)
+			tc.breakModel(m)
+			m.adam = nn.NewAdam(nn.CollectParams(m.Modules()...), cfg.LR)
+			before := tensor.ReadPoolStats()
+			r := func() (r any) {
+				defer func() { r = recover() }()
+				m.Fit(g)
+				return nil
+			}()
+			after := tensor.ReadPoolStats()
+			p, ok := r.(*taskPanic)
+			if !ok {
+				t.Fatalf("Fit panicked with %T %v, want a *taskPanic", r, r)
+			}
+			if msg := fmt.Sprint(p.value); !strings.Contains(msg, tc.value) {
+				t.Fatalf("panic value %q does not name %s", msg, tc.value)
+			}
+			if !strings.Contains(string(p.stack), tc.stack) {
+				t.Fatalf("panic stack does not name %s:\n%s", tc.stack, p.stack)
+			}
+			if !strings.Contains(p.Error(), tc.value) || !strings.Contains(p.Error(), tc.stack) {
+				t.Fatalf("re-raised panic prints %q, want its value and stack", p.Error())
+			}
+			if m.Trained() {
+				t.Fatal("a Fit that panicked must leave the model untrained")
+			}
+			if gets, puts := after.Gets-before.Gets, after.Puts-before.Puts; gets == 0 || gets != puts {
+				t.Fatalf("panicked Fit leaked arena buffers: %d gets vs %d puts", gets, puts)
+			}
+		})
 	}
 }
