@@ -36,7 +36,10 @@ func actGradSigmoidAVX2(dst, grad, out *float64, n4 int)
 func gemmRowsAVX2(out, a, b *float64, m, k, n, rowStride, pStride int)
 
 //go:noescape
-func ntRowBulkAVX2(o, a, bdata *float64, n4, k, k4 int)
+func gemmNTRowsAVX2(out, a, bt *float64, m, k, n int)
+
+//go:noescape
+func transposeAVX2(dst, src *float64, rows4, cols4, rows, cols int)
 
 //go:noescape
 func pairLogitsAVX2(out *float64, stride int, w2 *float64, kq, dh int, pi, b1, p *float64, ld int, idx *int, c int, slope float64)
@@ -98,8 +101,8 @@ func expKernelMatchesMath() bool {
 // elements only, and the exp kernel replaying math.Exp's own FMA
 // sequence lane by lane (see backend_amd64.s). GemmNN and GemmTN are one
 // kernel that keeps two output rows' sums in registers and skips zero
-// multipliers itself; GemmNT runs four dot-product lanes per call; GemmTT
-// is inherited.
+// multipliers itself; GemmNT transposes b once per call and runs a kernel
+// of the same shape on it, without the skip; GemmTT is inherited.
 type avx2Backend struct{ tunedBackend }
 
 func (avx2Backend) Name() string { return "avx2" }
@@ -131,7 +134,6 @@ func (avx2Backend) Scale(x []float64, s float64) {
 
 func (avx2Backend) GemmNN(out, a, b *Matrix) { gemmRows(out, a, b, a.Rows, a.Cols, b.Cols, a.Cols, 1) }
 func (avx2Backend) GemmTN(out, a, b *Matrix) { gemmRows(out, a, b, a.Cols, a.Rows, b.Cols, 1, a.Cols) }
-func (avx2Backend) GemmNT(out, a, b *Matrix) { gemmNTAsm(out, a, b) }
 
 // The branch-free activation kernels replace data-dependent branches
 // (mispredicted on random signs) with compare+blend; the multiplies they
@@ -247,30 +249,51 @@ func gemmRows(out, a, b *Matrix, m, k, n, rowStride, pStride int) {
 	}
 }
 
-// gemmNTAsm computes out += a·bᵀ: four dot-product lanes per assembly
-// call (register-transposed b block, one sequential sum per lane), p- and
-// j-tails finished in Go with the same per-lane accumulation order.
-func gemmNTAsm(out, a, b *Matrix) {
+// GemmNT computes out += a·bᵀ. It transposes b (n×k) once into k×n arena
+// scratch, so that the row kernel reads b as GemmNN reads it: one
+// contiguous strip of a row per contraction step, shared by two output
+// rows. Each output element is still one sum from +0 over ascending p,
+// added to out once at the end. The scratch is not zeroed, because
+// transposeInto writes every element of it; TestGemmNTScratchPoisoned
+// hands it buffers full of NaN to hold that. With k = 0 every sum is the
+// empty +0, which the reference still adds: a −0 in out becomes +0.
+func (avx2Backend) GemmNT(out, a, b *Matrix) {
 	m, k, n := a.Rows, a.Cols, b.Rows
-	if n == 0 {
+	if m == 0 || n == 0 {
 		return
 	}
-	for i := 0; i < m; i++ {
-		ntRowAsm(out.Data[i*n:(i+1)*n], a.Data[i*k:(i+1)*k], b.Data, n, k)
+	o := out.Data[:m*n]
+	if k == 0 {
+		for i := range o {
+			o[i] += 0
+		}
+		return
 	}
+	_, _ = a.Data[m*k-1], b.Data[n*k-1]
+	bt := getUnzeroed(k, n)
+	transposeInto(bt.Data, b.Data, n, k)
+	gemmNTRowsAVX2(&o[0], &a.Data[0], &bt.Data[0], m, k, n)
+	Put(bt)
 }
 
-func ntRowAsm(orow, arow, bdata []float64, n, k int) {
-	j := n &^ 3
-	if j > 0 {
-		ntRowBulkAVX2(&orow[0], &arow[0], &bdata[0], j, k, k&^3)
+// transposeInto writes dst = srcᵀ, src rows×cols and dst cols×rows, every
+// element of dst[:rows*cols]: the assembly takes the whole 4×4 tiles, and
+// the two loops here the last rows%4 rows of src and then the last
+// cols%4 columns above them.
+func transposeInto(dst, src []float64, rows, cols int) {
+	dst, src = dst[:rows*cols], src[:rows*cols]
+	r4, c4 := rows&^3, cols&^3
+	if r4 > 0 && c4 > 0 {
+		transposeAVX2(&dst[0], &src[0], r4, c4, rows, cols)
 	}
-	for ; j < n; j++ {
-		brow := bdata[j*k : (j+1)*k]
-		s := 0.0
-		for p := 0; p < k; p++ {
-			s += arow[p] * brow[p]
+	for r := r4; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			dst[c*rows+r] = src[r*cols+c]
 		}
-		orow[j] += s
+	}
+	for c := c4; c < cols; c++ {
+		for r := 0; r < r4; r++ {
+			dst[c*rows+r] = src[r*cols+c]
+		}
 	}
 }

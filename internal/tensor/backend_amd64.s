@@ -626,228 +626,311 @@ gemm_done:
 	VZEROUPPER
 	RET
 
-// func ntRowBulkAVX2(o, a, bdata *float64, n4, k, k4 int)
-// One call per NT output row: o[j] += Σ_p a[p]*b[j..][p] for j in
-// [0, n4), n4 a multiple of 4, b rows contiguous with stride k. Lanes go
-// 8 at a time (two independent accumulator chains; four rows of b are
-// loaded 4 elements at a time and transposed in registers so one vector
-// add per p carries four lanes) then 4; the p-tail past k4 = k&^3 is
-// gathered with scalar loads into one vector step per p. Every lane
-// remains a fresh sequential sum over ascending p added once into o —
-// the NT contract — with the n%4 column tail left to the Go wrapper.
-TEXT ·ntRowBulkAVX2(SB), NOSPLIT, $0-48
-	MOVQ o+0(FP), DI
-	MOVQ bdata+16(FP), BX
-	MOVQ n4+24(FP), CX
-	MOVQ k+32(FP), DX
-	SHLQ $3, DX // row stride in bytes
+// NT_ADD_STORE adds a strip's sums ACC into the four out values at M
+// through T, out + sum: the reference's one add per output element.
+// NT_ADD_STORE_MASKED does the same on the lanes Y11 sets.
+#define NT_ADD_STORE(M, ACC, T) \
+	VMOVUPD M, T      \
+	VADDPD  ACC, T, T \
+	VMOVUPD T, M
 
-ntb_group8:
-	CMPQ CX, $8
-	JLT  ntb_group4
-	MOVQ a+8(FP), SI
-	MOVQ k4+40(FP), AX
-	MOVQ BX, R8
-	LEAQ (R8)(DX*1), R9
-	LEAQ (R9)(DX*1), R10
-	LEAQ (R10)(DX*1), R11
-	LEAQ (R11)(DX*1), R12
-	LEAQ (R12)(DX*1), R13
-	LEAQ (R13)(DX*1), R14
-	LEAQ (R14)(DX*1), R15
+#define NT_ADD_STORE_MASKED(M, ACC, T) \
+	VMASKMOVPD M, Y11, T \
+	VADDPD     ACC, T, T \
+	VMASKMOVPD T, Y11, M
+
+// func gemmNTRowsAVX2(out, a, bt *float64, m, k, n int)
+// out[i][j] += s_ij, s_ij = Σ_p a[i][p]·bt[p][j] summed from +0 over p
+// ascending with no zero skip, where out is m×n, a m×k and bt k×n, all
+// row-major: GemmNT's contract on b transposed by the Go wrapper. m, k and
+// n are positive. Rows, strips and registers follow gemmRowsAVX2, except
+// that a strip's sums start at +0 in registers and meet out only in one
+// add at the end, over the whole contraction.
+//
+//	DI  out row i, R13 a row i, BX bt, R14 rows left
+//	R10 n·8, the row stride of out and bt; DX k·8, that of a
+//	R11 the strip in out row i (row i+1 is R10 on), R15 the strip in bt
+//	    row 0, R12 columns left
+//	SI  a[i][p] (a[i+1][p] is DX on), R8 the strip in bt row p, CX p left
+//	Y0–Y3 row i's sums, Y4–Y7 row i+1's, Y8 Y9 the multipliers,
+//	Y10 the masked bt values, Y11 the lane mask, Y12–Y15 products
+TEXT ·gemmNTRowsAVX2(SB), NOSPLIT, $0-48
+	MOVQ out+0(FP), DI
+	MOVQ a+8(FP), R13
+	MOVQ bt+16(FP), BX
+	MOVQ m+24(FP), R14
+	MOVQ k+32(FP), DX
+	SHLQ $3, DX
+	MOVQ n+40(FP), R10
+	SHLQ $3, R10
+
+nt_pair:
+	CMPQ R14, $2
+	JLT  nt_one
+	MOVQ DI, R11
+	MOVQ BX, R15
+	MOVQ n+40(FP), R12
+
+nt_pair16:
+	CMPQ   R12, $16
+	JLT    nt_pair8
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	MOVQ   R13, SI
+	MOVQ   R15, R8
+	MOVQ   k+32(FP), CX
 
-ntb8_loop4:
-	TESTQ AX, AX
-	JEQ   ntb8_ptail
-	VMOVUPD    (R8), Y2
-	VMOVUPD    (R9), Y3
-	VMOVUPD    (R10), Y4
-	VMOVUPD    (R11), Y5
-	VUNPCKLPD  Y3, Y2, Y6
-	VUNPCKHPD  Y3, Y2, Y7
-	VUNPCKLPD  Y5, Y4, Y8
-	VUNPCKHPD  Y5, Y4, Y9
-	VPERM2F128 $0x20, Y8, Y6, Y2
-	VPERM2F128 $0x20, Y9, Y7, Y3
-	VPERM2F128 $0x31, Y8, Y6, Y4
-	VPERM2F128 $0x31, Y9, Y7, Y5
-	VMOVUPD    (R12), Y6
-	VMOVUPD    (R13), Y7
-	VMOVUPD    (R14), Y8
-	VMOVUPD    (R15), Y9
-	VUNPCKLPD  Y7, Y6, Y10
-	VUNPCKHPD  Y7, Y6, Y11
-	VUNPCKLPD  Y9, Y8, Y12
-	VUNPCKHPD  Y9, Y8, Y13
-	VPERM2F128 $0x20, Y12, Y10, Y6
-	VPERM2F128 $0x20, Y13, Y11, Y7
-	VPERM2F128 $0x31, Y12, Y10, Y8
-	VPERM2F128 $0x31, Y13, Y11, Y9
-	VBROADCASTSD (SI), Y10
-	VMULPD       Y2, Y10, Y11
-	VADDPD       Y11, Y0, Y0
-	VMULPD       Y6, Y10, Y12
-	VADDPD       Y12, Y1, Y1
-	VBROADCASTSD 8(SI), Y10
-	VMULPD       Y3, Y10, Y11
-	VADDPD       Y11, Y0, Y0
-	VMULPD       Y7, Y10, Y12
-	VADDPD       Y12, Y1, Y1
-	VBROADCASTSD 16(SI), Y10
-	VMULPD       Y4, Y10, Y11
-	VADDPD       Y11, Y0, Y0
-	VMULPD       Y8, Y10, Y12
-	VADDPD       Y12, Y1, Y1
-	VBROADCASTSD 24(SI), Y10
-	VMULPD       Y5, Y10, Y11
-	VADDPD       Y11, Y0, Y0
-	VMULPD       Y9, Y10, Y12
-	VADDPD       Y12, Y1, Y1
-	ADDQ $32, SI
-	ADDQ $32, R8
-	ADDQ $32, R9
-	ADDQ $32, R10
-	ADDQ $32, R11
-	ADDQ $32, R12
-	ADDQ $32, R13
-	ADDQ $32, R14
-	ADDQ $32, R15
-	SUBQ $4, AX
-	JMP  ntb8_loop4
+nt_pair16_p:
+	VBROADCASTSD (SI), Y8
+	VBROADCASTSD (SI)(DX*1), Y9
+	GEMM_MUL_ADD(0, Y8, Y0, Y12)
+	GEMM_MUL_ADD(32, Y8, Y1, Y13)
+	GEMM_MUL_ADD(64, Y8, Y2, Y14)
+	GEMM_MUL_ADD(96, Y8, Y3, Y15)
+	GEMM_MUL_ADD(0, Y9, Y4, Y12)
+	GEMM_MUL_ADD(32, Y9, Y5, Y13)
+	GEMM_MUL_ADD(64, Y9, Y6, Y14)
+	GEMM_MUL_ADD(96, Y9, Y7, Y15)
+	ADDQ         $8, SI
+	ADDQ         R10, R8
+	DECQ         CX
+	JNE          nt_pair16_p
+	NT_ADD_STORE((R11), Y0, Y12)
+	NT_ADD_STORE(32(R11), Y1, Y13)
+	NT_ADD_STORE(64(R11), Y2, Y14)
+	NT_ADD_STORE(96(R11), Y3, Y15)
+	NT_ADD_STORE((R11)(R10*1), Y4, Y12)
+	NT_ADD_STORE(32(R11)(R10*1), Y5, Y13)
+	NT_ADD_STORE(64(R11)(R10*1), Y6, Y14)
+	NT_ADD_STORE(96(R11)(R10*1), Y7, Y15)
+	ADDQ         $128, R11
+	ADDQ         $128, R15
+	SUBQ         $16, R12
+	JMP          nt_pair16
 
-ntb8_ptail:
-	MOVQ k+32(FP), AX
-	SUBQ k4+40(FP), AX
-
-ntb8_ptail_loop:
-	TESTQ AX, AX
-	JEQ   ntb8_store
-	VMOVSD      (R8), X2
-	VMOVSD      (R9), X3
-	VUNPCKLPD   X3, X2, X2
-	VMOVSD      (R10), X3
-	VMOVSD      (R11), X4
-	VUNPCKLPD   X4, X3, X3
-	VINSERTF128 $1, X3, Y2, Y2
-	VMOVSD      (R12), X3
-	VMOVSD      (R13), X4
-	VUNPCKLPD   X4, X3, X3
-	VMOVSD      (R14), X4
-	VMOVSD      (R15), X5
-	VUNPCKLPD   X5, X4, X4
-	VINSERTF128 $1, X4, Y3, Y3
-	VBROADCASTSD (SI), Y10
-	VMULPD       Y2, Y10, Y11
-	VADDPD       Y11, Y0, Y0
-	VMULPD       Y3, Y10, Y12
-	VADDPD       Y12, Y1, Y1
-	ADDQ $8, SI
-	ADDQ $8, R8
-	ADDQ $8, R9
-	ADDQ $8, R10
-	ADDQ $8, R11
-	ADDQ $8, R12
-	ADDQ $8, R13
-	ADDQ $8, R14
-	ADDQ $8, R15
-	DECQ AX
-	JMP  ntb8_ptail_loop
-
-ntb8_store:
-	VMOVUPD (DI), Y2
-	VADDPD  Y0, Y2, Y2
-	VMOVUPD Y2, (DI)
-	VMOVUPD 32(DI), Y2
-	VADDPD  Y1, Y2, Y2
-	VMOVUPD Y2, 32(DI)
-	ADDQ    $64, DI
-	LEAQ    (BX)(DX*8), BX
-	SUBQ    $8, CX
-	JMP     ntb_group8
-
-ntb_group4:
-	CMPQ CX, $4
-	JLT  ntb_done
-	MOVQ a+8(FP), SI
-	MOVQ k4+40(FP), AX
-	MOVQ BX, R8
-	LEAQ (R8)(DX*1), R9
-	LEAQ (R9)(DX*1), R10
-	LEAQ (R10)(DX*1), R11
+nt_pair8:
+	CMPQ   R12, $8
+	JLT    nt_pair4
 	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	MOVQ   R13, SI
+	MOVQ   R15, R8
+	MOVQ   k+32(FP), CX
 
-ntb4_loop4:
-	TESTQ AX, AX
-	JEQ   ntb4_ptail
-	VMOVUPD    (R8), Y2
-	VMOVUPD    (R9), Y3
-	VMOVUPD    (R10), Y4
-	VMOVUPD    (R11), Y5
-	VUNPCKLPD  Y3, Y2, Y6
-	VUNPCKHPD  Y3, Y2, Y7
-	VUNPCKLPD  Y5, Y4, Y8
-	VUNPCKHPD  Y5, Y4, Y9
-	VPERM2F128 $0x20, Y8, Y6, Y2
-	VPERM2F128 $0x20, Y9, Y7, Y3
-	VPERM2F128 $0x31, Y8, Y6, Y4
-	VPERM2F128 $0x31, Y9, Y7, Y5
-	VBROADCASTSD (SI), Y10
-	VMULPD       Y2, Y10, Y11
-	VADDPD       Y11, Y0, Y0
-	VBROADCASTSD 8(SI), Y10
-	VMULPD       Y3, Y10, Y11
-	VADDPD       Y11, Y0, Y0
-	VBROADCASTSD 16(SI), Y10
-	VMULPD       Y4, Y10, Y11
-	VADDPD       Y11, Y0, Y0
-	VBROADCASTSD 24(SI), Y10
-	VMULPD       Y5, Y10, Y11
-	VADDPD       Y11, Y0, Y0
-	ADDQ $32, SI
-	ADDQ $32, R8
-	ADDQ $32, R9
-	ADDQ $32, R10
-	ADDQ $32, R11
-	SUBQ $4, AX
-	JMP  ntb4_loop4
+nt_pair8_p:
+	VBROADCASTSD (SI), Y8
+	VBROADCASTSD (SI)(DX*1), Y9
+	GEMM_MUL_ADD(0, Y8, Y0, Y12)
+	GEMM_MUL_ADD(32, Y8, Y1, Y13)
+	GEMM_MUL_ADD(0, Y9, Y4, Y14)
+	GEMM_MUL_ADD(32, Y9, Y5, Y15)
+	ADDQ         $8, SI
+	ADDQ         R10, R8
+	DECQ         CX
+	JNE          nt_pair8_p
+	NT_ADD_STORE((R11), Y0, Y12)
+	NT_ADD_STORE(32(R11), Y1, Y13)
+	NT_ADD_STORE((R11)(R10*1), Y4, Y14)
+	NT_ADD_STORE(32(R11)(R10*1), Y5, Y15)
+	ADDQ         $64, R11
+	ADDQ         $64, R15
+	SUBQ         $8, R12
 
-ntb4_ptail:
-	MOVQ k+32(FP), AX
-	SUBQ k4+40(FP), AX
+nt_pair4:
+	TESTQ   R12, R12
+	JLE     nt_pair_next
+	MOVQ    $4, AX
+	CMPQ    R12, AX
+	CMOVQLT R12, AX
+	SHLQ    $5, AX
+	LEAQ    gemmmask<>(SB), CX
+	VMOVUPD -32(CX)(AX*1), Y11
+	VXORPD  Y0, Y0, Y0
+	VXORPD  Y4, Y4, Y4
+	MOVQ    R13, SI
+	MOVQ    R15, R8
+	MOVQ    k+32(FP), CX
 
-ntb4_ptail_loop:
-	TESTQ AX, AX
-	JEQ   ntb4_store
-	VMOVSD      (R8), X2
-	VMOVSD      (R9), X3
-	VUNPCKLPD   X3, X2, X2
-	VMOVSD      (R10), X3
-	VMOVSD      (R11), X4
-	VUNPCKLPD   X4, X3, X3
-	VINSERTF128 $1, X3, Y2, Y2
-	VBROADCASTSD (SI), Y10
-	VMULPD       Y2, Y10, Y11
-	VADDPD       Y11, Y0, Y0
-	ADDQ $8, SI
-	ADDQ $8, R8
-	ADDQ $8, R9
-	ADDQ $8, R10
-	ADDQ $8, R11
-	DECQ AX
-	JMP  ntb4_ptail_loop
+nt_pair4_p:
+	VMASKMOVPD   (R8), Y11, Y10
+	VBROADCASTSD (SI), Y8
+	VBROADCASTSD (SI)(DX*1), Y9
+	VMULPD       Y10, Y8, Y12
+	VADDPD       Y12, Y0, Y0
+	VMULPD       Y10, Y9, Y13
+	VADDPD       Y13, Y4, Y4
+	ADDQ         $8, SI
+	ADDQ         R10, R8
+	DECQ         CX
+	JNE          nt_pair4_p
+	NT_ADD_STORE_MASKED((R11), Y0, Y12)
+	NT_ADD_STORE_MASKED((R11)(R10*1), Y4, Y13)
+	ADDQ         $32, R11
+	ADDQ         $32, R15
+	SUBQ         $4, R12
+	JMP          nt_pair4
 
-ntb4_store:
-	VMOVUPD (DI), Y2
-	VADDPD  Y0, Y2, Y2
-	VMOVUPD Y2, (DI)
-	ADDQ    $32, DI
-	LEAQ    (BX)(DX*4), BX
-	SUBQ    $4, CX
-	JMP     ntb_group4
+nt_pair_next:
+	LEAQ (DI)(R10*2), DI
+	LEAQ (R13)(DX*2), R13
+	SUBQ $2, R14
+	JMP  nt_pair
 
-ntb_done:
+nt_one:
+	TESTQ R14, R14
+	JEQ   nt_done
+	MOVQ  DI, R11
+	MOVQ  BX, R15
+	MOVQ  n+40(FP), R12
+
+nt_one16:
+	CMPQ   R12, $16
+	JLT    nt_one8
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	MOVQ   R13, SI
+	MOVQ   R15, R8
+	MOVQ   k+32(FP), CX
+
+nt_one16_p:
+	VBROADCASTSD (SI), Y8
+	GEMM_MUL_ADD(0, Y8, Y0, Y12)
+	GEMM_MUL_ADD(32, Y8, Y1, Y13)
+	GEMM_MUL_ADD(64, Y8, Y2, Y14)
+	GEMM_MUL_ADD(96, Y8, Y3, Y15)
+	ADDQ         $8, SI
+	ADDQ         R10, R8
+	DECQ         CX
+	JNE          nt_one16_p
+	NT_ADD_STORE((R11), Y0, Y12)
+	NT_ADD_STORE(32(R11), Y1, Y13)
+	NT_ADD_STORE(64(R11), Y2, Y14)
+	NT_ADD_STORE(96(R11), Y3, Y15)
+	ADDQ         $128, R11
+	ADDQ         $128, R15
+	SUBQ         $16, R12
+	JMP          nt_one16
+
+nt_one8:
+	CMPQ   R12, $8
+	JLT    nt_one4
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	MOVQ   R13, SI
+	MOVQ   R15, R8
+	MOVQ   k+32(FP), CX
+
+nt_one8_p:
+	VBROADCASTSD (SI), Y8
+	GEMM_MUL_ADD(0, Y8, Y0, Y12)
+	GEMM_MUL_ADD(32, Y8, Y1, Y13)
+	ADDQ         $8, SI
+	ADDQ         R10, R8
+	DECQ         CX
+	JNE          nt_one8_p
+	NT_ADD_STORE((R11), Y0, Y12)
+	NT_ADD_STORE(32(R11), Y1, Y13)
+	ADDQ         $64, R11
+	ADDQ         $64, R15
+	SUBQ         $8, R12
+
+nt_one4:
+	TESTQ   R12, R12
+	JLE     nt_done
+	MOVQ    $4, AX
+	CMPQ    R12, AX
+	CMOVQLT R12, AX
+	SHLQ    $5, AX
+	LEAQ    gemmmask<>(SB), CX
+	VMOVUPD -32(CX)(AX*1), Y11
+	VXORPD  Y0, Y0, Y0
+	MOVQ    R13, SI
+	MOVQ    R15, R8
+	MOVQ    k+32(FP), CX
+
+nt_one4_p:
+	VMASKMOVPD   (R8), Y11, Y10
+	VBROADCASTSD (SI), Y8
+	VMULPD       Y10, Y8, Y12
+	VADDPD       Y12, Y0, Y0
+	ADDQ         $8, SI
+	ADDQ         R10, R8
+	DECQ         CX
+	JNE          nt_one4_p
+	NT_ADD_STORE_MASKED((R11), Y0, Y12)
+	ADDQ         $32, R11
+	ADDQ         $32, R15
+	SUBQ         $4, R12
+	JMP          nt_one4
+
+nt_done:
+	VZEROUPPER
+	RET
+
+// func transposeAVX2(dst, src *float64, rows4, cols4, rows, cols int)
+// dst[c][r] = src[r][c] for r < rows4 and c < cols4, both positive
+// multiples of 4, where src is rows×cols and dst cols×rows, both
+// row-major. Each 4×4 tile is transposed in registers: two-row halves of
+// the source go into the two 128-bit lanes as they load, and four unpacks
+// finish it. Column blocks go in
+// the outer loop, so the four dst rows a block fills are each written
+// front to back.
+//
+//	DI  dst row c, SI src column c, AX the tile in src, BX the tile in dst
+//	R9  rows·8, the row stride of dst, R12 three of them
+//	R10 cols·8, the row stride of src, R11 three of them
+//	CX  columns left, DX rows left
+TEXT ·transposeAVX2(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ cols4+24(FP), CX
+	MOVQ rows+32(FP), R9
+	SHLQ $3, R9
+	MOVQ cols+40(FP), R10
+	SHLQ $3, R10
+	LEAQ (R10)(R10*2), R11
+	LEAQ (R9)(R9*2), R12
+
+tr_block:
+	MOVQ SI, AX
+	MOVQ DI, BX
+	MOVQ rows4+16(FP), DX
+
+tr_tile:
+	VMOVUPD     (AX), X0
+	VINSERTF128 $1, (AX)(R10*2), Y0, Y0
+	VMOVUPD     (AX)(R10*1), X1
+	VINSERTF128 $1, (AX)(R11*1), Y1, Y1
+	VMOVUPD     16(AX), X2
+	VINSERTF128 $1, 16(AX)(R10*2), Y2, Y2
+	VMOVUPD     16(AX)(R10*1), X3
+	VINSERTF128 $1, 16(AX)(R11*1), Y3, Y3
+	VUNPCKLPD   Y1, Y0, Y4
+	VUNPCKHPD   Y1, Y0, Y5
+	VUNPCKLPD   Y3, Y2, Y6
+	VUNPCKHPD   Y3, Y2, Y7
+	VMOVUPD     Y4, (BX)
+	VMOVUPD     Y5, (BX)(R9*1)
+	VMOVUPD     Y6, (BX)(R9*2)
+	VMOVUPD     Y7, (BX)(R12*1)
+	LEAQ        (AX)(R10*4), AX
+	ADDQ        $32, BX
+	SUBQ        $4, DX
+	JNE         tr_tile
+	ADDQ        $32, SI
+	LEAQ        (DI)(R9*4), DI
+	SUBQ        $4, CX
+	JNE         tr_block
 	VZEROUPPER
 	RET
 

@@ -81,14 +81,17 @@ var gemmVariants = []gemmVariant{
 // on each candidate backend and on the reference. Pre-filled out matters:
 // the kernels' contract is out += …, and a kernel that writes instead of
 // accumulating, or touches elements with no nonzero contribution, only
-// fails this way.
+// fails this way. At k = 0 out starts at −0: GemmNN and GemmTN leave it,
+// while GemmNT and GemmTT add each element's empty sum, +0, and so turn it
+// into +0.
 func TestBackendDifferentialGEMM(t *testing.T) {
 	ref := pureBackend{}
+	negZero := math.Copysign(0, -1)
 	// Shape grid: every n remainder class mod 16/8/4 (the SIMD strips and
-	// tails), odd and even m, and k crossing the matMulKBlock=128 panel
-	// boundary.
+	// tails), odd and even m, k = 0, and k crossing the matMulKBlock=128
+	// panel boundary.
 	ms := []int{1, 2, 3, 5, 8, 17}
-	ks := []int{1, 2, 3, 4, 7, 8, 31, 32, 127, 128, 129, 130}
+	ks := []int{0, 1, 2, 3, 4, 7, 8, 31, 32, 127, 128, 129, 130}
 	ns := []int{1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 64, 65}
 	var shapes [][3]int
 	for _, m := range ms {
@@ -126,6 +129,11 @@ func TestBackendDifferentialGEMM(t *testing.T) {
 					fillMixed(b.Data, rng)
 					want, got := New(m, n), New(m, n)
 					fillMixed(want.Data, rng) // accumulate into non-zero out
+					if k == 0 {
+						for i := range want.Data {
+							want.Data[i] = negZero
+						}
+					}
 					copy(got.Data, want.Data)
 					v.call(ref, want, a, b)
 					v.call(bk, got, a, b)
@@ -582,6 +590,54 @@ func TestPairLogitsRejectsBadArguments(t *testing.T) {
 	}
 }
 
+// TestGemmNTScratchPoisoned holds GemmNT to the reference when the arena
+// hands the avx2 kernel's transpose scratch a recycled buffer full of NaN:
+// before every call, the bucket that k×n floats come from gets one such
+// buffer on top. A transpose that leaves any element of its k×n block
+// unwritten lets a NaN into the sums. The shapes are the affine layers'
+// backward products dX = dY·Wᵀ at N = 94 and 945, the Eq. 11 loss's
+// E-wide one, and ragged ones with n%4 and k%4 both nonzero, which take
+// both of the transpose's edge loops.
+func TestGemmNTScratchPoisoned(t *testing.T) {
+	var shapes [][3]int
+	for _, m := range []int{94, 945} {
+		for _, kn := range [][2]int{{16, 16}, {16, 32}, {16, 28}, {32, 24}, {8, 16}, {2, 16}} {
+			shapes = append(shapes, [3]int{m, kn[0], kn[1]})
+		}
+	}
+	for _, e := range []int{7, 590, 6150} {
+		shapes = append(shapes, [3]int{2, e, 16})
+	}
+	shapes = append(shapes, [3]int{3, 2, 3}, [3]int{5, 7, 9}, [3]int{17, 13, 30})
+	nt := gemmVariants[2]
+	for _, bk := range diffBackends() {
+		t.Run(bk.Name(), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(7))
+			for _, sh := range shapes {
+				m, k, n := sh[0], sh[1], sh[2]
+				a, b := New(m, k), New(n, k)
+				fillMixed(a.Data, rng)
+				fillMixed(b.Data, rng)
+				want, got := New(m, n), New(m, n)
+				fillMixed(want.Data, rng)
+				copy(got.Data, want.Data)
+				nt.call(pureBackend{}, want, a, b)
+				poison := Get(k, n)
+				buf := poison.Data[:cap(poison.Data)]
+				for i := range buf {
+					buf[i] = math.NaN()
+				}
+				Put(poison)
+				nt.call(bk, got, a, b)
+				if i, ok := sameBits(want.Data, got.Data); !ok {
+					t.Fatalf("GemmNT %dx%dx%d on poisoned scratch: out[%d] = %v, reference %v",
+						m, k, n, i, got.Data[i], want.Data[i])
+				}
+			}
+		})
+	}
+}
+
 // TestArenaAlignment pins the arena allocator's 64-byte guarantee: every
 // pool-miss buffer comes from alignedAlloc, whose base lands on a cache
 // line so the SIMD kernels' rows start aligned whenever strides are
@@ -611,10 +667,10 @@ func FuzzGemmDifferential(f *testing.F) {
 	f.Add(uint8(1), uint8(129), uint8(17), uint8(1), int64(2))
 	f.Add(uint8(8), uint8(31), uint8(33), uint8(2), int64(3))
 	f.Add(uint8(2), uint8(2), uint8(2), uint8(3), int64(4))
-	// Odd m, which leaves the avx2 GemmNN/GemmTN kernel a last row alone,
-	// at n = 16+r for every remainder r = n%16.
+	// Odd m, which leaves the avx2 GemmNN/GemmTN kernel and its GemmNT
+	// twin a last row alone, at n = 16+r for every remainder r = n%16.
 	for r := uint8(0); r < 16; r++ {
-		for variant := uint8(0); variant < 2; variant++ {
+		for variant := uint8(0); variant < 3; variant++ {
 			f.Add(2*r, 9+r, 15+r, variant, int64(5+r))
 		}
 	}

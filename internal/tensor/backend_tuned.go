@@ -20,8 +20,9 @@ package tensor
 //     output element summed sequentially over ascending p, so per element
 //     nothing changed.
 //
-// The avx2 backend runs ntRowGo's four lanes in assembly; its GemmNN/GemmTN
-// kernel skips zero multipliers inside its loop instead of compacting.
+// The avx2 backend compacts nothing: its GemmNN/GemmTN kernel skips zero
+// multipliers inside its loop, and its GemmNT transposes b once per call
+// and runs a kernel of the same shape on it.
 type tunedBackend struct{ pureBackend }
 
 func (tunedBackend) Name() string { return "tuned" }

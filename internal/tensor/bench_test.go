@@ -30,30 +30,32 @@ func BenchmarkMatMul256(b *testing.B) {
 	}
 }
 
-// BenchmarkGemmNarrow reads GemmNN and GemmTN on the active backend at
-// the narrow shapes (m×k×n) that carry the model's GEMM work, where n ≤ 32
-// holds all but about 1 % of it: the N=94 layers' NN products, and the TN
-// weight gradient over the N=945 rows of a TBPTT fit. The inputs are
-// dense, as the model's are (under 2 % of its multipliers are zero), and
-// out accumulates across iterations.
+// BenchmarkGemmNarrow reads GemmNN, GemmTN and GemmNT on the active
+// backend at the narrow shapes (m×k×n) that carry the model's GEMM work,
+// where n ≤ 32 holds all but about 1 % of it: the N=94 layers' NN
+// products, the TN weight gradient over the N=945 rows of a TBPTT fit, the
+// NT input gradients dX = dY·Wᵀ at N=94 and 945, and the Eq. 11 loss's
+// E-wide NT product at E = 600 and 6400. The inputs are dense, as the
+// model's are (under 2 % of its multipliers are zero), and out accumulates
+// across iterations.
 func BenchmarkGemmNarrow(b *testing.B) {
 	for _, sh := range []struct {
-		tn      bool
+		variant int // index into gemmVariants
 		m, k, n int
 	}{
-		{false, 94, 16, 16}, {false, 94, 28, 16}, {false, 94, 32, 16},
-		{false, 94, 24, 32}, {false, 94, 16, 8}, {true, 16, 945, 16},
+		{0, 94, 16, 16}, {0, 94, 28, 16}, {0, 94, 32, 16},
+		{0, 94, 24, 32}, {0, 94, 16, 8}, {1, 16, 945, 16},
+		{2, 94, 16, 32}, {2, 94, 16, 16}, {2, 94, 8, 16}, {2, 945, 16, 32},
+		{2, 2, 600, 16}, {2, 2, 6400, 16},
 	} {
-		form, gemm, ar, ac := "NN", backendImpl.GemmNN, sh.m, sh.k
-		if sh.tn {
-			form, gemm, ar, ac = "TN", backendImpl.GemmTN, sh.k, sh.m
-		}
-		b.Run(fmt.Sprintf("%s_%dx%dx%d", form, sh.m, sh.k, sh.n), func(b *testing.B) {
+		v := gemmVariants[sh.variant]
+		b.Run(fmt.Sprintf("%s_%dx%dx%d", v.name, sh.m, sh.k, sh.n), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(9))
-			x, y, out := Randn(ar, ac, 1, rng), Randn(sh.k, sh.n, 1, rng), New(sh.m, sh.n)
+			ar, ac, br, bc := v.dims(sh.m, sh.k, sh.n)
+			x, y, out := Randn(ar, ac, 1, rng), Randn(br, bc, 1, rng), New(sh.m, sh.n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				gemm(out, x, y)
+				v.call(backendImpl, out, x, y)
 			}
 		})
 	}

@@ -294,10 +294,7 @@ func affineGrads(x, w, h, u, b *Node, dPre *Matrix) {
 	if b.needGrad {
 		g := b.grad()
 		for i := 0; i < dPre.Rows; i++ {
-			row := dPre.Row(i)
-			for j := range g.Data {
-				g.Data[j] += row[j]
-			}
+			backendImpl.Add(g.Data, dPre.Row(i))
 		}
 	}
 }

@@ -136,7 +136,14 @@ func bucketIndex(n int) int {
 
 // Get returns a zeroed rows×cols matrix backed by a pooled buffer. Shapes
 // too large for the arena fall back to a plain allocation.
-func Get(rows, cols int) *Matrix {
+func Get(rows, cols int) *Matrix { return get(rows, cols, true) }
+
+// getUnzeroed is Get without the zeroing: a recycled buffer keeps what its
+// last owner wrote. It is only for scratch that its caller overwrites
+// whole before reading any of it, and is returned with Put like any other.
+func getUnzeroed(rows, cols int) *Matrix { return get(rows, cols, false) }
+
+func get(rows, cols int, zero bool) *Matrix {
 	n := rows * cols
 	idx := bucketIndex(n)
 	if idx < 0 {
@@ -160,8 +167,10 @@ func Get(rows, cols int) *Matrix {
 		data = alignedAlloc(1 << (idx + minBucketBits))
 	} else {
 		data = data[:n]
-		for i := range data {
-			data[i] = 0
+		if zero {
+			for i := range data {
+				data[i] = 0
+			}
 		}
 	}
 	m := matrixHeaders.Get().(*Matrix)
