@@ -2,11 +2,15 @@ package core
 
 import (
 	"bytes"
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"vrdag/internal/dyngraph"
@@ -266,5 +270,59 @@ func TestGenerateBitIdenticalAcrossBackends(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestGenerateBytesPinned pins what a trained model generates across
+// commits: the sha256 of the dyngraph.Save text of a generated sequence,
+// then of a forecast from an encoded four-snapshot prefix, for a 3-epoch
+// N=94 fit at F=0 and F=2. A change to the order of any floating-point
+// sum on the generation or prefix-encoding path moves a digest. The avx2
+// exp kernel replays math.Exp's FMA path, so the digests hold only where
+// the CPU has FMA.
+func TestGenerateBytesPinned(t *testing.T) {
+	if !slices.Contains(tensor.CPUFeatures(), "fma") {
+		t.Skip("digests were taken with the FMA exp path")
+	}
+	for _, tc := range []struct {
+		f    int
+		want string
+	}{
+		{0, "ffc05b98c381f494899858be543c90c43345e729f6db74b0e931bdab42b18365"},
+		{2, "d34f2c8bb9e5873cb44ff27eefa940b54c58823d3dc2f90d1a4e2c1db8413e4e"},
+	} {
+		t.Run(fmt.Sprintf("f%d", tc.f), func(t *testing.T) {
+			cfg := DefaultConfig(94, tc.f)
+			cfg.Epochs = 3
+			cfg.Seed = 71
+			g := toyGraph(cfg.N, tc.f, 8, 71)
+			m := New(cfg)
+			if _, err := m.Fit(g); err != nil {
+				t.Fatal(err)
+			}
+			opts := GenOptions{T: 5, Seed: 72, Parallel: true}
+			seq, err := m.GenerateOpts(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := m.Encode(context.Background(), &dyngraph.Sequence{N: g.N, F: g.F, Snapshots: g.Snapshots[:4]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Release()
+			fc, err := m.Forecast(context.Background(), st, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := sha256.New()
+			for _, s := range []*dyngraph.Sequence{seq, fc} {
+				if err := dyngraph.Save(h, s); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
+				t.Fatalf("generated digest %s, want %s", got, tc.want)
+			}
+		})
 	}
 }

@@ -12,8 +12,8 @@ import (
 // modelState is the serialised form of a trained model: the configuration,
 // every named parameter tensor, and the calibration statistics captured
 // from the training sequence. Params is a name-sorted slice rather than a
-// map so Save is byte-deterministic: two models with identical weights
-// produce identical checkpoint files (gob serialises map entries in
+// map so Save is byte-deterministic within a process: two models with
+// identical weights produce identical checkpoint files (gob serialises map entries in
 // iteration order, which Go randomises), which is what lets tests pin
 // that the trained bytes are invariant to the tape executor and to a
 // resume from a crash checkpoint.
@@ -42,9 +42,24 @@ type savedParam struct {
 
 // Save writes the model (architecture config, parameters, calibration
 // statistics) to w in gob encoding. The model can be restored with Load
-// and generate immediately without retraining. Output bytes are a pure
-// function of the model state (parameters are emitted sorted by name).
+// and generate immediately without retraining. Parameters are emitted
+// sorted by name, so within one process two models with equal state write
+// equal bytes. Across processes they need not: gob numbers the types it
+// sends process-wide, so a process that gob-encoded another type first
+// (a ForecastState, say) writes different type IDs into the same model's
+// bytes. Pin a model's state with state(), not with these bytes, until the
+// format is versioned (ROADMAP item 9(b)).
 func (m *Model) Save(w io.Writer) error {
+	st, err := m.state()
+	if err != nil {
+		return err
+	}
+	return gob.NewEncoder(w).Encode(&st)
+}
+
+// state collects what Save writes: the config without its durability
+// hints, every parameter sorted by name, and the training statistics.
+func (m *Model) state() (modelState, error) {
 	st := modelState{
 		Cfg:           m.Cfg,
 		Trained:       m.trained,
@@ -69,7 +84,7 @@ func (m *Model) Save(w io.Writer) error {
 	seen := make(map[string]bool)
 	for _, p := range nn.CollectParams(m.Modules()...) {
 		if seen[p.Name] {
-			return fmt.Errorf("core: duplicate parameter name %q", p.Name)
+			return modelState{}, fmt.Errorf("core: duplicate parameter name %q", p.Name)
 		}
 		seen[p.Name] = true
 		st.Params = append(st.Params, savedParam{
@@ -79,7 +94,7 @@ func (m *Model) Save(w io.Writer) error {
 		})
 	}
 	sort.Slice(st.Params, func(i, j int) bool { return st.Params[i].Name < st.Params[j].Name })
-	return gob.NewEncoder(w).Encode(&st)
+	return st, nil
 }
 
 // Load restores a model previously written with Save. Checkpoints written
