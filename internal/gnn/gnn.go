@@ -115,12 +115,6 @@ func inputFeatures(s *dyngraph.Snapshot, f int, directed bool) *tensor.Matrix {
 	return feat
 }
 
-// broadcastScalar turns a 1×1 node into an N×1 column via row gathering.
-func broadcastScalar(t *tensor.Tape, s *tensor.Node, n int) *tensor.Node {
-	idx := make([]int, n)
-	return t.GatherRows(s, idx)
-}
-
 // Encode runs the bi-flow encoder over a snapshot on the tape, returning
 // the N×OutDim node representations ε(v, t).
 func (e *BiFlowEncoder) Encode(c *nn.Ctx, s *dyngraph.Snapshot) *tensor.Node {
@@ -134,17 +128,13 @@ func (e *BiFlowEncoder) Encode(c *nn.Ctx, s *dyngraph.Snapshot) *tensor.Node {
 		var merged *tensor.Node
 		if e.cfg.BiFlow {
 			// Eq. (5): two directional GIN streams.
-			selfIn := t.MulColVec(h, broadcastScalar(t, t.AddScalar(c.Var(e.epsIn[l]), 1), s.N))
-			inH := e.fIn[l].Apply(c, t.Add(selfIn, t.SpMM(adjT, h)))
-			selfOut := t.MulColVec(h, broadcastScalar(t, t.AddScalar(c.Var(e.epsOut[l]), 1), s.N))
-			outH := e.fOut[l].Apply(c, t.Add(selfOut, t.SpMM(adj, h)))
+			inH := e.fIn[l].Apply(c, t.GIN(h, c.Var(e.epsIn[l]), adjT))
+			outH := e.fOut[l].Apply(c, t.GIN(h, c.Var(e.epsOut[l]), adj))
 			// Eq. (6): shared aggregation over the concatenated streams.
 			merged = e.fAgg.Apply(c, t.ConcatCols(inH, outH))
 		} else {
 			// Ablation: single undirected stream (in+out neighbourhoods merged).
-			selfIn := t.MulColVec(h, broadcastScalar(t, t.AddScalar(c.Var(e.epsIn[l]), 1), s.N))
-			und := t.Add(t.SpMM(adj, h), t.SpMM(adjT, h))
-			inH := e.fIn[l].Apply(c, t.Add(selfIn, und))
+			inH := e.fIn[l].Apply(c, t.GIN(h, c.Var(e.epsIn[l]), adj, adjT))
 			merged = e.fAgg.Apply(c, t.ConcatCols(inH, inH))
 		}
 		h = merged

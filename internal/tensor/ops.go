@@ -210,6 +210,60 @@ func (t *Tape) SpMM(s *CSR, a *Node) *Node {
 	return n
 }
 
+// GIN returns Σ_k adj_k·h + (1+ε)·h, a GIN layer's aggregation (Xu et
+// al.) with a learnable 1×1 ε, as one node. The forward sums the SpMM
+// terms in order, then adds the self term as an Axpy. The backward adds
+// into dh the SpMM terms, last CSR first, then the self term, and forms
+// dε as a sum of per-row dot products: the order AddScalar, a GatherRows
+// broadcast of 1+ε, MulColVec, the SpMMs and Add would accumulate in, so
+// GIN trains to the same bits as that chain.
+func (t *Tape) GIN(h, eps *Node, adj ...*CSR) *Node {
+	if eps.Value.Rows != 1 || eps.Value.Cols != 1 {
+		panic(fmt.Sprintf("tensor: GIN needs a 1x1 eps, got %s", eps.Value.shape()))
+	}
+	if len(adj) == 0 {
+		panic("tensor: GIN needs at least one adjacency")
+	}
+	out := adj[0].MulDense(h.Value)
+	for _, a := range adj[1:] {
+		term := a.MulDense(h.Value)
+		out.AddInPlace(term)
+		Put(term)
+	}
+	s := eps.Value.Data[0] + 1
+	out.Axpy(s, h.Value)
+	n := t.op(out, anyGrad(h, eps))
+	n.backward = func() {
+		if h.needGrad {
+			g := h.grad()
+			for k := len(adj) - 1; k >= 0; k-- {
+				adj[k].MulDenseTInto(g, n.Grad)
+			}
+			for i := 0; i < n.Grad.Rows; i++ {
+				grow := g.Row(i)
+				nrow := n.Grad.Row(i)
+				for j := range grow {
+					grow[j] += nrow[j] * s
+				}
+			}
+		}
+		if eps.needGrad {
+			acc := 0.0
+			for i := 0; i < n.Grad.Rows; i++ {
+				hrow := h.Value.Row(i)
+				nrow := n.Grad.Row(i)
+				d := 0.0
+				for j := range hrow {
+					d += hrow[j] * nrow[j]
+				}
+				acc += d
+			}
+			eps.grad().Data[0] += acc
+		}
+	}
+	return n
+}
+
 // ---- Fused affine ops ----
 
 // Act selects an activation fused into Affine/Affine2. Every supported

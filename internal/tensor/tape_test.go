@@ -210,6 +210,77 @@ func TestGradSpMM(t *testing.T) {
 	})
 }
 
+func TestGradGIN(t *testing.T) {
+	a := NewCSR(3, 3, []int{0, 1, 1, 2}, []int{1, 0, 2, 2}, nil)
+	b := NewCSR(3, 3, []int{0, 2, 2}, []int{2, 0, 1}, []float64{0.5, -1.5, 2})
+	for _, adj := range [][]*CSR{{a}, {a, b}} {
+		checkGrad(t, []*Matrix{rnd(3, 2, 18), rnd(1, 1, 19)}, func(tp *Tape, v []*Node) *Node {
+			return tp.SumAll(tp.Tanh(tp.GIN(v[0], v[1], adj...)))
+		})
+	}
+}
+
+// randCSR returns an n×n sparse matrix with about deg entries per row,
+// some of them repeated, with weights in [-1, 2).
+func randCSR(n, deg int, rng *rand.Rand) *CSR {
+	var ri, ci []int
+	var val []float64
+	for i := 0; i < n; i++ {
+		for k := rng.Intn(2 * deg); k > 0; k-- {
+			ri, ci = append(ri, i), append(ci, rng.Intn(n))
+			val = append(val, 3*rng.Float64()-1)
+		}
+	}
+	return NewCSR(n, n, ri, ci, val)
+}
+
+// TestGINMatchesUnfusedChain holds GIN bit for bit against the chain it
+// replaces in the bi-flow encoder — AddScalar(ε, 1), a GatherRows
+// broadcast, MulColVec, the SpMMs and Add — with one CSR (a directional
+// stream) and two (the undirected ablation): the forward value, dh and
+// dε. The chain stays here as the reference. The large size crosses
+// spmmParallelFlops, so the SpMMs fan out.
+func TestGINMatchesUnfusedChain(t *testing.T) {
+	for _, size := range []struct{ n, d int }{{37, 5}, {400, 16}} {
+		rng := rand.New(rand.NewSource(int64(size.n)))
+		h, eps := Randn(size.n, size.d, 0.7, rng), Randn(1, 1, 0.3, rng)
+		w := Randn(size.n, size.d, 1, rng)
+		a, b := randCSR(size.n, 6, rng), randCSR(size.n, 6, rng)
+		for _, adj := range [][]*CSR{{a}, {a, b}} {
+			run := func(agg func(tp *Tape, hv, ev *Node) *Node) (out, dh, de []float64) {
+				tp := NewTape()
+				hv, ev := tp.Var(h), tp.Var(eps)
+				o := agg(tp, hv, ev)
+				tp.Keep(o)
+				tp.Backward(tp.SumAll(tp.Tanh(tp.Mul(o, tp.Const(w)))))
+				out = append(out, o.Value.Data...)
+				dh, de = append(dh, hv.Grad.Data...), append(de, ev.Grad.Data...)
+				tp.Reset()
+				return out, dh, de
+			}
+			wantOut, wantDh, wantDe := run(func(tp *Tape, hv, ev *Node) *Node {
+				self := tp.MulColVec(hv, tp.GatherRows(tp.AddScalar(ev, 1), make([]int, size.n)))
+				agg := tp.SpMM(adj[0], hv)
+				if len(adj) == 2 {
+					agg = tp.Add(agg, tp.SpMM(adj[1], hv))
+				}
+				return tp.Add(self, agg)
+			})
+			gotOut, gotDh, gotDe := run(func(tp *Tape, hv, ev *Node) *Node {
+				return tp.GIN(hv, ev, adj...)
+			})
+			for _, c := range []struct {
+				name      string
+				got, want []float64
+			}{{"value", gotOut, wantOut}, {"dh", gotDh, wantDh}, {"deps", gotDe, wantDe}} {
+				if i, ok := sameBits(c.got, c.want); !ok {
+					t.Fatalf("n=%d csrs=%d: GIN %s[%d] = %v, chain %v", size.n, len(adj), c.name, i, c.got[i], c.want[i])
+				}
+			}
+		}
+	}
+}
+
 func TestGradSegmentSoftmax(t *testing.T) {
 	seg := []int{0, 0, 1, 1, 1}
 	w := rnd(5, 1, 20)
