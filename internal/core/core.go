@@ -281,16 +281,6 @@ func (m *Model) posterior(c *nn.Ctx, eps, h *tensor.Node) (mu, logSig *tensor.No
 	return m.postMu.Apply(c, hid), m.postSig.Apply(c, hid)
 }
 
-// priorValue evaluates the prior network without the tape. Both returned
-// matrices are pool-allocated; callers Put them when done.
-func (m *Model) priorValue(h *tensor.Matrix) (mu, logSig *tensor.Matrix) {
-	hid := m.priorHid.Forward(h)
-	tensor.VLeakyReLU(hid.Data, 0.2)
-	mu, logSig = m.priorMu.Forward(hid), m.priorSig.Forward(hid)
-	tensor.Put(hid)
-	return mu, logSig
-}
-
 // reparameterize records z = µ + ε·σ on the tape with the pooled noise ε,
 // drawn beforehand. The tape takes ownership of noise, so Reset recycles
 // it.
@@ -298,8 +288,8 @@ func reparameterize(t *tensor.Tape, mu, logSig *tensor.Node, noise *tensor.Matri
 	return t.Add(mu, t.Mul(t.Owned(noise), t.Exp(logSig)))
 }
 
-// sampleLatent draws z = µ + ε·σ without the tape into a pooled buffer.
-// It overwrites logSig with σ, which the caller puts back right after.
+// sampleLatent draws z = µ + ε·σ into a pooled buffer. It overwrites
+// logSig with σ.
 //
 // σ = exp(log σ) with log σ clamped to [-20, 20], the same ±20 bound
 // GaussianKL puts on log σ. It is not the tape's convention: Tape.Exp

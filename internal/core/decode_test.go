@@ -20,7 +20,7 @@ import (
 
 // TestPairScorerMatchesMLPForward holds the hoisted, transposed scoring of
 // decode.go against Eq. 11 evaluated the plain way — f_θ and f_α run by
-// MLP.Forward on the matrix of differences s_i − s_j — for every node of a
+// MLP.Apply on the matrix of differences s_i − s_j — for every node of a
 // real decodeStructure call. Only the first layer's rounding may differ.
 func TestPairScorerMatchesMLPForward(t *testing.T) {
 	cases := []struct {
@@ -108,9 +108,11 @@ func TestPairScorerMatchesMLPForward(t *testing.T) {
 						diff.Set(k, x, s.At(i, x)-s.At(j, x))
 					}
 				}
-				theta := m.fTheta.Forward(diff)
+				tape := tensor.NewTape()
+				ctx := nn.NewEvalCtx(tape)
+				theta := m.fTheta.Apply(ctx, tape.Const(diff)).Value
 				tensor.VSigmoid(theta.Data)
-				aOut := m.fAlpha.Forward(diff)
+				aOut := m.fAlpha.Apply(ctx, tape.Const(diff)).Value
 				aSum := make([]float64, cfg.K)
 				for k := 0; k < c; k++ {
 					for q := range aSum {
@@ -122,7 +124,7 @@ func TestPairScorerMatchesMLPForward(t *testing.T) {
 
 				for q, want := range alpha {
 					if got := ps.alpha[i*cfg.K+q]; math.Abs(got-want) > 1e-12 {
-						t.Fatalf("alpha[%d][%d] = %v, MLP.Forward gives %v", i, q, got, want)
+						t.Fatalf("alpha[%d][%d] = %v, MLP.Apply gives %v", i, q, got, want)
 					}
 				}
 				comp := st.comp[i]
@@ -130,11 +132,10 @@ func TestPairScorerMatchesMLPForward(t *testing.T) {
 				for k := 0; k < c; k++ {
 					got, want := ps.theta[i*ps.stride+k], theta.At(k, comp)
 					if math.Abs(got-want) > 1e-12 {
-						t.Fatalf("theta[%d][%d] under component %d = %v, MLP.Forward gives %v", i, k, comp, got, want)
+						t.Fatalf("theta[%d][%d] under component %d = %v, MLP.Apply gives %v", i, k, comp, got, want)
 					}
 				}
-				tensor.Put(theta)
-				tensor.Put(aOut)
+				tape.Reset()
 			}
 			if maxC != tc.wantC {
 				t.Fatalf("fullest candidate set has %d, want %d", maxC, tc.wantC)
@@ -289,7 +290,7 @@ func TestGenerateBytesPinned(t *testing.T) {
 		want string
 	}{
 		{0, "ffc05b98c381f494899858be543c90c43345e729f6db74b0e931bdab42b18365"},
-		{2, "d34f2c8bb9e5873cb44ff27eefa940b54c58823d3dc2f90d1a4e2c1db8413e4e"},
+		{2, "7c638f7978cfef5b0c19ac68504995ab0221fba97410b1241a8e6715fb81ed6e"},
 	} {
 		t.Run(fmt.Sprintf("f%d", tc.f), func(t *testing.T) {
 			cfg := DefaultConfig(94, tc.f)

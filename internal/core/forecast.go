@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"vrdag/internal/dyngraph"
+	"vrdag/internal/nn"
 	"vrdag/internal/obs"
 	"vrdag/internal/tensor"
 )
@@ -140,16 +141,16 @@ func (m *Model) EncodeSnapshot(st *ForecastState, snap *dyngraph.Snapshot) error
 	}
 	enc, cleanup := m.alignSnapshot(snap)
 
-	// ε_t, z_t = posterior mean, H_t = GRU([ε‖z‖fT(t)], H_{t-1}).
-	eps := m.enc.EncodeValue(enc)
-	z := m.posteriorMeanValue(eps, st.h)
-	gin := m.gruInputValue(eps, z, st.steps, n)
-	hNext := m.gru.Forward(gin, st.h)
-	tensor.Put(gin)
-	tensor.Put(z)
-	tensor.Put(eps)
-	tensor.Put(st.h)
-	st.h = hNext
+	// ε_t, z_t = posterior mean, H_t = GRU([ε‖z‖fT(t)], H_{t-1}), on an
+	// eval tape; H_t overwrites H_{t-1} in place.
+	tp := tensor.NewTape()
+	c := nn.NewEvalCtx(tp)
+	h := tp.Const(st.h)
+	eps := m.enc.Encode(c, enc)
+	z, _ := m.posterior(c, eps, h)
+	hNext := m.gru.Step(c, m.gruInput(c, eps, z, st.steps, n), h)
+	copy(st.h.Data, hNext.Value.Data)
+	tp.Reset()
 
 	// Candidate-weighting degrees, same decay as the generation stepper.
 	for v := 0; v < n; v++ {
@@ -289,17 +290,4 @@ func (m *Model) alignSnapshot(snap *dyngraph.Snapshot) (*dyngraph.Snapshot, func
 		return view, func() { tensor.Put(x) }
 	}
 	return view, nil
-}
-
-// posteriorMeanValue evaluates the posterior network's mean head µ_ψ on
-// [ε ‖ h] without the tape. The returned matrix is pool-allocated; the
-// caller Puts it.
-func (m *Model) posteriorMeanValue(eps, h *tensor.Matrix) *tensor.Matrix {
-	in := concatValue(eps, h)
-	hid := m.postHid.Forward(in)
-	tensor.VLeakyReLU(hid.Data, 0.2)
-	mu := m.postMu.Forward(hid)
-	tensor.Put(hid)
-	tensor.Put(in)
-	return mu
 }

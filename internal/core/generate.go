@@ -7,6 +7,7 @@ import (
 	"math/rand"
 
 	"vrdag/internal/dyngraph"
+	"vrdag/internal/nn"
 	"vrdag/internal/obs"
 	"vrdag/internal/tensor"
 )
@@ -144,6 +145,11 @@ type genState struct {
 	recycle bool
 	spare   *dyngraph.Snapshot
 
+	// ctx records each timestep's forward on one eval tape (parameters are
+	// constants, so no gradient is tracked); step resets it once H_t and
+	// the decoded X are copied out.
+	ctx *nn.Ctx
+
 	// Decode scratch, reused across timesteps.
 	ps    *pairScorer
 	cdf   *candCDF // candidate distribution of the current timestep; nil with exact decoding
@@ -160,6 +166,7 @@ func (m *Model) newGenState(opts GenOptions, recycle bool, init *ForecastState) 
 	st := &genState{
 		m: m, opts: opts, rng: rand.New(src), n: n, recycle: recycle,
 		h:        tensor.Get(n, m.Cfg.HiddenDim),
+		ctx:      nn.NewEvalCtx(tensor.NewTape()),
 		active:   make([]bool, n),
 		isolated: make([]int, n),
 		degree:   make([]float64, n),
@@ -197,6 +204,7 @@ func (m *Model) newGenState(opts GenOptions, recycle bool, init *ForecastState) 
 // errors, so aborted requests leak nothing (collected snapshots, which
 // have escaped to the caller, are exempt).
 func (st *genState) release() {
+	st.ctx.Tape.Reset()
 	if st.h != nil {
 		tensor.Put(st.h)
 		st.h = nil
@@ -229,17 +237,18 @@ func (st *genState) takeSnapshot() *dyngraph.Snapshot {
 func (st *genState) step(t int) *dyngraph.Snapshot {
 	m, n, rng := st.m, st.n, st.rng
 	clock := st.timeOff + t
+	c := st.ctx
+	tp := c.Tape
+	h := tp.Const(st.h)
 
 	// Line 3: sample temporal latent variables from the prior.
-	mu, logSig := m.priorValue(st.h)
-	z := sampleLatent(mu, logSig, rng)
-	tensor.Put(mu)
-	tensor.Put(logSig)
-	s := concatValue(z, st.h) // S_t = [Z_t ‖ H_{t-1}]
+	mu, logSig := m.prior(c, h)
+	z := tp.Owned(sampleLatent(mu.Value, logSig.Value, rng))
+	s := tp.ConcatCols(z, h) // S_t = [Z_t ‖ H_{t-1}]
 
 	// Line 4: decode the adjacency via the MixBernoulli sampler.
 	snap := st.takeSnapshot()
-	st.decodeStructure(snap, s, clock)
+	st.decodeStructure(snap, s.Value, clock)
 
 	// Line 5: decode attributes conditioned on the new topology. The
 	// decoded matrix is the likelihood mean; sampling adds the
@@ -248,9 +257,9 @@ func (st *genState) step(t int) *dyngraph.Snapshot {
 	// statistics.
 	if m.Cfg.F > 0 {
 		esrc, edst := snap.EdgeLists()
-		dec := m.gat.Forward(s, esrc, edst, n)
-		x := m.attrMLP.Forward(dec)
-		tensor.Put(dec)
+		dec := m.attrMLP.Apply(c, m.gat.Apply(c, s, esrc, edst, n))
+		x := tensor.Get(n, m.Cfg.F)
+		copy(x.Data, dec.Value.Data)
 		state := m.composeAttrs(x, st.prevX, rng)
 		if st.prevX != nil && state != st.prevX {
 			tensor.Put(st.prevX)
@@ -259,16 +268,12 @@ func (st *genState) step(t int) *dyngraph.Snapshot {
 		snap.X = x // owned by the snapshot until it escapes or is recycled
 	}
 
-	// Line 7: update hidden states with the recurrence updater.
-	eps := m.enc.EncodeValue(snap)
-	gin := m.gruInputValue(eps, z, clock, n)
-	hNext := m.gru.Forward(gin, st.h)
-	tensor.Put(gin)
-	tensor.Put(eps)
-	tensor.Put(z)
-	tensor.Put(s)
-	tensor.Put(st.h)
-	st.h = hNext
+	// Line 7: update hidden states with the recurrence updater. H_{t-1}
+	// is dead once H_t is recorded, so H_t overwrites it in place.
+	eps := m.enc.Encode(c, snap)
+	hNext := m.gru.Step(c, m.gruInput(c, eps, z, clock, n), h)
+	copy(st.h.Data, hNext.Value.Data)
+	tp.Reset()
 
 	// Bookkeeping for candidate weighting and the dynamic-node extension.
 	for v := 0; v < n; v++ {
@@ -449,22 +454,6 @@ func (s *splitmixSource) Uint64() uint64 {
 }
 
 func (s *splitmixSource) Int63() int64 { return int64(s.Uint64() >> 1) }
-
-// gruInputValue assembles [ε ‖ z ‖ fT(t)] without the tape into a pooled
-// buffer (the caller Puts it after the GRU update).
-func (m *Model) gruInputValue(eps, z *tensor.Matrix, t, n int) *tensor.Matrix {
-	if !m.Cfg.UseTime2Vec {
-		return concatValue(eps, z)
-	}
-	ft := m.t2v.EncodeValue(float64(t))
-	ftN := tensor.Get(n, m.Cfg.TimeDim)
-	for i := 0; i < n; i++ {
-		copy(ftN.Row(i), ft.Data)
-	}
-	out := concatValue(eps, z, ftN)
-	tensor.Put(ftN)
-	return out
-}
 
 // composeAttrs turns decoded likelihood means into attribute samples with
 // the training sequence's marginal moments, cross-dimension correlation,
@@ -787,21 +776,4 @@ func sampleCategorical(w []float64, rng *rand.Rand) int {
 		}
 	}
 	return len(w) - 1
-}
-
-func concatValue(parts ...*tensor.Matrix) *tensor.Matrix {
-	rows := parts[0].Rows
-	total := 0
-	for _, p := range parts {
-		total += p.Cols
-	}
-	out := tensor.Get(rows, total)
-	off := 0
-	for _, p := range parts {
-		for i := 0; i < rows; i++ {
-			copy(out.Row(i)[off:off+p.Cols], p.Row(i))
-		}
-		off += p.Cols
-	}
-	return out
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"vrdag/internal/dyngraph"
+	"vrdag/internal/nn"
 	"vrdag/internal/tensor"
 )
 
@@ -22,27 +23,33 @@ func benchGraph(n, edges int) *dyngraph.Snapshot {
 	return s
 }
 
-// BenchmarkEncodeValue measures the tape-free bi-flow encoding used in the
-// generation hot path.
-func BenchmarkEncodeValue(b *testing.B) {
+// BenchmarkEncode measures the bi-flow encoding on an eval tape, as
+// generation and forecast encoding run it.
+func BenchmarkEncode(b *testing.B) {
 	enc := NewBiFlowEncoder("e", BiFlowConfig{
 		InDim: 4, Hidden: 16, OutDim: 16, Layers: 2, MLPLayers: 1, BiFlow: true,
 	}, rand.New(rand.NewSource(2)))
 	s := benchGraph(1000, 8000)
+	tape := tensor.NewTape()
+	c := nn.NewEvalCtx(tape)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		enc.EncodeValue(s)
+		enc.Encode(c, s)
+		tape.Reset()
 	}
 }
 
-// BenchmarkGATForward measures tape-free attention aggregation.
-func BenchmarkGATForward(b *testing.B) {
+// BenchmarkGATApply measures attention aggregation on an eval tape.
+func BenchmarkGATApply(b *testing.B) {
 	g := NewGAT("g", 24, 16, rand.New(rand.NewSource(3)))
 	s := benchGraph(1000, 8000)
 	src, dst := s.EdgeLists()
-	states := tensor.Randn(1000, 24, 1, rand.New(rand.NewSource(4)))
+	tape := tensor.NewTape()
+	c := nn.NewEvalCtx(tape)
+	states := tape.Const(tensor.Randn(1000, 24, 1, rand.New(rand.NewSource(4))))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.Forward(states, src, dst, 1000)
+		g.Apply(c, states, src, dst, 1000)
+		tape.Reset()
 	}
 }

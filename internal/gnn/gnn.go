@@ -147,6 +147,17 @@ func (e *BiFlowEncoder) Encode(c *nn.Ctx, s *dyngraph.Snapshot) *tensor.Node {
 	return e.fPool.Apply(c, t.ConcatCols(hops...))
 }
 
+// EncodeValue runs Encode on a throwaway eval tape and returns a pooled
+// copy of the representations. It is the entry point of the benchmark's
+// gnn.biflow_forward_us probe; nothing else outside tests calls it.
+func (e *BiFlowEncoder) EncodeValue(s *dyngraph.Snapshot) *tensor.Matrix {
+	tp := tensor.NewTape()
+	defer tp.Reset()
+	out := tensor.Get(s.N, e.cfg.OutDim)
+	copy(out.Data, e.Encode(nn.NewEvalCtx(tp), s).Value.Data)
+	return out
+}
+
 // GAT is a single-head graph attention layer (Veličković et al.), used by
 // the attribute decoder to message-pass over the freshly generated topology
 // (Eq. 12). Self-loops are always included so isolated nodes keep a state.

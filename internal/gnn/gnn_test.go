@@ -215,3 +215,53 @@ func TestGATGradientsFlow(t *testing.T) {
 		t.Fatal("no gradient reached input states")
 	}
 }
+
+// The probe entry points (EncodeValue, MLP.Forward, GRUCell.Forward) must
+// return the bits of the taped layer they wrap, copied out of their tape.
+
+func TestEncodeValueMatchesTapedEncode(t *testing.T) {
+	for _, biflow := range []bool{true, false} {
+		rng := rand.New(rand.NewSource(11))
+		cfg := BiFlowConfig{InDim: 2, Hidden: 6, OutDim: 4, Layers: 2, MLPLayers: 2, BiFlow: biflow}
+		enc := NewBiFlowEncoder("enc", cfg, rng)
+		s := dyngraph.NewSnapshot(7, 2)
+		g := rand.New(rand.NewSource(12))
+		for e := 0; e < 12; e++ {
+			s.AddEdge(g.Intn(7), g.Intn(7))
+		}
+		for i := 0; i < 7; i++ {
+			s.X.Set(i, 0, g.NormFloat64())
+			s.X.Set(i, 1, g.NormFloat64())
+		}
+		tape := tensor.NewTape()
+		taped := enc.Encode(nn.NewEvalCtx(tape), s)
+		if !taped.Value.Equal(enc.EncodeValue(s), 0) {
+			t.Fatalf("biflow=%v: EncodeValue diverges from taped Encode", biflow)
+		}
+	}
+}
+
+func TestMLPForwardMatchesApply(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	m := nn.NewMLP("m", []int{3, 6, 2}, nn.ActLeakyReLU, rng)
+	m.OutAct = nn.ActSigmoid
+	x := tensor.Randn(4, 3, 1, rng)
+	tape := tensor.NewTape()
+	taped := m.Apply(nn.NewEvalCtx(tape), tape.Const(x))
+	if !taped.Value.Equal(m.Forward(x), 0) {
+		t.Fatal("MLP Forward diverges")
+	}
+}
+
+func TestGRUForwardMatchesStep(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	g := nn.NewGRUCell("g", 4, 3, rng)
+	x := tensor.Randn(5, 4, 1, rng)
+	h := tensor.Randn(5, 3, 1, rng)
+	tape := tensor.NewTape()
+	c := nn.NewEvalCtx(tape)
+	taped := g.Step(c, tape.Const(x), tape.Const(h))
+	if !taped.Value.Equal(g.Forward(x, h), 0) {
+		t.Fatal("GRU Forward diverges from Step")
+	}
+}

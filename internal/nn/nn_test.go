@@ -82,9 +82,10 @@ func TestGRUZeroInputKeepsFiniteState(t *testing.T) {
 
 func TestTime2VecFirstComponentLinear(t *testing.T) {
 	tv := NewTime2Vec("t2v", 5, rand.New(rand.NewSource(5)))
-	v1 := tv.EncodeValue(1)
-	v2 := tv.EncodeValue(2)
-	v3 := tv.EncodeValue(3)
+	c := NewEvalCtx(tensor.NewTape())
+	v1 := tv.Encode(c, 1).Value
+	v2 := tv.Encode(c, 2).Value
+	v3 := tv.Encode(c, 3).Value
 	// linear component: v2-v1 == v3-v2
 	if math.Abs((v2.Data[0]-v1.Data[0])-(v3.Data[0]-v2.Data[0])) > 1e-9 {
 		t.Fatal("component 0 must be linear in t")
@@ -94,17 +95,6 @@ func TestTime2VecFirstComponentLinear(t *testing.T) {
 		if math.Abs(v1.Data[j]) > 1 {
 			t.Fatalf("sin component %d out of range: %g", j, v1.Data[j])
 		}
-	}
-}
-
-func TestTime2VecEncodeMatchesEncodeValue(t *testing.T) {
-	tv := NewTime2Vec("t2v", 4, rand.New(rand.NewSource(6)))
-	tape := tensor.NewTape()
-	c := NewEvalCtx(tape)
-	n := tv.Encode(c, 2.5)
-	m := tv.EncodeValue(2.5)
-	if !n.Value.Equal(m, 1e-12) {
-		t.Fatalf("Encode %v != EncodeValue %v", n.Value, m)
 	}
 }
 
