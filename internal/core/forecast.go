@@ -18,7 +18,8 @@ import (
 // forecasting replaces that cold start with the hidden state the posterior
 // and recurrence updater reach after walking the observed snapshots.
 //
-// Per observed step t the encoding pass computes, tape-free:
+// Per observed step t the encoding pass computes, with training's layers
+// on an eval tape:
 //
 //	ε_t  = biflow(G_t)                   observed-snapshot encoding (Eq. 5-7)
 //	z_t  = µ_ψ(ε_t, H_{t-1})             posterior mean (Eq. 8-9, no sampling)

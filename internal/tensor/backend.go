@@ -8,8 +8,8 @@ import (
 
 // This file defines the pluggable compute backend: the set of hot kernels
 // every dense and sparse operation in the package funnels through. The
-// tape, its backward sweep, and the tape-free forward paths all call the
-// same dispatch points (matMulInto, axpyRow, the V* vector-math helpers),
+// tape (training's and the eval tapes of generation) and its backward
+// sweep call the same dispatch points (matMulInto, axpyRow, the V* vector-math helpers),
 // so swapping the backend swaps the inner loops of training and
 // generation wholesale while the recording / release machinery above them
 // is untouched — the tape's differential tests and fuzzer exercise
@@ -220,8 +220,8 @@ var cpuFeatureNames []string
 
 // ---- Exported vector math ----
 //
-// The tape-free forward paths (internal/nn, internal/gnn, the decode loop
-// in internal/core) apply activations over raw slices; routing them here
+// Code outside the tape (the decode loop and latent sampling in
+// internal/core) applies activations over raw slices; routing them here
 // keeps them on the same kernels as the tape ops.
 
 // VSigmoid applies the logistic function elementwise in place.

@@ -8,9 +8,9 @@ import (
 )
 
 // This file implements the pooled matrix arena: a process-wide,
-// size-bucketed free list of float64 buffers that the tape, the tape-free
-// forward passes, and the sparse kernels draw their scratch and output
-// matrices from. Training steps and generation requests churn through
+// size-bucketed free list of float64 buffers that the tape (training's,
+// and the eval tapes generation and forecast encoding record on) and the
+// sparse kernels draw their scratch and output matrices from. Training steps and generation requests churn through
 // thousands of short-lived matrices with a small set of recurring shapes;
 // recycling the backing slices removes that load from the garbage
 // collector entirely once the pool is warm.
