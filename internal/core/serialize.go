@@ -13,10 +13,10 @@ import (
 // every named parameter tensor, and the calibration statistics captured
 // from the training sequence. Params is a name-sorted slice rather than a
 // map so Save is byte-deterministic within a process: two models with
-// identical weights produce identical checkpoint files (gob serialises map entries in
-// iteration order, which Go randomises), which is what lets tests pin
-// that the trained bytes are invariant to the tape executor and to a
-// resume from a crash checkpoint.
+// identical weights produce identical checkpoint files (gob serialises
+// map entries in iteration order, which Go randomises), which is what lets
+// tests pin that the trained bytes are invariant to the tape executor and
+// to a resume from a crash checkpoint.
 type modelState struct {
 	Cfg     Config
 	Params  []savedParam
