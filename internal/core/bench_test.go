@@ -167,7 +167,7 @@ func BenchmarkCandidates(b *testing.B) {
 			ps, w := st.ps, st.ps.workers[0]
 
 			// The draws a timestep takes, counted once outside the timer.
-			counted := &countingSource{src: new(splitmixSource)}
+			counted := &drawCounter{src: new(splitmixSource)}
 			crng, draws, accepted := rand.New(counted), 0, 0
 			for i := 0; i < n; i++ {
 				counted.Seed(st.seeds[i])
@@ -186,3 +186,13 @@ func BenchmarkCandidates(b *testing.B) {
 		})
 	}
 }
+
+// drawCounter wraps a rand.Source64 and counts the draws taken through it.
+type drawCounter struct {
+	src rand.Source64
+	n   uint64
+}
+
+func (c *drawCounter) Int63() int64    { c.n++; return c.src.Int63() }
+func (c *drawCounter) Uint64() uint64  { c.n++; return c.src.Uint64() }
+func (c *drawCounter) Seed(seed int64) { c.src.Seed(seed); c.n = 0 }

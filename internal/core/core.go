@@ -56,19 +56,6 @@ type Config struct {
 	// through the full sequence.
 	TBPTT int
 
-	// CheckpointPath, when non-empty, makes Fit write an atomic resume
-	// checkpoint (parameters, Adam moments, epoch and RNG cursor) after
-	// every CheckpointEveryEpochs completed epochs, and resume from that
-	// file when it exists at the next Fit. A run interrupted at any point
-	// and resumed produces Save bytes identical to an uninterrupted run
-	// (pinned by TestFitResumeBitIdentical); the file is removed when Fit
-	// completes. This is a durability hint, not a model hyper-parameter:
-	// Save zeroes it.
-	CheckpointPath string
-	// CheckpointEveryEpochs is the epoch interval between resume
-	// checkpoints (default 1 when CheckpointPath is set).
-	CheckpointEveryEpochs int
-
 	// BiFlow toggles the bidirectional encoder (ablation switch; default
 	// true). UseSCE selects the scaled cosine error over MSE for attribute
 	// reconstruction (default true). UseTime2Vec toggles the temporal
@@ -121,6 +108,28 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// check reports a defaulted configuration New cannot build a model from.
+func (c Config) check() error {
+	if c.N <= 0 {
+		return fmt.Errorf("core: Config.N must be positive, got %d", c.N)
+	}
+	if c.F < 0 {
+		return fmt.Errorf("core: Config.F must be non-negative, got %d", c.F)
+	}
+	for _, d := range []struct {
+		name string
+		v    int
+	}{
+		{"HiddenDim", c.HiddenDim}, {"LatentDim", c.LatentDim}, {"EncoderDim", c.EncoderDim},
+		{"TimeDim", c.TimeDim}, {"K", c.K}, {"EncoderLayers", c.EncoderLayers},
+	} {
+		if d.v < 1 {
+			return fmt.Errorf("core: Config.%s must be positive, got %d", d.name, d.v)
+		}
+	}
+	return nil
+}
+
 // DefaultConfig returns the configuration used throughout the experiments,
 // with all ablation switches in their paper-default positions.
 func DefaultConfig(n, f int) Config {
@@ -153,10 +162,6 @@ type Model struct {
 
 	adam *nn.Adam
 	rng  *rand.Rand
-	// rngSrc counts every draw m.rng makes, giving resume checkpoints an
-	// absolute RNG cursor: fast-forwarding a fresh model's source to the
-	// saved count reproduces the interrupted run's stream bit for bit.
-	rngSrc *countingSource
 	// tape is reused across TBPTT windows and epochs; Tape.Reset returns
 	// every op output and gradient buffer to the pooled tensor arena, so
 	// steady-state training allocates almost nothing.
@@ -186,12 +191,11 @@ type Model struct {
 // New constructs an untrained VRDAG model.
 func New(cfg Config) *Model {
 	cfg = cfg.withDefaults()
-	if cfg.N <= 0 {
-		panic(fmt.Sprintf("core: Config.N must be positive, got %d", cfg.N))
+	if err := cfg.check(); err != nil {
+		panic(err.Error())
 	}
-	src := &countingSource{src: rand.NewSource(cfg.Seed).(rand.Source64)}
-	rng := rand.New(src)
-	m := &Model{Cfg: cfg, rng: rng, rngSrc: src}
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	m := &Model{Cfg: cfg, rng: rng}
 
 	m.enc = gnn.NewBiFlowEncoder("enc", gnn.BiFlowConfig{
 		InDim: cfg.F, Hidden: cfg.HiddenDim, OutDim: cfg.EncoderDim,

@@ -440,7 +440,7 @@ func (st *genState) scoreTheta(_ *pairWorker, i int) {
 // splitmixSource is the per-node candidate RNG: a splitmix64 stream whose
 // seeding is one 64-bit store, so deriving a fresh deterministic stream
 // per (node, timestep) is effectively free. It only feeds candidate
-// sampling — the model's main RNG (checkpointable, counting) is untouched.
+// sampling — the model's main RNG is untouched.
 type splitmixSource struct{ s uint64 }
 
 func (s *splitmixSource) Seed(seed int64) { s.s = uint64(seed) }

@@ -15,8 +15,7 @@ import (
 // map so Save is byte-deterministic within a process: two models with
 // identical weights produce identical checkpoint files (gob serialises
 // map entries in iteration order, which Go randomises), which is what lets
-// tests pin that the trained bytes are invariant to the tape executor and
-// to a resume from a crash checkpoint.
+// tests pin that the trained bytes are invariant to the tape executor.
 type modelState struct {
 	Cfg     Config
 	Params  []savedParam
@@ -57,8 +56,8 @@ func (m *Model) Save(w io.Writer) error {
 	return gob.NewEncoder(w).Encode(&st)
 }
 
-// state collects what Save writes: the config without its durability
-// hints, every parameter sorted by name, and the training statistics.
+// state collects what Save writes: the config, every parameter sorted by
+// name, and the training statistics.
 func (m *Model) state() (modelState, error) {
 	st := modelState{
 		Cfg:           m.Cfg,
@@ -74,13 +73,6 @@ func (m *Model) state() (modelState, error) {
 		AttrCorrChol:  m.attrCorrChol,
 		AttrQuantiles: m.attrQuantiles,
 	}
-	// The resume-checkpoint settings are durability hints, not model
-	// hyper-parameters: a checkpoint resumed mid-run from a crash checkpoint
-	// must be byte-identical to one trained in a single uninterrupted pass
-	// (the invariance contract pinned by the serialization tests), and must
-	// not pin paths of the machine that trained it on whatever machine later
-	// loads it.
-	st.Cfg = stripVolatileCfg(st.Cfg)
 	seen := make(map[string]bool)
 	for _, p := range nn.CollectParams(m.Modules()...) {
 		if seen[p.Name] {
@@ -100,10 +92,16 @@ func (m *Model) state() (modelState, error) {
 // Load restores a model previously written with Save. Checkpoints written
 // before the byte-deterministic format (parameters as a name-sorted slice
 // rather than a gob map) cannot be decoded; re-save them with this build.
+// A file whose configuration New cannot build, or whose parameters do not
+// match that configuration's shapes and lengths, is an error, not a panic
+// or a partly initialised model.
 func Load(r io.Reader) (*Model, error) {
 	var st modelState
 	if err := gob.NewDecoder(r).Decode(&st); err != nil {
 		return nil, fmt.Errorf("core: decode model (checkpoints from before the name-sorted parameter format must be retrained or re-saved): %w", err)
+	}
+	if err := st.Cfg.withDefaults().check(); err != nil {
+		return nil, fmt.Errorf("core: saved model: %w", err)
 	}
 	byName := make(map[string]*savedParam, len(st.Params))
 	for i := range st.Params {
@@ -118,6 +116,10 @@ func Load(r io.Reader) (*Model, error) {
 		if sm.Rows != p.Value.Rows || sm.Cols != p.Value.Cols {
 			return nil, fmt.Errorf("core: parameter %q has shape %dx%d, want %dx%d",
 				p.Name, sm.Rows, sm.Cols, p.Value.Rows, p.Value.Cols)
+		}
+		if len(sm.Data) != len(p.Value.Data) {
+			return nil, fmt.Errorf("core: parameter %q has %d values, want %d",
+				p.Name, len(sm.Data), len(p.Value.Data))
 		}
 		copy(p.Value.Data, sm.Data)
 	}

@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"encoding/gob"
 	"os"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -102,9 +104,10 @@ func TestSaveDeterministicBytes(t *testing.T) {
 
 // TestLoadCheckpointWithRetiredConfigFields pins that a checkpoint written
 // before a Config field was retired still loads: testdata/model_pr21.gob
-// is the Save output of the commit before PR 23 (toyGraph(10,1,3,53) on
-// smallConfig(10,1)), whose gob descriptor still lists Config.TapeSched
-// and Config.CheckpointEvery, both since retired.
+// is the Save output of an older build (toyGraph(10,1,3,53) on
+// smallConfig(10,1)), whose gob descriptor still lists four Config fields
+// since retired: TapeSched, CheckpointEvery, and the resume-checkpoint
+// knobs CheckpointPath and CheckpointEveryEpochs.
 // gob skips stream fields the receiver lacks, so the loaded model must be
 // the model this build trains from the same inputs: same Save bytes (the
 // new descriptor aside, nothing in the file changed) and the same
@@ -114,12 +117,14 @@ func TestLoadCheckpointWithRetiredConfigFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(old, []byte("TapeSched")) {
-		t.Fatal("fixture no longer carries the retired field; regenerate it from the pre-PR-23 commit")
+	for _, field := range []string{"TapeSched", "CheckpointPath", "CheckpointEveryEpochs"} {
+		if !bytes.Contains(old, []byte(field)) {
+			t.Fatalf("fixture no longer carries the retired field %s; it must be a Save output from before that field was retired", field)
+		}
 	}
 	loaded, err := Load(bytes.NewReader(old))
 	if err != nil {
-		t.Fatalf("Load of a pre-PR-23 checkpoint: %v", err)
+		t.Fatalf("Load of a checkpoint with retired fields: %v", err)
 	}
 	if !loaded.Trained() {
 		t.Fatal("loaded model must keep trained flag")
@@ -155,5 +160,67 @@ func TestLoadCheckpointWithRetiredConfigFields(t *testing.T) {
 	}
 	if !bytes.Equal(generated(loaded), generated(fresh)) {
 		t.Fatal("Generate(3) from the fixture differs from a model trained the same way at this build")
+	}
+}
+
+// TestLoadRejectsCorruptState feeds Load gob-encoded states that a valid
+// model's state was corrupted into. Each must come back as an error: a
+// parameter with too few or too many values must not load over the random
+// initial weights, and a configuration New cannot build must not panic.
+func TestLoadRejectsCorruptState(t *testing.T) {
+	m := New(smallConfig(8, 1))
+	cases := []struct {
+		name    string
+		corrupt func(*modelState)
+	}{
+		{"short data", func(st *modelState) { st.Params[0].Data = st.Params[0].Data[:1] }},
+		{"long data", func(st *modelState) { st.Params[0].Data = append(st.Params[0].Data, 0) }},
+		{"N = 0", func(st *modelState) { st.Cfg.N = 0 }},
+		{"N < 0", func(st *modelState) { st.Cfg.N = -3 }},
+		{"negative HiddenDim", func(st *modelState) { st.Cfg.HiddenDim = -1 }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			st, err := m.state()
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.corrupt(&st)
+			var buf bytes.Buffer
+			if err := gob.NewEncoder(&buf).Encode(&st); err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("Load panicked: %v", r)
+				}
+			}()
+			if _, err := Load(&buf); err == nil {
+				t.Fatal("Load accepted a corrupt state")
+			}
+		})
+	}
+}
+
+// TestConfigFields pins Config's knobs by name. A field added or removed
+// must update this list, with the reason in the change that does it.
+func TestConfigFields(t *testing.T) {
+	want := []string{
+		"N", "F",
+		"HiddenDim", "LatentDim", "EncoderDim", "TimeDim", "K",
+		"EncoderLayers", "MLPLayers",
+		"Epochs", "LR", "KLWeight", "SCEAlpha", "NegSamples", "GradClip",
+		"NeighborSample", "TBPTT",
+		"BiFlow", "UseSCE", "UseTime2Vec",
+		"CandidateCap", "DegreeCalibration",
+		"Seed",
+	}
+	typ := reflect.TypeOf(Config{})
+	var got []string
+	for i := 0; i < typ.NumField(); i++ {
+		got = append(got, typ.Field(i).Name)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Config fields = %v, want the %d in %v", got, len(want), want)
 	}
 }

@@ -67,32 +67,14 @@ func (m *Model) FitContext(ctx context.Context, g *dyngraph.Sequence, opts ...Fi
 
 	m.captureStats(g)
 
-	// Crash-safe resume: with Cfg.CheckpointPath set, pick up an
-	// interrupted run at its last persisted epoch boundary and write a
-	// fresh atomic checkpoint every few epochs. See checkpoint.go for why
-	// epoch boundaries make the resumed run bit-identical.
-	startEpoch := 0
-	if m.Cfg.CheckpointPath != "" {
-		e, err := m.tryResumeFit(fitFS)
-		if err != nil {
-			return TrainStats{}, err
-		}
-		startEpoch = e
-	}
-
 	var last TrainStats
-	for epoch := startEpoch; epoch < m.Cfg.Epochs; epoch++ {
+	for epoch := 0; epoch < m.Cfg.Epochs; epoch++ {
 		if err := ctx.Err(); err != nil {
 			return last, err
 		}
 		stats, err := m.runEpoch(g, epoch)
 		if err != nil {
 			return stats, err
-		}
-		if m.Cfg.CheckpointPath != "" && epoch+1 < m.Cfg.Epochs && (epoch+1)%m.checkpointEvery() == 0 {
-			if err := m.writeFitCheckpoint(fitFS, epoch+1); err != nil {
-				return stats, err
-			}
 		}
 		if o.progress != nil {
 			o.progress(stats)
@@ -101,9 +83,6 @@ func (m *Model) FitContext(ctx context.Context, g *dyngraph.Sequence, opts ...Fi
 	}
 	m.finalizeResiduals()
 	m.trained = true
-	if m.Cfg.CheckpointPath != "" {
-		m.removeFitCheckpoint(fitFS)
-	}
 	return last, nil
 }
 

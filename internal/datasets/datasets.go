@@ -344,17 +344,3 @@ func Replica(name string, scale float64, seed int64) (*dyngraph.Sequence, Config
 	}
 	return Generate(cfg), cfg, nil
 }
-
-// Stats summarises a sequence (used by CLIs and experiment logs).
-type Stats struct {
-	Name string
-	N    int
-	M    int // total temporal edges
-	F    int
-	T    int
-}
-
-// Describe computes summary statistics for a sequence.
-func Describe(name string, g *dyngraph.Sequence) Stats {
-	return Stats{Name: name, N: g.N, M: g.TotalTemporalEdges(), F: g.F, T: g.T()}
-}

@@ -172,11 +172,3 @@ func TestGenerateDirectDefaultsApplied(t *testing.T) {
 		t.Fatal("no edges with defaults")
 	}
 }
-
-func TestDescribe(t *testing.T) {
-	g, _, _ := Replica(Email, 0.02, 10)
-	s := Describe("email", g)
-	if s.N != g.N || s.M != g.TotalTemporalEdges() || s.T != g.T() || s.F != g.F {
-		t.Fatalf("Describe mismatch: %+v", s)
-	}
-}

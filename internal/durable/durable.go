@@ -1,7 +1,6 @@
 // Package durable is the fsync-disciplined persistence substrate under
-// the serving layer's forecast sessions and the trainer's resume
-// checkpoints. It provides exactly three primitives, each with an explicit
-// crash contract:
+// the serving layer's forecast sessions. It provides exactly three
+// primitives, each with an explicit crash contract:
 //
 //   - FS, a minimal filesystem interface. Production code uses OS; tests
 //     inject FaultFS to fail the Nth write, tear the final record, or

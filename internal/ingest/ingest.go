@@ -545,64 +545,6 @@ func (s *Stream) newSnapshot() *dyngraph.Snapshot {
 	return snap
 }
 
-// Reader adapts a Stream over a single input into a pull-style iterator:
-// Next returns sealed snapshots one at a time and io.EOF after the final
-// (flushed) window.
-type Reader struct {
-	s       *Stream
-	pending []*dyngraph.Snapshot
-	src     io.Reader
-	done    bool
-	err     error
-}
-
-// NewReader wraps one edge-stream input. Options as for NewStream.
-func NewReader(r io.Reader, opts Options) (*Reader, error) {
-	s, err := NewStream(opts)
-	if err != nil {
-		return nil, err
-	}
-	return &Reader{s: s, src: r}, nil
-}
-
-// Stream exposes the underlying cursor (counters, node mapping).
-func (r *Reader) Stream() *Stream { return r.s }
-
-// Next returns the next sealed snapshot, or io.EOF after the last one.
-// Errors are sticky.
-func (r *Reader) Next() (*dyngraph.Snapshot, error) {
-	if r.err != nil {
-		return nil, r.err
-	}
-	for len(r.pending) == 0 {
-		if r.done {
-			r.err = io.EOF
-			return nil, r.err
-		}
-		// Fold the whole input in one pass, queueing sealed snapshots.
-		// Bounded memory still holds for the dominant case — many edges
-		// per window — since the queue holds windows, not edges; a
-		// pathological one-edge-per-window stream degrades to O(T).
-		collect := func(s *dyngraph.Snapshot) error {
-			r.pending = append(r.pending, s)
-			return nil
-		}
-		if err := r.s.Fold(r.src, collect); err != nil {
-			r.err = err
-			return nil, err
-		}
-		if err := r.s.Flush(collect); err != nil {
-			r.err = err
-			return nil, err
-		}
-		r.done = true
-	}
-	snap := r.pending[0]
-	r.pending[0] = nil // avoid pinning emitted snapshots
-	r.pending = r.pending[1:]
-	return snap, nil
-}
-
 // ReadSequence folds an entire edge stream into a Sequence (unpooled
 // attribute buffers, safe to retain). Convenience for CLIs and tests; the
 // serving layer folds incrementally instead.

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"compress/gzip"
 	"errors"
-	"io"
 	"strings"
 	"testing"
 
@@ -168,33 +167,6 @@ func TestGzipInput(t *testing.T) {
 	}
 	if g.T() != 2 {
 		t.Fatalf("T = %d, want 2", g.T())
-	}
-}
-
-func TestReaderIteratesAndSticksEOF(t *testing.T) {
-	r, err := NewReader(strings.NewReader("a,b,0\nb,a,2\n"), Options{N: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	count := 0
-	for {
-		snap, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatalf("Next: %v", err)
-		}
-		if snap.N != 2 {
-			t.Fatalf("snapshot N = %d", snap.N)
-		}
-		count++
-	}
-	if count != 3 { // windows 0,1(empty),2
-		t.Fatalf("iterated %d snapshots, want 3", count)
-	}
-	if _, err := r.Next(); err != io.EOF {
-		t.Fatalf("post-EOF Next: %v, want io.EOF", err)
 	}
 }
 
