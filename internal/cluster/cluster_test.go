@@ -359,6 +359,50 @@ func TestClusterRoutesSessionTrafficFromAnyNode(t *testing.T) {
 	}
 }
 
+// TestClusterDeleteRemovesEveryCopy: DELETE /v1/ingest through a node
+// that holds no copy removes the session from its primary and its
+// follower, and a second DELETE finds nothing anywhere.
+func TestClusterDeleteRemovesEveryCopy(t *testing.T) {
+	c := newTestCluster(t, 3, nil)
+	sess := "doomed"
+	p, f := c.placement(sess)
+	third := c.other(p, f)
+	c.mustIngest(p, sess, 0, "replicated")
+
+	del := func() int {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodDelete, c.urls[third]+"/v1/ingest?session="+sess, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("delete: %v", err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if status := del(); status != http.StatusOK {
+		t.Fatalf("delete via a node without a copy: status %d, want 200", status)
+	}
+	for _, i := range []int{p, f} {
+		// The forwarded marker makes the node list its own sessions only.
+		req, _ := http.NewRequest(http.MethodGet, c.urls[i]+"/v1/ingest", nil)
+		req.Header.Set(server.HeaderForwarded, c.urls[third])
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("list node %d: %v", i, err)
+		}
+		var infos []server.SessionInfo
+		err = json.NewDecoder(resp.Body).Decode(&infos)
+		resp.Body.Close()
+		if err != nil || len(infos) != 0 {
+			t.Fatalf("node %d after the delete: %+v (err %v), want no sessions", i, infos, err)
+		}
+	}
+	if status := del(); status != http.StatusNotFound {
+		t.Fatalf("second delete: status %d, want 404", status)
+	}
+}
+
 func TestClusterFailoverForecastsAreByteIdentical(t *testing.T) {
 	c := newTestCluster(t, 3, nil)
 	sess := "failover"

@@ -280,8 +280,9 @@ func (n *Node) replicationStats() []ReplicatorStats {
 	return out
 }
 
-// recorder buffers a locally served response so the primary-ingest path
-// can apply first and only answer the client after replication settles.
+// recorder buffers a locally served response (serveLocal), so the
+// primary-ingest path can apply first and only answer the client after
+// replication settles.
 type recorder struct {
 	header http.Header
 	status int

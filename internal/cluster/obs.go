@@ -1,11 +1,11 @@
 package cluster
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"sort"
 
 	"vrdag/internal/obs"
@@ -20,25 +20,34 @@ import (
 // replicated request leaves one trace per node it touched, all sharing
 // the client-visible ID; this merges the local tracer's copies with
 // every reachable peer's, each view stamped with the node that recorded
-// it, ordered by start time. Peers are asked with the forwarded marker
-// so they answer from their local ring instead of fanning out again.
+// it, ordered by start time. The ID is query-encoded on the peer hop, so
+// whatever the client sent stays one value there.
 func (n *Node) queryTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.URL.Query().Get("id")
 	views := n.local.Tracer().ByID(id)
 	for i := range views {
 		views[i].Node = n.cfg.Self
 	}
-	for _, peer := range n.members.peers {
-		if !n.members.Routable(peer) {
-			continue
+	target := "/v1/trace?" + url.Values{"id": {id}}.Encode()
+	n.eachPeer(r.Context(), http.MethodGet, target, func(peer string, resp *http.Response) error {
+		if resp.StatusCode == http.StatusNotFound {
+			return nil // the request never touched that peer
 		}
-		peerViews, err := n.fetchPeerTraces(r, peer, id)
-		if err != nil {
-			n.logger.Warn("trace query", "peer", peer, "err", err)
-			continue
+		if resp.StatusCode != http.StatusOK {
+			return fmt.Errorf("status %s", resp.Status)
 		}
-		views = append(views, peerViews...)
-	}
+		var body server.TraceQueryResponse
+		if err := json.NewDecoder(io.LimitReader(resp.Body, 8<<20)).Decode(&body); err != nil {
+			return err
+		}
+		for i := range body.Traces {
+			if body.Traces[i].Node == "" {
+				body.Traces[i].Node = peer
+			}
+		}
+		views = append(views, body.Traces...)
+		return nil
+	})
 	if len(views) == 0 {
 		n.writeError(w, http.StatusNotFound, "no retained trace %q on any reachable node", id)
 		return
@@ -48,37 +57,6 @@ func (n *Node) queryTrace(w http.ResponseWriter, r *http.Request) {
 		Stats:  n.local.Tracer().Stats(),
 		Traces: views,
 	})
-}
-
-func (n *Node) fetchPeerTraces(r *http.Request, peer, id string) ([]obs.TraceView, error) {
-	ctx, cancel := context.WithTimeout(r.Context(), n.cfg.HeaderTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/v1/trace?id="+id, nil)
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set(server.HeaderForwarded, n.cfg.Self)
-	resp, err := n.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		return nil, nil // the request never touched that peer
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("status %s", resp.Status)
-	}
-	var body server.TraceQueryResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 8<<20)).Decode(&body); err != nil {
-		return nil, err
-	}
-	for i := range body.Traces {
-		if body.Traces[i].Node == "" {
-			body.Traces[i].Node = peer
-		}
-	}
-	return body.Traces, nil
 }
 
 // renderProm appends the cluster families to the local /metrics

@@ -294,11 +294,7 @@ func (n *Node) servePrimaryIngest(w http.ResponseWriter, r *http.Request, sess s
 	o.mu.Lock()
 	defer o.mu.Unlock()
 
-	rec := newRecorder()
-	local := r.Clone(r.Context())
-	local.Body = io.NopCloser(bytes.NewReader(body))
-	local.ContentLength = int64(len(body))
-	n.local.ServeHTTP(rec, local)
+	rec := n.serveLocal(r, body)
 	if rec.status != http.StatusOK {
 		rec.writeTo(w)
 		return
@@ -372,11 +368,7 @@ func (n *Node) serveReplica(w http.ResponseWriter, r *http.Request) {
 		n.writeJSON(w, http.StatusOK, map[string]any{"session": sess, "skipped": true, "seq": seq})
 		return
 	}
-	rec := newRecorder()
-	local := r.Clone(r.Context())
-	local.Body = io.NopCloser(bytes.NewReader(body))
-	local.ContentLength = int64(len(body))
-	n.local.ServeHTTP(rec, local)
+	rec := n.serveLocal(r, body)
 	// Record the sequence only after a successful apply, so a failed one
 	// stays retryable.
 	if rec.status == http.StatusOK {

@@ -287,24 +287,27 @@ func flushCopy(w http.ResponseWriter, src io.Reader) error {
 // the copies: one entry per session, attributed to its current primary,
 // with replica copies dropped.
 func (n *Node) listSessions(w http.ResponseWriter, r *http.Request) {
-	infos := n.fetchLocalSessions(r.Context())
+	var infos []server.SessionInfo
+	if rec := n.serveLocal(r, nil); rec.status == http.StatusOK {
+		json.Unmarshal(rec.body.Bytes(), &infos)
+	}
 	for i := range infos {
 		infos[i].Node = n.cfg.Self
 	}
-	for _, peer := range n.members.peers {
-		if !n.members.Routable(peer) {
-			continue
+	n.eachPeer(r.Context(), http.MethodGet, "/v1/ingest", func(peer string, resp *http.Response) error {
+		if resp.StatusCode != http.StatusOK {
+			return fmt.Errorf("status %s", resp.Status)
 		}
-		peerInfos, err := n.fetchPeerSessions(r.Context(), peer)
-		if err != nil {
-			n.logger.Warn("list sessions", "peer", peer, "err", err)
-			continue
+		var peerInfos []server.SessionInfo
+		if err := json.NewDecoder(io.LimitReader(resp.Body, 8<<20)).Decode(&peerInfos); err != nil {
+			return err
 		}
 		for i := range peerInfos {
 			peerInfos[i].Node = peer
 		}
 		infos = append(infos, peerInfos...)
-	}
+		return nil
+	})
 	// A replicated session appears once per holding node; keep the copy
 	// on the node routing would send traffic to.
 	best := make(map[string]server.SessionInfo, len(infos))
@@ -333,76 +336,63 @@ func (n *Node) ownerRank(sess, node string) int {
 	return len(n.cfg.Peers)
 }
 
-func (n *Node) fetchLocalSessions(ctx context.Context) []server.SessionInfo {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.cfg.Self+"/v1/ingest", nil)
-	if err != nil {
-		return nil
-	}
-	rec := newRecorder()
-	n.local.ServeHTTP(rec, req)
-	var infos []server.SessionInfo
-	if rec.status == http.StatusOK {
-		json.Unmarshal(rec.body.Bytes(), &infos)
-	}
-	return infos
-}
-
-func (n *Node) fetchPeerSessions(ctx context.Context, peer string) ([]server.SessionInfo, error) {
-	ctx, cancel := context.WithTimeout(ctx, n.cfg.HeaderTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/v1/ingest", nil)
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set(server.HeaderForwarded, n.cfg.Self)
-	resp, err := n.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("status %s", resp.Status)
-	}
-	var infos []server.SessionInfo
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 8<<20)).Decode(&infos); err != nil {
-		return nil, err
-	}
-	return infos, nil
-}
-
 // deleteSession fans DELETE /v1/ingest out to every reachable node so all
 // copies of the session die together.
 func (n *Node) deleteSession(w http.ResponseWriter, r *http.Request) {
 	sess := r.URL.Query().Get("session")
-	rec := newRecorder()
-	local := r.Clone(r.Context())
-	n.local.ServeHTTP(rec, local)
-	deleted := rec.status == http.StatusOK
-
-	for _, peer := range n.members.peers {
-		if !n.members.Routable(peer) {
-			continue
+	deleted := n.serveLocal(r, nil).status == http.StatusOK
+	n.eachPeer(r.Context(), http.MethodDelete, "/v1/ingest?"+r.URL.RawQuery, func(_ string, resp *http.Response) error {
+		if resp.StatusCode == http.StatusOK {
+			deleted = true
 		}
-		ctx, cancel := context.WithTimeout(r.Context(), n.cfg.HeaderTimeout)
-		req, err := http.NewRequestWithContext(ctx, http.MethodDelete,
-			peer+"/v1/ingest?"+r.URL.RawQuery, nil)
-		if err == nil {
-			req.Header.Set(server.HeaderForwarded, n.cfg.Self)
-			if resp, derr := n.client.Do(req); derr == nil {
-				if resp.StatusCode == http.StatusOK {
-					deleted = true
-				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-			}
-		}
-		cancel()
-	}
+		return nil
+	})
 	if !deleted {
 		n.writeError(w, http.StatusNotFound, "unknown session %q", sess)
 		return
 	}
 	n.writeJSON(w, http.StatusOK, server.SessionDeleteResponse{Session: sess, Deleted: true})
+}
+
+// eachPeer sends method target (a path and query) to every routable peer
+// in turn and hands each response to f. The request carries the forwarded
+// marker, so the peer answers from its own state instead of fanning out
+// again, and has HeaderTimeout to answer in full. The body is drained and
+// closed after f; a failed exchange or an error from f is logged and the
+// fan-out moves on.
+func (n *Node) eachPeer(ctx context.Context, method, target string, f func(peer string, resp *http.Response) error) {
+	for _, peer := range n.members.peers {
+		if !n.members.Routable(peer) {
+			continue
+		}
+		peerCtx, cancel := context.WithTimeout(ctx, n.cfg.HeaderTimeout)
+		req, err := http.NewRequestWithContext(peerCtx, method, peer+target, nil)
+		if err == nil {
+			req.Header.Set(server.HeaderForwarded, n.cfg.Self)
+			var resp *http.Response
+			if resp, err = n.client.Do(req); err == nil {
+				err = f(peer, resp)
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+			}
+		}
+		cancel()
+		if err != nil {
+			n.logger.Warn("peer fan-out", "method", method, "target", target, "peer", peer, "err", err)
+		}
+	}
+}
+
+// serveLocal serves a clone of r carrying body through the local server
+// and returns the recorded response, so the caller can act on the outcome
+// (replicate, merge, count) before anything reaches the client.
+func (n *Node) serveLocal(r *http.Request, body []byte) *recorder {
+	local := r.Clone(r.Context())
+	local.Body = io.NopCloser(bytes.NewReader(body))
+	local.ContentLength = int64(len(body))
+	rec := newRecorder()
+	n.local.ServeHTTP(rec, local)
+	return rec
 }
 
 // spoolBody reads a routed request's body fully (the routing layer may

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
@@ -214,5 +215,26 @@ func TestClusterTraceEndToEnd(t *testing.T) {
 		if !strings.Contains(mbody, family) {
 			t.Errorf("exposition missing cluster family %s", family)
 		}
+	}
+}
+
+// TestClusterTraceQueryEncodesID: the ID of GET /v1/trace?id= reaches each
+// peer as one query value. Forwarded raw, an ID holding an encoded '&'
+// split into two parameters on the peer, which then answered for the
+// prefix: a trace the client never named.
+func TestClusterTraceQueryEncodesID(t *testing.T) {
+	c := newTestCluster(t, 2, nil)
+	const victim = "victimtraceAAAA"
+	doTraced(t, http.MethodGet, c.urls[1]+"/v1/models", "", "", victim)
+	queryTraceByID(t, c.urls[1], victim, nil) // retained on node 1
+
+	resp, err := http.Get(c.urls[0] + "/v1/trace?id=" + url.QueryEscape(victim+"&n=1"))
+	if err != nil {
+		t.Fatalf("GET /v1/trace: %v", err)
+	}
+	data, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("trace %q: status %d, want 404: %s", victim+"&n=1", resp.StatusCode, data)
 	}
 }

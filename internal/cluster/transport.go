@@ -94,13 +94,6 @@ func (t *FaultTransport) Heal(host string) {
 	delete(t.rules, host)
 }
 
-// HealAll clears every fault.
-func (t *FaultTransport) HealAll() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.rules = make(map[string]*FaultRule)
-}
-
 // take snapshots the actions to apply to one request and consumes the
 // one-shot faults under the lock.
 type faultActions struct {

@@ -77,13 +77,6 @@ func (ffs *FaultFS) Tripped() bool {
 	return ffs.tripped
 }
 
-// BytesWritten returns the total bytes persisted through this FS.
-func (ffs *FaultFS) BytesWritten() int64 {
-	ffs.mu.Lock()
-	defer ffs.mu.Unlock()
-	return ffs.written
-}
-
 // admitWrite decides the fate of a Write of n bytes: allow up to that many
 // bytes through (possibly fewer when Torn), or fail outright.
 func (ffs *FaultFS) admitWrite(n int) (allow int, err error) {

@@ -335,9 +335,11 @@ func (s *Server) spillSession(fs *forecastSession) error {
 	return nil
 }
 
-// loadSessionLocked reloads a spilled session from its snapshot. The
-// snapshot was taken at spill time and no appends happen while spilled,
-// so no WAL replay is needed in-process. Caller holds fs.mu.
+// loadSessionLocked reloads a spilled session through readSessionState,
+// the reader startup recovery uses. A spill snapshots first and nothing is
+// appended while spilled, so the WAL tail it replays is empty and the
+// position it reads back must be the one the session had. Caller holds
+// fs.mu.
 func (s *Server) loadSessionLocked(fs *forecastSession) error {
 	if fs.closed {
 		return fmt.Errorf("session %q was evicted", fs.name)
@@ -345,24 +347,17 @@ func (s *Server) loadSessionLocked(fs *forecastSession) error {
 	if !fs.spilled {
 		return nil
 	}
-	data, err := durable.ReadFile(s.fsys, filepath.Join(fs.dir, sessionSnapFile))
+	stream, state, walGen, nextSeq, err := s.readSessionState(fs.entry.model, fs.dir, fs.meta)
 	if err != nil {
 		return fmt.Errorf("reload session %q: %w", fs.name, err)
 	}
-	var snap sessionSnap
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
-		return fmt.Errorf("reload session %q: decode snapshot: %w", fs.name, err)
+	if walGen != fs.walGen || nextSeq != fs.walNextSeq {
+		state.Release()
+		stream.DiscardPending()
+		return fmt.Errorf("reload session %q: on-disk state ends at wal %d/%d, spilled at %d/%d",
+			fs.name, walGen, nextSeq, fs.walGen, fs.walNextSeq)
 	}
-	st, err := fs.entry.model.DecodeForecastState(snap.Forecast)
-	if err != nil {
-		return fmt.Errorf("reload session %q: %w", fs.name, err)
-	}
-	stream, err := ingest.RestoreStream(snap.Stream)
-	if err != nil {
-		st.Release()
-		return fmt.Errorf("reload session %q: %w", fs.name, err)
-	}
-	fs.state, fs.stream = st, stream
+	fs.state, fs.stream = state, stream
 	fs.spilled = false
 	s.dur.reloads.Add(1)
 	return nil
@@ -422,64 +417,9 @@ func (s *Server) sweepLoop() {
 	}
 }
 
-// sweepDurable is the durable-mode sweep: a session's state of record is
-// on disk, so idling out must spill, never destroy. Spill triggers: TTL
-// idleness, and the MaxResident cap (longest-idle first). Sessions that
-// never ingested anything have nothing on disk; those are deleted on TTL
-// like in the non-durable mode.
-func (s *Server) sweepDurable(now time.Time) {
-	if s.degraded.Load() {
-		return // snapshots would fail; keep everything resident
-	}
-	s.sessMu.Lock()
-	all := make([]*forecastSession, 0, len(s.sessions))
-	for _, fs := range s.sessions {
-		all = append(all, fs)
-	}
-	s.sessMu.Unlock()
-
-	type cand struct {
-		fs   *forecastSession
-		idle time.Duration
-	}
-	var resident []cand
-	for _, fs := range all {
-		// An ingest holds the write lock across its fsync. A session that
-		// busy is in use, hence not idle: pass it over — for the cap as
-		// well, the next sweep counts it — and never wait for its lock.
-		if !fs.mu.TryRLock() {
-			continue
-		}
-		closed, spilled, ready := fs.closed, fs.spilled, fs.diskReady
-		fs.mu.RUnlock()
-		if closed || spilled {
-			continue
-		}
-		idle := now.Sub(fs.used())
-		if !ready {
-			if idle > s.cfg.SessionTTL {
-				s.dropSession(fs)
-			}
-			continue
-		}
-		resident = append(resident, cand{fs, idle})
-	}
-	sort.Slice(resident, func(i, j int) bool { return resident[i].idle > resident[j].idle })
-	over := len(resident) - s.cfg.MaxResident
-	for i, c := range resident {
-		if c.idle <= s.cfg.SessionTTL && i >= over {
-			continue
-		}
-		if err := s.spillSession(c.fs); err != nil {
-			s.logger.Error("spill session", "session", c.fs.name, "err", err)
-			s.setDegraded(err)
-			return
-		}
-	}
-}
-
-// dropSession removes a session from the map and releases it; used for
-// durable-mode sessions with no on-disk state.
+// dropSession removes a session from the map and releases it, unless the
+// name has since been taken by another session. The sweep and expireIdle
+// use it for a session idle past the TTL with nothing on disk.
 func (s *Server) dropSession(fs *forecastSession) {
 	s.sessMu.Lock()
 	if cur, ok := s.sessions[fs.name]; !ok || cur != fs {
@@ -536,11 +476,8 @@ func (s *Server) RecoverSessions() (int, error) {
 	return n, nil
 }
 
-// recoverSession rebuilds one session from disk: metadata, then the
-// latest snapshot (or a fresh state when none exists), then every WAL
-// frame past the snapshot's position, folded exactly as the live
-// requests were. Records whose fold failed live fail identically here
-// and are skipped, reproducing the live session's partial effects.
+// recoverSession rebuilds one session from disk: its metadata, then the
+// state readSessionState reads back.
 func (s *Server) recoverSession(name string) (*forecastSession, error) {
 	dir := s.sessionDir(name)
 	metaData, err := durable.ReadFile(s.fsys, filepath.Join(dir, sessionMetaFile))
@@ -555,50 +492,82 @@ func (s *Server) recoverSession(name string) (*forecastSession, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := entry.model
+	stream, state, walGen, nextSeq, err := s.readSessionState(entry.model, dir, meta)
+	if err != nil {
+		return nil, err
+	}
+	now := time.Now()
+	fs := &forecastSession{
+		name:       name,
+		entry:      entry,
+		stream:     stream,
+		state:      state,
+		created:    now,
+		meta:       meta,
+		dir:        dir,
+		diskReady:  true,
+		walGen:     walGen,
+		walNextSeq: nextSeq,
+	}
+	fs.touch(now)
+	return fs, nil
+}
 
-	var (
-		state    *core.ForecastState
-		stream   *ingest.Stream
-		snapGen  uint64
-		afterSeq uint64
-		walGen   uint64 = 1
-		nextSeq  uint64 = 1
-	)
+// newSessionState builds the empty stream cursor and model state a
+// session created with meta's options starts from.
+func newSessionState(m *core.Model, meta sessionMeta) (*ingest.Stream, *core.ForecastState, error) {
+	stream, err := ingest.NewStream(ingest.Options{
+		N:           m.Cfg.N,
+		F:           m.Cfg.F,
+		Window:      meta.Window,
+		DropUnknown: meta.DropUnknown,
+		CarryAttrs:  meta.Carry,
+		Pooled:      true,
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return stream, m.NewForecastState(), nil
+}
+
+// readSessionState is the one reader of a session's on-disk state: the
+// snapshot in dir (or a fresh state when none exists), then every WAL
+// frame past the snapshot's position, folded exactly as the live requests
+// were. Records whose fold failed live fail identically here and are
+// skipped, reproducing the live session's partial effects. It returns the
+// WAL position appends continue from: the newest generation and the next
+// sequence number.
+func (s *Server) readSessionState(m *core.Model, dir string, meta sessionMeta) (
+	stream *ingest.Stream, state *core.ForecastState, walGen, nextSeq uint64, err error) {
+	var snapGen, afterSeq uint64
+	walGen, nextSeq = 1, 1
 	snapData, err := durable.ReadFile(s.fsys, filepath.Join(dir, sessionSnapFile))
 	switch {
 	case err == nil:
 		var snap sessionSnap
 		if err := gob.NewDecoder(bytes.NewReader(snapData)).Decode(&snap); err != nil {
-			return nil, fmt.Errorf("decode snapshot: %w", err)
+			return nil, nil, 0, 0, fmt.Errorf("decode snapshot: %w", err)
 		}
 		if state, err = m.DecodeForecastState(snap.Forecast); err != nil {
-			return nil, err
+			return nil, nil, 0, 0, err
 		}
 		if stream, err = ingest.RestoreStream(snap.Stream); err != nil {
 			state.Release()
-			return nil, err
+			return nil, nil, 0, 0, err
 		}
 		snapGen, afterSeq = snap.Gen, snap.Seq
 		walGen, nextSeq = snap.Gen, snap.Seq+1
 	case os.IsNotExist(err):
-		stream, err = ingest.NewStream(ingest.Options{
-			N: m.Cfg.N, F: m.Cfg.F,
-			Window:      meta.Window,
-			DropUnknown: meta.DropUnknown,
-			CarryAttrs:  meta.Carry,
-			Pooled:      true,
-		})
-		if err != nil {
-			return nil, err
+		if stream, state, err = newSessionState(m, meta); err != nil {
+			return nil, nil, 0, 0, err
 		}
-		state = m.NewForecastState()
 	default:
-		return nil, fmt.Errorf("read snapshot: %w", err)
+		return nil, nil, 0, 0, fmt.Errorf("read snapshot: %w", err)
 	}
-	cleanup := func() {
+	fail := func(err error) (*ingest.Stream, *core.ForecastState, uint64, uint64, error) {
 		state.Release()
 		stream.DiscardPending()
+		return nil, nil, 0, 0, err
 	}
 
 	emit := func(snap *dyngraph.Snapshot) error {
@@ -621,8 +590,7 @@ func (s *Server) recoverSession(name string) (*forecastSession, error) {
 	}
 	gens, err := durable.ListWALGens(s.fsys, dir)
 	if err != nil {
-		cleanup()
-		return nil, err
+		return fail(err)
 	}
 	for _, g := range gens {
 		if g < snapGen {
@@ -631,35 +599,15 @@ func (s *Server) recoverSession(name string) (*forecastSession, error) {
 		}
 		lastSeq, torn, err := durable.ReplayWAL(s.fsys, durable.WALPath(dir, g), afterSeq, apply)
 		if err != nil {
-			cleanup()
-			return nil, fmt.Errorf("replay wal gen %d: %w", g, err)
+			return fail(fmt.Errorf("replay wal gen %d: %w", g, err))
 		}
 		if torn {
 			s.dur.tornTails.Add(1)
 		}
-		if g > walGen {
-			walGen = g
-		}
-		if lastSeq+1 > nextSeq {
-			nextSeq = lastSeq + 1
-		}
+		walGen = max(walGen, g)
+		nextSeq = max(nextSeq, lastSeq+1)
 	}
-
-	now := time.Now()
-	fs := &forecastSession{
-		name:       name,
-		entry:      entry,
-		stream:     stream,
-		state:      state,
-		created:    now,
-		meta:       meta,
-		dir:        dir,
-		diskReady:  true,
-		walGen:     walGen,
-		walNextSeq: nextSeq,
-	}
-	fs.touch(now)
-	return fs, nil
+	return stream, state, walGen, nextSeq, nil
 }
 
 // DurabilityStats is the session persistence state renderProm turns into

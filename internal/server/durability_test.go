@@ -343,6 +343,30 @@ func TestSpillReloadForecastIdentity(t *testing.T) {
 	}
 }
 
+// TestSpillReloadMissingSnapshot: a spilled session whose state.snap is
+// gone is refused with 503 and stays spilled, rather than reloading as
+// the fresh state the startup reader builds when no snapshot exists.
+func TestSpillReloadMissingSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	s, ts := newDurableServer(t, dir, nil)
+	defer func() { ts.Close(); s.Close() }()
+
+	mustIngest(t, ts.URL, "session=lost", edgeStreamCSVRange(t, 0, 3))
+	s.sweepSessions(time.Now().Add(s.cfg.SessionTTL + time.Hour))
+	if st := s.durabilityStats(); st.SpilledSessions != 1 {
+		t.Fatalf("after sweep: %+v, want the session spilled", st)
+	}
+	if err := os.Remove(filepath.Join(s.sessionDir("lost"), sessionSnapFile)); err != nil {
+		t.Fatal(err)
+	}
+	if resp, data := postForecast(t, ts.URL, ForecastRequest{Session: "lost", T: 2}); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("forecast without a snapshot: status %d, want 503 (%s)", resp.StatusCode, data)
+	}
+	if st := s.durabilityStats(); st.SpilledSessions != 1 || st.Reloads != 0 {
+		t.Fatalf("after the failed reload: %+v, want still spilled, no reload", st)
+	}
+}
+
 // TestValidSessionName pins the traversal hardening: names are on-disk
 // directory components in durable mode, so anything that could escape
 // the sessions root must be rejected.

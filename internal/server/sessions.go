@@ -98,62 +98,95 @@ func (fs *forecastSession) release() {
 	}
 }
 
-// sweepSessions evicts sessions idle past the TTL. It must be called
-// without sessMu held; release happens outside the store lock so a sweep
-// never stalls unrelated requests behind a busy session's lock. In
-// durable mode idle sessions are spilled to disk instead of destroyed
-// (see sweepDurable).
+// sweepSessions applies the TTL and the MaxResident cap to every session.
+// A session with state on disk is spilled, never destroyed: its state of
+// record is there, and the next request reloads it. Spill triggers are TTL
+// idleness and the cap (longest-idle first), which counts only sessions
+// with state on disk. A session with nothing on disk (every session
+// without a DataDir) is dropped once idle past the TTL. While the server
+// is degraded a snapshot would fail, so nothing moves.
 //
 // A sweep visits every session, so it stays off the per-request path: it
 // runs from sweepLoop, and on a request only at the two moments the
 // resident set can outgrow a cap — a session is created (MaxSessions
 // admits a newcomer only after the expired have gone) or reloaded from
 // spill (MaxResident). A request otherwise applies the TTL to its own
-// session alone (expireIdle).
+// session alone (expireIdle). It must be called without sessMu held.
 func (s *Server) sweepSessions(now time.Time) {
-	if s.durable() {
-		s.sweepDurable(now)
+	if s.degraded.Load() {
 		return
 	}
-	var victims []*forecastSession
 	s.sessMu.Lock()
-	for name, fs := range s.sessions {
-		if now.Sub(fs.used()) > s.cfg.SessionTTL {
-			delete(s.sessions, name)
-			victims = append(victims, fs)
-		}
+	all := make([]*forecastSession, 0, len(s.sessions))
+	for _, fs := range s.sessions {
+		all = append(all, fs)
 	}
 	s.sessMu.Unlock()
-	for _, fs := range victims {
-		fs.release()
+
+	type cand struct {
+		fs   *forecastSession
+		idle time.Duration
+	}
+	var resident []cand
+	for _, fs := range all {
+		// An ingest holds the write lock, across its fsync in durable mode.
+		// A session that busy is in use, hence not idle: pass it over — for
+		// the cap as well, the next sweep counts it — and never wait for
+		// its lock.
+		if !fs.mu.TryRLock() {
+			continue
+		}
+		closed, spilled, ready := fs.closed, fs.spilled, fs.diskReady
+		fs.mu.RUnlock()
+		if closed || spilled {
+			continue
+		}
+		idle := now.Sub(fs.used())
+		if !ready {
+			if idle > s.cfg.SessionTTL {
+				s.dropSession(fs)
+			}
+			continue
+		}
+		resident = append(resident, cand{fs, idle})
+	}
+	sort.Slice(resident, func(i, j int) bool { return resident[i].idle > resident[j].idle })
+	over := len(resident) - s.cfg.MaxResident
+	for i, c := range resident {
+		if c.idle <= s.cfg.SessionTTL && i >= over {
+			continue
+		}
+		if err := s.spillSession(c.fs); err != nil {
+			s.logger.Error("spill session", "session", c.fs.name, "err", err)
+			s.setDegraded(err)
+			return
+		}
 	}
 }
 
 // expireIdle applies the TTL to the one session a request is about, with
-// the outcome a sweep would have had for it: past the TTL a volatile
-// session (or a durable one with nothing on disk yet) is dropped and
-// released, a durable one is spilled and reloads lazily when the request
-// goes on to use it. It takes no other session's lock, so a request never
-// queues behind another session's ingest. It reports whether the session
-// is gone.
+// the outcome a sweep would have had for it: past the TTL a session with
+// nothing on disk (every session without a DataDir, and a durable one
+// that never got as far as its WAL) is dropped and released; one with
+// state on disk is spilled and reloads lazily when the request goes on to
+// use it. It takes no other session's lock, so a request never queues
+// behind another session's ingest. It reports whether the session is gone.
 func (s *Server) expireIdle(fs *forecastSession, now time.Time) bool {
 	if now.Sub(fs.used()) <= s.cfg.SessionTTL {
 		return false
 	}
-	if s.durable() {
-		if s.degraded.Load() {
-			return false // as in sweepDurable: a snapshot would fail, keep it resident
+	if s.degraded.Load() {
+		return false // as in sweepSessions: a snapshot would fail, keep it resident
+	}
+	fs.mu.RLock()
+	ready := fs.diskReady
+	fs.mu.RUnlock()
+	if ready {
+		if err := s.spillSession(fs); err != nil {
+			s.logger.Error("spill session", "session", fs.name, "err", err)
+			s.setDegraded(err)
 		}
-		fs.mu.RLock()
-		ready := fs.diskReady
-		fs.mu.RUnlock()
-		if ready {
-			if err := s.spillSession(fs); err != nil {
-				s.logger.Error("spill session", "session", fs.name, "err", err)
-				s.setDegraded(err)
-			}
-			return false
-		}
+		return false
 	}
 	s.dropSession(fs)
 	return true
@@ -362,7 +395,7 @@ func (s *Server) handleIngestPost(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if s.durable() && s.degraded.Load() {
+	if s.degraded.Load() {
 		// Accepting an ingest that cannot be made durable would silently
 		// break the recovery contract; shed it and keep serving reads.
 		w.Header().Set("Retry-After", s.retryAfterJitter(20, 20))
@@ -393,7 +426,11 @@ func (s *Server) handleIngestPost(w http.ResponseWriter, r *http.Request) {
 
 	fs, created, err := s.getOrCreateSession(iq)
 	if err != nil {
-		s.writeError(w, http.StatusTooManyRequests, "%v", err)
+		status := http.StatusNotFound // no such model, as /v1/generate answers
+		if errors.Is(err, errSessionCapacity) {
+			status = http.StatusTooManyRequests
+		}
+		s.writeError(w, status, "%v", err)
 		return
 	}
 	if iq.model != "" && fs.entry.name != iq.model {
@@ -508,6 +545,11 @@ func (s *Server) handleIngestPost(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
+// errSessionCapacity is getOrCreateSession's answer when MaxSessions live
+// sessions leave no room for a newcomer; every other error it returns is
+// the model lookup's.
+var errSessionCapacity = errors.New("session capacity reached")
+
 // getOrCreateSession finds or creates the named session, enforcing the
 // session capacity (before a newcomer is counted the expired sessions are
 // swept; live ones are never evicted for it). Finding an existing session
@@ -526,23 +568,9 @@ func (s *Server) getOrCreateSession(iq ingestQuery) (*forecastSession, bool, err
 	if err != nil {
 		return nil, false, err
 	}
-	m := entry.model
-	stream, err := ingest.NewStream(ingest.Options{
-		N:           m.Cfg.N,
-		F:           m.Cfg.F,
-		Window:      iq.window,
-		DropUnknown: iq.dropUnknown,
-		CarryAttrs:  iq.carry,
-		Pooled:      true,
-	})
-	if err != nil {
-		return nil, false, err
-	}
 	fs = &forecastSession{
 		name:    iq.session,
 		entry:   entry,
-		stream:  stream,
-		state:   m.NewForecastState(),
 		created: now,
 		meta: sessionMeta{
 			Model:       entry.name,
@@ -550,6 +578,9 @@ func (s *Server) getOrCreateSession(iq ingestQuery) (*forecastSession, bool, err
 			DropUnknown: iq.dropUnknown,
 			Carry:       iq.carry,
 		},
+	}
+	if fs.stream, fs.state, err = newSessionState(entry.model, fs.meta); err != nil {
+		return nil, false, err
 	}
 	if s.durable() {
 		// Disk state is laid down lazily by the first ingest (under
@@ -571,7 +602,7 @@ func (s *Server) getOrCreateSession(iq ingestQuery) (*forecastSession, bool, err
 	if len(s.sessions) >= s.cfg.MaxSessions {
 		s.sessMu.Unlock()
 		fs.release()
-		return nil, false, fmt.Errorf("session capacity reached (%d); delete a session or retry later", s.cfg.MaxSessions)
+		return nil, false, fmt.Errorf("%w (%d); delete a session or retry later", errSessionCapacity, s.cfg.MaxSessions)
 	}
 	s.sessions[iq.session] = fs
 	s.sessMu.Unlock()

@@ -285,6 +285,45 @@ func TestSessionLifecycleErrors(t *testing.T) {
 	}
 }
 
+// TestIngestModelLookupIs404: an ingest whose model lookup fails — a name
+// no model is registered under, or no name while two models are
+// registered — is answered 404 as /v1/generate answers it, not shed with
+// 429 as if the server were out of session capacity, and creates nothing.
+func TestIngestModelLookupIs404(t *testing.T) {
+	m, ref := trainedModel(t)
+	s := New(Config{Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	for _, name := range []string{"email", "email2"} {
+		if err := s.Register(name, m, ref); err != nil {
+			t.Fatalf("register %s: %v", name, err)
+		}
+	}
+	ts := httptest.NewServer(s)
+	t.Cleanup(func() { ts.Close(); s.Close() })
+
+	cases := []struct{ name, query string }{
+		{"unknown model", "session=a&model=nope"},
+		{"no model, two registered", "session=b"},
+	}
+	for _, c := range cases {
+		resp, data := postIngest(t, ts.URL, c.query, "a,b,0\n")
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s: status %d, want 404 (%s)", c.name, resp.StatusCode, data)
+		}
+		if ra := resp.Header.Get("Retry-After"); ra != "" {
+			t.Errorf("%s: Retry-After %q on a lookup error", c.name, ra)
+		}
+	}
+	if shed := s.statsFor("/v1/ingest").shed.Load(); shed != 0 {
+		t.Errorf("%d lookup errors counted as shed", shed)
+	}
+	s.sessMu.Lock()
+	n := len(s.sessions)
+	s.sessMu.Unlock()
+	if n != 0 {
+		t.Errorf("%d sessions created by failed lookups", n)
+	}
+}
+
 // TestSessionList: GET /v1/ingest reports live sessions with counters.
 func TestSessionList(t *testing.T) {
 	_, ts := newTestServer(t)

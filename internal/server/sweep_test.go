@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -120,6 +122,59 @@ func TestRequestsDoNotWaitForAnotherSessionsFsync(t *testing.T) {
 	openGate.Do(func() { close(fsys.gate) })
 	if err := <-parked; err != nil {
 		t.Fatalf("parked ingest after the gate opened: %v", err)
+	}
+}
+
+// TestSweepSkipsBusySession: a sweep passes over a session whose lock an
+// ingest holds, however long it has been idle, with a DataDir and without:
+// it neither drops nor spills that session, and does not wait for the lock.
+func TestSweepSkipsBusySession(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		t.Run(map[bool]string{false: "volatile", true: "durable"}[durable], func(t *testing.T) {
+			m, ref := trainedModel(t)
+			cfg := Config{SweepInterval: -1, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))}
+			if durable {
+				cfg.DataDir = t.TempDir()
+			}
+			s := New(cfg)
+			if err := s.Register("email", m, ref); err != nil {
+				t.Fatalf("register: %v", err)
+			}
+			ts := httptest.NewServer(s)
+			defer func() { ts.Close(); s.Close() }()
+
+			mustIngest(t, ts.URL, "session=busy", edgeStreamCSVRange(t, 0, 1))
+			s.sessMu.Lock()
+			fs := s.sessions["busy"]
+			s.sessMu.Unlock()
+
+			fs.mu.Lock()
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				s.sweepSessions(time.Now().Add(s.cfg.SessionTTL + time.Hour))
+			}()
+			select {
+			case <-done:
+			case <-time.After(2 * time.Second):
+				t.Error("the sweep waited for the busy session's lock")
+			}
+			fs.mu.Unlock()
+			<-done
+
+			s.sessMu.Lock()
+			cur := s.sessions["busy"]
+			s.sessMu.Unlock()
+			if cur != fs {
+				t.Fatal("the sweep dropped a session an ingest held")
+			}
+			fs.mu.RLock()
+			closed, spilled := fs.closed, fs.spilled
+			fs.mu.RUnlock()
+			if closed || spilled {
+				t.Fatalf("busy session after the sweep: closed=%v spilled=%v, want resident", closed, spilled)
+			}
+		})
 	}
 }
 
