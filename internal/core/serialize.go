@@ -92,15 +92,15 @@ func (m *Model) state() (modelState, error) {
 // Load restores a model previously written with Save. Checkpoints written
 // before the byte-deterministic format (parameters as a name-sorted slice
 // rather than a gob map) cannot be decoded; re-save them with this build.
-// A file whose configuration New cannot build, or whose parameters do not
-// match that configuration's shapes and lengths, is an error, not a panic
-// or a partly initialised model.
+// A file whose configuration New cannot build, or whose parameters or
+// calibration statistics do not match that configuration's shapes and
+// lengths, is an error, not a panic or a partly initialised model.
 func Load(r io.Reader) (*Model, error) {
 	var st modelState
 	if err := gob.NewDecoder(r).Decode(&st); err != nil {
 		return nil, fmt.Errorf("core: decode model (checkpoints from before the name-sorted parameter format must be retrained or re-saved): %w", err)
 	}
-	if err := st.Cfg.withDefaults().check(); err != nil {
+	if err := st.check(); err != nil {
 		return nil, fmt.Errorf("core: saved model: %w", err)
 	}
 	byName := make(map[string]*savedParam, len(st.Params))
@@ -135,4 +135,37 @@ func Load(r io.Reader) (*Model, error) {
 	m.attrCorrChol = st.AttrCorrChol
 	m.attrQuantiles = st.AttrQuantiles
 	return m, nil
+}
+
+// check holds a decoded state to what Load may install: a Config New can
+// build, and calibration statistics of the lengths that Config implies.
+// Each statistic may be absent (an untrained model saves none), but one
+// that is present must be whole, or the first generation indexes past it.
+func (st *modelState) check() error {
+	if err := st.Cfg.withDefaults().check(); err != nil {
+		return err
+	}
+	if len(st.ActiveStats) != len(st.EdgeTargets) {
+		return fmt.Errorf("ActiveStats has %d steps, EdgeTargets %d", len(st.ActiveStats), len(st.EdgeTargets))
+	}
+	if len(st.AttrStd) != len(st.AttrMean) {
+		return fmt.Errorf("AttrStd has %d values, AttrMean %d", len(st.AttrStd), len(st.AttrMean))
+	}
+	f := st.Cfg.F
+	for _, s := range []struct {
+		name      string
+		got, want int
+	}{
+		{"AttrMean", len(st.AttrMean), f},
+		{"AttrRho", len(st.AttrRho), f},
+		{"AttrR2", len(st.AttrR2), f},
+		{"AttrCorr", len(st.AttrCorr), f * f},
+		{"AttrCorrChol", len(st.AttrCorrChol), f * f},
+		{"AttrQuantiles", len(st.AttrQuantiles), f},
+	} {
+		if s.got != 0 && s.got != s.want {
+			return fmt.Errorf("%s has %d values, want %d for F=%d", s.name, s.got, s.want, f)
+		}
+	}
+	return nil
 }

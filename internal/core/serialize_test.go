@@ -224,3 +224,54 @@ func TestConfigFields(t *testing.T) {
 		t.Fatalf("Config fields = %v, want the %d in %v", got, len(want), want)
 	}
 }
+
+// TestLoadRejectsMisSizedStatistics: a trained model's calibration
+// statistics of the wrong length are a Load error. Before the check, a
+// file whose AttrMean and AttrStd were one value long for F = 3 loaded,
+// and the first GenerateOpts panicked with an index out of range.
+func TestLoadRejectsMisSizedStatistics(t *testing.T) {
+	m := New(smallConfig(10, 3))
+	if _, err := m.Fit(toyGraph(10, 3, 3, 61)); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name    string
+		corrupt func(*modelState)
+	}{
+		{"intact", func(*modelState) {}},
+		{"AttrMean and AttrStd short", func(st *modelState) { st.AttrMean, st.AttrStd = st.AttrMean[:1], st.AttrStd[:1] }},
+		{"AttrStd short", func(st *modelState) { st.AttrStd = st.AttrStd[:2] }},
+		{"AttrRho long", func(st *modelState) { st.AttrRho = append(st.AttrRho, 0) }},
+		{"AttrR2 short", func(st *modelState) { st.AttrR2 = st.AttrR2[:1] }},
+		{"AttrCorr not FxF", func(st *modelState) { st.AttrCorr = st.AttrCorr[:3] }},
+		{"AttrCorrChol not FxF", func(st *modelState) { st.AttrCorrChol = st.AttrCorrChol[:8] }},
+		{"AttrQuantiles short", func(st *modelState) { st.AttrQuantiles = st.AttrQuantiles[:2] }},
+		{"ActiveStats short", func(st *modelState) { st.ActiveStats = st.ActiveStats[:1] }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			st, err := m.state()
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.corrupt(&st)
+			var buf bytes.Buffer
+			if err := gob.NewEncoder(&buf).Encode(&st); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := Load(&buf)
+			if c.name == "intact" {
+				if err != nil {
+					t.Fatalf("Load of an intact state: %v", err)
+				}
+				if _, err := loaded.GenerateOpts(GenOptions{T: 2, Seed: 3}); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			if err == nil {
+				t.Fatal("Load accepted mis-sized calibration statistics")
+			}
+		})
+	}
+}

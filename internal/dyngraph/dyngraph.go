@@ -27,8 +27,8 @@ type Snapshot struct {
 	// Memoised CSR forms of the adjacency. The bi-flow encoder asks for
 	// both matrices once per layer per epoch; rebuilding them from the
 	// neighbour lists dominated encoder time on static snapshots. AddEdge
-	// and RemoveEdge invalidate the cache; the mutex makes concurrent
-	// readers of one shared snapshot safe.
+	// invalidates the cache; the mutex makes concurrent readers of one
+	// shared snapshot safe.
 	csrMu    sync.Mutex
 	adjCSR   *tensor.CSR
 	adjTCSRc *tensor.CSR
@@ -80,23 +80,6 @@ func (s *Snapshot) invalidateCSR() {
 	s.csrMu.Unlock()
 }
 
-// RemoveEdge deletes u→v if present, reporting whether it existed.
-func (s *Snapshot) RemoveEdge(u, v int) bool {
-	if u < 0 || v < 0 || u >= s.N || v >= s.N {
-		return false
-	}
-	i := sort.SearchInts(s.Out[u], v)
-	if i >= len(s.Out[u]) || s.Out[u][i] != v {
-		return false
-	}
-	s.Out[u] = append(s.Out[u][:i], s.Out[u][i+1:]...)
-	j := sort.SearchInts(s.In[v], u)
-	s.In[v] = append(s.In[v][:j], s.In[v][j+1:]...)
-	s.m--
-	s.invalidateCSR()
-	return true
-}
-
 // HasEdge reports whether u→v exists.
 func (s *Snapshot) HasEdge(u, v int) bool {
 	if u < 0 || v < 0 || u >= s.N || v >= s.N {
@@ -143,8 +126,8 @@ func (s *Snapshot) EdgeLists() (src, dst []int) {
 
 // AdjCSR returns the adjacency matrix A (A[u][v] = 1 for edge u→v) in CSR
 // form; A·H aggregates each node's out-neighbour states. The result is
-// memoised until the next AddEdge/RemoveEdge and must therefore be treated
-// as immutable by callers (the tensor.CSR contract).
+// memoised until the next AddEdge or Recycle and must therefore be
+// treated as immutable by callers (the tensor.CSR contract).
 func (s *Snapshot) AdjCSR() *tensor.CSR {
 	s.csrMu.Lock()
 	defer s.csrMu.Unlock()
@@ -312,6 +295,34 @@ func (g *Sequence) Clone() *Sequence {
 		c.Snapshots[t] = s.Clone()
 	}
 	return c
+}
+
+// maxSequenceWords bounds what a header read from bytes may make a reader
+// allocate: T·N·(F+6) eight-byte words (each node's attribute row and its
+// two neighbour-list headers per snapshot), 16 GiB. A larger header is
+// corrupt or hostile, not a graph this repository can hold.
+const maxSequenceWords = 1 << 31
+
+// checkDims is the header rule both sequence readers (Load and
+// UnmarshalJSON) apply before allocating: no negative N, F or T, and no
+// more than maxSequenceWords.
+func checkDims(n, f, t int) error {
+	if n < 0 || f < 0 || t < 0 {
+		return fmt.Errorf("negative dimensions n=%d f=%d t=%d", n, f, t)
+	}
+	if n > 0 && t > 0 && f > maxSequenceWords/n/t-6 {
+		return fmt.Errorf("dimensions n=%d f=%d t=%d exceed %d words", n, f, t, maxSequenceWords)
+	}
+	return nil
+}
+
+// checkEdge is the endpoint rule both sequence readers apply: u and v in
+// [0, n).
+func checkEdge(n, u, v int) error {
+	if u < 0 || v < 0 || u >= n || v >= n {
+		return fmt.Errorf("edge [%d,%d] out of range [0,%d)", u, v, n)
+	}
+	return nil
 }
 
 // Validate checks internal consistency (out/in symmetry, sortedness,

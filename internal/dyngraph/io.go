@@ -88,7 +88,9 @@ func Save(w io.Writer, g *Sequence) error {
 }
 
 // Load parses a sequence from the vrdag-graph text format, plain or
-// gzip-compressed (sniffed via DecompressAuto).
+// gzip-compressed (sniffed via DecompressAuto). It applies UnmarshalJSON's
+// rules: a negative or oversized header and an edge endpoint outside
+// [0, N) are line-numbered errors.
 func Load(r io.Reader) (*Sequence, error) {
 	rr, err := DecompressAuto(r)
 	if err != nil {
@@ -109,6 +111,9 @@ func Load(r io.Reader) (*Sequence, error) {
 	if _, err := fmt.Sscanf(sc.Text(), "meta %d %d %d", &n, &f, &tt); err != nil {
 		return nil, fmt.Errorf("dyngraph: bad meta line %q: %w", sc.Text(), err)
 	}
+	if err := checkDims(n, f, tt); err != nil {
+		return nil, fmt.Errorf("dyngraph: line 2: %w", err)
+	}
 	g := NewSequence(n, f, tt)
 	lineNo := 2
 	for sc.Scan() {
@@ -128,6 +133,9 @@ func Load(r io.Reader) (*Sequence, error) {
 			v, err3 := strconv.Atoi(fields[3])
 			if err1 != nil || err2 != nil || err3 != nil || t < 0 || t >= tt {
 				return nil, fmt.Errorf("dyngraph: line %d: bad edge %q", lineNo, line)
+			}
+			if err := checkEdge(n, u, v); err != nil {
+				return nil, fmt.Errorf("dyngraph: line %d: %w", lineNo, err)
 			}
 			g.Snapshots[t].AddEdge(u, v)
 		case "x":

@@ -132,3 +132,34 @@ func TestDecompressAutoConcatenatedMembers(t *testing.T) {
 		t.Fatalf("got %q, want %q", out.String(), "hello world")
 	}
 }
+
+// TestLoadRejectsBadHeadersAndEdges: a header with a negative or
+// oversized dimension and an edge with an endpoint outside [0, N) are
+// line-numbered errors, not a panic, a negative F, or a dropped edge.
+func TestLoadRejectsBadHeadersAndEdges(t *testing.T) {
+	cases := []struct{ name, in, line string }{
+		{"negative N", "meta -1 0 1\n", "line 2:"},
+		{"negative T", "meta 2 0 -1\n", "line 2:"},
+		{"negative F", "meta 2 -3 1\n", "line 2:"},
+		{"oversized", "meta 100000000000 0 1\n", "line 2:"},
+		{"endpoint past N", "meta 2 0 1\ne 0 0 1\ne 0 5 7\n", "line 4:"},
+		{"negative endpoint", "meta 2 0 1\ne 0 -1 1\n", "line 3:"},
+	}
+	for _, c := range cases {
+		in := "vrdag-graph 1\n" + c.in
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("Load(%q) panicked: %v", in, r)
+				}
+			}()
+			g, err := Load(strings.NewReader(in))
+			if err == nil {
+				t.Fatalf("Load(%q) accepted it: N=%d F=%d T=%d", in, g.N, g.F, g.T())
+			}
+			if !strings.Contains(err.Error(), c.line) {
+				t.Fatalf("Load(%q) = %v, want an error at %s", in, err, c.line)
+			}
+		})
+	}
+}

@@ -54,18 +54,17 @@ func (g *Sequence) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &w); err != nil {
 		return fmt.Errorf("dyngraph: decode sequence: %w", err)
 	}
-	if w.N < 0 || w.F < 0 {
-		return fmt.Errorf("dyngraph: negative dimensions n=%d f=%d", w.N, w.F)
+	if err := checkDims(w.N, w.F, len(w.Snapshots)); err != nil {
+		return fmt.Errorf("dyngraph: %w", err)
 	}
 	dec := NewSequence(w.N, w.F, len(w.Snapshots))
 	for t, sw := range w.Snapshots {
 		snap := dec.Snapshots[t]
 		for _, e := range sw.Edges {
-			u, v := e[0], e[1]
-			if u < 0 || v < 0 || u >= w.N || v >= w.N {
-				return fmt.Errorf("dyngraph: snapshot %d: edge [%d,%d] out of range [0,%d)", t, u, v, w.N)
+			if err := checkEdge(w.N, e[0], e[1]); err != nil {
+				return fmt.Errorf("dyngraph: snapshot %d: %w", t, err)
 			}
-			snap.AddEdge(u, v)
+			snap.AddEdge(e[0], e[1])
 		}
 		if w.F > 0 {
 			if len(sw.X) != w.N {

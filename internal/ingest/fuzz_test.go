@@ -3,14 +3,44 @@ package ingest
 import (
 	"bytes"
 	"testing"
+
+	"vrdag/internal/dyngraph"
+	"vrdag/internal/tensor"
 )
+
+// foldPooled folds data on a Pooled Stream, cloning each snapshot inside
+// emit (the Stream takes it back once emit returns), and reports how many
+// more arena buffers the fold took than it returned.
+func foldPooled(data []byte, opts Options) ([]*dyngraph.Snapshot, int64, error) {
+	opts.Pooled = true
+	before := tensor.ReadPoolStats()
+	s, err := NewStream(opts)
+	if err != nil {
+		return nil, 0, err
+	}
+	var snaps []*dyngraph.Snapshot
+	emit := func(snap *dyngraph.Snapshot) error {
+		snaps = append(snaps, snap.Clone())
+		return nil
+	}
+	err = s.Fold(bytes.NewReader(data), emit)
+	if err == nil {
+		err = s.Flush(emit)
+	}
+	s.DiscardPending()
+	after := tensor.ReadPoolStats()
+	return snaps, (after.Gets - before.Gets) - (after.Puts - before.Puts), err
+}
 
 // FuzzFold drives the edge-stream parser with arbitrary bytes under both
 // format modes and several option shapes. The contract it enforces is the
 // package's determinism promise: any input either errors or folds into a
 // valid, reproducible sequence — malformed lines, out-of-order timestamps,
 // duplicate edges, absurd window jumps, unknown nodes; none of it may
-// panic, and a successful fold run twice must agree exactly.
+// panic, and a successful fold run twice must agree exactly. The same
+// bytes folded in Pooled mode, where one snapshot is reused for every
+// window, must give the same snapshots and the same error, and leave the
+// tensor arena balanced.
 func FuzzFold(f *testing.F) {
 	f.Add([]byte("a,b,0\nb,c,1\nc,a,2\n"))
 	f.Add([]byte("src,dst,t\na,b,0\na,b,0\n"))
@@ -34,12 +64,20 @@ func FuzzFold(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for i, opts := range optSets {
 			g1, err := ReadSequence(bytes.NewReader(data), opts)
+			pooled, leaked, perr := foldPooled(data, opts)
+			if leaked != 0 {
+				t.Fatalf("opts[%d]: pooled fold leaked %d arena buffers", i, leaked)
+			}
+			if (err == nil) != (perr == nil) || err != nil && err.Error() != perr.Error() {
+				t.Fatalf("opts[%d]: unpooled fold returned %v, pooled %v", i, err, perr)
+			}
 			if err != nil {
 				continue // rejecting input is always acceptable; panicking is not
 			}
 			if err := g1.Validate(); err != nil {
 				t.Fatalf("opts[%d]: accepted input built an invalid sequence: %v", i, err)
 			}
+			sameSnapshots(t, pooled, g1.Snapshots, "pooled vs unpooled")
 			g2, err := ReadSequence(bytes.NewReader(data), opts)
 			if err != nil {
 				t.Fatalf("opts[%d]: second fold of accepted input errored: %v", i, err)

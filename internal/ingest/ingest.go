@@ -8,8 +8,10 @@
 // timestamps into fixed-width windows, and seals one snapshot at a time as
 // the stream crosses a window boundary. Memory is O(N·F + |E_window|)
 // regardless of how many edges flow through: exactly one snapshot is under
-// construction at any moment, and snapshot attribute buffers come from the
-// pooled tensor arena when the consumer recycles them (Options.Pooled).
+// construction at any moment. With Options.Pooled one snapshot, its
+// attributes drawn from the tensor arena, serves every window, and
+// steady-state CSV folding allocates only for node IDs seen for the first
+// time.
 //
 // Determinism contract (pinned by the fuzz test): for a given byte stream
 // and options, Fold either returns an error or produces exactly the same
@@ -21,6 +23,7 @@ package ingest
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -85,10 +88,12 @@ type Options struct {
 	// streams stay piecewise-constant between observations.
 	CarryAttrs bool
 
-	// Pooled draws snapshot attribute matrices from the tensor arena
-	// (tensor.Get). Set it when the consumer recycles every snapshot
-	// (Snapshot.Recycle returns the buffer); leave it off when snapshots
-	// escape into long-lived sequences.
+	// Pooled draws snapshot attribute matrices from the tensor arena and
+	// reuses one snapshot for every window: as with bufio.Scanner.Bytes,
+	// the snapshot handed to emit is the Stream's again once emit returns
+	// (recycled, its matrix back in the arena), so the consumer must be
+	// done with it and every view of it by then. Leave it off when
+	// snapshots escape into long-lived sequences.
 	Pooled bool
 
 	// MaxWindowGap bounds how many consecutive empty windows a timestamp
@@ -135,6 +140,9 @@ type Stream struct {
 	origin    float64 // window floor of the first record's timestamp
 	window    int64   // index of the window under construction
 	cur       *dyngraph.Snapshot
+	spare     *dyngraph.Snapshot // Pooled: the last emitted snapshot, emptied for the next window
+	scanBuf   []byte             // the line scanner's starting buffer, shared by every Fold
+	xbuf      []float64          // the CSV parser's attribute row; fold copies out of it
 
 	headerChecked bool   // the stream-first CSV header sniff has run
 	header        string // the header line sniffed on the first chunk, if any
@@ -204,15 +212,10 @@ func (s *Stream) DiscardPending() {
 	}
 }
 
-// NodeIndex resolves an external ID, reporting whether it is mapped.
-func (s *Stream) NodeIndex(id string) (int, bool) {
-	idx, ok := s.nodes[id]
-	return idx, ok
-}
-
-// record is one parsed edge observation.
+// record is one parsed edge observation; a CSV record aliases the scanned
+// line and the Stream's attribute row, so it is folded before the next.
 type record struct {
-	src, dst string
+	src, dst []byte
 	t        float64
 	x        []float64 // nil when the record carries no attributes
 }
@@ -230,12 +233,15 @@ func (s *Stream) Fold(r io.Reader, emit func(*dyngraph.Snapshot) error) error {
 	if err != nil {
 		return err
 	}
+	if s.scanBuf == nil {
+		s.scanBuf = make([]byte, 4096)
+	}
 	sc := bufio.NewScanner(rr)
-	sc.Buffer(make([]byte, 64*1024), 4*1024*1024)
+	sc.Buffer(s.scanBuf, 4*1024*1024)
 	for sc.Scan() {
 		s.lines++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 || line[0] == '#' {
 			continue
 		}
 		if s.format == FormatAuto {
@@ -255,11 +261,11 @@ func (s *Stream) Fold(r io.Reader, emit func(*dyngraph.Snapshot) error) error {
 			// vanish by resembling a header.
 			if !s.headerChecked {
 				s.headerChecked = true
-				if isCSVHeader(line) {
-					s.header = line
+				if isCSVHeader(string(line)) {
+					s.header = string(line)
 					continue
 				}
-			} else if s.header != "" && line == s.header {
+			} else if s.header != "" && string(line) == s.header {
 				continue
 			}
 		}
@@ -290,19 +296,34 @@ func (s *Stream) Flush(emit func(*dyngraph.Snapshot) error) error {
 	if s.cur == nil {
 		return nil
 	}
+	return s.seal(emit)
+}
+
+// seal hands the window under construction (an empty one when nothing
+// was folded into it) to emit and advances the window clock. In Pooled
+// mode the snapshot comes back to the Stream once emit returns.
+func (s *Stream) seal(emit func(*dyngraph.Snapshot) error) error {
 	snap := s.cur
+	if snap == nil {
+		snap = s.newSnapshot()
+	}
 	s.cur = nil
 	s.window++
 	s.sealed++
-	return emit(snap)
+	err := emit(snap)
+	if s.opts.Pooled {
+		snap.Recycle()
+		s.spare = snap
+	}
+	return err
 }
 
 // parse dispatches on the resolved format.
-func (s *Stream) parse(line string) (record, error) {
+func (s *Stream) parse(line []byte) (record, error) {
 	if s.format == FormatNDJSON {
-		return parseNDJSON(line, s.opts.F)
+		return parseNDJSON(string(line), s.opts.F)
 	}
-	return parseCSV(line, s.opts.F)
+	return s.parseCSV(line)
 }
 
 // isCSVHeader recognises a leading header row: the third field is not a
@@ -316,34 +337,51 @@ func isCSVHeader(line string) bool {
 	return err != nil
 }
 
-func parseCSV(line string, f int) (record, error) {
-	fields := strings.Split(line, ",")
-	if len(fields) != 3 && len(fields) != 3+f {
-		return record{}, fmt.Errorf("want 3 or %d comma-separated fields, got %d", 3+f, len(fields))
+// parseCSV splits line in place: src and dst alias it, and attributes
+// land in the Stream's attribute row. Numbers parse from non-escaping
+// string views, so a record allocates nothing.
+func (s *Stream) parseCSV(line []byte) (record, error) {
+	f := s.opts.F
+	n := bytes.Count(line, []byte(",")) + 1
+	if n != 3 && n != 3+f {
+		return record{}, fmt.Errorf("want 3 or %d comma-separated fields, got %d", 3+f, n)
 	}
-	if len(fields) > 3 && f == 0 {
-		return record{}, fmt.Errorf("attribute columns on a structure-only stream (F=0)")
-	}
-	rec := record{src: strings.TrimSpace(fields[0]), dst: strings.TrimSpace(fields[1])}
-	if rec.src == "" || rec.dst == "" {
+	var rec record
+	rec.src, line = cutField(line)
+	rec.dst, line = cutField(line)
+	if len(rec.src) == 0 || len(rec.dst) == 0 {
 		return record{}, fmt.Errorf("empty src or dst")
 	}
-	t, err := strconv.ParseFloat(strings.TrimSpace(fields[2]), 64)
+	field, line := cutField(line)
+	t, err := strconv.ParseFloat(string(field), 64)
 	if err != nil || math.IsNaN(t) || math.IsInf(t, 0) {
-		return record{}, fmt.Errorf("bad timestamp %q", strings.TrimSpace(fields[2]))
+		return record{}, fmt.Errorf("bad timestamp %q", field)
 	}
 	rec.t = t
-	if len(fields) > 3 {
-		rec.x = make([]float64, f)
-		for j := 0; j < f; j++ {
-			v, err := strconv.ParseFloat(strings.TrimSpace(fields[3+j]), 64)
-			if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
-				return record{}, fmt.Errorf("bad attribute value %q", strings.TrimSpace(fields[3+j]))
-			}
-			rec.x[j] = v
+	if n > 3 {
+		if s.xbuf == nil {
+			s.xbuf = make([]float64, f)
 		}
+		for j := range s.xbuf {
+			field, line = cutField(line)
+			v, err := strconv.ParseFloat(string(field), 64)
+			if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
+				return record{}, fmt.Errorf("bad attribute value %q", field)
+			}
+			s.xbuf[j] = v
+		}
+		rec.x = s.xbuf
 	}
 	return rec, nil
+}
+
+// cutField returns the trimmed field before the first comma and the rest
+// of the line after it.
+func cutField(line []byte) (field, rest []byte) {
+	if i := bytes.IndexByte(line, ','); i >= 0 {
+		return bytes.TrimSpace(line[:i]), line[i+1:]
+	}
+	return bytes.TrimSpace(line), nil
 }
 
 // ndjsonRecord mirrors the NDJSON wire shape; src/dst tolerate JSON
@@ -379,7 +417,7 @@ func parseNDJSON(line string, f int) (record, error) {
 	if math.IsNaN(*nr.T) || math.IsInf(*nr.T, 0) {
 		return record{}, fmt.Errorf("bad timestamp %v", *nr.T)
 	}
-	rec := record{src: src, dst: dst, t: *nr.T}
+	rec := record{src: []byte(src), dst: []byte(dst), t: *nr.T}
 	if nr.X != nil {
 		if f == 0 {
 			return record{}, fmt.Errorf("attribute payload on a structure-only stream (F=0)")
@@ -448,14 +486,7 @@ func (s *Stream) fold(rec record, emit func(*dyngraph.Snapshot) error) error {
 				s.lines, rec.t, gap-1, s.opts.MaxWindowGap)
 		}
 		for s.window < w {
-			snap := s.cur
-			if snap == nil {
-				snap = s.newSnapshot()
-			}
-			s.cur = nil
-			s.window++
-			s.sealed++
-			if err := emit(snap); err != nil {
+			if err := s.seal(emit); err != nil {
 				return err
 			}
 		}
@@ -506,9 +537,10 @@ func (s *Stream) windowOf(t float64) (int64, error) {
 }
 
 // mapNode resolves an external ID to an index, growing the mapping when
-// allowed. ok=false means the record should be dropped (DropUnknown).
-func (s *Stream) mapNode(id string) (int, bool, error) {
-	if idx, ok := s.nodes[id]; ok {
+// allowed. ok=false means the record should be dropped (DropUnknown). Only
+// an ID seen for the first time allocates (its map key).
+func (s *Stream) mapNode(id []byte) (int, bool, error) {
+	if idx, ok := s.nodes[string(id)]; ok {
 		return idx, true, nil
 	}
 	if s.frozen || s.nextID >= s.opts.N {
@@ -519,15 +551,19 @@ func (s *Stream) mapNode(id string) (int, bool, error) {
 	}
 	idx := s.nextID
 	s.nextID++
-	s.nodes[id] = idx
+	s.nodes[string(id)] = idx
 	return idx, true, nil
 }
 
-// newSnapshot allocates the next window's snapshot, pre-filling carried
-// attributes. Pooled mode draws the attribute matrix from the tensor
-// arena (the consumer recycles it).
+// newSnapshot starts the next window's snapshot, pre-filling carried
+// attributes. Pooled mode reuses the last emitted snapshot and draws the
+// attribute matrix from the tensor arena.
 func (s *Stream) newSnapshot() *dyngraph.Snapshot {
-	snap := dyngraph.NewSnapshot(s.opts.N, 0)
+	snap := s.spare
+	s.spare = nil
+	if snap == nil {
+		snap = dyngraph.NewSnapshot(s.opts.N, 0)
+	}
 	if s.opts.F > 0 {
 		if s.opts.Pooled {
 			snap.X = tensor.Get(s.opts.N, s.opts.F)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -383,5 +384,108 @@ func TestOptionsValidation(t *testing.T) {
 	}
 	if _, err := NewStream(Options{N: 2, Nodes: map[string]int{"a": 5}}); err == nil {
 		t.Fatal("pinned index outside the universe must be rejected")
+	}
+}
+
+// csvWindow is one bench-shaped CSV window at timestamp t: 100 distinct
+// edges among the nodes n0..n19, two attribute columns each.
+func csvWindow(t int) []byte {
+	var b []byte
+	for e := 0; e < 100; e++ {
+		u := e % 20
+		v := (u + 1 + e/20) % 20
+		b = fmt.Appendf(b, "n%d,n%d,%d,%.4f,%.4f\n", u, v, t, float64(e)/10, -float64(e)/7)
+	}
+	return b
+}
+
+// TestFoldAllocs pins the steady-state cost of folding: once a Pooled
+// Stream has mapped every node and grown its snapshot's neighbour lists,
+// Fold+Flush of a 100-edge window allocates only per call (the gzip sniff's
+// reader and the line scanner), never per record.
+func TestFoldAllocs(t *testing.T) {
+	const runs = 50
+	bodies := make([][]byte, runs+2)
+	for k := range bodies {
+		bodies[k] = csvWindow(k)
+	}
+	s, err := NewStream(Options{N: 20, F: 2, CarryAttrs: true, Pooled: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	emit := func(snap *dyngraph.Snapshot) error { snap.Recycle(); return nil }
+	var r bytes.Reader
+	k := 0
+	fold := func() {
+		r.Reset(bodies[k])
+		k++
+		err := s.Fold(&r, emit)
+		if err == nil {
+			err = s.Flush(emit)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	fold() // warm: map every node and grow the neighbour lists
+	if got := testing.AllocsPerRun(runs, fold); got > 10 {
+		t.Fatalf("Fold+Flush of a 100-edge window allocates %.1f objects, want <= 10", got)
+	}
+	if s.Edges() != int64(100*k) {
+		t.Fatalf("folded %d edges over %d windows, want %d", s.Edges(), k, 100*k)
+	}
+}
+
+// TestPooledStreamReusesSnapshot: a Pooled Stream hands emit the same
+// snapshot for every window, and the reused snapshot starts each window
+// empty: no edge of the previous window, and attributes only as
+// CarryAttrs says. The consumer here never recycles; the Stream reclaims
+// each snapshot itself, so the arena still balances.
+func TestPooledStreamReusesSnapshot(t *testing.T) {
+	// Window 0: a->b with x[a]; window 1: a gap; window 2: b->c with x[b].
+	in := "a,b,0,1.5\nb,c,2,2.5\n"
+	for _, carry := range []bool{false, true} {
+		t.Run(fmt.Sprintf("carry=%v", carry), func(t *testing.T) {
+			before := tensor.ReadPoolStats()
+			s, err := NewStream(Options{N: 3, F: 1, CarryAttrs: carry, Pooled: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var seen []*dyngraph.Snapshot
+			var edges [][][2]int
+			var attrs [][]float64
+			emit := func(snap *dyngraph.Snapshot) error {
+				seen = append(seen, snap)
+				edges = append(edges, snap.Edges())
+				attrs = append(attrs, append([]float64(nil), snap.X.Data...))
+				return nil
+			}
+			if err := s.Fold(strings.NewReader(in), emit); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Flush(emit); err != nil {
+				t.Fatal(err)
+			}
+			if len(seen) != 3 || seen[1] != seen[0] || seen[2] != seen[0] {
+				t.Fatalf("emit saw %d windows through %v, want 3 through one snapshot", len(seen), seen)
+			}
+			wantEdges := [][][2]int{{{0, 1}}, {}, {{1, 2}}}
+			wantAttrs := [][]float64{{1.5, 0, 0}, {0, 0, 0}, {0, 2.5, 0}}
+			if carry {
+				wantAttrs = [][]float64{{1.5, 0, 0}, {1.5, 0, 0}, {1.5, 2.5, 0}}
+			}
+			for w := range seen {
+				if fmt.Sprint(edges[w]) != fmt.Sprint(wantEdges[w]) {
+					t.Errorf("window %d edges %v, want %v", w, edges[w], wantEdges[w])
+				}
+				if fmt.Sprint(attrs[w]) != fmt.Sprint(wantAttrs[w]) {
+					t.Errorf("window %d attrs %v, want %v", w, attrs[w], wantAttrs[w])
+				}
+			}
+			after := tensor.ReadPoolStats()
+			if gets, puts := after.Gets-before.Gets, after.Puts-before.Puts; gets != puts {
+				t.Fatalf("pooled stream leaked: %d gets vs %d puts", gets, puts)
+			}
+		})
 	}
 }
