@@ -13,6 +13,7 @@ import (
 	"slices"
 	"testing"
 
+	"vrdag/internal/datasets"
 	"vrdag/internal/dyngraph"
 	"vrdag/internal/nn"
 	"vrdag/internal/tensor"
@@ -270,6 +271,71 @@ func TestGenerateBitIdenticalAcrossBackends(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestEncodeBitIdenticalAcrossBackends encodes the same observed prefix
+// under every compiled backend — an attributed email ×0.05 replica's first
+// eight snapshots, N=94, through a model fitted once on them — and
+// compares the ForecastState's H bit for bit and the saved bytes of a
+// forecast from it. Ingest runs this path once per window; the Fit and
+// Generate tests above never run it.
+func TestEncodeBitIdenticalAcrossBackends(t *testing.T) {
+	active := tensor.ActiveBackend()
+	defer func() {
+		if err := tensor.SetBackend(active); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	g, _, err := datasets.Replica(datasets.Email, 0.05, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.F == 0 || g.T() < 8 {
+		t.Fatalf("replica has F=%d and %d snapshots, want attributes and at least 8", g.F, g.T())
+	}
+	prefix := &dyngraph.Sequence{N: g.N, F: g.F, Snapshots: g.Snapshots[:8]}
+	cfg := DefaultConfig(g.N, g.F)
+	cfg.Epochs = 1
+	cfg.Seed = 7
+	m := New(cfg)
+	if _, err := m.Fit(prefix); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	var refName string
+	var refH []float64
+	var refBytes []byte
+	for _, name := range tensor.BackendNames() {
+		if err := tensor.SetBackend(name); err != nil {
+			t.Fatal(err)
+		}
+		st, err := m.Encode(ctx, prefix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := append([]float64(nil), st.h.Data...)
+		seq, err := m.Forecast(ctx, st, GenOptions{T: 2, Seed: 24})
+		st.Release()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := dyngraph.Save(&buf, seq); err != nil {
+			t.Fatal(err)
+		}
+		if refName == "" {
+			refName, refH, refBytes = name, h, buf.Bytes()
+			continue
+		}
+		for i := range h {
+			if math.Float64bits(h[i]) != math.Float64bits(refH[i]) {
+				t.Fatalf("H[%d] under %s = %#x, under %s %#x", i, name, math.Float64bits(h[i]), refName, math.Float64bits(refH[i]))
+			}
+		}
+		if !bytes.Equal(buf.Bytes(), refBytes) {
+			t.Fatalf("forecast dyngraph.Save bytes under %s differ from %s", name, refName)
 		}
 	}
 }

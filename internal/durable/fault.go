@@ -70,13 +70,6 @@ func (ffs *FaultFS) SetFault(f Fault) {
 	ffs.mu.Unlock()
 }
 
-// Tripped reports whether any configured fault has triggered yet.
-func (ffs *FaultFS) Tripped() bool {
-	ffs.mu.Lock()
-	defer ffs.mu.Unlock()
-	return ffs.tripped
-}
-
 // admitWrite decides the fate of a Write of n bytes: allow up to that many
 // bytes through (possibly fewer when Torn), or fail outright.
 func (ffs *FaultFS) admitWrite(n int) (allow int, err error) {

@@ -27,17 +27,17 @@ func TestAdjCSRCacheInvalidation(t *testing.T) {
 	if b == a {
 		t.Fatal("AddEdge did not invalidate the CSR cache")
 	}
-	if b.NNZ() != 2 || b.Dense().At(1, 2) != 1 {
+	if b.NNZ() != 2 || dense(b).At(1, 2) != 1 {
 		t.Fatal("cached CSR missing the new edge")
 	}
 	bt := s.AdjTCSR()
-	if bt.Dense().At(2, 1) != 1 {
+	if dense(bt).At(2, 1) != 1 {
 		t.Fatal("cached transposed CSR missing the new edge")
 	}
 
 	s.RemoveEdge(0, 1)
 	c := s.AdjCSR()
-	if c == b || c.NNZ() != 1 || c.Dense().At(0, 1) != 0 {
+	if c == b || c.NNZ() != 1 || dense(c).At(0, 1) != 0 {
 		t.Fatal("RemoveEdge did not invalidate the CSR cache")
 	}
 

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"vrdag/internal/tensor"
 )
 
 func TestAddEdgeBasics(t *testing.T) {
@@ -72,15 +74,26 @@ func TestDegreesAndEdges(t *testing.T) {
 	}
 }
 
+// dense materialises a CSR matrix as a dense one.
+func dense(c *tensor.CSR) *tensor.Matrix {
+	out := tensor.New(c.Rows, c.Cols)
+	for i := 0; i < c.Rows; i++ {
+		for p := c.RowPtr[i]; p < c.RowPtr[i+1]; p++ {
+			out.Data[i*c.Cols+c.ColIdx[p]] += c.Val[p]
+		}
+	}
+	return out
+}
+
 func TestAdjCSRMatchesEdges(t *testing.T) {
 	s := NewSnapshot(3, 0)
 	s.AddEdge(0, 1)
 	s.AddEdge(2, 0)
-	a := s.AdjCSR().Dense()
+	a := dense(s.AdjCSR())
 	if a.At(0, 1) != 1 || a.At(2, 0) != 1 || a.Sum() != 2 {
 		t.Fatalf("AdjCSR dense = %v", a)
 	}
-	at := s.AdjTCSR().Dense()
+	at := dense(s.AdjTCSR())
 	if at.At(1, 0) != 1 || at.At(0, 2) != 1 || at.Sum() != 2 {
 		t.Fatalf("AdjTCSR dense = %v", at)
 	}

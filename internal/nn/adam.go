@@ -133,9 +133,6 @@ func NewEvalCtx(tape *tensor.Tape) *Ctx {
 	return &Ctx{Tape: tape}
 }
 
-// Training reports whether this context tracks gradients.
-func (c *Ctx) Training() bool { return c.sink != nil }
-
 // Var returns a tape node for parameter p. In training contexts the node
 // is differentiable and remembered for Flush; in eval contexts it is a
 // constant.

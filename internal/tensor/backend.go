@@ -2,7 +2,6 @@ package tensor
 
 import (
 	"fmt"
-	"math"
 	"os"
 )
 
@@ -28,11 +27,14 @@ import (
 //     vectorising across elements cannot change any element's result as
 //     long as no FMA contraction is introduced, so SIMD variants use
 //     separate multiply and add instructions.
-//   - VExp and VSigmoid are defined by math.Exp. A SIMD variant may run
-//     only the instruction sequence math.Exp itself runs on this CPU —
-//     its FMAs included, since they are the reference's own — and must
-//     hand every input outside that sequence's branch-free range back to
-//     math.Exp.
+//   - VExp and VSigmoid are defined by math.Exp, and VTanh by math.Tanh,
+//     which calls math.Exp above |x| = 0.625. A SIMD variant may run only
+//     the instruction sequence those functions themselves run on this
+//     CPU, lane by lane — math.Exp's FMAs included, since they are the
+//     reference's own — and must hand every input outside that sequence's
+//     branch-free range back to the scalar function.
+//   - AddRowVec is elementwise: each element of x gets one add of its
+//     column's bias.
 //   - GEMM kernels fix one accumulation order per output element —
 //     ascending p (the contraction index), with GemmNN/GemmTN adding each
 //     product directly into the output element and GemmNT/GemmTT summing
@@ -78,11 +80,17 @@ type Backend interface {
 	VReLU(x []float64)
 	VLeakyReLU(x []float64, slope float64)
 
-	// VExp computes x[i] = math.Exp(x[i]) and VSigmoid the logistic
-	// function through it, in place. Tanh stays one scalar loop
-	// (tensor.VTanh) on every backend.
+	// VExp computes x[i] = math.Exp(x[i]), VSigmoid the logistic
+	// function through it and VTanh x[i] = math.Tanh(x[i]), in place.
 	VExp(x []float64)
 	VSigmoid(x []float64)
+	VTanh(x []float64)
+
+	// AddRowVec computes x[r*cols+j] += b[j] for every row r of x, a
+	// row-major matrix len(x)/cols rows by cols columns (the bias add of
+	// every affine layer). len(x) is a multiple of cols, and b holds at
+	// least cols values.
+	AddRowVec(x []float64, cols int, b []float64)
 
 	// VActGrad computes dst[i] = grad[i] * act'(out[i]) with the
 	// derivative expressed through the activation output — the fused
@@ -227,12 +235,8 @@ var cpuFeatureNames []string
 // VSigmoid applies the logistic function elementwise in place.
 func VSigmoid(x []float64) { backendImpl.VSigmoid(x) }
 
-// VTanh applies tanh elementwise in place.
-func VTanh(x []float64) {
-	for i, v := range x {
-		x[i] = math.Tanh(v)
-	}
-}
+// VTanh applies math.Tanh elementwise in place.
+func VTanh(x []float64) { backendImpl.VTanh(x) }
 
 // VExp applies math.Exp elementwise in place. It clamps nothing: callers
 // that need a bound (Tape.Exp's min(x, 40)) apply it first.

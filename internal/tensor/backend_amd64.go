@@ -50,12 +50,18 @@ func vexpAVX2(x *float64, n4 int) (done int)
 //go:noescape
 func vsigmoidAVX2(x *float64, n4 int) (done int)
 
+//go:noescape
+func vtanhAVX2(x *float64, n4 int) (done int)
+
+//go:noescape
+func addRowVecAVX2(x, b *float64, rows, cols, c4 int)
+
 // The CPU is probed during package variable initialisation, so the
 // registration lands before backend selection in init().
 var _ = registerAMD64Backend()
 
-// expKernel is set when the avx2 backend's VExp and VSigmoid run the
-// assembly exp kernel; otherwise they keep the scalar loops. "fma" in
+// expKernel is set when the avx2 backend's VExp, VSigmoid and VTanh run
+// the assembly exp kernel; otherwise they keep the scalar loops. "fma" in
 // CPUFeatures says which of the two a process runs.
 var expKernel bool
 
@@ -98,8 +104,9 @@ func expKernelMatchesMath() bool {
 
 // avx2Backend runs the hand-written AVX2 kernels, bit-identical to the
 // reference: 4-wide no-FMA mul+add pairs vectorised across output
-// elements only, and the exp kernel replaying math.Exp's own FMA
-// sequence lane by lane (see backend_amd64.s). GemmNN and GemmTN are one
+// elements only, and the exp and tanh kernels replaying math.Exp's own
+// FMA sequence and math.tanh's branches lane by lane (see
+// backend_amd64.s). GemmNN and GemmTN are one
 // kernel that keeps two output rows' sums in registers and skips zero
 // multipliers itself; GemmNT transposes b once per call and runs a kernel
 // of the same shape on it, without the skip; GemmTT is inherited.
@@ -165,12 +172,14 @@ func (avx2Backend) VLeakyReLU(x []float64, slope float64) {
 
 func (avx2Backend) VExp(x []float64)     { expBlocks(x, vexpAVX2, scalarKernels{}.VExp) }
 func (avx2Backend) VSigmoid(x []float64) { expBlocks(x, vsigmoidAVX2, scalarKernels{}.VSigmoid) }
+func (avx2Backend) VTanh(x []float64)    { expBlocks(x, vtanhAVX2, scalarKernels{}.VTanh) }
 
 // expBlocks runs kernel over x's whole 4-lane blocks, or scalar over all
 // of x where the init probe left the kernel off. The kernel returns at
-// the first block holding a NaN or a lane outside [−708, 708], where
-// math.Exp leaves its branch-free path; scalar finishes that block, and
-// the kernel resumes past it. scalar also takes the len(x)%4 tail.
+// the first block it refuses: for exp and sigmoid one holding a NaN or a
+// lane outside [−708, 708], where math.Exp leaves its branch-free path,
+// for tanh one holding a NaN. scalar finishes that block, and the kernel
+// resumes past it. scalar also takes the len(x)%4 tail.
 func expBlocks(x []float64, kernel func(x *float64, n4 int) int, scalar func([]float64)) {
 	if !expKernel {
 		scalar(x)
@@ -184,6 +193,27 @@ func expBlocks(x []float64, kernel func(x *float64, n4 int) int, scalar func([]f
 		}
 	}
 	scalar(x[n4:])
+}
+
+// AddRowVec adds each row's first cols&^3 columns in one assembly call
+// over the whole matrix, and the last cols%4 here; rows narrower than
+// four columns stay scalar. The kernel takes raw pointers, so x and b are
+// first cut to the whole rows and the cols values it reads.
+func (avx2Backend) AddRowVec(x []float64, cols int, b []float64) {
+	c4 := cols &^ 3
+	if c4 == 0 || len(x) == 0 {
+		scalarKernels{}.AddRowVec(x, cols, b)
+		return
+	}
+	b, x = b[:cols], x[:len(x)/cols*cols]
+	addRowVecAVX2(&x[0], &b[0], len(x)/cols, cols, c4)
+	tail := b[c4:]
+	for r := c4; r < len(x); r += cols {
+		row := x[r : r+len(tail)]
+		for j, v := range tail {
+			row[j] += v
+		}
+	}
 }
 
 func (avx2Backend) VActGrad(dst, grad, out []float64, act Act) {

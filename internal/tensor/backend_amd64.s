@@ -134,6 +134,39 @@ add2_done:
 	VZEROUPPER
 	RET
 
+// func addRowVecAVX2(x, b *float64, rows, cols, c4 int)
+// x[r·cols+j] += b[j] for r in [0, rows) and j in [0, c4), where x is
+// rows×cols row-major, rows is positive and c4 a positive multiple of 4 no
+// larger than cols: one add per element, x's value first, as the scalar
+// reference adds. The Go wrapper takes each row's last cols−c4 columns.
+//
+//	DI  row r of x, R10 cols·8, its stride; SI b; R9 c4·8; DX rows left
+//	AX  byte offset of the four columns in the row
+TEXT ·addRowVecAVX2(SB), NOSPLIT, $0-40
+	MOVQ x+0(FP), DI
+	MOVQ b+8(FP), SI
+	MOVQ rows+16(FP), DX
+	MOVQ cols+24(FP), R10
+	SHLQ $3, R10
+	MOVQ c4+32(FP), R9
+	SHLQ $3, R9
+
+arv_row:
+	XORQ AX, AX
+
+arv_col:
+	VMOVUPD (DI)(AX*1), Y0
+	VADDPD  (SI)(AX*1), Y0, Y0
+	VMOVUPD Y0, (DI)(AX*1)
+	ADDQ    $32, AX
+	CMPQ    AX, R9
+	JLT     arv_col
+	ADDQ    R10, DI
+	DECQ    DX
+	JNZ     arv_row
+	VZEROUPPER
+	RET
+
 // func scaleAVX2(x *float64, n int, s float64)
 // x[i] *= s for i in [0, n).
 TEXT ·scaleAVX2(SB), NOSPLIT, $0-24
@@ -1262,6 +1295,96 @@ vsig_loop:
 	JMP       vsig_loop
 
 vsig_done:
+	MOVQ AX, done+16(FP)
+	VZEROUPPER
+	RET
+
+// The tanh kernel replays math.tanh ($GOROOT/src/math/tanh.go) as the Go
+// compiler builds it for amd64 (no FMA contraction), every branch on
+// every lane, then keeps each lane's own branch by blend. Per lane, with
+// z = |x|: ±1 above 0.5·MAXLOG; 1 − 2/(exp(2z)+1) with x's sign from
+// 0.625 up, exp by EXP4, since math.Exp is archExp there and 2z ≤ 88.03 is
+// inside its branch-free range; below that x + x·s·P(s)/Q(s), s = x·x,
+// except that ±0 is returned as it is. The polynomial constants are
+// tanhP and tanhQ, in that order, then the two thresholds.
+#define TANHCONST(off, v) \
+	DATA tanhconst<>+(off)(SB)/8, v    \
+	DATA tanhconst<>+(off+8)(SB)/8, v  \
+	DATA tanhconst<>+(off+16)(SB)/8, v \
+	DATA tanhconst<>+(off+24)(SB)/8, v
+
+TANHCONST(0, $-9.64399179425052238628e-1)
+TANHCONST(32, $-9.92877231001918586564e1)
+TANHCONST(64, $-1.61468768441708447952e3)
+TANHCONST(96, $1.12811678491632931402e2)
+TANHCONST(128, $2.23548839060100448583e3)
+TANHCONST(160, $4.84406305325125486048e3)
+TANHCONST(192, $0.625)
+TANHCONST(224, $44.014845965556525)   // 0.5·MAXLOG
+GLOBL tanhconst<>(SB), RODATA|NOPTR, $256
+
+// func vtanhAVX2(x *float64, n4 int) (done int)
+// x[i] = math.Tanh(x[i]) for i in [0, done), n4 a multiple of 4. done is
+// n4, or the start of the first block holding a NaN, which the Go wrapper
+// finishes with math.Tanh before calling again past it.
+//
+//	Y5  x, Y6 z, Y7 x's sign bits, Y15 zero
+//	Y4  the exp branch, Y9 the polynomial's, Y8 s, Y10 Y11 scratch
+TEXT ·vtanhAVX2(SB), NOSPLIT, $0-24
+	MOVQ   x+0(FP), DI
+	MOVQ   n4+8(FP), CX
+	XORQ   AX, AX
+	VXORPD Y15, Y15, Y15
+
+vtanh_loop:
+	CMPQ      AX, CX
+	JGE       vtanh_done
+	VMOVUPD   (DI)(AX*8), Y5
+	VCMPPD    $0x03, Y5, Y5, Y3                  // NaN lanes (UNORD_Q)
+	VMOVMSKPD Y3, BX
+	TESTQ     BX, BX
+	JNE       vtanh_done
+	VANDPD    expconst<>+448(SB), Y5, Y6         // z = |x|
+	VANDPD    expconst<>+512(SB), Y5, Y7
+
+	// The min keeps the lanes that take another branch inside EXP4's range.
+	VMINPD    tanhconst<>+224(SB), Y6, Y0
+	VADDPD    Y0, Y0, Y0                         // 2z
+	EXP4                                         // s = exp(2z)
+	VADDPD    expconst<>+352(SB), Y0, Y0         // s + 1
+	VMOVUPD   expconst<>+384(SB), Y1
+	VDIVPD    Y0, Y1, Y0                         // 2/(s+1)
+	VMOVUPD   expconst<>+352(SB), Y1
+	VSUBPD    Y0, Y1, Y0                         // 1 − 2/(s+1)
+	VXORPD    Y7, Y0, Y4                         // negated where x < 0
+
+	VMULPD    Y5, Y5, Y8                         // s = x·x
+	VMULPD    Y8, Y5, Y9                         // x·s
+	VMULPD    tanhconst<>+0(SB), Y8, Y10         // P(s), Horner
+	VADDPD    tanhconst<>+32(SB), Y10, Y10
+	VMULPD    Y8, Y10, Y10
+	VADDPD    tanhconst<>+64(SB), Y10, Y10
+	VMULPD    Y10, Y9, Y9                        // x·s·P(s)
+	VADDPD    tanhconst<>+96(SB), Y8, Y10        // Q(s), Horner
+	VMULPD    Y8, Y10, Y10
+	VADDPD    tanhconst<>+128(SB), Y10, Y10
+	VMULPD    Y8, Y10, Y10
+	VADDPD    tanhconst<>+160(SB), Y10, Y10
+	VDIVPD    Y10, Y9, Y9                        // x·s·P(s)/Q(s)
+	VADDPD    Y9, Y5, Y9                         // x + that
+	VCMPPD    $0x00, Y15, Y5, Y10                // x == 0 (EQ_OQ)
+	VBLENDVPD Y10, Y5, Y9, Y9
+
+	VCMPPD    $0x1D, tanhconst<>+192(SB), Y6, Y10 // z >= 0.625 (GE_OQ)
+	VBLENDVPD Y10, Y4, Y9, Y9
+	VCMPPD    $0x1E, tanhconst<>+224(SB), Y6, Y10 // z > 0.5·MAXLOG (GT_OQ)
+	VORPD     expconst<>+352(SB), Y7, Y11        // ±1
+	VBLENDVPD Y10, Y11, Y9, Y9
+	VMOVUPD   Y9, (DI)(AX*8)
+	ADDQ      $4, AX
+	JMP       vtanh_loop
+
+vtanh_done:
 	MOVQ AX, done+16(FP)
 	VZEROUPPER
 	RET

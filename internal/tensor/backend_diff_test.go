@@ -270,6 +270,31 @@ func TestBackendDifferentialVectorOps(t *testing.T) {
 					t.Fatalf("Add aliased n=%d: [%d] %v != %v", n, i, got[i], want[i])
 				}
 			}
+			// AddRowVec at every width up to 33: whole four-column strips,
+			// every tail length, and rows narrower than one strip. A
+			// quarter of both operands is NaN, ±Inf or ±0; the one NaN
+			// payload makes NaN + NaN the same bits in either order.
+			specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1)}
+			for cols := 1; cols <= 33; cols++ {
+				for _, rows := range []int{0, 1, 3, 94} {
+					x, b := make([]float64, rows*cols), make([]float64, cols)
+					for _, v := range [][]float64{x, b} {
+						fillMixed(v, rng)
+						for i := range v {
+							if rng.Intn(4) == 0 {
+								v[i] = specials[rng.Intn(len(specials))]
+							}
+						}
+					}
+					want, got := cloneSlice(x), cloneSlice(x)
+					ref.AddRowVec(want, cols, b)
+					bk.AddRowVec(got, cols, b)
+					if i, ok := sameBits(want, got); !ok {
+						t.Fatalf("AddRowVec %dx%d: [%d] %v + %v = %#x, want %#x", rows, cols, i, x[i], b[i%cols],
+							math.Float64bits(got[i]), math.Float64bits(want[i]))
+					}
+				}
+			}
 		})
 	}
 }
@@ -347,29 +372,38 @@ func TestBackendDifferentialActivations(t *testing.T) {
 	}
 }
 
-// expKernels are the two math.Exp-defined kernels with their scalar
-// definitions, which every backend must match bit for bit.
-var expKernels = []struct {
-	name string
-	run  func(Backend, []float64)
-	def  func(float64) float64
-}{
-	{"VExp", Backend.VExp, math.Exp},
-	{"VSigmoid", Backend.VSigmoid, sigmoid},
+type vmathKernel struct {
+	name  string
+	run   func(Backend, []float64)
+	def   func(float64) float64
+	sweep float64
 }
 
-// TestBackendDifferentialExpSweep holds every backend's VExp to math.Exp
-// and its VSigmoid to the scalar sigmoid, bit for bit, on 2²² evenly
-// spaced points over [−708, 708] (the range the avx2 kernel serves), 10⁶
-// random bit patterns (about one 4-lane block in sixteen lies wholly in
-// that range; the rest take the scalar fallback), and the range's edges,
-// the overflow and underflow thresholds, ±0, ±Inf, NaN and the smallest
-// subnormal at each of the four lane positions of a middle block.
+// expKernels are the three kernels defined by math.Exp and math.Tanh,
+// with their scalar definitions, which every backend must match bit for
+// bit, and the half-width of the range TestBackendDifferentialExpSweep
+// sweeps for each: the one the avx2 exp kernel serves, and for tanh a
+// little past 0.5·MAXLOG, above which every lane is ±1.
+var expKernels = []vmathKernel{
+	{"VExp", Backend.VExp, math.Exp, 708},
+	{"VSigmoid", Backend.VSigmoid, sigmoid, 708},
+	{"VTanh", Backend.VTanh, math.Tanh, 45},
+}
+
+// TestBackendDifferentialExpSweep holds every backend's VExp to math.Exp,
+// its VSigmoid to the scalar sigmoid and its VTanh to math.Tanh, bit for
+// bit, on 2²² evenly spaced points over each kernel's sweep range, 10⁶
+// random bit patterns (for exp and sigmoid about one 4-lane block in
+// sixteen lies wholly in the kernel's range; the rest take the scalar
+// fallback), and edges at each of the four lane positions of a middle
+// block: the exp range's bounds, the overflow and underflow thresholds,
+// both neighbours of tanh's ±0.625 and ±0.5·MAXLOG branch points, ±0,
+// subnormals, ±Inf and NaN.
 func TestBackendDifferentialExpSweep(t *testing.T) {
-	check := func(t *testing.T, bk Backend, x []float64) {
+	check := func(t *testing.T, bk Backend, x []float64, kernels []vmathKernel) {
 		t.Helper()
 		got := make([]float64, len(x))
-		for _, k := range expKernels {
+		for _, k := range kernels {
 			copy(got, x)
 			k.run(bk, got)
 			for i, v := range x {
@@ -381,16 +415,25 @@ func TestBackendDifferentialExpSweep(t *testing.T) {
 		}
 	}
 	const sweep, chunk, patterns = 1 << 22, 1 << 16, 1_000_000
+	const halfMaxLog = 44.014845965556525 // math.tanh's 0.5·MAXLOG
 	edges := []float64{708, -708, 709.78, 709.79, -745.13, -745.14, 0, math.Copysign(0, -1),
-		math.Inf(1), math.Inf(-1), math.NaN(), math.SmallestNonzeroFloat64}
+		math.Inf(1), math.Inf(-1), math.NaN(), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.Float64frombits(0x000fffffffffffff), math.Float64frombits(0x800fffffffffffff)}
+	for _, e := range []float64{0.625, halfMaxLog} {
+		for _, v := range []float64{e, -e} {
+			edges = append(edges, math.Nextafter(v, 0), v, math.Nextafter(v, 2*v))
+		}
+	}
 	for _, bk := range compiledBackends {
 		t.Run(bk.Name(), func(t *testing.T) {
 			x := make([]float64, chunk)
-			for c := 0; c < sweep; c += chunk {
-				for i := range x {
-					x[i] = -708 + 1416*float64(c+i)/(sweep-1)
+			for ki, k := range expKernels {
+				for c := 0; c < sweep; c += chunk {
+					for i := range x {
+						x[i] = -k.sweep + 2*k.sweep*float64(c+i)/(sweep-1)
+					}
+					check(t, bk, x, expKernels[ki:ki+1])
 				}
-				check(t, bk, x)
 			}
 			rng := rand.New(rand.NewSource(27))
 			for c := 0; c < patterns; c += chunk {
@@ -398,14 +441,14 @@ func TestBackendDifferentialExpSweep(t *testing.T) {
 				for i := range x {
 					x[i] = math.Float64frombits(rng.Uint64())
 				}
-				check(t, bk, x)
+				check(t, bk, x, expKernels)
 			}
 			for _, e := range edges {
 				for lane := 0; lane < 4; lane++ {
 					// A kernel block either side of the edge's, and a tail.
 					x := []float64{0.5, -1, 2, -3, 0.25, -0.75, 1.5, -2.5, 3.5, -4.5, 6, -7, 0.125}
 					x[4+lane] = e
-					check(t, bk, x)
+					check(t, bk, x, expKernels)
 				}
 			}
 		})

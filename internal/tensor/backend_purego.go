@@ -18,6 +18,21 @@ func (scalarKernels) VSigmoid(x []float64) {
 	}
 }
 
+func (scalarKernels) VTanh(x []float64) {
+	for i, v := range x {
+		x[i] = math.Tanh(v)
+	}
+}
+
+func (scalarKernels) AddRowVec(x []float64, cols int, b []float64) {
+	for r := 0; r < len(x); r += cols {
+		row := x[r : r+cols]
+		for j, v := range b[:cols] {
+			row[j] += v
+		}
+	}
+}
+
 func (scalarKernels) VReLU(x []float64) {
 	for i, v := range x {
 		if v < 0 {

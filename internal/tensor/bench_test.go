@@ -194,12 +194,14 @@ func BenchmarkSegmentSoftmax(b *testing.B) {
 	}
 }
 
-// BenchmarkVExp and BenchmarkVSigmoid read the exp-defined kernels in ns
-// per value on purego and on the active backend, over 8 742 values — one
-// N=94 exact decode's θ pass (94·93 pairs). Every iteration copies the
-// inputs back first, and the copy is in the reading.
+// BenchmarkVExp, BenchmarkVSigmoid and BenchmarkVTanh read the
+// exp-defined kernels in ns per value on purego and on the active
+// backend, over 8 742 values — one N=94 exact decode's θ pass (94·93
+// pairs). Every iteration copies the inputs back first, and the copy is
+// in the reading.
 func BenchmarkVExp(b *testing.B)     { benchExpKernel(b, Backend.VExp) }
 func BenchmarkVSigmoid(b *testing.B) { benchExpKernel(b, Backend.VSigmoid) }
+func BenchmarkVTanh(b *testing.B)    { benchExpKernel(b, Backend.VTanh) }
 
 func benchExpKernel(b *testing.B, kernel func(Backend, []float64)) {
 	const n = 94 * 93

@@ -62,24 +62,6 @@ func FromRows(rows [][]float64) *Matrix {
 	return m
 }
 
-// Eye returns the n×n identity matrix.
-func Eye(n int) *Matrix {
-	m := New(n, n)
-	for i := 0; i < n; i++ {
-		m.Data[i*n+i] = 1
-	}
-	return m
-}
-
-// Full returns a rows×cols matrix with every entry set to v.
-func Full(rows, cols int, v float64) *Matrix {
-	m := New(rows, cols)
-	for i := range m.Data {
-		m.Data[i] = v
-	}
-	return m
-}
-
 // Randn fills a new matrix with N(0, std²) samples from rng.
 func Randn(rows, cols int, std float64, rng *rand.Rand) *Matrix {
 	m := New(rows, cols)
@@ -287,12 +269,7 @@ func (m *Matrix) AddRowVecInPlace(b *Matrix) {
 	if b.Rows != 1 || b.Cols != m.Cols {
 		panic(fmt.Sprintf("tensor: AddRowVecInPlace needs 1x%d bias, got %s", m.Cols, b.shape()))
 	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		for j, v := range b.Data {
-			row[j] += v
-		}
-	}
+	backendImpl.AddRowVec(m.Data[:m.Rows*m.Cols], m.Cols, b.Data)
 }
 
 // Sum returns the sum of all entries.
@@ -302,34 +279,6 @@ func (m *Matrix) Sum() float64 {
 		s += v
 	}
 	return s
-}
-
-// Mean returns the mean of all entries (0 for an empty matrix).
-func (m *Matrix) Mean() float64 {
-	if len(m.Data) == 0 {
-		return 0
-	}
-	return m.Sum() / float64(len(m.Data))
-}
-
-// MaxAbs returns max |m_ij|, useful for gradient diagnostics.
-func (m *Matrix) MaxAbs() float64 {
-	mx := 0.0
-	for _, v := range m.Data {
-		if a := math.Abs(v); a > mx {
-			mx = a
-		}
-	}
-	return mx
-}
-
-// Norm2 returns the Frobenius norm of m.
-func (m *Matrix) Norm2() float64 {
-	s := 0.0
-	for _, v := range m.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
 }
 
 // Equal reports whether m and o agree within tol elementwise.

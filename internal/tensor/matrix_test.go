@@ -145,19 +145,10 @@ func TestAxpyAndScale(t *testing.T) {
 	}
 }
 
-func TestSumMeanNorm(t *testing.T) {
+func TestSum(t *testing.T) {
 	a := FromSlice(2, 2, []float64{3, 4, 0, 0})
 	if a.Sum() != 7 {
 		t.Fatalf("Sum = %v", a.Sum())
-	}
-	if a.Mean() != 1.75 {
-		t.Fatalf("Mean = %v", a.Mean())
-	}
-	if math.Abs(a.Norm2()-5) > 1e-12 {
-		t.Fatalf("Norm2 = %v", a.Norm2())
-	}
-	if a.MaxAbs() != 4 {
-		t.Fatalf("MaxAbs = %v", a.MaxAbs())
 	}
 }
 

@@ -97,21 +97,6 @@ func (t *Tape) Scale(a *Node, s float64) *Node {
 	return n
 }
 
-// AddScalar returns a + s elementwise.
-func (t *Tape) AddScalar(a *Node, s float64) *Node {
-	out := Get(a.Value.Rows, a.Value.Cols)
-	for i, v := range a.Value.Data {
-		out.Data[i] = v + s
-	}
-	n := t.op(out, a.needGrad)
-	n.backward = func() {
-		if a.needGrad {
-			a.grad().AddInPlace(n.Grad)
-		}
-	}
-	return n
-}
-
 // AddRowVec broadcasts a 1×cols row vector b across every row of a (bias add).
 func (t *Tape) AddRowVec(a, b *Node) *Node {
 	if b.Value.Rows != 1 || b.Value.Cols != a.Value.Cols {
@@ -466,26 +451,6 @@ func (t *Tape) Tanh(a *Node) *Node {
 			for i := range g.Data {
 				y := n.Value.Data[i]
 				g.Data[i] += n.Grad.Data[i] * (1 - y*y)
-			}
-		}
-	}
-	return n
-}
-
-// ReLU applies max(0,x) elementwise.
-func (t *Tape) ReLU(a *Node) *Node {
-	out := Get(a.Value.Rows, a.Value.Cols)
-	for i, v := range a.Value.Data {
-		out.Data[i] = math.Max(0, v)
-	}
-	n := t.op(out, a.needGrad)
-	n.backward = func() {
-		if a.needGrad {
-			g := a.grad()
-			for i := range g.Data {
-				if a.Value.Data[i] > 0 {
-					g.Data[i] += n.Grad.Data[i]
-				}
 			}
 		}
 	}

@@ -59,11 +59,8 @@ func (t *Tape) putBuf(m **Matrix) {
 	*m = nil
 }
 
-// LiveBytes returns the bytes of tape-owned buffers (op outputs and
-// gradients) currently checked out of the arena. Zero after Reset.
-func (t *Tape) LiveBytes() int64 { return t.live }
-
-// PeakLiveBytes returns the high-water mark of LiveBytes since the tape
-// was created. It survives Reset, so it reports the per-window peak across
+// PeakLiveBytes returns the high-water mark of the bytes of tape-owned
+// buffers (op outputs and gradients) checked out of the arena since the
+// tape was created. It survives Reset, so it reports the per-window peak across
 // a whole training run.
 func (t *Tape) PeakLiveBytes() int64 { return t.peak }

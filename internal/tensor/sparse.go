@@ -181,17 +181,6 @@ func (s *CSR) mulDenseTRange(out, d *Matrix, lo, hi int) {
 	}
 }
 
-// Dense materialises the CSR matrix as a dense Matrix (testing helper).
-func (s *CSR) Dense() *Matrix {
-	out := New(s.Rows, s.Cols)
-	for i := 0; i < s.Rows; i++ {
-		for p := s.RowPtr[i]; p < s.RowPtr[i+1]; p++ {
-			out.Data[i*s.Cols+s.ColIdx[p]] += s.Val[p]
-		}
-	}
-	return out
-}
-
 // Transpose returns a new CSR holding sᵀ.
 func (s *CSR) Transpose() *CSR {
 	ri := make([]int, 0, s.NNZ())
