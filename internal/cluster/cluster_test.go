@@ -440,6 +440,50 @@ func TestClusterFailoverForecastsAreByteIdentical(t *testing.T) {
 	}
 }
 
+// TestClusterPartialFoldSurvivesFailover: a body that fails part-way
+// through its fold gets the client a 400, yet the windows sealed before the
+// bad record stay folded on the primary. The follower must fold the same
+// prefix, or a failover forecasts from fewer steps than the client saw.
+func TestClusterPartialFoldSurvivesFailover(t *testing.T) {
+	c := newTestCluster(t, 3, nil)
+	sess := "partial"
+	p, f := c.placement(sess)
+	third := c.other(p, f)
+	_, ref := clusterModel(t)
+
+	c.mustIngest(third, sess, 0, "replicated")
+	c.mustIngest(third, sess, 1, "replicated")
+	// Windows 2 and 3, then a record whose time does not parse: window 2
+	// seals when window 3 begins, window 3 is left pending.
+	body := chunkCSV(ref, 2) + strings.TrimPrefix(chunkCSV(ref, 3), "src,dst,t\n") + "n1,n2,notatime\n"
+	resp, err := http.Post(c.urls[third]+"/v1/ingest?session="+sess, "text/csv", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("body with a bad record: status %d (%s), want 400", resp.StatusCode, msg)
+	}
+	steps, before := c.mustForecast(third, sess, 7, 4)
+	if steps != 3 {
+		t.Fatalf("primary holds %d steps after the partial fold, want 3", steps)
+	}
+	if fs := c.nodes[f].Stats(); fs.ReplicaApplied != 3 {
+		t.Fatalf("follower applied %d bodies, want 3 (stats %+v)", fs.ReplicaApplied, fs)
+	}
+
+	c.kill(p)
+	steps, after := c.mustForecast(third, sess, 7, 4)
+	if steps != 3 || after != before {
+		t.Fatalf("after failover: steps %d (want 3), forecast identical=%v", steps, after == before)
+	}
+	// The pending window 3 survived too: the next window seals it.
+	if out := c.mustIngest(third, sess, 4, "local"); out.Steps != 5 {
+		t.Fatalf("post-failover ingest steps %d, want 5", out.Steps)
+	}
+}
+
 // TestClusterTornReplicationEveryOffset tears the replication stream at
 // every interesting body offset — before the first byte, mid-frame, one
 // short of complete, and exactly complete (delivered, but the sender saw a

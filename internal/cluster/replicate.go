@@ -18,12 +18,12 @@ import (
 	"vrdag/internal/server"
 )
 
-// Replication: the primary for a session forwards every acknowledged
-// ingest body — the exact bytes it folded, in the exact order it folded
-// them — to the session's follower, which applies them through its own
-// /v1/ingest handler. Folding is deterministic, so the follower's state
-// is byte-identical to the primary's and a failover forecast reproduces
-// the pre-failover one exactly.
+// Replication: the primary for a session forwards every ingest body it
+// folded, whole or up to a bad record — the exact bytes, in the exact
+// order it folded them — to the session's follower, which applies them
+// through its own /v1/ingest handler. Folding is deterministic, so the
+// follower's state is byte-identical to the primary's and a failover
+// forecast reproduces the pre-failover one exactly.
 //
 // Three guards keep the streams exact under faults:
 //
@@ -56,6 +56,9 @@ type repPayload struct {
 	crc   string
 	seq   uint64
 	trace string // originating request's trace ID; the follower's trace shares it
+	// foldErr is the CRC of the primary's error response when its fold
+	// began and failed; empty for a body it folded whole.
+	foldErr string
 }
 
 // errReplicaRejected marks a permanent replication failure (the follower
@@ -230,6 +233,9 @@ func (r *replicator) send(p repPayload) error {
 	req.Header.Set(server.HeaderReplica, "1")
 	req.Header.Set(server.HeaderBodyCRC, p.crc)
 	req.Header.Set(server.HeaderRepSeq, strconv.FormatUint(p.seq, 10))
+	if p.foldErr != "" {
+		req.Header.Set(server.HeaderFolded, p.foldErr)
+	}
 	if p.trace != "" {
 		req.Header.Set(obs.Header, p.trace)
 	}
@@ -295,7 +301,11 @@ func (n *Node) servePrimaryIngest(w http.ResponseWriter, r *http.Request, sess s
 	defer o.mu.Unlock()
 
 	rec := n.serveLocal(r, body)
-	if rec.status != http.StatusOK {
+	// A body whose fold began and then failed has applied the records
+	// before the bad one; the followers must fold it too, or a failover
+	// loses them. The client still gets the local error.
+	partial := rec.status != http.StatusOK && rec.header.Get(server.HeaderFolded) != ""
+	if rec.status != http.StatusOK && !partial {
 		rec.writeTo(w)
 		return
 	}
@@ -305,6 +315,9 @@ func (n *Node) servePrimaryIngest(w http.ResponseWriter, r *http.Request, sess s
 	o.seq++
 	p := repPayload{sess: sess, query: r.URL.RawQuery, body: body, crc: bodyCRC(body),
 		seq: o.seq, trace: obs.TraceID(r.Context())}
+	if partial {
+		p.foldErr = bodyCRC(rec.body.Bytes())
+	}
 	ack := "replicated"
 	replicated := 0
 	for _, owner := range n.staticOwners(sess) {
@@ -320,6 +333,10 @@ func (n *Node) servePrimaryIngest(w http.ResponseWriter, r *http.Request, sess s
 		}
 		sp.End()
 		replicated++
+	}
+	if partial {
+		rec.writeTo(w)
+		return
 	}
 	if replicated == 0 {
 		// Single-node placement (Replicas=1 or a one-node peer list):
@@ -369,11 +386,22 @@ func (n *Node) serveReplica(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rec := n.serveLocal(r, body)
-	// Record the sequence only after a successful apply, so a failed one
-	// stays retryable.
-	if rec.status == http.StatusOK {
+	// Record the sequence once the fold began, so a failed apply that
+	// folded nothing stays retryable and one that folded part of the body
+	// is never folded twice.
+	began := rec.status == http.StatusOK || rec.header.Get(server.HeaderFolded) != ""
+	if began {
 		o.seq = max(o.seq, seq)
+	}
+	switch want := r.Header.Get(server.HeaderFolded); {
+	case rec.status == http.StatusOK:
 		n.replicaApplied.Add(1)
+	case began && want != "" && want == bodyCRC(rec.body.Bytes()):
+		// The primary's fold failed with this same error, so both kept
+		// the same records: the body is applied.
+		n.replicaApplied.Add(1)
+		n.writeJSON(w, http.StatusOK, map[string]any{"session": sess, "seq": seq, "partial": true})
+		return
 	}
 	rec.writeTo(w)
 }

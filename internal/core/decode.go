@@ -3,7 +3,8 @@ package core
 import (
 	"math/rand"
 	"runtime"
-	"sync"
+	"sync/atomic"
+	"time"
 
 	"vrdag/internal/nn"
 	"vrdag/internal/tensor"
@@ -48,16 +49,30 @@ const (
 )
 
 // decodeFanOutPairs is the pair count of one timestep from which a
-// Parallel decode fans out across goroutines — the decode's counterpart of
-// tensor's parallelThreshold, and like it a property of the input. A
-// timestep pays two fork/joins (α pass, θ pass) whose workers have parked
-// by the time the next one starts. Measured on two cores with exact
-// decoding and the fused pair kernel, T=16 generations, one goroutine
-// against fanned out: N=94 (8 742 pairs per step) 9.1 against 9.8 ms,
-// N=130 (16 770) 15.3 against 14.7 ms and ahead in two sessions of four,
-// N=160 (25 440) 21.0 against 20.0, N=200 (39 800) 31.0 against 27.1,
-// N=400 (159 600) 107 against 79, N=600 (359 400) 208 against 138.
-const decodeFanOutPairs = 20000
+// Parallel decode scores it on more than one goroutine — the decode's
+// counterpart of tensor's parallelThreshold, and like it a property of the
+// input. Below it the helpers stay parked and the caller claims every
+// chunk. Measured on two cores (2 vCPU Xeon, go1.24.0, avx2), T=16
+// generations of an untrained DefaultConfig(N, 2) model, exact decoding,
+// medians of 80 alternating runs, one goroutine against helpers woken from
+// the first step: N=40 (1 560 pairs per step) 3.65 against 3.78 ms, N=45
+// (1 980) 4.11 against 4.08, N=50 (2 450) 4.82 against 4.66, N=60 (3 540)
+// 6.07 against 5.67, N=70 (4 830) 7.37 against 6.63, N=94 (8 742) 11.29
+// against 9.55. Gains under 4 % sit inside the runs' quartiles, so the cut
+// is at the first size that won by more.
+const decodeFanOutPairs = 3000
+
+// decodeChunkPairs is about the pair count of one claimed chunk: small
+// enough that the last chunk of a pass costs a few µs on whichever
+// goroutine holds it, large enough that the claims are a rounding error.
+const decodeChunkPairs = 512
+
+// helperSpin bounds how long a helper that has finished its share of the α
+// pass spins for the θ pass before it parks. Between the two the caller
+// only draws the components, which measured 2 µs at N=94 and 29 µs at
+// N=1891 (capped at 128) on two cores, so the bound is a guard against a
+// descheduled caller, not a tuning knob.
+const helperSpin = time.Millisecond
 
 // pairSlope is the hidden layers' LeakyReLU slope (nn.ActLeakyReLU), the
 // one activation the fused kernel implements.
@@ -70,9 +85,12 @@ type pairHead struct {
 	b2  []float64 // second-layer bias, K
 }
 
-// pairScorer owns the per-request buffers of the Eq. 11 scoring phases.
-// Every per-node result lives at a fixed stride, so concurrent workers
-// write disjoint regions without a prefix sum over candidate counts.
+// pairScorer owns the per-request buffers of the Eq. 11 scoring phases and,
+// for a Parallel request, one helper goroutine per extra P for the life of
+// the generation or forecast (started by the first wake, ended by
+// stopHelpers). Every per-node result lives at a fixed stride, so the
+// goroutines write disjoint regions without a prefix sum over candidate
+// counts.
 type pairScorer struct {
 	n, dh, k int
 	exact    bool // every other node is a candidate; no list is materialised
@@ -87,8 +105,18 @@ type pairScorer struct {
 	alpha []float64 // N×K mixture weights
 	theta []float64 // N×stride Bernoulli means under each node's drawn component
 
-	bounds  []int // node ranges of this timestep's fan-out (plan)
+	// workers[0] is the calling goroutine's scratch, workers[1:] the
+	// helpers'. A pass hands out chunks of nodes from claim to whichever
+	// goroutine asks first; done counts the nodes scored.
 	workers []*pairWorker
+	chunk   int                        // nodes per claim
+	f       func(w *pairWorker, i int) // the current pass's per-node work
+	pass    uint32                     // passes posted so far (caller only)
+	claim   atomic.Uint64              // pass<<32 | first unclaimed node
+	done    atomic.Int64
+	first   atomic.Uint32 // α pass of the step that last woke the helpers
+	stop    atomic.Bool   // set by stopHelpers: spinning helpers give up
+	bells   []chan struct{}
 }
 
 // pairWorker is one goroutine's scratch, reused for every node it scores.
@@ -134,7 +162,7 @@ func (m *Model) newPairScorer(parallel bool) *pairScorer {
 	if parallel {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	ps.bounds = make([]int, 0, workers+1)
+	ps.chunk = max(1, decodeChunkPairs/max(ps.stride, 1))
 	ps.workers = make([]*pairWorker, workers)
 	for i := range ps.workers {
 		w := &pairWorker{
@@ -157,55 +185,123 @@ func (ps *pairScorer) hoist(s *tensor.Matrix) {
 	tensor.MatMulInto(ps.p, s, ps.w1)
 }
 
-// plan splits the nodes into contiguous per-worker ranges for this
-// timestep. Every active node scores the same number of pairs (stride), so
-// ranges of equal pair count are ranges of equal active-node count — an
-// n/workers split would hand a worker whose range went inactive under
-// DynamicNodes nothing to do. Below decodeFanOutPairs there is one range.
-func (ps *pairScorer) plan(active []bool) {
+// fansOut reports whether a timestep over these active nodes scores enough
+// pairs to share its passes with the helpers.
+func (ps *pairScorer) fansOut(active []bool) bool {
+	if len(ps.workers) < 2 {
+		return false
+	}
 	nActive := 0
 	for _, a := range active {
 		if a {
 			nActive++
 		}
 	}
-	parts := len(ps.workers)
-	if nActive*ps.stride < decodeFanOutPairs {
-		parts = 1
-	}
-	ps.bounds = append(ps.bounds[:0], 0)
-	seen := 0
-	for i, a := range active {
-		if !a {
-			continue
-		}
-		seen++
-		for p := len(ps.bounds); p < parts && seen*parts >= p*nActive; p++ {
-			ps.bounds = append(ps.bounds, i+1)
-		}
-	}
-	ps.bounds = append(ps.bounds, ps.n)
+	return nActive*ps.stride >= decodeFanOutPairs
 }
 
-// run calls f for every node, each planned range on its own worker; the
-// last range runs on the calling goroutine.
-func (ps *pairScorer) run(f func(w *pairWorker, i int)) {
-	span := func(p int) {
-		for i := ps.bounds[p]; i < ps.bounds[p+1]; i++ {
-			f(ps.workers[p], i)
+// wake rings every helper ahead of a step that fans out, starting them on
+// first use. The step's α pass is the next one run posts; a helper takes
+// part in it and in the θ pass after it, then parks until the next wake.
+func (ps *pairScorer) wake() {
+	if ps.bells == nil {
+		ps.bells = make([]chan struct{}, len(ps.workers)-1)
+		for h := range ps.bells {
+			ps.bells[h] = make(chan struct{}, 1)
+			go ps.help(ps.workers[h+1], ps.bells[h])
 		}
 	}
-	var wg sync.WaitGroup
-	last := len(ps.bounds) - 2
-	for p := 0; p < last; p++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			span(p)
-		}()
+	ps.first.Store(ps.pass + 1)
+	for _, b := range ps.bells {
+		select {
+		case b <- struct{}{}:
+		default: // still ringing from a step it slept through
+		}
 	}
-	span(last)
-	wg.Wait()
+}
+
+// stopHelpers ends the helpers: parked ones exit, spinning ones give up.
+// It does not wait for them to exit, which would cost the caller a P's
+// wake-up: they hold no arena buffer, and after the close they only read
+// the scorer's atomics.
+func (ps *pairScorer) stopHelpers() {
+	ps.stop.Store(true)
+	for _, b := range ps.bells {
+		close(b)
+	}
+	ps.bells = nil
+}
+
+// help is a helper goroutine: parked on its bell between steps, it joins
+// the woken step's α pass and then, if it is posted within helperSpin, the
+// θ pass. The wait for α needs no bound: the step that rang posts it
+// before it returns, and release stops a step that panics.
+func (ps *pairScorer) help(w *pairWorker, bell <-chan struct{}) {
+	for range bell {
+		alpha := ps.first.Load()
+		if ps.await(alpha, time.Time{}) {
+			ps.work(w, alpha)
+		}
+		if ps.await(alpha+1, time.Now().Add(helperSpin)) {
+			ps.work(w, alpha+1)
+		}
+	}
+}
+
+// await spins, yielding its P, until pass q is posted. It reports false
+// once q has gone by, the generation has ended or a non-zero deadline has
+// passed.
+func (ps *pairScorer) await(q uint32, deadline time.Time) bool {
+	for !ps.stop.Load() {
+		switch p := uint32(ps.claim.Load() >> 32); {
+		case p == q:
+			return true
+		case int32(p-q) > 0:
+			return false
+		}
+		if !deadline.IsZero() && time.Now().After(deadline) {
+			return false
+		}
+		runtime.Gosched()
+	}
+	return false
+}
+
+// work scores chunks of pass q until none is left.
+func (ps *pairScorer) work(w *pairWorker, q uint32) {
+	for {
+		c := ps.claim.Load()
+		lo := int(uint32(c))
+		if uint32(c>>32) != q || lo >= ps.n {
+			return
+		}
+		hi := min(lo+ps.chunk, ps.n)
+		if !ps.claim.CompareAndSwap(c, c+uint64(hi-lo)) {
+			continue
+		}
+		// The claim orders this read after run's write of f, and done
+		// orders it before the next pass's.
+		f := ps.f
+		for i := lo; i < hi; i++ {
+			f(w, i)
+		}
+		ps.done.Add(int64(hi - lo))
+	}
+}
+
+// run calls f for every node. The caller claims chunks alongside whichever
+// helpers are awake, then waits for the chunks they hold; asleep, it scores
+// them all. Each node writes only its own slots, so the result does not
+// depend on who scored it.
+func (ps *pairScorer) run(f func(w *pairWorker, i int)) {
+	ps.f = f
+	ps.pass++
+	ps.done.Store(0)
+	ps.claim.Store(uint64(ps.pass) << 32)
+	ps.work(ps.workers[0], ps.pass)
+	for ps.done.Load() < int64(ps.n) {
+		runtime.Gosched()
+	}
 }
 
 // candidate returns the k-th candidate destination of node i.

@@ -148,77 +148,86 @@ func TestPairScorerMatchesMLPForward(t *testing.T) {
 	}
 }
 
-// TestPairScorerPlan: a timestep fans out only from decodeFanOutPairs
-// pairs, and then into ranges of equal active-node count, wherever the
-// inactive nodes sit.
-func TestPairScorerPlan(t *testing.T) {
+// TestPairScorerFansOut: a timestep shares its passes with the helpers only
+// from decodeFanOutPairs pairs, counted over the active nodes, and never
+// without a helper to share them with.
+func TestPairScorerFansOut(t *testing.T) {
 	const n = 400
 	cfg := DefaultConfig(n, 0)
 	cfg.CandidateCap = 0
-	ps := New(cfg).newPairScorer(true)
-	ps.workers = make([]*pairWorker, 4) // plan reads only the count
+	m := New(cfg)
+	ps := m.newPairScorer(true)
+	ps.workers = make([]*pairWorker, 2) // fansOut reads only the count
 	active := make([]bool, n)
-	for i := n / 2; i < n; i++ {
+	need := (decodeFanOutPairs + n - 2) / (n - 1) // active nodes that reach the cut
+	for i := n - need; i < n; i++ {
 		active[i] = true
 	}
-	ps.plan(active)
-	if want := []int{0, 250, 300, 350, 400}; !reflect.DeepEqual(ps.bounds, want) {
-		t.Fatalf("200 active nodes in the upper half over 4 workers: bounds %v, want %v", ps.bounds, want)
+	if !ps.fansOut(active) {
+		t.Fatalf("%d active nodes of %d pairs each do not fan out", need, n-1)
 	}
-	for i := n/2 + decodeFanOutPairs/(n-1); i < n; i++ {
-		active[i] = false
+	active[n-need] = false
+	if ps.fansOut(active) {
+		t.Fatalf("%d active nodes of %d pairs each fan out, below decodeFanOutPairs", need-1, n-1)
 	}
-	ps.plan(active)
-	if want := []int{0, n}; !reflect.DeepEqual(ps.bounds, want) {
-		t.Fatalf("below decodeFanOutPairs pairs: bounds %v, want %v", ps.bounds, want)
+	for i := range active {
+		active[i] = true
+	}
+	if m.newPairScorer(false).fansOut(active) {
+		t.Fatal("a scorer without helpers fans out")
 	}
 }
 
-// TestGenerateFanOutIdentical is TestGenerateDeterministicForSeed at a size
-// whose timesteps clear decodeFanOutPairs, so Parallel really fans out:
-// exact and capped decoding, with nodes leaving the active set.
+// TestGenerateFanOutIdentical is TestGenerateDeterministicForSeed at sizes
+// whose timesteps clear decodeFanOutPairs, so Parallel really shares the
+// passes with the helpers: exact and capped decoding, with nodes leaving
+// the active set. N=94 is the bench's headline size (exact under either
+// cap).
 func TestGenerateFanOutIdentical(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		t.Skip("needs two Ps to fan out")
 	}
 	for _, cap := range []int{0, 128} {
 		t.Run(fmt.Sprintf("cap%d", cap), func(t *testing.T) {
-			const n = 300
-			cfg := DefaultConfig(n, 2)
-			cfg.CandidateCap = cap
-			cfg.Seed = 5
-			m := New(cfg)
-			opts := GenOptions{T: 4, Seed: 42, DynamicNodes: true, Tdel: 1, Parallel: true}
+			for _, n := range []int{94, 300} {
+				t.Run(fmt.Sprintf("N%d", n), func(t *testing.T) {
+					cfg := DefaultConfig(n, 2)
+					cfg.CandidateCap = cap
+					cfg.Seed = 5
+					m := New(cfg)
+					opts := GenOptions{T: 4, Seed: 42, DynamicNodes: true, Tdel: 1, Parallel: true}
 
-			st := m.newGenState(opts, false, nil)
-			st.ps.plan(st.active)
-			if len(st.ps.bounds) < 3 {
-				t.Fatalf("N=%d cap %d does not fan out (bounds %v); the comparison below would be serial against serial", n, cap, st.ps.bounds)
-			}
-			st.release()
+					st := m.newGenState(opts, false, nil)
+					fans := st.ps.fansOut(st.active)
+					st.release()
+					if !fans {
+						t.Fatalf("N=%d cap %d does not fan out; the comparison below would be serial against serial", n, cap)
+					}
 
-			par, err := m.GenerateOpts(opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			opts.Parallel = false
-			ser, err := m.GenerateOpts(opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			edges := 0
-			for tt := range par.Snapshots {
-				a, b := par.At(tt), ser.At(tt)
-				edges += a.NumEdges()
-				if !reflect.DeepEqual(a.Out, b.Out) {
-					t.Fatalf("snapshot %d: edges differ between Parallel true and false", tt)
-				}
-				if !reflect.DeepEqual(a.X.Data, b.X.Data) {
-					t.Fatalf("snapshot %d: attributes differ between Parallel true and false", tt)
-				}
-			}
-			if edges == 0 {
-				t.Fatal("generated no edges")
+					par, err := m.GenerateOpts(opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					opts.Parallel = false
+					ser, err := m.GenerateOpts(opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					edges := 0
+					for tt := range par.Snapshots {
+						a, b := par.At(tt), ser.At(tt)
+						edges += a.NumEdges()
+						if !reflect.DeepEqual(a.Out, b.Out) {
+							t.Fatalf("snapshot %d: edges differ between Parallel true and false", tt)
+						}
+						if !reflect.DeepEqual(a.X.Data, b.X.Data) {
+							t.Fatalf("snapshot %d: attributes differ between Parallel true and false", tt)
+						}
+					}
+					if edges == 0 {
+						t.Fatal("generated no edges")
+					}
+				})
 			}
 		})
 	}

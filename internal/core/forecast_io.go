@@ -93,8 +93,17 @@ func (m *Model) DecodeForecastState(data []byte) (*ForecastState, error) {
 			return nil, fmt.Errorf("core: decoded ForecastState has degree[%d] = %v, want finite and non-negative", v, d)
 		}
 	}
-	if w.Steps < 0 {
-		return nil, fmt.Errorf("core: decoded ForecastState has negative step count %d", w.Steps)
+	if w.Steps < 0 || w.Steps > math.MaxInt32 {
+		return nil, fmt.Errorf("core: decoded ForecastState has step count %d, want 0 to 2^31-1", w.Steps)
+	}
+	// The recurrence and the attribute process carry these values into
+	// every later step: one NaN, or one value whose square overflows,
+	// turns the whole forecast's attributes NaN.
+	if i := badStateValue(w.H); i >= 0 {
+		return nil, fmt.Errorf("core: decoded ForecastState has H[%d] = %v, want finite and within ±%g", i, w.H[i], maxStateMagnitude)
+	}
+	if i := badStateValue(w.Attr); i >= 0 {
+		return nil, fmt.Errorf("core: decoded ForecastState has attr[%d] = %v, want finite and within ±%g", i, w.Attr[i], maxStateMagnitude)
 	}
 	st := &ForecastState{
 		h:      tensor.Get(n, m.Cfg.HiddenDim),
@@ -127,4 +136,22 @@ func (m *Model) DecodeForecastState(data []byte) (*ForecastState, error) {
 		copy(st.attrState.Data, w.Attr)
 	}
 	return st, nil
+}
+
+// maxStateMagnitude bounds every decoded hidden- and attribute-state value.
+// A live H is a GRU state, within a few units of zero, and the attribute
+// state is standardised; up to 1e100 the squares and sums a forecast forms
+// over any N stay far below the float64 range, while a value near it
+// overflows into NaN.
+const maxStateMagnitude = 1e100
+
+// badStateValue returns the index of the first value in v that is NaN or
+// beyond ±maxStateMagnitude, or -1.
+func badStateValue(v []float64) int {
+	for i, x := range v {
+		if !(math.Abs(x) <= maxStateMagnitude) {
+			return i
+		}
+	}
+	return -1
 }

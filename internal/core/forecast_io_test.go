@@ -174,6 +174,117 @@ func TestDecodeForecastStateRejectsBadDegree(t *testing.T) {
 	}
 }
 
+// TestDecodeForecastStateRejectsNonFinite: a NaN or ±Inf in the hidden or
+// the attribute state of bytes read back from disk, or a value so large
+// that its square overflows, would forecast NaN attributes, which
+// Sequence.Validate lets through and JSON cannot encode.
+// The decoder refuses the state, names the entry, and takes nothing from
+// the arena.
+func TestDecodeForecastStateRejectsNonFinite(t *testing.T) {
+	m := streamTestModel(t)
+	st, err := m.Encode(context.Background(), toyGraph(20, 2, 5, 37))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Release()
+	good, err := EncodeForecastState(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		field string // "H" or "attr"
+		index int    // -1: every entry
+		value float64
+	}{
+		{"H all NaN", "H", -1, math.NaN()},
+		{"H all +Inf", "H", -1, math.Inf(1)},
+		{"H one NaN", "H", 37, math.NaN()},
+		{"H one -Inf", "H", 159, math.Inf(-1)},
+		{"H one near MaxFloat64", "H", 12, 1.7976e308},
+		{"attr one NaN", "attr", 5, math.NaN()},
+		{"attr one +Inf", "attr", 39, math.Inf(1)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var w forecastStateWire
+			if err := gob.NewDecoder(bytes.NewReader(good)).Decode(&w); err != nil {
+				t.Fatal(err)
+			}
+			v := w.H
+			if tc.field == "attr" {
+				v = w.Attr
+			}
+			want := fmt.Sprintf("%s[%d]", tc.field, tc.index)
+			if tc.index < 0 {
+				for i := range v {
+					v[i] = tc.value
+				}
+				want = tc.field + "[0]"
+			} else {
+				v[tc.index] = tc.value
+			}
+			var bad bytes.Buffer
+			if err := gob.NewEncoder(&bad).Encode(&w); err != nil {
+				t.Fatal(err)
+			}
+			before := tensor.ReadPoolStats()
+			_, err := m.DecodeForecastState(bad.Bytes())
+			after := tensor.ReadPoolStats()
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("err = %v, want one naming %s", err, want)
+			}
+			if gets, puts := after.Gets-before.Gets, after.Puts-before.Puts; gets != puts {
+				t.Fatalf("rejected state leaked: %d gets vs %d puts", gets, puts)
+			}
+		})
+	}
+}
+
+// FuzzDecodeForecastState holds the forecast-state reader to its contract
+// on arbitrary bytes: it returns an error, or a state that re-encodes and
+// forecasts a valid sequence with finite attributes. It never panics.
+// testdata/fuzz/FuzzDecodeForecastState holds the seeds: EncodeForecastState
+// bytes of a cold state and of states encoded from one- and five-snapshot
+// prefixes, for the same N=20, F=2 model the target decodes with, and two
+// it must reject: an all-NaN H and an H holding values near MaxFloat64.
+func FuzzDecodeForecastState(f *testing.F) {
+	g := toyGraph(20, 2, 6, 11)
+	m := New(smallConfig(20, 2))
+	if _, err := m.Fit(g); err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st, err := m.DecodeForecastState(data)
+		if err != nil {
+			return
+		}
+		defer st.Release()
+		again, err := EncodeForecastState(st)
+		if err != nil {
+			t.Fatalf("a decoded state does not re-encode: %v", err)
+		}
+		st2, err := m.DecodeForecastState(again)
+		if err != nil {
+			t.Fatalf("a re-encoded state does not decode: %v", err)
+		}
+		st2.Release()
+		seq, err := m.Forecast(context.Background(), st, GenOptions{T: 2, Seed: 3})
+		if err != nil {
+			t.Fatalf("Forecast from a decoded state: %v", err)
+		}
+		if err := seq.Validate(); err != nil {
+			t.Fatalf("forecast from a decoded state fails Validate: %v", err)
+		}
+		for tt, s := range seq.Snapshots {
+			for i, x := range s.X.Data {
+				if math.IsNaN(x) || math.IsInf(x, 0) {
+					t.Fatalf("snapshot %d attribute %d = %v", tt, i, x)
+				}
+			}
+		}
+	})
+}
+
 // TestForecastStatePersistenceEdgesSurvive ensures the temporal-persistence
 // snapshot (prev) round-trips: with no prev the decode must also have none.
 func TestForecastStatePersistenceEdgesSurvive(t *testing.T) {

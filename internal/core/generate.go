@@ -204,6 +204,7 @@ func (m *Model) newGenState(opts GenOptions, recycle bool, init *ForecastState) 
 // errors, so aborted requests leak nothing (collected snapshots, which
 // have escaped to the caller, are exempt).
 func (st *genState) release() {
+	st.ps.stopHelpers()
 	st.ctx.Tape.Reset()
 	if st.h != nil {
 		tensor.Put(st.h)
@@ -240,6 +241,13 @@ func (st *genState) step(t int) *dyngraph.Snapshot {
 	c := st.ctx
 	tp := c.Tape
 	h := tp.Const(st.h)
+
+	// An idle P takes tens of µs to wake: ring the helpers now, so that
+	// they are up by the time the prior, the latent draw and the first
+	// decode phases have run and the α pass is posted.
+	if st.ps.fansOut(st.active) {
+		st.ps.wake()
+	}
 
 	// Line 3: sample temporal latent variables from the prior.
 	mu, logSig := m.prior(c, h)
@@ -365,7 +373,6 @@ func (st *genState) decodeStructure(snap *dyngraph.Snapshot, s *tensor.Matrix, t
 
 	// Mixture weights: candidates, then α, node by node on the workers.
 	ps.hoist(s)
-	ps.plan(active)
 	ps.run(st.scoreAlpha)
 
 	// Draw each node's mixture component from the main stream, in node

@@ -1,12 +1,16 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"vrdag/internal/dyngraph"
 	"vrdag/internal/tensor"
@@ -160,6 +164,103 @@ func TestGenerateStreamYieldError(t *testing.T) {
 	after := tensor.ReadPoolStats()
 	if gets, puts := after.Gets-before.Gets, after.Puts-before.Puts; gets != puts {
 		t.Fatalf("aborted stream leaked arena buffers: %d gets vs %d puts", gets, puts)
+	}
+}
+
+// TestPairHelpersNeverOutliveRequest: the decode helpers of a generation
+// or a forecast that fans out live exactly as long as the request. Each of
+// GenerateStream and ForecastStream runs to completion, with its context
+// cancelled mid-stream, and with a yield error; after each the goroutine
+// count returns to what it was before, and arena gets equal puts.
+func TestPairHelpersNeverOutliveRequest(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("needs two Ps for the decode to have helpers")
+	}
+	cfg := DefaultConfig(94, 2)
+	cfg.Seed = 5
+	m := New(cfg)
+	fc := m.NewForecastState()
+	defer fc.Release()
+	st := m.newGenState(GenOptions{T: 1, Parallel: true}, true, nil)
+	fans := st.ps.fansOut(st.active)
+	st.release()
+	if !fans {
+		t.Fatal("N=94 does not fan out: no helper would start")
+	}
+	type streamFunc func(context.Context, GenOptions, func(*dyngraph.Snapshot) error) error
+	forecast := func(ctx context.Context, o GenOptions, y func(*dyngraph.Snapshot) error) error {
+		return m.ForecastStream(ctx, fc, o, y)
+	}
+	sentinel := errors.New("consumer gave up")
+	for _, sc := range []struct {
+		name   string
+		stream streamFunc
+	}{{"generate", m.GenerateStream}, {"forecast", forecast}} {
+		name, stream := sc.name, sc.stream
+		if err := stream(context.Background(), GenOptions{T: 2, Seed: 5, Parallel: true}, func(*dyngraph.Snapshot) error { return nil }); err != nil {
+			t.Fatalf("%s warm-up: %v", name, err)
+		}
+		for _, end := range []string{"complete", "cancel", "yield error"} {
+			t.Run(name+" "+end, func(t *testing.T) {
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				// Another request's helpers may still be on their way out.
+				waitFor(t, func() bool { return decodeHelpers() == 0 }, "earlier helpers to exit")
+				base := runtime.NumGoroutine()
+				before := tensor.ReadPoolStats()
+				yields, helped := 0, false
+				err := stream(ctx, GenOptions{T: 6, Seed: 13, Parallel: true}, func(*dyngraph.Snapshot) error {
+					yields++
+					helped = helped || decodeHelpers() > 0
+					switch {
+					case end == "cancel" && yields == 3:
+						cancel()
+					case end == "yield error" && yields == 3:
+						return sentinel
+					}
+					return nil
+				})
+				switch end {
+				case "complete":
+					if err != nil || yields != 6 {
+						t.Fatalf("err = %v after %d yields, want nil after 6", err, yields)
+					}
+				case "cancel":
+					if !errors.Is(err, context.Canceled) {
+						t.Fatalf("err = %v, want context.Canceled", err)
+					}
+				case "yield error":
+					if !errors.Is(err, sentinel) {
+						t.Fatalf("err = %v, want the consumer's sentinel", err)
+					}
+				}
+				if !helped {
+					t.Fatal("no helper goroutine was running during the stream; the check below would prove nothing")
+				}
+				after := tensor.ReadPoolStats()
+				if gets, puts := after.Gets-before.Gets, after.Puts-before.Puts; gets != puts {
+					t.Fatalf("arena: %d gets vs %d puts", gets, puts)
+				}
+				waitFor(t, func() bool { return decodeHelpers() == 0 && runtime.NumGoroutine() <= base },
+					fmt.Sprintf("the goroutine count to return to %d", base))
+			})
+		}
+	}
+}
+
+// decodeHelpers counts the goroutines running pairScorer.help.
+func decodeHelpers() int {
+	buf := make([]byte, 1<<20)
+	return bytes.Count(buf[:runtime.Stack(buf, true)], []byte("(*pairScorer).help("))
+}
+
+// waitFor polls cond for up to two seconds.
+func waitFor(t *testing.T, cond func() bool, what string) {
+	t.Helper()
+	for deadline := time.Now().Add(2 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("waited 2 s for %s (%d goroutines, %d decode helpers)", what, runtime.NumGoroutine(), decodeHelpers())
+		}
 	}
 }
 

@@ -486,6 +486,9 @@ func (s *Server) handleIngestPost(w http.ResponseWriter, r *http.Request) {
 			}
 			return err
 		}
+		// From here on a failure leaves the records folded before it in
+		// place (the WAL replay keeps them too).
+		w.Header().Set(HeaderFolded, "1")
 		foldSp := obs.Start(r.Context(), "ingest.fold").SetInt("bytes", int64(body.Len()))
 		genErr = fs.stream.Fold(&body, emit)
 		if genErr == nil && iq.flush {

@@ -209,4 +209,11 @@ const (
 	// covers the replica ("replicated") or only local durability
 	// ("local", the degraded mode while the follower is unreachable).
 	HeaderAck = "X-Vrdag-Ack"
+	// HeaderFolded, on an ingest response, says the body's fold began:
+	// an error after that point has kept the records before the bad one,
+	// so a cluster primary replicates the body all the same. On a
+	// replicated apply it carries the CRC32C (hex) of the primary's error
+	// response, and a follower whose fold fails with the same response
+	// counts the body as applied.
+	HeaderFolded = "X-Vrdag-Folded"
 )
