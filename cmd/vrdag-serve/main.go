@@ -231,7 +231,7 @@ func main() {
 	}
 	logger.Info("shutting down: draining in-flight responses", "deadline", *drain)
 	// Cluster drain first: peers route our sessions to their replicas and
-	// the replication queues flush, so followers hold the full
+	// lagging sessions are installed on them, so followers hold the full
 	// acknowledged prefix before we stop serving. Then BeginDrain:
 	// streaming handlers see it at their next snapshot, emit a truncation
 	// trailer, and end their responses, which lets Shutdown's

@@ -77,25 +77,25 @@ func (s *swapHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // testCluster is an in-process N-node vrdag cluster with every cross-node
 // request running through one shared FaultTransport.
 type testCluster struct {
-	t      *testing.T
-	ft     *FaultTransport
-	urls   []string
-	hosts  []string
-	srvs   []*server.Server
-	nodes  []*Node
-	ts     []*httptest.Server
-	killed []bool
+	t        *testing.T
+	ft       *FaultTransport
+	urls     []string
+	hosts    []string
+	handlers []*swapHandler
+	mutate   func(i int, cfg *Config)
+	srvs     []*server.Server
+	nodes    []*Node
+	ts       []*httptest.Server
+	killed   []bool
 }
 
 func newTestCluster(t *testing.T, size int, mutate func(i int, cfg *Config)) *testCluster {
 	t.Helper()
-	m, ref := clusterModel(t)
-	c := &testCluster{t: t, ft: NewFaultTransport(nil), killed: make([]bool, size)}
-	discard := slog.New(slog.NewTextHandler(io.Discard, nil))
-	handlers := make([]*swapHandler, size)
+	c := &testCluster{t: t, ft: NewFaultTransport(nil), mutate: mutate, killed: make([]bool, size),
+		srvs: make([]*server.Server, size), nodes: make([]*Node, size)}
 	for i := 0; i < size; i++ {
-		handlers[i] = &swapHandler{}
-		ts := httptest.NewServer(handlers[i])
+		c.handlers = append(c.handlers, &swapHandler{})
+		ts := httptest.NewServer(c.handlers[i])
 		c.ts = append(c.ts, ts)
 		c.urls = append(c.urls, ts.URL)
 		u, err := url.Parse(ts.URL)
@@ -105,33 +105,7 @@ func newTestCluster(t *testing.T, size int, mutate func(i int, cfg *Config)) *te
 		c.hosts = append(c.hosts, u.Host)
 	}
 	for i := 0; i < size; i++ {
-		s := server.New(server.Config{Logger: discard})
-		if err := s.Register("email", m, ref); err != nil {
-			t.Fatalf("register: %v", err)
-		}
-		cfg := Config{
-			Self:  c.urls[i],
-			Peers: append([]string(nil), c.urls...),
-			Membership: MembershipConfig{
-				ProbeInterval: 25 * time.Millisecond,
-				ProbeTimeout:  500 * time.Millisecond,
-				MaxBackoff:    250 * time.Millisecond,
-				DownAfter:     2,
-			},
-			ProxyBackoff: 10 * time.Millisecond,
-			Transport:    c.ft,
-			Logger:       discard,
-		}
-		if mutate != nil {
-			mutate(i, &cfg)
-		}
-		node, err := NewNode(s, cfg)
-		if err != nil {
-			t.Fatalf("node %d: %v", i, err)
-		}
-		handlers[i].v.Store(node)
-		c.srvs = append(c.srvs, s)
-		c.nodes = append(c.nodes, node)
+		c.start(i)
 	}
 	t.Cleanup(func() {
 		for i := range c.ts {
@@ -143,6 +117,50 @@ func newTestCluster(t *testing.T, size int, mutate func(i int, cfg *Config)) *te
 		}
 	})
 	return c
+}
+
+// start puts a fresh, empty server and Node behind node i's listener.
+func (c *testCluster) start(i int) {
+	c.t.Helper()
+	m, ref := clusterModel(c.t)
+	discard := slog.New(slog.NewTextHandler(io.Discard, nil))
+	s := server.New(server.Config{Logger: discard})
+	if err := s.Register("email", m, ref); err != nil {
+		c.t.Fatalf("register: %v", err)
+	}
+	cfg := Config{
+		Self:  c.urls[i],
+		Peers: append([]string(nil), c.urls...),
+		Membership: MembershipConfig{
+			ProbeInterval: 25 * time.Millisecond,
+			ProbeTimeout:  500 * time.Millisecond,
+			MaxBackoff:    250 * time.Millisecond,
+			DownAfter:     2,
+		},
+		ProxyBackoff: 10 * time.Millisecond,
+		Transport:    c.ft,
+		Logger:       discard,
+	}
+	if c.mutate != nil {
+		c.mutate(i, &cfg)
+	}
+	node, err := NewNode(s, cfg)
+	if err != nil {
+		c.t.Fatalf("node %d: %v", i, err)
+	}
+	c.handlers[i].v.Store(node)
+	c.srvs[i], c.nodes[i] = s, node
+}
+
+// restart replaces node i by a fresh server and Node behind the same
+// URL: a process restarted with no state, which its peers never saw go
+// down.
+func (c *testCluster) restart(i int) {
+	c.t.Helper()
+	node, srv := c.nodes[i], c.srvs[i]
+	c.start(i)
+	node.Close()
+	srv.Close()
 }
 
 // kill closes a node's listener: in-flight requests finish, new
@@ -223,8 +241,20 @@ func (c *testCluster) mustIngest(via int, sess string, step int, wantAck string)
 // the byte-identity unit the failover tests compare.
 func forecastAt(t *testing.T, baseURL, sess string, seed int64, T int) (status, steps int, seqJSON string) {
 	t.Helper()
+	return forecastWith(t, baseURL, sess, seed, T, nil)
+}
+
+// forecastWith is forecastAt with extra request headers.
+func forecastWith(t *testing.T, baseURL, sess string, seed int64, T int, header http.Header) (status, steps int, seqJSON string) {
+	t.Helper()
 	body, _ := json.Marshal(server.ForecastRequest{Session: sess, T: T, Seed: &seed})
-	resp, err := http.Post(baseURL+"/v1/forecast", "application/json", bytes.NewReader(body))
+	req, _ := http.NewRequest(http.MethodPost, baseURL+"/v1/forecast", bytes.NewReader(body))
+	req.Header = header.Clone()
+	if req.Header == nil {
+		req.Header = http.Header{}
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatalf("forecast %s at %s: %v", sess, baseURL, err)
 	}
@@ -255,6 +285,17 @@ func (c *testCluster) mustForecast(via int, sess string, seed int64, T int) (int
 	return steps, seq
 }
 
+// heldForecast forecasts from node i's own copy of sess: the forwarded
+// marker makes the node serve it instead of routing it to the primary.
+func (c *testCluster) heldForecast(i int, sess string, seed int64, T int) (int, string) {
+	c.t.Helper()
+	status, steps, seq := forecastWith(c.t, c.urls[i], sess, seed, T, http.Header{server.HeaderForwarded: {c.urls[i]}})
+	if status != http.StatusOK {
+		c.t.Fatalf("forecast %s on node %d: status %d: %s", sess, i, status, seq)
+	}
+	return steps, seq
+}
+
 // scrape fetches node i's /metrics exposition.
 func (c *testCluster) scrape(i int) string {
 	c.t.Helper()
@@ -270,8 +311,8 @@ func (c *testCluster) scrape(i int) string {
 	return string(body)
 }
 
-// waitReplicationDrained blocks until node i's catch-up queues are empty
-// (payloads pop only after the follower confirmed them).
+// waitReplicationDrained blocks until node i lags on no session toward
+// any peer: every follower holds the node's state of every session.
 func (c *testCluster) waitReplicationDrained(i int, timeout time.Duration) {
 	c.t.Helper()
 	deadline := time.Now().Add(timeout)
@@ -286,10 +327,33 @@ func (c *testCluster) waitReplicationDrained(i int, timeout time.Duration) {
 			return
 		}
 		if time.Now().After(deadline) {
-			c.t.Fatalf("node %d replication queues never drained: %+v", i, c.nodes[i].Stats().Replication)
+			c.t.Fatalf("node %d still lags on sessions: %+v", i, c.nodes[i].Stats().Replication)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+}
+
+// heldSteps is the step count of node i's own copy of sess (0 when it
+// holds none), read from the node's local listing.
+func (c *testCluster) heldSteps(i int, sess string) int {
+	c.t.Helper()
+	req, _ := http.NewRequest(http.MethodGet, c.urls[i]+"/v1/ingest", nil)
+	req.Header.Set(server.HeaderForwarded, c.urls[i]) // this node's sessions only
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		c.t.Fatalf("list node %d: %v", i, err)
+	}
+	defer resp.Body.Close()
+	var infos []server.SessionInfo
+	if err := json.NewDecoder(resp.Body).Decode(&infos); err != nil {
+		c.t.Fatalf("decode node %d listing: %v", i, err)
+	}
+	for _, info := range infos {
+		if info.Session == sess {
+			return info.Steps
+		}
+	}
+	return 0
 }
 
 // waitPeerState blocks until node i's membership sees peer in state.
@@ -487,9 +551,10 @@ func TestClusterPartialFoldSurvivesFailover(t *testing.T) {
 // TestClusterTornReplicationEveryOffset tears the replication stream at
 // every interesting body offset — before the first byte, mid-frame, one
 // short of complete, and exactly complete (delivered, but the sender saw a
-// failure). The checksum rejects every partial body, the sequence number
-// dedups the delivered-but-unacked one, the catch-up queue replays, and
-// the follower converges to the primary's exact state.
+// failure). The checksum rejects every partial body, the prober's resync
+// installs the primary's state in its place, the sequence number skips
+// that install where the whole body did arrive, and the follower converges
+// to the primary's exact state.
 func TestClusterTornReplicationEveryOffset(t *testing.T) {
 	c := newTestCluster(t, 3, nil)
 	sess := "torn"
@@ -501,22 +566,22 @@ func TestClusterTornReplicationEveryOffset(t *testing.T) {
 		body := chunkCSV(ref, step)
 		offsets := []int{0, 1, len(body) / 2, len(body) - 1, len(body)}
 		c.ft.Tear(c.hosts[f], offsets[step])
-		// The torn sync send fails, so the primary acks local and the
-		// payload joins the ordered catch-up queue; the tear is one-shot,
-		// so the flusher's resend goes through whole.
+		// The torn send fails, so the primary acks local and the session
+		// joins the follower's lagging set; the tear is one-shot, so the
+		// resync's install goes through whole.
 		c.mustIngest(p, sess, step, "local")
 		c.waitReplicationDrained(p, 10*time.Second)
 	}
 
 	fs := c.nodes[f].Stats()
 	if fs.ReplicaApplied != 5 {
-		t.Fatalf("follower applied %d chunks, want 5 (stats %+v)", fs.ReplicaApplied, fs)
+		t.Fatalf("follower applied %d chunks or installs, want 5 (stats %+v)", fs.ReplicaApplied, fs)
 	}
 	if fs.ReplicaRejected < 4 {
 		t.Fatalf("follower rejected %d torn bodies, want >= 4", fs.ReplicaRejected)
 	}
 	if fs.ReplicaSkipped < 1 {
-		t.Fatal("full-length tear: the resend of the delivered payload should have been sequence-skipped")
+		t.Fatal("full-length tear: the install of the delivered body's sequence should have been skipped")
 	}
 
 	_, before := c.mustForecast(p, sess, 11, 3)
@@ -536,37 +601,238 @@ func TestClusterDegradedAckLocalAndCatchUp(t *testing.T) {
 	c.ft.SetRule(c.hosts[f], FaultRule{Partition: true})
 
 	// Partitioned follower: the primary degrades to ack-local and the
-	// replication-lag gauge reports the growing debt.
-	c.mustIngest(p, sess, 0, "local")
-	c.mustIngest(p, sess, 1, "local")
+	// replication-lag gauge counts the one session the follower lags on,
+	// however many writes it missed.
+	const writes = 20
+	for step := 0; step < writes; step++ {
+		c.mustIngest(p, sess, step, "local")
+	}
 	var lag ReplicatorStats
 	for _, rs := range c.nodes[p].Stats().Replication {
 		if rs.Peer == c.urls[f] {
 			lag = rs
 		}
 	}
-	if lag.QueueLen != 2 || lag.QueueBytes <= 0 {
-		t.Fatalf("replication-lag gauge: %+v, want 2 queued payloads", lag)
+	if lag.QueueLen != 1 {
+		t.Fatalf("replication-lag gauge: %+v, want 1 lagging session", lag)
 	}
-	if s := c.nodes[p].Stats(); s.AckLocal != 2 {
-		t.Fatalf("ack_local %d, want 2", s.AckLocal)
+	if s := c.nodes[p].Stats(); s.AckLocal != writes {
+		t.Fatalf("ack_local %d, want %d", s.AckLocal, writes)
 	}
 
-	// Heal: the queue replays in order, the follower returns to the
-	// replica set, and acks go back to "replicated".
+	// Heal: with no further write, the prober's resync installs the
+	// primary's state on the follower, and acks go back to "replicated".
 	c.ft.Heal(c.hosts[f])
 	c.waitReplicationDrained(p, 10*time.Second)
-	if fs := c.nodes[f].Stats(); fs.ReplicaApplied != 2 {
-		t.Fatalf("follower applied %d, want 2 after catch-up", fs.ReplicaApplied)
+	if got := c.heldSteps(f, sess); got != writes {
+		t.Fatalf("follower holds %d steps after catch-up, want the primary's %d", got, writes)
 	}
 	c.waitPeerState(p, c.urls[f], "alive", 5*time.Second)
-	c.mustIngest(p, sess, 2, "replicated")
+	c.mustIngest(p, sess, writes, "replicated")
 
 	_, before := c.mustForecast(p, sess, 5, 3)
 	c.kill(p)
 	steps, after := c.mustForecast(third, sess, 5, 3)
+	if steps != writes+1 || after != before {
+		t.Fatalf("failover after catch-up: steps %d (want %d), identical=%v", steps, writes+1, after == before)
+	}
+}
+
+// TestClusterResyncRacesWrites heals a partition while writes continue on
+// every session the follower lags on, so the prober's resync and the
+// writes' own installs run at once. Each session ends with the follower
+// holding the primary's exact state and nothing left lagging.
+func TestClusterResyncRacesWrites(t *testing.T) {
+	c := newTestCluster(t, 2, nil)
+	_, ref := clusterModel(t)
+	var sessions []string
+	for i := 0; len(sessions) < 4; i++ {
+		if name := fmt.Sprintf("race-%d", i); c.nodes[0].staticOwners(name)[0] == c.urls[0] {
+			sessions = append(sessions, name)
+		}
+	}
+	c.ft.SetRule(c.hosts[1], FaultRule{Partition: true})
+	for _, sess := range sessions {
+		c.mustIngest(0, sess, 0, "local")
+	}
+	c.ft.Heal(c.hosts[1])
+	var wg sync.WaitGroup
+	for _, sess := range sessions {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for step := 1; step < 4; step++ {
+				resp, err := http.Post(c.urls[0]+"/v1/ingest?session="+sess, "text/csv",
+					strings.NewReader(chunkCSV(ref, step)))
+				if err != nil {
+					t.Errorf("ingest %s step %d: %v", sess, step, err)
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("ingest %s step %d: status %d", sess, step, resp.StatusCode)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	c.waitReplicationDrained(0, 10*time.Second)
+	for _, sess := range sessions {
+		_, want := c.heldForecast(0, sess, 31, 2)
+		if steps, got := c.heldForecast(1, sess, 31, 2); steps != 4 || got != want {
+			t.Fatalf("%s on the follower: steps %d (want 4), identical to the primary=%v", sess, steps, got == want)
+		}
+	}
+}
+
+// TestClusterRestartedFollowerCatchesUp restarts a follower empty behind
+// its old URL between two writes. Its peers never see it down, so the
+// next write's body reaches a node that holds nothing: the follower must
+// refuse to fold it onto an empty session, and the primary must install
+// its state there, so that the follower promoted after the primary dies
+// forecasts from every acknowledged step.
+func TestClusterRestartedFollowerCatchesUp(t *testing.T) {
+	c := newTestCluster(t, 3, nil)
+	sess := "restarted"
+	p, f := c.placement(sess)
+	third := c.other(p, f)
+
+	c.mustIngest(p, sess, 0, "replicated")
+	c.mustIngest(p, sess, 1, "replicated")
+	c.restart(f)
+	c.mustIngest(p, sess, 2, "replicated")
+	if got := c.heldSteps(f, sess); got != 3 {
+		t.Fatalf("restarted follower holds %d steps, want 3", got)
+	}
+
+	_, before := c.mustForecast(p, sess, 19, 3)
+	c.kill(p)
+	steps, after := c.mustForecast(third, sess, 19, 3)
 	if steps != 3 || after != before {
-		t.Fatalf("failover after catch-up: steps %d (want 3), identical=%v", steps, after == before)
+		t.Fatalf("promoted follower: steps %d (want 3), identical=%v", steps, after == before)
+	}
+}
+
+// TestClusterFollowerMissingSessionGetsState deletes a session from its
+// follower alone, so the follower holds the sequence before the next body
+// but not the session. Folding that body would create a one-step session;
+// the follower answers 409 instead and gets the primary's state.
+func TestClusterFollowerMissingSessionGetsState(t *testing.T) {
+	c := newTestCluster(t, 3, nil)
+	sess := "dropped"
+	p, f := c.placement(sess)
+	c.mustIngest(p, sess, 0, "replicated")
+	c.mustIngest(p, sess, 1, "replicated")
+	req, _ := http.NewRequest(http.MethodDelete, c.urls[f]+"/v1/ingest?session="+sess, nil)
+	req.Header.Set(server.HeaderForwarded, c.urls[f]) // this node's copy only
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("delete the follower's copy: %v (status %v)", err, resp)
+	}
+	resp.Body.Close()
+
+	c.mustIngest(p, sess, 2, "replicated")
+	_, want := c.heldForecast(p, sess, 29, 3)
+	if steps, got := c.heldForecast(f, sess, 29, 3); steps != 3 || got != want {
+		t.Fatalf("follower: steps %d (want 3), identical to the primary=%v", steps, got == want)
+	}
+}
+
+// replicaRequest sends one replication request straight to node i, with
+// the replica marker and the given headers, and returns the status.
+func (c *testCluster) replicaRequest(i int, method, query string, body []byte, header map[string]string) int {
+	c.t.Helper()
+	req, _ := http.NewRequest(method, c.urls[i]+"/v1/ingest?"+query, bytes.NewReader(body))
+	req.Header.Set(server.HeaderReplica, "1")
+	for k, v := range header {
+		req.Header.Set(k, v)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		c.t.Fatalf("replica %s to node %d: %v", method, i, err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// TestClusterReplicaRequiresChecksumAndSequence: a replicated body without
+// a checksum, or without a sequence number of at least 1, is refused with
+// 400 before anything folds.
+func TestClusterReplicaRequiresChecksumAndSequence(t *testing.T) {
+	c := newTestCluster(t, 2, nil)
+	_, ref := clusterModel(t)
+	body := []byte(chunkCSV(ref, 0))
+	crc := bodyCRC(body)
+	for _, tc := range []struct {
+		name   string
+		header map[string]string
+	}{
+		{"no checksum", map[string]string{server.HeaderRepSeq: "1"}},
+		{"wrong checksum", map[string]string{server.HeaderBodyCRC: bodyCRC(body[1:]), server.HeaderRepSeq: "1"}},
+		{"no sequence", map[string]string{server.HeaderBodyCRC: crc}},
+		{"sequence 0", map[string]string{server.HeaderBodyCRC: crc, server.HeaderRepSeq: "0"}},
+		{"negative sequence", map[string]string{server.HeaderBodyCRC: crc, server.HeaderRepSeq: "-1"}},
+		{"unparsable sequence", map[string]string{server.HeaderBodyCRC: crc, server.HeaderRepSeq: "one"}},
+	} {
+		if status := c.replicaRequest(1, http.MethodPost, "session=unchecked", body, tc.header); status != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", tc.name, status)
+		}
+	}
+	if got := c.nodes[1].Stats().ReplicaRejected; got != 6 {
+		t.Errorf("replica_rejected %d, want 6", got)
+	}
+	if steps := c.heldSteps(1, "unchecked"); steps != 0 {
+		t.Fatalf("a refused body folded: node holds %d steps", steps)
+	}
+	good := map[string]string{server.HeaderBodyCRC: crc, server.HeaderRepSeq: "1", server.HeaderCreated: "1"}
+	if status := c.replicaRequest(1, http.MethodPost, "session=unchecked", body, good); status != http.StatusOK {
+		t.Fatalf("well-formed body: status %d, want 200", status)
+	}
+}
+
+// TestClusterInstallAtOrBelowHeldSequenceIsSkipped: a follower installs
+// a sent state only past the sequence it holds. At or below it, the
+// install is skipped and the follower's session is left as it was.
+func TestClusterInstallAtOrBelowHeldSequenceIsSkipped(t *testing.T) {
+	c := newTestCluster(t, 3, nil)
+	sess := "held"
+	p, f := c.placement(sess)
+	c.mustIngest(p, sess, 0, "replicated")
+	c.mustIngest(p, sess, 1, "replicated")
+	_, before := c.heldForecast(f, sess, 23, 3)
+
+	// A one-step state of another session, to install in place of sess.
+	c.mustIngest(p, "other", 4, "")
+	po, _ := c.placement("other")
+	model, state, err := c.srvs[po].ExportSession("other")
+	if err != nil {
+		t.Fatal(err)
+	}
+	query := url.Values{"session": {sess}, "model": {model}}.Encode()
+	for _, seq := range []string{"1", "2"} {
+		if status := c.replicaRequest(f, http.MethodPut, query, state, map[string]string{
+			server.HeaderBodyCRC: bodyCRC(state), server.HeaderRepSeq: seq}); status != http.StatusOK {
+			t.Fatalf("install at held-or-lower sequence %s: status %d, want 200", seq, status)
+		}
+	}
+	if got := c.nodes[f].Stats().ReplicaSkipped; got != 2 {
+		t.Fatalf("replica_skipped %d, want 2", got)
+	}
+	if steps := c.heldSteps(f, sess); steps != 2 {
+		t.Fatalf("follower holds %d steps after skipped installs, want 2", steps)
+	}
+	if _, after := c.heldForecast(f, sess, 23, 3); after != before {
+		t.Fatal("a skipped install changed the follower's session")
+	}
+	// Past the held sequence the same request installs.
+	if status := c.replicaRequest(f, http.MethodPut, query, state, map[string]string{
+		server.HeaderBodyCRC: bodyCRC(state), server.HeaderRepSeq: "3"}); status != http.StatusOK {
+		t.Fatalf("install past the held sequence: status %d, want 200", status)
+	}
+	if steps := c.heldSteps(f, sess); steps != 1 {
+		t.Fatalf("follower holds %d steps after the install, want the installed 1", steps)
 	}
 }
 

@@ -101,6 +101,10 @@ type Membership struct {
 	stop     chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
+
+	// reached, when set before Start, runs after each probe that finds a
+	// peer alive.
+	reached func(peer string)
 }
 
 type peerStatus struct {
@@ -210,6 +214,9 @@ func (m *Membership) probeOne(peer string) {
 		m.markDraining(peer)
 	case resp.StatusCode == http.StatusOK:
 		m.ReportSuccess(peer)
+		if m.reached != nil {
+			m.reached(peer)
+		}
 	default:
 		m.ReportFailure(peer, fmt.Errorf("healthz status %d", resp.StatusCode))
 	}

@@ -17,9 +17,9 @@ import (
 // Config wires one vrdag-serve process into a cluster. Self and Peers are
 // base URLs ("http://host:port"); Peers includes Self, and every node
 // must be started with the same Peers list — placement is a pure function
-// of it. An ingest is acknowledged after its followers applied it, or
-// locally (degraded) when one is unreachable or lagging; a routed body is
-// spooled up to the wrapped server's MaxIngestBytes.
+// of it. An ingest is acknowledged after its followers hold the state it
+// produced, or locally (degraded) when one is unreachable; a routed body
+// is spooled up to the wrapped server's MaxIngestBytes.
 type Config struct {
 	Self     string   // this node's base URL, as it appears in Peers
 	Peers    []string // every node's base URL, Self included
@@ -81,11 +81,13 @@ func (c *Config) defaults() error {
 }
 
 // sessionOrder is one session's write ordering on this node. A primary
-// holds mu across local apply and replicate, so replication payloads
-// leave in exactly fold order; a follower holds it across the dedupe
-// check and apply. seq is the last replication sequence this node
-// assigned as primary or applied as follower, so a promoted node's
-// counter continues where the dead primary's stream left off.
+// holds mu across local apply and replicate, and across exporting the
+// state a follower installs, so replication requests leave in exactly
+// fold order, each with the sequence its state belongs to; a follower
+// holds it across the sequence check and apply. seq is the last
+// replication sequence this node assigned as primary or holds as
+// follower, so a promoted node's counter continues where the dead
+// primary's stream left off.
 type sessionOrder struct {
 	mu  sync.Mutex
 	seq uint64 // guarded by mu
@@ -111,19 +113,21 @@ type Node struct {
 	orders   map[string]*sessionOrder // never pruned: see order
 
 	replicators map[string]*replicator
+	resyncs     sync.WaitGroup // background resyncs the prober started
 
 	proxied      atomic.Int64
 	proxyRetries atomic.Int64
 
 	ackReplicated   atomic.Int64
 	ackLocal        atomic.Int64
-	replicaApplied  atomic.Int64
+	replicaApplied  atomic.Int64 // bodies folded and states installed
 	replicaSkipped  atomic.Int64 // duplicate deliveries dropped by sequence
-	replicaRejected atomic.Int64 // torn bodies dropped by checksum
+	replicaRejected atomic.Int64 // torn or unnumbered requests dropped
 }
 
 // NewNode builds and starts the cluster layer: membership probing begins
-// and per-peer replication flushers launch immediately.
+// immediately, and each probe that reaches a peer catches it up on the
+// sessions it lags on.
 func NewNode(local *server.Server, cfg Config) (*Node, error) {
 	if err := cfg.defaults(); err != nil {
 		return nil, err
@@ -155,10 +159,8 @@ func NewNode(local *server.Server, cfg Config) (*Node, error) {
 		}
 	})
 	local.SetPromHook(n.renderProm)
+	n.members.reached = func(peer string) { n.replicators[peer].reached() }
 	n.members.Start()
-	for _, r := range n.replicators {
-		r.start()
-	}
 	return n, nil
 }
 
@@ -188,7 +190,7 @@ func (n *Node) routable(node string) bool {
 
 // staticOwners is a session's placement ignoring liveness: the nodes that
 // hold (or owe) a copy. Replication always targets these — a down
-// follower accrues a catch-up queue rather than shifting the copy to a
+// follower lags until it is caught up, rather than shifting the copy to a
 // node that would be stuck with it after recovery.
 func (n *Node) staticOwners(sess string) []string {
 	return n.ring.Owners(sess, n.cfg.Replicas, nil)
@@ -197,27 +199,26 @@ func (n *Node) staticOwners(sess string) []string {
 // Drain hands this node's traffic off and then drains the local server:
 // the healthz hook starts reporting "draining" (peers route around us on
 // their next probe), client requests arriving meanwhile are proxied to
-// each session's surviving owner, and the replication queues get up to
-// timeout to flush so followers hold the full acknowledged prefix before
-// the local drain begins.
+// each session's surviving owner, and every lagging session is installed
+// on its follower, within timeout, so followers hold the full
+// acknowledged prefix before the local drain begins.
 func (n *Node) Drain(timeout time.Duration) {
 	n.draining.Store(true)
 	deadline := time.Now().Add(timeout)
 	for _, r := range n.replicators {
-		r.waitEmpty(deadline)
+		r.resyncMu.Lock()
+		r.resync(deadline)
+		r.resyncMu.Unlock()
 	}
 	n.local.BeginDrain()
 }
 
-// Close stops membership probing and the replication flushers. The HTTP
-// listener must already be down; queued replication payloads that never
-// flushed are dropped (and counted).
+// Close stops membership probing and waits for the resyncs it started.
+// The HTTP listener must already be down.
 func (n *Node) Close() {
 	n.draining.Store(true)
 	n.members.Stop()
-	for _, r := range n.replicators {
-		r.stop()
-	}
+	n.resyncs.Wait()
 }
 
 // Stats is the cluster counters as a Go value, for embedders and tests;
@@ -233,23 +234,21 @@ type Stats struct {
 
 	AckReplicated   int64 // ingests acked after every follower applied
 	AckLocal        int64 // ingests acked on local durability alone (degraded or single-node)
-	ReplicaApplied  int64 // replicated bodies folded here as follower
+	ReplicaApplied  int64 // replicated bodies folded and session states installed here as follower
 	ReplicaSkipped  int64 // duplicate deliveries dropped by sequence
-	ReplicaRejected int64 // torn or oversized bodies dropped
+	ReplicaRejected int64 // torn, oversized, unnumbered or undecodable requests dropped
 
 	Replication []ReplicatorStats // sorted by peer
 }
 
-// ReplicatorStats is one peer's replication stream state; QueueLen and
-// QueueBytes are the replication-lag gauge (0 = follower caught up).
+// ReplicatorStats is one peer's replication stream state. QueueLen is the
+// replication-lag gauge: the sessions the peer may not hold in full (0 =
+// caught up).
 type ReplicatorStats struct {
-	Peer       string
-	QueueLen   int
-	QueueBytes int64
-	Sent       int64
-	Flushed    int64
-	Failed     int64
-	Dropped    int64
+	Peer     string
+	QueueLen int
+	Sent     int64 // bodies and session installs confirmed
+	Failed   int64 // requests that errored or were rejected
 }
 
 func (n *Node) Stats() Stats {

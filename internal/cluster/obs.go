@@ -78,47 +78,31 @@ func (n *Node) renderProm(e *obs.Expo) {
 	e.Family("vrdag_cluster_acks_total", "Ingest acknowledgements, by durability scope.", "counter")
 	e.Int("vrdag_cluster_acks_total", []obs.L{{K: "scope", V: "local"}}, n.ackLocal.Load())
 	e.Int("vrdag_cluster_acks_total", []obs.L{{K: "scope", V: "replicated"}}, n.ackReplicated.Load())
-	e.Family("vrdag_cluster_replica_applied_total", "Replicated ingest bodies folded on this follower.", "counter")
+	e.Family("vrdag_cluster_replica_applied_total", "Replicated ingest bodies folded and session states installed on this follower.", "counter")
 	e.Int("vrdag_cluster_replica_applied_total", nil, n.replicaApplied.Load())
 	e.Family("vrdag_cluster_replica_skipped_total", "Duplicate replication deliveries dropped by sequence.", "counter")
 	e.Int("vrdag_cluster_replica_skipped_total", nil, n.replicaSkipped.Load())
-	e.Family("vrdag_cluster_replica_rejected_total", "Replication bodies rejected by checksum or size.", "counter")
+	e.Family("vrdag_cluster_replica_rejected_total", "Replication requests rejected by checksum, sequence, size or decoding.", "counter")
 	e.Int("vrdag_cluster_replica_rejected_total", nil, n.replicaRejected.Load())
 
-	// One snapshot per peer: its queue length and bytes come from the same
-	// lock acquisition.
 	stats := n.replicationStats()
-	peer := func(st ReplicatorStats) []obs.L { return []obs.L{{K: "peer", V: st.Peer}} }
-	e.Family("vrdag_cluster_replication_queue_len", "Catch-up queue depth toward a peer (0 = caught up).", "gauge")
-	for _, st := range stats {
-		e.Int("vrdag_cluster_replication_queue_len", peer(st), int64(st.QueueLen))
-	}
-	e.Family("vrdag_cluster_replication_queue_bytes", "Catch-up queue bytes toward a peer.", "gauge")
-	for _, st := range stats {
-		e.Int("vrdag_cluster_replication_queue_bytes", peer(st), st.QueueBytes)
-	}
-	e.Family("vrdag_cluster_replication_sent_total", "Synchronous replication sends confirmed, by peer.", "counter")
-	for _, st := range stats {
-		e.Int("vrdag_cluster_replication_sent_total", peer(st), st.Sent)
-	}
-	e.Family("vrdag_cluster_replication_flushed_total", "Catch-up queue sends confirmed, by peer.", "counter")
-	for _, st := range stats {
-		e.Int("vrdag_cluster_replication_flushed_total", peer(st), st.Flushed)
-	}
-	e.Family("vrdag_cluster_replication_failed_total", "Replication send attempts that errored, by peer.", "counter")
-	for _, st := range stats {
-		e.Int("vrdag_cluster_replication_failed_total", peer(st), st.Failed)
-	}
-	e.Family("vrdag_cluster_replication_dropped_total", "Replication payloads dropped as permanently rejected, by peer.", "counter")
-	for _, st := range stats {
-		e.Int("vrdag_cluster_replication_dropped_total", peer(st), st.Dropped)
-	}
-	e.Family("vrdag_cluster_peer_routable", "Whether the membership probe currently routes to a peer.", "gauge")
-	for _, st := range stats {
-		routable := int64(0)
-		if n.members.Routable(st.Peer) {
-			routable = 1
+	perPeer := func(name, help, typ string, v func(ReplicatorStats) int64) {
+		e.Family(name, help, typ)
+		for _, st := range stats {
+			e.Int(name, []obs.L{{K: "peer", V: st.Peer}}, v(st))
 		}
-		e.Int("vrdag_cluster_peer_routable", peer(st), routable)
 	}
+	perPeer("vrdag_cluster_replication_lagging_sessions", "Sessions a peer may not hold in full until it is caught up (0 = caught up).", "gauge",
+		func(st ReplicatorStats) int64 { return int64(st.QueueLen) })
+	perPeer("vrdag_cluster_replication_sent_total", "Replicated bodies and session installs confirmed, by peer.", "counter",
+		func(st ReplicatorStats) int64 { return st.Sent })
+	perPeer("vrdag_cluster_replication_failed_total", "Replication requests that errored or were rejected, by peer.", "counter",
+		func(st ReplicatorStats) int64 { return st.Failed })
+	perPeer("vrdag_cluster_peer_routable", "Whether the membership probe currently routes to a peer.", "gauge",
+		func(st ReplicatorStats) int64 {
+			if n.members.Routable(st.Peer) {
+				return 1
+			}
+			return 0
+		})
 }

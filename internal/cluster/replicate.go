@@ -3,12 +3,12 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -19,228 +19,198 @@ import (
 )
 
 // Replication: the primary for a session forwards every ingest body it
-// folded, whole or up to a bad record — the exact bytes, in the exact
-// order it folded them — to the session's follower, which applies them
-// through its own /v1/ingest handler. Folding is deterministic, so the
-// follower's state is byte-identical to the primary's and a failover
-// forecast reproduces the pre-failover one exactly.
+// folded whole — the exact bytes, in fold order — to the session's
+// followers, which fold them through their own /v1/ingest handler.
+// Folding is deterministic, so a follower's state is byte-identical to
+// the primary's and a failover forecast reproduces the pre-failover one.
 //
-// Three guards keep the streams exact under faults:
-//
-//   - a CRC32C of the body travels in a header and is verified before the
-//     follower folds anything, so a stream torn mid-body is rejected
-//     whole (a partially folded body could never be retried safely);
-//   - a per-session sequence number deduplicates retries and duplicated
-//     deliveries, so "maybe it arrived" failures are safe to resend;
-//   - an ordered per-peer catch-up queue buffers payloads while the
-//     follower is unreachable (the primary acks local — degraded — and
-//     the replication-lag gauge reports the backlog) and replays them
-//     in order once it returns.
+// Whenever a body cannot bring a follower there, catching up is one
+// operation: under the session's ordering lock the primary sends its
+// current session state tagged with its sequence number, and the follower
+// installs it unless it already holds that sequence or a later one. A
+// CRC32C header rejects a request torn mid-body before anything applies,
+// and the sequence number makes retries and duplicated deliveries apply
+// once. A follower the primary cannot reach joins a per-peer set of
+// lagging sessions (the primary acks local; the set's size is the lag
+// gauge) until the session's next write, Drain, or a resync started by
+// the membership prober installs the primary's state there.
 
 // crcTable is the Castagnoli polynomial, matching the WAL's frame CRC.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-func bodyCRC(b []byte) string {
-	var buf [4]byte
-	crc := crc32.Checksum(b, crcTable)
-	buf[0], buf[1], buf[2], buf[3] = byte(crc>>24), byte(crc>>16), byte(crc>>8), byte(crc)
-	return hex.EncodeToString(buf[:])
-}
+func bodyCRC(b []byte) string { return fmt.Sprintf("%08x", crc32.Checksum(b, crcTable)) }
 
-// repPayload is one replicated ingest: the raw body plus everything the
-// follower needs to apply it identically.
+// repPayload is one replication request: an ingest body to fold (POST),
+// or a session state to install (PUT).
 type repPayload struct {
-	sess  string
-	query string // the client request's raw query (session, window, flush, ...)
-	body  []byte
-	crc   string
-	seq   uint64
-	trace string // originating request's trace ID; the follower's trace shares it
-	// foldErr is the CRC of the primary's error response when its fold
-	// began and failed; empty for a body it folded whole.
-	foldErr string
+	method  string
+	sess    string
+	query   string // POST: the client request's raw query; PUT: session and model
+	body    []byte
+	seq     uint64
+	created bool   // POST: the primary's fold created the session
+	trace   string // originating request's trace ID; the follower's trace shares it
 }
 
-// errReplicaRejected marks a permanent replication failure (the follower
-// answered 4xx): retrying cannot succeed, so the payload is dropped and
-// counted rather than wedging the queue.
+// errReplicaRejected marks a follower's 4xx: it cannot apply what it was
+// sent onto what it holds, so only the primary's state can catch it up.
 var errReplicaRejected = errors.New("cluster: replica rejected payload")
 
-// replicator owns the ordered replication stream toward one peer.
+// replicator owns the replication stream toward one peer.
 type replicator struct {
 	n    *Node
 	peer string
 
-	mu         sync.Mutex
-	queue      []repPayload
-	queueBytes int64
-	flushing   bool // flusher is mid-send; direct sends must queue behind it
+	mu      sync.Mutex
+	lagging map[string]struct{} // sessions the peer may not hold in full
 
-	kick     chan struct{}
-	stopCh   chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
+	resyncMu sync.Mutex // held by the one resync running toward the peer
 
-	sent    atomic.Int64 // synchronous sends confirmed
-	flushed atomic.Int64 // catch-up queue sends confirmed
-	failed  atomic.Int64 // send attempts that errored
-	dropped atomic.Int64 // payloads dropped as permanently rejected
+	sent   atomic.Int64 // bodies and installs confirmed
+	failed atomic.Int64 // requests that errored or were rejected
 }
 
 func newReplicator(n *Node, peer string) *replicator {
-	return &replicator{
-		n:      n,
-		peer:   peer,
-		kick:   make(chan struct{}, 1),
-		stopCh: make(chan struct{}),
-	}
+	return &replicator{n: n, peer: peer, lagging: make(map[string]struct{})}
 }
 
-func (r *replicator) start() {
-	r.wg.Add(1)
-	go r.flushLoop()
-}
-
-func (r *replicator) stop() {
-	r.stopOnce.Do(func() { close(r.stopCh) })
-	r.wg.Wait()
+func (r *replicator) setLagging(sess string, lagging bool) {
 	r.mu.Lock()
-	if len(r.queue) > 0 {
-		r.n.logger.Warn("dropping queued replication payloads at shutdown", "peer", r.peer, "queued", len(r.queue))
-		r.dropped.Add(int64(len(r.queue)))
-		r.queue, r.queueBytes = nil, 0
-	}
-	r.mu.Unlock()
-}
-
-func (r *replicator) enqueueLocked(p repPayload) {
-	r.queue = append(r.queue, p)
-	r.queueBytes += int64(len(p.body))
-	select {
-	case r.kick <- struct{}{}:
-	default:
+	defer r.mu.Unlock()
+	if lagging {
+		r.lagging[sess] = struct{}{}
+	} else {
+		delete(r.lagging, sess)
 	}
 }
 
-// replicate attempts a synchronous ordered send. If the stream is
-// lagging (queued payloads or a flush in progress) the payload joins the
-// queue — sending it directly would reorder the follower's folds — and
-// the error tells the primary to ack local. Called under the session's
-// ordering lock, so at most one payload per session is in flight.
-func (r *replicator) replicate(p repPayload) error {
+func (r *replicator) isLagging(sess string) bool {
 	r.mu.Lock()
-	if len(r.queue) > 0 || r.flushing || !r.n.members.Routable(r.peer) {
-		r.enqueueLocked(p)
-		r.mu.Unlock()
-		return fmt.Errorf("cluster: replica %s lagging, payload queued", r.peer)
-	}
-	r.mu.Unlock()
+	defer r.mu.Unlock()
+	_, ok := r.lagging[sess]
+	return ok
+}
 
-	err := r.send(p)
-	switch {
-	case err == nil:
+func (r *replicator) laggingSessions() []string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([]string, 0, len(r.lagging))
+	for sess := range r.lagging {
+		out = append(out, sess)
+	}
+	return out
+}
+
+// replicate brings the peer to the primary's state of p.sess after one
+// write: by the body when the peer is in step, by the primary's state when
+// the session lags, the peer rejects the body, or install is set (the
+// primary's fold failed part-way). A peer the membership probe does not
+// route to is not tried. Called under the session's ordering lock.
+func (r *replicator) replicate(p repPayload, install bool) error {
+	if !r.n.members.Routable(r.peer) {
+		r.setLagging(p.sess, true)
+		return fmt.Errorf("cluster: replica %s unreachable", r.peer)
+	}
+	if !install && !r.isLagging(p.sess) {
+		err := r.send(p)
+		if !errors.Is(err, errReplicaRejected) {
+			return r.settle(p.sess, err)
+		}
+		r.failed.Add(1)
+	}
+	return r.install(p.sess, p.seq, p.trace)
+}
+
+// install sends the primary's current state of sess, at sequence seq, to
+// the peer. Called under the session's ordering lock, so the state and
+// the sequence belong together.
+func (r *replicator) install(sess string, seq uint64, trace string) error {
+	model, data, err := r.n.local.ExportSession(sess)
+	if err != nil {
+		// Nothing to catch the peer up with: the lag ends with this copy.
+		r.setLagging(sess, false)
+		return err
+	}
+	query := url.Values{"session": {sess}, "model": {model}}.Encode()
+	return r.settle(sess, r.send(repPayload{method: http.MethodPut, sess: sess, query: query,
+		body: data, seq: seq, trace: trace}))
+}
+
+// settle counts a request's outcome and takes the session off the lagging
+// set or puts it there.
+func (r *replicator) settle(sess string, err error) error {
+	if err == nil {
 		r.sent.Add(1)
-		r.n.members.ReportSuccess(r.peer)
-		return nil
-	case errors.Is(err, errReplicaRejected):
+	} else {
 		r.failed.Add(1)
-		r.dropped.Add(1)
-		r.n.logger.Error("replicate", "peer", r.peer, "session", p.sess, "trace", p.trace, "err", err)
-		return err
-	default:
-		// Transient or ambiguous: queue for ordered retry (the sequence
-		// number makes a resend of a maybe-delivered payload safe).
-		r.failed.Add(1)
-		r.n.members.ReportFailure(r.peer, err)
-		r.mu.Lock()
-		r.enqueueLocked(p)
-		r.mu.Unlock()
-		return err
 	}
+	r.setLagging(sess, err != nil)
+	return err
 }
 
-// flushLoop drains the catch-up queue in order, retrying the head with
-// exponential backoff until the peer takes it (or rejects it for good).
-func (r *replicator) flushLoop() {
-	defer r.wg.Done()
-	backoff := 50 * time.Millisecond
-	const maxBackoff = 2 * time.Second
-	for {
-		select {
-		case <-r.stopCh:
+// resync installs the primary's state of every lagging session on the
+// peer, each under its ordering lock, until none lags, a request fails,
+// the peer stops being routable, or the deadline (zero: none) passes.
+// Caller holds resyncMu.
+func (r *replicator) resync(deadline time.Time) {
+	for _, sess := range r.laggingSessions() {
+		if !r.n.members.Routable(r.peer) || (!deadline.IsZero() && time.Now().After(deadline)) {
 			return
-		case <-r.kick:
 		}
-		for {
-			r.mu.Lock()
-			if len(r.queue) == 0 {
-				r.flushing = false
-				r.mu.Unlock()
-				break
-			}
-			p := r.queue[0]
-			r.flushing = true
-			r.mu.Unlock()
-
-			err := r.send(p)
-			if err == nil || errors.Is(err, errReplicaRejected) {
-				if err == nil {
-					r.flushed.Add(1)
-					r.n.members.ReportSuccess(r.peer)
-				} else {
-					r.failed.Add(1)
-					r.dropped.Add(1)
-					r.n.logger.Error("flush replica", "peer", r.peer, "session", p.sess, "trace", p.trace, "err", err)
-				}
-				r.mu.Lock()
-				r.queue = r.queue[1:]
-				r.queueBytes -= int64(len(p.body))
-				r.mu.Unlock()
-				backoff = 50 * time.Millisecond
-				continue
-			}
-			r.failed.Add(1)
-			r.n.members.ReportFailure(r.peer, err)
-			select {
-			case <-r.stopCh:
-				return
-			case <-time.After(backoff):
-			}
-			if backoff *= 2; backoff > maxBackoff {
-				backoff = maxBackoff
-			}
+		o := r.n.order(sess)
+		o.mu.Lock()
+		var err error
+		if r.isLagging(sess) { // a write may have caught it up meanwhile
+			err = r.install(sess, o.seq, "")
+		}
+		o.mu.Unlock()
+		if err != nil {
+			r.n.logger.Warn("resync replica", "peer", r.peer, "session", sess, "err", err)
+			return
 		}
 	}
 }
 
-// send delivers one payload to the peer's ingest handler with the replica
-// marker, checksum, and sequence headers. A 2xx is success, a 4xx is
-// permanent rejection, anything else is worth retrying. The send gets half
-// the proxy's HeaderTimeout, so a silent follower turns into a local ack
-// before a proxy in front of the primary gives up on it.
+// reached starts a background resync toward the peer when sessions lag
+// and none is running. The membership prober calls it after each probe
+// that found the peer alive.
+func (r *replicator) reached() {
+	if len(r.laggingSessions()) == 0 || !r.resyncMu.TryLock() {
+		return
+	}
+	r.n.resyncs.Add(1)
+	go func() {
+		defer r.n.resyncs.Done()
+		defer r.resyncMu.Unlock()
+		r.resync(time.Time{})
+	}()
+}
+
+// send delivers one payload to the peer with the replica marker, checksum
+// and sequence headers. A 2xx is success, a 4xx errReplicaRejected, and
+// anything else worth trying again later. The send gets half the proxy's
+// HeaderTimeout, so a silent follower turns into a local ack before a
+// proxy in front of the primary gives up on it.
 func (r *replicator) send(p repPayload) error {
 	ctx, cancel := context.WithTimeout(context.Background(), r.n.cfg.HeaderTimeout/2)
 	defer cancel()
-	url := r.peer + "/v1/ingest"
-	if p.query != "" {
-		url += "?" + p.query
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(p.body))
+	req, err := http.NewRequestWithContext(ctx, p.method, r.peer+"/v1/ingest?"+p.query, bytes.NewReader(p.body))
 	if err != nil {
 		return err
 	}
 	req.ContentLength = int64(len(p.body))
 	req.Header.Set(server.HeaderReplica, "1")
-	req.Header.Set(server.HeaderBodyCRC, p.crc)
+	req.Header.Set(server.HeaderBodyCRC, bodyCRC(p.body))
 	req.Header.Set(server.HeaderRepSeq, strconv.FormatUint(p.seq, 10))
-	if p.foldErr != "" {
-		req.Header.Set(server.HeaderFolded, p.foldErr)
+	if p.created {
+		req.Header.Set(server.HeaderCreated, "1")
 	}
 	if p.trace != "" {
 		req.Header.Set(obs.Header, p.trace)
 	}
 	resp, err := r.n.client.Do(req)
 	if err != nil {
+		r.n.members.ReportFailure(r.peer, err)
 		return err
 	}
 	defer func() {
@@ -249,52 +219,29 @@ func (r *replicator) send(p repPayload) error {
 	}()
 	switch {
 	case resp.StatusCode < 300:
+		r.n.members.ReportSuccess(r.peer)
 		return nil
 	case resp.StatusCode < 500:
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return fmt.Errorf("%w: %s: %s", errReplicaRejected, resp.Status, bytes.TrimSpace(msg))
 	default:
-		return fmt.Errorf("cluster: replica %s: %s", r.peer, resp.Status)
-	}
-}
-
-// waitEmpty blocks until the queue has drained (flush included) or the
-// deadline passes; used by Drain.
-func (r *replicator) waitEmpty(deadline time.Time) {
-	for time.Now().Before(deadline) {
-		r.mu.Lock()
-		empty := len(r.queue) == 0 && !r.flushing
-		r.mu.Unlock()
-		if empty {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
+		err := fmt.Errorf("cluster: replica %s: %s", r.peer, resp.Status)
+		r.n.members.ReportFailure(r.peer, err)
+		return err
 	}
 }
 
 func (r *replicator) statsSnapshot() ReplicatorStats {
-	r.mu.Lock()
-	ql, qb := len(r.queue), r.queueBytes
-	r.mu.Unlock()
-	return ReplicatorStats{
-		Peer:       r.peer,
-		QueueLen:   ql,
-		QueueBytes: qb,
-		Sent:       r.sent.Load(),
-		Flushed:    r.flushed.Load(),
-		Failed:     r.failed.Load(),
-		Dropped:    r.dropped.Load(),
-	}
+	return ReplicatorStats{Peer: r.peer, QueueLen: len(r.laggingSessions()), Sent: r.sent.Load(), Failed: r.failed.Load()}
 }
 
 // servePrimaryIngest is the write path on a session's (acting) primary:
 // apply locally first — the local server WAL-appends, fsyncs, and folds —
-// then stream the same body to the session's static replica set, and only
+// then bring the session's static replica set to the same state, and only
 // then answer the client. The response's X-Vrdag-Ack header reports
 // whether the ack covers the replicas ("replicated") or only local
-// durability ("local": a follower was unreachable or lagging, the payload
-// sits in its ordered catch-up queue, and the replication-lag gauge shows
-// the debt).
+// durability ("local": a follower was unreachable, the session is on its
+// lagging set, and the replication-lag gauge shows it).
 func (n *Node) servePrimaryIngest(w http.ResponseWriter, r *http.Request, sess string, body []byte) {
 	o := n.order(sess)
 	o.mu.Lock()
@@ -302,8 +249,9 @@ func (n *Node) servePrimaryIngest(w http.ResponseWriter, r *http.Request, sess s
 
 	rec := n.serveLocal(r, body)
 	// A body whose fold began and then failed has applied the records
-	// before the bad one; the followers must fold it too, or a failover
-	// loses them. The client still gets the local error.
+	// before the bad one; the followers must hold them too, or a failover
+	// loses them. They get the primary's state; the client still gets the
+	// local error.
 	partial := rec.status != http.StatusOK && rec.header.Get(server.HeaderFolded) != ""
 	if rec.status != http.StatusOK && !partial {
 		rec.writeTo(w)
@@ -313,11 +261,8 @@ func (n *Node) servePrimaryIngest(w http.ResponseWriter, r *http.Request, sess s
 	// One sequence number per ingest, the same to every follower, so
 	// whichever follower is promoted continues every other's stream.
 	o.seq++
-	p := repPayload{sess: sess, query: r.URL.RawQuery, body: body, crc: bodyCRC(body),
-		seq: o.seq, trace: obs.TraceID(r.Context())}
-	if partial {
-		p.foldErr = bodyCRC(rec.body.Bytes())
-	}
+	p := repPayload{method: http.MethodPost, sess: sess, query: r.URL.RawQuery, body: body, seq: o.seq,
+		created: rec.header.Get(server.HeaderCreated) != "", trace: obs.TraceID(r.Context())}
 	ack := "replicated"
 	replicated := 0
 	for _, owner := range n.staticOwners(sess) {
@@ -326,7 +271,7 @@ func (n *Node) servePrimaryIngest(w http.ResponseWriter, r *http.Request, sess s
 			continue
 		}
 		sp := obs.Start(r.Context(), "replicate").SetStr("peer", owner).SetInt("seq", int64(p.seq))
-		if err := rep.replicate(p); err != nil {
+		if err := rep.replicate(p, partial); err != nil {
 			sp.SetErr(err).End()
 			ack = "local"
 			continue
@@ -352,56 +297,68 @@ func (n *Node) servePrimaryIngest(w http.ResponseWriter, r *http.Request, sess s
 	rec.writeTo(w)
 }
 
-// serveReplica applies a replicated ingest on a follower: verify the body
-// checksum (a torn stream is rejected whole, before anything folds), drop
-// already-applied sequences, then run the body through the local ingest
-// handler — the same code path the primary folded it with.
+// serveReplica applies a replication request on a follower: verify the
+// checksum and sequence (a torn or unnumbered request is rejected whole,
+// before anything applies), skip what this node already holds, then either
+// install the sent state or fold the body through the local ingest
+// handler — the same code path the primary folded it with. A body is
+// folded only directly after the sequence before it, and counts as applied
+// only if its fold succeeded and created the session exactly when the
+// primary's did; otherwise the answer is a 4xx and the primary sends its
+// state.
 func (n *Node) serveReplica(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost || r.URL.Path != "/v1/ingest" {
+	install := r.Method == http.MethodPut
+	if r.URL.Path != "/v1/ingest" || (r.Method != http.MethodPost && !install) {
 		n.local.ServeHTTP(w, r)
 		return
 	}
 	sess := r.URL.Query().Get("session")
 	body, err := n.spoolBody(r)
+	seq, seqErr := strconv.ParseUint(r.Header.Get(server.HeaderRepSeq), 10, 64)
+	switch {
+	case err == nil && r.Header.Get(server.HeaderBodyCRC) != bodyCRC(body):
+		err = fmt.Errorf("checksum missing or mismatched (torn stream?): got %d bytes", len(body))
+	case err == nil && (seqErr != nil || seq < 1):
+		err = fmt.Errorf("sequence %q: want an integer >= 1", r.Header.Get(server.HeaderRepSeq))
+	}
 	if err != nil {
 		n.replicaRejected.Add(1)
-		n.writeError(w, http.StatusBadRequest, "replica body: %v", err)
+		n.writeError(w, http.StatusBadRequest, "replica request: %v", err)
 		return
 	}
-	if want := r.Header.Get(server.HeaderBodyCRC); want != "" && want != bodyCRC(body) {
-		n.replicaRejected.Add(1)
-		n.writeError(w, http.StatusBadRequest,
-			"replica body checksum mismatch (torn stream?): got %d bytes", len(body))
-		return
-	}
-	seq, _ := strconv.ParseUint(r.Header.Get(server.HeaderRepSeq), 10, 64)
 
 	o := n.order(sess)
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	// Sequence 0 means "no sequence" and is never deduplicated.
-	if seq != 0 && seq <= o.seq {
+	switch {
+	case seq <= o.seq:
 		n.replicaSkipped.Add(1)
 		n.writeJSON(w, http.StatusOK, map[string]any{"session": sess, "skipped": true, "seq": seq})
 		return
+	case install:
+		if err := n.local.InstallSession(sess, r.URL.Query().Get("model"), body); err != nil {
+			n.replicaRejected.Add(1)
+			n.writeError(w, http.StatusBadRequest, "install: %v", err)
+			return
+		}
+		o.seq = seq
+		n.replicaApplied.Add(1)
+		n.writeJSON(w, http.StatusOK, map[string]any{"session": sess, "installed": true, "seq": seq})
+		return
+	case seq != o.seq+1:
+		n.writeError(w, http.StatusConflict, "session %q: replica holds sequence %d, body is %d", sess, o.seq, seq)
+		return
 	}
 	rec := n.serveLocal(r, body)
-	// Record the sequence once the fold began, so a failed apply that
-	// folded nothing stays retryable and one that folded part of the body
-	// is never folded twice.
-	began := rec.status == http.StatusOK || rec.header.Get(server.HeaderFolded) != ""
-	if began {
-		o.seq = max(o.seq, seq)
-	}
-	switch want := r.Header.Get(server.HeaderFolded); {
-	case rec.status == http.StatusOK:
-		n.replicaApplied.Add(1)
-	case began && want != "" && want == bodyCRC(rec.body.Bytes()):
-		// The primary's fold failed with this same error, so both kept
-		// the same records: the body is applied.
-		n.replicaApplied.Add(1)
-		n.writeJSON(w, http.StatusOK, map[string]any{"session": sess, "seq": seq, "partial": true})
+	created, primaryCreated := rec.header.Get(server.HeaderCreated) != "", r.Header.Get(server.HeaderCreated) != ""
+	if rec.status == http.StatusOK && created != primaryCreated {
+		n.writeError(w, http.StatusConflict, "session %q: created by the replica's fold %v, by the primary's %v",
+			sess, created, primaryCreated)
 		return
+	}
+	if rec.status == http.StatusOK {
+		o.seq = seq
+		n.replicaApplied.Add(1)
 	}
 	rec.writeTo(w)
 }

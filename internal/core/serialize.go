@@ -89,6 +89,18 @@ func (m *Model) state() (modelState, error) {
 	return st, nil
 }
 
+// readModelState decodes and checks Save's bytes, building no model.
+func readModelState(r io.Reader) (modelState, error) {
+	var st modelState
+	if err := gob.NewDecoder(r).Decode(&st); err != nil {
+		return st, fmt.Errorf("core: decode model (checkpoints from before the name-sorted parameter format must be retrained or re-saved): %w", err)
+	}
+	if err := st.check(); err != nil {
+		return st, fmt.Errorf("core: saved model: %w", err)
+	}
+	return st, nil
+}
+
 // Load restores a model previously written with Save. Checkpoints written
 // before the byte-deterministic format (parameters as a name-sorted slice
 // rather than a gob map) cannot be decoded; re-save them with this build.
@@ -96,12 +108,9 @@ func (m *Model) state() (modelState, error) {
 // calibration statistics do not match that configuration's shapes and
 // lengths, is an error, not a panic or a partly initialised model.
 func Load(r io.Reader) (*Model, error) {
-	var st modelState
-	if err := gob.NewDecoder(r).Decode(&st); err != nil {
-		return nil, fmt.Errorf("core: decode model (checkpoints from before the name-sorted parameter format must be retrained or re-saved): %w", err)
-	}
-	if err := st.check(); err != nil {
-		return nil, fmt.Errorf("core: saved model: %w", err)
+	st, err := readModelState(r)
+	if err != nil {
+		return nil, err
 	}
 	byName := make(map[string]*savedParam, len(st.Params))
 	for i := range st.Params {

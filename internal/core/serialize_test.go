@@ -275,3 +275,51 @@ func TestLoadRejectsMisSizedStatistics(t *testing.T) {
 		})
 	}
 }
+
+// fuzzModelTooLarge reports whether data decodes to a saved model whose
+// Config would have New allocate more than a test process should: a
+// width or K above 256, more than 8 layers, F above 64.
+func fuzzModelTooLarge(data []byte) bool {
+	st, err := readModelState(bytes.NewReader(data))
+	if err != nil {
+		return false
+	}
+	c := st.Cfg.withDefaults()
+	for _, d := range []int{c.HiddenDim, c.LatentDim, c.EncoderDim, c.TimeDim, c.K, c.F * 4} {
+		if d > 256 {
+			return true
+		}
+	}
+	return c.EncoderLayers > 8 || c.MLPLayers > 8
+}
+
+// FuzzLoadModel holds Load to its contract on arbitrary bytes: it returns
+// an error, or a model whose Save bytes Load reads back to a model that
+// saves the same bytes. It never panics. testdata/fuzz/FuzzLoadModel holds
+// the seeds: the Save bytes of a small trained model and of an untrained
+// one.
+func FuzzLoadModel(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if fuzzModelTooLarge(data) {
+			t.Skip("Config declares a model larger than a test process should allocate")
+		}
+		m, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var saved, resaved bytes.Buffer
+		if err := m.Save(&saved); err != nil {
+			t.Fatalf("a loaded model does not save: %v", err)
+		}
+		m2, err := Load(bytes.NewReader(saved.Bytes()))
+		if err != nil {
+			t.Fatalf("Load rejected Save's output of a model it accepted: %v", err)
+		}
+		if err := m2.Save(&resaved); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(saved.Bytes(), resaved.Bytes()) {
+			t.Fatal("Save→Load→Save changed the bytes")
+		}
+	})
+}

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -247,21 +248,11 @@ func (s *Server) doAppendSessionWALLocked(fs *forecastSession, body []byte, flus
 // or the new snapshot (under which old generations are ignored).
 // Caller holds fs.mu; the session must be resident and diskReady.
 func (s *Server) snapshotSessionLocked(fs *forecastSession) error {
-	enc, err := core.EncodeForecastState(fs.state)
+	gen, data, err := encodeSessionSnapLocked(fs)
 	if err != nil {
 		return err
 	}
-	snap := sessionSnap{
-		Gen:      fs.walGen + 1,
-		Seq:      fs.walNextSeq - 1,
-		Forecast: enc,
-		Stream:   fs.stream.State(),
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&snap); err != nil {
-		return fmt.Errorf("encode session snapshot: %w", err)
-	}
-	if err := durable.WriteFileAtomic(s.fsys, filepath.Join(fs.dir, sessionSnapFile), buf.Bytes()); err != nil {
+	if err := durable.WriteFileAtomic(s.fsys, filepath.Join(fs.dir, sessionSnapFile), data); err != nil {
 		return err
 	}
 	if fs.wal != nil {
@@ -269,7 +260,7 @@ func (s *Server) snapshotSessionLocked(fs *forecastSession) error {
 		fs.wal = nil
 	}
 	oldGen := fs.walGen
-	fs.walGen = snap.Gen
+	fs.walGen = gen
 	fs.sinceSnap = 0
 	// Superseded generations are dead weight; removal is best-effort
 	// because recovery ignores generations below the snapshot's anyway.
@@ -281,6 +272,126 @@ func (s *Server) snapshotSessionLocked(fs *forecastSession) error {
 		}
 	}
 	s.dur.snapshots.Add(1)
+	return nil
+}
+
+// encodeSessionSnapLocked encodes the resident session as a state.snap
+// payload covering every WAL frame so far, positioned at the next
+// generation, which it returns. Caller holds fs.mu, read or write.
+func encodeSessionSnapLocked(fs *forecastSession) (gen uint64, data []byte, err error) {
+	enc, err := core.EncodeForecastState(fs.state)
+	if err != nil {
+		return 0, nil, err
+	}
+	snap := sessionSnap{
+		Gen:      fs.walGen + 1,
+		Seq:      max(fs.walNextSeq, 1) - 1,
+		Forecast: enc,
+		Stream:   fs.stream.State(),
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&snap); err != nil {
+		return 0, nil, fmt.Errorf("encode session snapshot: %w", err)
+	}
+	return snap.Gen, buf.Bytes(), nil
+}
+
+// decodeSessionSnap is the one decoder of a state.snap payload, read from
+// disk or installed from a peer. It rejects a payload built for another N
+// or F, or whose WAL position cannot be continued.
+func decodeSessionSnap(m *core.Model, data []byte) (snap sessionSnap, stream *ingest.Stream, state *core.ForecastState, err error) {
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
+		return snap, nil, nil, fmt.Errorf("decode snapshot: %w", err)
+	}
+	switch {
+	case snap.Stream == nil:
+		return snap, nil, nil, fmt.Errorf("snapshot has no stream cursor")
+	case snap.Stream.Opts.N != m.Cfg.N || snap.Stream.Opts.F != m.Cfg.F:
+		return snap, nil, nil, fmt.Errorf("snapshot stream is N=%d F=%d, model wants N=%d F=%d",
+			snap.Stream.Opts.N, snap.Stream.Opts.F, m.Cfg.N, m.Cfg.F)
+	case snap.Gen == 0 || snap.Seq == math.MaxUint64:
+		return snap, nil, nil, fmt.Errorf("snapshot WAL position %d/%d cannot be continued", snap.Gen, snap.Seq)
+	}
+	if state, err = m.DecodeForecastState(snap.Forecast); err != nil {
+		return snap, nil, nil, err
+	}
+	if stream, err = ingest.RestoreStream(snap.Stream); err != nil {
+		state.Release()
+		return snap, nil, nil, err
+	}
+	return snap, stream, state, nil
+}
+
+// ExportSession returns the named session's model and its state as the
+// bytes snapshotSessionLocked writes to state.snap (a spilled session's
+// are read back from it), which InstallSession takes on another server.
+func (s *Server) ExportSession(name string) (model string, data []byte, err error) {
+	s.sessMu.Lock()
+	fs, ok := s.sessions[name]
+	s.sessMu.Unlock()
+	if !ok {
+		return "", nil, fmt.Errorf("server: unknown session %q", name)
+	}
+	fs.mu.RLock()
+	defer fs.mu.RUnlock()
+	switch {
+	case fs.closed:
+		err = fmt.Errorf("server: session %q was evicted", name)
+	case fs.spilled:
+		data, err = durable.ReadFile(s.fsys, filepath.Join(fs.dir, sessionSnapFile))
+	default:
+		_, data, err = encodeSessionSnapLocked(fs)
+	}
+	return fs.entry.name, data, err
+}
+
+// InstallSession replaces or creates the named session with state that
+// ExportSession produced for model, past MaxSessions: a follower holds
+// what its primary holds. A payload that does not decode for the model
+// leaves any existing session as it was. With a DataDir the state is the
+// session's state.snap before InstallSession returns; a failed write
+// degrades the server and leaves the state resident only.
+func (s *Server) InstallSession(name, model string, data []byte) error {
+	if !validSessionName(name) {
+		return fmt.Errorf("server: invalid session name %q", name)
+	}
+	if s.degraded.Load() {
+		return fmt.Errorf("server: persistence degraded: %s", s.degradedReason())
+	}
+	entry, err := s.lookup(model)
+	if err != nil {
+		return err
+	}
+	snap, stream, state, err := decodeSessionSnap(entry.model, data)
+	if err != nil {
+		return fmt.Errorf("server: install session %q: %w", name, err)
+	}
+	opts := snap.Stream.Opts
+	fs := s.newSession(name, entry,
+		sessionMeta{Model: entry.name, Window: opts.Window, DropUnknown: opts.DropUnknown, Carry: opts.CarryAttrs}, stream, state)
+	// Locked before it is visible; the old session is released, which waits
+	// out its in-flight spill or ingest, before their directory is rewritten.
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	s.sessMu.Lock()
+	old := s.sessions[name]
+	s.sessions[name] = fs
+	s.sessMu.Unlock()
+	if old != nil {
+		old.release()
+	}
+	if fs.dir == "" {
+		return nil
+	}
+	err = s.ensureSessionDurableLocked(fs)
+	if err == nil {
+		err = durable.WriteFileAtomic(s.fsys, filepath.Join(fs.dir, sessionSnapFile), data)
+	}
+	if err != nil {
+		s.setDegraded(err)
+		return fmt.Errorf("server: install session %q: %w", name, err)
+	}
+	fs.walGen, fs.walNextSeq = snap.Gen, snap.Seq+1
 	return nil
 }
 
@@ -496,20 +607,8 @@ func (s *Server) recoverSession(name string) (*forecastSession, error) {
 	if err != nil {
 		return nil, err
 	}
-	now := time.Now()
-	fs := &forecastSession{
-		name:       name,
-		entry:      entry,
-		stream:     stream,
-		state:      state,
-		created:    now,
-		meta:       meta,
-		dir:        dir,
-		diskReady:  true,
-		walGen:     walGen,
-		walNextSeq: nextSeq,
-	}
-	fs.touch(now)
+	fs := s.newSession(name, entry, meta, stream, state)
+	fs.diskReady, fs.walGen, fs.walNextSeq = true, walGen, nextSeq
 	return fs, nil
 }
 
@@ -545,14 +644,7 @@ func (s *Server) readSessionState(m *core.Model, dir string, meta sessionMeta) (
 	switch {
 	case err == nil:
 		var snap sessionSnap
-		if err := gob.NewDecoder(bytes.NewReader(snapData)).Decode(&snap); err != nil {
-			return nil, nil, 0, 0, fmt.Errorf("decode snapshot: %w", err)
-		}
-		if state, err = m.DecodeForecastState(snap.Forecast); err != nil {
-			return nil, nil, 0, 0, err
-		}
-		if stream, err = ingest.RestoreStream(snap.Stream); err != nil {
-			state.Release()
+		if snap, stream, state, err = decodeSessionSnap(m, snapData); err != nil {
 			return nil, nil, 0, 0, err
 		}
 		snapGen, afterSeq = snap.Gen, snap.Seq

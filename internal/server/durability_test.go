@@ -41,7 +41,7 @@ func newDurableServer(t *testing.T, dir string, mut func(*Config)) (*Server, *ht
 }
 
 // edgeStreamCSVRange renders reference windows [fromT, toT) as ingest CSV.
-func edgeStreamCSVRange(t *testing.T, fromT, toT int) string {
+func edgeStreamCSVRange(t testing.TB, fromT, toT int) string {
 	t.Helper()
 	_, ref := trainedModel(t)
 	if toT > ref.T() {

@@ -27,7 +27,7 @@ var (
 	testCheck bytes.Buffer
 )
 
-func trainedModel(t *testing.T) (*core.Model, *dyngraph.Sequence) {
+func trainedModel(t testing.TB) (*core.Model, *dyngraph.Sequence) {
 	t.Helper()
 	testOnce.Do(func() {
 		testRef = datasets.Generate(datasets.Config{

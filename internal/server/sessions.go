@@ -433,6 +433,9 @@ func (s *Server) handleIngestPost(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, status, "%v", err)
 		return
 	}
+	if created {
+		w.Header().Set(HeaderCreated, "1")
+	}
 	if iq.model != "" && fs.entry.name != iq.model {
 		s.writeError(w, http.StatusConflict,
 			"session %q belongs to model %q, not %q", fs.name, fs.entry.name, iq.model)
@@ -571,27 +574,12 @@ func (s *Server) getOrCreateSession(iq ingestQuery) (*forecastSession, bool, err
 	if err != nil {
 		return nil, false, err
 	}
-	fs = &forecastSession{
-		name:    iq.session,
-		entry:   entry,
-		created: now,
-		meta: sessionMeta{
-			Model:       entry.name,
-			Window:      iq.window,
-			DropUnknown: iq.dropUnknown,
-			Carry:       iq.carry,
-		},
-	}
-	if fs.stream, fs.state, err = newSessionState(entry.model, fs.meta); err != nil {
+	meta := sessionMeta{Model: entry.name, Window: iq.window, DropUnknown: iq.dropUnknown, Carry: iq.carry}
+	stream, state, err := newSessionState(entry.model, meta)
+	if err != nil {
 		return nil, false, err
 	}
-	if s.durable() {
-		// Disk state is laid down lazily by the first ingest (under
-		// fs.mu, off the spool path); dir set here marks the session as
-		// durable for every handler.
-		fs.dir = s.sessionDir(iq.session)
-	}
-	fs.touch(now)
+	fs = s.newSession(iq.session, entry, meta, stream, state)
 
 	s.sweepSessions(now)
 	s.sessMu.Lock()
@@ -610,6 +598,19 @@ func (s *Server) getOrCreateSession(iq ingestQuery) (*forecastSession, bool, err
 	s.sessions[iq.session] = fs
 	s.sessMu.Unlock()
 	return fs, true, nil
+}
+
+// newSession wraps a stream cursor and model state as a session created
+// now. With a DataDir, dir marks it durable for every handler; its disk
+// state is laid down by whichever write comes first, under fs.mu.
+func (s *Server) newSession(name string, entry *modelEntry, meta sessionMeta,
+	stream *ingest.Stream, state *core.ForecastState) *forecastSession {
+	fs := &forecastSession{name: name, entry: entry, meta: meta, stream: stream, state: state, created: time.Now()}
+	if s.durable() {
+		fs.dir = s.sessionDir(name)
+	}
+	fs.touch(fs.created)
+	return fs
 }
 
 // decodeForecastRequest parses the shared body of the unary and streaming

@@ -192,18 +192,19 @@ const (
 	// during failover it is exactly what makes a follower act as
 	// primary).
 	HeaderForwarded = "X-Vrdag-Forwarded"
-	// HeaderReplica marks a replicated ingest apply. It bypasses tenant
-	// quotas (charged once, on the admitting node) and is accompanied by
-	// HeaderBodyCRC and HeaderRepSeq.
+	// HeaderReplica marks a replication request between cluster nodes: a
+	// POST of an ingest body to fold, or a PUT of a session state to
+	// install. It bypasses tenant quotas (charged once, on the admitting
+	// node); the request must carry HeaderBodyCRC and HeaderRepSeq.
 	HeaderReplica = "X-Vrdag-Replica"
-	// HeaderBodyCRC is the CRC32C (Castagnoli, hex) of a replicated
-	// ingest body; the receiver verifies it before folding anything, so
-	// a replication stream torn mid-body is rejected whole rather than
-	// half-applied.
+	// HeaderBodyCRC is the CRC32C (Castagnoli, hex) of a replication
+	// request's body; the receiver verifies it before applying anything,
+	// so a stream torn mid-body is rejected whole rather than half-applied.
 	HeaderBodyCRC = "X-Vrdag-Body-Crc"
-	// HeaderRepSeq is the per-session replication sequence number; the
-	// receiver drops already-applied sequences so retries and duplicated
-	// deliveries fold exactly once.
+	// HeaderRepSeq is the per-session replication sequence number (≥ 1)
+	// a replication request brings the receiver to. The receiver skips
+	// what it already holds, so retries and duplicated deliveries apply
+	// exactly once, and folds a body only directly after the one before.
 	HeaderRepSeq = "X-Vrdag-Rep-Seq"
 	// HeaderAck reports, on a primary's ingest response, whether the ack
 	// covers the replica ("replicated") or only local durability
@@ -211,9 +212,10 @@ const (
 	HeaderAck = "X-Vrdag-Ack"
 	// HeaderFolded, on an ingest response, says the body's fold began:
 	// an error after that point has kept the records before the bad one,
-	// so a cluster primary replicates the body all the same. On a
-	// replicated apply it carries the CRC32C (hex) of the primary's error
-	// response, and a follower whose fold fails with the same response
-	// counts the body as applied.
+	// so a cluster primary replicates its resulting state all the same.
 	HeaderFolded = "X-Vrdag-Folded"
+	// HeaderCreated, on an ingest response, says the request created the
+	// session. A cluster primary passes it on with the replicated body, and
+	// a follower whose own fold disagrees held a different session.
+	HeaderCreated = "X-Vrdag-Created"
 )
