@@ -147,12 +147,24 @@ func Load(r io.Reader) (*Model, error) {
 }
 
 // check holds a decoded state to what Load may install: a Config New can
-// build, and calibration statistics of the lengths that Config implies.
-// Each statistic may be absent (an untrained model saves none), but one
-// that is present must be whole, or the first generation indexes past it.
+// build, parameter values enough to fill the model that Config declares, and
+// calibration statistics of the lengths that Config implies. Each
+// statistic may be absent (an untrained model saves none), but one that is
+// present must be whole, or the first generation indexes past it.
+//
+// The parameter count is compared before New runs, because New allocates
+// every parameter (and Adam's moments) at the declared widths: a file that
+// declares HiddenDim = 10⁶ would otherwise cost terabytes to refuse.
 func (st *modelState) check() error {
 	if err := st.Cfg.withDefaults().check(); err != nil {
 		return err
+	}
+	var values float64
+	for _, p := range st.Params {
+		values += float64(len(p.Data))
+	}
+	if want := paramCount(st.Cfg); values < want {
+		return fmt.Errorf("parameters hold %.0f values, its Config declares %.0f", values, want)
 	}
 	if len(st.ActiveStats) != len(st.EdgeTargets) {
 		return fmt.Errorf("ActiveStats has %d steps, EdgeTargets %d", len(st.ActiveStats), len(st.EdgeTargets))
@@ -177,4 +189,46 @@ func (st *modelState) check() error {
 		}
 	}
 	return nil
+}
+
+// paramCount returns how many parameter values New(cfg) allocates, from
+// the Config alone, in float64 so that no declared width can overflow it.
+// Every parameter holds at least one value, so a file that passes this
+// also bounds how many parameters New builds. It follows New's
+// constructors module by module; TestParamCountMatchesNew holds the two
+// together.
+func paramCount(cfg Config) float64 {
+	c := cfg.withDefaults()
+	f, h, z, e := float64(c.F), float64(c.HiddenDim), float64(c.LatentDim), float64(c.EncoderDim)
+	layers, mlp, td := float64(c.EncoderLayers), float64(max(c.MLPLayers, 1)), float64(c.TimeDim)
+	var n float64
+	// linear counts `times` nn.Linear layers of in×out weights and out biases.
+	linear := func(times, in, out float64) { n += times * (in*out + out) }
+	// gnn.NewBiFlowEncoder: the input projection; per layer two GIN MLPs of
+	// MLPLayers h×h linears and two ε scalars; the aggregator and the pool.
+	linear(1, f+2, h)
+	linear(2*layers*mlp, h, h)
+	n += 2 * layers
+	linear(1, 2*h, h)
+	linear(1, layers*h, e)
+	// Prior and posterior networks, each a hidden layer and two heads.
+	linear(1, h, h)
+	linear(2, h, z)
+	linear(1, e+h, h)
+	linear(2, h, z)
+	// The MixBernoulli heads fAlpha and fTheta, each [z+h, h, K].
+	linear(2, z+h, h)
+	linear(2, h, float64(c.K))
+	// The attribute decoder: GAT (W and two attention vectors), then MLP.
+	linear(1, z+h, h)
+	linear(2, h, 1)
+	linear(1, h, h)
+	linear(1, h, max(f, 1))
+	// Time2Vec's w and φ, then the GRU's three W, three U and three b.
+	n += 2 * td
+	gruIn := e + z
+	if c.UseTime2Vec {
+		gruIn += td
+	}
+	return n + 3*(gruIn*h+h*h+h)
 }

@@ -276,6 +276,49 @@ func TestLoadRejectsMisSizedStatistics(t *testing.T) {
 	}
 }
 
+// TestParamCountMatchesNew holds paramCount, which Load consults before
+// it builds anything, to what New actually builds, over the Config knobs
+// that shape the parameters.
+func TestParamCountMatchesNew(t *testing.T) {
+	for _, cfg := range []Config{
+		smallConfig(10, 0),
+		smallConfig(10, 3),
+		{N: 5},
+		{N: 5, F: 2, HiddenDim: 7, LatentDim: 3, EncoderDim: 5, TimeDim: 2, K: 3, EncoderLayers: 3, MLPLayers: 2, UseTime2Vec: true},
+		{N: 5, F: 1, HiddenDim: 4, LatentDim: 2, EncoderDim: 6, TimeDim: 5, K: 1, EncoderLayers: 1, MLPLayers: 3},
+		{N: 5, F: 4, MLPLayers: -2, BiFlow: true, UseTime2Vec: true},
+	} {
+		if got, want := paramCount(cfg), New(cfg).NumParams(); got != float64(want) {
+			t.Errorf("%+v: paramCount = %v, New builds %d values", cfg, got, want)
+		}
+	}
+}
+
+// TestLoadRejectsOversizedConfigCheaply: a model file whose Config
+// declares HiddenDim = 10⁶ is refused before New allocates a parameter.
+// Before the check Load built the whole model first, terabytes of it.
+func TestLoadRejectsOversizedConfigCheaply(t *testing.T) {
+	st, err := New(smallConfig(10, 2)).state()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Cfg.HiddenDim = 1_000_000
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&st); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = Load(&buf)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("Load accepted a Config far wider than the parameters it holds")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<20 {
+		t.Fatalf("refusing the file allocated %d MB, want under 64", got>>20)
+	}
+}
+
 // fuzzModelTooLarge reports whether data decodes to a saved model whose
 // Config would have New allocate more than a test process should: a
 // width or K above 256, more than 8 layers, F above 64.

@@ -377,7 +377,7 @@ func TestTraceEndpointClientSuppliedID(t *testing.T) {
 	if v.ID != id || v.Status != http.StatusOK {
 		t.Fatalf("trace view: id=%q status=%d", v.ID, v.Status)
 	}
-	checkSpanCoverage(t, []obs.TraceView{v}, "admit", "decode")
+	checkSpanCoverage(t, []obs.TraceView{v}, "admit", "decode", "json.encode")
 	checkSpanTimes(t, v, wall)
 	if n := countSpans(v, "decode"); n != 3 {
 		t.Fatalf("decode spans = %d, want one per timestep (3)", n)

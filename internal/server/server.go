@@ -33,6 +33,7 @@ import (
 	"os"
 	"runtime"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -462,17 +463,56 @@ const maxPooledEncodeBuf = 8 << 20
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	buf := encodeBufs.Get().(*bytes.Buffer)
 	buf.Reset()
+	s.send(w, status, buf, encodeJSON(buf, v))
+}
+
+// writeSequenceReply writes a 200 reply whose last member is "sequence":
+// envelope is the reply struct with a nil Sequence, so encoding/json
+// writes its few members and ends on `"sequence":null}`; the null is
+// replaced by seq's own encoding, appended into the same buffer. The
+// megabytes of sequence thus never pass through encoding/json, which
+// would re-scan them as a Marshaler's output. The json.encode span covers
+// both halves.
+func (s *Server) writeSequenceReply(w http.ResponseWriter, r *http.Request, envelope any, seq *dyngraph.Sequence) {
+	sp := obs.Start(r.Context(), "json.encode")
+	buf := encodeBufs.Get().(*bytes.Buffer)
+	buf.Reset()
+	const null = "null}\n"
+	err := encodeJSON(buf, envelope)
+	if err == nil && !bytes.HasSuffix(buf.Bytes(), []byte(`"sequence":`+null)) {
+		err = errors.New("server: reply envelope does not end in a nil sequence")
+	}
+	if err == nil {
+		buf.Truncate(buf.Len() - len(null))
+		var b []byte
+		if b, err = seq.AppendJSON(buf.AvailableBuffer()); err == nil {
+			buf.Write(append(b, "}\n"...))
+		}
+	}
+	sp.SetInt("bytes", int64(buf.Len())).SetErr(err).End()
+	s.send(w, http.StatusOK, buf, err)
+}
+
+// encodeJSON writes v and a newline to buf as every JSON reply is written:
+// HTML characters unescaped.
+func encodeJSON(buf *bytes.Buffer, v any) error {
 	enc := json.NewEncoder(buf)
 	enc.SetEscapeHTML(false)
-	if err := enc.Encode(v); err != nil {
+	return enc.Encode(v)
+}
+
+// send writes buf as the reply with the given status, or, when encoding
+// it failed, a 500 that says so: a reply is never sent half-encoded. It
+// returns buf to the pool.
+func (s *Server) send(w http.ResponseWriter, status int, buf *bytes.Buffer, encErr error) {
+	w.Header().Set("Content-Type", "application/json")
+	if encErr != nil {
 		encodeBufs.Put(buf)
-		s.logger.Error("encode response", "err", err)
-		w.Header().Set("Content-Type", "application/json")
+		s.logger.Error("encode response", "err", encErr)
 		w.WriteHeader(http.StatusInternalServerError)
 		fmt.Fprintf(w, `{"error":"response encoding failed"}`+"\n")
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	if _, err := buf.WriteTo(w); err != nil {
 		// The client hung up; a log line is the only trace left.
@@ -655,12 +695,11 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	entry.generated.Add(1)
-	s.writeJSON(w, http.StatusOK, GenerateResponse{
+	s.writeSequenceReply(w, r, GenerateResponse{
 		Model:     entry.name,
 		Seed:      seed,
 		ElapsedMS: float64(time.Since(start).Microseconds()) / 1000,
-		Sequence:  seq,
-	})
+	}, seq)
 }
 
 // errDraining aborts an in-flight stream when the server begins draining.
@@ -735,24 +774,20 @@ func (s *Server) streamSnapshots(w http.ResponseWriter, r *http.Request, entry *
 	flush()
 
 	emitted := 0
-	var line StreamSnapshot
+	var line []byte // one StreamSnapshot, encoded while the engine still owns snap
 	err := run(func(snap *dyngraph.Snapshot) error {
 		select {
 		case <-s.drain:
 			return errDraining
 		default:
 		}
-		line.T = emitted
-		line.Edges = snap.Edges()
-		line.X = nil
-		if snap.X != nil {
-			rows := make([][]float64, snap.N)
-			for i := range rows {
-				rows[i] = snap.X.Row(i) // aliases the snapshot; encoded before yield returns
-			}
-			line.X = rows
+		line = strconv.AppendInt(append(line[:0], `{"t":`...), int64(emitted), 10)
+		var err error
+		if line, err = snap.AppendJSONFields(append(line, ',')); err != nil {
+			return err
 		}
-		if err := enc.Encode(&line); err != nil {
+		line = append(line, "}\n"...)
+		if _, err := w.Write(line); err != nil {
 			return err
 		}
 		flush()

@@ -690,14 +690,13 @@ func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	fs.entry.generated.Add(1)
-	s.writeJSON(w, http.StatusOK, ForecastResponse{
+	s.writeSequenceReply(w, r, ForecastResponse{
 		Session:   fs.name,
 		Model:     fs.entry.name,
 		Seed:      seed,
 		Steps:     steps,
 		ElapsedMS: float64(time.Since(start).Microseconds()) / 1000,
-		Sequence:  seq,
-	})
+	}, seq)
 }
 
 func (s *Server) handleForecastStream(w http.ResponseWriter, r *http.Request) {

@@ -122,6 +122,8 @@ type ForecastRequest struct {
 }
 
 // ForecastResponse is the body of a successful POST /v1/forecast.
+// Sequence stays the last member: writeSequenceReply encodes the rest with
+// encoding/json and appends the sequence after it.
 type ForecastResponse struct {
 	Session   string             `json:"session"`
 	Model     string             `json:"model"`
@@ -132,6 +134,7 @@ type ForecastResponse struct {
 }
 
 // GenerateResponse is the body of a successful POST /v1/generate.
+// Sequence stays the last member, as in ForecastResponse.
 type GenerateResponse struct {
 	Model     string             `json:"model"`
 	Seed      int64              `json:"seed"`
