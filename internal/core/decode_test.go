@@ -402,3 +402,78 @@ func TestGenerateBytesPinned(t *testing.T) {
 		})
 	}
 }
+
+// TestGenerateCappedBytesPinned is TestGenerateBytesPinned for capped
+// decoding, which N=94 never reaches under cap 128: a 2-epoch N=300 fit
+// decoding through CandidateCap 32 for T=6 steps, at F=0 and F=2. It pins
+// a generation, a forecast from an encoded four-snapshot prefix, and a
+// generation under DynamicNodes (whose active set changes after each
+// step's GRU), each as the sha256 of its dyngraph.Save text.
+func TestGenerateCappedBytesPinned(t *testing.T) {
+	if !slices.Contains(tensor.CPUFeatures(), "fma") {
+		t.Skip("digests were taken with the FMA exp path")
+	}
+	for _, tc := range []struct {
+		f                   int
+		gen, forecast, dyna string
+	}{
+		{0,
+			"18c61984a2490ffd9b6b4184768cb8062c6a9d6680a33184191d2fd93ca8eb80",
+			"a7b754ead7d5a5f4a59fec9a06e169b23fc645cc807540f7af41e411713e0b2c",
+			"7632237bf8574615f382b554fac1a6bfcafe28da1c53a5579b957bdfb0be4c8b"},
+		{2,
+			"d21f046379baf33978011a5d0a55b9653fad30b0f6f3f1677a85837f1cd3ba9b",
+			"34e0cf45f4f6e01508bdf72a71027be321a7f0fc33f8af8e8a5ef570281be9f4",
+			"781f9a355905ed12090aa3e7077b8e73d3d10d8149e07ff9f942ddf3d3ec9282"},
+	} {
+		t.Run(fmt.Sprintf("f%d", tc.f), func(t *testing.T) {
+			cfg := DefaultConfig(300, tc.f)
+			cfg.CandidateCap = 32
+			cfg.Epochs = 2
+			cfg.Seed = 81
+			g := toyGraph(cfg.N, tc.f, 8, 81)
+			m := New(cfg)
+			if _, err := m.Fit(g); err != nil {
+				t.Fatal(err)
+			}
+			if m.persistRate == 0 {
+				t.Fatal("the fit learned no persistence rate: the replay's draws would go unpinned")
+			}
+			opts := GenOptions{T: 6, Seed: 82, Parallel: true}
+			digest := func(s *dyngraph.Sequence) string {
+				h := sha256.New()
+				if err := dyngraph.Save(h, s); err != nil {
+					t.Fatal(err)
+				}
+				return hex.EncodeToString(h.Sum(nil))
+			}
+			seq, err := m.GenerateOpts(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := digest(seq); got != tc.gen {
+				t.Errorf("generated digest %s, want %s", got, tc.gen)
+			}
+			st, err := m.Encode(context.Background(), &dyngraph.Sequence{N: g.N, F: g.F, Snapshots: g.Snapshots[:4]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Release()
+			fc, err := m.Forecast(context.Background(), st, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := digest(fc); got != tc.forecast {
+				t.Errorf("forecast digest %s, want %s", got, tc.forecast)
+			}
+			opts.DynamicNodes, opts.Tdel = true, 1
+			dyn, err := m.GenerateOpts(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := digest(dyn); got != tc.dyna {
+				t.Errorf("DynamicNodes digest %s, want %s", got, tc.dyna)
+			}
+		})
+	}
+}
