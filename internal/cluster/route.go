@@ -37,7 +37,7 @@ func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		if tr != nil {
 			r = r.WithContext(ctx)
 			w.Header().Set(obs.Header, tr.ID)
-			sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
+			sw := &statusWriter{ResponseWriter: w, status: http.StatusOK, tr: tr}
 			defer func() { tr.Finish(sw.status) }()
 			w = sw
 		}
@@ -69,11 +69,19 @@ func (n *Node) route(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// statusWriter captures the final status for the node-owned trace while
-// forwarding Flush, keeping streaming backpressure intact.
+// statusWriter captures the final status for the node-owned trace, and
+// marks each write on it so that its wall ends where the reply's last
+// write began, while forwarding Flush, keeping streaming backpressure
+// intact.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
+	tr     *obs.Trace
+}
+
+func (w *statusWriter) Write(b []byte) (int, error) {
+	w.tr.Wrote()
+	return w.ResponseWriter.Write(b)
 }
 
 func (w *statusWriter) WriteHeader(code int) {

@@ -163,7 +163,9 @@ func BenchmarkCandidates(b *testing.B) {
 			}
 			// One real decode fills the prefix sums, the guide and the seeds.
 			s := tensor.Randn(n, cfg.LatentDim+cfg.HiddenDim, 1, rand.New(rand.NewSource(1)))
-			st.decodeStructure(dyngraph.NewSnapshot(n, 0), s, 0)
+			snap := dyngraph.NewSnapshot(n, 0)
+			st.drawStep(snap)
+			st.decodeStructure(snap, s, 0)
 			ps, w := st.ps, st.ps.workers[0]
 
 			// The draws a timestep takes, counted once outside the timer.

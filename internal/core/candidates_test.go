@@ -250,7 +250,9 @@ func TestCandidatesMatchReference(t *testing.T) {
 					st.degree[i] = float64(rng.Intn(9))
 				}
 				s := tensor.Randn(tc.n, cfg.LatentDim+cfg.HiddenDim, 1, rng)
-				st.decodeStructure(dyngraph.NewSnapshot(tc.n, 0), s, 0)
+				snap := dyngraph.NewSnapshot(tc.n, 0)
+				st.drawStep(snap)
+				st.decodeStructure(snap, s, 0)
 
 				ps := st.ps
 				if ps.exact {

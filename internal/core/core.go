@@ -285,6 +285,12 @@ func (m *Model) posterior(c *nn.Ctx, eps, h *tensor.Node) (mu, logSig *tensor.No
 	return m.postMu.Apply(c, hid), m.postSig.Apply(c, hid)
 }
 
+// posteriorMean records the posterior's µ head alone: encoding an observed
+// prefix uses the mean and never reads log σ.
+func (m *Model) posteriorMean(c *nn.Ctx, eps, h *tensor.Node) *tensor.Node {
+	return m.postMu.Apply(c, m.postHid.ApplyAct(c, c.Tape.ConcatCols(eps, h), nn.ActLeakyReLU))
+}
+
 // reparameterize records z = µ + ε·σ on the tape with the pooled noise ε,
 // drawn beforehand. The tape takes ownership of noise, so Reset recycles
 // it.
@@ -292,14 +298,14 @@ func reparameterize(t *tensor.Tape, mu, logSig *tensor.Node, noise *tensor.Matri
 	return t.Add(mu, t.Mul(t.Owned(noise), t.Exp(logSig)))
 }
 
-// sampleLatent draws z = µ + ε·σ into a pooled buffer. It overwrites
-// logSig with σ.
+// sampleLatent computes z = µ + ε·σ into a pooled buffer, ε the drawn
+// noise in µ's row-major order. It overwrites logSig with σ.
 //
 // σ = exp(log σ) with log σ clamped to [-20, 20], the same ±20 bound
 // GaussianKL puts on log σ. It is not the tape's convention: Tape.Exp
 // clamps one side only, min(v, 40), so at the extremes training and
 // generation draw z from different σ (ROADMAP item 4).
-func sampleLatent(mu, logSig *tensor.Matrix, rng *rand.Rand) *tensor.Matrix {
+func sampleLatent(mu, logSig *tensor.Matrix, noise []float64) *tensor.Matrix {
 	sig := logSig.Data
 	for i, v := range sig {
 		if v > 20 {
@@ -311,7 +317,7 @@ func sampleLatent(mu, logSig *tensor.Matrix, rng *rand.Rand) *tensor.Matrix {
 	tensor.VExp(sig)
 	z := tensor.Get(mu.Rows, mu.Cols)
 	for i, v := range mu.Data {
-		z.Data[i] = v + rng.NormFloat64()*sig[i]
+		z.Data[i] = v + noise[i]*sig[i]
 	}
 	return z
 }

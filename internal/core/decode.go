@@ -67,11 +67,12 @@ const decodeFanOutPairs = 3000
 // goroutine holds it, large enough that the claims are a rounding error.
 const decodeChunkPairs = 512
 
-// helperSpin bounds how long a helper that has finished its share of the α
-// pass spins for the θ pass before it parks. Between the two the caller
-// only draws the components, which measured 2 µs at N=94 and 29 µs at
-// N=1891 (capped at 128) on two cores, so the bound is a guard against a
-// descheduled caller, not a tuning knob.
+// helperSpin bounds how long a helper that has finished its share of one
+// pass of a ring spins for the next before it parks. Between the α and θ
+// passes the caller only draws the components, which measured 2 µs at N=94
+// and 29 µs at N=1891 (capped at 128) on two cores; between a first step's
+// candidate pass and its α pass it runs the prior and the hoist. The bound
+// is a guard against a descheduled caller, not a tuning knob.
 const helperSpin = time.Millisecond
 
 // pairSlope is the hidden layers' LeakyReLU slope (nn.ActLeakyReLU), the
@@ -85,12 +86,14 @@ type pairHead struct {
 	b2  []float64 // second-layer bias, K
 }
 
-// pairScorer owns the per-request buffers of the Eq. 11 scoring phases and,
+// pairScorer owns the per-request buffers of the Eq. 11 decode passes and,
 // for a Parallel request, one helper goroutine per extra P for the life of
 // the generation or forecast (started by the first wake, ended by
-// stopHelpers). Every per-node result lives at a fixed stride, so the
-// goroutines write disjoint regions without a prefix sum over candidate
-// counts.
+// stopHelpers). A pass is posted, then joined: between the two the caller
+// may do other work while the helpers claim chunks, and join claims what
+// is left and waits for the chunks the helpers hold. Every per-node result
+// lives at a fixed stride, so the goroutines write disjoint regions without
+// a prefix sum over candidate counts.
 type pairScorer struct {
 	n, dh, k int
 	exact    bool // every other node is a candidate; no list is materialised
@@ -101,20 +104,21 @@ type pairScorer struct {
 	p    *tensor.Matrix // N×2d_h: S·w1, each row θ's d_h values then α's
 
 	cands []int     // N×stride candidate ids (capped decoding only)
-	cnt   []int     // candidates per node this timestep; 0: inactive or none found
+	cnt   []int     // candidates per node of the step being scored; 0: inactive or none found
 	alpha []float64 // N×K mixture weights
 	theta []float64 // N×stride Bernoulli means under each node's drawn component
 
 	// workers[0] is the calling goroutine's scratch, workers[1:] the
 	// helpers'. A pass hands out chunks of nodes from claim to whichever
-	// goroutine asks first; done counts the nodes scored.
+	// goroutine asks first; done counts the nodes finished.
 	workers []*pairWorker
 	chunk   int                        // nodes per claim
 	f       func(w *pairWorker, i int) // the current pass's per-node work
 	pass    uint32                     // passes posted so far (caller only)
+	open    bool                       // pass is posted and not yet joined (caller only)
 	claim   atomic.Uint64              // pass<<32 | first unclaimed node
 	done    atomic.Int64
-	first   atomic.Uint32 // α pass of the step that last woke the helpers
+	ring    atomic.Uint64 // first<<32 | last pass the latest wake asks the helpers to join
 	stop    atomic.Bool   // set by stopHelpers: spinning helpers give up
 	bells   []chan struct{}
 }
@@ -186,7 +190,9 @@ func (ps *pairScorer) hoist(s *tensor.Matrix) {
 }
 
 // fansOut reports whether a timestep over these active nodes scores enough
-// pairs to share its passes with the helpers.
+// pairs to share its passes with the helpers. The candidate pass of capped
+// decoding draws about as many candidates as the α pass scores pairs, so
+// the same cut decides it.
 func (ps *pairScorer) fansOut(active []bool) bool {
 	if len(ps.workers) < 2 {
 		return false
@@ -200,10 +206,12 @@ func (ps *pairScorer) fansOut(active []bool) bool {
 	return nActive*ps.stride >= decodeFanOutPairs
 }
 
-// wake rings every helper ahead of a step that fans out, starting them on
-// first use. The step's α pass is the next one run posts; a helper takes
-// part in it and in the θ pass after it, then parks until the next wake.
-func (ps *pairScorer) wake() {
+// wake rings every helper, starting them on first use, to join the
+// caller's next passes: a step's α and θ (passes = 2), a capped step's
+// candidate pass drawn ahead (1), or all three when the step draws at its
+// start (3). A helper takes part in each in turn, then parks until the
+// next wake.
+func (ps *pairScorer) wake(passes int) {
 	if ps.bells == nil {
 		ps.bells = make([]chan struct{}, len(ps.workers)-1)
 		for h := range ps.bells {
@@ -211,7 +219,7 @@ func (ps *pairScorer) wake() {
 			go ps.help(ps.workers[h+1], ps.bells[h])
 		}
 	}
-	ps.first.Store(ps.pass + 1)
+	ps.ring.Store(uint64(ps.pass+1)<<32 | uint64(ps.pass+uint32(passes)))
 	for _, b := range ps.bells {
 		select {
 		case b <- struct{}{}:
@@ -222,8 +230,8 @@ func (ps *pairScorer) wake() {
 
 // stopHelpers ends the helpers: parked ones exit, spinning ones give up.
 // It does not wait for them to exit, which would cost the caller a P's
-// wake-up: they hold no arena buffer, and after the close they only read
-// the scorer's atomics.
+// wake-up: they hold no arena buffer, and once the last pass is joined
+// they only read the scorer's atomics.
 func (ps *pairScorer) stopHelpers() {
 	ps.stop.Store(true)
 	for _, b := range ps.bells {
@@ -232,32 +240,32 @@ func (ps *pairScorer) stopHelpers() {
 	ps.bells = nil
 }
 
-// help is a helper goroutine: parked on its bell between steps, it joins
-// the woken step's α pass and then, if it is posted within helperSpin, the
-// θ pass. The wait for α needs no bound: the step that rang posts it
-// before it returns, and release stops a step that panics.
+// help is a helper goroutine: parked on its bell between rings, it joins
+// the rung passes in turn, each after the first only if it is posted
+// within helperSpin of the helper's last chunk. The wait for the first
+// needs no bound: the caller posts it before the step returns, and release
+// stops a step that panics.
 func (ps *pairScorer) help(w *pairWorker, bell <-chan struct{}) {
 	for range bell {
-		alpha := ps.first.Load()
-		if ps.await(alpha, time.Time{}) {
-			ps.work(w, alpha)
-		}
-		if ps.await(alpha+1, time.Now().Add(helperSpin)) {
-			ps.work(w, alpha+1)
+		r := ps.ring.Load()
+		var deadline time.Time
+		for q, last := uint32(r>>32), uint32(r); int32(last-q) >= 0; q++ {
+			if !ps.await(q, deadline) {
+				break
+			}
+			ps.work(w, q)
+			deadline = time.Now().Add(helperSpin)
 		}
 	}
 }
 
-// await spins, yielding its P, until pass q is posted. It reports false
-// once q has gone by, the generation has ended or a non-zero deadline has
-// passed.
+// await spins, yielding its P, until pass q is posted or has gone by (a
+// late helper then finds nothing to claim). It reports false once the
+// generation has ended or a non-zero deadline has passed.
 func (ps *pairScorer) await(q uint32, deadline time.Time) bool {
 	for !ps.stop.Load() {
-		switch p := uint32(ps.claim.Load() >> 32); {
-		case p == q:
+		if p := uint32(ps.claim.Load() >> 32); int32(p-q) >= 0 {
 			return true
-		case int32(p-q) > 0:
-			return false
 		}
 		if !deadline.IsZero() && time.Now().After(deadline) {
 			return false
@@ -267,7 +275,7 @@ func (ps *pairScorer) await(q uint32, deadline time.Time) bool {
 	return false
 }
 
-// work scores chunks of pass q until none is left.
+// work runs chunks of pass q until none is left.
 func (ps *pairScorer) work(w *pairWorker, q uint32) {
 	for {
 		c := ps.claim.Load()
@@ -279,7 +287,7 @@ func (ps *pairScorer) work(w *pairWorker, q uint32) {
 		if !ps.claim.CompareAndSwap(c, c+uint64(hi-lo)) {
 			continue
 		}
-		// The claim orders this read after run's write of f, and done
+		// The claim orders this read after post's write of f, and done
 		// orders it before the next pass's.
 		f := ps.f
 		for i := lo; i < hi; i++ {
@@ -289,15 +297,29 @@ func (ps *pairScorer) work(w *pairWorker, q uint32) {
 	}
 }
 
-// run calls f for every node. The caller claims chunks alongside whichever
-// helpers are awake, then waits for the chunks they hold; asleep, it scores
-// them all. Each node writes only its own slots, so the result does not
-// depend on who scored it.
-func (ps *pairScorer) run(f func(w *pairWorker, i int)) {
+// post opens a pass that calls f for every node: from here whichever
+// helpers are awake claim its chunks, while the caller goes on until it
+// joins. Each node writes only its own slots, so the result does not
+// depend on who ran it. The caller must not touch what f reads or writes
+// between post and join.
+func (ps *pairScorer) post(f func(w *pairWorker, i int)) {
 	ps.f = f
 	ps.pass++
+	ps.open = true
 	ps.done.Store(0)
 	ps.claim.Store(uint64(ps.pass) << 32)
+}
+
+// join ends the posted pass: the caller claims the chunks still unclaimed,
+// then waits for those the helpers hold; with no helper awake it runs them
+// all. With no pass open it returns at once. The pass is marked joined
+// before the caller's first chunk, so a panic out of f does not make
+// release wait for a chunk nobody will finish.
+func (ps *pairScorer) join() {
+	if !ps.open {
+		return
+	}
+	ps.open = false
 	ps.work(ps.workers[0], ps.pass)
 	for ps.done.Load() < int64(ps.n) {
 		runtime.Gosched()

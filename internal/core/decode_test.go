@@ -81,7 +81,9 @@ func TestPairScorerMatchesMLPForward(t *testing.T) {
 			for i := range st.degree {
 				st.degree[i] = float64(rng.Intn(9))
 			}
-			st.decodeStructure(dyngraph.NewSnapshot(tc.n, 0), s, 0)
+			snap := dyngraph.NewSnapshot(tc.n, 0)
+			st.drawStep(snap)
+			st.decodeStructure(snap, s, 0)
 
 			ps, maxC := st.ps, 0
 			for i := 0; i < tc.n; i++ {

@@ -148,7 +148,7 @@ func (m *Model) EncodeSnapshot(st *ForecastState, snap *dyngraph.Snapshot) error
 	c := nn.NewEvalCtx(tp)
 	h := tp.Const(st.h)
 	eps := m.enc.Encode(c, enc)
-	z, _ := m.posterior(c, eps, h)
+	z := m.posteriorMean(c, eps, h)
 	hNext := m.gru.Step(c, m.gruInput(c, eps, z, st.steps, n), h)
 	copy(st.h.Data, hNext.Value.Data)
 	tp.Reset()

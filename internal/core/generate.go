@@ -152,9 +152,21 @@ type genState struct {
 
 	// Decode scratch, reused across timesteps.
 	ps    *pairScorer
-	cdf   *candCDF // candidate distribution of the current timestep; nil with exact decoding
+	cdf   *candCDF // candidate distribution of the step drawn last; nil with exact decoding
 	seeds []int64
 	comp  []int
+
+	// The main-stream draws of a step that precede its component draws
+	// (drawStep): the latent noise, the snapshot holding the replayed
+	// persistent edges and how many there are, and the per-node seeds in
+	// seeds. next is non-nil when the previous step made them; otherwise
+	// the step makes them at its start.
+	zNoise    []float64 // N×d_z, row-major as sampleLatent reads it
+	next      *dyngraph.Snapshot
+	persisted float64
+	// composeAttrs' observation noise, N×F column-major (element j·N+i);
+	// nil when the model does not compose attributes.
+	xNoise []float64
 }
 
 func (m *Model) newGenState(opts GenOptions, recycle bool, init *ForecastState) *genState {
@@ -173,9 +185,13 @@ func (m *Model) newGenState(opts GenOptions, recycle bool, init *ForecastState) 
 		ps:       m.newPairScorer(opts.Parallel),
 		seeds:    make([]int64, n),
 		comp:     make([]int, n),
+		zNoise:   make([]float64, n*m.Cfg.LatentDim),
 	}
 	if !st.ps.exact {
 		st.cdf = newCandCDF(n)
+	}
+	if m.Cfg.F > 0 && m.composesAttrs() {
+		st.xNoise = make([]float64, n*m.Cfg.F)
 	}
 	for i := range st.active {
 		st.active[i] = true
@@ -204,6 +220,9 @@ func (m *Model) newGenState(opts GenOptions, recycle bool, init *ForecastState) 
 // errors, so aborted requests leak nothing (collected snapshots, which
 // have escaped to the caller, are exempt).
 func (st *genState) release() {
+	// A step that panicked may leave a candidate pass posted: its helpers
+	// read st.prev, which is recycled below.
+	st.ps.join()
 	st.ps.stopHelpers()
 	st.ctx.Tape.Reset()
 	if st.h != nil {
@@ -217,7 +236,7 @@ func (st *genState) release() {
 	if st.recycle && st.prev != nil {
 		st.prev.Recycle()
 	}
-	st.prev, st.spare = nil, nil
+	st.prev, st.spare, st.next = nil, nil, nil
 }
 
 // takeSnapshot returns the snapshot to decode the next timestep into: the
@@ -235,28 +254,83 @@ func (st *genState) takeSnapshot() *dyngraph.Snapshot {
 // step decodes snapshot t and advances the recurrent state. t counts from
 // zero within this run; the model clock (Time2Vec, per-step calibration
 // targets) runs at timeOff+t so forecasts continue the observed timeline.
+//
+// A capped step's candidate sets depend only on the previous snapshot, the
+// running degrees, the active set and per-node seeds, never on H_t. So once
+// snapshot t's edges are drawn, step t makes step t+1's draws (drawStep)
+// and posts its candidate pass to the helpers, runs its own attribute
+// decoder, encoder and GRU meanwhile, and joins the pass before it returns
+// snapshot t: no helper reads a snapshot the consumer holds. The first step
+// draws at its start, and so does every step under DynamicNodes, whose
+// updateActiveSet draws after the GRU. Either way the main stream is drawn
+// in one order.
 func (st *genState) step(t int) *dyngraph.Snapshot {
-	m, n, rng := st.m, st.n, st.rng
+	m, n, ps := st.m, st.n, st.ps
 	clock := st.timeOff + t
 	c := st.ctx
 	tp := c.Tape
 	h := tp.Const(st.h)
 
 	// An idle P takes tens of µs to wake: ring the helpers now, so that
-	// they are up by the time the prior, the latent draw and the first
-	// decode phases have run and the α pass is posted.
-	if st.ps.fansOut(st.active) {
-		st.ps.wake()
+	// they are up by the time the prior and the hoist have run and the α
+	// pass is posted (and, drawing here, the candidate pass before it).
+	snap := st.next
+	st.next = nil
+	if snap == nil {
+		snap = st.takeSnapshot()
+		if ps.fansOut(st.active) {
+			passes := 3 // candidates, α, θ
+			if ps.exact {
+				passes = 2
+			}
+			ps.wake(passes)
+		}
+		st.drawStep(snap)
+	} else if ps.fansOut(st.active) {
+		ps.wake(2)
 	}
 
 	// Line 3: sample temporal latent variables from the prior.
 	mu, logSig := m.prior(c, h)
-	z := tp.Owned(sampleLatent(mu.Value, logSig.Value, rng))
+	z := tp.Owned(sampleLatent(mu.Value, logSig.Value, st.zNoise))
 	s := tp.ConcatCols(z, h) // S_t = [Z_t ‖ H_{t-1}]
 
 	// Line 4: decode the adjacency via the MixBernoulli sampler.
-	snap := st.takeSnapshot()
 	st.decodeStructure(snap, s.Value, clock)
+	for i := range st.xNoise { // composeAttrs' noise comes next in the stream
+		st.xNoise[i] = st.rng.NormFloat64()
+	}
+
+	// Bookkeeping for candidate weighting and the dynamic-node extension.
+	for v := 0; v < n; v++ {
+		d := snap.OutDegree(v) + snap.InDegree(v)
+		st.degree[v] = 0.8*st.degree[v] + float64(d)
+		if st.opts.DynamicNodes {
+			if d == 0 {
+				st.isolated[v]++
+			} else {
+				st.isolated[v] = 0
+			}
+		}
+	}
+
+	// Rotate the one-step history window. The snapshot leaving it was
+	// yielded before this step began and the draws that read it are made,
+	// so in streaming mode both the consumer and the engine are done with
+	// it and its buffers can be reclaimed.
+	old := st.prev
+	st.prev = snap
+	if st.recycle && old != nil {
+		old.Recycle()
+		st.spare = old
+	}
+	if t+1 < st.opts.T && !st.opts.DynamicNodes {
+		st.next = st.takeSnapshot()
+		if !ps.exact && ps.fansOut(st.active) {
+			ps.wake(1)
+		}
+		st.drawStep(st.next)
+	}
 
 	// Line 5: decode attributes conditioned on the new topology. The
 	// decoded matrix is the likelihood mean; sampling adds the
@@ -268,7 +342,7 @@ func (st *genState) step(t int) *dyngraph.Snapshot {
 		dec := m.attrMLP.Apply(c, m.gat.Apply(c, s, esrc, edst, n))
 		x := tensor.Get(n, m.Cfg.F)
 		copy(x.Data, dec.Value.Data)
-		state := m.composeAttrs(x, st.prevX, rng)
+		state := m.composeAttrs(x, st.prevX, st.xNoise)
 		if st.prevX != nil && state != st.prevX {
 			tensor.Put(st.prevX)
 		}
@@ -283,48 +357,25 @@ func (st *genState) step(t int) *dyngraph.Snapshot {
 	copy(st.h.Data, hNext.Value.Data)
 	tp.Reset()
 
-	// Bookkeeping for candidate weighting and the dynamic-node extension.
-	for v := 0; v < n; v++ {
-		d := snap.OutDegree(v) + snap.InDegree(v)
-		st.degree[v] = 0.8*st.degree[v] + float64(d)
-		if st.opts.DynamicNodes {
-			if d == 0 {
-				st.isolated[v]++
-			} else {
-				st.isolated[v] = 0
-			}
-		}
-	}
 	if st.opts.DynamicNodes {
-		m.updateActiveSet(st.active, st.isolated, st.h, clock, st.opts.Tdel, rng)
+		m.updateActiveSet(st.active, st.isolated, st.h, clock, st.opts.Tdel, st.rng)
 	}
-
-	// Rotate the one-step history window. The snapshot leaving it was
-	// yielded an iteration ago, so in streaming mode both the consumer and
-	// the engine are done with it and its buffers can be reclaimed.
-	old := st.prev
-	st.prev = snap
-	if st.recycle && old != nil {
-		old.Recycle()
-		st.spare = old
-	}
+	ps.join() // step t+1's candidate pass reads snap, which now leaves
 	return snap
 }
 
-// decodeStructure implements the one-shot MixBernoulli decoding (Eq. 11).
-// For every active node it scores a candidate destination set, aggregates
-// the mixture weights α_i, then samples edges from the selected component.
-// With DegreeCalibration the Bernoulli means are rescaled so the expected
-// edge count matches the training statistics for this timestep.
-//
-// The scoring (pairScorer, decode.go) runs node-parallel in two passes
-// around the serial component draws; everything that consumes the main
-// random stream — persistence replay, per-node seeds, component draws in
-// node order, Bernoulli draws — stays on this goroutine in a fixed order,
-// so the output depends on neither Parallel nor the fan-out.
-func (st *genState) decodeStructure(snap *dyngraph.Snapshot, s *tensor.Matrix, t int) {
+// drawStep makes, in this order, every main-stream draw of the step to be
+// decoded into snap that comes before its component draws: the latent
+// noise, the persistence replay against st.prev (into snap) and one seed
+// per node. With capped decoding it then fills the candidate CDF from the
+// running degrees and posts the candidate pass; decodeStructure joins it
+// at the latest.
+func (st *genState) drawStep(snap *dyngraph.Snapshot) {
 	m, n, rng, prev := st.m, st.n, st.rng, st.prev
 	active := st.active
+	for i := range st.zNoise {
+		st.zNoise[i] = rng.NormFloat64()
+	}
 
 	// Temporal persistence calibration: replay previous-step edges at the
 	// training data's persistence rate before one-shot sampling fills the
@@ -332,7 +383,7 @@ func (st *genState) decodeStructure(snap *dyngraph.Snapshot, s *tensor.Matrix, t
 	// first-order statistic the short CPU schedule cannot learn; a
 	// converged model's MixBernoulli would regenerate persistent edges
 	// itself (their pair scores stay high across steps).
-	persisted := 0.0
+	st.persisted = 0
 	if m.Cfg.DegreeCalibration && m.persistRate > 0 && prev != nil {
 		for u := 0; u < n; u++ {
 			if !active[u] {
@@ -340,23 +391,10 @@ func (st *genState) decodeStructure(snap *dyngraph.Snapshot, s *tensor.Matrix, t
 			}
 			for _, v := range prev.Out[u] {
 				if rng.Float64() < m.persistRate && snap.AddEdge(u, v) {
-					persisted++
+					st.persisted++
 				}
 			}
 		}
-	}
-
-	// Candidate weights: degree-proportional with +1 smoothing.
-	ps := st.ps
-	if cdf := st.cdf; cdf != nil {
-		for v := 0; v < n; v++ {
-			w := st.degree[v] + 1
-			if !active[v] {
-				w = 0
-			}
-			cdf.cum[v+1] = cdf.cum[v] + w
-		}
-		cdf.index()
 	}
 
 	// Pre-draw per-node RNG seeds so the parallel path stays deterministic.
@@ -366,14 +404,45 @@ func (st *genState) decodeStructure(snap *dyngraph.Snapshot, s *tensor.Matrix, t
 	// a handful — it was ~20% of a whole generation run. (Exact decoding
 	// samples no candidates but draws the seeds all the same: the main
 	// stream's draw order is part of the output.)
-	seeds := st.seeds
-	for i := range seeds {
-		seeds[i] = rng.Int63()
+	for i := range st.seeds {
+		st.seeds[i] = rng.Int63()
 	}
 
-	// Mixture weights: candidates, then α, node by node on the workers.
+	// Candidate weights: degree-proportional with +1 smoothing.
+	if cdf := st.cdf; cdf != nil {
+		for v := 0; v < n; v++ {
+			w := st.degree[v] + 1
+			if !active[v] {
+				w = 0
+			}
+			cdf.cum[v+1] = cdf.cum[v] + w
+		}
+		cdf.index()
+		st.ps.post(st.buildCandidates)
+	}
+}
+
+// decodeStructure implements the one-shot MixBernoulli decoding (Eq. 11)
+// into snap, which drawStep has already given its replayed persistent
+// edges. For every active node it scores the candidate destination set,
+// aggregates the mixture weights α_i, then samples edges from the selected
+// component. With DegreeCalibration the Bernoulli means are rescaled so the
+// expected edge count matches the training statistics for this timestep.
+//
+// The candidate sets (capped decoding) and the scoring (pairScorer,
+// decode.go) run node-parallel in passes around the serial component
+// draws; everything that consumes the main random stream — drawStep's
+// draws, component draws in node order, Bernoulli draws — stays on this
+// goroutine in a fixed order, so the output depends on neither Parallel nor
+// the fan-out.
+func (st *genState) decodeStructure(snap *dyngraph.Snapshot, s *tensor.Matrix, t int) {
+	m, n, rng, ps := st.m, st.n, st.rng, st.ps
+
+	// Mixture weights over the candidate sets, node by node on the workers.
 	ps.hoist(s)
-	ps.run(st.scoreAlpha)
+	ps.join() // the candidate pass, if drawStep posted it this step
+	ps.post(st.scoreAlpha)
+	ps.join()
 
 	// Draw each node's mixture component from the main stream, in node
 	// order; only then is it known which θ row a node needs.
@@ -383,7 +452,8 @@ func (st *genState) decodeStructure(snap *dyngraph.Snapshot, s *tensor.Matrix, t
 			comp[i] = sampleCategorical(ps.alpha[i*ps.k:(i+1)*ps.k], rng)
 		}
 	}
-	ps.run(st.scoreTheta)
+	ps.post(st.scoreTheta)
+	ps.join()
 
 	// Summed serially in node order: λ must not depend on the fan-out.
 	expected := 0.0
@@ -397,7 +467,7 @@ func (st *genState) decodeStructure(snap *dyngraph.Snapshot, s *tensor.Matrix, t
 	// edges consume part of the budget).
 	lambda := 1.0
 	if m.Cfg.DegreeCalibration && expected > 0 {
-		target := m.edgeTarget(t) - persisted
+		target := m.edgeTarget(t) - st.persisted
 		if target < 0 {
 			target = 0
 		}
@@ -418,20 +488,28 @@ func (st *genState) decodeStructure(snap *dyngraph.Snapshot, s *tensor.Matrix, t
 	}
 }
 
-// scoreAlpha is the first scoring pass over node i: fix its candidate set
-// for this timestep and compute its mixture weights.
-func (st *genState) scoreAlpha(w *pairWorker, i int) {
+// buildCandidates is capped decoding's candidate pass over node i: draw
+// its set from its own seed, the previous snapshot and the candidate CDF.
+func (st *genState) buildCandidates(w *pairWorker, i int) {
 	ps, c := st.ps, 0
-	switch {
-	case !st.active[i]:
-	case ps.exact:
-		c = st.n - 1
-	default:
+	if st.active[i] {
 		w.nsrc.Seed(st.seeds[i])
 		c = len(candidates(ps.cands[i*ps.stride:][:0:ps.stride], i, st.prev, st.cdf, w.nrng, w.mark))
 	}
 	ps.cnt[i] = c
-	if c > 0 {
+}
+
+// scoreAlpha is the first scoring pass over node i: its mixture weights
+// over its candidate set (with exact decoding, every other node).
+func (st *genState) scoreAlpha(w *pairWorker, i int) {
+	ps := st.ps
+	if ps.exact {
+		ps.cnt[i] = 0
+		if st.active[i] {
+			ps.cnt[i] = st.n - 1
+		}
+	}
+	if c := ps.cnt[i]; c > 0 {
 		ps.scoreAlpha(w, i, c)
 	}
 }
@@ -483,9 +561,9 @@ func (s *splitmixSource) Int63() int64 { return int64(s.Uint64() >> 1) }
 // data's own attribute process. Disabled with DegreeCalibration=false.
 //
 // It writes the finished attributes into x and returns the updated latent
-// state for the next step.
-func (m *Model) composeAttrs(x *tensor.Matrix, prevS *tensor.Matrix, rng *rand.Rand) *tensor.Matrix {
-	if !m.Cfg.DegreeCalibration || m.attrMean == nil {
+// state for the next step. noise holds ξ, N×F column-major (element j·N+i).
+func (m *Model) composeAttrs(x *tensor.Matrix, prevS *tensor.Matrix, noise []float64) *tensor.Matrix {
+	if !m.composesAttrs() {
 		return prevS
 	}
 	n, f := x.Rows, x.Cols
@@ -525,7 +603,7 @@ func (m *Model) composeAttrs(x *tensor.Matrix, prevS *tensor.Matrix, rng *rand.R
 		}
 		ar := math.Sqrt(1 - rho*rho)
 		for i := 0; i < n; i++ {
-			mix := w*x.At(i, j) + nw*rng.NormFloat64()
+			mix := w*x.At(i, j) + nw*noise[j*n+i]
 			if prevS == nil {
 				state.Set(i, j, mix)
 			} else {
@@ -569,6 +647,13 @@ func (m *Model) composeAttrs(x *tensor.Matrix, prevS *tensor.Matrix, rng *rand.R
 		}
 	}
 	return state
+}
+
+// composesAttrs reports whether composeAttrs maps decoded attributes
+// (and so takes observation noise from the main stream) rather than
+// passing them through.
+func (m *Model) composesAttrs() bool {
+	return m.Cfg.DegreeCalibration && m.attrMean != nil
 }
 
 // marginalMap sends a standard-normal output coordinate through the

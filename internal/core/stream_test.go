@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"vrdag/internal/dyngraph"
+	"vrdag/internal/nn"
 	"vrdag/internal/tensor"
 )
 
@@ -171,79 +172,132 @@ func TestGenerateStreamYieldError(t *testing.T) {
 // or a forecast that fans out live exactly as long as the request. Each of
 // GenerateStream and ForecastStream runs to completion, with its context
 // cancelled mid-stream, and with a yield error; after each the goroutine
-// count returns to what it was before, and arena gets equal puts.
+// count returns to what it was before, and arena gets equal puts. The
+// capped model (N=300, cap 32) posts each next step's candidate pass to the
+// helpers before the step's attribute decoder, encoder and GRU: it stops
+// after step 1 and after step T−2, each with the step after it drawn ahead,
+// and panics in the attribute decoder with a candidate pass still posted.
 func TestPairHelpersNeverOutliveRequest(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		t.Skip("needs two Ps for the decode to have helpers")
 	}
-	cfg := DefaultConfig(94, 2)
-	cfg.Seed = 5
-	m := New(cfg)
-	fc := m.NewForecastState()
-	defer fc.Release()
-	st := m.newGenState(GenOptions{T: 1, Parallel: true}, true, nil)
-	fans := st.ps.fansOut(st.active)
-	st.release()
-	if !fans {
-		t.Fatal("N=94 does not fan out: no helper would start")
-	}
+	const steps = 6
 	type streamFunc func(context.Context, GenOptions, func(*dyngraph.Snapshot) error) error
-	forecast := func(ctx context.Context, o GenOptions, y func(*dyngraph.Snapshot) error) error {
-		return m.ForecastStream(ctx, fc, o, y)
+	type end struct {
+		name  string
+		how   string // "complete", "cancel", "yield error" or "panic"
+		after int    // yields before it stops
 	}
-	sentinel := errors.New("consumer gave up")
-	for _, sc := range []struct {
-		name   string
-		stream streamFunc
-	}{{"generate", m.GenerateStream}, {"forecast", forecast}} {
-		name, stream := sc.name, sc.stream
-		if err := stream(context.Background(), GenOptions{T: 2, Seed: 5, Parallel: true}, func(*dyngraph.Snapshot) error { return nil }); err != nil {
-			t.Fatalf("%s warm-up: %v", name, err)
+	exactCfg := DefaultConfig(94, 2)
+	exactCfg.Seed = 5
+	cappedCfg := DefaultConfig(300, 2)
+	cappedCfg.CandidateCap = 32
+	cappedCfg.Seed = 5
+	for _, mc := range []struct {
+		prefix string
+		cfg    Config
+		ends   []end
+	}{
+		{"", exactCfg, []end{{"complete", "complete", steps}, {"cancel", "cancel", 3}, {"yield error", "yield error", 3}}},
+		{"capped ", cappedCfg, []end{
+			{"complete", "complete", steps},
+			{"cancel after step 1", "cancel", 2},
+			{"cancel after step T-2", "cancel", steps - 1},
+			{"yield error after step 1", "yield error", 2},
+			{"yield error after step T-2", "yield error", steps - 1},
+			{"panic in step 2", "panic", 2},
+		}},
+	} {
+		m := New(mc.cfg)
+		fc := m.NewForecastState()
+		defer fc.Release()
+		st := m.newGenState(GenOptions{T: 1, Parallel: true}, true, nil)
+		fans, exact := st.ps.fansOut(st.active), st.ps.exact
+		st.release()
+		if !fans || exact != (mc.cfg.N == 94) {
+			t.Fatalf("N=%d cap %d: fans out %v, exact %v", mc.cfg.N, mc.cfg.CandidateCap, fans, exact)
 		}
-		for _, end := range []string{"complete", "cancel", "yield error"} {
-			t.Run(name+" "+end, func(t *testing.T) {
-				ctx, cancel := context.WithCancel(context.Background())
-				defer cancel()
-				// Another request's helpers may still be on their way out.
-				waitFor(t, func() bool { return decodeHelpers() == 0 }, "earlier helpers to exit")
-				base := runtime.NumGoroutine()
-				before := tensor.ReadPoolStats()
-				yields, helped := 0, false
-				err := stream(ctx, GenOptions{T: 6, Seed: 13, Parallel: true}, func(*dyngraph.Snapshot) error {
-					yields++
-					helped = helped || decodeHelpers() > 0
-					switch {
-					case end == "cancel" && yields == 3:
-						cancel()
-					case end == "yield error" && yields == 3:
-						return sentinel
+		forecast := func(ctx context.Context, o GenOptions, y func(*dyngraph.Snapshot) error) error {
+			return m.ForecastStream(ctx, fc, o, y)
+		}
+		sentinel := errors.New("consumer gave up")
+		for _, sc := range []struct {
+			name   string
+			stream streamFunc
+		}{{"generate", m.GenerateStream}, {"forecast", forecast}} {
+			name, stream := sc.name, sc.stream
+			if err := stream(context.Background(), GenOptions{T: 2, Seed: 5, Parallel: true}, func(*dyngraph.Snapshot) error { return nil }); err != nil {
+				t.Fatalf("%s warm-up: %v", name, err)
+			}
+			for _, e := range mc.ends {
+				t.Run(mc.prefix+name+" "+e.name, func(t *testing.T) {
+					ctx, cancel := context.WithCancel(context.Background())
+					defer cancel()
+					// Another request's helpers may still be on their way out.
+					waitFor(t, func() bool { return decodeHelpers() == 0 }, "earlier helpers to exit")
+					base := runtime.NumGoroutine()
+					before := tensor.ReadPoolStats()
+					attrMLP := m.attrMLP
+					yields, helped := 0, false
+					var err error
+					var panicked any
+					func() {
+						defer func() { panicked = recover() }()
+						err = stream(ctx, GenOptions{T: steps, Seed: 13, Parallel: true}, func(*dyngraph.Snapshot) error {
+							yields++
+							helped = helped || decodeHelpers() > 0
+							if yields == e.after {
+								switch e.how {
+								case "cancel":
+									cancel()
+								case "yield error":
+									return sentinel
+								case "panic":
+									// A first-layer bias of the wrong width: the
+									// next step's attribute decoder panics, before
+									// taking a buffer, after that step has posted
+									// the candidate pass of the one after.
+									bad := nn.NewMLP("attr.mlp", []int{mc.cfg.HiddenDim, mc.cfg.HiddenDim, mc.cfg.F}, nn.ActLeakyReLU, rand.New(rand.NewSource(1)))
+									bad.Layers[0].B.Value = tensor.New(1, mc.cfg.HiddenDim+1)
+									m.attrMLP = bad
+								}
+							}
+							return nil
+						})
+					}()
+					m.attrMLP = attrMLP
+					switch e.how {
+					case "complete":
+						if err != nil || yields != steps {
+							t.Fatalf("err = %v after %d yields, want nil after %d", err, yields, steps)
+						}
+					case "cancel":
+						if !errors.Is(err, context.Canceled) || yields != e.after {
+							t.Fatalf("err = %v after %d yields, want context.Canceled after %d", err, yields, e.after)
+						}
+					case "yield error":
+						if !errors.Is(err, sentinel) || yields != e.after {
+							t.Fatalf("err = %v after %d yields, want the consumer's sentinel after %d", err, yields, e.after)
+						}
+					case "panic":
+						if panicked == nil || yields != e.after {
+							t.Fatalf("recovered %v after %d yields, want a panic after %d", panicked, yields, e.after)
+						}
 					}
-					return nil
+					if e.how != "panic" && panicked != nil {
+						panic(panicked)
+					}
+					if !helped {
+						t.Fatal("no helper goroutine was running during the stream; the check below would prove nothing")
+					}
+					after := tensor.ReadPoolStats()
+					if gets, puts := after.Gets-before.Gets, after.Puts-before.Puts; gets != puts {
+						t.Fatalf("arena: %d gets vs %d puts", gets, puts)
+					}
+					waitFor(t, func() bool { return decodeHelpers() == 0 && runtime.NumGoroutine() <= base },
+						fmt.Sprintf("the goroutine count to return to %d", base))
 				})
-				switch end {
-				case "complete":
-					if err != nil || yields != 6 {
-						t.Fatalf("err = %v after %d yields, want nil after 6", err, yields)
-					}
-				case "cancel":
-					if !errors.Is(err, context.Canceled) {
-						t.Fatalf("err = %v, want context.Canceled", err)
-					}
-				case "yield error":
-					if !errors.Is(err, sentinel) {
-						t.Fatalf("err = %v, want the consumer's sentinel", err)
-					}
-				}
-				if !helped {
-					t.Fatal("no helper goroutine was running during the stream; the check below would prove nothing")
-				}
-				after := tensor.ReadPoolStats()
-				if gets, puts := after.Gets-before.Gets, after.Puts-before.Puts; gets != puts {
-					t.Fatalf("arena: %d gets vs %d puts", gets, puts)
-				}
-				waitFor(t, func() bool { return decodeHelpers() == 0 && runtime.NumGoroutine() <= base },
-					fmt.Sprintf("the goroutine count to return to %d", base))
-			})
+			}
 		}
 	}
 }

@@ -146,6 +146,23 @@ type Trace struct {
 	wall   time.Duration
 	status int
 	done   bool
+
+	wrote atomic.Int64 // offset of the latest Wrote, in ns; 0 until the first
+}
+
+// Wrote marks that the reply's next bytes are about to be handed to the
+// connection. The writer that owns a trace's reply calls it before every
+// Write (a Flush only pushes bytes already written): Finish then ends the
+// wall at the latest mark instead of at its own call. A reply larger than
+// the write buffer leaves inside its Write, and a flushed one before the
+// handler returns, so a wall that ran on to Finish could outlast the
+// client's wait for the reply; and what the handler does after its last
+// write (waiting for a proxied body's EOF, bookkeeping) is not part of
+// the reply. Nil-safe.
+func (tr *Trace) Wrote() {
+	if tr != nil {
+		tr.wrote.Store(int64(max(time.Since(tr.start), 1)))
+	}
 }
 
 // StartSpan opens a span at the current instant. Nil-safe.
@@ -192,6 +209,14 @@ func (tr *Trace) Finish(status int) {
 	}
 	tr.done = true
 	tr.wall = time.Since(tr.start)
+	if w := time.Duration(tr.wrote.Load()); w > 0 {
+		// The reply ended at its last write: spans are cut to it.
+		tr.wall = w
+		for _, s := range tr.spans {
+			s.start = min(s.start, w)
+			s.dur = min(s.dur, w-s.start)
+		}
+	}
 	tr.status = status
 	tr.mu.Unlock()
 

@@ -113,6 +113,41 @@ func TestTraceSpansAndViews(t *testing.T) {
 	}
 }
 
+// TestWroteEndsWall: a trace whose reply was marked with Wrote ends its wall
+// at the last mark, not at Finish, and a span still running at the mark is
+// cut to it; one that ended before keeps its length.
+func TestWroteEndsWall(t *testing.T) {
+	var none *Trace
+	none.Wrote() // nil-safe
+
+	tc := New(Config{Ring: 8})
+	ctx, tr := tc.StartTrace(context.Background(), "POST /v1/forecast", "")
+	before := Start(ctx, "admit")
+	time.Sleep(time.Millisecond)
+	before.End()
+	proxy := Start(ctx, "proxy")
+	tr.Wrote()
+	time.Sleep(time.Millisecond)
+	tr.Wrote()
+	mark := time.Since(tr.start)
+	time.Sleep(5 * time.Millisecond) // what the handler does after its reply
+	proxy.End()
+	tr.Finish(200)
+
+	v := tc.Recent(1)[0]
+	if v.WallUS < 2000 || v.WallUS > mark.Microseconds() {
+		t.Fatalf("wall %dus, want the last mark, between 2000us and %dus", v.WallUS, mark.Microseconds())
+	}
+	for _, sp := range v.Spans {
+		if end := sp.StartUS + sp.DurUS; end > v.WallUS {
+			t.Fatalf("span %s ends at %dus, past the wall %dus", sp.Name, end, v.WallUS)
+		}
+		if sp.Name == "admit" && sp.DurUS < 1000 {
+			t.Fatalf("admit ended before the mark but was cut to %dus", sp.DurUS)
+		}
+	}
+}
+
 func TestRingBoundedNewestFirst(t *testing.T) {
 	tc := New(Config{Ring: 4})
 	for i := 0; i < 10; i++ {

@@ -372,6 +372,9 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(obs.Header, tr.ID)
 	}
 	lw := &loggingWriter{ResponseWriter: w, status: http.StatusOK}
+	if owned {
+		lw.tr = tr
+	}
 	s.mux.ServeHTTP(lw, r)
 	elapsed := time.Since(start)
 	s.statsFor(r.URL.Path).observe(lw.status, elapsed)
@@ -409,6 +412,12 @@ func (s *Server) logRequest(r *http.Request, tr *obs.Trace, status int, elapsed 
 type loggingWriter struct {
 	http.ResponseWriter
 	status int
+	tr     *obs.Trace // the trace this request owns, whose wall ends at the last write; else nil
+}
+
+func (w *loggingWriter) Write(b []byte) (int, error) {
+	w.tr.Wrote()
+	return w.ResponseWriter.Write(b)
 }
 
 func (w *loggingWriter) WriteHeader(code int) {
