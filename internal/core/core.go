@@ -216,11 +216,11 @@ func New(cfg Config) *Model {
 	m.postSig.W.Value.ScaleInPlace(0.01)
 
 	ds := dz + dh
-	m.fAlpha = nn.NewMLP("mix.alpha", []int{ds, dh, cfg.K}, nn.ActLeakyReLU, rng)
-	m.fTheta = nn.NewMLP("mix.theta", []int{ds, dh, cfg.K}, nn.ActLeakyReLU, rng)
+	m.fAlpha = nn.NewMLP("mix.alpha", []int{ds, dh, cfg.K}, tensor.ActLeakyReLU, rng)
+	m.fTheta = nn.NewMLP("mix.theta", []int{ds, dh, cfg.K}, tensor.ActLeakyReLU, rng)
 
 	m.gat = gnn.NewGAT("attr.gat", ds, dh, rng)
-	m.attrMLP = nn.NewMLP("attr.mlp", []int{dh, dh, max(cfg.F, 1)}, nn.ActLeakyReLU, rng)
+	m.attrMLP = nn.NewMLP("attr.mlp", []int{dh, dh, max(cfg.F, 1)}, tensor.ActLeakyReLU, rng)
 
 	m.t2v = nn.NewTime2Vec("t2v", cfg.TimeDim, rng)
 	gruIn := de + dz
@@ -275,20 +275,20 @@ func (m *Model) Trained() bool { return m.trained }
 
 // prior evaluates the prior network on hidden states (taped).
 func (m *Model) prior(c *nn.Ctx, h *tensor.Node) (mu, logSig *tensor.Node) {
-	hid := m.priorHid.ApplyAct(c, h, nn.ActLeakyReLU)
+	hid := m.priorHid.ApplyAct(c, h, tensor.ActLeakyReLU)
 	return m.priorMu.Apply(c, hid), m.priorSig.Apply(c, hid)
 }
 
 // posterior evaluates the posterior network on [ε ‖ h] (taped).
 func (m *Model) posterior(c *nn.Ctx, eps, h *tensor.Node) (mu, logSig *tensor.Node) {
-	hid := m.postHid.ApplyAct(c, c.Tape.ConcatCols(eps, h), nn.ActLeakyReLU)
+	hid := m.postHid.ApplyAct(c, c.Tape.ConcatCols(eps, h), tensor.ActLeakyReLU)
 	return m.postMu.Apply(c, hid), m.postSig.Apply(c, hid)
 }
 
 // posteriorMean records the posterior's µ head alone: encoding an observed
 // prefix uses the mean and never reads log σ.
 func (m *Model) posteriorMean(c *nn.Ctx, eps, h *tensor.Node) *tensor.Node {
-	return m.postMu.Apply(c, m.postHid.ApplyAct(c, c.Tape.ConcatCols(eps, h), nn.ActLeakyReLU))
+	return m.postMu.Apply(c, m.postHid.ApplyAct(c, c.Tape.ConcatCols(eps, h), tensor.ActLeakyReLU))
 }
 
 // reparameterize records z = µ + ε·σ on the tape with the pooled noise ε,

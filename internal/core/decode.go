@@ -75,10 +75,6 @@ const decodeChunkPairs = 512
 // is a guard against a descheduled caller, not a tuning knob.
 const helperSpin = time.Millisecond
 
-// pairSlope is the hidden layers' LeakyReLU slope (nn.ActLeakyReLU), the
-// one activation the fused kernel implements.
-const pairSlope = 0.2
-
 // pairHead is one head's parameters in the layout the scorer consumes.
 type pairHead struct {
 	b1  []float64 // first-layer bias, d_h
@@ -144,7 +140,7 @@ func (m *Model) newPairScorer(parallel bool) *pairScorer {
 	ds := m.fTheta.Layers[0].In
 	ps.w1 = tensor.New(ds, 2*dh)
 	for h, mlp := range [2]*nn.MLP{headTheta: m.fTheta, headAlpha: m.fAlpha} {
-		if mlp.Hidden != nn.ActLeakyReLU {
+		if mlp.Hidden != tensor.ActLeakyReLU {
 			panic("core: the Eq. 11 pair kernel implements LeakyReLU hidden layers only")
 		}
 		l1, l2 := mlp.Layers[0], mlp.Layers[1]
@@ -344,13 +340,13 @@ func (ps *pairScorer) logits(out []float64, h int, w2 []float64, kq, i, c int) {
 	p, b1 := ps.p.Data[h*dh:], ps.head[h].b1
 	pi := p[i*ld:][:dh]
 	if !ps.exact {
-		tensor.PairLogits(out, c, w2, kq, dh, pi, b1, p, ld, ps.cands[i*ps.stride:][:c], c, pairSlope)
+		tensor.PairLogits(out, c, w2, kq, dh, pi, b1, p, ld, ps.cands[i*ps.stride:][:c], c, tensor.LeakySlope)
 		return
 	}
 	// Every other node, in node order: the rows before i, then those after.
-	tensor.PairLogits(out, c, w2, kq, dh, pi, b1, p, ld, nil, i, pairSlope)
+	tensor.PairLogits(out, c, w2, kq, dh, pi, b1, p, ld, nil, i, tensor.LeakySlope)
 	if i < c {
-		tensor.PairLogits(out[i:], c, w2, kq, dh, pi, b1, p[(i+1)*ld:], ld, nil, c-i, pairSlope)
+		tensor.PairLogits(out[i:], c, w2, kq, dh, pi, b1, p[(i+1)*ld:], ld, nil, c-i, tensor.LeakySlope)
 	}
 }
 

@@ -257,7 +257,7 @@ func TestPairHelpersNeverOutliveRequest(t *testing.T) {
 									// next step's attribute decoder panics, before
 									// taking a buffer, after that step has posted
 									// the candidate pass of the one after.
-									bad := nn.NewMLP("attr.mlp", []int{mc.cfg.HiddenDim, mc.cfg.HiddenDim, mc.cfg.F}, nn.ActLeakyReLU, rand.New(rand.NewSource(1)))
+									bad := nn.NewMLP("attr.mlp", []int{mc.cfg.HiddenDim, mc.cfg.HiddenDim, mc.cfg.F}, tensor.ActLeakyReLU, rand.New(rand.NewSource(1)))
 									bad.Layers[0].B.Value = tensor.New(1, mc.cfg.HiddenDim+1)
 									m.attrMLP = bad
 								}

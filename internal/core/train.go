@@ -669,9 +669,9 @@ func (m *Model) mixBernoulliProb(c *nn.Ctx, s *tensor.Node, src, dst []int, n in
 	pT := tape.Transpose(tape.MatMul(s, w1)) // 2d_h×N, θ rows first
 	logits := func(f *nn.MLP, head int) *tensor.Node {
 		l1, l2 := f.Layers[0], f.Layers[1]
-		hidT := tape.PairDiffT(pT, c.Var(l1.B), head*l1.Out, src, dst, f.Hidden.Fused()) // d_h×E
-		outT := tape.MatMul(tape.Transpose(c.Var(l2.W)), hidT)                           // K×E
-		return tape.AddRowVec(tape.Transpose(outT), c.Var(l2.B))                         // E×K
+		hidT := tape.PairDiffT(pT, c.Var(l1.B), head*l1.Out, src, dst, f.Hidden) // d_h×E
+		outT := tape.MatMul(tape.Transpose(c.Var(l2.W)), hidT)                   // K×E
+		return tape.AddRowVec(tape.Transpose(outT), c.Var(l2.B))                 // E×K
 	}
 	theta := tape.Sigmoid(logits(m.fTheta, headTheta))
 	alphaLogits := tape.ScatterAddRows(logits(m.fAlpha, headAlpha), src, n)

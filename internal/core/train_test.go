@@ -128,7 +128,7 @@ func TestFitBranchPanicSurfaces(t *testing.T) {
 		value, stack string
 	}{
 		{"decoder", func(m *Model) {
-			m.attrMLP = nn.NewMLP("attr.mlp", []int{cfg.HiddenDim, cfg.HiddenDim, cfg.F + 1}, nn.ActLeakyReLU, rand.New(rand.NewSource(1)))
+			m.attrMLP = nn.NewMLP("attr.mlp", []int{cfg.HiddenDim, cfg.HiddenDim, cfg.F + 1}, tensor.ActLeakyReLU, rand.New(rand.NewSource(1)))
 		}, "SCELoss", "SCELoss"},
 		{"encoder", func(m *Model) {
 			b := m.enc.Params()[1] // the input projection's bias

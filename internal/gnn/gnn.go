@@ -58,13 +58,13 @@ func NewBiFlowEncoder(name string, cfg BiFlowConfig, rng *rand.Rand) *BiFlowEnco
 		return sizes
 	}
 	for l := 0; l < cfg.Layers; l++ {
-		e.fIn = append(e.fIn, nn.NewMLP(fmt.Sprintf("%s.fin%d", name, l), mlpSizes(), nn.ActLeakyReLU, rng))
-		e.fOut = append(e.fOut, nn.NewMLP(fmt.Sprintf("%s.fout%d", name, l), mlpSizes(), nn.ActLeakyReLU, rng))
+		e.fIn = append(e.fIn, nn.NewMLP(fmt.Sprintf("%s.fin%d", name, l), mlpSizes(), tensor.ActLeakyReLU, rng))
+		e.fOut = append(e.fOut, nn.NewMLP(fmt.Sprintf("%s.fout%d", name, l), mlpSizes(), tensor.ActLeakyReLU, rng))
 		e.epsIn = append(e.epsIn, &nn.Param{Name: fmt.Sprintf("%s.epsin%d", name, l), Value: tensor.New(1, 1)})
 		e.epsOut = append(e.epsOut, &nn.Param{Name: fmt.Sprintf("%s.epsout%d", name, l), Value: tensor.New(1, 1)})
 	}
-	e.fAgg = nn.NewMLP(name+".fagg", []int{2 * cfg.Hidden, cfg.Hidden}, nn.ActLeakyReLU, rng)
-	e.fPool = nn.NewMLP(name+".fpool", []int{cfg.Layers * cfg.Hidden, cfg.OutDim}, nn.ActLeakyReLU, rng)
+	e.fAgg = nn.NewMLP(name+".fagg", []int{2 * cfg.Hidden, cfg.Hidden}, tensor.ActLeakyReLU, rng)
+	e.fPool = nn.NewMLP(name+".fpool", []int{cfg.Layers * cfg.Hidden, cfg.OutDim}, tensor.ActLeakyReLU, rng)
 	return e
 }
 
@@ -121,7 +121,7 @@ func (e *BiFlowEncoder) Encode(c *nn.Ctx, s *dyngraph.Snapshot) *tensor.Node {
 	t := c.Tape
 	adj := s.AdjCSR()   // A·H sums out-neighbour states (cached on the snapshot)
 	adjT := s.AdjTCSR() // Aᵀ·H sums in-neighbour states
-	h := e.inProj.ApplyAct(c, t.Owned(inputFeatures(s, e.cfg.InDim, e.cfg.BiFlow)), nn.ActLeakyReLU)
+	h := e.inProj.ApplyAct(c, t.Owned(inputFeatures(s, e.cfg.InDim, e.cfg.BiFlow)), tensor.ActLeakyReLU)
 
 	var hops []*tensor.Node
 	for l := 0; l < e.cfg.Layers; l++ {
@@ -201,7 +201,7 @@ func (g *GAT) Apply(c *nn.Ctx, states *tensor.Node, src, dst []int, n int) *tens
 	}
 	hSrc := t.GatherRows(wh, es) // E×out
 	hDst := t.GatherRows(wh, ed)
-	score := t.LeakyReLU(t.Add(g.attnSrc.Apply(c, hSrc), g.attnDst.Apply(c, hDst)), 0.2) // E×1
+	score := t.LeakyReLU(t.Add(g.attnSrc.Apply(c, hSrc), g.attnDst.Apply(c, hDst))) // E×1
 	alpha := t.SegmentSoftmax(score, ed, n)
 	weighted := t.MulColVec(hSrc, alpha)
 	return t.ScatterAddRows(weighted, ed, n)

@@ -243,8 +243,8 @@ func TestEncodeValueMatchesTapedEncode(t *testing.T) {
 
 func TestMLPForwardMatchesApply(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
-	m := nn.NewMLP("m", []int{3, 6, 2}, nn.ActLeakyReLU, rng)
-	m.OutAct = nn.ActSigmoid
+	m := nn.NewMLP("m", []int{3, 6, 2}, tensor.ActLeakyReLU, rng)
+	m.OutAct = tensor.ActSigmoid
 	x := tensor.Randn(4, 3, 1, rng)
 	tape := tensor.NewTape()
 	taped := m.Apply(nn.NewEvalCtx(tape), tape.Const(x))

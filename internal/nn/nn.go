@@ -74,50 +74,20 @@ func (l *Linear) Apply(c *Ctx, x *tensor.Node) *tensor.Node {
 
 // ApplyAct computes act(x·W + b) on the tape with the activation fused
 // into the affine node, avoiding the intermediate pre-activation matrix.
-func (l *Linear) ApplyAct(c *Ctx, x *tensor.Node, act Activation) *tensor.Node {
-	return c.Tape.Affine(x, c.Var(l.W), c.Var(l.B), act.Fused())
-}
-
-// Activation selects the nonlinearity used between MLP layers.
-type Activation int
-
-// Supported activations.
-const (
-	ActNone Activation = iota
-	ActReLU
-	ActLeakyReLU
-	ActTanh
-	ActSigmoid
-)
-
-// Fused maps an Activation onto the tensor package's fusable set, for tape
-// ops that take the activation as an argument (Affine, PairDiffT).
-// ActLeakyReLU relies on both packages using slope 0.2.
-func (a Activation) Fused() tensor.Act {
-	switch a {
-	case ActReLU:
-		return tensor.ActReLU
-	case ActLeakyReLU:
-		return tensor.ActLeakyReLU
-	case ActTanh:
-		return tensor.ActTanh
-	case ActSigmoid:
-		return tensor.ActSigmoid
-	default:
-		return tensor.ActIdent
-	}
+func (l *Linear) ApplyAct(c *Ctx, x *tensor.Node, act tensor.Act) *tensor.Node {
+	return c.Tape.Affine(x, c.Var(l.W), c.Var(l.B), act)
 }
 
 // MLP is a stack of linear layers with a shared hidden activation. The
-// output layer applies OutAct (ActNone by default).
+// output layer applies OutAct (the identity, tensor.ActIdent, by default).
 type MLP struct {
 	Layers []*Linear
-	Hidden Activation
-	OutAct Activation
+	Hidden tensor.Act
+	OutAct tensor.Act
 }
 
 // NewMLP builds an MLP with the given layer sizes, e.g. sizes = [in, h, out].
-func NewMLP(name string, sizes []int, hidden Activation, rng *rand.Rand) *MLP {
+func NewMLP(name string, sizes []int, hidden tensor.Act, rng *rand.Rand) *MLP {
 	if len(sizes) < 2 {
 		panic(fmt.Sprintf("nn: NewMLP needs >=2 sizes, got %v", sizes))
 	}

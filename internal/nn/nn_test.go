@@ -25,7 +25,7 @@ func TestLinearShapesAndDeterminism(t *testing.T) {
 }
 
 func TestMLPParamsCount(t *testing.T) {
-	m := NewMLP("m", []int{4, 8, 2}, ActReLU, rand.New(rand.NewSource(1)))
+	m := NewMLP("m", []int{4, 8, 2}, tensor.ActLeakyReLU, rand.New(rand.NewSource(1)))
 	want := 4*8 + 8 + 8*2 + 2
 	if got := NumParams(m); got != want {
 		t.Fatalf("NumParams = %d, want %d", got, want)
@@ -41,7 +41,7 @@ func TestMLPRejectsTooFewSizes(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewMLP("m", []int{4}, ActReLU, rand.New(rand.NewSource(1)))
+	NewMLP("m", []int{4}, tensor.ActLeakyReLU, rand.New(rand.NewSource(1)))
 }
 
 func TestGRUStepShapeAndBounds(t *testing.T) {
@@ -108,7 +108,7 @@ func TestTime2VecFirstComponentLinear(t *testing.T) {
 // Train a small MLP on XOR via the full Ctx/Adam pipeline; loss must drop.
 func TestAdamLearnsXOR(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	mlp := NewMLP("xor", []int{2, 8, 1}, ActTanh, rng)
+	mlp := NewMLP("xor", []int{2, 8, 1}, tensor.ActTanh, rng)
 	adam := NewAdam(mlp.Params(), 0.05)
 
 	x := tensor.FromRows([][]float64{{0, 0}, {0, 1}, {1, 0}, {1, 1}})

@@ -8,7 +8,7 @@ import (
 // This file defines the pluggable compute backend: the set of hot kernels
 // every dense and sparse operation in the package funnels through. The
 // tape (training's and the eval tapes of generation) and its backward
-// sweep call the same dispatch points (matMulInto, axpyRow, the V* vector-math helpers),
+// sweep call the same dispatch points (the Gemm kernels, axpyRow, the V* vector-math helpers),
 // so swapping the backend swaps the inner loops of training and
 // generation wholesale while the recording / release machinery above them
 // is untouched — the tape's differential tests and fuzzer exercise
@@ -22,8 +22,8 @@ import (
 // the backends agree only on the result being NaN. The kernels are written
 // so this is achievable with SIMD:
 //
-//   - Elementwise kernels (axpy, add, scale, the ReLU family, the
-//     activation gradients) round each element independently;
+//   - Elementwise kernels (axpy, add, scale, LeakyReLU, the activation
+//     gradients) round each element independently;
 //     vectorising across elements cannot change any element's result as
 //     long as no FMA contraction is introduced, so SIMD variants use
 //     separate multiply and add instructions.
@@ -37,8 +37,8 @@ import (
 //     column's bias.
 //   - GEMM kernels fix one accumulation order per output element —
 //     ascending p (the contraction index), with GemmNN/GemmTN adding each
-//     product directly into the output element and GemmNT/GemmTT summing
-//     into a fresh scalar that is added to the output once at the end.
+//     product directly into the output element and GemmNT summing into a
+//     fresh scalar that is added to the output once at the end.
 //     SIMD variants vectorise across output elements (rows/columns), never
 //     across the contraction, so each element sees the exact scalar
 //     sequence of roundings.
@@ -64,8 +64,6 @@ type Backend interface {
 	GemmTN(out, a, b *Matrix)
 	// GemmNT accumulates out += a·bᵀ (a: m×k, b: n×k, out: m×n).
 	GemmNT(out, a, b *Matrix)
-	// GemmTT accumulates out += aᵀ·bᵀ (a: k×m, b: n×k, out: m×n).
-	GemmTT(out, a, b *Matrix)
 
 	// AxpyRow computes dst[i] += alpha*src[i] over len(src) elements.
 	// The dense GEMM row kernels and the CSR MulDense/MulDenseT row
@@ -76,8 +74,7 @@ type Backend interface {
 	// Scale computes x[i] *= s in place.
 	Scale(x []float64, s float64)
 
-	// VReLU and VLeakyReLU apply the activation in place.
-	VReLU(x []float64)
+	// VLeakyReLU computes x[i] = x[i] < 0 ? slope*x[i] : x[i] in place.
 	VLeakyReLU(x []float64, slope float64)
 
 	// VExp computes x[i] = math.Exp(x[i]), VSigmoid the logistic
@@ -94,10 +91,11 @@ type Backend interface {
 
 	// VActGrad computes dst[i] = grad[i] * act'(out[i]) with the
 	// derivative expressed through the activation output — the fused
-	// Affine/AffineSum backward (preGrad). Every act's derivative is
-	// rational in the output (1/0/slope for the ReLU family, 1−y² for
-	// tanh, y(1−y) for sigmoid), so SIMD implementations stay
-	// bit-identical: each element is the same multiply chain.
+	// Affine, Affine2 and PairDiffT backward (preGrad). Every act's
+	// derivative is rational in the output (1 or LeakySlope for
+	// LeakyReLU, 1−y² for tanh, y(1−y) for sigmoid), so SIMD
+	// implementations stay bit-identical: each element is the same
+	// multiply chain.
 	VActGrad(dst, grad, out []float64, act Act)
 
 	// PairLogits scores c rows of the row-major matrix p (row j starts at
@@ -241,12 +239,6 @@ func VTanh(x []float64) { backendImpl.VTanh(x) }
 // VExp applies math.Exp elementwise in place. It clamps nothing: callers
 // that need a bound (Tape.Exp's min(x, 40)) apply it first.
 func VExp(x []float64) { backendImpl.VExp(x) }
-
-// VReLU applies max(0, x) elementwise in place.
-func VReLU(x []float64) { backendImpl.VReLU(x) }
-
-// VLeakyReLU applies x>0 ? x : slope*x elementwise in place.
-func VLeakyReLU(x []float64, slope float64) { backendImpl.VLeakyReLU(x, slope) }
 
 // PairLogits runs the active backend's fused pair-scoring kernel; see
 // Backend.PairLogits.

@@ -18,9 +18,6 @@ func addAVX2(dst, src *float64, n int)
 func scaleAVX2(x *float64, n int, s float64)
 
 //go:noescape
-func vreluAVX2(x *float64, n4 int)
-
-//go:noescape
 func vleakyAVX2(x *float64, n4 int, slope float64)
 
 //go:noescape
@@ -109,7 +106,7 @@ func expKernelMatchesMath() bool {
 // backend_amd64.s). GemmNN and GemmTN are one
 // kernel that keeps two output rows' sums in registers and skips zero
 // multipliers itself; GemmNT transposes b once per call and runs a kernel
-// of the same shape on it, without the skip; GemmTT is inherited.
+// of the same shape on it, without the skip.
 type avx2Backend struct{ tunedBackend }
 
 func (avx2Backend) Name() string { return "avx2" }
@@ -145,18 +142,6 @@ func (avx2Backend) GemmTN(out, a, b *Matrix) { gemmRows(out, a, b, a.Cols, a.Row
 // The branch-free activation kernels replace data-dependent branches
 // (mispredicted on random signs) with compare+blend; the multiplies they
 // select between are the scalar reference's, so they stay bit-identical.
-
-func (avx2Backend) VReLU(x []float64) {
-	n4 := len(x) &^ 3
-	if n4 > 0 {
-		vreluAVX2(&x[0], n4)
-	}
-	for i := n4; i < len(x); i++ {
-		if x[i] < 0 {
-			x[i] = 0
-		}
-	}
-}
 
 func (avx2Backend) VLeakyReLU(x []float64, slope float64) {
 	n4 := len(x) &^ 3
@@ -221,10 +206,8 @@ func (avx2Backend) VActGrad(dst, grad, out []float64, act Act) {
 	n4 := n &^ 3
 	if n4 > 0 {
 		switch act {
-		case ActReLU:
-			actGradLRAVX2(&dst[0], &grad[0], &out[0], n4, 0)
 		case ActLeakyReLU:
-			actGradLRAVX2(&dst[0], &grad[0], &out[0], n4, 0.2)
+			actGradLRAVX2(&dst[0], &grad[0], &out[0], n4, LeakySlope)
 		case ActTanh:
 			actGradTanhAVX2(&dst[0], &grad[0], &out[0], n4)
 		case ActSigmoid:

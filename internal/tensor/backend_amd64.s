@@ -212,31 +212,6 @@ scale2_done:
 	VZEROUPPER
 	RET
 
-// func vreluAVX2(x *float64, n4 int)
-// x[i] = x[i] < 0 ? 0 : x[i] for i in [0, n4), n4 a multiple of 4.
-// Branch-free: the scalar reference's data-dependent branch mispredicts
-// on random signs. LT_OQ compare (NaN keeps its lane) + blend touch each
-// element exactly like the scalar code: -0 and NaN pass through.
-TEXT ·vreluAVX2(SB), NOSPLIT, $0-16
-	MOVQ   x+0(FP), DI
-	MOVQ   n4+8(FP), CX
-	VXORPD Y0, Y0, Y0
-
-vrelu_loop4:
-	TESTQ     CX, CX
-	JEQ       vrelu_done
-	VMOVUPD   (DI), Y1
-	VCMPPD    $0x11, Y0, Y1, Y2 // mask = x < 0 (LT_OQ)
-	VBLENDVPD Y2, Y0, Y1, Y1    // mask ? 0 : x
-	VMOVUPD   Y1, (DI)
-	ADDQ      $32, DI
-	SUBQ      $4, CX
-	JMP       vrelu_loop4
-
-vrelu_done:
-	VZEROUPPER
-	RET
-
 // func vleakyAVX2(x *float64, n4 int, slope float64)
 // x[i] = x[i] < 0 ? slope*x[i] : x[i] for i in [0, n4), n4 a multiple of
 // 4. slope*x is computed per element exactly as the scalar reference
@@ -265,7 +240,7 @@ vleaky_done:
 
 // func actGradLRAVX2(dst, grad, out *float64, n4 int, slope float64)
 // dst[i] = grad[i] * (out[i] > 0 ? 1 : slope) for i in [0, n4), n4 a
-// multiple of 4. slope 0 is the ReLU backward, 0.2 the LeakyReLU one.
+// multiple of 4: the LeakyReLU backward.
 // The blend picks the same {1, slope} multiplier the scalar reference
 // returns, then one multiply per element — identical including NaN
 // propagation (NaN out selects slope, exactly like the scalar y>0 test).

@@ -33,14 +33,6 @@ func (scalarKernels) AddRowVec(x []float64, cols int, b []float64) {
 	}
 }
 
-func (scalarKernels) VReLU(x []float64) {
-	for i, v := range x {
-		if v < 0 {
-			x[i] = 0
-		}
-	}
-}
-
 func (scalarKernels) VLeakyReLU(x []float64, slope float64) {
 	for i, v := range x {
 		if v < 0 {
@@ -162,27 +154,6 @@ func (pureBackend) PairLogits(out []float64, stride int, w2 []float64, kq, dh in
 				s += w[r] * h
 			}
 			out[q*stride+k] = s
-		}
-	}
-}
-
-// GemmTT computes out += aᵀ·bᵀ (rare: both operands transposed).
-func (pureBackend) GemmTT(out, a, b *Matrix) { gemmTTRef(out, a, b) }
-
-// gemmTTRef is shared by every backend: the TT form strides columns of a
-// in the inner loop, so there is no profitable vector layout and all
-// backends keep the scalar reference.
-func gemmTTRef(out, a, b *Matrix) {
-	m, k, n := a.Cols, a.Rows, b.Rows
-	for i := 0; i < m; i++ {
-		orow := out.Data[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			brow := b.Data[j*k : (j+1)*k]
-			s := 0.0
-			for p := 0; p < k; p++ {
-				s += a.Data[p*m+i] * brow[p]
-			}
-			orow[j] += s
 		}
 	}
 }

@@ -40,6 +40,14 @@ func (t *Tape) ReLU(a *Node) *Node {
 	return n
 }
 
+// fusableActs is every activation Affine, Affine2 and PairDiffT fuse, by
+// the name its test cases carry. Every test that sweeps the activations
+// ranges over it, so a change to the Act enum reaches them all at once.
+var fusableActs = []struct {
+	name string
+	act  Act
+}{{"ident", ActIdent}, {"leaky", ActLeakyReLU}, {"tanh", ActTanh}, {"sigmoid", ActSigmoid}}
+
 // LiveBytes returns the bytes of tape-owned buffers (op outputs and
 // gradients) currently checked out of the arena. Zero after Reset.
 func (t *Tape) LiveBytes() int64 { return t.live }

@@ -173,11 +173,11 @@ func MatMulInto(out, a, b *Matrix) {
 		parallelRows(a.Rows, func(lo, hi int) {
 			sub := &Matrix{Rows: hi - lo, Cols: a.Cols, Data: a.Data[lo*a.Cols : hi*a.Cols]}
 			osub := &Matrix{Rows: hi - lo, Cols: b.Cols, Data: out.Data[lo*b.Cols : hi*b.Cols]}
-			matMulInto(osub, sub, b, false, false)
+			backendImpl.GemmNN(osub, sub, b)
 		})
 		return
 	}
-	matMulInto(out, a, b, false, false)
+	backendImpl.GemmNN(out, a, b)
 }
 
 // parallelThreshold is the minimum row count before MatMul fans out.
@@ -222,26 +222,6 @@ func parallelRows(n int, f func(lo, hi int)) {
 // order, so callers stay bit-identical to a plain loop.
 func axpyRow(dst, src []float64, a float64) {
 	backendImpl.AxpyRow(dst, src, a)
-}
-
-// matMulInto computes out += opA(a) * opB(b) where opX transposes when the
-// corresponding flag is set, dispatching to the active compute backend's
-// kernel for the transpose variant. out must be pre-shaped; it is
-// accumulated into. Every backend honours the per-element accumulation
-// contract documented in backend.go, so results are bit-identical across
-// backends for all inputs (that contract's one carve-out: which of two
-// different NaNs an operation returns).
-func matMulInto(out, a, b *Matrix, ta, tb bool) {
-	switch {
-	case !ta && !tb:
-		backendImpl.GemmNN(out, a, b)
-	case ta && !tb:
-		backendImpl.GemmTN(out, a, b)
-	case !ta && tb:
-		backendImpl.GemmNT(out, a, b)
-	default:
-		backendImpl.GemmTT(out, a, b)
-	}
 }
 
 // Transpose returns a copy of mᵀ.

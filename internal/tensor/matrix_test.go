@@ -247,7 +247,7 @@ func TestMatMulParallelMatchesSerial(t *testing.T) {
 	b := Randn(80, 64, 1, rng)
 	got := MatMul(a, b)
 	want := New(a.Rows, b.Cols)
-	matMulInto(want, a, b, false, false)
+	backendImpl.GemmNN(want, a, b)
 	if !got.Equal(want, 0) {
 		t.Fatal("parallel MatMul diverges from serial path")
 	}

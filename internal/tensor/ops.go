@@ -5,11 +5,13 @@ import (
 	"math"
 )
 
-// Every operation below follows one discipline: it computes its output
-// into a buffer from Get, records it with Tape.op, and attaches a backward
-// closure that reads n.Value and n.Grad. Backward runs that closure before
-// it releases either buffer, so both are live whenever the closure reads
-// them.
+// Every operation below follows one discipline: it checks its operands'
+// shapes and indices, computes its output into a buffer from Get, records
+// it with Tape.op, and attaches a backward closure that reads n.Value and
+// n.Grad. The checks come before the Get, so an op that panics on a bad
+// operand leaves the arena as it found it. Backward runs the closure
+// before it releases either buffer, so both are live whenever the closure
+// reads them.
 
 // ---- Elementwise binary operations ----
 
@@ -173,10 +175,10 @@ func (t *Tape) MatMul(a, b *Node) *Node {
 	n := t.op(MatMul(a.Value, b.Value), anyGrad(a, b))
 	n.backward = func() {
 		if a.needGrad { // dA = dOut · Bᵀ
-			matMulInto(a.grad(), n.Grad, b.Value, false, true)
+			backendImpl.GemmNT(a.grad(), n.Grad, b.Value)
 		}
 		if b.needGrad { // dB = Aᵀ · dOut
-			matMulInto(b.grad(), a.Value, n.Grad, true, false)
+			backendImpl.GemmTN(b.grad(), a.Value, n.Grad)
 		}
 	}
 	return n
@@ -208,6 +210,11 @@ func (t *Tape) GIN(h, eps *Node, adj ...*CSR) *Node {
 	}
 	if len(adj) == 0 {
 		panic("tensor: GIN needs at least one adjacency")
+	}
+	for _, a := range adj {
+		if a.Rows != h.Value.Rows || a.Cols != h.Value.Rows {
+			panic(fmt.Sprintf("tensor: GIN needs %dx%[1]d adjacencies, got %dx%d", h.Value.Rows, a.Rows, a.Cols))
+		}
 	}
 	out := adj[0].MulDense(h.Value)
 	for _, a := range adj[1:] {
@@ -256,21 +263,22 @@ func (t *Tape) GIN(h, eps *Node, adj ...*CSR) *Node {
 // backward needs no pre-activation buffer.
 type Act int
 
-// Fusable activations.
+// Fusable activations. The zero Act is the identity.
 const (
-	ActIdent Act = iota
-	ActReLU
-	ActLeakyReLU // slope 0.2
+	ActIdent     Act = iota
+	ActLeakyReLU     // slope LeakySlope
 	ActTanh
 	ActSigmoid
 )
 
+// LeakySlope is the negative-side slope of every LeakyReLU in the model:
+// ActLeakyReLU, Tape.LeakyReLU and the Eq. 11 pair kernel's hidden layer.
+const LeakySlope = 0.2
+
 func applyActSlice(data []float64, act Act) {
 	switch act {
-	case ActReLU:
-		backendImpl.VReLU(data)
 	case ActLeakyReLU:
-		backendImpl.VLeakyReLU(data, 0.2)
+		backendImpl.VLeakyReLU(data, LeakySlope)
 	case ActTanh:
 		VTanh(data)
 	case ActSigmoid:
@@ -281,16 +289,11 @@ func applyActSlice(data []float64, act Act) {
 // actGradFromOutput returns d act(x)/dx expressed through y = act(x).
 func actGradFromOutput(y float64, act Act) float64 {
 	switch act {
-	case ActReLU:
-		if y > 0 {
-			return 1
-		}
-		return 0
 	case ActLeakyReLU:
 		if y > 0 {
 			return 1
 		}
-		return 0.2
+		return LeakySlope
 	case ActTanh:
 		return 1 - y*y
 	case ActSigmoid:
@@ -317,17 +320,17 @@ func preGrad(out, grad *Matrix, act Act) (dPre *Matrix, scratch bool) {
 // Affine.
 func affineGrads(x, w, h, u, b *Node, dPre *Matrix) {
 	if x.needGrad {
-		matMulInto(x.grad(), dPre, w.Value, false, true)
+		backendImpl.GemmNT(x.grad(), dPre, w.Value)
 	}
 	if w.needGrad {
-		matMulInto(w.grad(), x.Value, dPre, true, false)
+		backendImpl.GemmTN(w.grad(), x.Value, dPre)
 	}
 	if h != nil {
 		if h.needGrad {
-			matMulInto(h.grad(), dPre, u.Value, false, true)
+			backendImpl.GemmNT(h.grad(), dPre, u.Value)
 		}
 		if u.needGrad {
-			matMulInto(u.grad(), h.Value, dPre, true, false)
+			backendImpl.GemmTN(u.grad(), h.Value, dPre)
 		}
 	}
 	if b.needGrad {
@@ -344,6 +347,9 @@ func affineGrads(x, w, h, u, b *Node, dPre *Matrix) {
 func (t *Tape) Affine(x, w, b *Node, act Act) *Node {
 	if b.Value.Rows != 1 || b.Value.Cols != w.Value.Cols {
 		panic(fmt.Sprintf("tensor: Affine needs 1x%d bias, got %s", w.Value.Cols, b.Value.shape()))
+	}
+	if x.Value.Cols != w.Value.Rows {
+		panic(fmt.Sprintf("tensor: Affine shape mismatch %s x %s", x.Value.shape(), w.Value.shape()))
 	}
 	out := Get(x.Value.Rows, w.Value.Cols)
 	MatMulInto(out, x.Value, w.Value)
@@ -367,6 +373,10 @@ func (t *Tape) Affine2(x, wx, h, wh, b *Node, act Act) *Node {
 	if b.Value.Rows != 1 || b.Value.Cols != wx.Value.Cols || wx.Value.Cols != wh.Value.Cols {
 		panic(fmt.Sprintf("tensor: Affine2 bias/width mismatch %s vs %s vs %s",
 			wx.Value.shape(), wh.Value.shape(), b.Value.shape()))
+	}
+	if x.Value.Cols != wx.Value.Rows || h.Value.Cols != wh.Value.Rows || h.Value.Rows != x.Value.Rows {
+		panic(fmt.Sprintf("tensor: Affine2 shape mismatch %s x %s + %s x %s",
+			x.Value.shape(), wx.Value.shape(), h.Value.shape(), wh.Value.shape()))
 	}
 	out := Get(x.Value.Rows, wx.Value.Cols)
 	MatMulInto(out, x.Value, wx.Value)
@@ -457,14 +467,14 @@ func (t *Tape) Tanh(a *Node) *Node {
 	return n
 }
 
-// LeakyReLU applies x if x>0 else slope*x, elementwise.
-func (t *Tape) LeakyReLU(a *Node, slope float64) *Node {
+// LeakyReLU applies x if x>0 else LeakySlope*x, elementwise.
+func (t *Tape) LeakyReLU(a *Node) *Node {
 	out := Get(a.Value.Rows, a.Value.Cols)
 	for i, v := range a.Value.Data {
 		if v > 0 {
 			out.Data[i] = v
 		} else {
-			out.Data[i] = slope * v
+			out.Data[i] = LeakySlope * v
 		}
 	}
 	n := t.op(out, a.needGrad)
@@ -475,7 +485,7 @@ func (t *Tape) LeakyReLU(a *Node, slope float64) *Node {
 				if a.Value.Data[i] > 0 {
 					g.Data[i] += n.Grad.Data[i]
 				} else {
-					g.Data[i] += n.Grad.Data[i] * slope
+					g.Data[i] += n.Grad.Data[i] * LeakySlope
 				}
 			}
 		}
@@ -497,24 +507,6 @@ func (t *Tape) Exp(a *Node) *Node {
 			g := a.grad()
 			for i := range g.Data {
 				g.Data[i] += n.Grad.Data[i] * n.Value.Data[i]
-			}
-		}
-	}
-	return n
-}
-
-// Log applies ln(max(x, 1e-12)) elementwise.
-func (t *Tape) Log(a *Node) *Node {
-	out := Get(a.Value.Rows, a.Value.Cols)
-	for i, v := range a.Value.Data {
-		out.Data[i] = math.Log(math.Max(v, 1e-12))
-	}
-	n := t.op(out, a.needGrad)
-	n.backward = func() {
-		if a.needGrad {
-			g := a.grad()
-			for i := range g.Data {
-				g.Data[i] += n.Grad.Data[i] / math.Max(a.Value.Data[i], 1e-12)
 			}
 		}
 	}
@@ -665,6 +657,7 @@ func (t *Tape) SliceCols(a *Node, lo, hi int) *Node {
 
 // GatherRows selects rows of a by index: out[k] = a[idx[k]].
 func (t *Tape) GatherRows(a *Node, idx []int) *Node {
+	checkIndices("GatherRows", idx, a.Value.Rows)
 	cols := a.Value.Cols
 	out := Get(len(idx), cols)
 	for k, i := range idx {
@@ -692,6 +685,7 @@ func (t *Tape) ScatterAddRows(a *Node, idx []int, outRows int) *Node {
 	if len(idx) != a.Value.Rows {
 		panic(fmt.Sprintf("tensor: ScatterAddRows idx len %d != rows %d", len(idx), a.Value.Rows))
 	}
+	checkIndices("ScatterAddRows", idx, outRows)
 	cols := a.Value.Cols
 	out := Get(outRows, cols)
 	for k, i := range idx {
@@ -715,6 +709,15 @@ func (t *Tape) ScatterAddRows(a *Node, idx []int, outRows int) *Node {
 		}
 	}
 	return n
+}
+
+// checkIndices panics unless every index lies in [0, n).
+func checkIndices(op string, idx []int, n int) {
+	for k, i := range idx {
+		if i < 0 || i >= n {
+			panic(fmt.Sprintf("tensor: %s index %d = %d outside [0, %d)", op, k, i, n))
+		}
+	}
 }
 
 // Transpose returns aᵀ.
@@ -757,6 +760,8 @@ func (t *Tape) PairDiffT(pT, b *Node, lo int, src, dst []int, act Act) *Node {
 		panic(fmt.Sprintf("tensor: PairDiffT rows [%d,%d) of %s with bias %s, %d src vs %d dst",
 			lo, lo+d, pT.Value.shape(), b.Value.shape(), e, len(dst)))
 	}
+	checkIndices("PairDiffT", src, pT.Value.Cols)
+	checkIndices("PairDiffT", dst, pT.Value.Cols)
 	out := Get(d, e)
 	for r := 0; r < d; r++ {
 		p, bias, orow := pT.Value.Row(lo+r), b.Value.Data[r], out.Row(r)

@@ -333,3 +333,74 @@ func TestAffineMatchesUnfused(t *testing.T) {
 		t.Fatal("fused Affine disagrees with the unfused chain")
 	}
 }
+
+// TestOpPanicLeavesArenaBalanced hands ops operands whose shapes or
+// indices do not fit. Every case must panic, and must do so before it
+// takes a buffer from the arena: a Get ahead of the check leaks that
+// buffer, since the panic unwinds past the Tape.op that would have owned
+// it.
+func TestOpPanicLeavesArenaBalanced(t *testing.T) {
+	csr := testCSR() // 4×3
+	sq := NewCSR(3, 3, []int{0, 1}, []int{1, 2}, nil)
+	tp := NewTape() // every case panics before it records anything
+	c := func(r, cols int) *Node { return tp.Const(testMat(r, cols, int64(10*r+cols))) }
+	cases := []struct {
+		name string
+		run  func()
+	}{
+		{"Add", func() { tp.Add(c(3, 4), c(4, 3)) }},
+		{"Sub", func() { tp.Sub(c(3, 4), c(3, 5)) }},
+		{"Mul", func() { tp.Mul(c(3, 4), c(2, 4)) }},
+		{"AddRowVec", func() { tp.AddRowVec(c(3, 4), c(1, 3)) }},
+		{"MulColVec", func() { tp.MulColVec(c(3, 4), c(4, 1)) }},
+		{"MatMul", func() { tp.MatMul(c(3, 4), c(3, 4)) }},
+		{"SpMM", func() { tp.SpMM(csr, c(4, 2)) }},
+		{"GIN/first", func() { tp.GIN(c(3, 2), c(1, 1), csr) }},
+		{"GIN/second", func() { tp.GIN(c(3, 2), c(1, 1), sq, csr) }},
+		{"Affine/product", func() { tp.Affine(c(3, 4), c(5, 2), c(1, 2), ActLeakyReLU) }},
+		{"Affine/bias", func() { tp.Affine(c(3, 4), c(4, 2), c(1, 3), ActIdent) }},
+		{"Affine2/x", func() {
+			tp.Affine2(c(3, 4), c(5, 2), c(3, 5), c(5, 2), c(1, 2), ActSigmoid)
+		}},
+		{"Affine2/h", func() {
+			tp.Affine2(c(3, 4), c(4, 2), c(3, 4), c(5, 2), c(1, 2), ActSigmoid)
+		}},
+		{"Affine2/rows", func() {
+			tp.Affine2(c(3, 4), c(4, 2), c(2, 5), c(5, 2), c(1, 2), ActTanh)
+		}},
+		{"Lerp", func() { tp.Lerp(c(3, 4), c(3, 4), c(3, 3)) }},
+		{"ConcatCols", func() { tp.ConcatCols(c(3, 4), c(2, 4)) }},
+		{"SliceCols", func() { tp.SliceCols(c(3, 4), 2, 5) }},
+		{"GatherRows", func() { tp.GatherRows(c(3, 2), []int{0, 3}) }},
+		{"ScatterAddRows", func() { tp.ScatterAddRows(c(2, 2), []int{0, 4}, 4) }},
+		{"PairDiffT/src", func() {
+			tp.PairDiffT(c(2, 3), c(1, 2), 0, []int{0, 3}, []int{1, 1}, ActLeakyReLU)
+		}},
+		{"PairDiffT/dst", func() {
+			tp.PairDiffT(c(2, 3), c(1, 2), 0, []int{0, 1}, []int{1, -1}, ActIdent)
+		}},
+		{"SegmentSoftmax", func() { tp.SegmentSoftmax(c(3, 1), []int{0, 1, 2}, 2) }},
+		{"BCEWithLogits", func() { tp.BCEWithLogits(c(3, 2), testMat(2, 3, 1)) }},
+		{"MSELoss", func() { tp.MSELoss(c(3, 2), testMat(3, 1, 1)) }},
+		{"CSR.MulDense", func() { csr.MulDense(testMat(4, 2, 1)) }},
+		{"CSR.MulDenseT", func() { csr.MulDenseT(testMat(3, 2, 1)) }},
+		{"MatMulMatrix", func() { MatMul(testMat(3, 4, 1), testMat(3, 4, 2)) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			before := ReadPoolStats()
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Error("mismatched operands did not panic")
+					}
+				}()
+				tc.run()
+			}()
+			after := ReadPoolStats()
+			if gets, puts := after.Gets-before.Gets, after.Puts-before.Puts; gets != puts {
+				t.Errorf("arena gets %d, puts %d across the panic", gets, puts)
+			}
+		})
+	}
+}

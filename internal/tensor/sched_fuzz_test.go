@@ -38,7 +38,6 @@ func fuzzBuild(tp *Tape, data []byte) SchedProbe {
 			stack = append(stack, n)
 		}
 	}
-	acts := [...]Act{ActIdent, ActSigmoid, ActTanh, ActReLU, ActLeakyReLU}
 	// Pairs over the three columns of a 3×3 operand: node 0 is src twice,
 	// node 1 sits on both sides, the last pair is a self pair.
 	pairSrc, pairDst := []int{0, 0, 1}, []int{1, 2, 1}
@@ -65,9 +64,9 @@ func fuzzBuild(tp *Tape, data []byte) SchedProbe {
 		case 8:
 			push(tp.ReLU(pop()))
 		case 9:
-			push(tp.LeakyReLU(pop(), 0.1))
+			push(tp.LeakyReLU(pop()))
 		case 10:
-			push(tp.Affine(pop(), w, bias, acts[int(op>>4)%len(acts)]))
+			push(tp.Affine(pop(), w, bias, fusableActs[int(op>>4)%len(fusableActs)].act))
 		case 11:
 			push(tp.SpMM(fuzzCSR(), pop()))
 		case 12:
@@ -83,7 +82,7 @@ func fuzzBuild(tp *Tape, data []byte) SchedProbe {
 		case 15:
 			push(tp.Exp(tp.Scale(pop(), 0.1)))
 		case 16:
-			push(tp.PairDiffT(pop(), bias, 0, pairSrc, pairDst, acts[int(op>>4)%len(acts)]))
+			push(tp.PairDiffT(pop(), bias, 0, pairSrc, pairDst, fusableActs[int(op>>4)%len(fusableActs)].act))
 		case 17:
 			push(tp.Transpose(pop()))
 		}

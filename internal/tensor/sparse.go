@@ -81,6 +81,7 @@ const spmmParallelFlops = 1 << 15
 // every output row is owned by one worker, so results are bit-identical
 // to the serial path.
 func (s *CSR) MulDense(d *Matrix) *Matrix {
+	s.checkMulDense(d)
 	out := Get(s.Rows, d.Cols)
 	s.MulDenseInto(out, d)
 	return out
@@ -89,9 +90,7 @@ func (s *CSR) MulDense(d *Matrix) *Matrix {
 // MulDenseInto accumulates s·d into out (out += s·d), which must already
 // have shape s.Rows×d.Cols.
 func (s *CSR) MulDenseInto(out, d *Matrix) {
-	if s.Cols != d.Rows {
-		panic(fmt.Sprintf("tensor: CSR.MulDense shape mismatch %dx%d x %dx%d", s.Rows, s.Cols, d.Rows, d.Cols))
-	}
+	s.checkMulDense(d)
 	if out.Rows != s.Rows || out.Cols != d.Cols {
 		panic(fmt.Sprintf("tensor: CSR.MulDenseInto output %dx%d, want %dx%d", out.Rows, out.Cols, s.Rows, d.Cols))
 	}
@@ -100,6 +99,12 @@ func (s *CSR) MulDenseInto(out, d *Matrix) {
 		return
 	}
 	s.mulDenseRange(out, d, 0, s.Rows)
+}
+
+func (s *CSR) checkMulDense(d *Matrix) {
+	if s.Cols != d.Rows {
+		panic(fmt.Sprintf("tensor: CSR.MulDense shape mismatch %dx%d x %dx%d", s.Rows, s.Cols, d.Rows, d.Cols))
+	}
 }
 
 func (s *CSR) mulDenseRange(out, d *Matrix, lo, hi int) {
@@ -147,6 +152,7 @@ func (s *CSR) buildT() {
 // each output row has a single writer: the product parallelises without
 // locks or per-worker scratch and stays deterministic.
 func (s *CSR) MulDenseT(d *Matrix) *Matrix {
+	s.checkMulDenseT(d)
 	out := Get(s.Cols, d.Cols)
 	s.MulDenseTInto(out, d)
 	return out
@@ -156,9 +162,7 @@ func (s *CSR) MulDenseT(d *Matrix) *Matrix {
 // already have shape s.Cols×d.Cols. The autodiff SpMM backward uses this
 // to add straight into gradient buffers.
 func (s *CSR) MulDenseTInto(out, d *Matrix) {
-	if s.Rows != d.Rows {
-		panic(fmt.Sprintf("tensor: CSR.MulDenseT shape mismatch %dx%d^T x %dx%d", s.Rows, s.Cols, d.Rows, d.Cols))
-	}
+	s.checkMulDenseT(d)
 	if out.Rows != s.Cols || out.Cols != d.Cols {
 		panic(fmt.Sprintf("tensor: CSR.MulDenseTInto output %dx%d, want %dx%d", out.Rows, out.Cols, s.Cols, d.Cols))
 	}
@@ -168,6 +172,12 @@ func (s *CSR) MulDenseTInto(out, d *Matrix) {
 		return
 	}
 	s.mulDenseTRange(out, d, 0, s.Cols)
+}
+
+func (s *CSR) checkMulDenseT(d *Matrix) {
+	if s.Rows != d.Rows {
+		panic(fmt.Sprintf("tensor: CSR.MulDenseT shape mismatch %dx%d^T x %dx%d", s.Rows, s.Cols, d.Rows, d.Cols))
+	}
 }
 
 func (s *CSR) mulDenseTRange(out, d *Matrix, lo, hi int) {
