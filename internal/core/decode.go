@@ -68,11 +68,11 @@ const decodeFanOutPairs = 3000
 const decodeChunkPairs = 512
 
 // helperSpin bounds how long a helper that has finished its share of one
-// pass of a ring spins for the next before it parks. Between the α and θ
-// passes the caller only draws the components, which measured 2 µs at N=94
-// and 29 µs at N=1891 (capped at 128) on two cores; between a first step's
-// candidate pass and its α pass it runs the prior and the hoist. The bound
-// is a guard against a descheduled caller, not a tuning knob.
+// pass of a ring spins for the next before it parks. Between α and θ the
+// caller only reads the components off the step's uniforms; before a first
+// step's α pass it runs the prior and the hoist, before an exact step's
+// next uniforms its edges and drawStep. The bound guards against a
+// descheduled caller.
 const helperSpin = time.Millisecond
 
 // pairHead is one head's parameters in the layout the scorer consumes.
@@ -203,10 +203,10 @@ func (ps *pairScorer) fansOut(active []bool) bool {
 }
 
 // wake rings every helper, starting them on first use, to join the
-// caller's next passes: a step's α and θ (passes = 2), a capped step's
-// candidate pass drawn ahead (1), or all three when the step draws at its
-// start (3). A helper takes part in each in turn, then parks until the
-// next wake.
+// caller's next passes: a step's α and θ, preceded by its drawStep pass
+// when it draws at its start and followed by the next step's uniforms when
+// exact decoding draws them ahead; or a capped step's next candidate pass.
+// A helper takes part in each in turn, then parks until the next wake.
 func (ps *pairScorer) wake(passes int) {
 	if ps.bells == nil {
 		ps.bells = make([]chan struct{}, len(ps.workers)-1)
@@ -298,12 +298,18 @@ func (ps *pairScorer) work(w *pairWorker, q uint32) {
 // joins. Each node writes only its own slots, so the result does not
 // depend on who ran it. The caller must not touch what f reads or writes
 // between post and join.
-func (ps *pairScorer) post(f func(w *pairWorker, i int)) {
+func (ps *pairScorer) post(f func(w *pairWorker, i int)) { ps.postFrom(f, 0) }
+
+// postOne opens a pass of one chunk, node N−1 alone: serial work that
+// whichever goroutine claims it first runs.
+func (ps *pairScorer) postOne(f func(w *pairWorker, i int)) { ps.postFrom(f, ps.n-1) }
+
+func (ps *pairScorer) postFrom(f func(w *pairWorker, i int), first int) {
 	ps.f = f
 	ps.pass++
 	ps.open = true
-	ps.done.Store(0)
-	ps.claim.Store(uint64(ps.pass) << 32)
+	ps.done.Store(int64(first))
+	ps.claim.Store(uint64(ps.pass)<<32 | uint64(first))
 }
 
 // join ends the posted pass: the caller claims the chunks still unclaimed,

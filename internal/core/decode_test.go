@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"vrdag/internal/datasets"
@@ -478,4 +479,86 @@ func TestGenerateCappedBytesPinned(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestGenerateMainStreamDraws pins how many draws one generation takes
+// from GenOptions.Source: exact decoding at N=94, capped decoding at N=300
+// under cap 32, DynamicNodes, and a forecast continuing an encoded prefix,
+// each with and without the helpers. The digests above pin what is drawn
+// into the output; this pins the stream itself, so a change that moves a
+// draw ahead, inline or onto a helper must take exactly the draws there
+// were. Like the digests, the counts hold only where the CPU has FMA: the
+// persistence replay draws once per edge of the previous snapshot. Last,
+// a step that reads fewer uniforms than were drawn for it must panic.
+func TestGenerateMainStreamDraws(t *testing.T) {
+	if !slices.Contains(tensor.CPUFeatures(), "fma") {
+		t.Skip("counts were taken with the FMA exp path")
+	}
+	fit := func(n, cap int, seed int64) (*Model, *dyngraph.Sequence) {
+		cfg := DefaultConfig(n, 2)
+		cfg.CandidateCap = cap
+		cfg.Epochs = 2
+		cfg.Seed = seed
+		g := toyGraph(n, 2, 8, seed)
+		m := New(cfg)
+		if _, err := m.Fit(g); err != nil {
+			t.Fatal(err)
+		}
+		if m.persistRate == 0 || !m.composesAttrs() {
+			t.Fatal("the fit learned no persistence rate or attribute statistics: their draws would go uncounted")
+		}
+		return m, g
+	}
+	exact, g := fit(94, 0, 91)
+	capped, _ := fit(300, 32, 92)
+	prefix, err := exact.Encode(context.Background(), &dyngraph.Sequence{N: g.N, F: g.F, Snapshots: g.Snapshots[:4]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer prefix.Release()
+	generate := func(m *Model) func(GenOptions) error {
+		return func(o GenOptions) error { _, err := m.GenerateOpts(o); return err }
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(GenOptions) error
+		dyn  bool
+		want uint64
+	}{
+		{"exact N94", generate(exact), false, 50257},
+		{"capped N300 cap32", generate(capped), false, 68968},
+		{"DynamicNodes", generate(exact), true, 49737},
+		{"forecast", func(o GenOptions) error {
+			_, err := exact.Forecast(context.Background(), prefix, o)
+			return err
+		}, false, 50429},
+	} {
+		for _, parallel := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%s/parallel=%v", tc.name, parallel), func(t *testing.T) {
+				src := &drawCounter{src: rand.NewSource(93).(rand.Source64)}
+				if err := tc.run(GenOptions{T: 5, Source: src, DynamicNodes: tc.dyn, Tdel: 1, Parallel: parallel}); err != nil {
+					t.Fatal(err)
+				}
+				if src.n != tc.want {
+					t.Fatalf("%d draws from the Source, want %d", src.n, tc.want)
+				}
+			})
+		}
+	}
+
+	// Step 1's uniforms are drawn during step 0, for every node active; a
+	// node that finds no candidates in step 1 leaves some of them unread.
+	t.Run("unread uniforms panic", func(t *testing.T) {
+		st := exact.newGenState(GenOptions{T: 2, Seed: 93, Parallel: true}, false, nil)
+		defer st.release()
+		st.step(0)
+		st.ps.join()
+		st.ps.cnt[3] = 0
+		defer func() {
+			if r := recover(); !strings.Contains(fmt.Sprint(r), "uniforms drawn for it") {
+				t.Fatalf("recovered %v, want the decode step's uniform-count panic", r)
+			}
+		}()
+		st.step(1)
+	})
 }

@@ -113,7 +113,7 @@ func TestSampleCategoricalDistribution(t *testing.T) {
 	counts := make([]int, 3)
 	const trials = 10000
 	for i := 0; i < trials; i++ {
-		counts[sampleCategorical(w, rng)]++
+		counts[sampleCategorical(w, rng.Float64())]++
 	}
 	for k, want := range w {
 		got := float64(counts[k]) / trials

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"vrdag/internal/dyngraph"
 	"vrdag/internal/nn"
@@ -21,7 +22,9 @@ type GenOptions struct {
 	// takes precedence over Seed. Generation is otherwise read-only on the
 	// model, so concurrent GenerateOpts calls on one trained model are safe
 	// as long as each call gets its own Source (rand.Source values are not
-	// safe for shared use).
+	// safe for shared use). The engine may draw from it on a decode helper
+	// goroutine at any point of the call, while a stream's yield runs
+	// too, so the caller must not use it until the call returns.
 	Source rand.Source
 
 	// DynamicNodes enables the node addition/deletion extension of
@@ -155,6 +158,7 @@ type genState struct {
 	cdf   *candCDF // candidate distribution of the step drawn last; nil with exact decoding
 	seeds []int64
 	comp  []int
+	u     []float64 // the step's component and Bernoulli uniforms (drawUniforms)
 
 	// The main-stream draws of a step that precede its component draws
 	// (drawStep): the latent noise, the snapshot holding the replayed
@@ -220,8 +224,9 @@ func (m *Model) newGenState(opts GenOptions, recycle bool, init *ForecastState) 
 // errors, so aborted requests leak nothing (collected snapshots, which
 // have escaped to the caller, are exempt).
 func (st *genState) release() {
-	// A step that panicked may leave a candidate pass posted: its helpers
-	// read st.prev, which is recycled below.
+	// A step that panicked may leave a candidate pass posted, which reads
+	// st.prev, recycled below; the next step's uniforms stay posted across
+	// the yield and draw from the caller's Source.
 	st.ps.join()
 	st.ps.stopHelpers()
 	st.ctx.Tape.Reset()
@@ -255,15 +260,15 @@ func (st *genState) takeSnapshot() *dyngraph.Snapshot {
 // zero within this run; the model clock (Time2Vec, per-step calibration
 // targets) runs at timeOff+t so forecasts continue the observed timeline.
 //
-// A capped step's candidate sets depend only on the previous snapshot, the
-// running degrees, the active set and per-node seeds, never on H_t. So once
-// snapshot t's edges are drawn, step t makes step t+1's draws (drawStep)
-// and posts its candidate pass to the helpers, runs its own attribute
-// decoder, encoder and GRU meanwhile, and joins the pass before it returns
-// snapshot t: no helper reads a snapshot the consumer holds. The first step
-// draws at its start, and so does every step under DynamicNodes, whose
-// updateActiveSet draws after the GRU. Either way the main stream is drawn
-// in one order.
+// A step's candidate sets, and so how many uniforms it reads, depend only
+// on the previous snapshot, the running degrees, the active set and
+// per-node seeds, never on H_t. So once snapshot t's edges are drawn, step
+// t makes step t+1's draws (drawStep), posts the pass they feed (capped:
+// the candidates, joined before snapshot t is returned; exact: the
+// uniforms, joined before step t+1's α pass) and runs its own attribute
+// decoder, encoder and GRU meanwhile. The first step draws at its start,
+// and so does every step under DynamicNodes, whose updateActiveSet draws
+// after the GRU. Either way the main stream is drawn in one order.
 func (st *genState) step(t int) *dyngraph.Snapshot {
 	m, n, ps := st.m, st.n, st.ps
 	clock := st.timeOff + t
@@ -273,21 +278,23 @@ func (st *genState) step(t int) *dyngraph.Snapshot {
 
 	// An idle P takes tens of µs to wake: ring the helpers now, so that
 	// they are up by the time the prior and the hoist have run and the α
-	// pass is posted (and, drawing here, the candidate pass before it).
-	snap := st.next
+	// pass is posted (drawing here, drawStep's pass before it; drawing the
+	// next exact step ahead, its uniforms soon after θ).
+	ahead := t+1 < st.opts.T && !st.opts.DynamicNodes
+	snap, passes := st.next, 2 // α, θ
 	st.next = nil
 	if snap == nil {
+		passes++
+	}
+	if ahead && ps.exact {
+		passes++
+	}
+	if ps.fansOut(st.active) {
+		ps.wake(passes)
+	}
+	if snap == nil {
 		snap = st.takeSnapshot()
-		if ps.fansOut(st.active) {
-			passes := 3 // candidates, α, θ
-			if ps.exact {
-				passes = 2
-			}
-			ps.wake(passes)
-		}
 		st.drawStep(snap)
-	} else if ps.fansOut(st.active) {
-		ps.wake(2)
 	}
 
 	// Line 3: sample temporal latent variables from the prior.
@@ -324,7 +331,7 @@ func (st *genState) step(t int) *dyngraph.Snapshot {
 		old.Recycle()
 		st.spare = old
 	}
-	if t+1 < st.opts.T && !st.opts.DynamicNodes {
+	if ahead {
 		st.next = st.takeSnapshot()
 		if !ps.exact && ps.fansOut(st.active) {
 			ps.wake(1)
@@ -360,7 +367,9 @@ func (st *genState) step(t int) *dyngraph.Snapshot {
 	if st.opts.DynamicNodes {
 		m.updateActiveSet(st.active, st.isolated, st.h, clock, st.opts.Tdel, st.rng)
 	}
-	ps.join() // step t+1's candidate pass reads snap, which now leaves
+	if !ps.exact {
+		ps.join() // step t+1's candidate pass reads snap, which now leaves
+	}
 	return snap
 }
 
@@ -368,8 +377,9 @@ func (st *genState) step(t int) *dyngraph.Snapshot {
 // decoded into snap that comes before its component draws: the latent
 // noise, the persistence replay against st.prev (into snap) and one seed
 // per node. With capped decoding it then fills the candidate CDF from the
-// running degrees and posts the candidate pass; decodeStructure joins it
-// at the latest.
+// running degrees and posts the candidate pass, which sets the candidate
+// counts; with exact decoding it sets them and posts the step's uniforms
+// as a one-chunk pass. decodeStructure joins either at the latest.
 func (st *genState) drawStep(snap *dyngraph.Snapshot) {
 	m, n, rng, prev := st.m, st.n, st.rng, st.prev
 	active := st.active
@@ -419,6 +429,14 @@ func (st *genState) drawStep(snap *dyngraph.Snapshot) {
 		}
 		cdf.index()
 		st.ps.post(st.buildCandidates)
+	} else {
+		for i, a := range active {
+			st.ps.cnt[i] = 0
+			if a {
+				st.ps.cnt[i] = n - 1
+			}
+		}
+		st.ps.postOne(st.drawUniforms)
 	}
 }
 
@@ -431,25 +449,29 @@ func (st *genState) drawStep(snap *dyngraph.Snapshot) {
 //
 // The candidate sets (capped decoding) and the scoring (pairScorer,
 // decode.go) run node-parallel in passes around the serial component
-// draws; everything that consumes the main random stream — drawStep's
-// draws, component draws in node order, Bernoulli draws — stays on this
-// goroutine in a fixed order, so the output depends on neither Parallel nor
-// the fan-out.
+// draws. The main stream is read in one fixed order by one goroutine at a
+// time: drawStep's draws, then the step's uniforms in one go (ahead of this
+// call, or during its α pass), which the components and edges read in node
+// order. So the output depends on neither Parallel nor the fan-out.
 func (st *genState) decodeStructure(snap *dyngraph.Snapshot, s *tensor.Matrix, t int) {
-	m, n, rng, ps := st.m, st.n, st.rng, st.ps
+	m, n, ps := st.m, st.n, st.ps
 
 	// Mixture weights over the candidate sets, node by node on the workers.
 	ps.hoist(s)
-	ps.join() // the candidate pass, if drawStep posted it this step
+	ps.join() // drawStep's pass, if still open
 	ps.post(st.scoreAlpha)
+	if !ps.exact {
+		st.drawUniforms(nil, 0) // the candidate counts are known by now
+	}
 	ps.join()
 
-	// Draw each node's mixture component from the main stream, in node
-	// order; only then is it known which θ row a node needs.
-	comp := st.comp
+	// Each node's mixture component, in node order; only then is it known
+	// which θ row a node needs.
+	u, comp := st.u, st.comp
 	for i := 0; i < n; i++ {
 		if ps.cnt[i] > 0 {
-			comp[i] = sampleCategorical(ps.alpha[i*ps.k:(i+1)*ps.k], rng)
+			comp[i] = sampleCategorical(ps.alpha[i*ps.k:(i+1)*ps.k], u[0])
+			u = u[1:]
 		}
 	}
 	ps.post(st.scoreTheta)
@@ -474,17 +496,36 @@ func (st *genState) decodeStructure(snap *dyngraph.Snapshot, s *tensor.Matrix, t
 		lambda = target / expected
 	}
 
-	// Bernoulli sampling (serial for determinism).
+	// Bernoulli sampling in node order (a uniform is below 1: no clamp).
 	for i := 0; i < n; i++ {
-		for k, th := range ps.theta[i*ps.stride:][:ps.cnt[i]] {
-			p := th * lambda
-			if p > 1 {
-				p = 1
-			}
-			if rng.Float64() < p {
+		c := ps.cnt[i]
+		for k, th := range ps.theta[i*ps.stride:][:c] {
+			if u[k] < th*lambda {
 				snap.AddEdge(i, ps.candidate(i, k))
 			}
 		}
+		u = u[c:]
+	}
+	if len(u) != 0 {
+		panic(fmt.Sprintf("core: a decode step used %d of the %d uniforms drawn for it", len(st.u)-len(u), len(st.u)))
+	}
+}
+
+// drawUniforms draws from the main stream the uniforms decodeStructure
+// reads, in that order, into st.u: one per node with candidates, for its
+// component, then one per candidate, for its Bernoulli trial. drawStep
+// posts it as a one-chunk pass (w and i unused) under exact decoding; under
+// capped decoding the caller runs it while the helpers score α.
+func (st *genState) drawUniforms(_ *pairWorker, _ int) {
+	need := 0
+	for _, c := range st.ps.cnt {
+		if c > 0 {
+			need += 1 + c
+		}
+	}
+	st.u = slices.Grow(st.u[:0], need)[:need]
+	for i := range st.u {
+		st.u[i] = st.rng.Float64()
 	}
 }
 
@@ -502,15 +543,8 @@ func (st *genState) buildCandidates(w *pairWorker, i int) {
 // scoreAlpha is the first scoring pass over node i: its mixture weights
 // over its candidate set (with exact decoding, every other node).
 func (st *genState) scoreAlpha(w *pairWorker, i int) {
-	ps := st.ps
-	if ps.exact {
-		ps.cnt[i] = 0
-		if st.active[i] {
-			ps.cnt[i] = st.n - 1
-		}
-	}
-	if c := ps.cnt[i]; c > 0 {
-		ps.scoreAlpha(w, i, c)
+	if c := st.ps.cnt[i]; c > 0 {
+		st.ps.scoreAlpha(w, i, c)
 	}
 }
 
@@ -858,8 +892,7 @@ func poisson(lambda float64, rng *rand.Rand) int {
 	}
 }
 
-func sampleCategorical(w []float64, rng *rand.Rand) int {
-	u := rng.Float64()
+func sampleCategorical(w []float64, u float64) int {
 	acc := 0.0
 	for i, v := range w {
 		acc += v

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -171,12 +172,15 @@ func TestGenerateStreamYieldError(t *testing.T) {
 // TestPairHelpersNeverOutliveRequest: the decode helpers of a generation
 // or a forecast that fans out live exactly as long as the request. Each of
 // GenerateStream and ForecastStream runs to completion, with its context
-// cancelled mid-stream, and with a yield error; after each the goroutine
-// count returns to what it was before, and arena gets equal puts. The
-// capped model (N=300, cap 32) posts each next step's candidate pass to the
-// helpers before the step's attribute decoder, encoder and GRU: it stops
-// after step 1 and after step T−2, each with the step after it drawn ahead,
-// and panics in the attribute decoder with a candidate pass still posted.
+// cancelled mid-stream, with a yield error and with a panic; after each
+// the goroutine count returns to what it was before, arena gets equal
+// puts, and nothing draws from the request's Source once the call has
+// returned. Each step posts the next step's drawStep pass to the helpers
+// before its attribute decoder, encoder and GRU: the exact model (N=94)
+// its uniforms, which stay posted across the yield, the capped model
+// (N=300, cap 32) its candidate pass. Both stop early and after step
+// T−2, each with the step after it drawn ahead, and panic in the
+// attribute decoder with that pass still posted.
 func TestPairHelpersNeverOutliveRequest(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		t.Skip("needs two Ps for the decode to have helpers")
@@ -188,6 +192,11 @@ func TestPairHelpersNeverOutliveRequest(t *testing.T) {
 		how   string // "complete", "cancel", "yield error" or "panic"
 		after int    // yields before it stops
 	}
+	late := []end{
+		{"cancel after step T-2", "cancel", steps - 1},
+		{"yield error after step T-2", "yield error", steps - 1},
+		{"panic in step 2", "panic", 2},
+	}
 	exactCfg := DefaultConfig(94, 2)
 	exactCfg.Seed = 5
 	cappedCfg := DefaultConfig(300, 2)
@@ -198,15 +207,12 @@ func TestPairHelpersNeverOutliveRequest(t *testing.T) {
 		cfg    Config
 		ends   []end
 	}{
-		{"", exactCfg, []end{{"complete", "complete", steps}, {"cancel", "cancel", 3}, {"yield error", "yield error", 3}}},
-		{"capped ", cappedCfg, []end{
+		{"", exactCfg, append([]end{{"complete", "complete", steps}, {"cancel", "cancel", 3}, {"yield error", "yield error", 3}}, late...)},
+		{"capped ", cappedCfg, append([]end{
 			{"complete", "complete", steps},
 			{"cancel after step 1", "cancel", 2},
-			{"cancel after step T-2", "cancel", steps - 1},
 			{"yield error after step 1", "yield error", 2},
-			{"yield error after step T-2", "yield error", steps - 1},
-			{"panic in step 2", "panic", 2},
-		}},
+		}, late...)},
 	} {
 		m := New(mc.cfg)
 		fc := m.NewForecastState()
@@ -239,11 +245,13 @@ func TestPairHelpersNeverOutliveRequest(t *testing.T) {
 					before := tensor.ReadPoolStats()
 					attrMLP := m.attrMLP
 					yields, helped := 0, false
+					src := &guardedSource{Source: rand.NewSource(13)}
 					var err error
 					var panicked any
 					func() {
 						defer func() { panicked = recover() }()
-						err = stream(ctx, GenOptions{T: steps, Seed: 13, Parallel: true}, func(*dyngraph.Snapshot) error {
+						defer src.closed.Store(true)
+						err = stream(ctx, GenOptions{T: steps, Source: src, Parallel: true}, func(*dyngraph.Snapshot) error {
 							yields++
 							helped = helped || decodeHelpers() > 0
 							if yields == e.after {
@@ -256,7 +264,7 @@ func TestPairHelpersNeverOutliveRequest(t *testing.T) {
 									// A first-layer bias of the wrong width: the
 									// next step's attribute decoder panics, before
 									// taking a buffer, after that step has posted
-									// the candidate pass of the one after.
+									// the drawStep pass of the one after.
 									bad := nn.NewMLP("attr.mlp", []int{mc.cfg.HiddenDim, mc.cfg.HiddenDim, mc.cfg.F}, tensor.ActLeakyReLU, rand.New(rand.NewSource(1)))
 									bad.Layers[0].B.Value = tensor.New(1, mc.cfg.HiddenDim+1)
 									m.attrMLP = bad
@@ -296,10 +304,27 @@ func TestPairHelpersNeverOutliveRequest(t *testing.T) {
 					}
 					waitFor(t, func() bool { return decodeHelpers() == 0 && runtime.NumGoroutine() <= base },
 						fmt.Sprintf("the goroutine count to return to %d", base))
+					if n := src.late.Load(); n != 0 {
+						t.Fatalf("%d draws from the Source after the call returned", n)
+					}
 				})
 			}
 		}
 	}
+}
+
+// guardedSource counts the draws taken from it once closed is set.
+type guardedSource struct {
+	rand.Source
+	closed atomic.Bool
+	late   atomic.Int64
+}
+
+func (s *guardedSource) Int63() int64 {
+	if s.closed.Load() {
+		s.late.Add(1)
+	}
+	return s.Source.Int63()
 }
 
 // decodeHelpers counts the goroutines running pairScorer.help.
