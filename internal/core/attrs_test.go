@@ -20,10 +20,10 @@ func TestMarginalMapMonotone(t *testing.T) {
 	for k := range q {
 		q[k] = 10 * float64(k) / 256
 	}
-	m.attrQuantiles = [][]float64{q}
+	m.cal.attrQuantiles = [][]float64{q}
 	prev := math.Inf(-1)
 	for y := -4.0; y <= 4.0; y += 0.25 {
-		x := m.marginalMap(0, y)
+		x := m.cal.marginalMap(0, y)
 		if x < prev {
 			t.Fatalf("marginal map must be monotone: f(%g)=%g after %g", y, x, prev)
 		}
@@ -33,17 +33,17 @@ func TestMarginalMapMonotone(t *testing.T) {
 		prev = x
 	}
 	// median maps to median
-	if mid := m.marginalMap(0, 0); math.Abs(mid-5) > 0.1 {
+	if mid := m.cal.marginalMap(0, 0); math.Abs(mid-5) > 0.1 {
 		t.Fatalf("f(0) = %g, want ~5", mid)
 	}
 }
 
 func TestMarginalMapFallsBackToMoments(t *testing.T) {
 	m := New(smallConfig(4, 1))
-	m.attrMean = []float64{3}
-	m.attrStd = []float64{2}
-	m.attrQuantiles = nil
-	if got := m.marginalMap(0, 1); math.Abs(got-5) > 1e-12 {
+	m.cal.attrMean = []float64{3}
+	m.cal.attrStd = []float64{2}
+	m.cal.attrQuantiles = nil
+	if got := m.cal.marginalMap(0, 1); math.Abs(got-5) > 1e-12 {
 		t.Fatalf("fallback = %g, want mean+std = 5", got)
 	}
 }
@@ -51,8 +51,8 @@ func TestMarginalMapFallsBackToMoments(t *testing.T) {
 func TestOutputTransformRestoresCorrelation(t *testing.T) {
 	m := New(smallConfig(4, 2))
 	// Target correlation 0.8; state drawn with correlation ~0.
-	m.attrCorr = []float64{1, 0.8, 0.8, 1}
-	m.attrCorrChol = cholesky(m.attrCorr, 2)
+	m.cal.attrCorr = []float64{1, 0.8, 0.8, 1}
+	m.cal.attrCorrChol = cholesky(m.cal.attrCorr, 2)
 	rng := rand.New(rand.NewSource(1))
 	n := 2000
 	state := tensor.New(n, 2)
@@ -60,7 +60,7 @@ func TestOutputTransformRestoresCorrelation(t *testing.T) {
 		state.Set(i, 0, rng.NormFloat64())
 		state.Set(i, 1, rng.NormFloat64())
 	}
-	tm := m.outputTransform(state)
+	tm := m.cal.outputTransform(state)
 	// apply and measure
 	var a, b []float64
 	for i := 0; i < n; i++ {
@@ -75,9 +75,9 @@ func TestOutputTransformRestoresCorrelation(t *testing.T) {
 
 func TestOutputTransformIdentityFallbacks(t *testing.T) {
 	m := New(smallConfig(4, 2))
-	m.attrCorrChol = nil
+	m.cal.attrCorrChol = nil
 	st := tensor.Randn(10, 2, 1, rand.New(rand.NewSource(2)))
-	tm := m.outputTransform(st)
+	tm := m.cal.outputTransform(st)
 	want := []float64{1, 0, 0, 1}
 	for i := range want {
 		if tm[i] != want[i] {
@@ -85,8 +85,8 @@ func TestOutputTransformIdentityFallbacks(t *testing.T) {
 		}
 	}
 	// tiny row count must also fall back
-	m.attrCorrChol = cholesky([]float64{1, 0, 0, 1}, 2)
-	tm = m.outputTransform(tensor.Randn(2, 2, 1, rand.New(rand.NewSource(3))))
+	m.cal.attrCorrChol = cholesky([]float64{1, 0, 0, 1}, 2)
+	tm = m.cal.outputTransform(tensor.Randn(2, 2, 1, rand.New(rand.NewSource(3))))
 	for i := range want {
 		if tm[i] != want[i] {
 			t.Fatalf("tiny input must give identity, got %v", tm)

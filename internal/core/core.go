@@ -71,11 +71,15 @@ type Config struct {
 	// tractable on CPU.
 	CandidateCap int
 
-	// DegreeCalibration rescales edge probabilities at each generation
-	// step so the expected edge count matches the per-step average
-	// observed during training (default true). It compensates for the
-	// short CPU training schedules used in this reproduction; relative
-	// edge probabilities — the learned structure — are unaffected.
+	// DegreeCalibration (default true) makes generation copy training
+	// statistics at three seams (calibrate.go): each step replays the
+	// previous snapshot's edges at the training persistence rate, scales
+	// every Bernoulli mean by one λ so that the expected edge count is the
+	// training count for that step, and replaces the decoded attributes
+	// with draws of the training marginals, correlation and lag-1
+	// autocorrelation, mixing the decoder in by its final-epoch R². Off,
+	// generation reads the learned model alone (Algorithm 1). Forecast
+	// encoding standardises attributes with the training moments either way.
 	DegreeCalibration bool
 
 	Seed int64
@@ -171,21 +175,13 @@ type Model struct {
 	// way.
 	branchTapes []*tensor.Tape
 
-	// Statistics captured from the training sequence, used for the
-	// generation-time density/attribute calibration and the node
-	// add/delete extension of Section III-H.
-	edgeTargets   []float64    // expected |E_t| per step
-	activeStats   []float64    // mean newly-active node count per step
-	persistRate   float64      // P(edge at t | edge at t−1) in the training data
-	attrMean      []float64    // per-dimension attribute mean over the sequence
-	attrStd       []float64    // per-dimension attribute std over the sequence
-	attrRho       []float64    // per-dimension lag-1 autocorrelation
-	resid         residMoments // decoder↔truth moments of the final epoch
-	attrR2        []float64    // per-dimension decoder explanatory power in [0,1]
-	attrCorr      []float64    // data attribute correlation matrix (F×F)
-	attrQuantiles [][]float64  // per-dimension empirical quantile grid
-	attrCorrChol  []float64    // Cholesky factor of attrCorr (static fallback)
-	trained       bool
+	// cal is what generation copies from the training sequence
+	// (calibrate.go); activeStats, how many nodes first turn active at
+	// each training step, drives the node additions of DynamicNodes
+	// (§III-H).
+	cal         calibration
+	activeStats []float64
+	trained     bool
 }
 
 // New constructs an untrained VRDAG model.

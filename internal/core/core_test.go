@@ -262,7 +262,7 @@ func TestTrainedBeatsUntrainedOnStructure(t *testing.T) {
 	}
 	cfgU := cfg
 	untrained := New(cfgU)
-	untrained.captureStats(g) // give it the same density calibration
+	untrained.cal = newCalibration(g) // give it the same density calibration
 
 	genT, err := trained.Generate(4)
 	if err != nil {

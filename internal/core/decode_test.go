@@ -439,7 +439,7 @@ func TestGenerateCappedBytesPinned(t *testing.T) {
 			if _, err := m.Fit(g); err != nil {
 				t.Fatal(err)
 			}
-			if m.persistRate == 0 {
+			if m.cal.persistRate == 0 {
 				t.Fatal("the fit learned no persistence rate: the replay's draws would go unpinned")
 			}
 			opts := GenOptions{T: 6, Seed: 82, Parallel: true}
@@ -504,7 +504,7 @@ func TestGenerateMainStreamDraws(t *testing.T) {
 		if _, err := m.Fit(g); err != nil {
 			t.Fatal(err)
 		}
-		if m.persistRate == 0 || !m.composesAttrs() {
+		if m.cal.persistRate == 0 || !m.calibrator().composes() {
 			t.Fatal("the fit learned no persistence rate or attribute statistics: their draws would go uncounted")
 		}
 		return m, g

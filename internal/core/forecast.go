@@ -176,21 +176,7 @@ func (m *Model) EncodeSnapshot(st *ForecastState, snap *dyngraph.Snapshot) error
 		}
 	}
 
-	// Attribute AR(1) state: the observed attributes standardized with the
-	// training moments, which is the coordinate system composeAttrs evolves
-	// its latent state in. Maintained only when the model has captured
-	// those moments (i.e. it was trained on attributed data).
-	if snap.X != nil && m.attrMean != nil && m.Cfg.F > 0 {
-		if st.attrState == nil {
-			st.attrState = tensor.Get(n, m.Cfg.F)
-		}
-		for i := 0; i < snap.N; i++ {
-			row, obs := st.attrState.Row(i), snap.X.Row(i)
-			for j := 0; j < m.Cfg.F; j++ {
-				row[j] = (obs[j] - m.attrMean[j]) / m.attrStd[j]
-			}
-		}
-	}
+	m.cal.encodeAttrs(st, snap, n, m.Cfg.F) // the attribute AR(1) state
 
 	if cleanup != nil {
 		cleanup()
@@ -235,15 +221,7 @@ func (m *Model) Forecast(ctx context.Context, st *ForecastState, opts GenOptions
 	if err := m.checkForecastState(st); err != nil {
 		return nil, err
 	}
-	g := &dyngraph.Sequence{N: m.Cfg.N, F: m.Cfg.F, Snapshots: make([]*dyngraph.Snapshot, 0, max(opts.T, 0))}
-	err := m.generate(ctx, opts, func(s *dyngraph.Snapshot) error {
-		g.Snapshots = append(g.Snapshots, s)
-		return nil
-	}, false, st)
-	if err != nil {
-		return nil, err
-	}
-	return g, nil
+	return m.collect(ctx, opts, st)
 }
 
 // ForecastStream is Forecast through the streaming engine: snapshots are

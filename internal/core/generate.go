@@ -56,12 +56,16 @@ func (m *Model) GenerateOpts(opts GenOptions) (*dyngraph.Sequence, error) {
 // collector over the streaming engine, so its output is identical to
 // GenerateStream's for the same options.
 func (m *Model) GenerateCtx(ctx context.Context, opts GenOptions) (*dyngraph.Sequence, error) {
+	return m.collect(ctx, opts, nil)
+}
+
+// collect runs generate in collecting mode and returns the sequence.
+func (m *Model) collect(ctx context.Context, opts GenOptions, init *ForecastState) (*dyngraph.Sequence, error) {
 	g := &dyngraph.Sequence{N: m.Cfg.N, F: m.Cfg.F, Snapshots: make([]*dyngraph.Snapshot, 0, max(opts.T, 0))}
-	err := m.generate(ctx, opts, func(s *dyngraph.Snapshot) error {
+	if err := m.generate(ctx, opts, func(s *dyngraph.Snapshot) error {
 		g.Snapshots = append(g.Snapshots, s)
 		return nil
-	}, false, nil)
-	if err != nil {
+	}, false, init); err != nil {
 		return nil, err
 	}
 	return g, nil
@@ -123,6 +127,7 @@ func (m *Model) generate(ctx context.Context, opts GenOptions, yield func(*dyngr
 // scratch, allocated once per request instead of once per snapshot.
 type genState struct {
 	m    *Model
+	cal  *calibration // nil with DegreeCalibration off
 	opts GenOptions
 	rng  *rand.Rand
 	n    int
@@ -159,6 +164,8 @@ type genState struct {
 	seeds []int64
 	comp  []int
 	u     []float64 // the step's component and Bernoulli uniforms (drawUniforms)
+	// The passes, bound once: a method value posted afresh allocates.
+	candPass, uniPass, alphaPass, thetaPass func(*pairWorker, int)
 
 	// The main-stream draws of a step that precede its component draws
 	// (drawStep): the latent noise, the snapshot holding the replayed
@@ -180,7 +187,7 @@ func (m *Model) newGenState(opts GenOptions, recycle bool, init *ForecastState) 
 		src = rand.NewSource(opts.Seed)
 	}
 	st := &genState{
-		m: m, opts: opts, rng: rand.New(src), n: n, recycle: recycle,
+		m: m, cal: m.calibrator(), opts: opts, rng: rand.New(src), n: n, recycle: recycle,
 		h:        tensor.Get(n, m.Cfg.HiddenDim),
 		ctx:      nn.NewEvalCtx(tensor.NewTape()),
 		active:   make([]bool, n),
@@ -191,10 +198,12 @@ func (m *Model) newGenState(opts GenOptions, recycle bool, init *ForecastState) 
 		comp:     make([]int, n),
 		zNoise:   make([]float64, n*m.Cfg.LatentDim),
 	}
+	st.candPass, st.uniPass = st.buildCandidates, st.drawUniforms
+	st.alphaPass, st.thetaPass = st.scoreAlpha, st.scoreTheta
 	if !st.ps.exact {
 		st.cdf = newCandCDF(n)
 	}
-	if m.Cfg.F > 0 && m.composesAttrs() {
+	if m.Cfg.F > 0 && st.cal.composes() {
 		st.xNoise = make([]float64, n*m.Cfg.F)
 	}
 	for i := range st.active {
@@ -339,17 +348,14 @@ func (st *genState) step(t int) *dyngraph.Snapshot {
 		st.drawStep(st.next)
 	}
 
-	// Line 5: decode attributes conditioned on the new topology. The
-	// decoded matrix is the likelihood mean; sampling adds the
-	// observation noise estimated from training residuals, then the
-	// moments and lag-1 autocorrelation are matched to the training
-	// statistics.
+	// Line 5: decode attributes conditioned on the new topology: the
+	// likelihood mean, which the calibration turns into a sample.
 	if m.Cfg.F > 0 {
 		esrc, edst := snap.EdgeLists()
 		dec := m.attrMLP.Apply(c, m.gat.Apply(c, s, esrc, edst, n))
 		x := tensor.Get(n, m.Cfg.F)
 		copy(x.Data, dec.Value.Data)
-		state := m.composeAttrs(x, st.prevX, st.xNoise)
+		state := st.cal.composeAttrs(x, st.prevX, st.xNoise)
 		if st.prevX != nil && state != st.prevX {
 			tensor.Put(st.prevX)
 		}
@@ -381,31 +387,12 @@ func (st *genState) step(t int) *dyngraph.Snapshot {
 // counts; with exact decoding it sets them and posts the step's uniforms
 // as a one-chunk pass. decodeStructure joins either at the latest.
 func (st *genState) drawStep(snap *dyngraph.Snapshot) {
-	m, n, rng, prev := st.m, st.n, st.rng, st.prev
-	active := st.active
+	n, rng, active := st.n, st.rng, st.active
 	for i := range st.zNoise {
 		st.zNoise[i] = rng.NormFloat64()
 	}
 
-	// Temporal persistence calibration: replay previous-step edges at the
-	// training data's persistence rate before one-shot sampling fills the
-	// remaining budget. Like the density calibration, this matches a
-	// first-order statistic the short CPU schedule cannot learn; a
-	// converged model's MixBernoulli would regenerate persistent edges
-	// itself (their pair scores stay high across steps).
-	st.persisted = 0
-	if m.Cfg.DegreeCalibration && m.persistRate > 0 && prev != nil {
-		for u := 0; u < n; u++ {
-			if !active[u] {
-				continue
-			}
-			for _, v := range prev.Out[u] {
-				if rng.Float64() < m.persistRate && snap.AddEdge(u, v) {
-					st.persisted++
-				}
-			}
-		}
-	}
+	st.persisted = st.cal.replay(snap, st.prev, active, rng)
 
 	// Pre-draw per-node RNG seeds so the parallel path stays deterministic.
 	// Each node's candidate draws come from a per-worker splitmix64 source
@@ -428,7 +415,7 @@ func (st *genState) drawStep(snap *dyngraph.Snapshot) {
 			cdf.cum[v+1] = cdf.cum[v] + w
 		}
 		cdf.index()
-		st.ps.post(st.buildCandidates)
+		st.ps.post(st.candPass)
 	} else {
 		for i, a := range active {
 			st.ps.cnt[i] = 0
@@ -436,7 +423,7 @@ func (st *genState) drawStep(snap *dyngraph.Snapshot) {
 				st.ps.cnt[i] = n - 1
 			}
 		}
-		st.ps.postOne(st.drawUniforms)
+		st.ps.postOne(st.uniPass)
 	}
 }
 
@@ -444,8 +431,7 @@ func (st *genState) drawStep(snap *dyngraph.Snapshot) {
 // into snap, which drawStep has already given its replayed persistent
 // edges. For every active node it scores the candidate destination set,
 // aggregates the mixture weights α_i, then samples edges from the selected
-// component. With DegreeCalibration the Bernoulli means are rescaled so the
-// expected edge count matches the training statistics for this timestep.
+// component, its Bernoulli means scaled by the calibration's λ.
 //
 // The candidate sets (capped decoding) and the scoring (pairScorer,
 // decode.go) run node-parallel in passes around the serial component
@@ -454,12 +440,12 @@ func (st *genState) drawStep(snap *dyngraph.Snapshot) {
 // call, or during its α pass), which the components and edges read in node
 // order. So the output depends on neither Parallel nor the fan-out.
 func (st *genState) decodeStructure(snap *dyngraph.Snapshot, s *tensor.Matrix, t int) {
-	m, n, ps := st.m, st.n, st.ps
+	n, ps := st.n, st.ps
 
 	// Mixture weights over the candidate sets, node by node on the workers.
 	ps.hoist(s)
 	ps.join() // drawStep's pass, if still open
-	ps.post(st.scoreAlpha)
+	ps.post(st.alphaPass)
 	if !ps.exact {
 		st.drawUniforms(nil, 0) // the candidate counts are known by now
 	}
@@ -474,7 +460,7 @@ func (st *genState) decodeStructure(snap *dyngraph.Snapshot, s *tensor.Matrix, t
 			u = u[1:]
 		}
 	}
-	ps.post(st.scoreTheta)
+	ps.post(st.thetaPass)
 	ps.join()
 
 	// Summed serially in node order: λ must not depend on the fan-out.
@@ -485,16 +471,7 @@ func (st *genState) decodeStructure(snap *dyngraph.Snapshot, s *tensor.Matrix, t
 		}
 	}
 
-	// Density calibration against the training statistics (persisted
-	// edges consume part of the budget).
-	lambda := 1.0
-	if m.Cfg.DegreeCalibration && expected > 0 {
-		target := m.edgeTarget(t) - st.persisted
-		if target < 0 {
-			target = 0
-		}
-		lambda = target / expected
-	}
+	lambda := st.cal.lambda(t, n, expected, st.persisted)
 
 	// Bernoulli sampling in node order (a uniform is below 1: no clamp).
 	for i := 0; i < n; i++ {
@@ -573,243 +550,6 @@ func (s *splitmixSource) Uint64() uint64 {
 }
 
 func (s *splitmixSource) Int63() int64 { return int64(s.Uint64() >> 1) }
-
-// composeAttrs turns decoded likelihood means into attribute samples with
-// the training sequence's marginal moments, cross-dimension correlation,
-// and lag-1 autocorrelation, via a small state-space model:
-//
-//	mix_t = √R²·d̃_t + √(1−R²)·ξ_t          (decoder signal + obs. noise)
-//	s_t   = ρ·s_{t−1} + √(1−ρ²)·mix_t       (AR(1) latent state)
-//	y_t   = T·s_t,  T = L_x·L_s⁻¹           (output correlation correction)
-//	x_t   = µ + σ⊙y_t                       (marginal moments)
-//
-// d̃ is the decoder output standardized per dimension (its learned
-// cross-node ordering survives with weight √R², the decoder's explanatory
-// power from the final training epoch); ξ is i.i.d. observation noise; ρ
-// is the per-dimension lag-1 autocorrelation of the training data. The
-// output map T is recomputed each step from the state's empirical
-// correlation L_s·L_sᵀ, so the generated attributes carry the data's
-// correlation matrix exactly even when the generation-time decoder output
-// is distribution-shifted. A converged decoder (R²→1) passes through up
-// to an affine map; an undertrained one degrades gracefully toward the
-// data's own attribute process. Disabled with DegreeCalibration=false.
-//
-// It writes the finished attributes into x and returns the updated latent
-// state for the next step. noise holds ξ, N×F column-major (element j·N+i).
-func (m *Model) composeAttrs(x *tensor.Matrix, prevS *tensor.Matrix, noise []float64) *tensor.Matrix {
-	if !m.composesAttrs() {
-		return prevS
-	}
-	n, f := x.Rows, x.Cols
-	// Standardize the decoded means per dimension (d̃).
-	for j := 0; j < f && j < len(m.attrMean); j++ {
-		mean, sd := 0.0, 0.0
-		for i := 0; i < n; i++ {
-			mean += x.At(i, j)
-		}
-		mean /= float64(n)
-		for i := 0; i < n; i++ {
-			d := x.At(i, j) - mean
-			sd += d * d
-		}
-		sd = math.Sqrt(sd/float64(n)) + 1e-9
-		for i := 0; i < n; i++ {
-			x.Set(i, j, (x.At(i, j)-mean)/sd)
-		}
-	}
-	// mix and AR state update.
-	state := tensor.Get(n, f)
-	for j := 0; j < f; j++ {
-		r2 := 0.0
-		if m.attrR2 != nil && j < len(m.attrR2) {
-			r2 = m.attrR2[j]
-		}
-		w, nw := math.Sqrt(r2), math.Sqrt(1-r2)
-		rho := 0.0
-		if m.attrRho != nil && j < len(m.attrRho) {
-			rho = m.attrRho[j]
-		}
-		if rho < 0 {
-			rho = 0
-		}
-		if rho > 0.995 {
-			rho = 0.995
-		}
-		ar := math.Sqrt(1 - rho*rho)
-		for i := 0; i < n; i++ {
-			mix := w*x.At(i, j) + nw*noise[j*n+i]
-			if prevS == nil {
-				state.Set(i, j, mix)
-			} else {
-				state.Set(i, j, rho*prevS.At(i, j)+ar*mix)
-			}
-		}
-	}
-	// Re-standardize the state per dimension: decoder↔state feedback can
-	// drift its variance across steps, and the copula map below needs
-	// standard-normal coordinates.
-	for j := 0; j < f; j++ {
-		mean, sd := 0.0, 0.0
-		for i := 0; i < n; i++ {
-			mean += state.At(i, j)
-		}
-		mean /= float64(n)
-		for i := 0; i < n; i++ {
-			d := state.At(i, j) - mean
-			sd += d * d
-		}
-		sd = math.Sqrt(sd/float64(n)) + 1e-9
-		for i := 0; i < n; i++ {
-			state.Set(i, j, (state.At(i, j)-mean)/sd)
-		}
-	}
-	// Output correlation correction y = s·Tᵀ with T = L_x·L_s⁻¹.
-	tMat := m.outputTransform(state)
-	row := make([]float64, f)
-	for i := 0; i < n; i++ {
-		srow := state.Row(i)
-		for a := 0; a < f; a++ {
-			acc := 0.0
-			for b := 0; b < f; b++ {
-				acc += tMat[a*f+b] * srow[b]
-			}
-			row[a] = acc
-		}
-		xrow := x.Row(i)
-		for j := 0; j < f; j++ {
-			xrow[j] = m.marginalMap(j, row[j])
-		}
-	}
-	return state
-}
-
-// composesAttrs reports whether composeAttrs maps decoded attributes
-// (and so takes observation noise from the main stream) rather than
-// passing them through.
-func (m *Model) composesAttrs() bool {
-	return m.Cfg.DegreeCalibration && m.attrMean != nil
-}
-
-// marginalMap sends a standard-normal output coordinate through the
-// Gaussian copula onto the training data's empirical marginal: u = Φ(y),
-// x = F̂⁻¹(u). Monotone, so rank (Spearman) structure is untouched; exact,
-// so synthetic marginals match the data whatever its shape. Falls back to
-// the linear moment map when no quantile grid is available.
-func (m *Model) marginalMap(j int, y float64) float64 {
-	if m.attrQuantiles == nil || j >= len(m.attrQuantiles) || len(m.attrQuantiles[j]) == 0 {
-		return m.attrMean[j] + m.attrStd[j]*y
-	}
-	u := 0.5 * (1 + math.Erf(y/math.Sqrt2))
-	q := m.attrQuantiles[j]
-	pos := u * float64(len(q)-1)
-	lo := int(pos)
-	if lo >= len(q)-1 {
-		return q[len(q)-1]
-	}
-	if lo < 0 {
-		lo = 0
-	}
-	frac := pos - float64(lo)
-	return q[lo]*(1-frac) + q[lo+1]*frac
-}
-
-// outputTransform returns T = L_x·L_s⁻¹ where L_x is the Cholesky factor
-// of the training attribute correlation and L_s that of the state's
-// per-step empirical correlation (identity fallback for degenerate cases).
-func (m *Model) outputTransform(state *tensor.Matrix) []float64 {
-	n, f := state.Rows, state.Cols
-	ident := make([]float64, f*f)
-	for i := 0; i < f; i++ {
-		ident[i*f+i] = 1
-	}
-	if m.attrCorrChol == nil || f == 1 || n < 4 {
-		return ident
-	}
-	// Empirical state correlation (state dims have ≈unit variance by
-	// construction, but normalise anyway for robustness).
-	mean := make([]float64, f)
-	for i := 0; i < n; i++ {
-		row := state.Row(i)
-		for j := 0; j < f; j++ {
-			mean[j] += row[j]
-		}
-	}
-	for j := range mean {
-		mean[j] /= float64(n)
-	}
-	cov := make([]float64, f*f)
-	for i := 0; i < n; i++ {
-		row := state.Row(i)
-		for a := 0; a < f; a++ {
-			for b := 0; b < f; b++ {
-				cov[a*f+b] += (row[a] - mean[a]) * (row[b] - mean[b])
-			}
-		}
-	}
-	sd := make([]float64, f)
-	for j := 0; j < f; j++ {
-		sd[j] = math.Sqrt(cov[j*f+j]/float64(n)) + 1e-12
-	}
-	corr := make([]float64, f*f)
-	for a := 0; a < f; a++ {
-		for b := 0; b < f; b++ {
-			corr[a*f+b] = cov[a*f+b] / float64(n) / (sd[a] * sd[b])
-		}
-	}
-	ls := cholesky(tensor.NearestCorrelation(corr, f), f)
-	lsInv := invertLowerTriangular(ls, f)
-	if lsInv == nil {
-		return ident
-	}
-	// T = L_x · L_s⁻¹
-	t := make([]float64, f*f)
-	for a := 0; a < f; a++ {
-		for b := 0; b < f; b++ {
-			acc := 0.0
-			for k := 0; k < f; k++ {
-				acc += m.attrCorrChol[a*f+k] * lsInv[k*f+b]
-			}
-			t[a*f+b] = acc
-		}
-	}
-	return t
-}
-
-// invertLowerTriangular inverts a lower-triangular matrix by forward
-// substitution; returns nil when a diagonal entry is (near) zero.
-func invertLowerTriangular(l []float64, f int) []float64 {
-	inv := make([]float64, f*f)
-	for c := 0; c < f; c++ {
-		if math.Abs(l[c*f+c]) < 1e-12 {
-			return nil
-		}
-		inv[c*f+c] = 1 / l[c*f+c]
-		for r := c + 1; r < f; r++ {
-			acc := 0.0
-			for k := c; k < r; k++ {
-				acc += l[r*f+k] * inv[k*f+c]
-			}
-			inv[r*f+c] = -acc / l[r*f+r]
-		}
-	}
-	return inv
-}
-
-// edgeTarget returns the expected edge count for step t, falling back to
-// the mean across training steps (or a mild default for untrained models).
-func (m *Model) edgeTarget(t int) float64 {
-	if len(m.edgeTargets) == 0 {
-		return float64(2 * m.Cfg.N)
-	}
-	if t < len(m.edgeTargets) {
-		return m.edgeTargets[t]
-	}
-	sum := 0.0
-	for _, v := range m.edgeTargets {
-		sum += v
-	}
-	return sum / float64(len(m.edgeTargets))
-}
 
 // updateActiveSet applies the Section III-H extension: deletion after Tdel
 // isolated steps, additions at the empirical activation rate with hidden

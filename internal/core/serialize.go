@@ -62,16 +62,16 @@ func (m *Model) state() (modelState, error) {
 	st := modelState{
 		Cfg:           m.Cfg,
 		Trained:       m.trained,
-		EdgeTargets:   m.edgeTargets,
+		EdgeTargets:   m.cal.edgeTargets,
 		ActiveStats:   m.activeStats,
-		PersistRate:   m.persistRate,
-		AttrMean:      m.attrMean,
-		AttrStd:       m.attrStd,
-		AttrRho:       m.attrRho,
-		AttrR2:        m.attrR2,
-		AttrCorr:      m.attrCorr,
-		AttrCorrChol:  m.attrCorrChol,
-		AttrQuantiles: m.attrQuantiles,
+		PersistRate:   m.cal.persistRate,
+		AttrMean:      m.cal.attrMean,
+		AttrStd:       m.cal.attrStd,
+		AttrRho:       m.cal.attrRho,
+		AttrR2:        m.cal.attrR2,
+		AttrCorr:      m.cal.attrCorr,
+		AttrCorrChol:  m.cal.attrCorrChol,
+		AttrQuantiles: m.cal.attrQuantiles,
 	}
 	seen := make(map[string]bool)
 	for _, p := range nn.CollectParams(m.Modules()...) {
@@ -132,17 +132,18 @@ func Load(r io.Reader) (*Model, error) {
 		}
 		copy(p.Value.Data, sm.Data)
 	}
-	m.trained = st.Trained
-	m.edgeTargets = st.EdgeTargets
-	m.activeStats = st.ActiveStats
-	m.persistRate = st.PersistRate
-	m.attrMean = st.AttrMean
-	m.attrStd = st.AttrStd
-	m.attrRho = st.AttrRho
-	m.attrR2 = st.AttrR2
-	m.attrCorr = st.AttrCorr
-	m.attrCorrChol = st.AttrCorrChol
-	m.attrQuantiles = st.AttrQuantiles
+	m.trained, m.activeStats = st.Trained, st.ActiveStats
+	m.cal = calibration{
+		edgeTargets:   st.EdgeTargets,
+		persistRate:   st.PersistRate,
+		attrMean:      st.AttrMean,
+		attrStd:       st.AttrStd,
+		attrRho:       st.AttrRho,
+		attrR2:        st.AttrR2,
+		attrCorr:      st.AttrCorr,
+		attrCorrChol:  st.AttrCorrChol,
+		attrQuantiles: st.AttrQuantiles,
+	}
 	return m, nil
 }
 

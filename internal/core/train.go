@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"vrdag/internal/dyngraph"
 	"vrdag/internal/nn"
@@ -65,7 +64,17 @@ func (m *Model) FitContext(ctx context.Context, g *dyngraph.Sequence, opts ...Fi
 		return TrainStats{}, fmt.Errorf("core: cannot fit on an empty sequence")
 	}
 
-	m.captureStats(g)
+	m.cal = newCalibration(g)
+	m.activeStats = make([]float64, g.T()) // first-time active nodes per step
+	seen := make([]bool, g.N)
+	for t, s := range g.Snapshots {
+		for v := 0; v < g.N; v++ {
+			if !seen[v] && (s.OutDegree(v) > 0 || s.InDegree(v) > 0) {
+				seen[v] = true
+				m.activeStats[t]++
+			}
+		}
+	}
 
 	var last TrainStats
 	for epoch := 0; epoch < m.Cfg.Epochs; epoch++ {
@@ -81,145 +90,9 @@ func (m *Model) FitContext(ctx context.Context, g *dyngraph.Sequence, opts ...Fi
 		}
 		last = stats
 	}
-	m.finalizeResiduals()
+	m.cal.finalizeResiduals(m.Cfg.F)
 	m.trained = true
 	return last, nil
-}
-
-// captureStats records the per-step edge counts and node activation
-// statistics used by generation-time calibration and the node add/delete
-// extension.
-func (m *Model) captureStats(g *dyngraph.Sequence) {
-	m.edgeTargets = make([]float64, g.T())
-	m.activeStats = make([]float64, g.T())
-	if g.F > 0 {
-		m.attrMean = make([]float64, g.F)
-		m.attrStd = make([]float64, g.F)
-		count := float64(g.N * g.T())
-		for _, s := range g.Snapshots {
-			for i := 0; i < g.N; i++ {
-				row := s.X.Row(i)
-				for j := 0; j < g.F; j++ {
-					m.attrMean[j] += row[j]
-				}
-			}
-		}
-		for j := range m.attrMean {
-			m.attrMean[j] /= count
-		}
-		for _, s := range g.Snapshots {
-			for i := 0; i < g.N; i++ {
-				row := s.X.Row(i)
-				for j := 0; j < g.F; j++ {
-					d := row[j] - m.attrMean[j]
-					m.attrStd[j] += d * d
-				}
-			}
-		}
-		for j := range m.attrStd {
-			m.attrStd[j] = math.Sqrt(m.attrStd[j]/count) + 1e-9
-		}
-		// Per-dimension empirical quantile grids: the generation-time
-		// observation model maps Gaussian-copula samples through these, so
-		// synthetic marginals match the data exactly whatever its shape
-		// (bimodal, heavy-tailed, discrete-ish).
-		m.attrQuantiles = make([][]float64, g.F)
-		vals := make([]float64, 0, g.N*g.T())
-		for j := 0; j < g.F; j++ {
-			vals = vals[:0]
-			for _, s := range g.Snapshots {
-				for i := 0; i < g.N; i++ {
-					vals = append(vals, s.X.At(i, j))
-				}
-			}
-			sort.Float64s(vals)
-			const grid = 257
-			q := make([]float64, grid)
-			for k := 0; k < grid; k++ {
-				pos := float64(k) / float64(grid-1) * float64(len(vals)-1)
-				lo := int(pos)
-				frac := pos - float64(lo)
-				if lo+1 < len(vals) {
-					q[k] = vals[lo]*(1-frac) + vals[lo+1]*frac
-				} else {
-					q[k] = vals[len(vals)-1]
-				}
-			}
-			m.attrQuantiles[j] = q
-		}
-		// Attribute correlation structure of the data, used by the
-		// generation-time observation model.
-		corr := make([]float64, g.F*g.F)
-		count2 := float64(g.N * g.T())
-		for _, s := range g.Snapshots {
-			for i := 0; i < g.N; i++ {
-				row := s.X.Row(i)
-				for a := 0; a < g.F; a++ {
-					for b := 0; b < g.F; b++ {
-						corr[a*g.F+b] += (row[a] - m.attrMean[a]) * (row[b] - m.attrMean[b])
-					}
-				}
-			}
-		}
-		for a := 0; a < g.F; a++ {
-			for b := 0; b < g.F; b++ {
-				corr[a*g.F+b] /= count2 * m.attrStd[a] * m.attrStd[b]
-			}
-		}
-		m.attrCorr = corr
-		m.attrCorrChol = cholesky(tensor.NearestCorrelation(corr, g.F), g.F)
-		// Lag-1 autocorrelation per dimension: how much node attributes
-		// persist between consecutive snapshots. Matched at generation so
-		// the synthetic dynamics track the original's (Figs. 7-8).
-		m.attrRho = make([]float64, g.F)
-		if g.T() > 1 {
-			for j := 0; j < g.F; j++ {
-				var num, den float64
-				for t := 1; t < g.T(); t++ {
-					xp, xc := g.At(t-1).X, g.At(t).X
-					for i := 0; i < g.N; i++ {
-						a := xp.At(i, j) - m.attrMean[j]
-						b := xc.At(i, j) - m.attrMean[j]
-						num += a * b
-						den += a * a
-					}
-				}
-				if den > 0 {
-					m.attrRho[j] = num / den
-				}
-			}
-		}
-	}
-	// Temporal edge persistence: how often an edge present at t−1 is
-	// still present at t. Matched during generation so synthetic hubs and
-	// communities persist the way the training data's do.
-	var kept, total float64
-	for t := 1; t < g.T(); t++ {
-		prev, cur := g.At(t-1), g.At(t)
-		for u := 0; u < g.N; u++ {
-			for _, v := range prev.Out[u] {
-				total++
-				if cur.HasEdge(u, v) {
-					kept++
-				}
-			}
-		}
-	}
-	if total > 0 {
-		m.persistRate = kept / total
-	}
-	seen := make([]bool, g.N)
-	for t, s := range g.Snapshots {
-		m.edgeTargets[t] = float64(s.NumEdges())
-		newly := 0
-		for v := 0; v < g.N; v++ {
-			if !seen[v] && (s.OutDegree(v) > 0 || s.InDegree(v) > 0) {
-				seen[v] = true
-				newly++
-			}
-		}
-		m.activeStats[t] = float64(newly)
-	}
 }
 
 // runEpoch performs one epoch over the sequence: a single full-sequence
@@ -372,7 +245,7 @@ func (m *Model) runWindow(g *dyngraph.Sequence, epoch, start, end int, hVal *ten
 		pool.await(d.fwd)
 		// 4. Residual moments, summed in step order.
 		if d.xHat != nil {
-			m.recordResiduals(d.xHat.Value, st.snap.X, st.t == 0)
+			m.cal.recordResiduals(d.xHat.Value, st.snap.X, st.t == 0)
 		}
 		var ps, pa *tensor.Node
 		tape.Hook(func() { // dispatch: the proxies hold their gradients now
@@ -483,135 +356,6 @@ func newTrainTape() *tensor.Tape {
 		return tensor.NewReferenceTape()
 	}
 	return tensor.NewTape()
-}
-
-// residMoments accumulates, during the final training epoch, the moments
-// needed to estimate each dimension's decoder↔truth correlation. A VAE
-// decoder parameterises the *mean* of the attribute likelihood; the
-// squared correlation is its scale-free explanatory power (the scaled
-// cosine loss of Eq. 18 deliberately ignores output scale, so a
-// variance-ratio R² would be meaningless).
-type residMoments struct {
-	predSum, predSq []float64 // decoder-output moment sums
-	trueSum, trueSq []float64 // ground-truth moment sums
-	crossSum        []float64 // decoder×truth cross sums
-	count           float64   // samples accumulated into the moments
-}
-
-func (r *residMoments) reset() { *r = residMoments{} }
-
-func (r *residMoments) init(f int) {
-	r.predSum = make([]float64, f)
-	r.predSq = make([]float64, f)
-	r.trueSum = make([]float64, f)
-	r.trueSq = make([]float64, f)
-	r.crossSum = make([]float64, f)
-	r.count = 0
-}
-
-func (r *residMoments) record(xHat, x *tensor.Matrix) {
-	f := x.Cols
-	if r.predSum == nil {
-		r.init(f)
-	}
-	for i := 0; i < x.Rows; i++ {
-		for j := 0; j < f; j++ {
-			p, tv := xHat.At(i, j), x.At(i, j)
-			r.predSum[j] += p
-			r.predSq[j] += p * p
-			r.trueSum[j] += tv
-			r.trueSq[j] += tv * tv
-			r.crossSum[j] += p * tv
-		}
-		r.count++
-	}
-}
-
-// recordResiduals adds one timestep to the moment accumulator; reset
-// starts a fresh final-epoch accumulation.
-func (m *Model) recordResiduals(xHat, x *tensor.Matrix, reset bool) {
-	if reset {
-		m.resid.reset()
-	}
-	m.resid.record(xHat, x)
-}
-
-// finalizeResiduals turns the accumulated moments into the per-dimension
-// explanatory power R²_j = corr(x̂_j, x_j)², clamped to [0,1]. The
-// generation-time observation model mixes the decoder's standardized
-// output with correlation-matched noise in these proportions, so an
-// undertrained decoder degrades gracefully toward the training data's own
-// attribute distribution while a converged decoder dominates the sample.
-func (m *Model) finalizeResiduals() {
-	f := m.Cfg.F
-	if f == 0 || m.resid.count == 0 {
-		return
-	}
-	m.attrR2 = make([]float64, f)
-	c := m.resid.count
-	for j := 0; j < f; j++ {
-		mp := m.resid.predSum[j] / c
-		mt := m.resid.trueSum[j] / c
-		vp := m.resid.predSq[j]/c - mp*mp
-		vt := m.resid.trueSq[j]/c - mt*mt
-		cov := m.resid.crossSum[j]/c - mp*mt
-		if vp <= 1e-12 || vt <= 1e-12 {
-			continue
-		}
-		rho := cov / math.Sqrt(vp*vt)
-		if rho < 0 {
-			rho = 0 // anti-correlated decoding explains nothing usable
-		}
-		m.attrR2[j] = rho * rho
-	}
-}
-
-// cholesky returns the lower-triangular factor L with LLᵀ = cov, adding
-// diagonal jitter until the factorisation succeeds.
-func cholesky(cov []float64, f int) []float64 {
-	jitter := 0.0
-	for attempt := 0; attempt < 4; attempt++ { // jitter caps at 1e-4: beyond that the input is genuinely indefinite
-		l := make([]float64, f*f)
-		ok := true
-		for i := 0; i < f && ok; i++ {
-			for j := 0; j <= i; j++ {
-				sum := cov[i*f+j]
-				if i == j {
-					sum += jitter
-				}
-				for k := 0; k < j; k++ {
-					sum -= l[i*f+k] * l[j*f+k]
-				}
-				if i == j {
-					if sum <= 0 {
-						ok = false
-						break
-					}
-					l[i*f+i] = math.Sqrt(sum)
-				} else {
-					l[i*f+j] = sum / l[j*f+j]
-				}
-			}
-		}
-		if ok {
-			return l
-		}
-		if jitter == 0 {
-			jitter = 1e-8
-		} else {
-			jitter *= 100
-		}
-	}
-	// Fall back to a diagonal factor.
-	l := make([]float64, f*f)
-	for i := 0; i < f; i++ {
-		v := cov[i*f+i]
-		if v < 0 {
-			v = 0
-		}
-		l[i*f+i] = math.Sqrt(v)
-	}
-	return l
 }
 
 // gruInput assembles [ε ‖ z ‖ fT(t)] (time component optional).
