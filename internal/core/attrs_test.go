@@ -52,7 +52,7 @@ func TestOutputTransformRestoresCorrelation(t *testing.T) {
 	m := New(smallConfig(4, 2))
 	// Target correlation 0.8; state drawn with correlation ~0.
 	m.cal.attrCorr = []float64{1, 0.8, 0.8, 1}
-	m.cal.attrCorrChol = cholesky(m.cal.attrCorr, 2)
+	m.cal.attrCorrChol = cholesky(make([]float64, 4), m.cal.attrCorr, 2)
 	rng := rand.New(rand.NewSource(1))
 	n := 2000
 	state := tensor.New(n, 2)
@@ -60,7 +60,7 @@ func TestOutputTransformRestoresCorrelation(t *testing.T) {
 		state.Set(i, 0, rng.NormFloat64())
 		state.Set(i, 1, rng.NormFloat64())
 	}
-	tm := m.cal.outputTransform(state)
+	tm := m.cal.outputTransform(state, newAttrScratch(2))
 	// apply and measure
 	var a, b []float64
 	for i := 0; i < n; i++ {
@@ -77,7 +77,7 @@ func TestOutputTransformIdentityFallbacks(t *testing.T) {
 	m := New(smallConfig(4, 2))
 	m.cal.attrCorrChol = nil
 	st := tensor.Randn(10, 2, 1, rand.New(rand.NewSource(2)))
-	tm := m.cal.outputTransform(st)
+	tm := m.cal.outputTransform(st, newAttrScratch(2))
 	want := []float64{1, 0, 0, 1}
 	for i := range want {
 		if tm[i] != want[i] {
@@ -85,8 +85,8 @@ func TestOutputTransformIdentityFallbacks(t *testing.T) {
 		}
 	}
 	// tiny row count must also fall back
-	m.cal.attrCorrChol = cholesky([]float64{1, 0, 0, 1}, 2)
-	tm = m.cal.outputTransform(tensor.Randn(2, 2, 1, rand.New(rand.NewSource(3))))
+	m.cal.attrCorrChol = cholesky(make([]float64, 4), []float64{1, 0, 0, 1}, 2)
+	tm = m.cal.outputTransform(tensor.Randn(2, 2, 1, rand.New(rand.NewSource(3))), newAttrScratch(2))
 	for i := range want {
 		if tm[i] != want[i] {
 			t.Fatalf("tiny input must give identity, got %v", tm)

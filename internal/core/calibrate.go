@@ -112,7 +112,7 @@ func newCalibration(g *dyngraph.Sequence) calibration {
 			}
 		}
 		c.attrCorr = corr
-		c.attrCorrChol = cholesky(tensor.NearestCorrelation(corr, g.F), g.F)
+		c.attrCorrChol = cholesky(make([]float64, g.F*g.F), tensor.NearestCorrelation(corr, g.F), g.F)
 		// Lag-1 autocorrelation per dimension: how much node attributes
 		// persist between consecutive snapshots. Matched at generation so
 		// the synthetic dynamics track the original's (Figs. 7-8).
@@ -289,8 +289,9 @@ func (c *calibration) composes() bool { return c != nil && c.attrMean != nil }
 // data's own attribute process.
 //
 // It writes the finished attributes into x and returns the updated latent
-// state for the next step. noise holds ξ, N×F column-major (element j·N+i).
-func (c *calibration) composeAttrs(x *tensor.Matrix, prevS *tensor.Matrix, noise []float64) *tensor.Matrix {
+// state for the next step. noise holds ξ, N×F column-major (element j·N+i);
+// sc is the request's F×F working set.
+func (c *calibration) composeAttrs(x *tensor.Matrix, prevS *tensor.Matrix, noise []float64, sc *attrScratch) *tensor.Matrix {
 	if !c.composes() {
 		return prevS
 	}
@@ -328,8 +329,8 @@ func (c *calibration) composeAttrs(x *tensor.Matrix, prevS *tensor.Matrix, noise
 	// standard-normal coordinates.
 	standardizeCols(state)
 	// Output correlation correction y = s·Tᵀ with T = L_x·L_s⁻¹.
-	tMat := c.outputTransform(state)
-	row := make([]float64, f)
+	tMat := c.outputTransform(state, sc)
+	row := sc.row
 	for i := 0; i < n; i++ {
 		srow := state.Row(i)
 		for a := 0; a < f; a++ {
@@ -392,21 +393,43 @@ func (c *calibration) marginalMap(j int, y float64) float64 {
 	return q[lo]*(1-frac) + q[lo+1]*frac
 }
 
+// attrScratch is composeAttrs' working set for one request: one output
+// row and the F×F matrices of the per-step output transform, so that an
+// attributed decode step allocates none of them. Each holds only the last
+// step's values; ident is the identity and is never written after
+// newAttrScratch.
+type attrScratch struct {
+	row, mean, sd                  []float64 // F
+	ident, cov, corr, chol, inv, t []float64 // F×F, row-major
+	near                           *tensor.CorrScratch
+}
+
+func newAttrScratch(f int) *attrScratch {
+	sq := func() []float64 { return make([]float64, f*f) }
+	sc := &attrScratch{
+		row: make([]float64, f), mean: make([]float64, f), sd: make([]float64, f),
+		ident: sq(), cov: sq(), corr: sq(), chol: sq(), inv: sq(), t: sq(),
+		near: tensor.NewCorrScratch(f),
+	}
+	for i := 0; i < f; i++ {
+		sc.ident[i*f+i] = 1
+	}
+	return sc
+}
+
 // outputTransform returns T = L_x·L_s⁻¹ where L_x is the Cholesky factor
 // of the training attribute correlation and L_s that of the state's
 // per-step empirical correlation (identity fallback for degenerate cases).
-func (c *calibration) outputTransform(state *tensor.Matrix) []float64 {
+// T is one of sc's buffers, valid until the next call on sc.
+func (c *calibration) outputTransform(state *tensor.Matrix, sc *attrScratch) []float64 {
 	n, f := state.Rows, state.Cols
-	ident := make([]float64, f*f)
-	for i := 0; i < f; i++ {
-		ident[i*f+i] = 1
-	}
 	if c.attrCorrChol == nil || f == 1 || n < 4 {
-		return ident
+		return sc.ident
 	}
 	// Empirical state correlation (state dims have ≈unit variance by
 	// construction, but normalise anyway for robustness).
-	mean := make([]float64, f)
+	mean := sc.mean
+	clear(mean)
 	for i := 0; i < n; i++ {
 		for j, v := range state.Row(i) {
 			mean[j] += v
@@ -415,7 +438,8 @@ func (c *calibration) outputTransform(state *tensor.Matrix) []float64 {
 	for j := range mean {
 		mean[j] /= float64(n)
 	}
-	cov := make([]float64, f*f)
+	cov := sc.cov
+	clear(cov)
 	for i := 0; i < n; i++ {
 		row := state.Row(i)
 		for a := 0; a < f; a++ {
@@ -424,23 +448,23 @@ func (c *calibration) outputTransform(state *tensor.Matrix) []float64 {
 			}
 		}
 	}
-	sd := make([]float64, f)
+	sd := sc.sd
 	for j := 0; j < f; j++ {
 		sd[j] = math.Sqrt(cov[j*f+j]/float64(n)) + 1e-12
 	}
-	corr := make([]float64, f*f)
+	corr := sc.corr
 	for a := 0; a < f; a++ {
 		for b := 0; b < f; b++ {
 			corr[a*f+b] = cov[a*f+b] / float64(n) / (sd[a] * sd[b])
 		}
 	}
-	ls := cholesky(tensor.NearestCorrelation(corr, f), f)
-	lsInv := invertLowerTriangular(ls, f)
+	ls := cholesky(sc.chol, sc.near.Nearest(corr), f)
+	lsInv := invertLowerTriangular(sc.inv, ls, f)
 	if lsInv == nil {
-		return ident
+		return sc.ident
 	}
 	// T = L_x · L_s⁻¹
-	t := make([]float64, f*f)
+	t := sc.t
 	for a := 0; a < f; a++ {
 		for b := 0; b < f; b++ {
 			acc := 0.0
@@ -472,12 +496,12 @@ func (c *calibration) encodeAttrs(st *ForecastState, snap *dyngraph.Snapshot, n,
 	}
 }
 
-// cholesky returns the lower-triangular factor L with LLᵀ = cov, adding
-// diagonal jitter until the factorisation succeeds.
-func cholesky(cov []float64, f int) []float64 {
+// cholesky writes into l (f×f) and returns the lower-triangular factor L
+// with LLᵀ = cov, adding diagonal jitter until the factorisation succeeds.
+func cholesky(l, cov []float64, f int) []float64 {
 	jitter := 0.0
 	for attempt := 0; attempt < 4; attempt++ { // jitter caps at 1e-4: beyond that the input is genuinely indefinite
-		l := make([]float64, f*f)
+		clear(l)
 		ok := true
 		for i := 0; i < f && ok; i++ {
 			for j := 0; j <= i; j++ {
@@ -509,7 +533,7 @@ func cholesky(cov []float64, f int) []float64 {
 		}
 	}
 	// Fall back to a diagonal factor.
-	l := make([]float64, f*f)
+	clear(l)
 	for i := 0; i < f; i++ {
 		v := cov[i*f+i]
 		if v < 0 {
@@ -521,9 +545,10 @@ func cholesky(cov []float64, f int) []float64 {
 }
 
 // invertLowerTriangular inverts a lower-triangular matrix by forward
-// substitution; returns nil when a diagonal entry is (near) zero.
-func invertLowerTriangular(l []float64, f int) []float64 {
-	inv := make([]float64, f*f)
+// substitution into inv (f×f); returns nil when a diagonal entry is (near)
+// zero.
+func invertLowerTriangular(inv, l []float64, f int) []float64 {
+	clear(inv)
 	for c := 0; c < f; c++ {
 		if math.Abs(l[c*f+c]) < 1e-12 {
 			return nil

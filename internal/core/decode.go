@@ -202,6 +202,11 @@ func (ps *pairScorer) fansOut(active []bool) bool {
 	return nActive*ps.stride >= decodeFanOutPairs
 }
 
+// helpersStarted counts the decode helpers wake has started since process
+// start: one tally per helper goroutine, read by the tests that check no
+// helper outlives its request.
+var helpersStarted atomic.Int64
+
 // wake rings every helper, starting them on first use, to join the
 // caller's next passes: a step's α and θ, preceded by its drawStep pass
 // when it draws at its start and followed by the next step's uniforms when
@@ -212,6 +217,7 @@ func (ps *pairScorer) wake(passes int) {
 		ps.bells = make([]chan struct{}, len(ps.workers)-1)
 		for h := range ps.bells {
 			ps.bells[h] = make(chan struct{}, 1)
+			helpersStarted.Add(1)
 			go ps.help(ps.workers[h+1], ps.bells[h])
 		}
 	}

@@ -129,7 +129,7 @@ func TestInvertLowerTriangular(t *testing.T) {
 		1, 3, 0,
 		4, 5, 6,
 	}
-	inv := invertLowerTriangular(l, 3)
+	inv := invertLowerTriangular(make([]float64, 9), l, 3)
 	if inv == nil {
 		t.Fatal("invertible matrix rejected")
 	}
@@ -149,7 +149,7 @@ func TestInvertLowerTriangular(t *testing.T) {
 			}
 		}
 	}
-	if invertLowerTriangular([]float64{0, 0, 1, 1}, 2) != nil {
+	if invertLowerTriangular(make([]float64, 4), []float64{0, 0, 1, 1}, 2) != nil {
 		t.Fatal("singular matrix must return nil")
 	}
 }
@@ -161,7 +161,7 @@ func TestCholeskyRecoversFactor(t *testing.T) {
 		1, 0.5,
 		0.5, 0.25 + 4,
 	}
-	got := cholesky(cov, 2)
+	got := cholesky(make([]float64, 4), cov, 2)
 	for i := range l {
 		if d := got[i] - l[i]; d > 1e-9 || d < -1e-9 {
 			t.Fatalf("cholesky = %v, want %v", got, l)
@@ -171,7 +171,7 @@ func TestCholeskyRecoversFactor(t *testing.T) {
 
 func TestCholeskyDegenerateFallsBack(t *testing.T) {
 	// A negative-definite input must still return a usable diagonal factor.
-	got := cholesky([]float64{-1, 0, 0, -1}, 2)
+	got := cholesky(make([]float64, 4), []float64{-1, 0, 0, -1}, 2)
 	if got == nil {
 		t.Fatal("fallback factor must not be nil")
 	}

@@ -140,6 +140,7 @@ func (m *Model) EncodeSnapshot(st *ForecastState, snap *dyngraph.Snapshot) error
 	if snap.X != nil && m.Cfg.F > 0 && snap.X.Cols != m.Cfg.F {
 		return fmt.Errorf("core: snapshot has %d attribute dims, model configured for %d", snap.X.Cols, m.Cfg.F)
 	}
+	inferenceStarts()
 	enc, cleanup := m.alignSnapshot(snap)
 
 	// ε_t, z_t = posterior mean, H_t = GRU([ε‖z‖fT(t)], H_{t-1}), on an

@@ -175,12 +175,14 @@ type genState struct {
 	zNoise    []float64 // N×d_z, row-major as sampleLatent reads it
 	next      *dyngraph.Snapshot
 	persisted float64
-	// composeAttrs' observation noise, N×F column-major (element j·N+i);
-	// nil when the model does not compose attributes.
+	// composeAttrs' observation noise, N×F column-major (element j·N+i),
+	// and its working set; nil when the model does not compose attributes.
 	xNoise []float64
+	attr   *attrScratch
 }
 
 func (m *Model) newGenState(opts GenOptions, recycle bool, init *ForecastState) *genState {
+	inferenceStarts()
 	n := m.Cfg.N
 	src := opts.Source
 	if src == nil {
@@ -205,6 +207,7 @@ func (m *Model) newGenState(opts GenOptions, recycle bool, init *ForecastState) 
 	}
 	if m.Cfg.F > 0 && st.cal.composes() {
 		st.xNoise = make([]float64, n*m.Cfg.F)
+		st.attr = newAttrScratch(m.Cfg.F)
 	}
 	for i := range st.active {
 		st.active[i] = true
@@ -355,7 +358,7 @@ func (st *genState) step(t int) *dyngraph.Snapshot {
 		dec := m.attrMLP.Apply(c, m.gat.Apply(c, s, esrc, edst, n))
 		x := tensor.Get(n, m.Cfg.F)
 		copy(x.Data, dec.Value.Data)
-		state := st.cal.composeAttrs(x, st.prevX, st.xNoise)
+		state := st.cal.composeAttrs(x, st.prevX, st.xNoise, st.attr)
 		if st.prevX != nil && state != st.prevX {
 			tensor.Put(st.prevX)
 		}

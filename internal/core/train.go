@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync/atomic"
 
 	"vrdag/internal/dyngraph"
 	"vrdag/internal/nn"
@@ -41,6 +42,26 @@ func (m *Model) Fit(g *dyngraph.Sequence, opts ...FitOption) (TrainStats, error)
 	return m.FitContext(context.Background(), g, opts...)
 }
 
+// fitReturned is set by every FitContext exit and cleared by the first
+// inference after it (inferenceStarts). While it is set the tensor arena
+// keeps its free buffers resident, so back-to-back fits reuse one another's
+// peak without a page fault.
+var fitReturned atomic.Bool
+
+// inferenceStarts runs where generation, streaming, forecasting and
+// prefix encoding start. The first of them after a Fit returns hands the
+// arena's free buffers back to the OS (tensor.ReleaseFree): a trained
+// model's requests need a small fraction of what training kept, and a
+// process that trains once and then serves would otherwise keep training's
+// peak resident for its whole life.
+func inferenceStarts() {
+	// Load first: EncodeSnapshot runs once per ingested snapshot, and even
+	// a failing CompareAndSwap takes the flag's cache line exclusively.
+	if fitReturned.Load() && fitReturned.CompareAndSwap(true, false) {
+		tensor.ReleaseFree()
+	}
+}
+
 // FitContext is Fit with cooperative cancellation, the same contract the
 // generation engine offers: ctx is checked once per epoch, before the
 // epoch starts, so a long training run started from tooling stops within
@@ -50,6 +71,7 @@ func (m *Model) Fit(g *dyngraph.Sequence, opts ...FitOption) (TrainStats, error)
 // generation-time calibration statistics of the final epoch were never
 // captured.
 func (m *Model) FitContext(ctx context.Context, g *dyngraph.Sequence, opts ...FitOption) (TrainStats, error) {
+	defer fitReturned.Store(true)
 	var o fitOpts
 	for _, opt := range opts {
 		opt(&o)

@@ -161,6 +161,8 @@ func (s *Server) renderProm(e *obs.Expo) {
 	e.Int("vrdag_tensor_pool_hits_total", nil, ps.Hits)
 	e.Family("vrdag_tensor_pool_puts_total", "Tensor arena buffer returns.", "counter")
 	e.Int("vrdag_tensor_pool_puts_total", nil, ps.Puts)
-	e.Family("vrdag_tensor_pool_retained_bytes", "Bytes retained on tensor arena free lists.", "gauge")
+	e.Family("vrdag_tensor_pool_retained_bytes", "Bytes retained on tensor arena free lists, resident and released.", "gauge")
 	e.Int("vrdag_tensor_pool_retained_bytes", nil, ps.RetainedBytes)
+	e.Family("vrdag_tensor_pool_released_bytes", "Bytes on tensor arena free lists whose pages went back to the OS.", "gauge")
+	e.Int("vrdag_tensor_pool_released_bytes", nil, ps.ReleasedBytes)
 }

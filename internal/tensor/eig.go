@@ -2,15 +2,14 @@ package tensor
 
 import "math"
 
-// SymEig computes the eigendecomposition of a symmetric n×n matrix
-// (row-major) with the cyclic Jacobi method: a = V·diag(w)·Vᵀ. It returns
-// the eigenvalues w and the eigenvector matrix V (columns are
-// eigenvectors). The input slice is not modified. Intended for the small
-// (F ≤ a few dozen) correlation matrices used in attribute calibration.
-func SymEig(a []float64, n int) (w []float64, v []float64) {
-	m := make([]float64, n*n)
-	copy(m, a)
-	v = make([]float64, n*n)
+// symEig computes the eigendecomposition of a symmetric n×n matrix m
+// (row-major) with the cyclic Jacobi method: m = V·diag(w)·Vᵀ. It works in
+// place, overwriting m, and writes the eigenvalues into w and the
+// eigenvector matrix V (columns are eigenvectors) into v. Intended for the
+// small (F ≤ a few dozen) correlation matrices used in attribute
+// calibration.
+func symEig(m, w, v []float64, n int) {
+	clear(v)
 	for i := 0; i < n; i++ {
 		v[i*n+i] = 1
 	}
@@ -56,11 +55,9 @@ func SymEig(a []float64, n int) (w []float64, v []float64) {
 			}
 		}
 	}
-	w = make([]float64, n)
 	for i := 0; i < n; i++ {
 		w[i] = m[i*n+i]
 	}
-	return w, v
 }
 
 // NearestCorrelation projects a symmetric matrix onto the set of valid
@@ -68,21 +65,42 @@ func SymEig(a []float64, n int) (w []float64, v []float64) {
 // diagonal is renormalised to one. Returns the projected matrix
 // (row-major n×n).
 func NearestCorrelation(a []float64, n int) []float64 {
+	return NewCorrScratch(n).Nearest(a)
+}
+
+// CorrScratch is NearestCorrelation's working set for one n, for a caller
+// that projects a matrix on every step: Nearest allocates nothing.
+type CorrScratch struct {
+	n               int
+	m, v, w, d, out []float64
+}
+
+// NewCorrScratch returns the working set for n×n projections.
+func NewCorrScratch(n int) *CorrScratch {
+	return &CorrScratch{
+		n: n,
+		m: make([]float64, n*n), v: make([]float64, n*n), out: make([]float64, n*n),
+		w: make([]float64, n), d: make([]float64, n),
+	}
+}
+
+// Nearest is NearestCorrelation(a, n), written into the scratch's own
+// output, which stays valid until the next call.
+func (s *CorrScratch) Nearest(a []float64) []float64 {
+	n, m, v, w, d, out := s.n, s.m, s.v, s.w, s.d, s.out
 	// symmetrize first
-	sym := make([]float64, n*n)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			sym[i*n+j] = (a[i*n+j] + a[j*n+i]) / 2
+			m[i*n+j] = (a[i*n+j] + a[j*n+i]) / 2
 		}
 	}
-	w, v := SymEig(sym, n)
+	symEig(m, w, v, n)
 	for i := range w {
 		if w[i] < 0 {
 			w[i] = 0
 		}
 	}
 	// reconstruct V diag(w) Vᵀ
-	out := make([]float64, n*n)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			acc := 0.0
@@ -93,7 +111,6 @@ func NearestCorrelation(a []float64, n int) []float64 {
 		}
 	}
 	// renormalise diagonal to 1 (guarding degenerate rows)
-	d := make([]float64, n)
 	for i := 0; i < n; i++ {
 		if out[i*n+i] > 1e-12 {
 			d[i] = 1 / math.Sqrt(out[i*n+i])

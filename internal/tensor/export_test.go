@@ -80,3 +80,12 @@ func Full(rows, cols int, v float64) *Matrix {
 	}
 	return m
 }
+
+// SymEig is symEig on a copy of a, into fresh w and v.
+func SymEig(a []float64, n int) (w []float64, v []float64) {
+	m := make([]float64, n*n)
+	copy(m, a)
+	w, v = make([]float64, n), make([]float64, n*n)
+	symEig(m, w, v, n)
+	return w, v
+}

@@ -15,12 +15,25 @@ import (
 // recycling the backing slices removes that load from the garbage
 // collector entirely once the pool is warm.
 //
-// Each size bucket is one mutex-guarded free list. A Get pops the most
-// recently freed buffer or, on an empty list, allocates; a Put pushes
+// Each size bucket is one mutex-guarded pair of free lists. A Get pops the
+// most recently freed buffer or, on empty lists, allocates; a Put pushes
 // until the bucket holds maxBucketBytes, after which the buffer is dropped
 // for the GC to reclaim. The critical sections are a slice pop or push,
 // so the lock is held for nanoseconds; BenchmarkArenaGetPut times the
 // round trip alone and with every core contending for one bucket.
+//
+// Retention follows the process's phase. The arena keeps every buffer it
+// is given, so training's next window, epoch or fit reuses its peak
+// without a page fault, until ReleaseFree, which package core calls at the
+// first inference after a fit. ReleaseFree hands the whole OS pages inside
+// every free buffer back to the kernel and moves the buffer to its
+// bucket's released list: it keeps its address and its place in the heap,
+// so the garbage collector paces exactly as before (the retained bytes are
+// part of the live heap it sizes its goal from), while the process's
+// resident set shrinks to what it touches again. Get pops the resident
+// list first and the released one second; a reused released buffer faults
+// in zero pages, which Get zeroes anyway and getUnzeroed's callers
+// overwrite.
 //
 // Ownership discipline:
 //
@@ -49,15 +62,16 @@ const (
 	maxBucketBytes = 1 << 25 // 32 MB per bucket
 )
 
-// bucketPool is one bucket's free list. Its traffic counters are plain
-// ints under the same lock rather than package-level atomics: Get and Put
-// take the lock anyway, and counters beside it measured faster in
-// BenchmarkArenaGetPut, most of all under contention, than three shared
-// atomics that every core writes.
+// bucketPool is one bucket's free lists: free holds resident buffers,
+// released those whose pages ReleaseFree handed back. Its traffic
+// counters are plain ints under the same lock rather than package-level
+// atomics: Get and Put take the lock anyway, and counters beside it
+// measured faster in BenchmarkArenaGetPut, most of all under contention,
+// than three shared atomics that every core writes.
 type bucketPool struct {
-	mu               sync.Mutex
-	free             [][]float64
-	gets, hits, puts int64
+	mu                         sync.Mutex
+	free, released             [][]float64
+	gets, hits, puts, releases int64
 }
 
 var (
@@ -155,11 +169,12 @@ func get(rows, cols int, zero bool) *Matrix {
 	var data []float64
 	bp.mu.Lock()
 	bp.gets++
-	if k := len(bp.free); k > 0 {
+	if len(bp.free) > 0 {
 		bp.hits++
-		data = bp.free[k-1]
-		bp.free[k-1] = nil
-		bp.free = bp.free[:k-1]
+		data = pop(&bp.free)
+	} else if len(bp.released) > 0 {
+		bp.hits++
+		data = pop(&bp.released)
 	}
 	bp.mu.Unlock()
 
@@ -176,6 +191,15 @@ func get(rows, cols int, zero bool) *Matrix {
 	m := matrixHeaders.Get().(*Matrix)
 	m.Rows, m.Cols, m.Data = rows, cols, data[:n]
 	return m
+}
+
+// pop removes and returns the last buffer of a non-empty free list.
+func pop(list *[][]float64) []float64 {
+	k := len(*list) - 1
+	buf := (*list)[k]
+	(*list)[k] = nil
+	*list = (*list)[:k]
+	return buf
 }
 
 // Put returns m's buffer to the arena. The caller relinquishes the buffer:
@@ -206,10 +230,35 @@ func Put(m *Matrix) {
 	bp := &arena[b-minBucketBits]
 	bp.mu.Lock()
 	bp.puts++
-	if (len(bp.free)+1)*c*8 <= maxBucketBytes {
+	if (len(bp.free)+len(bp.released)+1)*c*8 <= maxBucketBytes {
 		bp.free = append(bp.free, buf)
 	}
 	bp.mu.Unlock()
+}
+
+// ReleaseFree hands the pages of every buffer on the resident free lists
+// back to the OS and moves each buffer to its bucket's released list (see
+// the file comment). A buffer whose pages the OS would not take stays
+// resident; where the arena cannot release pages at all (releasePages'
+// fallback) nothing moves. Each bucket is locked while its list is
+// released, so a concurrent Get of that size waits rather than allocating.
+func ReleaseFree() {
+	for i := range arena {
+		bp := &arena[i]
+		bp.mu.Lock()
+		kept := bp.free[:0]
+		for _, buf := range bp.free {
+			if releasePages(buf) {
+				bp.released = append(bp.released, buf)
+				bp.releases++
+			} else {
+				kept = append(kept, buf)
+			}
+		}
+		clear(bp.free[len(kept):])
+		bp.free = kept
+		bp.mu.Unlock()
+	}
 }
 
 // PoolStats is a snapshot of the arena counters; exposed so serving-layer
@@ -218,7 +267,9 @@ type PoolStats struct {
 	Gets          int64 // pool allocations requested since process start
 	Hits          int64 // requests served by recycling a buffer
 	Puts          int64 // buffers returned
-	RetainedBytes int64 // bytes currently held on free lists
+	Releases      int64 // buffers ReleaseFree moved to a released list since process start
+	RetainedBytes int64 // bytes currently held on free lists, resident and released
+	ReleasedBytes int64 // the part of RetainedBytes on released lists
 	LiveBytes     int64 // bytes of bucketed buffers currently checked out
 	PeakLiveBytes int64 // high-water mark of LiveBytes (ResetPoolPeakLive rewinds)
 }
@@ -235,7 +286,10 @@ func ReadPoolStats() PoolStats {
 		s.Gets += bp.gets
 		s.Hits += bp.hits
 		s.Puts += bp.puts
-		s.RetainedBytes += int64(len(bp.free)) * int64(8<<(i+minBucketBits))
+		s.Releases += bp.releases
+		size := int64(8 << (i + minBucketBits))
+		s.RetainedBytes += int64(len(bp.free)+len(bp.released)) * size
+		s.ReleasedBytes += int64(len(bp.released)) * size
 		bp.mu.Unlock()
 	}
 	return s

@@ -3,6 +3,7 @@ package tensor
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -402,5 +403,116 @@ func TestOpPanicLeavesArenaBalanced(t *testing.T) {
 				t.Errorf("arena gets %d, puts %d across the panic", gets, puts)
 			}
 		})
+	}
+}
+
+// poison fills a matrix's whole buffer, past its length to its capacity,
+// with NaN and returns it to the arena.
+func poison(m *Matrix) {
+	buf := m.Data[:cap(m.Data)]
+	for i := range buf {
+		buf[i] = math.NaN()
+	}
+	Put(m)
+}
+
+// TestReleaseFreePoisonedBuffers: a buffer its last owner filled with NaN
+// and the arena then released comes back zeroed from Get, and GemmNT's
+// unzeroed transpose scratch drawn from a released list is overwritten
+// whole. A released buffer is mixed: its whole pages read as zeros, the
+// partial pages at its ends keep the NaNs, and a buffer under a page keeps
+// them all. The shapes cover each case.
+func TestReleaseFreePoisonedBuffers(t *testing.T) {
+	for _, sh := range [][2]int{{13, 7}, {64, 64}, {300, 301}} {
+		poison(Get(sh[0], sh[1]))
+		ReleaseFree()
+		if s := ReadPoolStats(); runtime.GOOS == "linux" && s.ReleasedBytes != s.RetainedBytes {
+			t.Fatalf("after ReleaseFree %d of %d retained bytes are released, want all", s.ReleasedBytes, s.RetainedBytes)
+		}
+		m := Get(sh[0], sh[1])
+		for i, v := range m.Data {
+			if v != 0 {
+				t.Fatalf("%dx%d from a released list: entry %d = %v, want 0", sh[0], sh[1], i, v)
+			}
+		}
+		Put(m)
+	}
+	nt := gemmVariants[2]
+	for _, bk := range diffBackends() {
+		t.Run(bk.Name(), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(11))
+			for _, sh := range [][3]int{{94, 16, 16}, {945, 16, 28}, {2, 590, 16}, {2, 6150, 16}, {17, 13, 30}} {
+				m, k, n := sh[0], sh[1], sh[2]
+				a, b := New(m, k), New(n, k)
+				fillMixed(a.Data, rng)
+				fillMixed(b.Data, rng)
+				want, got := New(m, n), New(m, n)
+				fillMixed(want.Data, rng)
+				copy(got.Data, want.Data)
+				nt.call(pureBackend{}, want, a, b)
+				poison(Get(k, n))
+				ReleaseFree()
+				nt.call(bk, got, a, b)
+				if i, ok := sameBits(want.Data, got.Data); !ok {
+					t.Fatalf("GemmNT %dx%dx%d on released poisoned scratch: out[%d] = %v, reference %v",
+						m, k, n, i, got.Data[i], want.Data[i])
+				}
+			}
+		})
+	}
+}
+
+// TestReleaseFreeKeepsArenaBalanced: a release moves buffers from a
+// bucket's resident list to its released list and changes nothing else.
+// Retained and live bytes hold across it, the released buffers are handed
+// out again before the arena allocates, and gets and puts balance.
+func TestReleaseFreeKeepsArenaBalanced(t *testing.T) {
+	shapes := [][2]int{{13, 7}, {64, 64}, {300, 301}}
+	const per = 6
+	before := ReadPoolStats()
+	var ms []*Matrix
+	for _, sh := range shapes {
+		for i := 0; i < per; i++ {
+			ms = append(ms, Get(sh[0], sh[1]))
+		}
+	}
+	for _, m := range ms {
+		Put(m)
+	}
+	put := ReadPoolStats()
+	ReleaseFree()
+	rel := ReadPoolStats()
+	if rel.RetainedBytes != put.RetainedBytes || rel.LiveBytes != put.LiveBytes {
+		t.Fatalf("release moved retained %d → %d, live %d → %d; want both unchanged",
+			put.RetainedBytes, rel.RetainedBytes, put.LiveBytes, rel.LiveBytes)
+	}
+	if runtime.GOOS == "linux" {
+		if rel.ReleasedBytes != rel.RetainedBytes || rel.Releases-put.Releases < int64(len(ms)) {
+			t.Fatalf("released %d of %d retained bytes in %d buffers; want all, at least %d buffers",
+				rel.ReleasedBytes, rel.RetainedBytes, rel.Releases-put.Releases, len(ms))
+		}
+	}
+	ms = ms[:0]
+	for _, sh := range shapes {
+		for i := 0; i < per; i++ {
+			ms = append(ms, Get(sh[0], sh[1]))
+		}
+	}
+	got := ReadPoolStats()
+	if hits := got.Hits - rel.Hits; hits != int64(len(ms)) {
+		t.Fatalf("%d of %d gets after the release reused a buffer, want all", hits, len(ms))
+	}
+	if runtime.GOOS == "linux" && got.ReleasedBytes >= rel.ReleasedBytes {
+		t.Fatalf("released bytes %d → %d across the gets, want them reused", rel.ReleasedBytes, got.ReleasedBytes)
+	}
+	for _, m := range ms {
+		Put(m)
+	}
+	after := ReadPoolStats()
+	if gets, puts := after.Gets-before.Gets, after.Puts-before.Puts; gets != puts {
+		t.Fatalf("%d gets vs %d puts across the release", gets, puts)
+	}
+	if after.LiveBytes != before.LiveBytes || after.RetainedBytes != put.RetainedBytes {
+		t.Fatalf("live %d → %d, retained %d → %d; want both back", before.LiveBytes, after.LiveBytes, put.RetainedBytes, after.RetainedBytes)
 	}
 }
