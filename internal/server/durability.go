@@ -10,8 +10,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -93,9 +91,9 @@ type sessionSnap struct {
 // handler's reload and its read-lock; the client retries.
 var errSpilled = errors.New("session spilled to disk mid-request; retry")
 
-// durStats aggregates durability counters for /metrics. Fsync latencies
-// land in a bounded ring so percentiles reflect recent behaviour without
-// unbounded memory.
+// durStats aggregates durability counters for /metrics. Fsync latency is
+// a fixed-bucket histogram updated with atomic adds, like the endpoint
+// latencies in stats.go.
 type durStats struct {
 	walAppends atomic.Int64
 	snapshots  atomic.Int64
@@ -104,43 +102,17 @@ type durStats struct {
 	spills     atomic.Int64
 	reloads    atomic.Int64
 
-	mu         sync.Mutex
-	fsyncCount int64
-	ring       []time.Duration
-	pos        int
+	fsyncNS      atomic.Int64 // summed fsync latency in nanoseconds
+	fsyncBuckets [len(fsyncBucketsMS) + 1]atomic.Int64
 }
 
-// fsyncRing bounds the latency samples kept for percentile estimates.
-const fsyncRing = 4096
+// fsyncBucketsMS are the fsync histogram's upper bounds in milliseconds,
+// from a page-cache sync on tmpfs to a stalled disk.
+var fsyncBucketsMS = [...]float64{0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100}
 
 func (d *durStats) observeFsync(e time.Duration) {
-	d.mu.Lock()
-	if len(d.ring) < fsyncRing {
-		d.ring = append(d.ring, e)
-	} else {
-		d.ring[d.pos] = e
-		d.pos = (d.pos + 1) % fsyncRing
-	}
-	d.fsyncCount++
-	d.mu.Unlock()
-}
-
-// fsyncQuantiles reports the sample count and the p50/p99 of the recent
-// fsync latency window, in milliseconds.
-func (d *durStats) fsyncQuantiles() (count int64, p50, p99 float64) {
-	d.mu.Lock()
-	count = d.fsyncCount
-	buf := append([]time.Duration(nil), d.ring...)
-	d.mu.Unlock()
-	if len(buf) == 0 {
-		return count, 0, 0
-	}
-	sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
-	q := func(p float64) float64 {
-		i := int(p*float64(len(buf)-1) + 0.5)
-		return float64(buf[i].Microseconds()) / 1000
-	}
-	return count, q(0.50), q(0.99)
+	d.fsyncNS.Add(e.Nanoseconds())
+	d.fsyncBuckets[bucketOf(fsyncBucketsMS[:], e)].Add(1)
 }
 
 // durable reports whether session persistence is enabled.
@@ -719,10 +691,7 @@ type DurabilityStats struct {
 	ResidentSessions int
 	SpilledSessions  int
 
-	// Fsync latency over a bounded window of recent WAL appends.
-	FsyncCount int64
-	FsyncP50MS float64
-	FsyncP99MS float64
+	FsyncCount int64 // WAL fsyncs performed; their latencies are vrdag_fsync_duration_ms
 }
 
 // durabilityStats renders the durability counters for /metrics.
@@ -743,7 +712,10 @@ func (s *Server) durabilityStats() *DurabilityStats {
 		}
 		fs.mu.RUnlock()
 	}
-	count, p50, p99 := s.dur.fsyncQuantiles()
+	fsyncs := int64(0)
+	for i := range s.dur.fsyncBuckets {
+		fsyncs += s.dur.fsyncBuckets[i].Load()
+	}
 	return &DurabilityStats{
 		Degraded:         s.degraded.Load(),
 		WALAppends:       s.dur.walAppends.Load(),
@@ -754,8 +726,6 @@ func (s *Server) durabilityStats() *DurabilityStats {
 		Reloads:          s.dur.reloads.Load(),
 		ResidentSessions: resident,
 		SpilledSessions:  spilled,
-		FsyncCount:       count,
-		FsyncP50MS:       p50,
-		FsyncP99MS:       p99,
+		FsyncCount:       fsyncs,
 	}
 }

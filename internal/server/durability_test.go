@@ -296,6 +296,9 @@ func TestIngestDegradedReadOnly(t *testing.T) {
 	if appends < 1 || fsyncs < 1 {
 		t.Fatalf("wal_appends=%v fsyncs=%v, want both >= 1 from the healthy phase", appends, fsyncs)
 	}
+	if n := promSample(t, text, "vrdag_fsync_duration_ms_count"); n != fsyncs {
+		t.Fatalf("vrdag_fsync_duration_ms_count = %v, want vrdag_fsync_total's %v", n, fsyncs)
+	}
 }
 
 // TestSpillReloadForecastIdentity: the MaxResident cap spills the

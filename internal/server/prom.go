@@ -66,12 +66,8 @@ func (s *Server) renderProm(e *obs.Expo) {
 	e.Family("vrdag_http_request_duration_ms", "Request latency in milliseconds, by endpoint path.", "histogram")
 	for _, p := range paths {
 		st := s.endpointStats[p]
-		per := make([]int64, len(st.buckets))
-		for i := range st.buckets {
-			per[i] = st.buckets[i].Load()
-		}
 		e.Histogram("vrdag_http_request_duration_ms", []obs.L{{K: "path", V: p}},
-			latencyBucketsMS[:], per, float64(st.totalUS.Load())/1000)
+			latencyBucketsMS[:], loadBuckets(st.buckets[:]), float64(st.totalUS.Load())/1000)
 	}
 
 	if tenants := s.tenantStats(); len(tenants) > 0 {
@@ -120,10 +116,9 @@ func (s *Server) renderProm(e *obs.Expo) {
 		e.Int("vrdag_sessions_spilled", nil, int64(d.SpilledSessions))
 		e.Family("vrdag_fsync_total", "WAL fsyncs performed.", "counter")
 		e.Int("vrdag_fsync_total", nil, d.FsyncCount)
-		e.Family("vrdag_fsync_p50_ms", "Median fsync latency over the recent window, in milliseconds.", "gauge")
-		e.Sample("vrdag_fsync_p50_ms", nil, d.FsyncP50MS)
-		e.Family("vrdag_fsync_p99_ms", "p99 fsync latency over the recent window, in milliseconds.", "gauge")
-		e.Sample("vrdag_fsync_p99_ms", nil, d.FsyncP99MS)
+		e.Family("vrdag_fsync_duration_ms", "WAL fsync latency in milliseconds.", "histogram")
+		e.Histogram("vrdag_fsync_duration_ms", nil, fsyncBucketsMS[:],
+			loadBuckets(s.dur.fsyncBuckets[:]), float64(s.dur.fsyncNS.Load())/1e6)
 	}
 
 	ts := s.tracer.Stats()
