@@ -6,8 +6,14 @@
 //	vrdag-bench -exp all  -scale 0.02 -epochs 5
 //
 // Experiments: table1 table2 fig3 fig4 fig7 fig9 fig9sweep table3 table4
-// fig10 ablation all. Scale 1 reproduces the Table-I dataset sizes (slow
-// on CPU); smaller scales preserve the comparative shapes.
+// fig10 params ablation all. Scale 1 reproduces the Table-I dataset sizes
+// (slow on CPU); smaller scales preserve the comparative shapes.
+//
+// TIGGER, TG-GAN and TagGen are model-free walk skeletons of the
+// originals' sampling, labelled "walk skeleton" in every table. Fig. 9 and
+// Tables III/IV print measured seconds beside counted multiply-adds: the
+// skeletons' seconds time their sampling alone, and their work column
+// counts the networks the originals would run, which nothing here runs.
 //
 // Performance is measured by the benchmark in bench/ (go run -C bench .),
 // not by this command.
@@ -103,7 +109,7 @@ func main() {
 		})
 	}
 	if want("fig9") {
-		run("Figure 9(a,b) — training/generation time", func() error {
+		run("Figure 9(a,b) — training/generation time and work", func() error {
 			rows, err := experiments.Figure9(o)
 			if err != nil {
 				return err
@@ -113,12 +119,12 @@ func main() {
 		})
 	}
 	if want("fig9sweep") {
-		run("Figure 9(c,d) — time vs timesteps (Bitcoin)", func() error {
+		run("Figure 9(c,d) — time and work vs timesteps (Bitcoin)", func() error {
 			rows, err := experiments.Figure9Sweep(o)
 			if err != nil {
 				return err
 			}
-			experiments.PrintSweep(w, rows)
+			experiments.PrintTimings(w, rows)
 			return nil
 		})
 	}
@@ -132,7 +138,7 @@ func main() {
 			if err != nil {
 				return err
 			}
-			experiments.PrintScale(w, rows)
+			experiments.PrintTimings(w, rows)
 			return nil
 		})
 	}

@@ -28,7 +28,7 @@ func trainSeq(t *testing.T) *dyngraph.Sequence {
 
 func allGens() []baselines.Generator {
 	return []baselines.Generator{
-		taggen.New(taggen.Config{Seed: 1, TrainFactor: 1, DiscHidden: 32}),
+		taggen.New(taggen.Config{Seed: 1, TrainFactor: 1}),
 		tggan.New(tggan.Config{Seed: 2}),
 		tigger.New(tigger.Config{Seed: 3}),
 		dymond.New(dymond.Config{Seed: 4}),
@@ -77,7 +77,7 @@ func TestAllBaselinesFitGenerateContract(t *testing.T) {
 func TestWalkBaselinesMatchDensity(t *testing.T) {
 	g := trainSeq(t)
 	for _, gen := range []baselines.Generator{
-		taggen.New(taggen.Config{Seed: 11, TrainFactor: 1, DiscHidden: 32}),
+		taggen.New(taggen.Config{Seed: 11, TrainFactor: 1}),
 		tggan.New(tggan.Config{Seed: 12}),
 		tigger.New(tigger.Config{Seed: 13}),
 	} {

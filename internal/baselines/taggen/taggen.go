@@ -1,21 +1,25 @@
-// Package taggen reimplements the algorithmic skeleton of TagGen (Zhou et
-// al., KDD 2020), the first data-driven dynamic graph generator: sample a
-// large pool of temporal random walks, score each candidate walk with a
-// discriminator, and merge the accepted walks into synthetic snapshots.
+// Package taggen reimplements the sampling skeleton of TagGen (Zhou et al.,
+// KDD 2020), the first data-driven dynamic graph generator, without its
+// network: sample a large pool of temporal random walks, score each
+// candidate walk, and merge the accepted walks into synthetic snapshots.
 //
-// The original discriminator is a transformer trained adversarially; here
-// it is a fixed transformer-scale network (walker.NeuralScorer) combined
-// with an empirical endpoint-frequency test, which exercises the identical
-// generate→discriminate→merge loop and preserves TagGen's characteristic
-// cost profile: every candidate walk pays a neural forward pass, the walk
-// pool scales with the number of temporal edges M, oversampling proposes
-// several candidates per accepted walk, and rejections force extra rounds.
+// The original scores walks with a transformer discriminator trained
+// adversarially. Here a walk's score is its empirical endpoint
+// log-likelihood alone, and a candidate is accepted when that score
+// reaches the (1 − AcceptRate) quantile of the real training walks'
+// scores. The discriminator is counted, not run. Work reports its
+// multiply-adds by the rules of a per-edge MLP of input width 16, hidden
+// width 192 and four hidden blocks: in·h + 4h² + h per scored walk edge,
+// so every oversampled and every rejected candidate counts. Fit counts
+// one forward per training walk; the original trains for many epochs, so
+// the fit count is a lower bound on its training.
 package taggen
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"vrdag/internal/baselines/walker"
 	"vrdag/internal/dyngraph"
@@ -28,9 +32,16 @@ type Config struct {
 	AcceptRate  float64 // discriminator acceptance quantile (default 0.6)
 	MaxRounds   int     // sampling rounds before giving up (default 40)
 	Oversample  int     // candidate walks proposed per accepted walk (default 10)
-	DiscHidden  int     // discriminator width (default 192, four hidden blocks)
 	Seed        int64
 }
+
+// The counted discriminator's shape, and its multiply-adds per walk edge.
+const (
+	in       = 16
+	hidden   = 192
+	blocks   = 4
+	edgeWork = in*hidden + blocks*hidden*hidden + hidden
+)
 
 func (c Config) withDefaults() Config {
 	if c.WalkLen == 0 {
@@ -48,9 +59,6 @@ func (c Config) withDefaults() Config {
 	if c.Oversample == 0 {
 		c.Oversample = 10
 	}
-	if c.DiscHidden == 0 {
-		c.DiscHidden = 192
-	}
 	return c
 }
 
@@ -62,26 +70,29 @@ type Gen struct {
 	ix        *walker.Index
 	outFreq   []float64 // empirical source frequency per node
 	inFreq    []float64 // empirical destination frequency per node
-	disc      *walker.NeuralScorer
-	threshold float64 // discriminator acceptance threshold
+	threshold float64   // acceptance threshold on a walk's score
 	f         int
+
+	fitWork, genWork int64 // counted multiply-adds of the last Fit and Generate
 }
 
 // New creates an unfitted TagGen baseline.
 func New(cfg Config) *Gen {
 	cfg = cfg.withDefaults()
-	return &Gen{
-		cfg:  cfg,
-		rng:  rand.New(rand.NewSource(cfg.Seed)),
-		disc: walker.NewNeuralScorer(16, cfg.DiscHidden, 4, cfg.Seed+1),
-	}
+	return &Gen{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
 }
 
 // Name implements baselines.Generator.
 func (g *Gen) Name() string { return "TagGen" }
 
-// Fit samples the training walk pool and calibrates the discriminator.
+// Work reports the multiply-adds the original's discriminator would spend
+// on the last Fit and the last Generate (see the package comment).
+func (g *Gen) Work() (fit, gen int64) { return g.fitWork, g.genWork }
+
+// Fit samples the training walk pool and calibrates the acceptance
+// threshold, counting one discriminator forward per walk edge.
 func (g *Gen) Fit(seq *dyngraph.Sequence) error {
+	g.fitWork = 0
 	g.ix = walker.BuildIndex(seq)
 	if g.ix.M() == 0 {
 		return fmt.Errorf("taggen: cannot fit on an edgeless sequence")
@@ -100,7 +111,7 @@ func (g *Gen) Fit(seq *dyngraph.Sequence) error {
 		g.inFreq[i] /= total
 	}
 
-	// "Training": sample the walk pool the transformer would be trained
+	// "Training": sample the walk pool the discriminator would be trained
 	// on and calibrate the acceptance threshold to the configured
 	// quantile of real-walk scores.
 	nWalks := int(g.cfg.TrainFactor * float64(g.ix.M()) / float64(g.cfg.WalkLen))
@@ -112,6 +123,7 @@ func (g *Gen) Fit(seq *dyngraph.Sequence) error {
 		w := g.ix.Walk(g.cfg.WalkLen, false, g.rng)
 		if len(w) > 0 {
 			scores = append(scores, g.score(w))
+			g.fitWork += int64(len(w)) * edgeWork
 		}
 	}
 	if len(scores) == 0 {
@@ -121,12 +133,10 @@ func (g *Gen) Fit(seq *dyngraph.Sequence) error {
 	return nil
 }
 
-// score computes a walk's discriminator statistic: the transformer-scale
-// neural forward pass over the walk (the dominant cost, as in the
-// original) combined with the empirical endpoint log-likelihood that
-// keeps the decision statistically grounded.
+// score is a walk's mean endpoint log-likelihood under the empirical
+// source and destination frequencies.
 func (g *Gen) score(w []walker.TemporalEdge) float64 {
-	s := g.disc.ScoreWalk(w)
+	s := 0.0
 	for _, e := range w {
 		s += (math.Log(g.outFreq[e.U]+1e-9) + math.Log(g.inFreq[e.V]+1e-9)) / float64(len(w))
 	}
@@ -146,18 +156,20 @@ func (g *Gen) Generate(t int) (*dyngraph.Sequence, error) {
 	if targetEdges < 1 {
 		targetEdges = 1
 	}
+	g.genWork = 0
 	var accepted [][]walker.TemporalEdge
 	edges := 0
 	for round := 0; round < g.cfg.MaxRounds && edges < targetEdges; round++ {
 		// Each round proposes an oversampled batch proportional to the
 		// remaining quota: the discriminator sees every candidate and
-		// rejects most, which is where TagGen's generation time goes.
+		// rejects most, which is where the original's generation time goes.
 		batch := ((targetEdges-edges)/g.cfg.WalkLen + 4) * g.cfg.Oversample
 		for i := 0; i < batch; i++ {
 			w := g.ix.Walk(g.cfg.WalkLen, false, g.rng)
 			if len(w) == 0 {
 				continue
 			}
+			g.genWork += int64(len(w)) * edgeWork
 			if g.score(w) >= g.threshold { // discriminator gate
 				accepted = append(accepted, w)
 				edges += len(w)
@@ -185,13 +197,11 @@ func rescaleTime(walks [][]walker.TemporalEdge, n, tOrig, tNew, f int) *dyngraph
 	return walker.Assemble(n, tNew, f, scaled)
 }
 
+// quantile returns the element at rank ⌊q·(n−1)⌋ of vals sorted
+// ascending, leaving vals as it was. The scores are finite, so the order
+// is total.
 func quantile(vals []float64, q float64) float64 {
-	s := append([]float64(nil), vals...)
-	for i := 1; i < len(s); i++ { // insertion sort: pools are modest
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-	idx := int(q * float64(len(s)-1))
-	return s[idx]
+	s := slices.Clone(vals)
+	slices.Sort(s)
+	return s[int(q*float64(len(s)-1))]
 }

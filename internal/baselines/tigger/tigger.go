@@ -1,11 +1,15 @@
-// Package tigger reimplements the algorithmic skeleton of TIGGER (Gupta et
-// al., AAAI 2022), the most scalable temporal random-walk generator: a
-// transition model is fitted once (the original pre-trains an RNN over
-// temporal point processes), and generation samples walks from the fitted
-// model without per-step temporal filtering or discrimination. Per-walk
-// cost is therefore the lowest of the walk family, matching the paper's
-// efficiency ordering, while generation still pays the O(M·l′) path
-// sampling + merging cost that VRDAG's one-shot decoding avoids.
+// Package tigger reimplements the sampling skeleton of TIGGER (Gupta et
+// al., AAAI 2022), the most scalable temporal random-walk generator,
+// without its network: a first-order transition model is fitted once, and
+// generation samples walks from it without per-step temporal filtering or
+// discrimination, then merges them into snapshots.
+//
+// The original's recurrent walker is counted, not run. Work reports its
+// multiply-adds by the rules of a per-edge MLP of input width 16, hidden
+// width 128 and one hidden block: in·h + h² + h per walk edge, plus an h·N
+// projection onto the node vocabulary per generated walk step. Fit counts
+// one forward per training walk; the original trains for many epochs, so
+// the fit count is a lower bound on its training.
 package tigger
 
 import (
@@ -20,9 +24,16 @@ import (
 type Config struct {
 	WalkLen     int     // walk length l′ (default 6)
 	TrainFactor float64 // pre-training walks per temporal edge (default 2)
-	RNNHidden   int     // recurrent walker width (default 128)
 	Seed        int64
 }
+
+// The counted recurrent walker's shape, and its multiply-adds per walk edge.
+const (
+	in       = 16
+	hidden   = 128
+	blocks   = 1
+	edgeWork = in*hidden + blocks*hidden*hidden + hidden
+)
 
 func (c Config) withDefaults() Config {
 	if c.WalkLen == 0 {
@@ -30,9 +41,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TrainFactor == 0 {
 		c.TrainFactor = 2
-	}
-	if c.RNNHidden == 0 {
-		c.RNNHidden = 128
 	}
 	return c
 }
@@ -43,25 +51,28 @@ type Gen struct {
 	rng *rand.Rand
 	ix  *walker.Index
 	tm  *walker.TransitionModel
-	net *walker.NeuralScorer // stand-in for the recurrent walker forward
+
+	fitWork, genWork int64 // counted multiply-adds of the last Fit and Generate
 }
 
 // New creates an unfitted TIGGER baseline.
 func New(cfg Config) *Gen {
 	cfg = cfg.withDefaults()
-	return &Gen{
-		cfg: cfg,
-		rng: rand.New(rand.NewSource(cfg.Seed)),
-		net: walker.NewNeuralScorer(16, cfg.RNNHidden, 1, cfg.Seed+1),
-	}
+	return &Gen{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
 }
 
 // Name implements baselines.Generator.
 func (g *Gen) Name() string { return "TIGGER" }
 
-// Fit builds the transition model (one pass) and runs the pre-training
-// walk sampling the original uses to train its recurrent walker.
+// Work reports the multiply-adds the original's recurrent walker would
+// spend on the last Fit and the last Generate (see the package comment).
+func (g *Gen) Work() (fit, gen int64) { return g.fitWork, g.genWork }
+
+// Fit builds the transition model (one pass) and samples the pre-training
+// walks the original trains its recurrent walker on, counting one forward
+// per walk edge.
 func (g *Gen) Fit(seq *dyngraph.Sequence) error {
+	g.fitWork = 0
 	g.ix = walker.BuildIndex(seq)
 	if g.ix.M() == 0 {
 		return fmt.Errorf("tigger: cannot fit on an edgeless sequence")
@@ -69,8 +80,7 @@ func (g *Gen) Fit(seq *dyngraph.Sequence) error {
 	g.tm = walker.FitTransitions(g.ix)
 	nWalks := int(g.cfg.TrainFactor * float64(g.ix.M()) / float64(g.cfg.WalkLen))
 	for i := 0; i < nWalks; i++ {
-		w := g.tm.Walk(g.cfg.WalkLen, g.rng)
-		g.net.ScoreWalk(w) // RNN forward per pre-training walk
+		g.fitWork += int64(len(g.tm.Walk(g.cfg.WalkLen, g.rng))) * edgeWork
 	}
 	return nil
 }
@@ -87,6 +97,7 @@ func (g *Gen) Generate(t int) (*dyngraph.Sequence, error) {
 	if targetEdges < 1 {
 		targetEdges = 1
 	}
+	g.genWork = 0
 	var walks [][]walker.TemporalEdge
 	edges := 0
 	guard := 0
@@ -98,10 +109,7 @@ func (g *Gen) Generate(t int) (*dyngraph.Sequence, error) {
 		}
 		// Recurrent forward plus next-node logits over the vocabulary:
 		// the two per-step costs of the original's generation loop.
-		for _, e := range w {
-			g.net.ScoreEdge(e.U, e.V, e.T)
-			g.net.VocabProject(g.ix.N)
-		}
+		g.genWork += int64(len(w)) * (edgeWork + hidden*int64(g.ix.N))
 		if t != g.ix.T {
 			for j := range w {
 				w[j].T = w[j].T * t / g.ix.T

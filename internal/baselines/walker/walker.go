@@ -1,7 +1,9 @@
 // Package walker provides the temporal random-walk machinery shared by the
 // walk-based baselines (TagGen, TGGAN, TIGGER). A temporal walk is a
 // sequence of edges with non-decreasing timestamps; the samplers here
-// mirror the sampling strategies those papers build on.
+// mirror the sampling strategies those papers build on. Nothing here is
+// neural: each baseline counts the multiply-adds its original's network
+// would spend on the walks these samplers draw, and runs none of them.
 package walker
 
 import (

@@ -6,8 +6,8 @@
 //	Fig. 3     — attribute JSD / EMD (VRDAG vs GenCAT vs Normal)
 //	Figs. 4-6  — temporal structure differences (degree/clustering/coreness)
 //	Figs. 7-8  — temporal attribute differences (MAE/RMSE)
-//	Fig. 9     — training/generation wall time (+ timestep sweep)
-//	Tables III/IV — scalability against temporal edge count
+//	Fig. 9     — training/generation wall time and counted work (+ timestep sweep)
+//	Tables III/IV — the same against temporal edge count
 //	Fig. 10    — downstream augmentation case study
 //	Ablations  — bi-flow, mixture size, SCE, Time2Vec (Appendix A-E)
 //
@@ -310,12 +310,19 @@ func Figures7to8(o Options) ([]DiffSeries, error) {
 	return out, nil
 }
 
-// TimingRow is one dataset×method wall-time measurement (Fig. 9a-b).
+// TimingRow is one dataset×method cost measurement of Fig. 9 and Tables
+// III/IV: measured wall time beside counted work. The walk skeletons
+// (TIGGER, TG-GAN, TagGen) run none of the network their work counts, so
+// their seconds time the walk sampling alone.
 type TimingRow struct {
 	Dataset  string
 	Method   string
+	T        int // snapshots generated
+	Edges    int // temporal edges of the training sequence
 	TrainSec float64
 	GenSec   float64
+	FitWork  int64 // multiply-adds counted for the fit
+	GenWork  int64 // multiply-adds counted for the generation
 	Err      error
 }
 
@@ -329,7 +336,7 @@ func efficiencyGenerators(o Options) []baselines.Generator {
 	}
 }
 
-// Figure9 measures training and generation wall time on every dataset.
+// Figure9 measures training and generation cost on every dataset.
 func Figure9(o Options) ([]TimingRow, error) {
 	o = o.withDefaults()
 	var rows []TimingRow
@@ -345,8 +352,10 @@ func Figure9(o Options) ([]TimingRow, error) {
 	return rows, nil
 }
 
+// timeOne fits gen on orig and generates t snapshots, timing both and
+// reading their counted work.
 func timeOne(ds string, gen baselines.Generator, orig *dyngraph.Sequence, t int) TimingRow {
-	row := TimingRow{Dataset: ds, Method: gen.Name()}
+	row := TimingRow{Dataset: ds, Method: gen.Name(), T: t, Edges: orig.TotalTemporalEdges()}
 	start := time.Now()
 	if err := gen.Fit(orig); err != nil {
 		row.Err = err
@@ -354,27 +363,67 @@ func timeOne(ds string, gen baselines.Generator, orig *dyngraph.Sequence, t int)
 	}
 	row.TrainSec = time.Since(start).Seconds()
 	start = time.Now()
-	if _, err := gen.Generate(t); err != nil {
+	synth, err := gen.Generate(t)
+	if err != nil {
 		row.Err = err
 		return row
 	}
 	row.GenSec = time.Since(start).Seconds()
+	switch g := gen.(type) {
+	case interface{ Work() (fit, gen int64) }:
+		row.FitWork, row.GenWork = g.Work()
+	case *vrdagGenerator:
+		row.FitWork, row.GenWork = vrdagWork(g.m, orig, synth)
+	}
 	return row
 }
 
-// SweepRow is one point of the Fig. 9(c-d) timestep sweep on Bitcoin.
-type SweepRow struct {
-	Method   string
-	T        int
-	TrainSec float64
-	GenSec   float64
+// vrdagWork counts the multiply-adds of m's fit on train and of its
+// generation of synth, by the rules the walk baselines' counts follow: a
+// dense layer costs in·out per row, a sparse aggregation nnz·width. It
+// reads only m's configuration, its parameter count and the two
+// sequences' edge counts.
+//
+//   - Every step costs N·NumParams() for the per-node layers, d_h·(K+1)
+//     per scored pair for the second layers of Eq. 11's heads (K mixture
+//     weights, then one component's mean), and nnz·d_h for each sparse
+//     aggregation of the encoder: L layers, two flows with BiFlow.
+//   - A generated step scores N−1 pairs per node under exact decoding and
+//     CandidateCap per node otherwise (an upper bound: a node's candidate
+//     set may come up short).
+//   - A training step scores its nnz edges and NegSamples non-edges per
+//     node. Forward plus backward counts as three forwards, for every
+//     step of every epoch.
+func vrdagWork(m *core.Model, train, synth *dyngraph.Sequence) (fit, gen int64) {
+	c := m.Cfg
+	n, dh := int64(c.N), int64(c.HiddenDim)
+	spmms := int64(c.EncoderLayers)
+	if c.BiFlow {
+		spmms *= 2
+	}
+	step := func(pairs, nnz int64) int64 {
+		return n*int64(m.NumParams()) + pairs*dh*int64(c.K+1) + nnz*dh*spmms
+	}
+	perNode := int64(c.CandidateCap)
+	if perNode <= 0 || perNode >= n-1 {
+		perNode = n - 1
+	}
+	for _, s := range synth.Snapshots {
+		nnz := int64(s.NumEdges())
+		gen += step(n*perNode, nnz)
+	}
+	for _, s := range train.Snapshots {
+		nnz := int64(s.NumEdges())
+		fit += 3 * int64(c.Epochs) * step(nnz+n*int64(c.NegSamples), nnz)
+	}
+	return fit, gen
 }
 
 // Figure9Sweep measures running time against the number of timesteps on
 // the Bitcoin replica (T ∈ {5, 15, 25, 35}).
-func Figure9Sweep(o Options) ([]SweepRow, error) {
+func Figure9Sweep(o Options) ([]TimingRow, error) {
 	o = o.withDefaults()
-	var rows []SweepRow
+	var rows []TimingRow
 	for _, tt := range []int{5, 15, 25, 35} {
 		full, _, err := datasets.Replica(datasets.Bitcoin, o.Scale, o.Seed)
 		if err != nil {
@@ -387,46 +436,36 @@ func Figure9Sweep(o Options) ([]SweepRow, error) {
 			if r.Err != nil {
 				return nil, fmt.Errorf("fig9sweep %s T=%d: %w", r.Method, tt, r.Err)
 			}
-			rows = append(rows, SweepRow{Method: r.Method, T: tt, TrainSec: r.TrainSec, GenSec: r.GenSec})
+			rows = append(rows, r)
 		}
 	}
 	return rows, nil
-}
-
-// ScaleRow is one point of Tables III/IV: wall time against temporal edge
-// count on GDELT-like workloads.
-type ScaleRow struct {
-	Method   string
-	Edges    int // approximate temporal edge count of the workload
-	TrainSec float64
-	GenSec   float64
 }
 
 // Scalability reproduces Tables III and IV: running time against the
 // number of temporal edges sampled from the GDELT replica. edgeTargets
 // defaults to {1k, 10k} at small scale; pass the paper's {1e3, 1e4, 1e5,
 // 5e5} for the full experiment.
-func Scalability(o Options, edgeTargets []int) ([]ScaleRow, error) {
+func Scalability(o Options, edgeTargets []int) ([]TimingRow, error) {
 	o = o.withDefaults()
 	if len(edgeTargets) == 0 {
 		edgeTargets = []int{1000, 10000}
 	}
 	// Full-size GDELT replica carries ≈566k temporal edges; scale linearly.
 	const fullEdges = 566735.0
-	var rows []ScaleRow
+	var rows []TimingRow
 	for _, target := range edgeTargets {
 		scale := float64(target) / fullEdges
 		orig, _, err := datasets.Replica(datasets.GDELT, scale, o.Seed)
 		if err != nil {
 			return nil, err
 		}
-		m := orig.TotalTemporalEdges()
 		for _, gen := range efficiencyGenerators(o) {
 			r := timeOne(datasets.GDELT, gen, orig, orig.T())
 			if r.Err != nil {
-				return nil, fmt.Errorf("scalability %s M=%d: %w", r.Method, m, r.Err)
+				return nil, fmt.Errorf("scalability %s M=%d: %w", r.Method, r.Edges, r.Err)
 			}
-			rows = append(rows, ScaleRow{Method: r.Method, Edges: m, TrainSec: r.TrainSec, GenSec: r.GenSec})
+			rows = append(rows, r)
 		}
 	}
 	return rows, nil
@@ -558,10 +597,20 @@ func PrintTable1(w io.Writer, rows []Table1Row) {
 			continue
 		}
 		p := r.Report
-		fmt.Fprintf(w, "%-10s %-8s %9.4f %9.4f %9.4f %8.4f %8.4f %8.4f %8.4f %8.4f\n",
+		fmt.Fprintf(w, "%-10s %-8s %9.4f %9.4f %9.4f %8.4f %8.4f %8.4f %8.4f %8.4f%s\n",
 			r.Dataset, r.Method, p.InDegMMD, p.OutDegMMD, p.ClusMMD,
-			p.InPLE, p.OutPLE, p.Wedge, p.NC, p.LCC)
+			p.InPLE, p.OutPLE, p.Wedge, p.NC, p.LCC, skeletonNote(r.Method))
 	}
+}
+
+// skeletonNote labels the rows of the model-free walk samplers that stand
+// for TIGGER, TG-GAN and TagGen.
+func skeletonNote(method string) string {
+	switch method {
+	case "TIGGER", "TGGAN", "TagGen":
+		return "  walk skeleton"
+	}
+	return ""
 }
 
 // PrintTable2 renders the Spearman MAE table.
@@ -592,32 +641,21 @@ func PrintSeries(w io.Writer, series []DiffSeries) {
 	}
 }
 
-// PrintTimings renders Fig. 9(a-b) rows.
+// PrintTimings renders Fig. 9 and Tables III/IV rows: measured seconds
+// beside counted multiply-adds.
 func PrintTimings(w io.Writer, rows []TimingRow) {
-	fmt.Fprintf(w, "%-10s %-8s %12s %12s\n", "Dataset", "Method", "Train(s)", "Generate(s)")
+	fmt.Fprintf(w, "%-10s %-8s %4s %8s %10s %12s %10s %10s\n",
+		"Dataset", "Method", "T", "#Edges", "Train(s)", "Generate(s)", "FitWork", "GenWork")
 	for _, r := range rows {
 		if r.Err != nil {
 			fmt.Fprintf(w, "%-10s %-8s  (not run: %v)\n", r.Dataset, r.Method, r.Err)
 			continue
 		}
-		fmt.Fprintf(w, "%-10s %-8s %12.4f %12.4f\n", r.Dataset, r.Method, r.TrainSec, r.GenSec)
+		fmt.Fprintf(w, "%-10s %-8s %4d %8d %10.4f %12.4f %10.3g %10.3g%s\n",
+			r.Dataset, r.Method, r.T, r.Edges, r.TrainSec, r.GenSec,
+			float64(r.FitWork), float64(r.GenWork), skeletonNote(r.Method))
 	}
-}
-
-// PrintSweep renders Fig. 9(c-d) rows.
-func PrintSweep(w io.Writer, rows []SweepRow) {
-	fmt.Fprintf(w, "%-8s %4s %12s %12s\n", "Method", "T", "Train(s)", "Generate(s)")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-8s %4d %12.4f %12.4f\n", r.Method, r.T, r.TrainSec, r.GenSec)
-	}
-}
-
-// PrintScale renders Tables III/IV rows.
-func PrintScale(w io.Writer, rows []ScaleRow) {
-	fmt.Fprintf(w, "%-8s %9s %12s %12s\n", "Method", "#Edges", "Train(s)", "Generate(s)")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-8s %9d %12.4f %12.4f\n", r.Method, r.Edges, r.TrainSec, r.GenSec)
-	}
+	fmt.Fprintln(w, "Work is counted multiply-adds; a walk skeleton's seconds time its sampling alone.")
 }
 
 // PrintFig10 renders the case-study rows.
