@@ -1,7 +1,9 @@
 // Package baselines defines the common interface implemented by the six
 // comparison generators of the paper's evaluation (TagGen, TGGAN, TIGGER,
-// Dymond, GRAN, GenCAT) plus the Normal attribute baseline. Each lives in
-// its own subpackage; this package holds the shared contract.
+// Dymond, GRAN, GenCAT) plus the Normal attribute baseline. TagGen, TGGAN
+// and TIGGER are three configurations of one walk skeleton in subpackage
+// walker; the others each live in their own subpackage. This package holds
+// the shared contract.
 package baselines
 
 import "vrdag/internal/dyngraph"

@@ -9,9 +9,7 @@ import (
 	"vrdag/internal/baselines/gencat"
 	"vrdag/internal/baselines/gran"
 	"vrdag/internal/baselines/normalattr"
-	"vrdag/internal/baselines/taggen"
-	"vrdag/internal/baselines/tggan"
-	"vrdag/internal/baselines/tigger"
+	"vrdag/internal/baselines/walker"
 	"vrdag/internal/datasets"
 	"vrdag/internal/dyngraph"
 	"vrdag/internal/metrics"
@@ -28,9 +26,9 @@ func trainSeq(t *testing.T) *dyngraph.Sequence {
 
 func allGens() []baselines.Generator {
 	return []baselines.Generator{
-		taggen.New(taggen.Config{Seed: 1, TrainFactor: 1}),
-		tggan.New(tggan.Config{Seed: 2}),
-		tigger.New(tigger.Config{Seed: 3}),
+		walker.NewTagGen(1),
+		walker.NewTGGAN(2),
+		walker.NewTIGGER(3),
 		dymond.New(dymond.Config{Seed: 4}),
 		gran.New(gran.Config{Seed: 5}),
 		gencat.New(gencat.Config{Seed: 6}),
@@ -77,9 +75,9 @@ func TestAllBaselinesFitGenerateContract(t *testing.T) {
 func TestWalkBaselinesMatchDensity(t *testing.T) {
 	g := trainSeq(t)
 	for _, gen := range []baselines.Generator{
-		taggen.New(taggen.Config{Seed: 11, TrainFactor: 1}),
-		tggan.New(tggan.Config{Seed: 12}),
-		tigger.New(tigger.Config{Seed: 13}),
+		walker.NewTagGen(11),
+		walker.NewTGGAN(12),
+		walker.NewTIGGER(13),
 	} {
 		if err := gen.Fit(g); err != nil {
 			t.Fatal(err)
@@ -97,11 +95,10 @@ func TestWalkBaselinesMatchDensity(t *testing.T) {
 	}
 }
 
-// TestTagGenDefaultConfigNeedsFit covers the shipped defaults that the
-// smaller walk budget and discriminator of the two tests above override:
-// a default TagGen still builds and still refuses to generate before Fit.
+// TestTagGenDefaultConfigNeedsFit checks that a TagGen built with the zero
+// seed refuses to generate before Fit.
 func TestTagGenDefaultConfigNeedsFit(t *testing.T) {
-	if _, err := taggen.New(taggen.Config{}).Generate(3); err == nil {
+	if _, err := walker.NewTagGen(0).Generate(3); err == nil {
 		t.Fatal("Generate before Fit must error")
 	}
 }
@@ -110,7 +107,7 @@ func TestWalkBaselinesReuseRealEdges(t *testing.T) {
 	// Temporal-walk methods resample observed transitions, so synthetic
 	// edges should overwhelmingly be real node pairs.
 	g := trainSeq(t)
-	gen := tigger.New(tigger.Config{Seed: 21})
+	gen := walker.NewTIGGER(21)
 	if err := gen.Fit(g); err != nil {
 		t.Fatal(err)
 	}

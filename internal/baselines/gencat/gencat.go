@@ -20,22 +20,16 @@ import (
 	"vrdag/internal/dyngraph"
 )
 
-// Config tunes the class model.
+// Config seeds the generator.
 type Config struct {
-	Classes int // latent class count (default 4)
-	Seed    int64
+	Seed int64
 }
 
-func (c Config) withDefaults() Config {
-	if c.Classes == 0 {
-		c.Classes = 4
-	}
-	return c
-}
+// classes is the latent class count.
+const classes = 4
 
 // Gen implements baselines.Generator.
 type Gen struct {
-	cfg Config
 	rng *rand.Rand
 
 	n, f       int
@@ -50,8 +44,7 @@ type Gen struct {
 
 // New creates an unfitted GenCAT baseline.
 func New(cfg Config) *Gen {
-	cfg = cfg.withDefaults()
-	return &Gen{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
+	return &Gen{rng: rand.New(rand.NewSource(cfg.Seed))}
 }
 
 // Name implements baselines.Generator.
@@ -65,7 +58,7 @@ func (g *Gen) Fit(seq *dyngraph.Sequence) error {
 		return fmt.Errorf("gencat: empty sequence")
 	}
 	g.n, g.f = seq.N, seq.F
-	k := g.cfg.Classes
+	k := classes
 
 	// Aggregate degree and mean attributes over the sequence.
 	deg := make([]float64, g.n)
@@ -231,7 +224,7 @@ func (g *Gen) Generate(t int) (*dyngraph.Sequence, error) {
 		budget := int(g.edgeTarget)
 		for e := 0; e < budget*2 && s.NumEdges() < budget; e++ {
 			// choose source by global degree weight via class tables
-			cu := g.rng.Intn(g.cfg.Classes)
+			cu := g.rng.Intn(classes)
 			u := g.sampleMember(cu)
 			cv := g.samplePref(g.class[u])
 			v := g.sampleMember(cv)

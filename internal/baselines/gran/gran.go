@@ -19,26 +19,18 @@ import (
 	"vrdag/internal/dyngraph"
 )
 
-// Config tunes block generation.
+// Config seeds the generator.
 type Config struct {
-	BlockSize int     // nodes added per autoregressive block (default 16)
-	MixUnif   float64 // weight of the uniform mixture component (default 0.2)
-	Seed      int64
+	Seed int64
 }
 
-func (c Config) withDefaults() Config {
-	if c.BlockSize == 0 {
-		c.BlockSize = 16
-	}
-	if c.MixUnif == 0 {
-		c.MixUnif = 0.2
-	}
-	return c
-}
+const (
+	blockSize = 16  // nodes added per autoregressive block
+	mixUnif   = 0.2 // weight of the uniform mixture component
+)
 
 // Gen implements baselines.Generator.
 type Gen struct {
-	cfg Config
 	rng *rand.Rand
 
 	n          int
@@ -48,8 +40,7 @@ type Gen struct {
 
 // New creates an unfitted GRAN baseline.
 func New(cfg Config) *Gen {
-	cfg = cfg.withDefaults()
-	return &Gen{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
+	return &Gen{rng: rand.New(rand.NewSource(cfg.Seed))}
 }
 
 // Name implements baselines.Generator.
@@ -104,8 +95,8 @@ func (g *Gen) generateSnapshot(s *dyngraph.Snapshot) {
 	// Edges per new node so the snapshot lands on the fitted density.
 	perNode := g.edgeTarget / float64(g.n)
 	placed := 0
-	for blockStart := 0; blockStart < g.n; blockStart += g.cfg.BlockSize {
-		blockEnd := blockStart + g.cfg.BlockSize
+	for blockStart := 0; blockStart < g.n; blockStart += blockSize {
+		blockEnd := blockStart + blockSize
 		if blockEnd > g.n {
 			blockEnd = g.n
 		}
@@ -124,7 +115,7 @@ func (g *Gen) generateSnapshot(s *dyngraph.Snapshot) {
 				}
 				quota--
 				var v int
-				if g.rng.Float64() < g.cfg.MixUnif {
+				if g.rng.Float64() < mixUnif {
 					v = prefix[g.rng.Intn(len(prefix))]
 				} else {
 					v = g.preferential(prefix, deg)

@@ -21,7 +21,6 @@ type Config struct {
 
 // Gen implements baselines.Generator.
 type Gen struct {
-	cfg  Config
 	rng  *rand.Rand
 	ref  *dyngraph.Sequence
 	mean []float64
@@ -30,7 +29,7 @@ type Gen struct {
 
 // New creates an unfitted Normal baseline.
 func New(cfg Config) *Gen {
-	return &Gen{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
+	return &Gen{rng: rand.New(rand.NewSource(cfg.Seed))}
 }
 
 // Name implements baselines.Generator.

@@ -1,9 +1,10 @@
-// Package walker provides the temporal random-walk machinery shared by the
-// walk-based baselines (TagGen, TGGAN, TIGGER). A temporal walk is a
-// sequence of edges with non-decreasing timestamps; the samplers here
-// mirror the sampling strategies those papers build on. Nothing here is
-// neural: each baseline counts the multiply-adds its original's network
-// would spend on the walks these samplers draw, and runs none of them.
+// Package walker holds the three temporal random-walk baselines, TIGGER,
+// TG-GAN and TagGen, as three configurations of one walk skeleton, and the
+// temporal-walk machinery they share. A temporal walk is a sequence of
+// edges with non-decreasing timestamps; the samplers here mirror the
+// sampling strategies those papers build on. Nothing here is neural: each
+// baseline counts the multiply-adds its original's network would spend on
+// the walks these samplers draw, and runs none of them.
 package walker
 
 import (
@@ -65,14 +66,32 @@ func (ix *Index) RandomEdge(rng *rand.Rand) (TemporalEdge, error) {
 	return ix.Edges[rng.Intn(len(ix.Edges))], nil
 }
 
-// successors returns the indices of u's outgoing edges with time >= minT
-// (TagGen-style non-decreasing walks) or time > minT when strict (TGGAN's
-// time-validity constraint).
-func (ix *Index) successors(u, minT int, strict bool) []int {
+// walkMode is how a walk picks the next edge out of the current one's head.
+type walkMode int
+
+const (
+	// walkNondecreasing steps to an edge at the same time or later
+	// (TagGen).
+	walkNondecreasing walkMode = iota
+	// walkStrict steps to a strictly later edge: TG-GAN's time-validity
+	// constraint.
+	walkStrict
+	// walkClamped steps to any of the head's edges and raises an earlier
+	// time to the current one, a cheap stand-in for TIGGER's temporal
+	// point process: no per-step temporal filtering.
+	walkClamped
+)
+
+// successors returns the indices of u's outgoing edges that a walk in mode
+// may take after an edge at time minT.
+func (ix *Index) successors(u, minT int, mode walkMode) []int {
 	list := ix.outByNode[u]
+	if mode == walkClamped {
+		return list
+	}
 	lo := sort.Search(len(list), func(i int) bool {
 		t := ix.Edges[list[i]].T
-		if strict {
+		if mode == walkStrict {
 			return t > minT
 		}
 		return t >= minT
@@ -80,9 +99,9 @@ func (ix *Index) successors(u, minT int, strict bool) []int {
 	return list[lo:]
 }
 
-// Walk samples one temporal random walk of at most maxLen edges starting
-// from a uniformly random edge. strict enforces strictly increasing times.
-func (ix *Index) Walk(maxLen int, strict bool, rng *rand.Rand) []TemporalEdge {
+// walk samples one temporal random walk of at most maxLen edges starting
+// from a uniformly random edge.
+func (ix *Index) walk(maxLen int, mode walkMode, rng *rand.Rand) []TemporalEdge {
 	start, err := ix.RandomEdge(rng)
 	if err != nil {
 		return nil
@@ -90,80 +109,25 @@ func (ix *Index) Walk(maxLen int, strict bool, rng *rand.Rand) []TemporalEdge {
 	walk := []TemporalEdge{start}
 	cur := start
 	for len(walk) < maxLen {
-		succ := ix.successors(cur.V, cur.T, strict)
+		succ := ix.successors(cur.V, cur.T, mode)
 		if len(succ) == 0 {
 			break
 		}
-		cur = ix.Edges[succ[rng.Intn(len(succ))]]
-		walk = append(walk, cur)
-	}
-	return walk
-}
-
-// TransitionModel is the first-order model TIGGER fits once before
-// generation: empirical start distribution over temporal edges and
-// per-node successor counts.
-type TransitionModel struct {
-	ix *Index
-	// succCum[u] is the cumulative distribution over u's outgoing edges
-	// (time-agnostic; times are re-sampled during generation).
-	succCum [][]float64
-}
-
-// FitTransitions builds the transition model from an index.
-func FitTransitions(ix *Index) *TransitionModel {
-	tm := &TransitionModel{ix: ix, succCum: make([][]float64, ix.N)}
-	for u := 0; u < ix.N; u++ {
-		list := ix.outByNode[u]
-		cum := make([]float64, len(list)+1)
-		for i := range list {
-			cum[i+1] = cum[i] + 1
-		}
-		tm.succCum[u] = cum
-	}
-	return tm
-}
-
-// Walk samples a pre-trained first-order walk (TIGGER-style: no per-step
-// temporal filtering, so it is much cheaper than Index.Walk).
-func (tm *TransitionModel) Walk(maxLen int, rng *rand.Rand) []TemporalEdge {
-	start, err := tm.ix.RandomEdge(rng)
-	if err != nil {
-		return nil
-	}
-	walk := []TemporalEdge{start}
-	cur := start
-	for len(walk) < maxLen {
-		list := tm.ix.outByNode[cur.V]
-		if len(list) == 0 {
-			break
-		}
-		next := tm.ix.Edges[list[rng.Intn(len(list))]]
-		// Clamp time monotonicity after the fact (cheap approximation of
-		// the temporal point process).
-		if next.T < cur.T {
-			next.T = cur.T
-		}
+		next := ix.Edges[succ[rng.Intn(len(succ))]]
+		next.T = max(next.T, cur.T) // a no-op unless walkClamped
 		walk = append(walk, next)
 		cur = next
 	}
 	return walk
 }
 
-// Assemble merges accepted walks into a sequence: each walk edge lands in
-// the snapshot of its timestamp (clamped to [0, T)).
-func Assemble(n, t int, f int, walks [][]TemporalEdge) *dyngraph.Sequence {
-	g := dyngraph.NewSequence(n, f, t)
+// Assemble merges accepted walks into an unattributed sequence: each walk
+// edge lands in the snapshot of its timestamp (clamped to [0, T)).
+func Assemble(n, t int, walks [][]TemporalEdge) *dyngraph.Sequence {
+	g := dyngraph.NewSequence(n, 0, t)
 	for _, w := range walks {
 		for _, e := range w {
-			tt := e.T
-			if tt < 0 {
-				tt = 0
-			}
-			if tt >= t {
-				tt = t - 1
-			}
-			g.Snapshots[tt].AddEdge(e.U, e.V)
+			g.Snapshots[min(max(e.T, 0), t-1)].AddEdge(e.U, e.V)
 		}
 	}
 	return g

@@ -47,7 +47,7 @@ func TestWalkTimeMonotone(t *testing.T) {
 	ix := BuildIndex(seq(t))
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 200; i++ {
-		w := ix.Walk(5, false, rng)
+		w := ix.walk(5, walkNondecreasing, rng)
 		for j := 1; j < len(w); j++ {
 			if w[j].T < w[j-1].T {
 				t.Fatalf("non-monotone walk times: %v", w)
@@ -63,7 +63,7 @@ func TestWalkStrictTimeValidity(t *testing.T) {
 	ix := BuildIndex(seq(t))
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 200; i++ {
-		w := ix.Walk(5, true, rng)
+		w := ix.walk(5, walkStrict, rng)
 		for j := 1; j < len(w); j++ {
 			if w[j].T <= w[j-1].T {
 				t.Fatalf("strict walk must have strictly increasing times: %v", w)
@@ -81,18 +81,19 @@ func TestWalkRespectsMaxLen(t *testing.T) {
 	ix := BuildIndex(g)
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 50; i++ {
-		if w := ix.Walk(3, false, rng); len(w) > 3 {
+		if w := ix.walk(3, walkNondecreasing, rng); len(w) > 3 {
 			t.Fatalf("walk length %d exceeds max 3", len(w))
 		}
 	}
 }
 
+// TestTransitionModelWalks checks TIGGER's first-order walks, the clamped
+// mode: any out-edge of the head, its time raised to the current one.
 func TestTransitionModelWalks(t *testing.T) {
 	ix := BuildIndex(seq(t))
-	tm := FitTransitions(ix)
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 100; i++ {
-		w := tm.Walk(4, rng)
+		w := ix.walk(4, walkClamped, rng)
 		if len(w) == 0 {
 			t.Fatal("transition walk must start somewhere")
 		}
@@ -109,7 +110,7 @@ func TestTransitionModelWalks(t *testing.T) {
 
 func TestAssembleClampsTimes(t *testing.T) {
 	walks := [][]TemporalEdge{{{U: 0, V: 1, T: -5}, {U: 1, V: 2, T: 99}}}
-	g := Assemble(3, 2, 0, walks)
+	g := Assemble(3, 2, walks)
 	if !g.At(0).HasEdge(0, 1) {
 		t.Fatal("negative time must clamp to snapshot 0")
 	}
@@ -134,7 +135,7 @@ func TestWalkEdgesAreReal(t *testing.T) {
 			return true
 		}
 		for i := 0; i < 20; i++ {
-			for _, e := range ix.Walk(6, false, rng) {
+			for _, e := range ix.walk(6, walkNondecreasing, rng) {
 				if !g.At(e.T).HasEdge(e.U, e.V) {
 					return false
 				}

@@ -189,6 +189,11 @@ func TestScalabilityRows(t *testing.T) {
 	if len(rows) != 4 {
 		t.Fatalf("expected 4 rows, got %d", len(rows))
 	}
+	for _, r := range rows {
+		if r.Edges < 900 || r.Edges > 1100 {
+			t.Fatalf("%s: %d temporal edges, want 1000 ± 10 %%", r.Method, r.Edges)
+		}
+	}
 	var buf bytes.Buffer
 	PrintTimings(&buf, rows)
 	if !strings.Contains(buf.String(), "#Edges") {
