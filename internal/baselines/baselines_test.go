@@ -95,14 +95,6 @@ func TestWalkBaselinesMatchDensity(t *testing.T) {
 	}
 }
 
-// TestTagGenDefaultConfigNeedsFit checks that a TagGen built with the zero
-// seed refuses to generate before Fit.
-func TestTagGenDefaultConfigNeedsFit(t *testing.T) {
-	if _, err := walker.NewTagGen(0).Generate(3); err == nil {
-		t.Fatal("Generate before Fit must error")
-	}
-}
-
 func TestWalkBaselinesReuseRealEdges(t *testing.T) {
 	// Temporal-walk methods resample observed transitions, so synthetic
 	// edges should overwhelmingly be real node pairs.

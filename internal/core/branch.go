@@ -65,15 +65,17 @@ type decoderBranch struct {
 }
 
 // newBranch returns a branch recording on the model's k-th branch tape
-// (created on first use, reused across windows and epochs like the main
-// tape). Step i of a window records its encoder on tape 2i and its
-// decoder on tape 2i+1.
-func (m *Model) newBranch(k int) branch {
+// and the fit's context over it (both created on first use, reused across
+// windows and epochs like the main tape). Step i of a window records its
+// encoder on tape 2i and its decoder on tape 2i+1.
+func (m *Model) newBranch(fs *fitScratch, k int) branch {
 	for len(m.branchTapes) <= k {
 		m.branchTapes = append(m.branchTapes, newTrainTape())
 	}
-	tape := m.branchTapes[k]
-	return branch{tape: tape, c: nn.NewTrainCtx(tape, m.adam)}
+	for len(fs.branchCtx) <= k {
+		fs.branchCtx = append(fs.branchCtx, nn.NewTrainCtx(m.branchTapes[len(fs.branchCtx)], m.adam))
+	}
+	return branch{tape: m.branchTapes[k], c: fs.branchCtx[k]}
 }
 
 // decode records the step's structure loss on the positive edges plus the

@@ -150,7 +150,7 @@ func (m *Model) EncodeSnapshot(st *ForecastState, snap *dyngraph.Snapshot) error
 	h := tp.Const(st.h)
 	eps := m.enc.Encode(c, enc)
 	z := m.posteriorMean(c, eps, h)
-	hNext := m.gru.Step(c, m.gruInput(c, eps, z, st.steps, n), h)
+	hNext := m.gru.Step(c, m.gruInput(c, eps, z, st.steps, nil), h)
 	copy(st.h.Data, hNext.Value.Data)
 	tp.Reset()
 

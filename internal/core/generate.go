@@ -369,7 +369,7 @@ func (st *genState) step(t int) *dyngraph.Snapshot {
 	// Line 7: update hidden states with the recurrence updater. H_{t-1}
 	// is dead once H_t is recorded, so H_t overwrites it in place.
 	eps := m.enc.Encode(c, snap)
-	hNext := m.gru.Step(c, m.gruInput(c, eps, z, clock, n), h)
+	hNext := m.gru.Step(c, m.gruInput(c, eps, z, clock, nil), h)
 	copy(st.h.Data, hNext.Value.Data)
 	tp.Reset()
 

@@ -74,7 +74,8 @@ func TestMixBernoulliMatchesPairwiseMLP(t *testing.T) {
 				snap.AddEdge(rng.Intn(tc.n), rng.Intn(tc.n))
 			}
 			esrc, edst := snap.EdgeLists()
-			src, dst, targets := m.samplePairs(snap, esrc, edst, rng)
+			src, dst, targets := m.samplePairs(snap, esrc, edst, nil, nil, rng)
+			defer tensor.Put(targets)
 			if e := len(src); e == 0 || (tc.wantE > 0 && math.Abs(float64(e-tc.wantE)) > 0.1*float64(tc.wantE)) {
 				t.Fatalf("%d pairs sampled, want about %d", e, tc.wantE)
 			}

@@ -98,12 +98,23 @@ func (m *Model) FitContext(ctx context.Context, g *dyngraph.Sequence, opts ...Fi
 		}
 	}
 
+	// One tape serves every window of every epoch: Reset returns all op
+	// outputs and gradient buffers to the pooled arena, so after the first
+	// window the forward/backward pass runs allocation-free. Backward
+	// releases dead intermediates mid-sweep, so the window's peak footprint
+	// is a fraction of its recorded size.
+	if m.tape == nil {
+		m.tape = newTrainTape()
+	}
+	fs := m.newFitScratch(g)
+	defer tensor.Put(fs.h)
+
 	var last TrainStats
 	for epoch := 0; epoch < m.Cfg.Epochs; epoch++ {
 		if err := ctx.Err(); err != nil {
 			return last, err
 		}
-		stats, err := m.runEpoch(g, epoch)
+		stats, err := m.runEpoch(fs, g, epoch)
 		if err != nil {
 			return stats, err
 		}
@@ -117,36 +128,54 @@ func (m *Model) FitContext(ctx context.Context, g *dyngraph.Sequence, opts ...Fi
 	return last, nil
 }
 
+// fitScratch is what one fit's windows reuse from one to the next instead
+// of allocating it again. FitContext builds it and drops it on return, so
+// a trained model carries none of it.
+type fitScratch struct {
+	// h is the detached hidden state a window starts from and leaves for
+	// the next (pooled, N×d_h).
+	h *tensor.Matrix
+	// zeros holds one 0 per node: gruInput broadcasts fT(t) with it.
+	zeros []int
+	// ctx is the main tape's context, branchCtx[k] that of m.branchTapes[k].
+	ctx       *nn.Ctx
+	branchCtx []*nn.Ctx
+	// steps backs every window's steps; each keeps its index lists'
+	// capacity for the step at the same place in the next window.
+	steps []windowStep
+}
+
+func (m *Model) newFitScratch(g *dyngraph.Sequence) *fitScratch {
+	fs := &fitScratch{
+		h:   tensor.Get(g.N, m.Cfg.HiddenDim),
+		ctx: nn.NewTrainCtx(m.tape, m.adam),
+	}
+	if m.Cfg.UseTime2Vec {
+		fs.zeros = make([]int, g.N)
+	}
+	return fs
+}
+
 // runEpoch performs one epoch over the sequence: a single full-sequence
 // backpropagation-through-time pass, or several truncated windows when
 // Cfg.TBPTT is set (hidden state values carry across windows; gradients do
 // not). Returns loss statistics aggregated over the epoch.
-func (m *Model) runEpoch(g *dyngraph.Sequence, epoch int) (TrainStats, error) {
+func (m *Model) runEpoch(fs *fitScratch, g *dyngraph.Sequence, epoch int) (TrainStats, error) {
 	window := m.Cfg.TBPTT
 	if window <= 0 || window > g.T() {
 		window = g.T()
 	}
 
-	hVal := tensor.New(g.N, m.Cfg.HiddenDim) // H_0 = 0
+	fs.h.Zero() // H_0 = 0
 	agg := TrainStats{Epoch: epoch}
 	windows := 0
 
-	// One tape serves every window of every epoch: Reset returns all op
-	// outputs and gradient buffers to the pooled arena, so after the first
-	// window the forward/backward pass runs allocation-free. Backward
-	// releases dead intermediates mid-sweep, so the window's peak footprint
-	// is a fraction of its recorded size.
-	if m.tape == nil {
-		m.tape = newTrainTape()
-	}
-
 	for start := 0; start < g.T(); start += window {
 		end := min(start+window, g.T())
-		ws, hNext, err := m.runWindow(g, epoch, start, end, hVal)
+		ws, err := m.runWindow(fs, g, epoch, start, end)
 		if err != nil {
 			return TrainStats{}, err
 		}
-		hVal = hNext
 		agg.Loss += ws.Loss
 		agg.StrucLoss += ws.StrucLoss
 		agg.AttrLoss += ws.AttrLoss
@@ -166,22 +195,21 @@ func (m *Model) runEpoch(g *dyngraph.Sequence, epoch int) (TrainStats, error) {
 }
 
 // runWindow trains on snapshots [start, end) from the detached hidden state
-// hVal: one forward pass, one backward sweep, one Adam step. The encoder
+// fs.h: one forward pass, one backward sweep, one Adam step. The encoder
 // and the decoder losses of each step record on branches of their own,
 // which this goroutine and one worker run from a task pool (branch.go). It
-// returns the window's loss terms and gradient norm, and the hidden state
-// to carry into the next window.
+// returns the window's loss terms and gradient norm, and leaves in fs.h
+// the hidden state to carry into the next window.
 //
 // The trained bits are those of one tape on one goroutine, whichever
 // goroutine ran a task: every task records and sweeps a tape and context
 // of its own, the parameters are read-only until the Adam step, and the
 // arena and the snapshots' CSR caches are goroutine-safe. Points 1-4 below
 // give the rest.
-func (m *Model) runWindow(g *dyngraph.Sequence, epoch, start, end int, hVal *tensor.Matrix) (TrainStats, *tensor.Matrix, error) {
+func (m *Model) runWindow(fs *fitScratch, g *dyngraph.Sequence, epoch, start, end int) (TrainStats, error) {
 	n := g.N
-	tape := m.tape
-	c := nn.NewTrainCtx(tape, m.adam)
-	steps := m.drawWindow(g, start, end)
+	tape, c := m.tape, fs.ctx
+	steps := m.drawWindow(fs, g, start, end)
 	pool := startTaskPool()
 	// Every exit — success, a non-finite loss, a panic in a task or on this
 	// goroutine — stops the pool before any tape is reset, since a task may
@@ -192,6 +220,7 @@ func (m *Model) runWindow(g *dyngraph.Sequence, epoch, start, end int, hVal *ten
 			if st.noise != nil { // drawn for a step the loop never reached
 				tensor.Put(st.noise)
 			}
+			tensor.Put(st.targets)
 		}
 		for _, bt := range m.branchTapes {
 			bt.Reset()
@@ -201,13 +230,13 @@ func (m *Model) runWindow(g *dyngraph.Sequence, epoch, start, end int, hVal *ten
 
 	for i := range steps {
 		st := &steps[i]
-		e := &encoderBranch{branch: m.newBranch(2 * i)}
+		e := &encoderBranch{branch: m.newBranch(fs, 2*i)}
 		e.fwd = pool.submit(func() { e.out = m.enc.Encode(e.c, st.encSnap) })
 		st.enc = e
 	}
 
 	residuals := epoch == m.Cfg.Epochs-1
-	h := tape.Const(hVal)
+	h := tape.Const(fs.h)
 	var klTerms []*tensor.Node
 	for i := range steps {
 		st, e := &steps[i], steps[i].enc
@@ -239,7 +268,7 @@ func (m *Model) runWindow(g *dyngraph.Sequence, epoch, start, end int, hVal *ten
 
 		// Structure (Eq. 17) and attribute (Eq. 18) reconstruction.
 		if len(st.src) > 0 || m.Cfg.F > 0 {
-			d := &decoderBranch{branch: m.newBranch(2*i + 1)}
+			d := &decoderBranch{branch: m.newBranch(fs, 2*i+1)}
 			d.leaf = d.tape.Var(s.Value)
 			d.fwd = pool.submit(func() { m.decode(d, st, residuals) })
 			st.dec = d
@@ -255,7 +284,7 @@ func (m *Model) runWindow(g *dyngraph.Sequence, epoch, start, end int, hVal *ten
 		}
 
 		// Recurrence update (Section III-D): H_t = GRU([ε‖z‖fT(t)], H_{t-1}).
-		h = m.gru.Step(c, m.gruInput(c, eps, z, st.t, n), h)
+		h = m.gru.Step(c, m.gruInput(c, eps, z, st.t, fs.zeros), h)
 	}
 
 	var strucTerms, attrTerms []*tensor.Node
@@ -312,7 +341,7 @@ func (m *Model) runWindow(g *dyngraph.Sequence, epoch, start, end int, hVal *ten
 
 	lv := loss.Value.Data[0]
 	if math.IsNaN(lv) || math.IsInf(lv, 0) {
-		return TrainStats{}, nil, fmt.Errorf("core: non-finite loss at epoch %d", epoch)
+		return TrainStats{}, fmt.Errorf("core: non-finite loss at epoch %d", epoch)
 	}
 
 	tape.Backward(loss)
@@ -339,9 +368,11 @@ func (m *Model) runWindow(g *dyngraph.Sequence, epoch, start, end int, hVal *ten
 		KLLoss:    kl.Value.Data[0],
 		GradNorm:  m.adam.Step(),
 	}
-	// Detach the hidden state for the next window; the deferred Reset
-	// recycles everything else.
-	return ws, h.Value.Clone(), nil
+	// Detach the hidden state for the next window: every task is done, so
+	// nothing reads fs.h again. The deferred Reset recycles everything
+	// else.
+	copy(fs.h.Data, h.Value.Data)
+	return ws, nil
 }
 
 // drawWindow makes every m.rng draw of the window [start, end) before any
@@ -351,11 +382,16 @@ func (m *Model) runWindow(g *dyngraph.Sequence, epoch, start, end int, hVal *ten
 // neighbour sample, the N×d_z reparameterisation noise, the negative
 // pairs. None of their counts depends on a parameter value, so drawing
 // them up front reads the same stream in the same order.
-func (m *Model) drawWindow(g *dyngraph.Sequence, start, end int) []windowStep {
-	steps := make([]windowStep, end-start)
+//
+// The steps are fs.steps, each reset but for its index lists' capacity.
+func (m *Model) drawWindow(fs *fitScratch, g *dyngraph.Sequence, start, end int) []windowStep {
+	if len(fs.steps) < end-start {
+		fs.steps = append(fs.steps, make([]windowStep, end-start-len(fs.steps))...)
+	}
+	steps := fs.steps[:end-start]
 	for i := range steps {
 		st := &steps[i]
-		st.t = start + i
+		*st = windowStep{t: start + i, esrc: st.esrc, edst: st.edst, src: st.src, dst: st.dst}
 		st.snap = g.At(st.t)
 		st.encSnap = st.snap
 		if m.Cfg.NeighborSample > 0 {
@@ -365,8 +401,9 @@ func (m *Model) drawWindow(g *dyngraph.Sequence, start, end int) []windowStep {
 		for k := range st.noise.Data {
 			st.noise.Data[k] = m.rng.NormFloat64()
 		}
-		st.esrc, st.edst = st.snap.EdgeLists()
-		st.src, st.dst, st.targets = m.samplePairs(st.snap, st.esrc, st.edst, m.rng)
+		// The attribute decoder's GAT appends its N self-loops in place.
+		st.esrc, st.edst = edgeLists(st.esrc, st.edst, st.snap, g.N)
+		st.src, st.dst, st.targets = m.samplePairs(st.snap, st.esrc, st.edst, st.src, st.dst, m.rng)
 	}
 	return steps
 }
@@ -380,26 +417,52 @@ func newTrainTape() *tensor.Tape {
 	return tensor.NewTape()
 }
 
-// gruInput assembles [ε ‖ z ‖ fT(t)] (time component optional).
-func (m *Model) gruInput(c *nn.Ctx, eps, z *tensor.Node, t, n int) *tensor.Node {
+// gruInput assembles [ε ‖ z ‖ fT(t)] (time component optional). zeros
+// holds one 0 per node, the index that broadcasts the 1×dT row fT(t) to N
+// rows; nil allocates it.
+func (m *Model) gruInput(c *nn.Ctx, eps, z *tensor.Node, t int, zeros []int) *tensor.Node {
 	tape := c.Tape
 	if !m.Cfg.UseTime2Vec {
 		return tape.ConcatCols(eps, z)
 	}
+	if zeros == nil {
+		zeros = make([]int, eps.Value.Rows)
+	}
 	ft := m.t2v.Encode(c, float64(t))
-	idx := make([]int, n) // broadcast the 1×dT row to N rows
-	return tape.ConcatCols(eps, z, tape.GatherRows(ft, idx))
+	return tape.ConcatCols(eps, z, tape.GatherRows(ft, zeros))
+}
+
+// edgeLists fills src and dst with s's edges in EdgeLists order, reusing
+// their backing arrays when those have room for the edges and spare more
+// indices, and allocating exactly that room when not.
+func edgeLists(src, dst []int, s *dyngraph.Snapshot, spare int) ([]int, []int) {
+	if size := s.NumEdges() + spare; cap(src) < size || cap(dst) < size {
+		src, dst = make([]int, 0, size), make([]int, 0, size)
+	}
+	src, dst = src[:0], dst[:0]
+	for u := 0; u < s.N; u++ {
+		for _, v := range s.Out[u] {
+			src = append(src, u)
+			dst = append(dst, v)
+		}
+	}
+	return src, dst
 }
 
 // samplePairs returns the training pairs for the structure loss: the
 // snapshot's positive edges (esrc, edst — its EdgeLists, which the caller
 // also feeds to the attribute decoder) plus NegSamples random non-edges per
-// node, drawn from rng.
-func (m *Model) samplePairs(s *dyngraph.Snapshot, esrc, edst []int, rng *rand.Rand) (src, dst []int, targets *tensor.Matrix) {
+// node, drawn from rng. The pairs are written into src and dst, whose
+// backing arrays are reused when they have the room. targets, 1 on the
+// positive edges and 0 on the rest, is from the arena: the caller returns
+// it with tensor.Put.
+func (m *Model) samplePairs(s *dyngraph.Snapshot, esrc, edst, src, dst []int, rng *rand.Rand) ([]int, []int, *tensor.Matrix) {
 	n := s.N
-	size := len(esrc) + n*m.Cfg.NegSamples
-	src = append(make([]int, 0, size), esrc...)
-	dst = append(make([]int, 0, size), edst...)
+	if size := len(esrc) + n*m.Cfg.NegSamples; cap(src) < size || cap(dst) < size {
+		src, dst = make([]int, 0, size), make([]int, 0, size)
+	}
+	src = append(src[:0], esrc...)
+	dst = append(dst[:0], edst...)
 	for i := 0; i < n; i++ {
 		for q := 0; q < m.Cfg.NegSamples; q++ {
 			j := rng.Intn(n)
@@ -410,7 +473,7 @@ func (m *Model) samplePairs(s *dyngraph.Snapshot, esrc, edst []int, rng *rand.Ra
 			dst = append(dst, j)
 		}
 	}
-	targets = tensor.New(len(src), 1)
+	targets := tensor.Get(len(src), 1)
 	for k := range esrc {
 		targets.Data[k] = 1
 	}

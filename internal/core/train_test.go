@@ -8,10 +8,12 @@ import (
 	"hash"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
 
+	"vrdag/internal/datasets"
 	"vrdag/internal/nn"
 	"vrdag/internal/tensor"
 )
@@ -166,5 +168,52 @@ func TestFitBranchPanicSurfaces(t *testing.T) {
 				t.Fatalf("panicked Fit leaked arena buffers: %d gets vs %d puts", gets, puts)
 			}
 		})
+	}
+}
+
+// TestFitSteadyStateGarbage bounds the heap bytes a warm Fit allocates per
+// epoch after its first. The tape ops draw their scratch from the arena or
+// recompute it, and the window's hidden state, contexts and index lists
+// are the fit's, reused from window to window; what is left is per-op
+// bookkeeping (backward closures, tasks, branches) that does not grow with
+// N. It reads about 63 KiB per epoch here, against about 750 KiB when
+// GaussianKL, SCELoss, SegmentSoftmax, GAT, samplePairs and the window
+// loop made their buffers anew; a make of N or E indices or floats per
+// step that creeps back adds at least 10 KiB. A GC that empties the
+// arena's header pool, or a task interleaving that lifts an arena bucket's
+// peak, can add bytes to one Fit, so the test takes the least of up to
+// four. Under the race detector sync.Pool drops headers the arena
+// recycles, which reads about 105 KiB per epoch, so the bound doubles.
+func TestFitSteadyStateGarbage(t *testing.T) {
+	g, _, err := datasets.Replica(datasets.Email, 0.05, 5) // N=94, T=14
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(g.N, g.F)
+	cfg.Epochs = 4
+	cfg.TBPTT = 3
+	if _, err := New(cfg).Fit(g); err != nil { // warm the arena
+		t.Fatal(err)
+	}
+	bound := uint64(72 << 10) // bytes per epoch
+	if raceEnabled {
+		bound *= 2
+	}
+	least := uint64(math.MaxUint64)
+	for try := 0; try < 4 && least > bound; try++ {
+		var ms runtime.MemStats
+		var from uint64
+		if _, err := New(cfg).Fit(g, WithProgress(func(s TrainStats) {
+			runtime.ReadMemStats(&ms)
+			if s.Epoch == 0 {
+				from = ms.TotalAlloc
+			}
+		})); err != nil {
+			t.Fatal(err)
+		}
+		least = min(least, (ms.TotalAlloc-from)/uint64(cfg.Epochs-1))
+	}
+	if least > bound {
+		t.Fatalf("a warm Fit allocated %d heap bytes per epoch after its first, bound %d", least, bound)
 	}
 }

@@ -186,23 +186,31 @@ func (g *GAT) Params() []*nn.Param {
 }
 
 // Apply runs attention aggregation of states over the directed edges
-// (src[k] → dst[k]); each node also attends to itself.
+// (src[k] → dst[k]); each node also attends to itself. The self-loops are
+// appended to src and dst: into their spare capacity when each has room
+// for n more indices, so a caller that reuses its buffers (and reads
+// nothing past their length) allocates no index lists here.
 func (g *GAT) Apply(c *nn.Ctx, states *tensor.Node, src, dst []int, n int) *tensor.Node {
 	t := c.Tape
 	wh := g.W.Apply(c, states) // N×out
-	// Append self-loops.
-	es := make([]int, 0, len(src)+n)
-	ed := make([]int, 0, len(dst)+n)
-	es = append(es, src...)
-	ed = append(ed, dst...)
-	for v := 0; v < n; v++ {
-		es = append(es, v)
-		ed = append(ed, v)
-	}
+	es := appendSelfLoops(src, n)
+	ed := appendSelfLoops(dst, n)
 	hSrc := t.GatherRows(wh, es) // E×out
 	hDst := t.GatherRows(wh, ed)
 	score := t.LeakyReLU(t.Add(g.attnSrc.Apply(c, hSrc), g.attnDst.Apply(c, hDst))) // E×1
 	alpha := t.SegmentSoftmax(score, ed, n)
 	weighted := t.MulColVec(hSrc, alpha)
 	return t.ScatterAddRows(weighted, ed, n)
+}
+
+// appendSelfLoops appends 0, 1, …, n-1 to idx, growing it to exactly
+// len(idx)+n when it lacks the room.
+func appendSelfLoops(idx []int, n int) []int {
+	if cap(idx)-len(idx) < n {
+		idx = append(make([]int, 0, len(idx)+n), idx...)
+	}
+	for v := 0; v < n; v++ {
+		idx = append(idx, v)
+	}
+	return idx
 }

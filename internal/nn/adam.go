@@ -150,6 +150,9 @@ func (c *Ctx) Var(p *Param) *tensor.Node {
 // gradient buffer is returned to the arena as soon as it has been
 // accumulated — Var grads are the one class of buffer Backward cannot
 // release itself, because Flush reads them after the sweep finishes.
+// The context keeps its per-parameter lists, emptied, so a context reused
+// for the next pass over the same parameters (a training window's)
+// captures into them without allocating.
 func (c *Ctx) Flush() {
 	if c.sink == nil {
 		return
@@ -161,8 +164,9 @@ func (c *Ctx) Flush() {
 				c.Tape.ReleaseGrad(n)
 			}
 		}
+		clear(ns)
+		c.nodes[p] = ns[:0]
 	}
-	c.nodes = make(map[*Param][]*tensor.Node)
 }
 
 // FlushOrdered flushes main, then each of rest in order: the sink sees
@@ -174,8 +178,8 @@ func (c *Ctx) Flush() {
 // FlushOrdered panics, naming it, before flushing anything.
 func FlushOrdered(main *Ctx, rest []*Ctx) {
 	for _, c := range rest {
-		for p := range c.nodes {
-			if _, ok := main.nodes[p]; ok {
+		for p, ns := range c.nodes {
+			if len(ns) > 0 && len(main.nodes[p]) > 0 {
 				panic("nn: FlushOrdered: parameter " + p.Name + " used by both the main context and a later one")
 			}
 		}

@@ -190,8 +190,9 @@ func TestEndpointStatsConcurrentObserve(t *testing.T) {
 
 // TestPromRenderDeterministic renders the exposition twice on a quiesced
 // server and requires identical bytes once the lines that legitimately
-// move between two renders (uptime, heap, goroutines, GC pause) are
-// dropped — pinning that map iteration order never leaks into /metrics.
+// move between two renders (uptime, heap, allocated bytes, goroutines, GC
+// pause) are dropped — pinning that map iteration order never leaks into
+// /metrics.
 func TestPromRenderDeterministic(t *testing.T) {
 	srv, ts := newTestServer(t)
 	seed := int64(7)
@@ -206,7 +207,7 @@ func TestPromRenderDeterministic(t *testing.T) {
 		var keep []string
 	lines:
 		for _, line := range strings.Split(string(e.Bytes()), "\n") {
-			for _, moving := range []string{"vrdag_uptime_seconds ", "vrdag_heap_alloc_bytes ", "vrdag_goroutines ", "vrdag_gc_pause_total_ms "} {
+			for _, moving := range []string{"vrdag_uptime_seconds ", "vrdag_heap_alloc_bytes ", "vrdag_heap_allocated_bytes_total ", "vrdag_goroutines ", "vrdag_gc_pause_total_ms "} {
 				if strings.HasPrefix(line, moving) {
 					continue lines
 				}

@@ -141,6 +141,8 @@ func (s *Server) renderProm(e *obs.Expo) {
 	runtime.ReadMemStats(&ms)
 	e.Family("vrdag_heap_alloc_bytes", "Bytes of allocated heap objects.", "gauge")
 	e.Int("vrdag_heap_alloc_bytes", nil, int64(ms.HeapAlloc))
+	e.Family("vrdag_heap_allocated_bytes_total", "Cumulative bytes allocated for heap objects, freed or not.", "counter")
+	e.Int("vrdag_heap_allocated_bytes_total", nil, int64(ms.TotalAlloc))
 	e.Family("vrdag_goroutines", "Live goroutines.", "gauge")
 	e.Int("vrdag_goroutines", nil, int64(runtime.NumGoroutine()))
 	e.Family("vrdag_gc_pause_total_ms", "Cumulative GC stop-the-world pause, in milliseconds.", "counter")

@@ -803,13 +803,17 @@ func (t *Tape) PairDiffT(pT, b *Node, lo int, src, dst []int, act Act) *Node {
 // SegmentSoftmax normalises the E×1 column a with a softmax within each
 // segment: entries sharing seg[k] form one softmax group. Used for graph
 // attention (softmax over each node's incoming edges). nSeg is the number
-// of distinct segments; seg values must lie in [0, nSeg).
+// of distinct segments; seg values must lie in [0, nSeg). The per-segment
+// maxima and sums, and the backward's per-segment dot products, are arena
+// scratch returned before the op (or its backward) does.
 func (t *Tape) SegmentSoftmax(a *Node, seg []int, nSeg int) *Node {
 	if a.Value.Cols != 1 || len(seg) != a.Value.Rows {
 		panic("tensor: SegmentSoftmax needs E×1 input with matching segment slice")
 	}
+	checkIndices("SegmentSoftmax", seg, nSeg)
 	e := a.Value.Rows
-	mx := make([]float64, nSeg)
+	scratch := Get(2, nSeg)
+	mx, sum := scratch.Row(0), scratch.Row(1)
 	for i := range mx {
 		mx[i] = math.Inf(-1)
 	}
@@ -818,7 +822,6 @@ func (t *Tape) SegmentSoftmax(a *Node, seg []int, nSeg int) *Node {
 			mx[seg[k]] = v
 		}
 	}
-	sum := make([]float64, nSeg)
 	out := Get(e, 1)
 	for k := 0; k < e; k++ {
 		v := math.Exp(a.Value.Data[k] - mx[seg[k]])
@@ -830,12 +833,14 @@ func (t *Tape) SegmentSoftmax(a *Node, seg []int, nSeg int) *Node {
 			out.Data[k] /= s
 		}
 	}
+	Put(scratch)
 	n := t.op(out, a.needGrad)
 	n.backward = func() {
 		if !a.needGrad {
 			return
 		}
-		dot := make([]float64, nSeg)
+		dotM := Get(1, nSeg)
+		dot := dotM.Data
 		for k := 0; k < e; k++ {
 			dot[seg[k]] += n.Value.Data[k] * n.Grad.Data[k]
 		}
@@ -843,6 +848,7 @@ func (t *Tape) SegmentSoftmax(a *Node, seg []int, nSeg int) *Node {
 		for k := 0; k < e; k++ {
 			g.Data[k] += n.Value.Data[k] * (n.Grad.Data[k] - dot[seg[k]])
 		}
+		Put(dotM)
 	}
 	return n
 }
@@ -966,31 +972,17 @@ func (t *Tape) BCEProb(p *Node, targets *Matrix) *Node {
 
 // SCELoss is the scaled cosine error of Eq. (18): mean over rows of
 // (1 - cos(x_i, x̂_i))^alpha, with x constant and gradients flowing into x̂.
+// The backward recomputes each row's dot product and norms the way the
+// forward did, so it holds no per-row state between the two.
 func (t *Tape) SCELoss(xhat *Node, x *Matrix, alpha float64) *Node {
 	if !xhat.Value.SameShape(x) {
 		panic(fmt.Sprintf("tensor: SCELoss shape mismatch %s vs %s", xhat.Value.shape(), x.shape()))
 	}
-	const eps = 1e-9
 	rows := x.Rows
-	// Per-row cosines, norms and dot products, read again by the backward.
-	cos := make([]float64, rows)
-	nx := make([]float64, rows)
-	nxh := make([]float64, rows)
-	dots := make([]float64, rows)
 	loss := 0.0
 	for i := 0; i < rows; i++ {
-		xr, hr := x.Row(i), xhat.Value.Row(i)
-		var dot, a2, b2 float64
-		for j := range xr {
-			dot += xr[j] * hr[j]
-			a2 += xr[j] * xr[j]
-			b2 += hr[j] * hr[j]
-		}
-		nx[i] = math.Sqrt(a2) + eps
-		nxh[i] = math.Sqrt(b2) + eps
-		dots[i] = dot
-		cos[i] = dot / (nx[i] * nxh[i])
-		loss += math.Pow(math.Max(1-cos[i], 0), alpha)
+		_, _, _, cos := sceRow(x.Row(i), xhat.Value.Row(i))
+		loss += math.Pow(math.Max(1-cos, 0), alpha)
 	}
 	out := Get(1, 1)
 	if rows > 0 {
@@ -1004,22 +996,40 @@ func (t *Tape) SCELoss(xhat *Node, x *Matrix, alpha float64) *Node {
 		g := xhat.grad()
 		d := n.Grad.Data[0] / float64(rows)
 		for i := 0; i < rows; i++ {
-			base := 1 - cos[i]
+			xr, hr := x.Row(i), xhat.Value.Row(i)
+			nx, nxh, dot, cos := sceRow(xr, hr)
+			base := 1 - cos
 			if base < 0 {
 				base = 0
 			}
 			// d/dcos of (1-cos)^alpha = -alpha*(1-cos)^(alpha-1)
-			coef := -alpha * math.Pow(base+eps, alpha-1) * d
-			xr, hr := x.Row(i), xhat.Value.Row(i)
+			coef := -alpha * math.Pow(base+sceEps, alpha-1) * d
 			grow := g.Row(i)
-			inv := 1 / (nx[i] * nxh[i])
+			inv := 1 / (nx * nxh)
 			for j := range xr {
-				dcos := xr[j]*inv - dots[i]*hr[j]/(nx[i]*nxh[i]*nxh[i]*nxh[i])
+				dcos := xr[j]*inv - dot*hr[j]/(nx*nxh*nxh*nxh)
 				grow[j] += coef * dcos
 			}
 		}
 	}
 	return n
+}
+
+// sceEps keeps SCELoss's norms and its gradient's base off zero.
+const sceEps = 1e-9
+
+// sceRow returns the norms of x and x̂ (each plus sceEps), their dot
+// product and their cosine: the per-row terms of SCELoss.
+func sceRow(xr, hr []float64) (nx, nxh, dot, cos float64) {
+	var a2, b2 float64
+	for j := range xr {
+		dot += xr[j] * hr[j]
+		a2 += xr[j] * xr[j]
+		b2 += hr[j] * hr[j]
+	}
+	nx = math.Sqrt(a2) + sceEps
+	nxh = math.Sqrt(b2) + sceEps
+	return nx, nxh, dot, dot / (nx * nxh)
 }
 
 // MSELoss returns the mean squared error between xhat and constant x.
@@ -1055,7 +1065,9 @@ func (t *Tape) MSELoss(xhat *Node, x *Matrix) *Node {
 //
 //	Σ [ logσp − logσq + (σq² + (µq−µp)²)/(2σp²) − ½ ]
 //
-// All four inputs must share a shape.
+// All four inputs must share a shape. The forward and the backward each
+// compute σq² and σp² into arena scratch of their own, to the same bits,
+// rather than hold them from one to the other.
 func (t *Tape) GaussianKL(muQ, logSigQ, muP, logSigP *Node) *Node {
 	shape := muQ.Value
 	for _, o := range []*Node{logSigQ, muP, logSigP} {
@@ -1064,20 +1076,20 @@ func (t *Tape) GaussianKL(muQ, logSigQ, muP, logSigP *Node) *Node {
 		}
 	}
 	size := len(shape.Data)
-	sq2 := make([]float64, size) // σq², read again by the backward
-	sp2 := make([]float64, size) // σp²
+	v := klVariances(logSigQ.Value, logSigP.Value)
+	sq2, sp2 := v.Row(0), v.Row(1)
 	kl := 0.0
 	for i := 0; i < size; i++ {
-		sq := math.Exp(clamp(logSigQ.Value.Data[i], -20, 20))
-		sp := math.Exp(clamp(logSigP.Value.Data[i], -20, 20))
-		sq2[i], sp2[i] = sq*sq, sp*sp
 		dm := muQ.Value.Data[i] - muP.Value.Data[i]
 		kl += logSigP.Value.Data[i] - logSigQ.Value.Data[i] + (sq2[i]+dm*dm)/(2*sp2[i]) - 0.5
 	}
+	Put(v)
 	out := Get(1, 1)
 	out.Data[0] = kl
 	n := t.op(out, anyGrad(muQ, logSigQ, muP, logSigP))
 	n.backward = func() {
+		v := klVariances(logSigQ.Value, logSigP.Value)
+		sq2, sp2 := v.Row(0), v.Row(1)
 		d := n.Grad.Data[0]
 		for i := 0; i < size; i++ {
 			dm := muQ.Value.Data[i] - muP.Value.Data[i]
@@ -1094,8 +1106,28 @@ func (t *Tape) GaussianKL(muQ, logSigQ, muP, logSigP *Node) *Node {
 				logSigP.grad().Data[i] += d * (1 - (sq2[i]+dm*dm)/sp2[i])
 			}
 		}
+		Put(v)
 	}
 	return n
+}
+
+// klVariances returns GaussianKL's σq² (row 0) and σp² (row 1), σ =
+// exp(log σ) with log σ clamped to [-20, 20], in a 2×size arena matrix
+// the caller returns with Put.
+func klVariances(logSigQ, logSigP *Matrix) *Matrix {
+	size := len(logSigQ.Data)
+	v := Get(2, size)
+	for i, x := range logSigQ.Data {
+		v.Data[i] = clamp(x, -20, 20)
+	}
+	for i, x := range logSigP.Data {
+		v.Data[size+i] = clamp(x, -20, 20)
+	}
+	VExp(v.Data)
+	for i, s := range v.Data {
+		v.Data[i] = s * s
+	}
+	return v
 }
 
 func sigmoid(x float64) float64 {

@@ -381,6 +381,9 @@ func TestOpPanicLeavesArenaBalanced(t *testing.T) {
 			tp.PairDiffT(c(2, 3), c(1, 2), 0, []int{0, 1}, []int{1, -1}, ActIdent)
 		}},
 		{"SegmentSoftmax", func() { tp.SegmentSoftmax(c(3, 1), []int{0, 1, 2}, 2) }},
+		{"SegmentSoftmax/negative", func() { tp.SegmentSoftmax(c(3, 1), []int{0, -1, 1}, 2) }},
+		{"GaussianKL", func() { tp.GaussianKL(c(3, 2), c(3, 2), c(2, 3), c(3, 2)) }},
+		{"SCELoss", func() { tp.SCELoss(c(3, 2), testMat(3, 1, 1), 2) }},
 		{"BCEWithLogits", func() { tp.BCEWithLogits(c(3, 2), testMat(2, 3, 1)) }},
 		{"MSELoss", func() { tp.MSELoss(c(3, 2), testMat(3, 1, 1)) }},
 		{"CSR.MulDense", func() { csr.MulDense(testMat(4, 2, 1)) }},
