@@ -182,6 +182,10 @@ type Model struct {
 	cal         calibration
 	activeStats []float64
 	trained     bool
+
+	// scratch pools the decode buffers of finished generation and
+	// forecast requests (generate.go).
+	scratch scratchPool
 }
 
 // New constructs an untrained VRDAG model.

@@ -82,22 +82,44 @@ type pairHead struct {
 	b2  []float64 // second-layer bias, K
 }
 
-// pairScorer owns the per-request buffers of the Eq. 11 decode passes and,
-// for a Parallel request, one helper goroutine per extra P for the life of
-// the generation or forecast (started by the first wake, ended by
-// stopHelpers). A pass is posted, then joined: between the two the caller
-// may do other work while the helpers claim chunks, and join claims what
-// is left and waits for the chunks the helpers hold. Every per-node result
-// lives at a fixed stride, so the goroutines write disjoint regions without
-// a prefix sum over candidate counts.
+// pairScorer runs the Eq. 11 decode passes of one generation or forecast
+// and, for a Parallel request, one helper goroutine per extra P for the
+// life of the request (started by the first wake, ended by stopHelpers). A
+// pass is posted, then joined: between the two the caller may do other
+// work while the helpers claim chunks, and join claims what is left and
+// waits for the chunks the helpers hold. Every per-node result lives at a
+// fixed stride, so the goroutines write disjoint regions without a prefix
+// sum over candidate counts.
+//
+// The buffers come from the request's genScratch (pairBufs), which a later
+// request on the model reuses; the struct itself, with its atomics and
+// bells, is the request's own, since a helper stopped at the end of one
+// request may still read them while the next one runs.
 type pairScorer struct {
 	n, dh, k int
 	exact    bool // every other node is a candidate; no list is materialised
 	stride   int  // pair slots per node: N−1 when exact, CandidateCap otherwise
 
-	w1   *tensor.Matrix // d_s×2d_h: [W₁θ ‖ W₁α]
+	*pairBufs
 	head [2]pairHead
-	p    *tensor.Matrix // N×2d_h: S·w1, each row θ's d_h values then α's
+
+	chunk int                        // nodes per claim
+	f     func(w *pairWorker, i int) // the current pass's per-node work
+	pass  uint32                     // passes posted so far (caller only)
+	open  bool                       // pass is posted and not yet joined (caller only)
+	claim atomic.Uint64              // pass<<32 | first unclaimed node
+	done  atomic.Int64
+	ring  atomic.Uint64 // first<<32 | last pass the latest wake asks the helpers to join
+	stop  atomic.Bool   // set by stopHelpers: spinning helpers give up
+	bells []chan struct{}
+}
+
+// pairBufs is every buffer a pairScorer's passes read or write, sized by
+// a decodeShape.
+type pairBufs struct {
+	w1  *tensor.Matrix // d_s×2d_h: [W₁θ ‖ W₁α]
+	w2T [2][]float64   // each head's second-layer weights transposed, K×d_h
+	p   *tensor.Matrix // N×2d_h: S·w1, each row θ's d_h values then α's
 
 	cands []int     // N×stride candidate ids (capped decoding only)
 	cnt   []int     // candidates per node of the step being scored; 0: inactive or none found
@@ -106,17 +128,10 @@ type pairScorer struct {
 
 	// workers[0] is the calling goroutine's scratch, workers[1:] the
 	// helpers'. A pass hands out chunks of nodes from claim to whichever
-	// goroutine asks first; done counts the nodes finished.
+	// goroutine asks first; done counts the nodes finished. A helper
+	// touches its worker only inside a chunk it claimed, and the request's
+	// last join waits for every claimed chunk.
 	workers []*pairWorker
-	chunk   int                        // nodes per claim
-	f       func(w *pairWorker, i int) // the current pass's per-node work
-	pass    uint32                     // passes posted so far (caller only)
-	open    bool                       // pass is posted and not yet joined (caller only)
-	claim   atomic.Uint64              // pass<<32 | first unclaimed node
-	done    atomic.Int64
-	ring    atomic.Uint64 // first<<32 | last pass the latest wake asks the helpers to join
-	stop    atomic.Bool   // set by stopHelpers: spinning helpers give up
-	bells   []chan struct{}
 }
 
 // pairWorker is one goroutine's scratch, reused for every node it scores.
@@ -129,52 +144,80 @@ type pairWorker struct {
 	aSum  []float64 // K
 }
 
-func (m *Model) newPairScorer(parallel bool) *pairScorer {
-	n, dh, k := m.Cfg.N, m.Cfg.HiddenDim, m.Cfg.K
-	ps := &pairScorer{n: n, dh: dh, k: k}
-	ps.stride = m.Cfg.CandidateCap
-	if ps.stride <= 0 || ps.stride >= n-1 {
-		ps.exact, ps.stride = true, n-1
-	}
+// decodeShape is what a request's decode buffers are sized by: the node
+// count, the pair slots per node and the goroutines that score them. A
+// pooled scratch serves a request only at the shape it was built for.
+type decodeShape struct{ n, stride, workers int }
 
-	ds := m.fTheta.Layers[0].In
-	ps.w1 = tensor.New(ds, 2*dh)
+// exact reports whether the shape scores every other node.
+func (sh decodeShape) exact() bool { return sh.stride == sh.n-1 }
+
+// decodeShape returns the shape of a request under the model's current
+// CandidateCap, on GOMAXPROCS goroutines when parallel.
+func (m *Model) decodeShape(parallel bool) decodeShape {
+	n := m.Cfg.N
+	sh := decodeShape{n: n, stride: m.Cfg.CandidateCap, workers: 1}
+	if sh.stride <= 0 || sh.stride >= n-1 {
+		sh.stride = n - 1
+	}
+	if parallel {
+		sh.workers = runtime.GOMAXPROCS(0)
+	}
+	return sh
+}
+
+func (m *Model) newPairBufs(sh decodeShape) *pairBufs {
+	n, dh, k := sh.n, m.Cfg.HiddenDim, m.Cfg.K
+	b := &pairBufs{
+		w1:    tensor.New(m.fTheta.Layers[0].In, 2*dh),
+		p:     tensor.New(n, 2*dh),
+		cnt:   make([]int, n),
+		alpha: make([]float64, n*k),
+		theta: make([]float64, n*sh.stride),
+	}
+	for h := range b.w2T {
+		b.w2T[h] = make([]float64, k*dh)
+	}
+	if !sh.exact() {
+		b.cands = make([]int, n*sh.stride)
+	}
+	b.workers = make([]*pairWorker, sh.workers)
+	for i := range b.workers {
+		w := &pairWorker{
+			logit: make([]float64, k*sh.stride),
+			aSum:  make([]float64, k),
+		}
+		w.nrng = rand.New(&w.nsrc)
+		if !sh.exact() {
+			w.mark = make([]bool, n)
+		}
+		b.workers[i] = w
+	}
+	return b
+}
+
+// pairScorerOn returns a request's scorer over b, which has shape sh,
+// with the model's current weights laid out in b.w1 and b.w2T.
+func (m *Model) pairScorerOn(b *pairBufs, sh decodeShape) *pairScorer {
+	dh := m.Cfg.HiddenDim
+	ps := &pairScorer{n: sh.n, dh: dh, k: m.Cfg.K, exact: sh.exact(), stride: sh.stride, pairBufs: b}
 	for h, mlp := range [2]*nn.MLP{headTheta: m.fTheta, headAlpha: m.fAlpha} {
 		if mlp.Hidden != tensor.ActLeakyReLU {
 			panic("core: the Eq. 11 pair kernel implements LeakyReLU hidden layers only")
 		}
 		l1, l2 := mlp.Layers[0], mlp.Layers[1]
-		for r := 0; r < ds; r++ {
-			copy(ps.w1.Row(r)[h*dh:(h+1)*dh], l1.W.Value.Row(r))
+		for r := 0; r < b.w1.Rows; r++ {
+			copy(b.w1.Row(r)[h*dh:(h+1)*dh], l1.W.Value.Row(r))
 		}
-		ps.head[h] = pairHead{b1: l1.B.Value.Data, w2T: l2.W.Value.Transpose().Data, b2: l2.B.Value.Data}
-	}
-
-	ps.p = tensor.New(n, 2*dh)
-	ps.cnt = make([]int, n)
-	ps.alpha = make([]float64, n*k)
-	ps.theta = make([]float64, n*ps.stride)
-	if !ps.exact {
-		ps.cands = make([]int, n*ps.stride)
-	}
-
-	workers := 1
-	if parallel {
-		workers = runtime.GOMAXPROCS(0)
+		w2, w2T := l2.W.Value, b.w2T[h] // d_h×K, transposed into K×d_h
+		for r := 0; r < w2.Rows; r++ {
+			for q, v := range w2.Row(r) {
+				w2T[q*dh+r] = v
+			}
+		}
+		ps.head[h] = pairHead{b1: l1.B.Value.Data, w2T: w2T, b2: l2.B.Value.Data}
 	}
 	ps.chunk = max(1, decodeChunkPairs/max(ps.stride, 1))
-	ps.workers = make([]*pairWorker, workers)
-	for i := range ps.workers {
-		w := &pairWorker{
-			logit: make([]float64, k*ps.stride),
-			aSum:  make([]float64, k),
-		}
-		w.nrng = rand.New(&w.nsrc)
-		if !ps.exact {
-			w.mark = make([]bool, n)
-		}
-		ps.workers[i] = w
-	}
 	return ps
 }
 

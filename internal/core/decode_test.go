@@ -151,6 +151,12 @@ func TestPairScorerMatchesMLPForward(t *testing.T) {
 	}
 }
 
+// newPairScorer returns a scorer over buffers of its own.
+func (m *Model) newPairScorer(parallel bool) *pairScorer {
+	sh := m.decodeShape(parallel)
+	return m.pairScorerOn(m.newPairBufs(sh), sh)
+}
+
 // TestPairScorerFansOut: a timestep shares its passes with the helpers only
 // from decodeFanOutPairs pairs, counted over the active nodes, and never
 // without a helper to share them with.

@@ -16,7 +16,7 @@ func TestUpdateActiveSetDeletesAfterThreshold(t *testing.T) {
 	isolated := []int{5, 0, 5, 0, 5, 0} // nodes 0,2,4 long isolated
 	h := tensor.Randn(6, m.Cfg.HiddenDim, 1, rand.New(rand.NewSource(1)))
 	rng := rand.New(rand.NewSource(2))
-	m.updateActiveSet(active, isolated, h, 0, 3, rng)
+	m.updateActiveSet(active, isolated, h, make([]float64, m.Cfg.HiddenDim), 0, 3, rng)
 	for _, v := range []int{0, 2, 4} {
 		if active[v] {
 			t.Fatalf("node %d isolated beyond Tdel must deactivate", v)
@@ -45,7 +45,7 @@ func TestUpdateActiveSetAddsAtEmpiricalRate(t *testing.T) {
 		h.Row(0)[j] = 2 // mean state source
 	}
 	rng := rand.New(rand.NewSource(3))
-	m.updateActiveSet(active, isolated, h, 0, 3, rng)
+	m.updateActiveSet(active, isolated, h, make([]float64, m.Cfg.HiddenDim), 0, 3, rng)
 	added := 0
 	for v := 1; v < 8; v++ {
 		if active[v] {
@@ -70,7 +70,7 @@ func TestUpdateActiveSetNoRateNoAdditions(t *testing.T) {
 	isolated := make([]int, 5)
 	h := tensor.New(5, m.Cfg.HiddenDim)
 	rng := rand.New(rand.NewSource(4))
-	m.updateActiveSet(active, isolated, h, 99, 3, rng)
+	m.updateActiveSet(active, isolated, h, make([]float64, m.Cfg.HiddenDim), 99, 3, rng)
 	for v, a := range active {
 		if a {
 			t.Fatalf("node %d activated without any empirical rate", v)

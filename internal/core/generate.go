@@ -5,7 +5,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
+	"sync"
+	"time"
+	"weak"
 
 	"vrdag/internal/dyngraph"
 	"vrdag/internal/nn"
@@ -101,8 +105,17 @@ func (m *Model) generate(ctx context.Context, opts GenOptions, yield func(*dyngr
 	}
 	st := m.newGenState(opts, recycle, init)
 	defer st.release()
+	err := st.run(ctx, yield)
+	// Reached between steps only: a request whose step or consumer panics
+	// leaves its scratch to the collector, mid-write as it may be.
+	st.clean = true
+	return err
+}
+
+// run decodes opts.T snapshots into yield.
+func (st *genState) run(ctx context.Context, yield func(*dyngraph.Snapshot) error) error {
 	traced := obs.FromContext(ctx) != nil
-	for t := 0; t < opts.T; t++ {
+	for t := 0; t < st.opts.T; t++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -123,14 +136,18 @@ func (m *Model) generate(ctx context.Context, opts GenOptions, yield func(*dyngr
 }
 
 // genState is the reusable stepper behind GenerateCtx and GenerateStream:
-// the per-request mutable state of Algorithm 1 plus the O(N) decode
-// scratch, allocated once per request instead of once per snapshot.
+// the per-request mutable state of Algorithm 1. Its O(N) decode buffers
+// are a genScratch from the model's pool, which the request returns when
+// it ends between steps.
 type genState struct {
 	m    *Model
 	cal  *calibration // nil with DegreeCalibration off
 	opts GenOptions
 	rng  *rand.Rand
 	n    int
+
+	sc    *genScratch
+	clean bool // the request ended between steps: release may pool sc
 
 	h        *tensor.Matrix // H_{t-1}; starts at 0 (Algorithm 1, line 1)
 	active   []bool
@@ -144,8 +161,11 @@ type genState struct {
 	// the combined sequence, which keeps the Time2Vec embedding, the
 	// per-step edge-count targets, and the activation statistics aligned
 	// with where the observed history left off. Zero for unconditional
-	// generation.
+	// generation. prefix is the engine's copy of the prefix's last
+	// snapshot, the first prev, which is the engine's to recycle in either
+	// mode.
 	timeOff int
+	prefix  *dyngraph.Snapshot
 
 	// Streaming mode: a snapshot handed to the consumer is taken back once
 	// it leaves the one-step history window and reused for a later
@@ -163,7 +183,6 @@ type genState struct {
 	cdf   *candCDF // candidate distribution of the step drawn last; nil with exact decoding
 	seeds []int64
 	comp  []int
-	u     []float64 // the step's component and Bernoulli uniforms (drawUniforms)
 	// The passes, bound once: a method value posted afresh allocates.
 	candPass, uniPass, alphaPass, thetaPass func(*pairWorker, int)
 
@@ -181,46 +200,249 @@ type genState struct {
 	attr   *attrScratch
 }
 
-func (m *Model) newGenState(opts GenOptions, recycle bool, init *ForecastState) *genState {
-	inferenceStarts()
-	n := m.Cfg.N
-	src := opts.Source
-	if src == nil {
-		src = rand.NewSource(opts.Seed)
-	}
-	st := &genState{
-		m: m, cal: m.calibrator(), opts: opts, rng: rand.New(src), n: n, recycle: recycle,
-		h:        tensor.Get(n, m.Cfg.HiddenDim),
+// genScratch holds the buffers a generation or forecast request decodes
+// with: the pair scorer's, the stepper's O(N) state and noise, the
+// candidate CDF, the attribute decoder's edge lists, the eval tape and the
+// streaming mode's recycled snapshots. No value in them outlives the
+// request: each request writes what it reads. A model keeps the scratch of
+// finished requests in its scratchPool, so after its first request a
+// model decodes without garbage. A scratch holds no arena buffer: the
+// arena's gets and puts balance over every request as before.
+type genScratch struct {
+	shape decodeShape
+	pairBufs
+	cdf *candCDF // nil with exact decoding
+
+	ctx *nn.Ctx
+	// rng is the main stream of the requests without a GenOptions.Source,
+	// made by the first and re-seeded by the rest: Seed leaves the state
+	// NewSource would build.
+	rng *rand.Rand
+
+	active   []bool
+	isolated []int
+	degree   []float64
+	seeds    []int64
+	comp     []int
+	u        []float64 // a step's component and Bernoulli uniforms (drawUniforms)
+	zNoise   []float64
+	xNoise   []float64 // nil until a request composes attributes
+	attr     *attrScratch
+	mean     []float64 // updateActiveSet's mean hidden state, d_h
+	zeros    []int     // gruInput's broadcast index, N zeros (Time2Vec only)
+
+	// esrc, edst are the attribute decoder's edge lists, with room for
+	// the N self-loops GAT.Apply appends.
+	esrc, edst []int
+	// snaps holds recycled snapshots for a streaming request to decode
+	// into, at most keptSnapshots of them.
+	snaps []*dyngraph.Snapshot
+}
+
+// keptSnapshots is how many recycled snapshots a scratch keeps: a
+// streaming request's working set, the one-step history window, the
+// snapshot decoded and the next step's, drawn ahead.
+const keptSnapshots = 3
+
+func (m *Model) newGenScratch(sh decodeShape) *genScratch {
+	n := sh.n
+	sc := &genScratch{
+		shape:    sh,
+		pairBufs: *m.newPairBufs(sh),
 		ctx:      nn.NewEvalCtx(tensor.NewTape()),
 		active:   make([]bool, n),
 		isolated: make([]int, n),
 		degree:   make([]float64, n),
-		ps:       m.newPairScorer(opts.Parallel),
 		seeds:    make([]int64, n),
 		comp:     make([]int, n),
 		zNoise:   make([]float64, n*m.Cfg.LatentDim),
+		mean:     make([]float64, m.Cfg.HiddenDim),
+	}
+	if !sh.exact() {
+		sc.cdf = newCandCDF(n)
+	}
+	if m.Cfg.UseTime2Vec {
+		sc.zeros = make([]int, n)
+	}
+	return sc
+}
+
+// scratchPool keeps the genScratch a model's finished requests leave, so
+// that the next request decodes without garbage. One of them, the spare,
+// is held until the first garbage collection that finds it unused for
+// scratchIdle; any more (concurrent requests each take their own) go to a
+// sync.Pool, which a collection empties two cycles after their last use.
+//
+// A sync.Pool alone does not keep a model's one scratch between requests.
+// It holds what it is given on the P that gave it, where a Get on another
+// P does not look, and a request's goroutine moves between Ps at its
+// joins: a model's first request after a collection missed half the time
+// on two Ps. And two back-to-back collections with no request between
+// them (debug.FreeOSMemory, then runtime.GC) drop it whole, after the
+// first left its pages resident, so its successor lands on fresh ones:
+// the benchmark's gen_offline peak RSS read 39.0 or 45.5 MB from run to
+// run that way, and 38.8 MB with the spare (2 vCPU Xeon, go1.24.0).
+type scratchPool struct {
+	mu      sync.Mutex
+	spare   *genScratch
+	used    time.Time // when spare was put
+	watched bool      // a collection will call collected
+	pool    sync.Pool // *genScratch
+}
+
+// scratchIdle is how long a model's spare scratch outlives its last
+// request: the first collection after that drops it. The runtime forces a
+// collection at least every two minutes, so an idle process gives the
+// spare back within scratchIdle and two minutes.
+const scratchIdle = time.Minute
+
+// get returns a kept scratch of shape sh, or nil. A kept scratch of another
+// shape (CandidateCap or GOMAXPROCS changed since it was built) is left to
+// the collector.
+func (p *scratchPool) get(sh decodeShape) *genScratch {
+	p.mu.Lock()
+	sc := p.spare
+	p.spare = nil
+	p.mu.Unlock()
+	if sc == nil {
+		sc, _ = p.pool.Get().(*genScratch)
+	}
+	if sc == nil || sc.shape != sh {
+		return nil
+	}
+	return sc
+}
+
+// put keeps sc: as the spare when there is none, in the sync.Pool if not.
+func (p *scratchPool) put(sc *genScratch) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.spare != nil {
+		p.pool.Put(sc)
+		return
+	}
+	p.spare, p.used = sc, time.Now()
+	if !p.watched {
+		p.watched = true
+		watchCollection(p)
+	}
+}
+
+// collected runs after a garbage collection while a spare is held: it
+// drops the spare once it has gone unused for scratchIdle, and otherwise
+// waits for the next collection.
+func (p *scratchPool) collected() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.spare != nil && time.Since(p.used) >= scratchIdle {
+		p.spare = nil
+	}
+	p.watched = p.spare != nil
+	if p.watched {
+		watchCollection(p)
+	}
+}
+
+// gcSentinel is a heap object nothing references: the next collection
+// finds it unreachable and runs its cleanup. It holds a pointer so that
+// the allocator does not batch it with other small objects, which could
+// keep it alive.
+type gcSentinel struct{ _ *byte }
+
+// watchCollection has the next garbage collection call p.collected. The
+// cleanup holds p weakly, so a model nobody references is still collected.
+func watchCollection(p *scratchPool) {
+	runtime.AddCleanup(new(gcSentinel), func(wp weak.Pointer[scratchPool]) {
+		if p := wp.Value(); p != nil {
+			p.collected()
+		}
+	}, weak.Make(p))
+}
+
+// takeSnapshot pops a recycled snapshot, or returns nil.
+func (sc *genScratch) takeSnapshot() *dyngraph.Snapshot {
+	k := len(sc.snaps) - 1
+	if k < 0 {
+		return nil
+	}
+	s := sc.snaps[k]
+	sc.snaps[k] = nil
+	sc.snaps = sc.snaps[:k]
+	return s
+}
+
+// keepSnapshot recycles s and keeps it while there is room.
+func (sc *genScratch) keepSnapshot(s *dyngraph.Snapshot) {
+	s.Recycle()
+	if len(sc.snaps) < keptSnapshots {
+		sc.snaps = append(sc.snaps, s)
+	}
+}
+
+func (m *Model) newGenState(opts GenOptions, recycle bool, init *ForecastState) *genState {
+	inferenceStarts()
+	n := m.Cfg.N
+	sh := m.decodeShape(opts.Parallel)
+	sc := m.scratch.get(sh)
+	if sc == nil {
+		sc = m.newGenScratch(sh)
+	}
+	var rng *rand.Rand
+	switch {
+	case opts.Source != nil:
+		rng = rand.New(opts.Source)
+	case sc.rng == nil:
+		sc.rng = rand.New(rand.NewSource(opts.Seed))
+		rng = sc.rng
+	default:
+		sc.rng.Seed(opts.Seed)
+		rng = sc.rng
+	}
+	st := &genState{
+		m: m, cal: m.calibrator(), opts: opts, rng: rng, n: n, recycle: recycle, sc: sc,
+		h:        tensor.Get(n, m.Cfg.HiddenDim),
+		ctx:      sc.ctx,
+		active:   sc.active,
+		isolated: sc.isolated,
+		degree:   sc.degree,
+		ps:       m.pairScorerOn(&sc.pairBufs, sh),
+		cdf:      sc.cdf,
+		seeds:    sc.seeds,
+		comp:     sc.comp,
+		zNoise:   sc.zNoise,
 	}
 	st.candPass, st.uniPass = st.buildCandidates, st.drawUniforms
 	st.alphaPass, st.thetaPass = st.scoreAlpha, st.scoreTheta
-	if !st.ps.exact {
-		st.cdf = newCandCDF(n)
-	}
 	if m.Cfg.F > 0 && st.cal.composes() {
-		st.xNoise = make([]float64, n*m.Cfg.F)
-		st.attr = newAttrScratch(m.Cfg.F)
+		if sc.xNoise == nil {
+			sc.xNoise = make([]float64, n*m.Cfg.F)
+			sc.attr = newAttrScratch(m.Cfg.F)
+		}
+		st.xNoise, st.attr = sc.xNoise, sc.attr
 	}
 	for i := range st.active {
 		st.active[i] = true
 	}
+	clear(st.isolated)
+	clear(st.degree)
 	if init != nil {
 		// Warm-start from the encoded prefix. Every injected buffer is
-		// copied or cloned: the stepper mutates and recycles its state, and
-		// the ForecastState must stay reusable for further Forecast calls
+		// copied: the stepper mutates and recycles its state, and the
+		// ForecastState must stay reusable for further Forecast calls
 		// (and further EncodeSnapshot absorption) on the same session.
 		copy(st.h.Data, init.h.Data)
 		copy(st.degree, init.degree)
 		if init.prev != nil {
-			st.prev = init.prev.Clone()
+			st.prefix = sc.takeSnapshot()
+			if st.prefix == nil {
+				st.prefix = dyngraph.NewSnapshot(n, 0)
+			}
+			for u, out := range init.prev.Out {
+				for _, v := range out {
+					st.prefix.AddEdge(u, v)
+				}
+			}
+			st.prev = st.prefix
 		}
 		if init.attrState != nil {
 			st.prevX = tensor.Get(init.attrState.Rows, init.attrState.Cols)
@@ -232,9 +454,10 @@ func (m *Model) newGenState(opts GenOptions, recycle bool, init *ForecastState) 
 }
 
 // release returns every live buffer of an in-flight generation to the
-// arena. It runs on all exit paths, including cancellation and consumer
-// errors, so aborted requests leak nothing (collected snapshots, which
-// have escaped to the caller, are exempt).
+// arena and, when the request ended between steps, its scratch to the
+// model's pool. It runs on all exit paths, including cancellation and
+// consumer errors, so aborted requests leak nothing (collected snapshots,
+// which have escaped to the caller, are exempt).
 func (st *genState) release() {
 	// A step that panicked may leave a candidate pass posted, which reads
 	// st.prev, recycled below; the next step's uniforms stay posted across
@@ -250,20 +473,34 @@ func (st *genState) release() {
 		tensor.Put(st.prevX)
 		st.prevX = nil
 	}
-	if st.recycle && st.prev != nil {
-		st.prev.Recycle()
+	// The engine's own snapshots: in streaming mode all three, otherwise
+	// the prefix copy and a next step drawn ahead but never decoded.
+	sc := st.sc
+	for _, s := range [...]*dyngraph.Snapshot{st.prev, st.next, st.spare} {
+		if s != nil && (st.recycle || s == st.prefix || s == st.next) {
+			sc.keepSnapshot(s)
+		}
 	}
-	st.prev, st.spare, st.next = nil, nil, nil
+	st.prev, st.spare, st.next, st.prefix = nil, nil, nil, nil
+	if st.clean {
+		st.m.scratch.put(sc)
+	}
+	st.sc = nil
 }
 
 // takeSnapshot returns the snapshot to decode the next timestep into: the
-// recycled previous-previous snapshot when streaming, a fresh one
-// otherwise. The attribute matrix is attached by the decoder, so the
-// structure-only allocation suffices in both modes.
+// recycled previous-previous snapshot or a pooled one when streaming, a
+// fresh one otherwise. The attribute matrix is attached by the decoder,
+// so the structure-only allocation suffices in both modes.
 func (st *genState) takeSnapshot() *dyngraph.Snapshot {
 	if s := st.spare; s != nil {
 		st.spare = nil
 		return s
+	}
+	if st.recycle {
+		if s := st.sc.takeSnapshot(); s != nil {
+			return s
+		}
 	}
 	return dyngraph.NewSnapshot(st.n, 0)
 }
@@ -339,10 +576,15 @@ func (st *genState) step(t int) *dyngraph.Snapshot {
 	// it and its buffers can be reclaimed.
 	old := st.prev
 	st.prev = snap
-	if st.recycle && old != nil {
+	switch {
+	case old == nil:
+	case st.recycle:
 		old.Recycle()
 		st.spare = old
+	case old == st.prefix:
+		st.sc.keepSnapshot(old) // the engine's copy, never yielded
 	}
+	st.prefix = nil
 	if ahead {
 		st.next = st.takeSnapshot()
 		if !ps.exact && ps.fansOut(st.active) {
@@ -354,8 +596,9 @@ func (st *genState) step(t int) *dyngraph.Snapshot {
 	// Line 5: decode attributes conditioned on the new topology: the
 	// likelihood mean, which the calibration turns into a sample.
 	if m.Cfg.F > 0 {
-		esrc, edst := snap.EdgeLists()
-		dec := m.attrMLP.Apply(c, m.gat.Apply(c, s, esrc, edst, n))
+		sc := st.sc
+		sc.esrc, sc.edst = edgeLists(sc.esrc, sc.edst, snap, n)
+		dec := m.attrMLP.Apply(c, m.gat.Apply(c, s, sc.esrc, sc.edst, n))
 		x := tensor.Get(n, m.Cfg.F)
 		copy(x.Data, dec.Value.Data)
 		state := st.cal.composeAttrs(x, st.prevX, st.xNoise, st.attr)
@@ -369,12 +612,12 @@ func (st *genState) step(t int) *dyngraph.Snapshot {
 	// Line 7: update hidden states with the recurrence updater. H_{t-1}
 	// is dead once H_t is recorded, so H_t overwrites it in place.
 	eps := m.enc.Encode(c, snap)
-	hNext := m.gru.Step(c, m.gruInput(c, eps, z, clock, nil), h)
+	hNext := m.gru.Step(c, m.gruInput(c, eps, z, clock, st.sc.zeros), h)
 	copy(st.h.Data, hNext.Value.Data)
 	tp.Reset()
 
 	if st.opts.DynamicNodes {
-		m.updateActiveSet(st.active, st.isolated, st.h, clock, st.opts.Tdel, st.rng)
+		m.updateActiveSet(st.active, st.isolated, st.h, st.sc.mean, clock, st.opts.Tdel, st.rng)
 	}
 	if !ps.exact {
 		ps.join() // step t+1's candidate pass reads snap, which now leaves
@@ -456,7 +699,7 @@ func (st *genState) decodeStructure(snap *dyngraph.Snapshot, s *tensor.Matrix, t
 
 	// Each node's mixture component, in node order; only then is it known
 	// which θ row a node needs.
-	u, comp := st.u, st.comp
+	u, comp := st.sc.u, st.comp
 	for i := 0; i < n; i++ {
 		if ps.cnt[i] > 0 {
 			comp[i] = sampleCategorical(ps.alpha[i*ps.k:(i+1)*ps.k], u[0])
@@ -487,12 +730,12 @@ func (st *genState) decodeStructure(snap *dyngraph.Snapshot, s *tensor.Matrix, t
 		u = u[c:]
 	}
 	if len(u) != 0 {
-		panic(fmt.Sprintf("core: a decode step used %d of the %d uniforms drawn for it", len(st.u)-len(u), len(st.u)))
+		panic(fmt.Sprintf("core: a decode step used %d of the %d uniforms drawn for it", len(st.sc.u)-len(u), len(st.sc.u)))
 	}
 }
 
 // drawUniforms draws from the main stream the uniforms decodeStructure
-// reads, in that order, into st.u: one per node with candidates, for its
+// reads, in that order, into the scratch's u: one per node with candidates, for its
 // component, then one per candidate, for its Bernoulli trial. drawStep
 // posts it as a one-chunk pass (w and i unused) under exact decoding; under
 // capped decoding the caller runs it while the helpers score α.
@@ -503,10 +746,11 @@ func (st *genState) drawUniforms(_ *pairWorker, _ int) {
 			need += 1 + c
 		}
 	}
-	st.u = slices.Grow(st.u[:0], need)[:need]
-	for i := range st.u {
-		st.u[i] = st.rng.Float64()
+	u := slices.Grow(st.sc.u[:0], need)[:need]
+	for i := range u {
+		u[i] = st.rng.Float64()
 	}
+	st.sc.u = u
 }
 
 // buildCandidates is capped decoding's candidate pass over node i: draw
@@ -556,8 +800,9 @@ func (s *splitmixSource) Int63() int64 { return int64(s.Uint64() >> 1) }
 
 // updateActiveSet applies the Section III-H extension: deletion after Tdel
 // isolated steps, additions at the empirical activation rate with hidden
-// states sampled around the mean graph state h̄.
-func (m *Model) updateActiveSet(active []bool, isolated []int, h *tensor.Matrix, t, tdel int, rng *rand.Rand) {
+// states sampled around the mean graph state h̄, which it computes into
+// mean (h.Cols long).
+func (m *Model) updateActiveSet(active []bool, isolated []int, h *tensor.Matrix, mean []float64, t, tdel int, rng *rand.Rand) {
 	n := m.Cfg.N
 	for v := 0; v < n; v++ {
 		if active[v] && isolated[v] >= tdel {
@@ -569,7 +814,7 @@ func (m *Model) updateActiveSet(active []bool, isolated []int, h *tensor.Matrix,
 		}
 	}
 	// Mean hidden state over active nodes.
-	mean := make([]float64, h.Cols)
+	clear(mean)
 	cnt := 0
 	for v := 0; v < n; v++ {
 		if !active[v] {

@@ -1,8 +1,12 @@
 package dyngraph
 
 import (
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
+
+	"vrdag/internal/tensor"
 )
 
 // TestAdjCSRCacheInvalidation: the memoised CSR forms must reflect every
@@ -78,4 +82,76 @@ func TestAdjCSRConcurrentReaders(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// sameCSR reports whether two CSR matrices hold the same entries in the
+// same order.
+func sameCSR(a, b *tensor.CSR) bool {
+	return a.Rows == b.Rows && a.Cols == b.Cols && slices.Equal(a.RowPtr, b.RowPtr) &&
+		slices.Equal(a.ColIdx, b.ColIdx) && slices.Equal(a.Val, b.Val)
+}
+
+// TestRecycledCSRRebuildsInPlace: after Recycle a snapshot rebuilds A and
+// Aᵀ into the arrays of its previous forms, and each equals tensor.NewCSR
+// of its EdgeLists in that orientation, for a timestep with fewer edges
+// than the last and one with more (which outgrows them).
+func TestRecycledCSRRebuildsInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	const n = 40
+	s := NewSnapshot(n, 0)
+	for _, edges := range []int{300, 120, 200, 500} {
+		var kept [2]*tensor.CSR
+		var keptCols [2]*int
+		if s.NumEdges() > 0 {
+			kept = [2]*tensor.CSR{s.AdjCSR(), s.AdjTCSR()}
+			keptCols = [2]*int{&kept[0].ColIdx[0], &kept[1].ColIdx[0]}
+			s.Recycle()
+		}
+		for s.NumEdges() < edges {
+			s.AddEdge(rng.Intn(n), rng.Intn(n))
+		}
+		src, dst := s.EdgeLists()
+		for k, c := range [2]*tensor.CSR{s.AdjCSR(), s.AdjTCSR()} {
+			want := tensor.NewCSR(n, n, src, dst, nil)
+			if k == 1 {
+				want = tensor.NewCSR(n, n, dst, src, nil)
+			}
+			if !sameCSR(c, want) {
+				t.Fatalf("%d edges, form %d: the rebuilt CSR differs from NewCSR of EdgeLists", edges, k)
+			}
+			if kept[k] != nil && edges < cap(kept[k].ColIdx) && (c != kept[k] || &c.ColIdx[0] != keptCols[k]) {
+				t.Fatalf("%d edges, form %d: not rebuilt into the recycled form's arrays", edges, k)
+			}
+		}
+	}
+}
+
+// TestAdjTCSRTransposesOut: on a SampleNeighbors view, whose In lists are
+// sampled apart from its Out lists, AdjTCSR is the transpose of Out, the
+// lists AdjCSR reads, and not a CSR of the In lists.
+func TestAdjTCSRTransposesOut(t *testing.T) {
+	const n = 30
+	rng := rand.New(rand.NewSource(4))
+	s := NewSnapshot(n, 0)
+	for s.NumEdges() < 400 {
+		s.AddEdge(rng.Intn(n), rng.Intn(n))
+	}
+	v := s.SampleNeighbors(3, rand.New(rand.NewSource(5)))
+	var inSrc, inDst []int
+	for d, in := range v.In {
+		for _, u := range in {
+			inSrc, inDst = append(inSrc, u), append(inDst, d)
+		}
+	}
+	fromIn := tensor.NewCSR(n, n, inDst, inSrc, nil)
+	src, dst := v.EdgeLists()
+	if sameCSR(fromIn, tensor.NewCSR(n, n, dst, src, nil)) {
+		t.Fatal("the view's In lists are the transpose of its Out lists; the check below would prove nothing")
+	}
+	if !sameCSR(v.AdjTCSR(), tensor.NewCSR(n, n, dst, src, nil)) {
+		t.Fatal("AdjTCSR of a sampled view is not the transpose of its Out lists")
+	}
+	if !sameCSR(v.AdjCSR(), tensor.NewCSR(n, n, src, dst, nil)) {
+		t.Fatal("AdjCSR of a sampled view is not its Out lists")
+	}
 }

@@ -28,10 +28,12 @@ type Snapshot struct {
 	// both matrices once per layer per epoch; rebuilding them from the
 	// neighbour lists dominated encoder time on static snapshots. AddEdge
 	// invalidates the cache; the mutex makes concurrent readers of one
-	// shared snapshot safe.
+	// shared snapshot safe. Recycle moves the forms into kept, and the
+	// next build fills their arrays in place instead of allocating.
 	csrMu    sync.Mutex
 	adjCSR   *tensor.CSR
 	adjTCSRc *tensor.CSR
+	kept     [2]*tensor.CSR // A, Aᵀ
 }
 
 // NewSnapshot returns an empty snapshot over n nodes with f attribute
@@ -127,35 +129,105 @@ func (s *Snapshot) EdgeLists() (src, dst []int) {
 // AdjCSR returns the adjacency matrix A (A[u][v] = 1 for edge u→v) in CSR
 // form; A·H aggregates each node's out-neighbour states. The result is
 // memoised until the next AddEdge or Recycle and must therefore be
-// treated as immutable by callers (the tensor.CSR contract).
+// treated as immutable by callers (the tensor.CSR contract). It equals
+// tensor.NewCSR(N, N, src, dst, nil) of EdgeLists.
 func (s *Snapshot) AdjCSR() *tensor.CSR {
 	s.csrMu.Lock()
 	defer s.csrMu.Unlock()
 	if s.adjCSR == nil {
-		src, dst := s.EdgeLists()
-		s.adjCSR = tensor.NewCSR(s.N, s.N, src, dst, nil)
+		s.adjCSR = s.buildCSR(s.kept[0], false)
+		s.kept[0] = nil
 	}
 	return s.adjCSR
 }
 
 // AdjTCSR returns Aᵀ in CSR form; Aᵀ·H aggregates in-neighbour states.
-// Memoised like AdjCSR.
+// Memoised like AdjCSR. It is the transpose of the Out lists, which on a
+// SampleNeighbors view differs from the In lists (sampled on their own):
+// it equals tensor.NewCSR(N, N, dst, src, nil) of EdgeLists.
 func (s *Snapshot) AdjTCSR() *tensor.CSR {
 	s.csrMu.Lock()
 	defer s.csrMu.Unlock()
 	if s.adjTCSRc == nil {
-		src, dst := s.EdgeLists()
-		s.adjTCSRc = tensor.NewCSR(s.N, s.N, dst, src, nil)
+		s.adjTCSRc = s.buildCSR(s.kept[1], true)
+		s.kept[1] = nil
 	}
 	return s.adjTCSRc
+}
+
+// buildCSR builds A, or Aᵀ when transpose is set, from the Out lists into
+// c's arrays when c is non-nil and they have the room, and into new ones
+// otherwise. A's rows are the Out lists in order; Aᵀ is a counting sort of
+// the same edges by destination, each row's sources ascending: the entry
+// order tensor.NewCSR gives them from EdgeLists.
+func (s *Snapshot) buildCSR(c *tensor.CSR, transpose bool) *tensor.CSR {
+	n, nnz := s.N, 0
+	for u, out := range s.Out {
+		for _, v := range out {
+			if v < 0 || v >= n {
+				panic(fmt.Sprintf("dyngraph: edge %d->%d out of range [0,%d)", u, v, n))
+			}
+		}
+		nnz += len(out)
+	}
+	var rowPtr, colIdx []int
+	var val []float64
+	if c != nil {
+		rowPtr, colIdx, val = c.RowPtr, c.ColIdx, c.Val
+	}
+	rowPtr, colIdx, val = resize(rowPtr, n+1), resize(colIdx, nnz), resize(val, nnz)
+	for k := range val {
+		val[k] = 1
+	}
+	if !transpose {
+		rowPtr[0] = 0
+		for u, out := range s.Out {
+			rowPtr[u+1] = rowPtr[u] + copy(colIdx[rowPtr[u]:], out)
+		}
+	} else {
+		// rowPtr[v] counts v's in-edges, then (a running sum) the end of
+		// row v; placing the edges last to first moves it back to the
+		// row's start and leaves each row's sources ascending.
+		clear(rowPtr)
+		for _, out := range s.Out {
+			for _, v := range out {
+				rowPtr[v]++
+			}
+		}
+		for v := 1; v <= n; v++ {
+			rowPtr[v] += rowPtr[v-1]
+		}
+		for u := n - 1; u >= 0; u-- {
+			out := s.Out[u]
+			for k := len(out) - 1; k >= 0; k-- {
+				v := out[k]
+				rowPtr[v]--
+				colIdx[rowPtr[v]] = u
+			}
+		}
+	}
+	if c == nil {
+		c = new(tensor.CSR)
+	}
+	*c = tensor.CSR{Rows: n, Cols: n, RowPtr: rowPtr, ColIdx: colIdx, Val: val}
+	return c
+}
+
+// resize returns s with length n, reusing its array when it has the room.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // Recycle empties the snapshot in place for reuse by a streaming
 // producer: the attribute matrix is returned to the tensor arena and
 // detached, the neighbour lists are truncated with their backing arrays
-// kept, and the memoised CSR forms are dropped. After Recycle the
+// kept, and the memoised CSR forms are invalidated with their arrays
+// kept, which the next AdjCSR and AdjTCSR rebuild into. After Recycle the
 // snapshot is equivalent to NewSnapshot(N, 0) except that rebuilding a
-// similar timestep into it allocates nothing.
+// similar timestep into it, CSR forms included, allocates nothing.
 //
 // The caller must own the snapshot exclusively: no view of X and no CSR
 // form obtained from it may be used afterwards.
@@ -169,7 +241,14 @@ func (s *Snapshot) Recycle() {
 		s.In[i] = s.In[i][:0]
 	}
 	s.m = 0
-	s.invalidateCSR()
+	s.csrMu.Lock()
+	for k, c := range [2]*tensor.CSR{s.adjCSR, s.adjTCSRc} {
+		if c != nil {
+			s.kept[k] = c
+		}
+	}
+	s.adjCSR, s.adjTCSRc = nil, nil
+	s.csrMu.Unlock()
 }
 
 // Clone returns a deep copy of the snapshot.
