@@ -183,8 +183,8 @@ type Model struct {
 	activeStats []float64
 	trained     bool
 
-	// scratch pools the decode buffers of finished generation and
-	// forecast requests (generate.go).
+	// scratch keeps the decode buffers of the last finished generation
+	// or forecast request (generate.go).
 	scratch scratchPool
 }
 

@@ -48,9 +48,10 @@ import (
 // A ForecastState is not safe for concurrent mutation: callers that share
 // one state between an ingest writer and forecast readers (e.g. the serving
 // layer's sessions) must synchronize. Forecasting itself never mutates the
-// state — every Forecast call copies it into per-request buffers — so any
-// number of concurrent forecasts may read a state that no one is encoding
-// into.
+// state — every Forecast call copies what it advances into per-request
+// buffers and reads the last snapshot in place — so any number of
+// concurrent forecasts may read a state that no one is encoding into, for
+// as long as each call runs.
 type ForecastState struct {
 	h         *tensor.Matrix     // H_t after the last absorbed snapshot (N×d_h)
 	degree    []float64          // exponentially-weighted degree per node

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"slices"
 	"sync"
 	"time"
@@ -137,35 +136,32 @@ func (st *genState) run(ctx context.Context, yield func(*dyngraph.Snapshot) erro
 
 // genState is the reusable stepper behind GenerateCtx and GenerateStream:
 // the per-request mutable state of Algorithm 1. Its O(N) decode buffers
-// are a genScratch from the model's pool, which the request returns when
-// it ends between steps.
+// are the embedded genScratch, taken from the model's scratchPool, which
+// the request returns when it ends between steps.
 type genState struct {
+	*genScratch
 	m    *Model
 	cal  *calibration // nil with DegreeCalibration off
 	opts GenOptions
 	rng  *rand.Rand
 	n    int
 
-	sc    *genScratch
-	clean bool // the request ended between steps: release may pool sc
+	clean bool // the request ended between steps: release may keep the scratch
 
-	h        *tensor.Matrix // H_{t-1}; starts at 0 (Algorithm 1, line 1)
-	active   []bool
-	isolated []int
-	degree   []float64 // running degree for candidate weighting
-	prevX    *tensor.Matrix
-	prev     *dyngraph.Snapshot
+	h     *tensor.Matrix // H_{t-1}; starts at 0 (Algorithm 1, line 1)
+	prevX *tensor.Matrix
+	prev  *dyngraph.Snapshot
 
 	// timeOff shifts the model clock when generation continues an encoded
 	// observation prefix: snapshot t of the run is timestep timeOff+t of
 	// the combined sequence, which keeps the Time2Vec embedding, the
 	// per-step edge-count targets, and the activation statistics aligned
 	// with where the observed history left off. Zero for unconditional
-	// generation. prefix is the engine's copy of the prefix's last
-	// snapshot, the first prev, which is the engine's to recycle in either
-	// mode.
-	timeOff int
-	prefix  *dyngraph.Snapshot
+	// generation. borrowed is the prefix's last snapshot, the first prev:
+	// it stays the ForecastState's, so the engine reads it in place and
+	// never recycles or keeps it.
+	timeOff  int
+	borrowed *dyngraph.Snapshot
 
 	// Streaming mode: a snapshot handed to the consumer is taken back once
 	// it leaves the one-step history window and reused for a later
@@ -173,31 +169,20 @@ type genState struct {
 	recycle bool
 	spare   *dyngraph.Snapshot
 
-	// ctx records each timestep's forward on one eval tape (parameters are
-	// constants, so no gradient is tracked); step resets it once H_t and
-	// the decoded X are copied out.
-	ctx *nn.Ctx
-
-	// Decode scratch, reused across timesteps.
-	ps    *pairScorer
-	cdf   *candCDF // candidate distribution of the step drawn last; nil with exact decoding
-	seeds []int64
-	comp  []int
+	// The pair scorer over the scratch's pairBufs. The struct, with its
+	// atomics and bells, is the request's own: a stopped helper of an
+	// earlier request may still read its scorer's.
+	ps *pairScorer
 	// The passes, bound once: a method value posted afresh allocates.
 	candPass, uniPass, alphaPass, thetaPass func(*pairWorker, int)
 
 	// The main-stream draws of a step that precede its component draws
-	// (drawStep): the latent noise, the snapshot holding the replayed
-	// persistent edges and how many there are, and the per-node seeds in
+	// (drawStep): the latent noise (zNoise), the snapshot holding the
+	// replayed persistent edges and how many there are, and the per-node
 	// seeds. next is non-nil when the previous step made them; otherwise
 	// the step makes them at its start.
-	zNoise    []float64 // N×d_z, row-major as sampleLatent reads it
 	next      *dyngraph.Snapshot
 	persisted float64
-	// composeAttrs' observation noise, N×F column-major (element j·N+i),
-	// and its working set; nil when the model does not compose attributes.
-	xNoise []float64
-	attr   *attrScratch
 }
 
 // genScratch holds the buffers a generation or forecast request decodes
@@ -205,31 +190,37 @@ type genState struct {
 // candidate CDF, the attribute decoder's edge lists, the eval tape and the
 // streaming mode's recycled snapshots. No value in them outlives the
 // request: each request writes what it reads. A model keeps the scratch of
-// finished requests in its scratchPool, so after its first request a
+// its last finished request (scratchPool), so after its first request a
 // model decodes without garbage. A scratch holds no arena buffer: the
 // arena's gets and puts balance over every request as before.
 type genScratch struct {
 	shape decodeShape
 	pairBufs
-	cdf *candCDF // nil with exact decoding
+	cdf *candCDF // candidate distribution of the step drawn last; nil with exact decoding
 
+	// ctx records each timestep's forward on one eval tape (parameters are
+	// constants, so no gradient is tracked); step resets it once H_t and
+	// the decoded X are copied out.
 	ctx *nn.Ctx
-	// rng is the main stream of the requests without a GenOptions.Source,
-	// made by the first and re-seeded by the rest: Seed leaves the state
-	// NewSource would build.
-	rng *rand.Rand
+	// seeded is the main stream of the requests without a
+	// GenOptions.Source, made by the first and re-seeded by the rest: Seed
+	// leaves the state NewSource would build.
+	seeded *rand.Rand
 
 	active   []bool
 	isolated []int
-	degree   []float64
+	degree   []float64 // running degree for candidate weighting
 	seeds    []int64
 	comp     []int
 	u        []float64 // a step's component and Bernoulli uniforms (drawUniforms)
-	zNoise   []float64
-	xNoise   []float64 // nil until a request composes attributes
-	attr     *attrScratch
-	mean     []float64 // updateActiveSet's mean hidden state, d_h
-	zeros    []int     // gruInput's broadcast index, N zeros (Time2Vec only)
+	zNoise   []float64 // N×d_z, row-major as sampleLatent reads it
+	// composeAttrs' observation noise, N×F column-major (element j·N+i),
+	// and its working set; nil when the request does not compose
+	// attributes.
+	xNoise []float64
+	attr   *attrScratch
+	mean   []float64 // updateActiveSet's mean hidden state, d_h
+	zeros  []int     // gruInput's broadcast index, N zeros (Time2Vec only)
 
 	// esrc, edst are the attribute decoder's edge lists, with room for
 	// the N self-loops GAT.Apply appends.
@@ -267,100 +258,70 @@ func (m *Model) newGenScratch(sh decodeShape) *genScratch {
 	return sc
 }
 
-// scratchPool keeps the genScratch a model's finished requests leave, so
-// that the next request decodes without garbage. One of them, the spare,
-// is held until the first garbage collection that finds it unused for
-// scratchIdle; any more (concurrent requests each take their own) go to a
-// sync.Pool, which a collection empties two cycles after their last use.
-//
-// A sync.Pool alone does not keep a model's one scratch between requests.
-// It holds what it is given on the P that gave it, where a Get on another
-// P does not look, and a request's goroutine moves between Ps at its
-// joins: a model's first request after a collection missed half the time
-// on two Ps. And two back-to-back collections with no request between
-// them (debug.FreeOSMemory, then runtime.GC) drop it whole, after the
-// first left its pages resident, so its successor lands on fresh ones:
-// the benchmark's gen_offline peak RSS read 39.0 or 45.5 MB from run to
-// run that way, and 38.8 MB with the spare (2 vCPU Xeon, go1.24.0).
+// scratchPool keeps the genScratch of a model's last finished request, the
+// spare, so that the next request decodes without garbage. A request that
+// finishes while another holds the spare leaves its own to the collector,
+// as does one whose shape no longer matches. The spare is dropped once it
+// has gone unused for scratchIdle, so an idle process gives its memory
+// back at the next collection after that.
 type scratchPool struct {
-	mu      sync.Mutex
-	spare   *genScratch
-	used    time.Time // when spare was put
-	watched bool      // a collection will call collected
-	pool    sync.Pool // *genScratch
+	mu    sync.Mutex
+	spare *genScratch
+	// idle drops spare; every put restarts it. It holds the pool weakly:
+	// a model nobody references is collected with its spare at once, not
+	// a minute later.
+	idle *time.Timer
 }
 
 // scratchIdle is how long a model's spare scratch outlives its last
-// request: the first collection after that drops it. The runtime forces a
-// collection at least every two minutes, so an idle process gives the
-// spare back within scratchIdle and two minutes.
+// request.
 const scratchIdle = time.Minute
 
-// get returns a kept scratch of shape sh, or nil. A kept scratch of another
-// shape (CandidateCap or GOMAXPROCS changed since it was built) is left to
-// the collector.
+// get takes the spare if it has shape sh, and returns nil otherwise. A
+// spare of another shape (CandidateCap or GOMAXPROCS changed since it was
+// built) is left to the collector.
 func (p *scratchPool) get(sh decodeShape) *genScratch {
 	p.mu.Lock()
 	sc := p.spare
 	p.spare = nil
 	p.mu.Unlock()
-	if sc == nil {
-		sc, _ = p.pool.Get().(*genScratch)
-	}
 	if sc == nil || sc.shape != sh {
 		return nil
 	}
 	return sc
 }
 
-// put keeps sc: as the spare when there is none, in the sync.Pool if not.
+// put keeps sc as the spare unless one is held already, and restarts the
+// idle timer. A timer that fires while put runs may drop the new spare:
+// that costs the next request a fresh scratch, nothing more.
 func (p *scratchPool) put(sc *genScratch) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.spare != nil {
-		p.pool.Put(sc)
 		return
 	}
-	p.spare, p.used = sc, time.Now()
-	if !p.watched {
-		p.watched = true
-		watchCollection(p)
+	p.spare = sc
+	if p.idle == nil {
+		wp := weak.Make(p)
+		p.idle = time.AfterFunc(scratchIdle, func() {
+			if p := wp.Value(); p != nil {
+				p.drop()
+			}
+		})
+	} else {
+		p.idle.Reset(scratchIdle)
 	}
 }
 
-// collected runs after a garbage collection while a spare is held: it
-// drops the spare once it has gone unused for scratchIdle, and otherwise
-// waits for the next collection.
-func (p *scratchPool) collected() {
+// drop lets the collector have the spare.
+func (p *scratchPool) drop() {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.spare != nil && time.Since(p.used) >= scratchIdle {
-		p.spare = nil
-	}
-	p.watched = p.spare != nil
-	if p.watched {
-		watchCollection(p)
-	}
+	p.spare = nil
+	p.mu.Unlock()
 }
 
-// gcSentinel is a heap object nothing references: the next collection
-// finds it unreachable and runs its cleanup. It holds a pointer so that
-// the allocator does not batch it with other small objects, which could
-// keep it alive.
-type gcSentinel struct{ _ *byte }
-
-// watchCollection has the next garbage collection call p.collected. The
-// cleanup holds p weakly, so a model nobody references is still collected.
-func watchCollection(p *scratchPool) {
-	runtime.AddCleanup(new(gcSentinel), func(wp weak.Pointer[scratchPool]) {
-		if p := wp.Value(); p != nil {
-			p.collected()
-		}
-	}, weak.Make(p))
-}
-
-// takeSnapshot pops a recycled snapshot, or returns nil.
-func (sc *genScratch) takeSnapshot() *dyngraph.Snapshot {
+// popSnapshot pops a recycled snapshot, or returns nil.
+func (sc *genScratch) popSnapshot() *dyngraph.Snapshot {
 	k := len(sc.snaps) - 1
 	if k < 0 {
 		return nil
@@ -391,34 +352,27 @@ func (m *Model) newGenState(opts GenOptions, recycle bool, init *ForecastState) 
 	switch {
 	case opts.Source != nil:
 		rng = rand.New(opts.Source)
-	case sc.rng == nil:
-		sc.rng = rand.New(rand.NewSource(opts.Seed))
-		rng = sc.rng
+	case sc.seeded == nil:
+		sc.seeded = rand.New(rand.NewSource(opts.Seed))
+		rng = sc.seeded
 	default:
-		sc.rng.Seed(opts.Seed)
-		rng = sc.rng
+		sc.seeded.Seed(opts.Seed)
+		rng = sc.seeded
 	}
 	st := &genState{
-		m: m, cal: m.calibrator(), opts: opts, rng: rng, n: n, recycle: recycle, sc: sc,
-		h:        tensor.Get(n, m.Cfg.HiddenDim),
-		ctx:      sc.ctx,
-		active:   sc.active,
-		isolated: sc.isolated,
-		degree:   sc.degree,
-		ps:       m.pairScorerOn(&sc.pairBufs, sh),
-		cdf:      sc.cdf,
-		seeds:    sc.seeds,
-		comp:     sc.comp,
-		zNoise:   sc.zNoise,
+		genScratch: sc, m: m, cal: m.calibrator(), opts: opts, rng: rng, n: n, recycle: recycle,
+		h:  tensor.Get(n, m.Cfg.HiddenDim),
+		ps: m.pairScorerOn(&sc.pairBufs, sh),
 	}
 	st.candPass, st.uniPass = st.buildCandidates, st.drawUniforms
 	st.alphaPass, st.thetaPass = st.scoreAlpha, st.scoreTheta
-	if m.Cfg.F > 0 && st.cal.composes() {
-		if sc.xNoise == nil {
-			sc.xNoise = make([]float64, n*m.Cfg.F)
-			sc.attr = newAttrScratch(m.Cfg.F)
-		}
-		st.xNoise, st.attr = sc.xNoise, sc.attr
+	switch {
+	case m.Cfg.F == 0 || !st.cal.composes():
+		// A kept xNoise would have step draw noise nothing composes.
+		sc.xNoise, sc.attr = nil, nil
+	case sc.xNoise == nil:
+		sc.xNoise = make([]float64, n*m.Cfg.F)
+		sc.attr = newAttrScratch(m.Cfg.F)
 	}
 	for i := range st.active {
 		st.active[i] = true
@@ -426,24 +380,13 @@ func (m *Model) newGenState(opts GenOptions, recycle bool, init *ForecastState) 
 	clear(st.isolated)
 	clear(st.degree)
 	if init != nil {
-		// Warm-start from the encoded prefix. Every injected buffer is
-		// copied: the stepper mutates and recycles its state, and the
-		// ForecastState must stay reusable for further Forecast calls
-		// (and further EncodeSnapshot absorption) on the same session.
+		// Warm-start from the encoded prefix. The buffers the stepper
+		// mutates are copied, so the ForecastState stays reusable for
+		// further Forecast calls (and further EncodeSnapshot absorption) on
+		// the same session; the last snapshot is only read, in place.
 		copy(st.h.Data, init.h.Data)
 		copy(st.degree, init.degree)
-		if init.prev != nil {
-			st.prefix = sc.takeSnapshot()
-			if st.prefix == nil {
-				st.prefix = dyngraph.NewSnapshot(n, 0)
-			}
-			for u, out := range init.prev.Out {
-				for _, v := range out {
-					st.prefix.AddEdge(u, v)
-				}
-			}
-			st.prev = st.prefix
-		}
+		st.prev, st.borrowed = init.prev, init.prev
 		if init.attrState != nil {
 			st.prevX = tensor.Get(init.attrState.Rows, init.attrState.Cols)
 			copy(st.prevX.Data, init.attrState.Data)
@@ -474,18 +417,17 @@ func (st *genState) release() {
 		st.prevX = nil
 	}
 	// The engine's own snapshots: in streaming mode all three, otherwise
-	// the prefix copy and a next step drawn ahead but never decoded.
-	sc := st.sc
+	// a next step drawn ahead but never decoded.
 	for _, s := range [...]*dyngraph.Snapshot{st.prev, st.next, st.spare} {
-		if s != nil && (st.recycle || s == st.prefix || s == st.next) {
-			sc.keepSnapshot(s)
+		if s != nil && s != st.borrowed && (st.recycle || s == st.next) {
+			st.keepSnapshot(s)
 		}
 	}
-	st.prev, st.spare, st.next, st.prefix = nil, nil, nil, nil
+	st.prev, st.spare, st.next, st.borrowed = nil, nil, nil, nil
 	if st.clean {
-		st.m.scratch.put(sc)
+		st.m.scratch.put(st.genScratch)
 	}
-	st.sc = nil
+	st.genScratch = nil
 }
 
 // takeSnapshot returns the snapshot to decode the next timestep into: the
@@ -498,7 +440,7 @@ func (st *genState) takeSnapshot() *dyngraph.Snapshot {
 		return s
 	}
 	if st.recycle {
-		if s := st.sc.takeSnapshot(); s != nil {
+		if s := st.popSnapshot(); s != nil {
 			return s
 		}
 	}
@@ -573,18 +515,14 @@ func (st *genState) step(t int) *dyngraph.Snapshot {
 	// Rotate the one-step history window. The snapshot leaving it was
 	// yielded before this step began and the draws that read it are made,
 	// so in streaming mode both the consumer and the engine are done with
-	// it and its buffers can be reclaimed.
+	// it and its buffers can be reclaimed; a borrowed one stays the
+	// ForecastState's.
 	old := st.prev
 	st.prev = snap
-	switch {
-	case old == nil:
-	case st.recycle:
+	if old != nil && old != st.borrowed && st.recycle {
 		old.Recycle()
 		st.spare = old
-	case old == st.prefix:
-		st.sc.keepSnapshot(old) // the engine's copy, never yielded
 	}
-	st.prefix = nil
 	if ahead {
 		st.next = st.takeSnapshot()
 		if !ps.exact && ps.fansOut(st.active) {
@@ -596,9 +534,8 @@ func (st *genState) step(t int) *dyngraph.Snapshot {
 	// Line 5: decode attributes conditioned on the new topology: the
 	// likelihood mean, which the calibration turns into a sample.
 	if m.Cfg.F > 0 {
-		sc := st.sc
-		sc.esrc, sc.edst = edgeLists(sc.esrc, sc.edst, snap, n)
-		dec := m.attrMLP.Apply(c, m.gat.Apply(c, s, sc.esrc, sc.edst, n))
+		st.esrc, st.edst = edgeLists(st.esrc, st.edst, snap, n)
+		dec := m.attrMLP.Apply(c, m.gat.Apply(c, s, st.esrc, st.edst, n))
 		x := tensor.Get(n, m.Cfg.F)
 		copy(x.Data, dec.Value.Data)
 		state := st.cal.composeAttrs(x, st.prevX, st.xNoise, st.attr)
@@ -612,12 +549,12 @@ func (st *genState) step(t int) *dyngraph.Snapshot {
 	// Line 7: update hidden states with the recurrence updater. H_{t-1}
 	// is dead once H_t is recorded, so H_t overwrites it in place.
 	eps := m.enc.Encode(c, snap)
-	hNext := m.gru.Step(c, m.gruInput(c, eps, z, clock, st.sc.zeros), h)
+	hNext := m.gru.Step(c, m.gruInput(c, eps, z, clock, st.zeros), h)
 	copy(st.h.Data, hNext.Value.Data)
 	tp.Reset()
 
 	if st.opts.DynamicNodes {
-		m.updateActiveSet(st.active, st.isolated, st.h, st.sc.mean, clock, st.opts.Tdel, st.rng)
+		m.updateActiveSet(st.active, st.isolated, st.h, st.mean, clock, st.opts.Tdel, st.rng)
 	}
 	if !ps.exact {
 		ps.join() // step t+1's candidate pass reads snap, which now leaves
@@ -699,7 +636,7 @@ func (st *genState) decodeStructure(snap *dyngraph.Snapshot, s *tensor.Matrix, t
 
 	// Each node's mixture component, in node order; only then is it known
 	// which θ row a node needs.
-	u, comp := st.sc.u, st.comp
+	u, comp := st.u, st.comp
 	for i := 0; i < n; i++ {
 		if ps.cnt[i] > 0 {
 			comp[i] = sampleCategorical(ps.alpha[i*ps.k:(i+1)*ps.k], u[0])
@@ -730,7 +667,7 @@ func (st *genState) decodeStructure(snap *dyngraph.Snapshot, s *tensor.Matrix, t
 		u = u[c:]
 	}
 	if len(u) != 0 {
-		panic(fmt.Sprintf("core: a decode step used %d of the %d uniforms drawn for it", len(st.sc.u)-len(u), len(st.sc.u)))
+		panic(fmt.Sprintf("core: a decode step used %d of the %d uniforms drawn for it", len(st.u)-len(u), len(st.u)))
 	}
 }
 
@@ -746,11 +683,11 @@ func (st *genState) drawUniforms(_ *pairWorker, _ int) {
 			need += 1 + c
 		}
 	}
-	u := slices.Grow(st.sc.u[:0], need)[:need]
+	u := slices.Grow(st.u[:0], need)[:need]
 	for i := range u {
 		u[i] = st.rng.Float64()
 	}
-	st.sc.u = u
+	st.u = u
 }
 
 // buildCandidates is capped decoding's candidate pass over node i: draw
