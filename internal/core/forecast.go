@@ -59,6 +59,12 @@ type ForecastState struct {
 	attrState *tensor.Matrix     // standardized attribute AR(1) state (nil until attrs observed)
 	steps     int                // observed timesteps absorbed (the model-clock offset)
 	released  bool
+
+	// EncodeSnapshot's eval tape and gruInput's broadcast index (N zeros,
+	// Time2Vec only), made by the first call and kept for the rest, so a
+	// warm call records without building either. A Clone makes its own.
+	ctx   *nn.Ctx
+	zeros []int
 }
 
 // Steps returns how many observed snapshots the state has absorbed.
@@ -79,8 +85,10 @@ func (st *ForecastState) Release() {
 		tensor.Put(st.attrState)
 		st.attrState = nil
 	}
-	st.prev = nil
-	st.degree = nil
+	if st.ctx != nil {
+		st.ctx.Tape.Reset() // holds buffers only if an encode panicked
+	}
+	st.prev, st.degree, st.ctx, st.zeros = nil, nil, nil, nil
 }
 
 // Clone returns an independent deep copy of the state, e.g. to branch
@@ -144,14 +152,24 @@ func (m *Model) EncodeSnapshot(st *ForecastState, snap *dyngraph.Snapshot) error
 	inferenceStarts()
 	enc, cleanup := m.alignSnapshot(snap)
 
-	// ε_t, z_t = posterior mean, H_t = GRU([ε‖z‖fT(t)], H_{t-1}), on an
-	// eval tape; H_t overwrites H_{t-1} in place.
-	tp := tensor.NewTape()
-	c := nn.NewEvalCtx(tp)
+	// ε_t, z_t = posterior mean, H_t = GRU([ε‖z‖fT(t)], H_{t-1}), on the
+	// state's eval tape; H_t overwrites H_{t-1} in place. The encoder's and
+	// the posterior's nodes go back to the arena once the GRU input is
+	// recorded.
+	if st.ctx == nil {
+		st.ctx = nn.NewEvalCtx(tensor.NewTape())
+		if m.Cfg.UseTime2Vec {
+			st.zeros = make([]int, n)
+		}
+	}
+	c := st.ctx
+	tp := c.Tape
 	h := tp.Const(st.h)
 	eps := m.enc.Encode(c, enc)
 	z := m.posteriorMean(c, eps, h)
-	hNext := m.gru.Step(c, m.gruInput(c, eps, z, st.steps, nil), h)
+	in := m.gruInput(c, eps, z, st.steps, st.zeros)
+	tp.ReleaseSince(0, in)
+	hNext := m.gru.Step(c, in, h)
 	copy(st.h.Data, hNext.Value.Data)
 	tp.Reset()
 

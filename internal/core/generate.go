@@ -488,9 +488,14 @@ func (st *genState) step(t int) *dyngraph.Snapshot {
 		st.drawStep(snap)
 	}
 
-	// Line 3: sample temporal latent variables from the prior.
+	// Line 3: sample temporal latent variables from the prior. Each phase
+	// of the step returns its intermediates to the arena once what the
+	// rest of the step reads is recorded (Tape.ReleaseSince; the tape was
+	// reset at the end of the last step, so the range is all of this
+	// step's recording): here the prior's, keeping Z_t.
 	mu, logSig := m.prior(c, h)
 	z := tp.Owned(sampleLatent(mu.Value, logSig.Value, st.zNoise))
+	tp.ReleaseSince(0, z)
 	s := tp.ConcatCols(z, h) // S_t = [Z_t ‖ H_{t-1}]
 
 	// Line 4: decode the adjacency via the MixBernoulli sampler.
@@ -545,11 +550,14 @@ func (st *genState) step(t int) *dyngraph.Snapshot {
 		st.prevX = state
 		snap.X = x // owned by the snapshot until it escapes or is recycled
 	}
+	tp.ReleaseSince(0, z) // S_t and the attribute decoder's nodes
 
 	// Line 7: update hidden states with the recurrence updater. H_{t-1}
 	// is dead once H_t is recorded, so H_t overwrites it in place.
 	eps := m.enc.Encode(c, snap)
-	hNext := m.gru.Step(c, m.gruInput(c, eps, z, clock, st.zeros), h)
+	in := m.gruInput(c, eps, z, clock, st.zeros)
+	tp.ReleaseSince(0, in) // the encoder's nodes and Z_t
+	hNext := m.gru.Step(c, in, h)
 	copy(st.h.Data, hNext.Value.Data)
 	tp.Reset()
 

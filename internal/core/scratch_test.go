@@ -57,6 +57,45 @@ func streamBytes(t *testing.T, m *Model, opts GenOptions) []byte {
 	return buf.Bytes()
 }
 
+// TestEncodeSnapshotSteadyStateGarbage bounds the heap bytes a warm
+// EncodeSnapshot allocates, the session ingest path's per-snapshot cost.
+// Once a ForecastState has encoded one snapshot it records on the eval tape
+// and broadcast index it kept, so a call allocates only its tape ops'
+// closures: about 1.7 KiB per snapshot at N=94, where a call that built
+// its tape, context and index anew read about 10 KiB. The bound doubles
+// under the race detector, as TestGenerateSteadyStateGarbage's does.
+func TestEncodeSnapshotSteadyStateGarbage(t *testing.T) {
+	m, g := scratchModel(t, 94, 0, 31)
+	st := m.NewForecastState()
+	defer st.Release()
+	encode := func() {
+		for _, s := range g.Snapshots {
+			if err := m.EncodeSnapshot(st, s); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Warms the state's tape, index and persistence copy and each
+	// snapshot's cached CSR forms.
+	encode()
+	bound := uint64(3 << 10)
+	if raceEnabled {
+		bound *= 2
+	}
+	least := uint64(math.MaxUint64)
+	for try := 0; try < 4; try++ {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		encode()
+		runtime.ReadMemStats(&m1)
+		least = min(least, (m1.TotalAlloc-m0.TotalAlloc)/uint64(len(g.Snapshots)))
+	}
+	t.Logf("%d heap bytes per snapshot", least)
+	if least > bound {
+		t.Fatalf("a warm EncodeSnapshot allocated %d heap bytes, bound %d", least, bound)
+	}
+}
+
 // TestGenerateSteadyStateGarbage bounds the heap bytes a warm request
 // allocates: after one request has left its scratch with the model, a
 // T=8 GenerateStream on an exact N=94 model and on a capped N=300 model

@@ -116,11 +116,14 @@ func inputFeatures(s *dyngraph.Snapshot, f int, directed bool) *tensor.Matrix {
 }
 
 // Encode runs the bi-flow encoder over a snapshot on the tape, returning
-// the N×OutDim node representations ε(v, t).
+// the N×OutDim node representations ε(v, t). On an eval tape each layer
+// returns its streams' intermediates to the arena once it has merged
+// them, keeping only the hop-level states (Tape.ReleaseSince).
 func (e *BiFlowEncoder) Encode(c *nn.Ctx, s *dyngraph.Snapshot) *tensor.Node {
 	t := c.Tape
 	adj := s.AdjCSR()   // A·H sums out-neighbour states (cached on the snapshot)
 	adjT := s.AdjTCSR() // Aᵀ·H sums in-neighbour states
+	mark := t.Len()
 	h := e.inProj.ApplyAct(c, t.Owned(inputFeatures(s, e.cfg.InDim, e.cfg.BiFlow)), tensor.ActLeakyReLU)
 
 	var hops []*tensor.Node
@@ -139,6 +142,7 @@ func (e *BiFlowEncoder) Encode(c *nn.Ctx, s *dyngraph.Snapshot) *tensor.Node {
 		}
 		h = merged
 		hops = append(hops, h)
+		t.ReleaseSince(mark, hops...)
 	}
 	// Eq. (7): jump connection over hop-level states.
 	if len(hops) == 1 {
@@ -189,9 +193,11 @@ func (g *GAT) Params() []*nn.Param {
 // (src[k] → dst[k]); each node also attends to itself. The self-loops are
 // appended to src and dst: into their spare capacity when each has room
 // for n more indices, so a caller that reuses its buffers (and reads
-// nothing past their length) allocates no index lists here.
+// nothing past their length) allocates no index lists here. On an eval
+// tape the layer's intermediates go back to the arena before it returns.
 func (g *GAT) Apply(c *nn.Ctx, states *tensor.Node, src, dst []int, n int) *tensor.Node {
 	t := c.Tape
+	mark := t.Len()
 	wh := g.W.Apply(c, states) // N×out
 	es := appendSelfLoops(src, n)
 	ed := appendSelfLoops(dst, n)
@@ -200,7 +206,9 @@ func (g *GAT) Apply(c *nn.Ctx, states *tensor.Node, src, dst []int, n int) *tens
 	score := t.LeakyReLU(t.Add(g.attnSrc.Apply(c, hSrc), g.attnDst.Apply(c, hDst))) // E×1
 	alpha := t.SegmentSoftmax(score, ed, n)
 	weighted := t.MulColVec(hSrc, alpha)
-	return t.ScatterAddRows(weighted, ed, n)
+	out := t.ScatterAddRows(weighted, ed, n)
+	t.ReleaseSince(mark, out)
+	return out
 }
 
 // appendSelfLoops appends 0, 1, …, n-1 to idx, growing it to exactly

@@ -1,5 +1,7 @@
 package tensor
 
+import "slices"
+
 // This file holds the tape's lifetime rules: which buffers the backward
 // sweep may release, and the live-byte ledger that measures it.
 //
@@ -20,6 +22,14 @@ package tensor
 // Backward releases both immediately. The plain record-order executor
 // (NewReferenceTape) skips the release and computes the same bits; the
 // differential harness AssertSchedEquiv and FuzzTapeSchedule pin that.
+//
+// An eval tape never runs Backward, so the sweep never frees its values.
+// Its caller knows instead where a phase of the recording ends and which
+// of its values the rest reads, and says so with ReleaseSince. The same
+// record order makes that safe: every consumer of a value in the range
+// was recorded inside the range, before the call. A range holding a node
+// that needs a gradient, or a hook, is one Backward will still sweep, so
+// ReleaseSince leaves it whole and stays a no-op on training tapes.
 
 // Keep pins node values until Reset: Backward will not release them.
 // Anything read after Backward returns — loss terms, the detached hidden
@@ -29,6 +39,30 @@ func (t *Tape) Keep(ns ...*Node) {
 	for _, n := range ns {
 		if n != nil {
 			n.keep = true
+		}
+	}
+}
+
+// ReleaseSince returns to the arena the value of every op recorded at or
+// after mark (a Len read earlier), except the nodes in keep and those
+// pinned with Keep, and leaves Reset nothing to return for them. An eval
+// tape calls it where a phase of its recording ends, so it holds one
+// phase's intermediates at a time rather than all of them until Reset. It
+// releases nothing when any node in the range needs a gradient or is a
+// hook: Backward still reads their values, so on a training tape the call
+// is a no-op. A released node's Value is nil; of the range, only the kept
+// nodes may be read or consumed afterwards.
+func (t *Tape) ReleaseSince(mark int, keep ...*Node) {
+	nodes := t.nodes[mark:]
+	for _, n := range nodes {
+		if n.needGrad || n.hook {
+			return
+		}
+	}
+	for _, n := range nodes {
+		if n.pooled && !n.keep && !slices.Contains(keep, n) {
+			t.putBuf(&n.Value)
+			n.pooled = false
 		}
 	}
 }

@@ -152,3 +152,95 @@ func TestSchedKeepRetainsValues(t *testing.T) {
 	}
 	tp.Reset()
 }
+
+// TestTapeReleaseSince: on an eval tape ReleaseSince returns the values of
+// the range's ops to the arena and spares the kept, the Keep-pinned and
+// everything recorded before the mark; a second call and the Reset after
+// it put nothing twice, so the arena's gets and puts balance exactly. A
+// range holding a node that needs a gradient, or a hook, is left whole:
+// Backward still reads it.
+func TestTapeReleaseSince(t *testing.T) {
+	t.Run("eval", func(t *testing.T) {
+		before := ReadPoolStats()
+		tp := NewTape()
+		x := tp.Const(testMat(4, 4, 31))
+		early := tp.Tanh(x)
+		mark := tp.Len()
+		a := tp.Sigmoid(early)
+		b := tp.MatMul(a, early)
+		pinned := tp.Scale(b, 2)
+		kept := tp.Add(a, b)
+		dead := tp.Owned(Get(4, 4))
+		tp.Keep(pinned)
+		want := append([]float64(nil), kept.Value.Data...)
+		live := tp.LiveBytes()
+
+		tp.ReleaseSince(mark, kept)
+		if a.Value != nil || b.Value != nil || dead.Value != nil {
+			t.Fatal("an unkept node of the range is still resident")
+		}
+		if x.Value == nil || early.Value == nil {
+			t.Fatal("a node recorded before the mark was released")
+		}
+		if pinned.Value == nil || kept.Value == nil {
+			t.Fatal("a kept or Keep-pinned node was released")
+		}
+		if i, ok := sameBits(kept.Value.Data, want); !ok {
+			t.Fatalf("the kept value changed at element %d", i)
+		}
+		if got, freed := tp.LiveBytes(), int64(3*4*4*8); got != live-freed {
+			t.Fatalf("tape live bytes %d after the release, want %d", got, live-freed)
+		}
+		puts := ReadPoolStats().Puts
+		tp.ReleaseSince(mark, kept)
+		if n := ReadPoolStats().Puts - puts; n != 0 {
+			t.Fatalf("a second ReleaseSince put %d buffers", n)
+		}
+		tp.Reset()
+		after := ReadPoolStats()
+		if gets, puts := after.Gets-before.Gets, after.Puts-before.Puts; gets != puts {
+			t.Fatalf("arena gets %d, puts %d across the episode", gets, puts)
+		}
+		if lb := tp.LiveBytes(); lb != 0 {
+			t.Fatalf("tape live bytes %d after Reset, want 0", lb)
+		}
+	})
+	for _, tc := range []struct {
+		name   string
+		record func(tp *Tape) (mark int, out *Node)
+	}{
+		{"grad", func(tp *Tape) (int, *Node) {
+			mark := tp.Len()
+			return mark, tp.Mul(tp.Tanh(tp.Const(testMat(4, 4, 32))), tp.Var(testMat(4, 4, 33)))
+		}},
+		{"grad-upstream", func(tp *Tape) (int, *Node) {
+			w := tp.Var(testMat(4, 4, 34))
+			mark := tp.Len()
+			return mark, tp.Sigmoid(tp.Tanh(w))
+		}},
+		{"hook", func(tp *Tape) (int, *Node) {
+			mark := tp.Len()
+			out := tp.Tanh(tp.Const(testMat(4, 4, 35)))
+			tp.Hook(func() {})
+			return mark, out
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := ReadPoolStats()
+			tp := NewTape()
+			mark, out := tc.record(tp)
+			live, puts := tp.LiveBytes(), ReadPoolStats().Puts
+			tp.ReleaseSince(mark)
+			if n := ReadPoolStats().Puts - puts; n != 0 || tp.LiveBytes() != live {
+				t.Fatalf("ReleaseSince put %d buffers of a range Backward still reads", n)
+			}
+			loss := tp.SumAll(out)
+			tp.Backward(loss)
+			tp.Reset()
+			after := ReadPoolStats()
+			if gets, puts := after.Gets-before.Gets, after.Puts-before.Puts; gets != puts {
+				t.Fatalf("arena gets %d, puts %d across the episode", gets, puts)
+			}
+		})
+	}
+}

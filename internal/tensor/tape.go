@@ -3,8 +3,9 @@ package tensor
 import "fmt"
 
 // Node is a value in the computation graph. Value is populated from record
-// time until the backward sweep passes the node (or until Reset, for Var,
-// Const and Keep-pinned nodes); Grad is lazily allocated for nodes that
+// time until the backward sweep passes the node or ReleaseSince returns it
+// (or until Reset, for Var, Const and Keep-pinned nodes); Grad is lazily
+// allocated for nodes that
 // require gradients. The backward closure, when invoked, propagates this
 // node's Grad into its parents.
 type Node struct {
