@@ -7,7 +7,10 @@
 //
 // Experiments: table1 table2 fig3 fig4 fig7 fig9 fig9sweep table3 table4
 // fig10 params ablation all. Scale 1 reproduces the Table-I dataset sizes
-// (slow on CPU); smaller scales preserve the comparative shapes.
+// (slow on CPU). One invocation fits each generator once per (replica,
+// configuration): every table that needs that fit, under -exp all too,
+// reads the one sequence it generated, and every seconds column times
+// that one fit and its generation.
 //
 // TIGGER, TG-GAN and TagGen are model-free walk skeletons of the
 // originals' sampling, labelled "walk skeleton" in every table. Fig. 9 and
@@ -22,8 +25,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
+	"slices"
 
 	"vrdag/internal/datasets"
 	"vrdag/internal/experiments"
@@ -39,17 +44,8 @@ func main() {
 	)
 	flag.Parse()
 
-	o := experiments.Options{Scale: *scale, Seed: *seed, Epochs: *epochs}
-	w := os.Stdout
-
-	run := func(name string, f func() error) {
-		fmt.Fprintf(w, "\n=== %s (scale %g) ===\n", name, *scale)
-		if err := f(); err != nil {
-			log.Fatalf("vrdag-bench: %s: %v", name, err)
-		}
-	}
-
-	want := func(name string) bool { return *exp == "all" || *exp == name }
+	g := experiments.New(experiments.Options{Scale: *scale, Seed: *seed, Epochs: *epochs})
+	want := func(names ...string) bool { return *exp == "all" || slices.Contains(names, *exp) }
 
 	if want("table1") {
 		names := datasets.AllNames()
@@ -57,119 +53,54 @@ func main() {
 			names = []string{*dataset}
 		}
 		for _, ds := range names {
-			ds := ds
-			run("Table I — "+ds, func() error {
-				rows, err := experiments.Table1(ds, o)
-				if err != nil {
-					return err
-				}
-				experiments.PrintTable1(w, rows)
-				return nil
-			})
+			section("Table I — "+ds, *scale, func() ([]experiments.Table1Row, error) { return g.Table1(ds) },
+				experiments.PrintTable1)
 		}
 	}
 	if want("table2") {
-		run("Table II — Spearman correlation MAE", func() error {
-			rows, err := experiments.Table2(o)
-			if err != nil {
-				return err
-			}
-			experiments.PrintTable2(w, rows)
-			return nil
-		})
+		section("Table II — Spearman correlation MAE", *scale, g.Table2, experiments.PrintTable2)
 	}
 	if want("fig3") {
-		run("Figure 3 — attribute JSD/EMD", func() error {
-			rows, err := experiments.Figure3(o)
-			if err != nil {
-				return err
-			}
-			experiments.PrintFig3(w, rows)
-			return nil
-		})
+		section("Figure 3 — attribute JSD/EMD", *scale, g.Figure3, experiments.PrintFig3)
 	}
-	if want("fig4") || want("fig5") || want("fig6") {
-		run("Figures 4-6 — temporal structure differences", func() error {
-			rows, err := experiments.Figures4to6(o)
-			if err != nil {
-				return err
-			}
-			experiments.PrintSeries(w, rows)
-			return nil
-		})
+	if want("fig4", "fig5", "fig6") {
+		section("Figures 4-6 — temporal structure differences", *scale, g.Figures4to6, experiments.PrintSeries)
 	}
-	if want("fig7") || want("fig8") {
-		run("Figures 7-8 — temporal attribute differences", func() error {
-			rows, err := experiments.Figures7to8(o)
-			if err != nil {
-				return err
-			}
-			experiments.PrintSeries(w, rows)
-			return nil
-		})
+	if want("fig7", "fig8") {
+		section("Figures 7-8 — temporal attribute differences", *scale, g.Figures7to8, experiments.PrintSeries)
 	}
 	if want("fig9") {
-		run("Figure 9(a,b) — training/generation time and work", func() error {
-			rows, err := experiments.Figure9(o)
-			if err != nil {
-				return err
-			}
-			experiments.PrintTimings(w, rows)
-			return nil
-		})
+		section("Figure 9(a,b) — training/generation time and work", *scale, g.Figure9, experiments.PrintTimings)
 	}
 	if want("fig9sweep") {
-		run("Figure 9(c,d) — time and work vs timesteps (Bitcoin)", func() error {
-			rows, err := experiments.Figure9Sweep(o)
-			if err != nil {
-				return err
-			}
-			experiments.PrintTimings(w, rows)
-			return nil
-		})
+		section("Figure 9(c,d) — time and work vs timesteps (Bitcoin)", *scale, g.Figure9Sweep, experiments.PrintTimings)
 	}
-	if want("table3") || want("table4") {
-		run("Tables III/IV — scalability vs #edges (GDELT)", func() error {
-			targets := []int{1000, 10000}
-			if *scale >= 1 {
-				targets = []int{1000, 10000, 100000, 500000}
-			}
-			rows, err := experiments.Scalability(o, targets)
-			if err != nil {
-				return err
-			}
-			experiments.PrintTimings(w, rows)
-			return nil
-		})
+	if want("table3", "table4") {
+		targets := []int{1000, 10000}
+		if *scale >= 1 {
+			targets = []int{1000, 10000, 100000, 500000}
+		}
+		section("Tables III/IV — scalability vs #edges (GDELT)", *scale,
+			func() ([]experiments.TimingRow, error) { return g.Scalability(targets) }, experiments.PrintTimings)
 	}
 	if want("fig10") {
-		run("Figure 10 — downstream augmentation case study", func() error {
-			rows, err := experiments.Figure10(o)
-			if err != nil {
-				return err
-			}
-			experiments.PrintFig10(w, rows)
-			return nil
-		})
+		section("Figure 10 — downstream augmentation case study", *scale, g.Figure10, experiments.PrintFig10)
 	}
 	if want("params") {
-		run("Parameter analysis (Appendix A-F) — Email", func() error {
-			rows, err := experiments.ParamAnalysis(o)
-			if err != nil {
-				return err
-			}
-			experiments.PrintParams(w, rows)
-			return nil
-		})
+		section("Parameter analysis (Appendix A-F) — Email", *scale, g.ParamAnalysis, experiments.PrintParams)
 	}
 	if want("ablation") {
-		run("Ablation (Appendix A-E) — Email", func() error {
-			rows, err := experiments.Ablation(o)
-			if err != nil {
-				return err
-			}
-			experiments.PrintAblation(w, rows)
-			return nil
-		})
+		section("Ablation (Appendix A-E) — Email", *scale, g.Ablation, experiments.PrintAblation)
 	}
+}
+
+// section prints one experiment's header, then its rows, or exits on the
+// error that stopped it.
+func section[R any](name string, scale float64, rows func() ([]R, error), print func(io.Writer, []R)) {
+	fmt.Printf("\n=== %s (scale %g) ===\n", name, scale)
+	r, err := rows()
+	if err != nil {
+		log.Fatalf("vrdag-bench: %s: %v", name, err)
+	}
+	print(os.Stdout, r)
 }

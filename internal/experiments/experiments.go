@@ -11,9 +11,19 @@
 //	Fig. 10    — downstream augmentation case study
 //	Ablations  — bi-flow, mixture size, SCE, Time2Vec (Appendix A-E)
 //
-// Each runner returns structured results and can render the same rows the
-// paper reports. Scale < 1 shrinks the replicas so the full suite runs on
-// a laptop; the shapes (who wins, by roughly what factor) are preserved.
+// Every runner is a view of one grid, built by New. The grid fits each
+// generator once per key, a replica with a baseline's seed or with
+// VRDAG's whole core.Config, and generates once from that fit; runners
+// that read the same key read the same sequence, and every seconds column
+// times that one fit.
+//
+// The runners print the scores each generator reaches on the replicas at
+// the scale run, against the replica it was trained on. Scale < 1 shrinks
+// the replicas so the full suite runs on a laptop, and at ×0.05 the
+// ablation and Fig. 10 do not show the paper's ordering (ROADMAP finding
+// (xiii)). ROADMAP items 29 and 30 set out what each number is to be
+// measured against: an independent draw of the same replica, and several
+// seeds.
 package experiments
 
 import (
@@ -53,66 +63,191 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// vrdagFor builds and trains a VRDAG model for a replica.
-func vrdagFor(g *dyngraph.Sequence, o Options) (*core.Model, error) {
-	cfg := core.DefaultConfig(g.N, g.F)
-	cfg.Epochs = o.Epochs
-	cfg.Seed = o.Seed
-	if g.N <= 256 {
-		cfg.CandidateCap = 0 // exact decoding on small replicas
+// replicaKey names one training sequence at the grid's scale and seed: a
+// dataset's replica cut to its first t snapshots (0 keeps all), or, with
+// edges > 0, the GDELT replica of Tables III/IV with that many temporal
+// edges.
+type replicaKey struct {
+	dataset  string
+	t, edges int
+}
+
+// gen names one generator: a baseline by its Name() and seed, or VRDAG
+// by the change mutate makes to its default configuration (nil for none).
+type gen struct {
+	method string
+	seed   int64
+	mutate func(*core.Config)
+}
+
+const vrdagMethod = "VRDAG"
+
+var vrdag = gen{method: vrdagMethod}
+
+// cellKey names one fit. core.Config has only scalar fields, so VRDAG is
+// keyed by its whole configuration; a baseline by its name and seed.
+type cellKey struct {
+	replica replicaKey
+	method  string
+	seed    int64
+	cfg     core.Config
+}
+
+// cell is what one fit leaves: the sequence generated from it, as many
+// snapshots as its replica has, the seconds of the fit and of the
+// generation, and their counted work. Runners only read it.
+type cell struct {
+	synth            *dyngraph.Sequence
+	fitSec, genSec   float64
+	fitWork, genWork int64
+	skeleton         bool // a walk skeleton made it
+	err              error
+}
+
+// grid memoises the replicas and cells of one Options.
+type grid struct {
+	o        Options
+	replicas map[replicaKey]*dyngraph.Sequence
+	cells    map[cellKey]*cell
+	fits     int // generators fitted, read by the tests
+}
+
+// New returns the grid that every runner of one invocation shares. Its
+// runners are Table1, Table2, Figure3, Figures4to6, Figures7to8, Figure9,
+// Figure9Sweep, Scalability, Figure10, Ablation and ParamAnalysis. It is
+// not safe for concurrent use.
+func New(o Options) *grid {
+	return &grid{o: o.withDefaults(),
+		replicas: map[replicaKey]*dyngraph.Sequence{}, cells: map[cellKey]*cell{}}
+}
+
+// replica returns the sequence rk names, building it on first use.
+func (g *grid) replica(rk replicaKey) (*dyngraph.Sequence, error) {
+	if s, ok := g.replicas[rk]; ok {
+		return s, nil
 	}
-	m := core.New(cfg)
-	if _, err := m.Fit(g); err != nil {
+	var s *dyngraph.Sequence
+	var err error
+	switch {
+	case rk.edges > 0:
+		s, err = gdeltWithEdges(rk.edges, g.o.Seed)
+	case rk.t > 0:
+		if s, err = g.replica(replicaKey{dataset: rk.dataset}); err == nil {
+			s = &dyngraph.Sequence{N: s.N, F: s.F, Snapshots: s.Snapshots[:rk.t:rk.t]}
+		}
+	default:
+		s, _, err = datasets.Replica(rk.dataset, g.o.Scale, g.o.Seed)
+	}
+	if err != nil {
 		return nil, err
 	}
-	return m, nil
+	g.replicas[rk] = s
+	return s, nil
 }
 
-// vrdagGenerator adapts core.Model to the baselines.Generator interface so
-// the harness can treat every method uniformly.
-type vrdagGenerator struct {
-	o Options
-	m *core.Model
-}
-
-func (v *vrdagGenerator) Name() string { return "VRDAG" }
-
-func (v *vrdagGenerator) Fit(g *dyngraph.Sequence) error {
-	m, err := vrdagFor(g, v.o)
+// cell returns replica rk and gen's cell on it, fitting gen on first use.
+// A fit or generate error is the cell's; only a replica error is returned.
+func (g *grid) cell(rk replicaKey, gen gen) (*dyngraph.Sequence, *cell, error) {
+	orig, err := g.replica(rk)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	v.m = m
-	return nil
+	key := cellKey{replica: rk, method: gen.method, seed: gen.seed}
+	if gen.method == vrdagMethod {
+		key.cfg = core.DefaultConfig(orig.N, orig.F)
+		key.cfg.Epochs, key.cfg.Seed = g.o.Epochs, g.o.Seed
+		if orig.N <= 256 {
+			key.cfg.CandidateCap = 0 // exact decoding on small replicas
+		}
+		if gen.mutate != nil {
+			gen.mutate(&key.cfg)
+		}
+	}
+	c, ok := g.cells[key]
+	if !ok {
+		c = fit(orig, key)
+		g.cells[key] = c
+		g.fits++
+	}
+	return orig, c, nil
 }
 
-func (v *vrdagGenerator) Generate(t int) (*dyngraph.Sequence, error) {
-	if v.m == nil {
-		return nil, fmt.Errorf("experiments: VRDAG Generate before Fit")
+// generated is cell for a runner that cannot go on without the sequence:
+// the cell's error becomes its own.
+func (g *grid) generated(rk replicaKey, gen gen) (*dyngraph.Sequence, *cell, error) {
+	orig, c, err := g.cell(rk, gen)
+	if err == nil && c.err != nil {
+		err = fmt.Errorf("%s on %s: %w", gen.method, rk.dataset, c.err)
 	}
-	return v.m.Generate(t)
+	return orig, c, err
 }
 
-// NewVRDAG returns the paper's model wrapped as a Generator.
-func NewVRDAG(o Options) baselines.Generator { return &vrdagGenerator{o: o.withDefaults()} }
-
-// structureGenerators returns the Table-I comparison set. Dymond is
-// included only for the Email dataset, as in the paper.
-func structureGenerators(dataset string, o Options) []baselines.Generator {
-	gens := []baselines.Generator{
-		gran.New(gran.Config{Seed: o.Seed + 1}),
-		gencat.New(gencat.Config{Seed: o.Seed + 2}),
-		walker.NewTagGen(o.Seed + 3),
+// fit fits the generator key names on orig and generates orig.T()
+// snapshots from it, timing both calls and counting their work.
+func fit(orig *dyngraph.Sequence, key cellKey) *cell {
+	c := &cell{}
+	var m *core.Model
+	var b baselines.Generator
+	start := time.Now()
+	if key.method == vrdagMethod {
+		m = core.New(key.cfg)
+		_, c.err = m.Fit(orig)
+	} else {
+		b = newBaseline(key.method, key.seed)
+		c.err = b.Fit(orig)
 	}
+	if c.err != nil {
+		return c
+	}
+	c.fitSec = time.Since(start).Seconds()
+	start = time.Now()
+	if m != nil {
+		c.synth, c.err = m.Generate(orig.T())
+	} else {
+		c.synth, c.err = b.Generate(orig.T())
+	}
+	if c.err != nil {
+		return c
+	}
+	c.genSec = time.Since(start).Seconds()
+	if w, ok := b.(workCounter); ok {
+		c.fitWork, c.genWork = w.Work()
+		c.skeleton = true
+	} else if m != nil {
+		c.fitWork, c.genWork = vrdagWork(m, orig, c.synth)
+	}
+	return c
+}
+
+// newBaseline builds a baseline from the name its rows print and its seed.
+func newBaseline(method string, seed int64) baselines.Generator {
+	switch method {
+	case "GRAN":
+		return gran.New(gran.Config{Seed: seed})
+	case "GenCAT":
+		return gencat.New(gencat.Config{Seed: seed})
+	case "Dymond":
+		return dymond.New(dymond.Config{Seed: seed})
+	case "Normal":
+		return normalattr.New(normalattr.Config{Seed: seed})
+	case "TagGen":
+		return walker.NewTagGen(seed)
+	case "TGGAN":
+		return walker.NewTGGAN(seed)
+	case "TIGGER":
+		return walker.NewTIGGER(seed)
+	}
+	panic("experiments: no baseline " + method)
+}
+
+// structureGens returns the Table-I comparison set. Dymond is included
+// only for the Email dataset, as in the paper.
+func structureGens(dataset string, seed int64) []gen {
+	gens := []gen{{"GRAN", seed + 1, nil}, {"GenCAT", seed + 2, nil}, {"TagGen", seed + 3, nil}}
 	if dataset == datasets.Email {
-		gens = append(gens, dymond.New(dymond.Config{Seed: o.Seed + 4}))
+		gens = append(gens, gen{"Dymond", seed + 4, nil})
 	}
-	gens = append(gens,
-		walker.NewTGGAN(o.Seed+5),
-		walker.NewTIGGER(o.Seed+6),
-		NewVRDAG(o),
-	)
-	return gens
+	return append(gens, gen{"TGGAN", seed + 5, nil}, gen{"TIGGER", seed + 6, nil}, vrdag)
 }
 
 // Table1Row is one generator's row of Table I.
@@ -130,28 +265,17 @@ type Table1Row struct {
 type workCounter interface{ Work() (fit, gen int64) }
 
 // Table1 reproduces the structure-generation comparison for one dataset.
-func Table1(dataset string, o Options) ([]Table1Row, error) {
-	o = o.withDefaults()
-	orig, _, err := datasets.Replica(dataset, o.Scale, o.Seed)
-	if err != nil {
-		return nil, err
-	}
+func (g *grid) Table1(dataset string) ([]Table1Row, error) {
 	var rows []Table1Row
-	for _, gen := range structureGenerators(dataset, o) {
-		_, skeleton := gen.(workCounter)
-		row := Table1Row{Dataset: dataset, Method: gen.Name(), skeleton: skeleton}
-		if err := gen.Fit(orig); err != nil {
-			row.Err = err
-			rows = append(rows, row)
-			continue
-		}
-		synth, err := gen.Generate(orig.T())
+	for _, gen := range structureGens(dataset, g.o.Seed) {
+		orig, c, err := g.cell(replicaKey{dataset: dataset}, gen)
 		if err != nil {
-			row.Err = err
-			rows = append(rows, row)
-			continue
+			return nil, err
 		}
-		row.Report = metrics.CompareStructure(orig, synth)
+		row := Table1Row{Dataset: dataset, Method: gen.method, Err: c.err, skeleton: c.skeleton}
+		if c.err == nil {
+			row.Report = metrics.CompareStructure(orig, c.synth)
+		}
 		rows = append(rows, row)
 	}
 	return rows, nil
@@ -164,37 +288,30 @@ type Table2Row struct {
 	MAE     float64
 }
 
-// attributeGenerators returns the Fig. 3 / Table II comparison set.
-func attributeGenerators(o Options) []baselines.Generator {
-	return []baselines.Generator{
-		normalattr.New(normalattr.Config{Seed: o.Seed + 11}),
-		gencat.New(gencat.Config{Seed: o.Seed + 12}),
-		NewVRDAG(o),
-	}
+// attributeGens returns the Fig. 3 / Table II comparison set.
+func attributeGens(seed int64) []gen {
+	return []gen{{"Normal", seed + 11, nil}, {"GenCAT", seed + 12, nil}, vrdag}
 }
 
 // Table2 reproduces the Spearman-correlation MAE comparison on the two
 // multi-attribute datasets (Email, Guarantee).
-func Table2(o Options) ([]Table2Row, error) {
-	o = o.withDefaults()
+func (g *grid) Table2() ([]Table2Row, error) {
 	var rows []Table2Row
 	for _, ds := range []string{datasets.Email, datasets.Guarantee} {
-		orig, _, err := datasets.Replica(ds, o.Scale, o.Seed)
+		rk := replicaKey{dataset: ds}
+		orig, err := g.replica(rk)
 		if err != nil {
 			return nil, err
 		}
 		realRows := metrics.AttributeRows(orig)
-		for _, gen := range attributeGenerators(o) {
-			if err := gen.Fit(orig); err != nil {
-				return nil, fmt.Errorf("table2 %s/%s: %w", ds, gen.Name(), err)
-			}
-			synth, err := gen.Generate(orig.T())
+		for _, gen := range attributeGens(g.o.Seed) {
+			_, c, err := g.generated(rk, gen)
 			if err != nil {
-				return nil, fmt.Errorf("table2 %s/%s: %w", ds, gen.Name(), err)
+				return nil, err
 			}
 			rows = append(rows, Table2Row{
-				Dataset: ds, Method: gen.Name(),
-				MAE: metrics.SpearmanMAE(realRows, metrics.AttributeRows(synth)),
+				Dataset: ds, Method: gen.method,
+				MAE: metrics.SpearmanMAE(realRows, metrics.AttributeRows(c.synth)),
 			})
 		}
 	}
@@ -210,26 +327,18 @@ type Fig3Row struct {
 }
 
 // Figure3 reproduces the attribute JSD/EMD comparison on all six datasets.
-func Figure3(o Options) ([]Fig3Row, error) {
-	o = o.withDefaults()
+func (g *grid) Figure3() ([]Fig3Row, error) {
 	var rows []Fig3Row
 	for _, ds := range datasets.AllNames() {
-		orig, _, err := datasets.Replica(ds, o.Scale, o.Seed)
-		if err != nil {
-			return nil, err
-		}
-		for _, gen := range attributeGenerators(o) {
-			if err := gen.Fit(orig); err != nil {
-				return nil, fmt.Errorf("fig3 %s/%s: %w", ds, gen.Name(), err)
-			}
-			synth, err := gen.Generate(orig.T())
+		for _, gen := range attributeGens(g.o.Seed) {
+			orig, c, err := g.generated(replicaKey{dataset: ds}, gen)
 			if err != nil {
-				return nil, fmt.Errorf("fig3 %s/%s: %w", ds, gen.Name(), err)
+				return nil, err
 			}
 			rows = append(rows, Fig3Row{
-				Dataset: ds, Method: gen.Name(),
-				JSD: metrics.AttrJSD(orig, synth, 32),
-				EMD: metrics.AttrEMD(orig, synth),
+				Dataset: ds, Method: gen.method,
+				JSD: metrics.AttrJSD(orig, c.synth, 32),
+				EMD: metrics.AttrEMD(orig, c.synth),
 			})
 		}
 	}
@@ -245,41 +354,32 @@ type DiffSeries struct {
 }
 
 // Figures4to6 reproduces the temporal structure-difference plots on the
-// paper's three representative datasets (Email, Wiki, GDELT).
-func Figures4to6(o Options) ([]DiffSeries, error) {
-	o = o.withDefaults()
-	props := map[string]func(*dyngraph.Snapshot) []float64{
-		"degree":     metrics.TotalDegrees,
-		"clustering": metrics.ClusteringCoefficients,
-		"coreness":   metrics.Coreness,
+// paper's three representative datasets (Email, Wiki, GDELT), in the
+// paper's order: degree, clustering, coreness.
+func (g *grid) Figures4to6() ([]DiffSeries, error) {
+	props := []struct {
+		name string
+		of   func(*dyngraph.Snapshot) []float64
+	}{
+		{"degree", metrics.TotalDegrees},
+		{"clustering", metrics.ClusteringCoefficients},
+		{"coreness", metrics.Coreness},
 	}
 	var out []DiffSeries
 	for _, ds := range []string{datasets.Email, datasets.Wiki, datasets.GDELT} {
-		orig, _, err := datasets.Replica(ds, o.Scale, o.Seed)
+		orig, v, err := g.generated(replicaKey{dataset: ds}, vrdag)
 		if err != nil {
 			return nil, err
 		}
-		vg := NewVRDAG(o)
-		if err := vg.Fit(orig); err != nil {
-			return nil, err
-		}
-		vSynth, err := vg.Generate(orig.T())
+		_, tg, err := g.generated(replicaKey{dataset: ds}, gen{"TIGGER", g.o.Seed + 21, nil})
 		if err != nil {
 			return nil, err
 		}
-		tg := walker.NewTIGGER(o.Seed + 21)
-		if err := tg.Fit(orig); err != nil {
-			return nil, err
-		}
-		tSynth, err := tg.Generate(orig.T())
-		if err != nil {
-			return nil, err
-		}
-		for name, prop := range props {
+		for _, p := range props {
 			out = append(out,
-				DiffSeries{ds, "Original", name, metrics.DifferenceSeries(orig, prop)},
-				DiffSeries{ds, "VRDAG", name, metrics.DifferenceSeries(vSynth, prop)},
-				DiffSeries{ds, "TIGGER", name, metrics.DifferenceSeries(tSynth, prop)},
+				DiffSeries{ds, "Original", p.name, metrics.DifferenceSeries(orig, p.of)},
+				DiffSeries{ds, "VRDAG", p.name, metrics.DifferenceSeries(v.synth, p.of)},
+				DiffSeries{ds, "TIGGER", p.name, metrics.DifferenceSeries(tg.synth, p.of)},
 			)
 		}
 	}
@@ -288,24 +388,15 @@ func Figures4to6(o Options) ([]DiffSeries, error) {
 
 // Figures7to8 reproduces the temporal attribute-difference plots
 // (Original vs VRDAG only; no attribute-capable dynamic baseline exists).
-func Figures7to8(o Options) ([]DiffSeries, error) {
-	o = o.withDefaults()
+func (g *grid) Figures7to8() ([]DiffSeries, error) {
 	var out []DiffSeries
 	for _, ds := range []string{datasets.Email, datasets.Wiki, datasets.GDELT} {
-		orig, _, err := datasets.Replica(ds, o.Scale, o.Seed)
-		if err != nil {
-			return nil, err
-		}
-		vg := NewVRDAG(o)
-		if err := vg.Fit(orig); err != nil {
-			return nil, err
-		}
-		synth, err := vg.Generate(orig.T())
+		orig, v, err := g.generated(replicaKey{dataset: ds}, vrdag)
 		if err != nil {
 			return nil, err
 		}
 		oMAE, oRMSE := metrics.AttrDifferenceSeries(orig)
-		vMAE, vRMSE := metrics.AttrDifferenceSeries(synth)
+		vMAE, vRMSE := metrics.AttrDifferenceSeries(v.synth)
 		out = append(out,
 			DiffSeries{ds, "Original", "mae", oMAE},
 			DiffSeries{ds, "VRDAG", "mae", vMAE},
@@ -334,57 +425,42 @@ type TimingRow struct {
 	skeleton bool // a walk skeleton made the row
 }
 
-// efficiencyGenerators returns the Fig. 9 comparison set.
-func efficiencyGenerators(o Options) []baselines.Generator {
-	return []baselines.Generator{
-		NewVRDAG(o),
-		walker.NewTIGGER(o.Seed + 31),
-		walker.NewTGGAN(o.Seed + 32),
-		walker.NewTagGen(o.Seed + 33),
-	}
-}
-
-// Figure9 measures training and generation cost on every dataset.
-func Figure9(o Options) ([]TimingRow, error) {
-	o = o.withDefaults()
-	var rows []TimingRow
-	for _, ds := range datasets.AllNames() {
-		orig, _, err := datasets.Replica(ds, o.Scale, o.Seed)
+// timings appends to rows the cost of each Fig. 9 generator on replica
+// rk, read from the cell that made its fit.
+func (g *grid) timings(rows []TimingRow, rk replicaKey) ([]TimingRow, error) {
+	for _, gen := range []gen{vrdag, {"TIGGER", g.o.Seed + 31, nil},
+		{"TGGAN", g.o.Seed + 32, nil}, {"TagGen", g.o.Seed + 33, nil}} {
+		orig, c, err := g.cell(rk, gen)
 		if err != nil {
 			return nil, err
 		}
-		for _, gen := range efficiencyGenerators(o) {
-			rows = append(rows, timeOne(ds, gen, orig, orig.T()))
-		}
+		rows = append(rows, TimingRow{Dataset: rk.dataset, Method: gen.method,
+			T: orig.T(), Edges: orig.TotalTemporalEdges(), TrainSec: c.fitSec, GenSec: c.genSec,
+			FitWork: c.fitWork, GenWork: c.genWork, Err: c.err, skeleton: c.skeleton})
 	}
 	return rows, nil
 }
 
-// timeOne fits gen on orig and generates t snapshots, timing both and
-// reading their counted work.
-func timeOne(ds string, gen baselines.Generator, orig *dyngraph.Sequence, t int) TimingRow {
-	row := TimingRow{Dataset: ds, Method: gen.Name(), T: t, Edges: orig.TotalTemporalEdges()}
-	start := time.Now()
-	if err := gen.Fit(orig); err != nil {
-		row.Err = err
-		return row
+// firstErr returns the first row's error, naming the row.
+func firstErr(rows []TimingRow) error {
+	for _, r := range rows {
+		if r.Err != nil {
+			return fmt.Errorf("%s on %s T=%d M=%d: %w", r.Method, r.Dataset, r.T, r.Edges, r.Err)
+		}
 	}
-	row.TrainSec = time.Since(start).Seconds()
-	start = time.Now()
-	synth, err := gen.Generate(t)
-	if err != nil {
-		row.Err = err
-		return row
+	return nil
+}
+
+// Figure9 measures training and generation cost on every dataset.
+func (g *grid) Figure9() ([]TimingRow, error) {
+	var rows []TimingRow
+	for _, ds := range datasets.AllNames() {
+		var err error
+		if rows, err = g.timings(rows, replicaKey{dataset: ds}); err != nil {
+			return nil, err
+		}
 	}
-	row.GenSec = time.Since(start).Seconds()
-	switch g := gen.(type) {
-	case workCounter:
-		row.FitWork, row.GenWork = g.Work()
-		row.skeleton = true
-	case *vrdagGenerator:
-		row.FitWork, row.GenWork = vrdagWork(g.m, orig, synth)
-	}
-	return row
+	return rows, nil
 }
 
 // vrdagWork counts the multiply-adds of m's fit on train and of its
@@ -430,23 +506,16 @@ func vrdagWork(m *core.Model, train, synth *dyngraph.Sequence) (fit, gen int64) 
 
 // Figure9Sweep measures running time against the number of timesteps on
 // the Bitcoin replica (T ∈ {5, 15, 25, 35}).
-func Figure9Sweep(o Options) ([]TimingRow, error) {
-	o = o.withDefaults()
+func (g *grid) Figure9Sweep() ([]TimingRow, error) {
 	var rows []TimingRow
 	for _, tt := range []int{5, 15, 25, 35} {
-		full, _, err := datasets.Replica(datasets.Bitcoin, o.Scale, o.Seed)
-		if err != nil {
+		var err error
+		if rows, err = g.timings(rows, replicaKey{dataset: datasets.Bitcoin, t: tt}); err != nil {
 			return nil, err
 		}
-		// Truncate the replica to tt snapshots.
-		orig := &dyngraph.Sequence{N: full.N, F: full.F, Snapshots: full.Snapshots[:tt]}
-		for _, gen := range efficiencyGenerators(o) {
-			r := timeOne(datasets.Bitcoin, gen, orig, tt)
-			if r.Err != nil {
-				return nil, fmt.Errorf("fig9sweep %s T=%d: %w", r.Method, tt, r.Err)
-			}
-			rows = append(rows, r)
-		}
+	}
+	if err := firstErr(rows); err != nil {
+		return nil, fmt.Errorf("fig9sweep: %w", err)
 	}
 	return rows, nil
 }
@@ -456,24 +525,19 @@ func Figure9Sweep(o Options) ([]TimingRow, error) {
 // defaults to {1k, 10k} at small scale; pass the paper's {1e3, 1e4, 1e5,
 // 5e5} for the full experiment. Each row's replica carries its target's
 // temporal edges within ±10 %.
-func Scalability(o Options, edgeTargets []int) ([]TimingRow, error) {
-	o = o.withDefaults()
+func (g *grid) Scalability(edgeTargets []int) ([]TimingRow, error) {
 	if len(edgeTargets) == 0 {
 		edgeTargets = []int{1000, 10000}
 	}
 	var rows []TimingRow
 	for _, target := range edgeTargets {
-		orig, err := gdeltWithEdges(target, o.Seed)
-		if err != nil {
+		var err error
+		if rows, err = g.timings(rows, replicaKey{dataset: datasets.GDELT, edges: target}); err != nil {
 			return nil, err
 		}
-		for _, gen := range efficiencyGenerators(o) {
-			r := timeOne(datasets.GDELT, gen, orig, orig.T())
-			if r.Err != nil {
-				return nil, fmt.Errorf("scalability %s M=%d: %w", r.Method, r.Edges, r.Err)
-			}
-			rows = append(rows, r)
-		}
+	}
+	if err := firstErr(rows); err != nil {
+		return nil, fmt.Errorf("scalability: %w", err)
 	}
 	return rows, nil
 }
@@ -513,42 +577,26 @@ type Fig10Row struct {
 // Figure10 reproduces the augmentation case study on Email, Wiki, GDELT:
 // CoEvoGNN trained without augmentation, with VRDAG synthetic data, and
 // with GenCAT synthetic data.
-func Figure10(o Options) ([]Fig10Row, error) {
-	o = o.withDefaults()
+func (g *grid) Figure10() ([]Fig10Row, error) {
 	var rows []Fig10Row
 	for _, ds := range []string{datasets.Email, datasets.Wiki, datasets.GDELT} {
-		orig, _, err := datasets.Replica(ds, o.Scale, o.Seed)
+		dcfg := downstream.Config{Epochs: 20, Seed: g.o.Seed + 41}
+		orig, v, err := g.generated(replicaKey{dataset: ds}, vrdag)
 		if err != nil {
 			return nil, err
 		}
-		dcfg := downstream.Config{Epochs: 20, Seed: o.Seed + 41}
-
-		vg := NewVRDAG(o)
-		if err := vg.Fit(orig); err != nil {
-			return nil, err
-		}
-		vSynth, err := vg.Generate(orig.T())
+		base, vAug, err := downstream.RunCaseStudy(orig, v.synth, dcfg)
 		if err != nil {
 			return nil, err
 		}
-		base, vAug, err := downstream.RunCaseStudy(orig, vSynth, dcfg)
+		_, gc, err := g.generated(replicaKey{dataset: ds}, gen{"GenCAT", g.o.Seed + 42, nil})
 		if err != nil {
 			return nil, err
 		}
-
-		gc := gencat.New(gencat.Config{Seed: o.Seed + 42})
-		if err := gc.Fit(orig); err != nil {
-			return nil, err
-		}
-		gSynth, err := gc.Generate(orig.T())
+		_, gAug, err := downstream.RunCaseStudy(orig, gc.synth, dcfg)
 		if err != nil {
 			return nil, err
 		}
-		_, gAug, err := downstream.RunCaseStudy(orig, gSynth, dcfg)
-		if err != nil {
-			return nil, err
-		}
-
 		rows = append(rows,
 			Fig10Row{ds, "No Augmentation", base.LinkF1, base.AttrRMSE},
 			Fig10Row{ds, "VRDAG", vAug.LinkF1, vAug.AttrRMSE},
@@ -570,9 +618,8 @@ type AblationRow struct {
 // Ablation reconstructs the Appendix A-E study: each row disables one
 // design choice of VRDAG (bi-flow encoder, mixture size K, SCE loss,
 // Time2Vec) on the Email replica.
-func Ablation(o Options) ([]AblationRow, error) {
-	o = o.withDefaults()
-	orig, _, err := datasets.Replica(datasets.Email, o.Scale, o.Seed)
+func (g *grid) Ablation() ([]AblationRow, error) {
+	orig, err := g.replica(replicaKey{dataset: datasets.Email})
 	if err != nil {
 		return nil, err
 	}
@@ -580,7 +627,7 @@ func Ablation(o Options) ([]AblationRow, error) {
 		name   string
 		mutate func(*core.Config)
 	}{
-		{"VRDAG (full)", func(c *core.Config) {}},
+		{"VRDAG (full)", nil},
 		{"w/o bi-flow", func(c *core.Config) { c.BiFlow = false }},
 		{"K=1", func(c *core.Config) { c.K = 1 }},
 		{"MSE loss", func(c *core.Config) { c.UseSCE = false }},
@@ -589,28 +636,17 @@ func Ablation(o Options) ([]AblationRow, error) {
 	realRows := metrics.AttributeRows(orig)
 	var out []AblationRow
 	for _, v := range variants {
-		cfg := core.DefaultConfig(orig.N, orig.F)
-		cfg.Epochs = o.Epochs
-		cfg.Seed = o.Seed
-		if orig.N <= 256 {
-			cfg.CandidateCap = 0
-		}
-		v.mutate(&cfg)
-		m := core.New(cfg)
-		if _, err := m.Fit(orig); err != nil {
-			return nil, fmt.Errorf("ablation %s: %w", v.name, err)
-		}
-		synth, err := m.Generate(orig.T())
+		_, c, err := g.generated(replicaKey{dataset: datasets.Email}, gen{method: vrdagMethod, mutate: v.mutate})
 		if err != nil {
 			return nil, fmt.Errorf("ablation %s: %w", v.name, err)
 		}
-		rep := metrics.CompareStructure(orig, synth)
+		rep := metrics.CompareStructure(orig, c.synth)
 		out = append(out, AblationRow{
 			Variant:  v.name,
 			InDegMMD: rep.InDegMMD,
 			ClusMMD:  rep.ClusMMD,
-			AttrJSD:  metrics.AttrJSD(orig, synth, 32),
-			SpearMAE: metrics.SpearmanMAE(realRows, metrics.AttributeRows(synth)),
+			AttrJSD:  metrics.AttrJSD(orig, c.synth, 32),
+			SpearMAE: metrics.SpearmanMAE(realRows, metrics.AttributeRows(c.synth)),
 		})
 	}
 	return out, nil

@@ -25,7 +25,7 @@ func skipIfShort(t *testing.T) {
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 func TestTable1EmailIncludesAllMethods(t *testing.T) {
-	rows, err := Table1(datasets.Email, tiny())
+	rows, err := New(tiny()).Table1(datasets.Email)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestTable1EmailIncludesAllMethods(t *testing.T) {
 }
 
 func TestTable1ExcludesDymondOffEmail(t *testing.T) {
-	rows, err := Table1(datasets.Bitcoin, tiny())
+	rows, err := New(tiny()).Table1(datasets.Bitcoin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestTable1ExcludesDymondOffEmail(t *testing.T) {
 }
 
 func TestTable2(t *testing.T) {
-	rows, err := Table2(tiny())
+	rows, err := New(tiny()).Table2()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestTable2(t *testing.T) {
 }
 
 func TestFigure3CoversAllDatasets(t *testing.T) {
-	rows, err := Figure3(tiny())
+	rows, err := New(tiny()).Figure3()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,15 +108,21 @@ func TestFigure3CoversAllDatasets(t *testing.T) {
 }
 
 func TestFigures4to6SeriesShape(t *testing.T) {
-	series, err := Figures4to6(tiny())
+	series, err := New(tiny()).Figures4to6()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 3 datasets × 3 metrics × 3 lines
+	// 3 datasets × 3 metrics × 3 lines, in the paper's order.
 	if len(series) != 27 {
 		t.Fatalf("expected 27 series, got %d", len(series))
 	}
-	for _, s := range series {
+	for i, s := range series {
+		ds := []string{datasets.Email, datasets.Wiki, datasets.GDELT}[i/9]
+		metric := []string{"degree", "clustering", "coreness"}[i/3%3]
+		line := []string{"Original", "VRDAG", "TIGGER"}[i%3]
+		if s.Dataset != ds || s.Metric != metric || s.Line != line {
+			t.Fatalf("series %d is %s/%s/%s, want %s/%s/%s", i, s.Dataset, s.Metric, s.Line, ds, metric, line)
+		}
 		if len(s.Values) == 0 {
 			t.Fatalf("empty series: %s/%s/%s", s.Dataset, s.Metric, s.Line)
 		}
@@ -134,7 +140,7 @@ func TestFigures4to6SeriesShape(t *testing.T) {
 }
 
 func TestFigures7to8(t *testing.T) {
-	series, err := Figures7to8(tiny())
+	series, err := New(tiny()).Figures7to8()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,25 +155,21 @@ func TestFigures7to8(t *testing.T) {
 // email alone, by counted multiply-adds rather than wall time: the walk
 // skeletons run none of the network they count, so their seconds say
 // nothing about the originals. VRDAG must count at most a tenth of
-// TagGen's generation work. The six-dataset table is CI's `vrdag-bench
-// -exp fig9` leg.
+// TagGen's generation work. The six-dataset table is in CI's `vrdag-bench
+// -exp all` leg.
 func TestFigure9OrderingVRDAGFastestGeneration(t *testing.T) {
-	o := Options{Scale: 0.015, Seed: 6, Epochs: 2}.withDefaults()
-	orig, _, err := datasets.Replica(datasets.Email, o.Scale, o.Seed)
+	rows, err := New(Options{Scale: 0.015, Seed: 6, Epochs: 2}).timings(nil, replicaKey{dataset: datasets.Email})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rows []TimingRow
 	work := map[string]int64{}
-	for _, g := range efficiencyGenerators(o) {
-		r := timeOne(datasets.Email, g, orig, orig.T())
+	for _, r := range rows {
 		if r.Err != nil {
 			t.Fatalf("%s: %v", r.Method, r.Err)
 		}
 		if r.FitWork <= 0 || r.GenWork <= 0 {
 			t.Fatalf("%s: counted work fit=%d gen=%d, want both positive", r.Method, r.FitWork, r.GenWork)
 		}
-		rows = append(rows, r)
 		work[r.Method] = r.GenWork
 	}
 	if 10*work["VRDAG"] > work["TagGen"] {
@@ -181,7 +183,7 @@ func TestFigure9OrderingVRDAGFastestGeneration(t *testing.T) {
 }
 
 func TestScalabilityRows(t *testing.T) {
-	rows, err := Scalability(Options{Scale: 1, Seed: 7, Epochs: 2}, []int{1000})
+	rows, err := New(Options{Scale: 1, Seed: 7, Epochs: 2}).Scalability([]int{1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +205,7 @@ func TestScalabilityRows(t *testing.T) {
 
 func TestFigure10Rows(t *testing.T) {
 	skipIfShort(t)
-	rows, err := Figure10(tiny())
+	rows, err := New(tiny()).Figure10()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +227,7 @@ func TestFigure10Rows(t *testing.T) {
 
 func TestAblationVariants(t *testing.T) {
 	skipIfShort(t)
-	rows, err := Ablation(tiny())
+	rows, err := New(tiny()).Ablation()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +255,7 @@ func TestAblationVariants(t *testing.T) {
 
 func TestFigure9Sweep(t *testing.T) {
 	skipIfShort(t)
-	rows, err := Figure9Sweep(Options{Scale: 0.01, Seed: 8, Epochs: 1})
+	rows, err := New(Options{Scale: 0.01, Seed: 8, Epochs: 1}).Figure9Sweep()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +272,7 @@ func TestFigure9Sweep(t *testing.T) {
 
 func TestParamAnalysis(t *testing.T) {
 	skipIfShort(t)
-	rows, err := ParamAnalysis(Options{Scale: 0.01, Seed: 9, Epochs: 1})
+	rows, err := New(Options{Scale: 0.01, Seed: 9, Epochs: 1}).ParamAnalysis()
 	if err != nil {
 		t.Fatal(err)
 	}

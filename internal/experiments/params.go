@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"vrdag/internal/core"
 	"vrdag/internal/datasets"
@@ -25,10 +24,10 @@ type ParamRow struct {
 // ParamAnalysis reconstructs the paper's parameter study on the Email
 // replica: sweep the latent size d_z, hidden size d_h, mixture size K and
 // encoder depth L one at a time around the default configuration, and
-// report generation quality and wall time for each point.
-func ParamAnalysis(o Options) ([]ParamRow, error) {
-	o = o.withDefaults()
-	orig, _, err := datasets.Replica(datasets.Email, o.Scale, o.Seed)
+// report generation quality and wall time for each point. The point at
+// each default shares its fit with the other runners' VRDAG on Email.
+func (g *grid) ParamAnalysis() ([]ParamRow, error) {
+	orig, err := g.replica(replicaKey{dataset: datasets.Email})
 	if err != nil {
 		return nil, err
 	}
@@ -45,31 +44,17 @@ func ParamAnalysis(o Options) ([]ParamRow, error) {
 	var rows []ParamRow
 	for _, sw := range sweeps {
 		for _, v := range sw.values {
-			cfg := core.DefaultConfig(orig.N, orig.F)
-			cfg.Epochs = o.Epochs
-			cfg.Seed = o.Seed
-			if orig.N <= 256 {
-				cfg.CandidateCap = 0
-			}
-			sw.apply(&cfg, v)
-			m := core.New(cfg)
-			start := time.Now()
-			if _, err := m.Fit(orig); err != nil {
-				return nil, fmt.Errorf("param %s=%d: %w", sw.name, v, err)
-			}
-			trainSec := time.Since(start).Seconds()
-			start = time.Now()
-			synth, err := m.Generate(orig.T())
+			_, c, err := g.generated(replicaKey{dataset: datasets.Email},
+				gen{method: vrdagMethod, mutate: func(c *core.Config) { sw.apply(c, v) }})
 			if err != nil {
 				return nil, fmt.Errorf("param %s=%d: %w", sw.name, v, err)
 			}
-			genSec := time.Since(start).Seconds()
-			rep := metrics.CompareStructure(orig, synth)
+			rep := metrics.CompareStructure(orig, c.synth)
 			rows = append(rows, ParamRow{
 				Param: sw.name, Value: v,
 				InDegMMD: rep.InDegMMD, ClusMMD: rep.ClusMMD,
-				AttrJSD:  metrics.AttrJSD(orig, synth, 32),
-				TrainSec: trainSec, GenSec: genSec,
+				AttrJSD:  metrics.AttrJSD(orig, c.synth, 32),
+				TrainSec: c.fitSec, GenSec: c.genSec,
 			})
 		}
 	}
