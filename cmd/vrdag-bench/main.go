@@ -29,20 +29,29 @@ import (
 	"log"
 	"os"
 	"slices"
+	"strings"
 
 	"vrdag/internal/datasets"
 	"vrdag/internal/experiments"
 )
 
+// experimentNames is every -exp value main runs something for.
+var experimentNames = []string{"table1", "table2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
+	"fig9", "fig9sweep", "table3", "table4", "fig10", "params", "ablation", "all"}
+
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment: table1 table2 fig3 fig4 fig7 fig9 fig9sweep table3 table4 fig10 params ablation all")
+		exp     = flag.String("exp", "all", "experiment: "+strings.Join(experimentNames, " "))
 		dataset = flag.String("dataset", "", "dataset for table1 (default: all six)")
 		scale   = flag.Float64("scale", 0.05, "replica scale factor (1 = paper size)")
 		seed    = flag.Int64("seed", 1, "random seed")
 		epochs  = flag.Int("epochs", 10, "VRDAG training epochs")
 	)
 	flag.Parse()
+	if !slices.Contains(experimentNames, *exp) {
+		fmt.Fprintf(os.Stderr, "vrdag-bench: unknown -exp %q; valid: %s\n", *exp, strings.Join(experimentNames, " "))
+		os.Exit(2)
+	}
 
 	g := experiments.New(experiments.Options{Scale: *scale, Seed: *seed, Epochs: *epochs})
 	want := func(names ...string) bool { return *exp == "all" || slices.Contains(names, *exp) }

@@ -50,14 +50,11 @@ func main() {
 
 	// Train CoEvoGNN under the three regimes of Fig. 10.
 	dcfg := downstream.Config{Epochs: 40, Seed: 23}
-	base, vrdagAug, err := downstream.RunCaseStudy(observed, vrdagSynth, dcfg)
+	base, aug, err := downstream.RunCaseStudy(observed, dcfg, vrdagSynth, gencatSynth)
 	if err != nil {
 		log.Fatal(err)
 	}
-	_, gencatAug, err := downstream.RunCaseStudy(observed, gencatSynth, dcfg)
-	if err != nil {
-		log.Fatal(err)
-	}
+	vrdagAug, gencatAug := aug[0], aug[1]
 
 	fmt.Printf("\n%-18s %10s %10s\n", "training data", "link F1", "attr RMSE")
 	fmt.Printf("%-18s %10.4f %10.4f\n", "no augmentation", base.LinkF1, base.AttrRMSE)

@@ -553,12 +553,17 @@ func (st *genState) step(t int) *dyngraph.Snapshot {
 	tp.ReleaseSince(0, z) // S_t and the attribute decoder's nodes
 
 	// Line 7: update hidden states with the recurrence updater. H_{t-1}
-	// is dead once H_t is recorded, so H_t overwrites it in place.
-	eps := m.enc.Encode(c, snap)
-	in := m.gruInput(c, eps, z, clock, st.zeros)
-	tp.ReleaseSince(0, in) // the encoder's nodes and Z_t
-	hNext := m.gru.Step(c, in, h)
-	copy(st.h.Data, hNext.Value.Data)
+	// is dead once H_t is recorded, so H_t overwrites it in place. After
+	// the last snapshot nothing reads H_T (the request's state is released
+	// and a forecast's is its own copy) unless DynamicNodes'
+	// updateActiveSet runs once more, so the final step skips it.
+	if t+1 < st.opts.T || st.opts.DynamicNodes {
+		eps := m.enc.Encode(c, snap)
+		in := m.gruInput(c, eps, z, clock, st.zeros)
+		tp.ReleaseSince(0, in) // the encoder's nodes and Z_t
+		hNext := m.gru.Step(c, in, h)
+		copy(st.h.Data, hNext.Value.Data)
+	}
 	tp.Reset()
 
 	if st.opts.DynamicNodes {

@@ -488,19 +488,19 @@ func (m *Model) samplePairs(s *dyngraph.Snapshot, esrc, edst, src, dst []int, rn
 // where θ = sigmoid(f_θ(s_i − s_j)) and the component weights α_i =
 // softmax(Σ_j f_α(s_i − s_j)) aggregate over the sampled pairs of node i.
 // The layout is the decode's (decode.go): both heads' linear first layers
-// run once over the N nodes, P = S·[W₁θ ‖ W₁α], and each head's hidden
-// block is built from Pᵀ with the E pairs on the column axis, so the
-// K-wide second layer is K rows of E columns — the axis every
-// tensor.Backend vectorises — forward and in both backward products.
+// run once over the N nodes, P = S·[W₁θ ‖ W₁α], and each head is one
+// tensor.Tape.PairMLP node over its half of P's columns, which keeps only
+// the E×K logits and recomputes the hidden units in the backward sweep.
 func (m *Model) mixBernoulliProb(c *nn.Ctx, s *tensor.Node, src, dst []int, n int) *tensor.Node {
 	tape := c.Tape
 	w1 := tape.ConcatCols(c.Var(m.fTheta.Layers[0].W), c.Var(m.fAlpha.Layers[0].W))
-	pT := tape.Transpose(tape.MatMul(s, w1)) // 2d_h×N, θ rows first
+	p := tape.MatMul(s, w1) // N×2d_h, θ columns first
 	logits := func(f *nn.MLP, head int) *tensor.Node {
+		if f.Hidden != tensor.ActLeakyReLU {
+			panic("core: the Eq. 11 pair op implements LeakyReLU hidden layers only")
+		}
 		l1, l2 := f.Layers[0], f.Layers[1]
-		hidT := tape.PairDiffT(pT, c.Var(l1.B), head*l1.Out, src, dst, f.Hidden) // d_h×E
-		outT := tape.MatMul(tape.Transpose(c.Var(l2.W)), hidT)                   // K×E
-		return tape.AddRowVec(tape.Transpose(outT), c.Var(l2.B))                 // E×K
+		return tape.PairMLP(p, c.Var(l1.B), c.Var(l2.W), c.Var(l2.B), head*l1.Out, src, dst) // E×K
 	}
 	theta := tape.Sigmoid(logits(m.fTheta, headTheta))
 	alphaLogits := tape.ScatterAddRows(logits(m.fAlpha, headAlpha), src, n)

@@ -243,9 +243,11 @@ func (m *Model) Evaluate(eval *dyngraph.Sequence) (Result, error) {
 }
 
 // RunCaseStudy reproduces one bar group of Fig. 10: train CoEvoGNN on the
-// original sequence alone ("No Augmentation") and again with a synthetic
-// sequence appended, then evaluate both on the original's final snapshot.
-func RunCaseStudy(orig *dyngraph.Sequence, synthetic *dyngraph.Sequence, cfg Config) (base, augmented Result, err error) {
+// original sequence alone ("No Augmentation") and, for each synthetic
+// sequence, again with that sequence appended, then evaluate every model
+// on the original's final snapshot. augmented[i] is synthetic[i]'s arm;
+// the baseline is trained once, however many arms there are.
+func RunCaseStudy(orig *dyngraph.Sequence, cfg Config, synthetic ...*dyngraph.Sequence) (base Result, augmented []Result, err error) {
 	mBase := NewModel(cfg, orig.N, orig.F)
 	if err = mBase.Fit(orig); err != nil {
 		return
@@ -255,10 +257,16 @@ func RunCaseStudy(orig *dyngraph.Sequence, synthetic *dyngraph.Sequence, cfg Con
 	}
 	cfgAug := cfg
 	cfgAug.Seed = cfg.Seed + 1
-	mAug := NewModel(cfgAug, orig.N, orig.F)
-	if err = mAug.Fit(orig, synthetic); err != nil {
-		return
+	for _, s := range synthetic {
+		mAug := NewModel(cfgAug, orig.N, orig.F)
+		if err = mAug.Fit(orig, s); err != nil {
+			return
+		}
+		var r Result
+		if r, err = mAug.Evaluate(orig); err != nil {
+			return
+		}
+		augmented = append(augmented, r)
 	}
-	augmented, err = mAug.Evaluate(orig)
 	return
 }

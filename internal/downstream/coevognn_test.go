@@ -92,11 +92,14 @@ func TestRunCaseStudyProducesBothArms(t *testing.T) {
 	// Synthetic augmentation: an independent replica from the same
 	// process plays the role of generator output.
 	synth := evalSeq(t, 10)
-	base, aug, err := RunCaseStudy(g, synth, Config{Epochs: 15, Seed: 11})
+	base, aug, err := RunCaseStudy(g, Config{Epochs: 15, Seed: 11}, synth)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, r := range map[string]Result{"base": base, "aug": aug} {
+	if len(aug) != 1 {
+		t.Fatalf("%d augmented arms for one synthetic sequence", len(aug))
+	}
+	for name, r := range map[string]Result{"base": base, "aug": aug[0]} {
 		if r.LinkF1 < 0 || r.LinkF1 > 1 || math.IsNaN(r.AttrRMSE) {
 			t.Fatalf("%s arm invalid: %+v", name, r)
 		}

@@ -585,22 +585,18 @@ func (g *grid) Figure10() ([]Fig10Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		base, vAug, err := downstream.RunCaseStudy(orig, v.synth, dcfg)
-		if err != nil {
-			return nil, err
-		}
 		_, gc, err := g.generated(replicaKey{dataset: ds}, gen{"GenCAT", g.o.Seed + 42, nil})
 		if err != nil {
 			return nil, err
 		}
-		_, gAug, err := downstream.RunCaseStudy(orig, gc.synth, dcfg)
+		base, aug, err := downstream.RunCaseStudy(orig, dcfg, v.synth, gc.synth)
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows,
 			Fig10Row{ds, "No Augmentation", base.LinkF1, base.AttrRMSE},
-			Fig10Row{ds, "VRDAG", vAug.LinkF1, vAug.AttrRMSE},
-			Fig10Row{ds, "GenCAT", gAug.LinkF1, gAug.AttrRMSE},
+			Fig10Row{ds, "VRDAG", aug[0].LinkF1, aug[0].AttrRMSE},
+			Fig10Row{ds, "GenCAT", aug[1].LinkF1, aug[1].AttrRMSE},
 		)
 	}
 	return rows, nil

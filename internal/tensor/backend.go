@@ -91,7 +91,7 @@ type Backend interface {
 
 	// VActGrad computes dst[i] = grad[i] * act'(out[i]) with the
 	// derivative expressed through the activation output — the fused
-	// Affine, Affine2 and PairDiffT backward (preGrad). Every act's
+	// Affine and Affine2 backward (preGrad) and PairMLP's. Every act's
 	// derivative is rational in the output (1 or LeakySlope for
 	// LeakyReLU, 1−y² for tanh, y(1−y) for sigmoid), so SIMD
 	// implementations stay bit-identical: each element is the same

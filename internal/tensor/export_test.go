@@ -1,6 +1,9 @@
 package tensor
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // Test-only helpers: ops and constructors the tests exercise but no
 // caller outside them needs.
@@ -35,6 +38,86 @@ func (t *Tape) ReLU(a *Node) *Node {
 					g.Data[i] += n.Grad.Data[i]
 				}
 			}
+		}
+	}
+	return n
+}
+
+// Transpose returns aᵀ. With PairDiffT it builds pairMLPChain, the
+// unfused form of Tape.PairMLP that its tests hold it against.
+func (t *Tape) Transpose(a *Node) *Node {
+	rows, cols := a.Value.Rows, a.Value.Cols
+	out := Get(cols, rows)
+	for i := 0; i < rows; i++ {
+		for j, v := range a.Value.Row(i) {
+			out.Data[j*rows+i] = v
+		}
+	}
+	n := t.op(out, a.needGrad)
+	n.backward = func() {
+		if a.needGrad {
+			g := a.grad()
+			for i := 0; i < rows; i++ {
+				for j := range g.Row(i) {
+					g.Data[i*cols+j] += n.Grad.Data[j*rows+i]
+				}
+			}
+		}
+	}
+	return n
+}
+
+// PairDiffT builds the hidden block of a pair MLP whose linear first layer
+// was hoisted out of the pairs, W₁(sᵢ−sⱼ)+b = (SW₁)ᵢ − (SW₁)ⱼ + b. pT holds
+// (S·W₁)ᵀ, one row per hidden unit and one column per node; b (1×d) is the
+// first-layer bias of the head whose units sit in rows [lo, lo+d) of pT.
+// The output is transposed, d×E with the pairs on the column axis:
+//
+//	out[r][k] = act((pT[lo+r][src[k]] − pT[lo+r][dst[k]]) + b[r])
+//
+// so the layer that follows runs as W₂ᵀ·out, E output columns wide. The
+// loops are plain Go: every backend computes the same bits.
+func (t *Tape) PairDiffT(pT, b *Node, lo int, src, dst []int, act Act) *Node {
+	d, e := b.Value.Cols, len(src)
+	if b.Value.Rows != 1 || lo < 0 || lo+d > pT.Value.Rows || len(dst) != e {
+		panic(fmt.Sprintf("tensor: PairDiffT rows [%d,%d) of %s with bias %s, %d src vs %d dst",
+			lo, lo+d, pT.Value.shape(), b.Value.shape(), e, len(dst)))
+	}
+	checkIndices("PairDiffT", src, pT.Value.Cols)
+	checkIndices("PairDiffT", dst, pT.Value.Cols)
+	out := Get(d, e)
+	for r := 0; r < d; r++ {
+		p, bias, orow := pT.Value.Row(lo+r), b.Value.Data[r], out.Row(r)
+		for k, i := range src {
+			orow[k] = (p[i] - p[dst[k]]) + bias
+		}
+	}
+	applyActSlice(out.Data, act)
+	n := t.op(out, anyGrad(pT, b))
+	n.backward = func() {
+		dPre, scratch := preGrad(n.Value, n.Grad, act)
+		if pT.needGrad {
+			g := pT.grad()
+			for r := 0; r < d; r++ {
+				grow := g.Row(lo + r)
+				for k, v := range dPre.Row(r) {
+					grow[src[k]] += v
+					grow[dst[k]] -= v
+				}
+			}
+		}
+		if b.needGrad {
+			g := b.grad()
+			for r := 0; r < d; r++ {
+				sum := 0.0
+				for _, v := range dPre.Row(r) {
+					sum += v
+				}
+				g.Data[r] += sum
+			}
+		}
+		if scratch {
+			Put(dPre)
 		}
 	}
 	return n

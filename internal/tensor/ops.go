@@ -720,84 +720,164 @@ func checkIndices(op string, idx []int, n int) {
 	}
 }
 
-// Transpose returns aᵀ.
-func (t *Tape) Transpose(a *Node) *Node {
-	rows, cols := a.Value.Rows, a.Value.Cols
-	out := Get(cols, rows)
-	for i := 0; i < rows; i++ {
-		for j, v := range a.Value.Row(i) {
-			out.Data[j*rows+i] = v
-		}
+// PairMLP scores E node pairs through one head of a two-layer pair MLP
+// whose linear first layer was hoisted out of the pairs,
+// W₁(sᵢ−sⱼ)+b₁ = (SW₁)ᵢ − (SW₁)ⱼ + b₁ — the Eq. 11 heads of internal/core.
+// p holds S·W₁ with one row per node; the head's d_h hidden units are its
+// columns [lo, lo+d_h), b1 (1×d_h) their bias, w2 (d_h×K) and b2 (1×K) the
+// second layer. The output is E×K:
+//
+//	out[k][q] = Σ_r w2[r][q] · leaky((p[src[k]][lo+r] − p[dst[k]][lo+r]) + b1[r]) + b2[q]
+//
+// The forward runs the decode's PairLogits kernel once per run of equal
+// src, so nothing but the output is stored: the backward recomputes the
+// hidden units pairMLPChunk pairs at a time into arena scratch. It fixes
+// each gradient element's accumulation order to the one the unfused
+// chain (hidden block, W₂ᵀ product, transposes and bias add) had, so both
+// train to the same bits: see pairMLPGrads.
+func (t *Tape) PairMLP(p, b1, w2, b2 *Node, lo int, src, dst []int) *Node {
+	dh, kq, e := b1.Value.Cols, w2.Value.Cols, len(src)
+	if b1.Value.Rows != 1 || dh == 0 || w2.Value.Rows != dh || kq == 0 ||
+		b2.Value.Rows != 1 || b2.Value.Cols != kq || lo < 0 || lo+dh > p.Value.Cols || len(dst) != e {
+		panic(fmt.Sprintf("tensor: PairMLP columns [%d,%d) of %s with b1 %s, w2 %s, b2 %s, %d src vs %d dst",
+			lo, lo+dh, p.Value.shape(), b1.Value.shape(), w2.Value.shape(), b2.Value.shape(), e, len(dst)))
 	}
-	n := t.op(out, a.needGrad)
-	n.backward = func() {
-		if a.needGrad {
-			g := a.grad()
-			for i := 0; i < rows; i++ {
-				for j := range g.Row(i) {
-					g.Data[i*cols+j] += n.Grad.Data[j*rows+i]
-				}
+	checkIndices("PairMLP", src, p.Value.Rows)
+	checkIndices("PairMLP", dst, p.Value.Rows)
+	out := Get(e, kq)
+	if e > 0 {
+		w2T, logits := transposed(w2.Value), getUnzeroed(kq, e) // the kernel's K×d_h weights, K×E output
+		pd, ld := p.Value.Data, p.Value.Cols
+		for a := 0; a < e; {
+			b := a + 1
+			for b < e && src[b] == src[a] {
+				b++
 			}
+			backendImpl.PairLogits(logits.Data[a:], e, w2T.Data, kq, dh, pd[src[a]*ld+lo:][:dh], b1.Value.Data,
+				pd[lo:], ld, dst[a:b], b-a, LeakySlope)
+			a = b
+		}
+		for k := 0; k < e; k++ {
+			for q, bias := range b2.Value.Data {
+				out.Data[k*kq+q] = logits.Data[q*e+k] + bias
+			}
+		}
+		Put(w2T)
+		Put(logits)
+	}
+	n := t.op(out, anyGrad(p, b1, w2, b2))
+	n.backward = func() {
+		if b2.needGrad {
+			g := b2.grad()
+			for k := 0; k < e; k++ {
+				backendImpl.Add(g.Data, n.Grad.Row(k))
+			}
+		}
+		if p.needGrad || b1.needGrad || w2.needGrad {
+			pairMLPGrads(p, b1, w2, lo, src, dst, n.Grad)
 		}
 	}
 	return n
 }
 
-// PairDiffT builds the hidden block of a pair MLP whose linear first layer
-// was hoisted out of the pairs, W₁(sᵢ−sⱼ)+b = (SW₁)ᵢ − (SW₁)ⱼ + b. pT holds
-// (S·W₁)ᵀ, one row per hidden unit and one column per node; b (1×d) is the
-// first-layer bias of the head whose units sit in rows [lo, lo+d) of pT.
-// The output is transposed, d×E with the pairs on the column axis:
-//
-//	out[r][k] = act((pT[lo+r][src[k]] − pT[lo+r][dst[k]]) + b[r])
-//
-// so the layer that follows runs as W₂ᵀ·out, E output columns wide. One
-// node replaces two GatherRows, a Sub and the first Affine of the E-row
-// form. The loops are plain Go: every backend computes the same bits.
-func (t *Tape) PairDiffT(pT, b *Node, lo int, src, dst []int, act Act) *Node {
-	d, e := b.Value.Cols, len(src)
-	if b.Value.Rows != 1 || lo < 0 || lo+d > pT.Value.Rows || len(dst) != e {
-		panic(fmt.Sprintf("tensor: PairDiffT rows [%d,%d) of %s with bias %s, %d src vs %d dst",
-			lo, lo+d, pT.Value.shape(), b.Value.shape(), e, len(dst)))
-	}
-	checkIndices("PairDiffT", src, pT.Value.Cols)
-	checkIndices("PairDiffT", dst, pT.Value.Cols)
-	out := Get(d, e)
-	for r := 0; r < d; r++ {
-		p, bias, orow := pT.Value.Row(lo+r), b.Value.Data[r], out.Row(r)
-		for k, i := range src {
-			orow[k] = (p[i] - p[dst[k]]) + bias
+// pairMLPChunk is how many pairs' hidden units PairMLP's backward
+// recomputes at a time: two chunk×d_h scratch blocks instead of the
+// d_h×E block a stored forward would keep.
+const pairMLPChunk = 256
+
+// transposed returns mᵀ in arena scratch the caller Puts.
+func transposed(m *Matrix) *Matrix {
+	out := getUnzeroed(m.Cols, m.Rows)
+	for i := 0; i < m.Rows; i++ {
+		for j, v := range m.Row(i) {
+			out.Data[j*m.Rows+i] = v
 		}
 	}
-	applyActSlice(out.Data, act)
-	n := t.op(out, anyGrad(pT, b))
-	n.backward = func() {
-		dPre, scratch := preGrad(n.Value, n.Grad, act)
-		if pT.needGrad {
-			g := pT.grad()
-			for r := 0; r < d; r++ {
-				grow := g.Row(lo + r)
-				for k, v := range dPre.Row(r) {
-					grow[src[k]] += v
-					grow[dst[k]] -= v
-				}
+	return out
+}
+
+// pairMLPGrads is PairMLP's backward into p, b1 and w2, given the output
+// gradient g (E×K). Per chunk it recomputes the hidden units H (pairs as
+// rows), adds Hᵀ·g into the d_h×K sums of dW₂ (GemmTN), forms the hidden
+// gradient g·W₂ᵀ (GemmNN) times LeakyReLU' (VActGrad), and scatters that,
+// pair by pair, into p's gradient rows (+ at src, − at dst) and into
+// b1's sums. Per gradient element this is the order the unfused chain
+// accumulated in:
+//
+//   - dW₂[r][q] += S[q][r], S summed from +0 over the pairs k ascending;
+//   - the hidden gradient is (+0 + w₀g₀) + w₁g₁ …, q ascending, times
+//     LeakyReLU' of the same hidden unit;
+//   - dp[src][lo+r] += v and dp[dst][lo+r] −= v, k ascending, += first
+//     for a self pair;
+//   - db₁[r] += (Σ v from +0, k ascending).
+//
+// GemmNN and GemmTN skip zero multipliers where the chain's kernels
+// skipped others or none; for finite values that changes nothing, since
+// every sum starts at +0 and so is never −0.
+func pairMLPGrads(p, b1, w2 *Node, lo int, src, dst []int, g *Matrix) {
+	dh, kq, e := b1.Value.Cols, w2.Value.Cols, len(src)
+	rows := min(e, pairMLPChunk)
+	hid, gc := getUnzeroed(rows, dh), getUnzeroed(rows, kq)
+	var w2T, dHid, sW2, sB1, gp *Matrix
+	if p.needGrad || b1.needGrad {
+		w2T, dHid = transposed(w2.Value), Get(rows, dh)
+	}
+	if w2.needGrad {
+		sW2 = Get(dh, kq)
+	}
+	if b1.needGrad {
+		sB1 = Get(1, dh)
+	}
+	if p.needGrad {
+		gp = p.grad()
+	}
+	pd, ld, bias := p.Value.Data, p.Value.Cols, b1.Value.Data
+	for k0 := 0; k0 < e; k0 += pairMLPChunk {
+		k1 := min(k0+pairMLPChunk, e)
+		c := k1 - k0
+		hid.Rows, hid.Data = c, hid.Data[:c*dh]
+		for k := k0; k < k1; k++ {
+			h, ps, pq := hid.Row(k-k0), pd[src[k]*ld+lo:][:dh], pd[dst[k]*ld+lo:][:dh]
+			for r := range h {
+				h[r] = (ps[r] - pq[r]) + bias[r]
 			}
 		}
-		if b.needGrad {
-			g := b.grad()
-			for r := 0; r < d; r++ {
-				sum := 0.0
-				for _, v := range dPre.Row(r) {
-					sum += v
-				}
-				g.Data[r] += sum
+		backendImpl.VLeakyReLU(hid.Data, LeakySlope)
+		gc.Rows, gc.Data = c, gc.Data[:c*kq]
+		copy(gc.Data, g.Data[k0*kq:k1*kq])
+		if sW2 != nil {
+			backendImpl.GemmTN(sW2, hid, gc)
+		}
+		if dHid == nil {
+			continue
+		}
+		dHid.Rows, dHid.Data = c, dHid.Data[:c*dh]
+		clear(dHid.Data)
+		backendImpl.GemmNN(dHid, gc, w2T)
+		backendImpl.VActGrad(dHid.Data, dHid.Data, hid.Data, ActLeakyReLU)
+		for k := k0; k < k1; k++ {
+			v := dHid.Row(k - k0)
+			if gp != nil {
+				backendImpl.Add(gp.Data[src[k]*ld+lo:][:dh], v)
+				backendImpl.AxpyRow(gp.Data[dst[k]*ld+lo:][:dh], v, -1)
+			}
+			if sB1 != nil {
+				backendImpl.Add(sB1.Data, v)
 			}
 		}
-		if scratch {
-			Put(dPre)
-		}
 	}
-	return n
+	if sW2 != nil {
+		w2.grad().AddInPlace(sW2)
+		Put(sW2)
+	}
+	if sB1 != nil {
+		b1.grad().AddInPlace(sB1)
+		Put(sB1)
+	}
+	Put(hid)
+	Put(gc)
+	Put(w2T)
+	Put(dHid)
 }
 
 // SegmentSoftmax normalises the E×1 column a with a softmax within each

@@ -380,6 +380,15 @@ func TestOpPanicLeavesArenaBalanced(t *testing.T) {
 		{"PairDiffT/dst", func() {
 			tp.PairDiffT(c(2, 3), c(1, 2), 0, []int{0, 1}, []int{1, -1}, ActIdent)
 		}},
+		{"PairMLP/src", func() {
+			tp.PairMLP(c(3, 2), c(1, 2), c(2, 3), c(1, 3), 0, []int{0, 3}, []int{1, 1})
+		}},
+		{"PairMLP/dst", func() {
+			tp.PairMLP(c(3, 2), c(1, 2), c(2, 3), c(1, 3), 0, []int{0, 1}, []int{1, -1})
+		}},
+		{"PairMLP/columns", func() {
+			tp.PairMLP(c(3, 4), c(1, 2), c(2, 3), c(1, 3), 3, []int{0, 1}, []int{1, 2})
+		}},
 		{"SegmentSoftmax", func() { tp.SegmentSoftmax(c(3, 1), []int{0, 1, 2}, 2) }},
 		{"SegmentSoftmax/negative", func() { tp.SegmentSoftmax(c(3, 1), []int{0, -1, 1}, 2) }},
 		{"GaussianKL", func() { tp.GaussianKL(c(3, 2), c(3, 2), c(2, 3), c(3, 2)) }},

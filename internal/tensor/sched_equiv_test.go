@@ -150,6 +150,19 @@ func TestSchedEquivAllOps(t *testing.T) {
 			o := tp.Add(tp.MatMul(w, h0), tp.MatMul(w, h1))
 			return SchedProbe{Loss: tp.SumAll(tp.Mul(o, o)), Outputs: []*Node{o, h0, h1}, Leaves: []*Node{pT, w, b0, b1}}
 		}},
+		{"PairMLP/two-heads", func(tp *Tape) SchedProbe {
+			// The trainer's shape: one P = S·W₁, a head per column window,
+			// the second head's weights shared with the first.
+			s, w1 := tp.Var(testMat(6, 3, 51)), tp.Var(testMat(3, 4, 52))
+			b0, b1 := tp.Var(testMat(1, 2, 53)), tp.Var(testMat(1, 2, 54))
+			w2, b2 := tp.Var(testMat(2, 3, 55)), tp.Var(testMat(1, 3, 56))
+			src, dst := []int{0, 0, 3, 1, 4, 2}, []int{1, 3, 1, 0, 4, 0}
+			p := tp.MatMul(s, w1)
+			o0 := tp.PairMLP(p, b0, w2, b2, 0, src, dst)
+			o1 := tp.PairMLP(p, b1, w2, b2, 2, src, dst)
+			o := tp.Add(o0, tp.Tanh(o1))
+			return SchedProbe{Loss: tp.SumAll(tp.Mul(o, o)), Outputs: []*Node{o, o0, o1}, Leaves: []*Node{s, w1, b0, b1, w2, b2}}
+		}},
 		{"SumAll", unaryCase(func(tp *Tape, a *Node) *Node { return tp.SumAll(a) })},
 		{"MeanAll", unaryCase(func(tp *Tape, a *Node) *Node { return tp.MeanAll(a) })},
 		{"SumRows", unaryCase(func(tp *Tape, a *Node) *Node { return tp.SumRows(a) })},

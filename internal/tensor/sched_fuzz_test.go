@@ -38,7 +38,7 @@ func fuzzBuild(tp *Tape, data []byte) SchedProbe {
 			stack = append(stack, n)
 		}
 	}
-	// Pairs over the three columns of a 3×3 operand: node 0 is src twice,
+	// Pairs over the three rows (nodes) of a 3×3 operand: node 0 is src twice,
 	// node 1 sits on both sides, the last pair is a self pair.
 	pairSrc, pairDst := []int{0, 0, 1}, []int{1, 2, 1}
 
@@ -82,9 +82,8 @@ func fuzzBuild(tp *Tape, data []byte) SchedProbe {
 		case 15:
 			push(tp.Exp(tp.Scale(pop(), 0.1)))
 		case 16:
-			push(tp.PairDiffT(pop(), bias, 0, pairSrc, pairDst, fusableActs[int(op>>4)%len(fusableActs)].act))
-		case 17:
-			push(tp.Transpose(pop()))
+			// p and W₂ both off the stack: N=3 nodes, d_h=3, K=3.
+			push(tp.PairMLP(pop(), bias, pop(), bias, 0, pairSrc, pairDst))
 		}
 	}
 
@@ -119,8 +118,8 @@ func FuzzTapeSchedule(f *testing.F) {
 		"\x0e\x0e\x0e\x0e",                 // inert selectors only: the leaves alone
 		"?N3?N3",                           // Exp then MatMul, an inert selector between
 		"0123456789:;<=>?@ABCDEFGHIJKLMNO", // two full opcode sweeps
-		"\xc0\r7\x02>\xa0\xb0\r\x00",       // PairDiffT consumed twice, then two more and the second consumed twice
-		"\x81\r3>\x81\x81\r\x02\x81",       // Transpose likewise, feeding MatMul and Mul
+		"\xc0\r7\x02>\xa0\xb0\r\x00",       // PairMLP consumed twice, then two more and the second consumed twice
+		"\x80\r3\x90\x02\x81",              // PairMLP on itself through a MatMul, then Mul and an empty selector
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
