@@ -84,6 +84,9 @@ func fuzzBuild(tp *Tape, data []byte) SchedProbe {
 		case 16:
 			// p and W₂ both off the stack: N=3 nodes, d_h=3, K=3.
 			push(tp.PairMLP(pop(), bias, pop(), bias, 0, pairSrc, pairDst))
+		case 17:
+			// Was Transpose until the pair heads became one op; it records
+			// nothing, so the committed seed-transpose still parses.
 		}
 	}
 
