@@ -36,7 +36,7 @@ func TestBaselinesBytesPinned(t *testing.T) {
 	}{
 		{walker.NewTIGGER(6), "c600d78369de7bc9d5cf5f04432a6a9171cb13e241ca266a62d832cf32ad41ec"},
 		{walker.NewTGGAN(6), "059357feb37e7b69b2c8219eb72dd6a3393ccf1efb7dc07cbb8bc315fae397df"},
-		{walker.NewTagGen(6), "48228d823ab2599ee26078eadb105a8c1b4ed5fbeeb2abde356d6b25f210ec3e"},
+		{walker.NewTagGen(6), "a4199933c435463cc65b27d842ea94a37e7a733814a47c33ee2f2a32288a17b0"},
 		{dymond.New(dymond.Config{Seed: 6}), "d19aaa1abbcdb8c578c16e2eb33dae9f21bf717ba0bd578821f302baa0f16697"},
 		{gran.New(gran.Config{Seed: 6}), "df59882971a5c27bd48311a4547f9d98d0facc3a4a85b942ad25383ab6cdef25"},
 		{gencat.New(gencat.Config{Seed: 6}), "508f4cdd96e37051483c7f5cc7e1ddc29d5529acacea425db596327035bb7505"},

@@ -94,8 +94,9 @@ func NewTGGAN(seed int64) baselines.Generator {
 // adversarially. Here a walk's score is its empirical endpoint
 // log-likelihood alone, and a candidate is accepted when that score
 // reaches the 0.4 quantile of the real training walks' scores, so about
-// 60 % of real-like walks pass. Each of at most 40 rounds proposes ten
-// candidates per walk still owed, plus forty. The discriminator is
+// 60 % of real-like walks pass. Each of at most 40 rounds proposes up to
+// ten candidates per walk still owed, plus forty, and stops proposing once
+// the accepted walks meet the edge budget. The discriminator is
 // counted, not run. Work reports its multiply-adds by the rules of a
 // per-edge MLP of input width 16, hidden width 192 and four hidden blocks:
 // in·h + 4h² + h per scored walk edge, so every oversampled and every
@@ -179,7 +180,8 @@ func (g *skeleton) score(w []TemporalEdge) float64 {
 // to t snapshots, is met, rescales their timestamps to t and merges them.
 // A generator (TIGGER, TG-GAN) keeps every walk and counts a vocabulary
 // projection per step; a gated skeleton proposes an oversampled batch per
-// round and keeps the candidates its discriminator passes.
+// round and keeps the candidates its discriminator passes, until the
+// budget is met.
 func (g *skeleton) Generate(t int) (*dyngraph.Sequence, error) {
 	if g.ix == nil {
 		return nil, fmt.Errorf("%s: Generate before Fit", strings.ToLower(g.name))
@@ -207,6 +209,9 @@ func (g *skeleton) Generate(t int) (*dyngraph.Sequence, error) {
 			batch = ((target-edges)/g.walkLen + 4) * oversample
 		}
 		for range batch {
+			if edges >= target {
+				break
+			}
 			w := g.ix.walk(g.walkLen, g.mode, g.rng)
 			g.genWork += int64(len(w)) * stepWork
 			if g.gated && g.score(w) < g.threshold {

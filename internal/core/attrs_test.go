@@ -51,8 +51,7 @@ func TestMarginalMapFallsBackToMoments(t *testing.T) {
 func TestOutputTransformRestoresCorrelation(t *testing.T) {
 	m := New(smallConfig(4, 2))
 	// Target correlation 0.8; state drawn with correlation ~0.
-	m.cal.attrCorr = []float64{1, 0.8, 0.8, 1}
-	m.cal.attrCorrChol = cholesky(make([]float64, 4), m.cal.attrCorr, 2)
+	m.cal.attrCorrChol = cholesky(make([]float64, 4), []float64{1, 0.8, 0.8, 1}, 2)
 	rng := rand.New(rand.NewSource(1))
 	n := 2000
 	state := tensor.New(n, 2)

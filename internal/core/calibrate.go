@@ -21,9 +21,8 @@ type calibration struct {
 	attrRho       []float64    // per-dimension lag-1 autocorrelation
 	resid         residMoments // decoder↔truth moments of the final epoch
 	attrR2        []float64    // per-dimension decoder explanatory power in [0,1]
-	attrCorr      []float64    // data attribute correlation matrix (F×F); saved, never read
 	attrQuantiles [][]float64  // per-dimension empirical quantile grid
-	attrCorrChol  []float64    // Cholesky factor of attrCorr (static fallback)
+	attrCorrChol  []float64    // Cholesky factor of the data's attribute correlation (static fallback)
 }
 
 // calibrator returns the model's calibration, nil with DegreeCalibration off.
@@ -111,7 +110,6 @@ func newCalibration(g *dyngraph.Sequence) calibration {
 				corr[a*g.F+b] /= count * c.attrStd[a] * c.attrStd[b]
 			}
 		}
-		c.attrCorr = corr
 		c.attrCorrChol = cholesky(make([]float64, g.F*g.F), tensor.NearestCorrelation(corr, g.F), g.F)
 		// Lag-1 autocorrelation per dimension: how much node attributes
 		// persist between consecutive snapshots. Matched at generation so

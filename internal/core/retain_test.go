@@ -121,7 +121,7 @@ func TestFitAfterInferenceReusesReleased(t *testing.T) {
 	if runtime.GOOS == "linux" && before.ReleasedBytes == 0 {
 		t.Fatal("nothing on the released lists after inference")
 	}
-	const want = "be3cb6c042ad80f83893170307f8cd66e5707fca703f66b450bc106e1d6347a9"
+	const want = "07a3fb80fd3457fde9b12e070465201d5f314861f6e47ab7eb5f1cd5e1aa1f5e"
 	if got := trainedDigest(t, cfg, 3); got != want {
 		t.Fatalf("trained digest after a release %s, want %s", got, want)
 	}

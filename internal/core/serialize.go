@@ -28,7 +28,6 @@ type modelState struct {
 	AttrStd       []float64
 	AttrRho       []float64
 	AttrR2        []float64
-	AttrCorr      []float64
 	AttrCorrChol  []float64
 	AttrQuantiles [][]float64
 }
@@ -69,7 +68,6 @@ func (m *Model) state() (modelState, error) {
 		AttrStd:       m.cal.attrStd,
 		AttrRho:       m.cal.attrRho,
 		AttrR2:        m.cal.attrR2,
-		AttrCorr:      m.cal.attrCorr,
 		AttrCorrChol:  m.cal.attrCorrChol,
 		AttrQuantiles: m.cal.attrQuantiles,
 	}
@@ -140,7 +138,6 @@ func Load(r io.Reader) (*Model, error) {
 		attrStd:       st.AttrStd,
 		attrRho:       st.AttrRho,
 		attrR2:        st.AttrR2,
-		attrCorr:      st.AttrCorr,
 		attrCorrChol:  st.AttrCorrChol,
 		attrQuantiles: st.AttrQuantiles,
 	}
@@ -181,7 +178,6 @@ func (st *modelState) check() error {
 		{"AttrMean", len(st.AttrMean), f},
 		{"AttrRho", len(st.AttrRho), f},
 		{"AttrR2", len(st.AttrR2), f},
-		{"AttrCorr", len(st.AttrCorr), f * f},
 		{"AttrCorrChol", len(st.AttrCorrChol), f * f},
 		{"AttrQuantiles", len(st.AttrQuantiles), f},
 	} {

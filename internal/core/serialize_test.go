@@ -243,7 +243,6 @@ func TestLoadRejectsMisSizedStatistics(t *testing.T) {
 		{"AttrStd short", func(st *modelState) { st.AttrStd = st.AttrStd[:2] }},
 		{"AttrRho long", func(st *modelState) { st.AttrRho = append(st.AttrRho, 0) }},
 		{"AttrR2 short", func(st *modelState) { st.AttrR2 = st.AttrR2[:1] }},
-		{"AttrCorr not FxF", func(st *modelState) { st.AttrCorr = st.AttrCorr[:3] }},
 		{"AttrCorrChol not FxF", func(st *modelState) { st.AttrCorrChol = st.AttrCorrChol[:8] }},
 		{"AttrQuantiles short", func(st *modelState) { st.AttrQuantiles = st.AttrQuantiles[:2] }},
 		{"ActiveStats short", func(st *modelState) { st.ActiveStats = st.ActiveStats[:1] }},

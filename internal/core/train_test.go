@@ -52,7 +52,7 @@ func hashState(h hash.Hash, m *Model) error {
 		hashFloats(h, p.Data...)
 	}
 	for _, v := range [][]float64{st.EdgeTargets, st.ActiveStats, {st.PersistRate},
-		st.AttrMean, st.AttrStd, st.AttrRho, st.AttrR2, st.AttrCorr, st.AttrCorrChol} {
+		st.AttrMean, st.AttrStd, st.AttrRho, st.AttrR2, st.AttrCorrChol} {
 		hashFloats(h, float64(len(v)))
 		hashFloats(h, v...)
 	}
@@ -91,9 +91,9 @@ func TestFitTrainedBitsPinned(t *testing.T) {
 		tune func(*Config)
 		want string
 	}{
-		{"full-bptt", 3, func(c *Config) {}, "be3cb6c042ad80f83893170307f8cd66e5707fca703f66b450bc106e1d6347a9"},
-		{"tbptt4-sample3", 3, func(c *Config) { c.TBPTT, c.NeighborSample = 4, 3 }, "76f5ddbabc9612bad4712852e4c84b609869691a447848558a4dfb0ee6d3d40b"},
-		{"f0", 0, func(c *Config) {}, "f4cd09dc95fd669273182011113442175bda1a39512adca980cf783a70652f99"},
+		{"full-bptt", 3, func(c *Config) {}, "07a3fb80fd3457fde9b12e070465201d5f314861f6e47ab7eb5f1cd5e1aa1f5e"},
+		{"tbptt4-sample3", 3, func(c *Config) { c.TBPTT, c.NeighborSample = 4, 3 }, "1efa89e7e6228206a1cf59760853311c91c99b943ed03dcc89fde5125e057780"},
+		{"f0", 0, func(c *Config) {}, "695642f046df6298807d6b93d9179599c743a484d78f0c586920318a461c8a10"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultConfig(94, tc.f)

@@ -88,13 +88,15 @@ func TestAdjCSRConcurrentReaders(t *testing.T) {
 // same order.
 func sameCSR(a, b *tensor.CSR) bool {
 	return a.Rows == b.Rows && a.Cols == b.Cols && slices.Equal(a.RowPtr, b.RowPtr) &&
-		slices.Equal(a.ColIdx, b.ColIdx) && slices.Equal(a.Val, b.Val)
+		slices.Equal(a.ColIdx, b.ColIdx)
 }
 
 // TestRecycledCSRRebuildsInPlace: after Recycle a snapshot rebuilds A and
 // Aᵀ into the arrays of its previous forms, and each equals tensor.NewCSR
 // of its EdgeLists in that orientation, for a timestep with fewer edges
-// than the last and one with more (which outgrows them).
+// than the last and one with more (which outgrows them). The two forms are
+// one linked pair, and rebuilding a timestep the kept arrays hold
+// allocates nothing.
 func TestRecycledCSRRebuildsInPlace(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	const n = 40
@@ -110,11 +112,14 @@ func TestRecycledCSRRebuildsInPlace(t *testing.T) {
 		for s.NumEdges() < edges {
 			s.AddEdge(rng.Intn(n), rng.Intn(n))
 		}
+		if s.AdjCSR().T != s.AdjTCSR() || s.AdjTCSR().T != s.AdjCSR() {
+			t.Fatalf("%d edges: AdjCSR and AdjTCSR are not each other's T", edges)
+		}
 		src, dst := s.EdgeLists()
 		for k, c := range [2]*tensor.CSR{s.AdjCSR(), s.AdjTCSR()} {
-			want := tensor.NewCSR(n, n, src, dst, nil)
+			want := tensor.NewCSR(n, n, src, dst)
 			if k == 1 {
-				want = tensor.NewCSR(n, n, dst, src, nil)
+				want = tensor.NewCSR(n, n, dst, src)
 			}
 			if !sameCSR(c, want) {
 				t.Fatalf("%d edges, form %d: the rebuilt CSR differs from NewCSR of EdgeLists", edges, k)
@@ -124,11 +129,23 @@ func TestRecycledCSRRebuildsInPlace(t *testing.T) {
 			}
 		}
 	}
+	src, dst := s.EdgeLists()
+	allocs := testing.AllocsPerRun(5, func() {
+		s.Recycle()
+		for k := range src {
+			s.AddEdge(src[k], dst[k])
+		}
+		s.AdjTCSR()
+	})
+	if allocs != 0 {
+		t.Fatalf("rebuilding a recycled timestep's CSR pair allocates %.1f objects, want 0", allocs)
+	}
 }
 
 // TestAdjTCSRTransposesOut: on a SampleNeighbors view, whose In lists are
 // sampled apart from its Out lists, AdjTCSR is the transpose of Out, the
-// lists AdjCSR reads, and not a CSR of the In lists.
+// lists AdjCSR reads, and not a CSR of the In lists: it is AdjCSR's T,
+// the transpose tensor.NewCSR links to a CSR of the Out lists.
 func TestAdjTCSRTransposesOut(t *testing.T) {
 	const n = 30
 	rng := rand.New(rand.NewSource(4))
@@ -143,15 +160,18 @@ func TestAdjTCSRTransposesOut(t *testing.T) {
 			inSrc, inDst = append(inSrc, u), append(inDst, d)
 		}
 	}
-	fromIn := tensor.NewCSR(n, n, inDst, inSrc, nil)
+	fromIn := tensor.NewCSR(n, n, inDst, inSrc)
 	src, dst := v.EdgeLists()
-	if sameCSR(fromIn, tensor.NewCSR(n, n, dst, src, nil)) {
+	if sameCSR(fromIn, tensor.NewCSR(n, n, dst, src)) {
 		t.Fatal("the view's In lists are the transpose of its Out lists; the check below would prove nothing")
 	}
-	if !sameCSR(v.AdjTCSR(), tensor.NewCSR(n, n, dst, src, nil)) {
+	if !sameCSR(v.AdjTCSR(), tensor.NewCSR(n, n, dst, src)) {
 		t.Fatal("AdjTCSR of a sampled view is not the transpose of its Out lists")
 	}
-	if !sameCSR(v.AdjCSR(), tensor.NewCSR(n, n, src, dst, nil)) {
+	if !sameCSR(v.AdjCSR(), tensor.NewCSR(n, n, src, dst)) {
 		t.Fatal("AdjCSR of a sampled view is not its Out lists")
+	}
+	if v.AdjCSR().T != v.AdjTCSR() || !sameCSR(v.AdjCSR().T, tensor.NewCSR(n, n, src, dst).T) {
+		t.Fatal("AdjCSR's T on a sampled view is not the transpose of its Out lists")
 	}
 }

@@ -24,16 +24,16 @@ type Snapshot struct {
 	X   *tensor.Matrix // N×F attributes; nil when the graph is unattributed
 	m   int            // edge count
 
-	// Memoised CSR forms of the adjacency. The bi-flow encoder asks for
-	// both matrices once per layer per epoch; rebuilding them from the
+	// Memoised CSR pair of the adjacency, A with Aᵀ in its T. The bi-flow
+	// encoder asks for both matrices once per layer per epoch, and the
+	// SpMM backward multiplies by the transpose; rebuilding them from the
 	// neighbour lists dominated encoder time on static snapshots. AddEdge
 	// invalidates the cache; the mutex makes concurrent readers of one
-	// shared snapshot safe. Recycle moves the forms into kept, and the
-	// next build fills their arrays in place instead of allocating.
-	csrMu    sync.Mutex
-	adjCSR   *tensor.CSR
-	adjTCSRc *tensor.CSR
-	kept     [2]*tensor.CSR // A, Aᵀ
+	// shared snapshot safe. Recycle moves the pair into kept, and the next
+	// build fills its arrays in place instead of allocating.
+	csrMu sync.Mutex
+	adj   *tensor.CSR
+	kept  *tensor.CSR
 }
 
 // NewSnapshot returns an empty snapshot over n nodes with f attribute
@@ -75,10 +75,10 @@ func (s *Snapshot) AddEdge(u, v int) bool {
 	return true
 }
 
-// invalidateCSR drops the memoised CSR forms after a mutation.
+// invalidateCSR drops the memoised CSR pair after a mutation.
 func (s *Snapshot) invalidateCSR() {
 	s.csrMu.Lock()
-	s.adjCSR, s.adjTCSRc = nil, nil
+	s.adj = nil
 	s.csrMu.Unlock()
 }
 
@@ -127,40 +127,30 @@ func (s *Snapshot) EdgeLists() (src, dst []int) {
 }
 
 // AdjCSR returns the adjacency matrix A (A[u][v] = 1 for edge u→v) in CSR
-// form; A·H aggregates each node's out-neighbour states. The result is
-// memoised until the next AddEdge or Recycle and must therefore be
-// treated as immutable by callers (the tensor.CSR contract). It equals
-// tensor.NewCSR(N, N, src, dst, nil) of EdgeLists.
+// form, with Aᵀ in its T; A·H aggregates each node's out-neighbour states.
+// The pair is memoised until the next AddEdge or Recycle and must
+// therefore be treated as immutable by callers (the tensor.CSR contract).
+// It equals tensor.NewCSR(N, N, src, dst) of EdgeLists.
 func (s *Snapshot) AdjCSR() *tensor.CSR {
 	s.csrMu.Lock()
 	defer s.csrMu.Unlock()
-	if s.adjCSR == nil {
-		s.adjCSR = s.buildCSR(s.kept[0], false)
-		s.kept[0] = nil
+	if s.adj == nil {
+		s.adj = s.buildCSR(s.kept)
+		s.kept = nil
 	}
-	return s.adjCSR
+	return s.adj
 }
 
-// AdjTCSR returns Aᵀ in CSR form; Aᵀ·H aggregates in-neighbour states.
-// Memoised like AdjCSR. It is the transpose of the Out lists, which on a
-// SampleNeighbors view differs from the In lists (sampled on their own):
-// it equals tensor.NewCSR(N, N, dst, src, nil) of EdgeLists.
-func (s *Snapshot) AdjTCSR() *tensor.CSR {
-	s.csrMu.Lock()
-	defer s.csrMu.Unlock()
-	if s.adjTCSRc == nil {
-		s.adjTCSRc = s.buildCSR(s.kept[1], true)
-		s.kept[1] = nil
-	}
-	return s.adjTCSRc
-}
+// AdjTCSR returns Aᵀ, AdjCSR().T; Aᵀ·H aggregates in-neighbour states. It
+// is the transpose of the Out lists, which on a SampleNeighbors view
+// differs from the In lists (sampled on their own): it equals
+// tensor.NewCSR(N, N, dst, src) of EdgeLists.
+func (s *Snapshot) AdjTCSR() *tensor.CSR { return s.AdjCSR().T }
 
-// buildCSR builds A, or Aᵀ when transpose is set, from the Out lists into
-// c's arrays when c is non-nil and they have the room, and into new ones
-// otherwise. A's rows are the Out lists in order; Aᵀ is a counting sort of
-// the same edges by destination, each row's sources ascending: the entry
-// order tensor.NewCSR gives them from EdgeLists.
-func (s *Snapshot) buildCSR(c *tensor.CSR, transpose bool) *tensor.CSR {
+// buildCSR builds A from the Out lists and links its transpose, into c's
+// and c.T's arrays when c is non-nil and they have the room, and into new
+// ones otherwise. A's rows are the Out lists in order.
+func (s *Snapshot) buildCSR(c *tensor.CSR) *tensor.CSR {
 	n, nnz := s.N, 0
 	for u, out := range s.Out {
 		for _, v := range out {
@@ -171,52 +161,26 @@ func (s *Snapshot) buildCSR(c *tensor.CSR, transpose bool) *tensor.CSR {
 		nnz += len(out)
 	}
 	var rowPtr, colIdx []int
-	var val []float64
+	var t *tensor.CSR
 	if c != nil {
-		rowPtr, colIdx, val = c.RowPtr, c.ColIdx, c.Val
-	}
-	rowPtr, colIdx, val = resize(rowPtr, n+1), resize(colIdx, nnz), resize(val, nnz)
-	for k := range val {
-		val[k] = 1
-	}
-	if !transpose {
-		rowPtr[0] = 0
-		for u, out := range s.Out {
-			rowPtr[u+1] = rowPtr[u] + copy(colIdx[rowPtr[u]:], out)
-		}
+		rowPtr, colIdx, t = c.RowPtr, c.ColIdx, c.T
 	} else {
-		// rowPtr[v] counts v's in-edges, then (a running sum) the end of
-		// row v; placing the edges last to first moves it back to the
-		// row's start and leaves each row's sources ascending.
-		clear(rowPtr)
-		for _, out := range s.Out {
-			for _, v := range out {
-				rowPtr[v]++
-			}
-		}
-		for v := 1; v <= n; v++ {
-			rowPtr[v] += rowPtr[v-1]
-		}
-		for u := n - 1; u >= 0; u-- {
-			out := s.Out[u]
-			for k := len(out) - 1; k >= 0; k-- {
-				v := out[k]
-				rowPtr[v]--
-				colIdx[rowPtr[v]] = u
-			}
-		}
-	}
-	if c == nil {
 		c = new(tensor.CSR)
 	}
-	*c = tensor.CSR{Rows: n, Cols: n, RowPtr: rowPtr, ColIdx: colIdx, Val: val}
+	rowPtr, colIdx = resize(rowPtr, n+1), resize(colIdx, nnz)
+	rowPtr[0] = 0
+	for u, out := range s.Out {
+		rowPtr[u+1] = rowPtr[u] + copy(colIdx[rowPtr[u]:], out)
+	}
+	*c = tensor.CSR{Rows: n, Cols: n, RowPtr: rowPtr, ColIdx: colIdx}
+	c.LinkTranspose(t)
 	return c
 }
 
 // resize returns s with length n, reusing its array when it has the room.
-func resize[T any](s []T, n int) []T {
+func resize(s []int, n int) []int {
 	if cap(s) < n {
-		return make([]T, n)
+		return make([]int, n)
 	}
 	return s[:n]
 }
@@ -224,10 +188,10 @@ func resize[T any](s []T, n int) []T {
 // Recycle empties the snapshot in place for reuse by a streaming
 // producer: the attribute matrix is returned to the tensor arena and
 // detached, the neighbour lists are truncated with their backing arrays
-// kept, and the memoised CSR forms are invalidated with their arrays
-// kept, which the next AdjCSR and AdjTCSR rebuild into. After Recycle the
+// kept, and the memoised CSR pair is invalidated with its arrays kept,
+// which the next AdjCSR rebuilds both forms into. After Recycle the
 // snapshot is equivalent to NewSnapshot(N, 0) except that rebuilding a
-// similar timestep into it, CSR forms included, allocates nothing.
+// similar timestep into it, CSR pair included, allocates nothing.
 //
 // The caller must own the snapshot exclusively: no view of X and no CSR
 // form obtained from it may be used afterwards.
@@ -242,12 +206,9 @@ func (s *Snapshot) Recycle() {
 	}
 	s.m = 0
 	s.csrMu.Lock()
-	for k, c := range [2]*tensor.CSR{s.adjCSR, s.adjTCSRc} {
-		if c != nil {
-			s.kept[k] = c
-		}
+	if s.adj != nil {
+		s.kept, s.adj = s.adj, nil
 	}
-	s.adjCSR, s.adjTCSRc = nil, nil
 	s.csrMu.Unlock()
 }
 

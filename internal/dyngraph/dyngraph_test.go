@@ -79,7 +79,7 @@ func dense(c *tensor.CSR) *tensor.Matrix {
 	out := tensor.New(c.Rows, c.Cols)
 	for i := 0; i < c.Rows; i++ {
 		for p := c.RowPtr[i]; p < c.RowPtr[i+1]; p++ {
-			out.Data[i*c.Cols+c.ColIdx[p]] += c.Val[p]
+			out.Data[i*c.Cols+c.ColIdx[p]]++
 		}
 	}
 	return out

@@ -66,10 +66,10 @@ type Backend interface {
 	GemmNT(out, a, b *Matrix)
 
 	// AxpyRow computes dst[i] += alpha*src[i] over len(src) elements.
-	// The dense GEMM row kernels and the CSR MulDense/MulDenseT row
-	// kernels are built on it.
+	// The dense GEMM row kernels are built on it.
 	AxpyRow(dst, src []float64, alpha float64)
-	// Add computes dst[i] += src[i] over len(src) elements.
+	// Add computes dst[i] += src[i] over len(src) elements. The CSR
+	// MulDense row kernel is built on it.
 	Add(dst, src []float64)
 	// Scale computes x[i] *= s in place.
 	Scale(x []float64, s float64)

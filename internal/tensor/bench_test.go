@@ -87,7 +87,7 @@ func benchCSR(n, nnz int) (*CSR, *Matrix) {
 		ri = append(ri, rng.Intn(n))
 		ci = append(ci, rng.Intn(n))
 	}
-	return NewCSR(n, n, ri, ci, nil), Randn(n, 32, 1, rng)
+	return NewCSR(n, n, ri, ci), Randn(n, 32, 1, rng)
 }
 
 func BenchmarkSpMM(b *testing.B) {
@@ -95,16 +95,6 @@ func BenchmarkSpMM(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Put(s.MulDense(d))
-	}
-}
-
-// BenchmarkSpMMT measures the transposed product through the memoised
-// gather index (the SpMM backward path).
-func BenchmarkSpMMT(b *testing.B) {
-	s, d := benchCSR(1024, 1024*8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Put(s.MulDenseT(d))
 	}
 }
 

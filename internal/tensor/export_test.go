@@ -3,6 +3,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Test-only helpers: ops and constructors the tests exercise but no
@@ -140,10 +141,51 @@ func (s *CSR) Dense() *Matrix {
 	out := New(s.Rows, s.Cols)
 	for i := 0; i < s.Rows; i++ {
 		for p := s.RowPtr[i]; p < s.RowPtr[i+1]; p++ {
-			out.Data[i*s.Cols+s.ColIdx[p]] += s.Val[p]
+			out.Data[i*s.Cols+s.ColIdx[p]]++
 		}
 	}
 	return out
+}
+
+// SpMMCSC is Tape.SpMM with the backward it had before each CSR carried
+// its transpose: a gather through a CSC index of s, built here on every
+// call. Every output row j adds d's rows for the entries of column j in
+// ascending source row, AxpyRow with weight 1. The tests hold the product
+// by s.T against it bit for bit.
+func (t *Tape) SpMMCSC(s *CSR, a *Node) *Node {
+	n := t.op(s.MulDense(a.Value), a.needGrad)
+	n.backward = func() {
+		if a.needGrad {
+			s.mulDenseTCSC(a.grad(), n.Grad)
+		}
+	}
+	return n
+}
+
+// mulDenseTCSC accumulates sᵀ·d into out through a CSC index of s.
+func (s *CSR) mulDenseTCSC(out, d *Matrix) {
+	colPtr := make([]int, s.Cols+1)
+	for _, c := range s.ColIdx {
+		colPtr[c+1]++
+	}
+	for j := 0; j < s.Cols; j++ {
+		colPtr[j+1] += colPtr[j]
+	}
+	rowIdx := make([]int, s.NNZ())
+	next := slices.Clone(colPtr[:s.Cols])
+	for i := 0; i < s.Rows; i++ {
+		for _, c := range s.ColIdx[s.RowPtr[i]:s.RowPtr[i+1]] {
+			rowIdx[next[c]] = i
+			next[c]++
+		}
+	}
+	n := d.Cols
+	for j := 0; j < s.Cols; j++ {
+		orow := out.Data[j*n : (j+1)*n]
+		for _, i := range rowIdx[colPtr[j]:colPtr[j+1]] {
+			axpyRow(orow, d.Data[i*n:(i+1)*n], 1)
+		}
+	}
 }
 
 // Eye returns the n×n identity matrix.

@@ -166,7 +166,7 @@ func TestApply(t *testing.T) {
 
 func TestCSRMulDense(t *testing.T) {
 	// adjacency of 0->1, 0->2, 2->1
-	s := NewCSR(3, 3, []int{0, 0, 2}, []int{1, 2, 1}, nil)
+	s := NewCSR(3, 3, []int{0, 0, 2}, []int{1, 2, 1})
 	d := FromSlice(3, 2, []float64{1, 2, 3, 4, 5, 6})
 	got := s.MulDense(d)
 	want := FromSlice(3, 2, []float64{3 + 5, 4 + 6, 0, 0, 3, 4})
@@ -175,27 +175,35 @@ func TestCSRMulDense(t *testing.T) {
 	}
 }
 
-func TestCSRMulDenseTMatchesExplicitTranspose(t *testing.T) {
+// TestCSRTMatchesExplicitTranspose: NewCSR links a pattern to its
+// transpose both ways, and the transpose's dense form is the dense
+// transpose, duplicates included, for square and non-square patterns.
+func TestCSRTMatchesExplicitTranspose(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	n := 8
-	var ri, ci []int
-	for i := 0; i < 20; i++ {
-		ri = append(ri, rng.Intn(n))
-		ci = append(ci, rng.Intn(n))
-	}
-	s := NewCSR(n, n, ri, ci, nil)
-	d := Randn(n, 3, 1, rng)
-	got := s.MulDenseT(d)
-	want := s.Transpose().MulDense(d)
-	if !got.Equal(want, 1e-9) {
-		t.Fatalf("MulDenseT disagrees with Transpose().MulDense")
+	for _, shape := range []struct{ rows, cols int }{{8, 8}, {5, 9}, {9, 5}} {
+		var ri, ci []int
+		for i := 0; i < 20; i++ {
+			ri = append(ri, rng.Intn(shape.rows))
+			ci = append(ci, rng.Intn(shape.cols))
+		}
+		s := NewCSR(shape.rows, shape.cols, ri, ci)
+		if s.T == nil || s.T.T != s {
+			t.Fatalf("%dx%d: NewCSR did not link the pair", shape.rows, shape.cols)
+		}
+		if s.T.NNZ() != s.NNZ() || !s.T.Dense().Equal(s.Dense().Transpose(), 0) {
+			t.Fatalf("%dx%d: T is not the transpose", shape.rows, shape.cols)
+		}
+		d := Randn(shape.rows, 3, 1, rng)
+		if !s.T.MulDense(d).Equal(MatMul(s.Dense().Transpose(), d), 1e-9) {
+			t.Fatalf("%dx%d: T.MulDense disagrees with the dense transpose", shape.rows, shape.cols)
+		}
 	}
 }
 
 func TestCSRDenseRoundTrip(t *testing.T) {
-	s := NewCSR(2, 3, []int{0, 1, 1}, []int{2, 0, 0}, []float64{5, 1, 1})
+	s := NewCSR(2, 3, []int{0, 1, 1}, []int{2, 0, 0})
 	d := s.Dense()
-	want := FromSlice(2, 3, []float64{0, 0, 5, 2, 0, 0})
+	want := FromSlice(2, 3, []float64{0, 0, 1, 2, 0, 0})
 	if !d.Equal(want, 0) {
 		t.Fatalf("Dense = %v", d)
 	}
@@ -213,7 +221,7 @@ func TestCSRSpMMEquivalentToDense(t *testing.T) {
 			ri = append(ri, rng.Intn(n))
 			ci = append(ci, rng.Intn(n))
 		}
-		s := NewCSR(n, n, ri, ci, nil)
+		s := NewCSR(n, n, ri, ci)
 		d := Randn(n, 3, 1, rng)
 		return s.MulDense(d).Equal(MatMul(s.Dense(), d), 1e-9)
 	}
@@ -228,7 +236,7 @@ func TestCSROutOfRangePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewCSR(2, 2, []int{5}, []int{0}, nil)
+	NewCSR(2, 2, []int{5}, []int{0})
 }
 
 func TestRandnDeterministic(t *testing.T) {

@@ -185,16 +185,28 @@ func (t *Tape) MatMul(a, b *Node) *Node {
 }
 
 // SpMM returns s·a where s is a constant sparse matrix (graph adjacency).
-// The gradient flows only into a: dA = sᵀ · dOut, accumulated directly
-// into the gradient buffer without an intermediate matrix.
+// The gradient flows only into a: dA = sᵀ · dOut, the product by s.T
+// accumulated directly into the gradient buffer. An a that needs a
+// gradient needs s to carry its transpose.
 func (t *Tape) SpMM(s *CSR, a *Node) *Node {
+	if a.needGrad {
+		needTranspose("SpMM", s)
+	}
 	n := t.op(s.MulDense(a.Value), a.needGrad)
 	n.backward = func() {
 		if a.needGrad {
-			s.MulDenseTInto(a.grad(), n.Grad)
+			s.T.MulDenseInto(a.grad(), n.Grad)
 		}
 	}
 	return n
+}
+
+// needTranspose panics when s has no transpose for op's backward to
+// multiply by.
+func needTranspose(op string, s *CSR) {
+	if s.T == nil {
+		panic(fmt.Sprintf("tensor: %s backward needs the transpose of its %dx%d CSR", op, s.Rows, s.Cols))
+	}
 }
 
 // GIN returns Σ_k adj_k·h + (1+ε)·h, a GIN layer's aggregation (Xu et
@@ -215,6 +227,9 @@ func (t *Tape) GIN(h, eps *Node, adj ...*CSR) *Node {
 		if a.Rows != h.Value.Rows || a.Cols != h.Value.Rows {
 			panic(fmt.Sprintf("tensor: GIN needs %dx%[1]d adjacencies, got %dx%d", h.Value.Rows, a.Rows, a.Cols))
 		}
+		if h.needGrad {
+			needTranspose("GIN", a)
+		}
 	}
 	out := adj[0].MulDense(h.Value)
 	for _, a := range adj[1:] {
@@ -229,7 +244,7 @@ func (t *Tape) GIN(h, eps *Node, adj ...*CSR) *Node {
 		if h.needGrad {
 			g := h.grad()
 			for k := len(adj) - 1; k >= 0; k-- {
-				adj[k].MulDenseTInto(g, n.Grad)
+				adj[k].T.MulDenseInto(g, n.Grad)
 			}
 			for i := 0; i < n.Grad.Rows; i++ {
 				grow := g.Row(i)

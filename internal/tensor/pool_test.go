@@ -235,8 +235,9 @@ func TestTapeReuseSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestParallelSpMMMatchesDense: the row-partitioned MulDense/MulDenseT
-// paths (forced by a large nnz·cols product) must agree with the dense
+// TestParallelSpMMMatchesDense: the row-partitioned MulDense path of a
+// pattern and of its T (forced by a large nnz·cols product) must agree
+// with the dense
 // reference product, and concurrent callers sharing one CSR — as metrics
 // requests share a reference sequence — must be race-free. Run with
 // -race in CI.
@@ -249,7 +250,7 @@ func TestParallelSpMMMatchesDense(t *testing.T) {
 		ri[k] = rng.Intn(n)
 		ci[k] = rng.Intn(n)
 	}
-	s := NewCSR(n, n, ri, ci, nil)
+	s := NewCSR(n, n, ri, ci)
 	d := Randn(n, cols, 1, rng)
 	wantMul := MatMul(s.Dense(), d)
 	wantMulT := MatMul(s.Dense().Transpose(), d)
@@ -266,9 +267,9 @@ func TestParallelSpMMMatchesDense(t *testing.T) {
 					errs <- "MulDense disagrees with dense product"
 				}
 				Put(got)
-				gotT := s.MulDenseT(d)
+				gotT := s.T.MulDense(d)
 				if !gotT.Equal(wantMulT, 1e-9) {
-					errs <- "MulDenseT disagrees with dense product"
+					errs <- "T.MulDense disagrees with dense product"
 				}
 				Put(gotT)
 			}
@@ -281,19 +282,20 @@ func TestParallelSpMMMatchesDense(t *testing.T) {
 	}
 }
 
-// TestMulDenseTIntoAccumulates: the SpMM backward path adds into an
-// existing gradient buffer; the Into form must accumulate, not overwrite.
-func TestMulDenseTIntoAccumulates(t *testing.T) {
-	s := NewCSR(3, 3, []int{0, 1, 2}, []int{1, 2, 0}, nil)
+// TestTMulDenseIntoAccumulates: the SpMM backward adds T's product into
+// an existing gradient buffer; the Into form must accumulate, not
+// overwrite.
+func TestTMulDenseIntoAccumulates(t *testing.T) {
+	s := NewCSR(3, 3, []int{0, 1, 2}, []int{1, 2, 0})
 	d := FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
 	out := Full(3, 2, 10)
-	s.MulDenseTInto(out, d)
+	s.T.MulDenseInto(out, d)
 	want := MatMul(s.Dense().Transpose(), d)
 	for i := range want.Data {
 		want.Data[i] += 10
 	}
 	if !out.Equal(want, 1e-12) {
-		t.Fatalf("MulDenseTInto = %v, want %v", out, want)
+		t.Fatalf("T.MulDenseInto = %v, want %v", out, want)
 	}
 }
 
@@ -342,9 +344,11 @@ func TestAffineMatchesUnfused(t *testing.T) {
 // it.
 func TestOpPanicLeavesArenaBalanced(t *testing.T) {
 	csr := testCSR() // 4×3
-	sq := NewCSR(3, 3, []int{0, 1}, []int{1, 2}, nil)
-	tp := NewTape() // every case panics before it records anything
+	sq := NewCSR(3, 3, []int{0, 1}, []int{1, 2})
+	noT := &CSR{Rows: sq.Rows, Cols: sq.Cols, RowPtr: sq.RowPtr, ColIdx: sq.ColIdx}
+	tp := NewTape() // every case panics before its op records anything
 	c := func(r, cols int) *Node { return tp.Const(testMat(r, cols, int64(10*r+cols))) }
+	v := func(r, cols int) *Node { return tp.Var(testMat(r, cols, int64(10*r+cols))) }
 	cases := []struct {
 		name string
 		run  func()
@@ -358,6 +362,8 @@ func TestOpPanicLeavesArenaBalanced(t *testing.T) {
 		{"SpMM", func() { tp.SpMM(csr, c(4, 2)) }},
 		{"GIN/first", func() { tp.GIN(c(3, 2), c(1, 1), csr) }},
 		{"GIN/second", func() { tp.GIN(c(3, 2), c(1, 1), sq, csr) }},
+		{"SpMM/noT", func() { tp.SpMM(noT, v(3, 2)) }},
+		{"GIN/noT", func() { tp.GIN(v(3, 2), c(1, 1), sq, noT) }},
 		{"Affine/product", func() { tp.Affine(c(3, 4), c(5, 2), c(1, 2), ActLeakyReLU) }},
 		{"Affine/bias", func() { tp.Affine(c(3, 4), c(4, 2), c(1, 3), ActIdent) }},
 		{"Affine2/x", func() {
@@ -396,7 +402,6 @@ func TestOpPanicLeavesArenaBalanced(t *testing.T) {
 		{"BCEWithLogits", func() { tp.BCEWithLogits(c(3, 2), testMat(2, 3, 1)) }},
 		{"MSELoss", func() { tp.MSELoss(c(3, 2), testMat(3, 1, 1)) }},
 		{"CSR.MulDense", func() { csr.MulDense(testMat(4, 2, 1)) }},
-		{"CSR.MulDenseT", func() { csr.MulDenseT(testMat(3, 2, 1)) }},
 		{"MatMulMatrix", func() { MatMul(testMat(3, 4, 1), testMat(3, 4, 2)) }},
 	}
 	for _, tc := range cases {

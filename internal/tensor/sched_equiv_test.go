@@ -29,11 +29,11 @@ func testMatPos(r, c int, seed int64) *Matrix {
 	return m
 }
 
+// testCSR returns a 4×3 pattern with a repeated entry.
 func testCSR() *CSR {
-	ri := []int{0, 0, 1, 2, 3, 3}
-	ci := []int{0, 2, 1, 0, 1, 2}
-	val := []float64{1, 0.5, 2, -1, 0.25, 3}
-	return NewCSR(4, 3, ri, ci, val)
+	ri := []int{0, 0, 1, 2, 3, 3, 3}
+	ci := []int{0, 2, 1, 0, 1, 2, 1}
+	return NewCSR(4, 3, ri, ci)
 }
 
 // TestSchedEquivAllOps drives every tape op kind (and the aliasing/reuse

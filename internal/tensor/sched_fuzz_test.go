@@ -4,8 +4,7 @@ import "testing"
 
 // fuzzCSR is the fixed 3×3 sparse operand for fuzzed SpMM ops.
 func fuzzCSR() *CSR {
-	return NewCSR(3, 3, []int{0, 0, 1, 2, 2}, []int{0, 2, 1, 0, 2},
-		[]float64{1, -0.5, 2, 0.25, -1})
+	return NewCSR(3, 3, []int{0, 0, 1, 2, 2}, []int{0, 2, 1, 0, 2})
 }
 
 // fuzzSel is a program byte's op selector: the low nibble, in a second

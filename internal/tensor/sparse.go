@@ -1,73 +1,95 @@
 package tensor
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
-// CSR is a compressed-sparse-row matrix used for graph adjacency in message
-// passing. Values default to 1.0 (unweighted edges) but arbitrary weights are
-// supported. CSR matrices are constants with respect to autodiff: gradients
-// never flow into the sparsity pattern or the values.
+// CSR is a compressed-sparse-row 0/1 pattern used for graph adjacency in
+// message passing: every stored entry is a 1, and a coordinate stored
+// twice counts twice under MulDense. CSR matrices are constants with
+// respect to autodiff: gradients never flow into the pattern.
 //
-// The pattern is immutable after construction; build a new CSR to change
-// it. That immutability is what lets MulDenseT memoise its transpose index
-// and lets snapshots cache CSR forms across encoder layers and epochs.
+// T points at the pattern's transpose, whose T points back, so the SpMM
+// backward multiplies by the transpose its forward's adjacency came with.
+// LinkTranspose builds the pair; NewCSR and dyngraph's snapshots call it.
+// The pattern is immutable after construction; build a new pair to change
+// it. That immutability is what lets snapshots cache the pair across
+// encoder layers and epochs.
 type CSR struct {
 	Rows, Cols int
-	RowPtr     []int     // len Rows+1
-	ColIdx     []int     // len nnz
-	Val        []float64 // len nnz
-
-	// Lazily built transpose (CSC) index for MulDenseT: entry q of column
-	// j originates from row tRowIdx[q] with value tVal[q]. Entries within
-	// a column are in ascending source-row order, so gather-based products
-	// accumulate in exactly the order the serial scatter form did.
-	tOnce   sync.Once
-	tColPtr []int
-	tRowIdx []int
-	tVal    []float64
+	RowPtr     []int // len Rows+1
+	ColIdx     []int // len nnz
+	T          *CSR  // the transpose, nil until LinkTranspose
 }
 
-// NewCSR assembles a CSR matrix from coordinate-format triplets. Duplicate
-// coordinates are kept as separate entries (their effects add under SpMM).
-func NewCSR(rows, cols int, ri, ci []int, val []float64) *CSR {
+// NewCSR assembles a CSR pattern and its transpose from coordinate-format
+// pairs. Duplicate coordinates are kept as separate entries, and each
+// row's entries keep their order in ri and ci.
+func NewCSR(rows, cols int, ri, ci []int) *CSR {
 	if len(ri) != len(ci) {
 		panic("tensor: NewCSR len(ri) != len(ci)")
 	}
-	if val != nil && len(val) != len(ri) {
-		panic("tensor: NewCSR len(val) != len(ri)")
-	}
-	counts := make([]int, rows+1)
-	for _, r := range ri {
+	for k, r := range ri {
 		if r < 0 || r >= rows {
 			panic(fmt.Sprintf("tensor: NewCSR row %d out of range [0,%d)", r, rows))
 		}
-		counts[r+1]++
-	}
-	for i := 0; i < rows; i++ {
-		counts[i+1] += counts[i]
-	}
-	rowPtr := counts
-	colIdx := make([]int, len(ri))
-	vals := make([]float64, len(ri))
-	next := make([]int, rows)
-	copy(next, rowPtr[:rows])
-	for k, r := range ri {
-		c := ci[k]
-		if c < 0 || c >= cols {
+		if c := ci[k]; c < 0 || c >= cols {
 			panic(fmt.Sprintf("tensor: NewCSR col %d out of range [0,%d)", c, cols))
 		}
-		p := next[r]
-		next[r]++
-		colIdx[p] = c
-		if val != nil {
-			vals[p] = val[k]
-		} else {
-			vals[p] = 1
+	}
+	// Entry k is row k of an nnz×rows pattern holding ri[k]; row r of its
+	// transpose lists row r's entries in input order.
+	byEntry := &CSR{Rows: len(ri), Cols: rows, RowPtr: make([]int, len(ri)+1), ColIdx: ri}
+	for k := range byEntry.RowPtr {
+		byEntry.RowPtr[k] = k
+	}
+	t := byEntry.LinkTranspose(nil)
+	for p, k := range t.ColIdx {
+		t.ColIdx[p] = ci[k]
+	}
+	a := &CSR{Rows: rows, Cols: cols, RowPtr: t.RowPtr, ColIdx: t.ColIdx}
+	a.LinkTranspose(nil)
+	return a
+}
+
+// LinkTranspose builds aᵀ into t's arrays when t is non-nil and they have
+// the room, and into new ones otherwise, and links the pair: a.T is t and
+// t.T is a. It is the one routine that turns a pattern into its
+// transpose. Row j of aᵀ lists the rows of a that hold column j in
+// ascending order, which is the order every product by aᵀ sums in. The
+// column indices of a must lie in [0, a.Cols).
+func (a *CSR) LinkTranspose(t *CSR) *CSR {
+	if t == nil {
+		t = new(CSR)
+	}
+	rowPtr, colIdx := resize(t.RowPtr, a.Cols+1), resize(t.ColIdx, a.NNZ())
+	// A counting sort by column: rowPtr[j] counts column j's entries,
+	// then (a running sum) marks the end of row j of aᵀ; placing a's
+	// entries last to first moves it back to the row's start and leaves
+	// each row's sources ascending.
+	clear(rowPtr)
+	for _, c := range a.ColIdx {
+		rowPtr[c]++
+	}
+	for j := 1; j <= a.Cols; j++ {
+		rowPtr[j] += rowPtr[j-1]
+	}
+	for i := a.Rows - 1; i >= 0; i-- {
+		for p := a.RowPtr[i+1] - 1; p >= a.RowPtr[i]; p-- {
+			c := a.ColIdx[p]
+			rowPtr[c]--
+			colIdx[rowPtr[c]] = i
 		}
 	}
-	return &CSR{Rows: rows, Cols: cols, RowPtr: rowPtr, ColIdx: colIdx, Val: vals}
+	*t = CSR{Rows: a.Cols, Cols: a.Rows, RowPtr: rowPtr, ColIdx: colIdx, T: a}
+	a.T = t
+	return t
+}
+
+// resize returns s with length n, reusing its array when it has the room.
+func resize(s []int, n int) []int {
+	if cap(s) < n {
+		return make([]int, n)
+	}
+	return s[:n]
 }
 
 // NNZ returns the number of stored entries.
@@ -88,7 +110,8 @@ func (s *CSR) MulDense(d *Matrix) *Matrix {
 }
 
 // MulDenseInto accumulates s·d into out (out += s·d), which must already
-// have shape s.Rows×d.Cols.
+// have shape s.Rows×d.Cols. The SpMM and GIN backwards call it on the
+// transpose to add straight into gradient buffers.
 func (s *CSR) MulDenseInto(out, d *Matrix) {
 	s.checkMulDense(d)
 	if out.Rows != s.Rows || out.Cols != d.Cols {
@@ -111,97 +134,8 @@ func (s *CSR) mulDenseRange(out, d *Matrix, lo, hi int) {
 	n := d.Cols
 	for i := lo; i < hi; i++ {
 		orow := out.Data[i*n : (i+1)*n]
-		for p := s.RowPtr[i]; p < s.RowPtr[i+1]; p++ {
-			j, w := s.ColIdx[p], s.Val[p]
-			axpyRow(orow, d.Data[j*n:(j+1)*n], w)
+		for _, j := range s.ColIdx[s.RowPtr[i]:s.RowPtr[i+1]] {
+			backendImpl.Add(orow, d.Data[j*n:(j+1)*n])
 		}
 	}
-}
-
-// buildT materialises the transpose index once per CSR. Safe for
-// concurrent callers.
-func (s *CSR) buildT() {
-	s.tOnce.Do(func() {
-		nnz := s.NNZ()
-		colPtr := make([]int, s.Cols+1)
-		for _, c := range s.ColIdx {
-			colPtr[c+1]++
-		}
-		for j := 0; j < s.Cols; j++ {
-			colPtr[j+1] += colPtr[j]
-		}
-		rowIdx := make([]int, nnz)
-		tVal := make([]float64, nnz)
-		next := make([]int, s.Cols)
-		copy(next, colPtr[:s.Cols])
-		for i := 0; i < s.Rows; i++ {
-			for p := s.RowPtr[i]; p < s.RowPtr[i+1]; p++ {
-				c := s.ColIdx[p]
-				q := next[c]
-				next[c]++
-				rowIdx[q] = i
-				tVal[q] = s.Val[p]
-			}
-		}
-		s.tColPtr, s.tRowIdx, s.tVal = colPtr, rowIdx, tVal
-	})
-}
-
-// MulDenseT returns sᵀ * d as a dense matrix. Instead of scattering into
-// shared output rows, it gathers through the memoised transpose index, so
-// each output row has a single writer: the product parallelises without
-// locks or per-worker scratch and stays deterministic.
-func (s *CSR) MulDenseT(d *Matrix) *Matrix {
-	s.checkMulDenseT(d)
-	out := Get(s.Cols, d.Cols)
-	s.MulDenseTInto(out, d)
-	return out
-}
-
-// MulDenseTInto accumulates sᵀ·d into out (out += sᵀ·d), which must
-// already have shape s.Cols×d.Cols. The autodiff SpMM backward uses this
-// to add straight into gradient buffers.
-func (s *CSR) MulDenseTInto(out, d *Matrix) {
-	s.checkMulDenseT(d)
-	if out.Rows != s.Cols || out.Cols != d.Cols {
-		panic(fmt.Sprintf("tensor: CSR.MulDenseTInto output %dx%d, want %dx%d", out.Rows, out.Cols, s.Cols, d.Cols))
-	}
-	s.buildT()
-	if s.NNZ()*d.Cols >= spmmParallelFlops {
-		parallelRows(s.Cols, func(lo, hi int) { s.mulDenseTRange(out, d, lo, hi) })
-		return
-	}
-	s.mulDenseTRange(out, d, 0, s.Cols)
-}
-
-func (s *CSR) checkMulDenseT(d *Matrix) {
-	if s.Rows != d.Rows {
-		panic(fmt.Sprintf("tensor: CSR.MulDenseT shape mismatch %dx%d^T x %dx%d", s.Rows, s.Cols, d.Rows, d.Cols))
-	}
-}
-
-func (s *CSR) mulDenseTRange(out, d *Matrix, lo, hi int) {
-	n := d.Cols
-	for j := lo; j < hi; j++ {
-		orow := out.Data[j*n : (j+1)*n]
-		for q := s.tColPtr[j]; q < s.tColPtr[j+1]; q++ {
-			i, w := s.tRowIdx[q], s.tVal[q]
-			axpyRow(orow, d.Data[i*n:(i+1)*n], w)
-		}
-	}
-}
-
-// Transpose returns a new CSR holding sᵀ.
-func (s *CSR) Transpose() *CSR {
-	ri := make([]int, 0, s.NNZ())
-	ci := make([]int, 0, s.NNZ())
-	val := make([]float64, 0, s.NNZ())
-	for i := 0; i < s.Rows; i++ {
-		for p := s.RowPtr[i]; p < s.RowPtr[i+1]; p++ {
-			ri = append(ri, s.ColIdx[p])
-			ci = append(ci, i)
-			val = append(val, s.Val[p])
-		}
-	}
-	return NewCSR(s.Cols, s.Rows, ri, ci, val)
 }
