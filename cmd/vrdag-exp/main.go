@@ -1,9 +1,9 @@
-// Command vrdag-bench regenerates the paper's tables and figures on the
+// Command vrdag-exp regenerates the paper's tables and figures on the
 // seeded dataset replicas.
 //
-//	vrdag-bench -exp table1 -dataset email -scale 0.05
-//	vrdag-bench -exp fig9 -scale 0.05
-//	vrdag-bench -exp all  -scale 0.02 -epochs 5
+//	vrdag-exp -exp table1 -dataset email -scale 0.05
+//	vrdag-exp -exp fig9 -scale 0.05
+//	vrdag-exp -exp all  -scale 0.02 -epochs 5
 //
 // Experiments: table1 table2 fig3 fig4 fig7 fig9 fig9sweep table3 table4
 // fig10 params ablation all. Scale 1 reproduces the Table-I dataset sizes
@@ -49,7 +49,7 @@ func main() {
 	)
 	flag.Parse()
 	if !slices.Contains(experimentNames, *exp) {
-		fmt.Fprintf(os.Stderr, "vrdag-bench: unknown -exp %q; valid: %s\n", *exp, strings.Join(experimentNames, " "))
+		fmt.Fprintf(os.Stderr, "vrdag-exp: unknown -exp %q; valid: %s\n", *exp, strings.Join(experimentNames, " "))
 		os.Exit(2)
 	}
 
@@ -109,7 +109,7 @@ func section[R any](name string, scale float64, rows func() ([]R, error), print 
 	fmt.Printf("\n=== %s (scale %g) ===\n", name, scale)
 	r, err := rows()
 	if err != nil {
-		log.Fatalf("vrdag-bench: %s: %v", name, err)
+		log.Fatalf("vrdag-exp: %s: %v", name, err)
 	}
 	print(os.Stdout, r)
 }

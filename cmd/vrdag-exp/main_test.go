@@ -9,7 +9,7 @@ import (
 	"testing"
 )
 
-// runMainEnv makes the test binary act as vrdag-bench itself, so the test
+// runMainEnv makes the test binary act as vrdag-exp itself, so the test
 // below can observe the real exit code and output of main.
 const runMainEnv = "BENCH_TEST_RUN_MAIN"
 
@@ -31,7 +31,7 @@ func TestRejectsUnknownExperiment(t *testing.T) {
 	cmd.Stdout, cmd.Stderr = &out, &errb
 	var exit *exec.ExitError
 	if err := cmd.Run(); !errors.As(err, &exit) {
-		t.Fatalf("vrdag-bench -exp tabel1: %v, want a non-zero exit", err)
+		t.Fatalf("vrdag-exp -exp tabel1: %v, want a non-zero exit", err)
 	}
 	if code := cmd.ProcessState.ExitCode(); code != 2 {
 		t.Fatalf("exit code %d, want 2; stderr:\n%s", code, errb.String())

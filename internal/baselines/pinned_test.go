@@ -34,9 +34,9 @@ func TestBaselinesBytesPinned(t *testing.T) {
 		gen  baselines.Generator
 		want string
 	}{
-		{walker.NewTIGGER(6), "c600d78369de7bc9d5cf5f04432a6a9171cb13e241ca266a62d832cf32ad41ec"},
-		{walker.NewTGGAN(6), "059357feb37e7b69b2c8219eb72dd6a3393ccf1efb7dc07cbb8bc315fae397df"},
-		{walker.NewTagGen(6), "a4199933c435463cc65b27d842ea94a37e7a733814a47c33ee2f2a32288a17b0"},
+		{walker.NewTIGGER(6), "afd6a6f94b6b1f45b516e200518d5eb85217e5cb1820a571197719d384fe2c2d"},
+		{walker.NewTGGAN(6), "cb55c9005f245ef073998340f84a709d7f2d906b3da22c2fa2c721ec2c256a77"},
+		{walker.NewTagGen(6), "870897c44d375eae3786d4a9946d1b64a52b99da85a17a38090069abc61e55e6"},
 		{dymond.New(dymond.Config{Seed: 6}), "d19aaa1abbcdb8c578c16e2eb33dae9f21bf717ba0bd578821f302baa0f16697"},
 		{gran.New(gran.Config{Seed: 6}), "df59882971a5c27bd48311a4547f9d98d0facc3a4a85b942ad25383ab6cdef25"},
 		{gencat.New(gencat.Config{Seed: 6}), "508f4cdd96e37051483c7f5cc7e1ddc29d5529acacea425db596327035bb7505"},

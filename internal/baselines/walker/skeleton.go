@@ -176,12 +176,15 @@ func (g *skeleton) score(w []TemporalEdge) float64 {
 	return s
 }
 
-// Generate samples walks until the training sequence's edge budget, scaled
-// to t snapshots, is met, rescales their timestamps to t and merges them.
-// A generator (TIGGER, TG-GAN) keeps every walk and counts a vocabulary
-// projection per step; a gated skeleton proposes an oversampled batch per
-// round and keeps the candidates its discriminator passes, until the
-// budget is met.
+// Generate samples walks until the training sequence's edge budget,
+// scaled to t snapshots, is met in distinct edges, rescaling each walk's
+// timestamps to t and adding it to the output as it is accepted: a walk
+// edge that repeats one already added does not count. A generator
+// (TIGGER, TG-GAN) keeps every walk and counts a vocabulary projection per
+// step, for at most oversample walks per budgeted edge; a gated skeleton
+// proposes an oversampled batch per round and keeps the candidates its
+// discriminator passes, for at most maxRounds rounds. The bounds end a run
+// whose walks keep repeating edges short of the budget.
 func (g *skeleton) Generate(t int) (*dyngraph.Sequence, error) {
 	if g.ix == nil {
 		return nil, fmt.Errorf("%s: Generate before Fit", strings.ToLower(g.name))
@@ -191,14 +194,14 @@ func (g *skeleton) Generate(t int) (*dyngraph.Sequence, error) {
 	}
 	target := max(g.ix.M()*t/g.ix.T, 1)
 	stepWork := g.edgeWork()
-	rounds := target // every walk has at least one edge
+	rounds := oversample * target // one walk per round
 	if g.gated {
 		rounds = maxRounds
 	} else {
 		stepWork += g.hidden * int64(g.ix.N)
 	}
 	g.genWork = 0
-	var walks [][]TemporalEdge
+	out := dyngraph.NewSequence(g.ix.N, 0, t)
 	edges := 0
 	for round := 0; round < rounds && edges < target; round++ {
 		batch := 1
@@ -220,11 +223,10 @@ func (g *skeleton) Generate(t int) (*dyngraph.Sequence, error) {
 			for j := range w {
 				w[j].T = w[j].T * t / g.ix.T
 			}
-			walks = append(walks, w)
-			edges += len(w)
+			edges += addWalk(out, w)
 		}
 	}
-	return Assemble(g.ix.N, t, walks), nil
+	return out, nil
 }
 
 // quantile returns the element at rank ⌊q·(n−1)⌋ of vals sorted

@@ -29,13 +29,44 @@ func TestTIGGERWorkCountsWalkEdgesAndVocabularySteps(t *testing.T) {
 	if fit, _ := g.Work(); fit != 2*6*edge {
 		t.Fatalf("fit work %d, want %d", fit, 2*6*edge)
 	}
-	// T = 4 asks for 6·4/2 = 12 edges: two walks of 6 steps, each step a
-	// forward plus a 128×N projection onto the N = 3 vocabulary.
-	if _, err := g.Generate(4); err != nil {
+	// T = 4 asks for 6·4/2 = 12 distinct edges, but a clamped walk keeps
+	// the training times 0 and 1, rescaled to snapshots 0 and 2, which
+	// hold 6 distinct edges between them. The budget cannot be met, so
+	// the generator runs out its bound of oversample 10 · 12 = 120 walks
+	// of 6 steps, each step a forward plus a 128×N projection onto the
+	// N = 3 vocabulary.
+	out, err := g.Generate(4)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, gen := g.Work(); gen != 12*(edge+128*3) {
-		t.Fatalf("generate work %d, want %d", gen, 12*(edge+128*3))
+	if _, gen := g.Work(); gen != 120*6*(edge+128*3) {
+		t.Fatalf("generate work %d, want %d", gen, 120*6*(edge+128*3))
+	}
+	for k, want := range []int{3, 0, 3, 0} {
+		if got := out.Snapshots[k].NumEdges(); got != want {
+			t.Errorf("snapshot %d holds %d edges, want %d", k, got, want)
+		}
+	}
+}
+
+// TestGeneratorsCountDistinctEdges: on two snapshots of the 3-cycle the
+// budget at T = 2 is all 6 of its temporal edges, which the walks repeat
+// often. TIGGER and TG-GAN keep every walk, so they stop only once the
+// output holds all 6, where counting walk edges stopped short of them.
+func TestGeneratorsCountDistinctEdges(t *testing.T) {
+	for _, g := range []*skeleton{NewTIGGER(1).(*skeleton), NewTGGAN(1).(*skeleton)} {
+		if err := g.Fit(cycle(2)); err != nil {
+			t.Fatal(err)
+		}
+		out, err := g.Generate(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, s := range out.Snapshots {
+			if s.NumEdges() != 3 {
+				t.Errorf("%s: snapshot %d holds %d edges, want 3", g.name, k, s.NumEdges())
+			}
+		}
 	}
 }
 

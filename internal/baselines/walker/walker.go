@@ -126,9 +126,19 @@ func (ix *Index) walk(maxLen int, mode walkMode, rng *rand.Rand) []TemporalEdge 
 func Assemble(n, t int, walks [][]TemporalEdge) *dyngraph.Sequence {
 	g := dyngraph.NewSequence(n, 0, t)
 	for _, w := range walks {
-		for _, e := range w {
-			g.Snapshots[min(max(e.T, 0), t-1)].AddEdge(e.U, e.V)
-		}
+		addWalk(g, w)
 	}
 	return g
+}
+
+// addWalk adds w's edges to g as Assemble does and returns how many of
+// them g did not hold yet.
+func addWalk(g *dyngraph.Sequence, w []TemporalEdge) int {
+	added := 0
+	for _, e := range w {
+		if g.Snapshots[min(max(e.T, 0), g.T()-1)].AddEdge(e.U, e.V) {
+			added++
+		}
+	}
+	return added
 }

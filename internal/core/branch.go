@@ -30,7 +30,8 @@ import (
 // Hooks on the main tape hand gradients across:
 //
 //   - right after ε_t's leaf: the sweep reaches it once both consumers,
-//     gruInput and then the posterior's concat, have added into the leaf.
+//     the GRU's gates and then the posterior's hidden layer, have added
+//     into the leaf.
 //     It seeds the encoder's output with that gradient and submits the
 //     encoder's backward.
 //   - right after S_t, a join: it awaits the decoder's backward and adds

@@ -275,20 +275,21 @@ func (m *Model) Trained() bool { return m.trained }
 
 // prior evaluates the prior network on hidden states (taped).
 func (m *Model) prior(c *nn.Ctx, h *tensor.Node) (mu, logSig *tensor.Node) {
-	hid := m.priorHid.ApplyAct(c, h, tensor.ActLeakyReLU)
+	hid := m.priorHid.ApplyAct(c, tensor.ActLeakyReLU, h)
 	return m.priorMu.Apply(c, hid), m.priorSig.Apply(c, hid)
 }
 
-// posterior evaluates the posterior network on [ε ‖ h] (taped).
+// posterior evaluates the posterior network on [ε ‖ h] (taped), reading
+// ε and h against their blocks of the hidden layer's weight in place.
 func (m *Model) posterior(c *nn.Ctx, eps, h *tensor.Node) (mu, logSig *tensor.Node) {
-	hid := m.postHid.ApplyAct(c, c.Tape.ConcatCols(eps, h), tensor.ActLeakyReLU)
+	hid := m.postHid.ApplyAct(c, tensor.ActLeakyReLU, eps, h)
 	return m.postMu.Apply(c, hid), m.postSig.Apply(c, hid)
 }
 
 // posteriorMean records the posterior's µ head alone: encoding an observed
 // prefix uses the mean and never reads log σ.
 func (m *Model) posteriorMean(c *nn.Ctx, eps, h *tensor.Node) *tensor.Node {
-	return m.postMu.Apply(c, m.postHid.ApplyAct(c, c.Tape.ConcatCols(eps, h), tensor.ActLeakyReLU))
+	return m.postMu.Apply(c, m.postHid.ApplyAct(c, tensor.ActLeakyReLU, eps, h))
 }
 
 // reparameterize records z = µ + ε·σ on the tape with the pooled noise ε,

@@ -154,8 +154,8 @@ func (m *Model) EncodeSnapshot(st *ForecastState, snap *dyngraph.Snapshot) error
 
 	// ε_t, z_t = posterior mean, H_t = GRU([ε‖z‖fT(t)], H_{t-1}), on the
 	// state's eval tape; H_t overwrites H_{t-1} in place. The encoder's and
-	// the posterior's nodes go back to the arena once the GRU input is
-	// recorded.
+	// the posterior's nodes but ε_t and z_t go back to the arena once the
+	// GRU's inputs are recorded.
 	if st.ctx == nil {
 		st.ctx = nn.NewEvalCtx(tensor.NewTape())
 		if m.Cfg.UseTime2Vec {
@@ -167,9 +167,10 @@ func (m *Model) EncodeSnapshot(st *ForecastState, snap *dyngraph.Snapshot) error
 	h := tp.Const(st.h)
 	eps := m.enc.Encode(c, enc)
 	z := m.posteriorMean(c, eps, h)
-	in := m.gruInput(c, eps, z, st.steps, st.zeros)
-	tp.ReleaseSince(0, in)
-	hNext := m.gru.Step(c, in, h)
+	var buf [3]*tensor.Node
+	in := m.gruInput(buf[:0], c, eps, z, st.steps, st.zeros)
+	tp.ReleaseSince(0, in...)
+	hNext := m.gru.Step(c, h, in...)
 	copy(st.h.Data, hNext.Value.Data)
 	tp.Reset()
 

@@ -559,9 +559,10 @@ func (st *genState) step(t int) *dyngraph.Snapshot {
 	// updateActiveSet runs once more, so the final step skips it.
 	if t+1 < st.opts.T || st.opts.DynamicNodes {
 		eps := m.enc.Encode(c, snap)
-		in := m.gruInput(c, eps, z, clock, st.zeros)
-		tp.ReleaseSince(0, in) // the encoder's nodes and Z_t
-		hNext := m.gru.Step(c, in, h)
+		var buf [3]*tensor.Node
+		in := m.gruInput(buf[:0], c, eps, z, clock, st.zeros)
+		tp.ReleaseSince(0, in...) // the encoder's and Time2Vec's other nodes
+		hNext := m.gru.Step(c, h, in...)
 		copy(st.h.Data, hNext.Value.Data)
 	}
 	tp.Reset()

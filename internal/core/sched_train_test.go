@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"vrdag/internal/datasets"
 	"vrdag/internal/tensor"
 )
 
@@ -83,6 +84,33 @@ func TestTapeSchedPeakReduction(t *testing.T) {
 	plain := run()
 	if sched > plain*6/10 {
 		t.Fatalf("default-tape peak %d > 60%% of reference-tape peak %d", sched, plain)
+	}
+}
+
+// TestFitTapePeakBound bounds the training tapes' peak on the email
+// replica at ×0.05 (N=94, T=14, one full-sequence window, 8 epochs, seed
+// 5). The peak counts buffer sizes only, so it repeats exactly on every
+// backend and GOMAXPROCS. It reads 8 224 152 bytes with every linear layer
+// reading its concatenated inputs in place (Tape.AffineSum), against
+// 9 807 384 when ConcatCols copied them in front of the encoder's
+// aggregation and jump MLPs, the posterior and the GRU; one such copy put
+// back, with the gradient it keeps, adds tens of kilobytes per step and
+// fails here.
+func TestFitTapePeakBound(t *testing.T) {
+	g, _, err := datasets.Replica(datasets.Email, 0.05, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(g.N, g.F)
+	cfg.Epochs = 8
+	cfg.Seed = 5
+	m := New(cfg)
+	if _, err := m.Fit(g); err != nil {
+		t.Fatal(err)
+	}
+	const bound = 8224152
+	if got := m.TapePeakLiveBytes(); got > bound {
+		t.Fatalf("training tapes peaked at %d bytes, bound %d", got, bound)
 	}
 }
 

@@ -244,11 +244,11 @@ func (m *Model) runWindow(fs *fitScratch, g *dyngraph.Sequence, epoch, start, en
 		// The encoder's output (bi-flow GNN, Eq. 5-7), as a leaf.
 		pool.await(e.fwd)
 		eps := tape.Var(e.out.Value)
-		// 2. ε_t's gradient. The hook runs once gruInput's and then the
-		// posterior's concat have added into the leaf's zeroed gradient,
-		// exactly as they added into ε_t's node on one tape. Seeding the
-		// encoder's output with it is exact (Node.AccumulateGrad: a sum
-		// started at +0 is never −0).
+		// 2. ε_t's gradient. The hook runs once the GRU's gates and then
+		// the posterior's hidden layer have added into the leaf's zeroed
+		// gradient, exactly as they added into ε_t's node on one tape.
+		// Seeding the encoder's output with it is exact
+		// (Node.AccumulateGrad: a sum started at +0 is never −0).
 		tape.Hook(func() {
 			e.out.AccumulateGrad(eps.Grad)
 			tape.ReleaseGrad(eps)
@@ -284,7 +284,8 @@ func (m *Model) runWindow(fs *fitScratch, g *dyngraph.Sequence, epoch, start, en
 		}
 
 		// Recurrence update (Section III-D): H_t = GRU([ε‖z‖fT(t)], H_{t-1}).
-		h = m.gru.Step(c, m.gruInput(c, eps, z, st.t, fs.zeros), h)
+		var in [3]*tensor.Node
+		h = m.gru.Step(c, h, m.gruInput(in[:0], c, eps, z, st.t, fs.zeros)...)
 	}
 
 	var strucTerms, attrTerms []*tensor.Node
@@ -417,19 +418,19 @@ func newTrainTape() *tensor.Tape {
 	return tensor.NewTape()
 }
 
-// gruInput assembles [ε ‖ z ‖ fT(t)] (time component optional). zeros
-// holds one 0 per node, the index that broadcasts the 1×dT row fT(t) to N
-// rows; nil allocates it.
-func (m *Model) gruInput(c *nn.Ctx, eps, z *tensor.Node, t int, zeros []int) *tensor.Node {
-	tape := c.Tape
+// gruInput appends to in the parts of the GRU input [ε ‖ z ‖ fT(t)]
+// (time component optional), which the gates read in place
+// (nn.GRUCell.Step). zeros holds one 0 per node, the index that
+// broadcasts the 1×dT row fT(t) to N rows; nil allocates it.
+func (m *Model) gruInput(in []*tensor.Node, c *nn.Ctx, eps, z *tensor.Node, t int, zeros []int) []*tensor.Node {
+	in = append(in, eps, z)
 	if !m.Cfg.UseTime2Vec {
-		return tape.ConcatCols(eps, z)
+		return in
 	}
 	if zeros == nil {
 		zeros = make([]int, eps.Value.Rows)
 	}
-	ft := m.t2v.Encode(c, float64(t))
-	return tape.ConcatCols(eps, z, tape.GatherRows(ft, zeros))
+	return append(in, c.Tape.GatherRows(m.t2v.Encode(c, float64(t)), zeros))
 }
 
 // edgeLists fills src and dst with s's edges in EdgeLists order, reusing

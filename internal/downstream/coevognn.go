@@ -106,7 +106,7 @@ func (m *Model) rollStates(c *nn.Ctx, snaps []*dyngraph.Snapshot) *tensor.Node {
 		proj := t.Tanh(m.inProj.Apply(c, x))
 		// neighbourhood aggregation: self + mean of out-neighbour features
 		agg := t.Add(proj, t.SpMM(s.AdjCSR(), proj))
-		h = m.gru.Step(c, agg, h)
+		h = m.gru.Step(c, h, agg)
 	}
 	return h
 }

@@ -155,7 +155,7 @@ func TestFigures7to8(t *testing.T) {
 // email alone, by counted multiply-adds rather than wall time: the walk
 // skeletons run none of the network they count, so their seconds say
 // nothing about the originals. VRDAG must count at most a tenth of
-// TagGen's generation work. The six-dataset table is in CI's `vrdag-bench
+// TagGen's generation work. The six-dataset table is in CI's `vrdag-exp
 // -exp all` leg.
 func TestFigure9OrderingVRDAGFastestGeneration(t *testing.T) {
 	rows, err := New(Options{Scale: 0.015, Seed: 6, Epochs: 2}).timings(nil, replicaKey{dataset: datasets.Email})

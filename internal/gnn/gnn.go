@@ -124,7 +124,7 @@ func (e *BiFlowEncoder) Encode(c *nn.Ctx, s *dyngraph.Snapshot) *tensor.Node {
 	adj := s.AdjCSR()   // A·H sums out-neighbour states (cached on the snapshot)
 	adjT := s.AdjTCSR() // Aᵀ·H sums in-neighbour states
 	mark := t.Len()
-	h := e.inProj.ApplyAct(c, t.Owned(inputFeatures(s, e.cfg.InDim, e.cfg.BiFlow)), tensor.ActLeakyReLU)
+	h := e.inProj.ApplyAct(c, tensor.ActLeakyReLU, t.Owned(inputFeatures(s, e.cfg.InDim, e.cfg.BiFlow)))
 
 	var hops []*tensor.Node
 	for l := 0; l < e.cfg.Layers; l++ {
@@ -133,22 +133,20 @@ func (e *BiFlowEncoder) Encode(c *nn.Ctx, s *dyngraph.Snapshot) *tensor.Node {
 			// Eq. (5): two directional GIN streams.
 			inH := e.fIn[l].Apply(c, t.GIN(h, c.Var(e.epsIn[l]), adjT))
 			outH := e.fOut[l].Apply(c, t.GIN(h, c.Var(e.epsOut[l]), adj))
-			// Eq. (6): shared aggregation over the concatenated streams.
-			merged = e.fAgg.Apply(c, t.ConcatCols(inH, outH))
+			// Eq. (6): shared aggregation over the concatenated streams,
+			// each read against its half of the weight in place.
+			merged = e.fAgg.Apply(c, inH, outH)
 		} else {
 			// Ablation: single undirected stream (in+out neighbourhoods merged).
 			inH := e.fIn[l].Apply(c, t.GIN(h, c.Var(e.epsIn[l]), adj, adjT))
-			merged = e.fAgg.Apply(c, t.ConcatCols(inH, inH))
+			merged = e.fAgg.Apply(c, inH, inH)
 		}
 		h = merged
 		hops = append(hops, h)
 		t.ReleaseSince(mark, hops...)
 	}
 	// Eq. (7): jump connection over hop-level states.
-	if len(hops) == 1 {
-		return e.fPool.Apply(c, hops[0])
-	}
-	return e.fPool.Apply(c, t.ConcatCols(hops...))
+	return e.fPool.Apply(c, hops...)
 }
 
 // EncodeValue runs Encode on a throwaway eval tape and returns a pooled

@@ -260,7 +260,7 @@ func TestGRUForwardMatchesStep(t *testing.T) {
 	h := tensor.Randn(5, 3, 1, rng)
 	tape := tensor.NewTape()
 	c := nn.NewEvalCtx(tape)
-	taped := g.Step(c, tape.Const(x), tape.Const(h))
+	taped := g.Step(c, tape.Const(h), tape.Const(x))
 	if !taped.Value.Equal(g.Forward(x, h), 0) {
 		t.Fatal("GRU Forward diverges from Step")
 	}

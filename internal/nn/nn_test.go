@@ -51,7 +51,7 @@ func TestGRUStepShapeAndBounds(t *testing.T) {
 	c := NewEvalCtx(tape)
 	x := tape.Const(tensor.Randn(7, 6, 1, rng))
 	h := tape.Const(tensor.Randn(7, 4, 0.5, rng))
-	h2 := g.Step(c, x, h)
+	h2 := g.Step(c, h, x)
 	if h2.Value.Rows != 7 || h2.Value.Cols != 4 {
 		t.Fatalf("GRU output shape %dx%d", h2.Value.Rows, h2.Value.Cols)
 	}
@@ -78,7 +78,7 @@ func TestGRUZeroInputKeepsFiniteState(t *testing.T) {
 	h := tape.Const(tensor.New(2, 3))
 	x := tape.Const(tensor.New(2, 3))
 	for i := 0; i < 50; i++ {
-		h = g.Step(c, x, h)
+		h = g.Step(c, h, x)
 	}
 	for _, v := range h.Value.Data {
 		if math.IsNaN(v) || math.IsInf(v, 0) {

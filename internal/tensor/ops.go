@@ -273,9 +273,9 @@ func (t *Tape) GIN(h, eps *Node, adj ...*CSR) *Node {
 
 // ---- Fused affine ops ----
 
-// Act selects an activation fused into Affine/Affine2. Every supported
-// activation's derivative is recoverable from its output, so the fused
-// backward needs no pre-activation buffer.
+// Act selects an activation fused into AffineSum (and its wrappers Affine
+// and Affine2). Every supported activation's derivative is recoverable
+// from its output, so the fused backward needs no pre-activation buffer.
 type Act int
 
 // Fusable activations. The zero Act is the identity.
@@ -330,50 +330,78 @@ func preGrad(out, grad *Matrix, act Act) (dPre *Matrix, scratch bool) {
 	return d, true
 }
 
-// affineGrads propagates the pre-activation gradient dPre of
-// act(x·w + h·u + b) into its inputs; h and u are nil for the one-product
-// Affine.
-func affineGrads(x, w, h, u, b *Node, dPre *Matrix) {
-	if x.needGrad {
-		backendImpl.GemmNT(x.grad(), dPre, w.Value)
-	}
-	if w.needGrad {
-		backendImpl.GemmTN(w.grad(), x.Value, dPre)
-	}
-	if h != nil {
-		if h.needGrad {
-			backendImpl.GemmNT(h.grad(), dPre, u.Value)
-		}
-		if u.needGrad {
-			backendImpl.GemmTN(u.grad(), h.Value, dPre)
-		}
-	}
-	if b.needGrad {
-		g := b.grad()
-		for i := 0; i < dPre.Rows; i++ {
-			backendImpl.Add(g.Data, dPre.Row(i))
-		}
-	}
+// Term is one product of an AffineSum: X times the rows [Off,
+// Off+cols(X)) of W, a row block read in place. Terms that read
+// consecutive blocks of one W compute [X₁ ‖ X₂ ‖ …]·W without the
+// concatenation.
+type Term struct {
+	X, W *Node
+	Off  int
 }
 
-// Affine computes act(x·W + b) as a single tape node: one output buffer
-// and one backward closure replace the MatMul → AddRowVec → activation
-// chain (three nodes, three full-size intermediates) of the unfused form.
-func (t *Tape) Affine(x, w, b *Node, act Act) *Node {
-	if b.Value.Rows != 1 || b.Value.Cols != w.Value.Cols {
-		panic(fmt.Sprintf("tensor: Affine needs 1x%d bias, got %s", w.Value.Cols, b.Value.shape()))
+// AffineSum computes act(Σ_k X_k·W_k[Off_k : Off_k+cols(X_k)] + b) as a
+// single node. A linear layer over a concatenation reads each part
+// against its block of the weight, so neither the N×Σd concatenation nor
+// its gradient is ever stored. The forward accumulates the products in
+// term order into one buffer, and the backward runs GemmNT and GemmTN per
+// term on the blocks of W and of W's gradient. The backend contract
+// (GemmNN and GemmTN add each product in ascending p; GemmNT sums from +0
+// and adds once) makes every value and gradient bit-identical to
+// ConcatCols followed by Affine wherever the parts' gradients start at
+// zero, as they do when the concatenation is their first consumer in the
+// sweep. A node may appear in several terms.
+//
+// The terms are copied onto the tape, so the caller's slice may live on
+// its stack; neither the copy nor the block views allocate once the tape
+// is warm.
+func (t *Tape) AffineSum(b *Node, act Act, terms ...Term) *Node {
+	if len(terms) == 0 {
+		panic("tensor: AffineSum needs at least one term")
 	}
-	if x.Value.Cols != w.Value.Rows {
-		panic(fmt.Sprintf("tensor: Affine shape mismatch %s x %s", x.Value.shape(), w.Value.shape()))
+	rows, cols := terms[0].X.Value.Rows, terms[0].W.Value.Cols
+	if b.Value.Rows != 1 || b.Value.Cols != cols {
+		panic(fmt.Sprintf("tensor: AffineSum needs 1x%d bias, got %s", cols, b.Value.shape()))
 	}
-	out := Get(x.Value.Rows, w.Value.Cols)
-	MatMulInto(out, x.Value, w.Value)
+	needGrad := b.needGrad
+	for k, tm := range terms {
+		x, w := tm.X.Value, tm.W.Value
+		if x.Rows != rows || w.Cols != cols {
+			panic(fmt.Sprintf("tensor: AffineSum term %d is %s x %s, want %d rows and %d columns",
+				k, x.shape(), w.shape(), rows, cols))
+		}
+		if tm.Off < 0 || tm.Off+x.Cols > w.Rows {
+			panic(fmt.Sprintf("tensor: AffineSum term %d reads rows [%d,%d) of a %s weight",
+				k, tm.Off, tm.Off+x.Cols, w.shape()))
+		}
+		needGrad = needGrad || tm.X.needGrad || tm.W.needGrad
+	}
+	out := Get(rows, cols)
+	for _, tm := range terms {
+		MatMulInto(out, tm.X.Value, t.rowBlock(0, tm.W.Value, tm.Off, tm.X.Value.Cols))
+	}
 	out.AddRowVecInPlace(b.Value)
 	applyActSlice(out.Data, act)
-	n := t.op(out, anyGrad(x, w, b))
+	lo := len(t.terms)
+	t.terms = append(t.terms, terms...)
+	hi := len(t.terms)
+	n := t.op(out, needGrad)
 	n.backward = func() {
 		dPre, scratch := preGrad(n.Value, n.Grad, act)
-		affineGrads(x, w, nil, nil, b, dPre)
+		for _, tm := range t.terms[lo:hi] {
+			c := tm.X.Value.Cols
+			if tm.X.needGrad { // dX = dPre · W_blockᵀ
+				backendImpl.GemmNT(tm.X.grad(), dPre, t.rowBlock(0, tm.W.Value, tm.Off, c))
+			}
+			if tm.W.needGrad { // dW_block = Xᵀ · dPre
+				backendImpl.GemmTN(t.rowBlock(1, tm.W.grad(), tm.Off, c), tm.X.Value, dPre)
+			}
+		}
+		if b.needGrad {
+			g := b.grad()
+			for i := 0; i < dPre.Rows; i++ {
+				backendImpl.Add(g.Data, dPre.Row(i))
+			}
+		}
 		if scratch {
 			Put(dPre)
 		}
@@ -381,9 +409,33 @@ func (t *Tape) Affine(x, w, b *Node, act Act) *Node {
 	return n
 }
 
-// Affine2 computes act(x·Wx + h·Wh + b) as a single node — the shape of
-// every GRU gate. Fusing the two products and the bias removes four
-// intermediate nodes per gate from the tape.
+// rowBlock points the tape's view header i at rows [off, off+rows) of m
+// and returns it. The rows of a row-major matrix are one contiguous run,
+// so the view is a plain Matrix over m's buffer; the header is the
+// tape's, so handing it to a backend kernel allocates nothing. A view is
+// valid until the next rowBlock call with the same i.
+func (t *Tape) rowBlock(i int, m *Matrix, off, rows int) *Matrix {
+	v := &t.blocks[i]
+	*v = Matrix{Rows: rows, Cols: m.Cols, Data: m.Data[off*m.Cols : (off+rows)*m.Cols]}
+	return v
+}
+
+// Affine computes act(x·W + b) as a single tape node: one output buffer
+// and one backward closure replace the MatMul → AddRowVec → activation
+// chain (three nodes, three full-size intermediates) of the unfused form.
+// It is the one-term AffineSum.
+func (t *Tape) Affine(x, w, b *Node, act Act) *Node {
+	if b.Value.Rows != 1 || b.Value.Cols != w.Value.Cols {
+		panic(fmt.Sprintf("tensor: Affine needs 1x%d bias, got %s", w.Value.Cols, b.Value.shape()))
+	}
+	if x.Value.Cols != w.Value.Rows {
+		panic(fmt.Sprintf("tensor: Affine shape mismatch %s x %s", x.Value.shape(), w.Value.shape()))
+	}
+	return t.AffineSum(b, act, Term{X: x, W: w})
+}
+
+// Affine2 computes act(x·Wx + h·Wh + b) as a single node, the two-term
+// AffineSum over whole weights.
 func (t *Tape) Affine2(x, wx, h, wh, b *Node, act Act) *Node {
 	if b.Value.Rows != 1 || b.Value.Cols != wx.Value.Cols || wx.Value.Cols != wh.Value.Cols {
 		panic(fmt.Sprintf("tensor: Affine2 bias/width mismatch %s vs %s vs %s",
@@ -393,20 +445,7 @@ func (t *Tape) Affine2(x, wx, h, wh, b *Node, act Act) *Node {
 		panic(fmt.Sprintf("tensor: Affine2 shape mismatch %s x %s + %s x %s",
 			x.Value.shape(), wx.Value.shape(), h.Value.shape(), wh.Value.shape()))
 	}
-	out := Get(x.Value.Rows, wx.Value.Cols)
-	MatMulInto(out, x.Value, wx.Value)
-	MatMulInto(out, h.Value, wh.Value)
-	out.AddRowVecInPlace(b.Value)
-	applyActSlice(out.Data, act)
-	n := t.op(out, anyGrad(x, wx, h, wh, b))
-	n.backward = func() {
-		dPre, scratch := preGrad(n.Value, n.Grad, act)
-		affineGrads(x, wx, h, wh, b, dPre)
-		if scratch {
-			Put(dPre)
-		}
-	}
-	return n
+	return t.AffineSum(b, act, Term{X: x, W: wx}, Term{X: h, W: wh})
 }
 
 // Lerp returns (1-z)⊙a + z⊙b — the GRU state blend h + z⊙(h̃-h) — as one

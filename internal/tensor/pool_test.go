@@ -375,6 +375,12 @@ func TestOpPanicLeavesArenaBalanced(t *testing.T) {
 		{"Affine2/rows", func() {
 			tp.Affine2(c(3, 4), c(4, 2), c(2, 5), c(5, 2), c(1, 2), ActTanh)
 		}},
+		{"AffineSum/block", func() { // rows [2, 6) of a 5-row weight
+			tp.AffineSum(c(1, 2), ActIdent, Term{X: c(3, 1), W: c(5, 2)}, Term{X: c(3, 4), W: c(5, 2), Off: 2})
+		}},
+		{"AffineSum/rows", func() {
+			tp.AffineSum(c(1, 2), ActTanh, Term{X: c(3, 4), W: c(6, 2)}, Term{X: c(2, 2), W: c(6, 2), Off: 4})
+		}},
 		{"Lerp", func() { tp.Lerp(c(3, 4), c(3, 4), c(3, 3)) }},
 		{"ConcatCols", func() { tp.ConcatCols(c(3, 4), c(2, 4)) }},
 		{"SliceCols", func() { tp.SliceCols(c(3, 4), 2, 5) }},

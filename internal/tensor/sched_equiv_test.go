@@ -267,6 +267,15 @@ func TestSchedEquivAllOps(t *testing.T) {
 			o := tp.Affine2(x, wx, x, wh, b, ActSigmoid) // same node as both inputs
 			return SchedProbe{Loss: tp.SumAll(o), Outputs: []*Node{o}, Leaves: []*Node{x, wx, wh, b}}
 		}},
+		{"alias/affinesum-blocks", func(tp *Tape) SchedProbe {
+			// A GRU-style gate over [x ‖ y ‖ x], x in two blocks of one
+			// weight, beside h·U; x also feeds a later consumer.
+			x, y, h := tp.Var(testMat(3, 2, 82)), tp.Var(testMat(3, 3, 83)), tp.Var(testMat(3, 4, 84))
+			w, u, b := tp.Var(testMat(7, 2, 85)), tp.Var(testMat(4, 2, 86)), tp.Var(testMat(1, 2, 87))
+			o := tp.AffineSum(b, ActSigmoid, Term{X: x, W: w}, Term{X: y, W: w, Off: 2}, Term{X: x, W: w, Off: 5}, Term{X: h, W: u})
+			o = tp.Mul(o, x)
+			return SchedProbe{Loss: tp.SumAll(o), Outputs: []*Node{o}, Leaves: []*Node{x, y, h, w, u, b}}
+		}},
 		{"reparameterize", func(tp *Tape) SchedProbe {
 			mu, logSig := tp.Var(testMat(3, 2, 79)), tp.Var(testMat(3, 2, 80))
 			noise := Get(3, 2)

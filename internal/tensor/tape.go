@@ -66,6 +66,13 @@ type Tape struct {
 
 	live int64 // bytes of tape-owned buffers currently checked out
 	peak int64 // high-water mark of live (survives Reset)
+
+	// terms holds every AffineSum's terms, which its backward reads by
+	// index; blocks are the two row-block view headers those ops hand to
+	// the GEMM kernels (rowBlock). Both are reused from one recording to
+	// the next.
+	terms  []Term
+	blocks [2]Matrix
 }
 
 // NewTape returns an empty tape.
@@ -95,6 +102,9 @@ func (t *Tape) Reset() {
 		t.spare = append(t.spare, n)
 	}
 	t.nodes = t.nodes[:0]
+	clear(t.terms)
+	t.terms = t.terms[:0]
+	t.blocks = [2]Matrix{}
 }
 
 // Len returns the number of recorded nodes (diagnostics).
