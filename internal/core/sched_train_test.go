@@ -88,29 +88,76 @@ func TestTapeSchedPeakReduction(t *testing.T) {
 }
 
 // TestFitTapePeakBound bounds the training tapes' peak on the email
-// replica at ×0.05 (N=94, T=14, one full-sequence window, 8 epochs, seed
-// 5). The peak counts buffer sizes only, so it repeats exactly on every
-// backend and GOMAXPROCS. It reads 8 224 152 bytes with every linear layer
-// reading its concatenated inputs in place (Tape.AffineSum), against
-// 9 807 384 when ConcatCols copied them in front of the encoder's
-// aggregation and jump MLPs, the posterior and the GRU; one such copy put
-// back, with the gradient it keeps, adds tens of kilobytes per step and
-// fails here.
+// replica (seed 5) in two settings: ×0.05 (N=94, T=14) as one
+// full-sequence window for 8 epochs, and ×0.5 (N=945) in TBPTT=4 windows
+// for 2 epochs, train's secondary op. The peak counts buffer sizes only,
+// so it repeats exactly on every backend and GOMAXPROCS. Both bounds are
+// the peaks with the Eq. 12 attention as one Tape.GAT node; with its nine
+// ops, whose gathered E×d_h rows and gradients the tape held, they read
+// 8 224 152 and 25 386 288 bytes. Either chain put back, or a linear layer
+// copying its concatenated inputs again (Tape.AffineSum), fails here.
 func TestFitTapePeakBound(t *testing.T) {
-	g, _, err := datasets.Replica(datasets.Email, 0.05, 5)
+	for _, tc := range []struct {
+		name          string
+		scale         float64
+		epochs, tbptt int
+		bound         int64
+	}{
+		{"x0.05", 0.05, 8, 0, 6935440},
+		{"x0.5-tbptt4", 0.5, 2, 4, 19608368},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g, _, err := datasets.Replica(datasets.Email, tc.scale, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := DefaultConfig(g.N, g.F)
+			cfg.Epochs = tc.epochs
+			cfg.TBPTT = tc.tbptt
+			cfg.Seed = 5
+			m := New(cfg)
+			if _, err := m.Fit(g); err != nil {
+				t.Fatal(err)
+			}
+			if got := m.TapePeakLiveBytes(); got > tc.bound {
+				t.Fatalf("training tapes peaked at %d bytes, bound %d", got, tc.bound)
+			}
+		})
+	}
+}
+
+// TestGenerateArenaPeakBound bounds the arena's high-water mark above
+// what was already checked out during one warm generation: email ×1.0
+// (N=1891) fitted for one epoch with CandidateCap 128, as gen_offline's
+// secondary model, decoding T=2. It reads 2 097 152 bytes with the
+// Eq. 12 attention as one Tape.GAT node and 3 244 032 with the chain of
+// nine ops it replaced, whose E×d_h blocks were the step's largest
+// buffers.
+func TestGenerateArenaPeakBound(t *testing.T) {
+	g, _, err := datasets.Replica(datasets.Email, 1, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig(g.N, g.F)
-	cfg.Epochs = 8
+	cfg.Epochs = 1
+	cfg.CandidateCap = 128
 	cfg.Seed = 5
 	m := New(cfg)
 	if _, err := m.Fit(g); err != nil {
 		t.Fatal(err)
 	}
-	const bound = 8224152
-	if got := m.TapePeakLiveBytes(); got > bound {
-		t.Fatalf("training tapes peaked at %d bytes, bound %d", got, bound)
+	opts := GenOptions{T: 2, Seed: 9, Parallel: true}
+	if _, err := m.GenerateOpts(opts); err != nil { // warm: the first request releases the fit's arena
+		t.Fatal(err)
+	}
+	live := tensor.ReadPoolStats().LiveBytes
+	tensor.ResetPoolPeakLive()
+	if _, err := m.GenerateOpts(opts); err != nil {
+		t.Fatal(err)
+	}
+	const bound = 2097152
+	if got := tensor.ReadPoolStats().PeakLiveBytes - live; got > bound {
+		t.Fatalf("a warm generation peaked %d bytes above the %d already live, bound %d", got, live, bound)
 	}
 }
 

@@ -188,23 +188,21 @@ func (g *GAT) Params() []*nn.Param {
 }
 
 // Apply runs attention aggregation of states over the directed edges
-// (src[k] → dst[k]); each node also attends to itself. The self-loops are
-// appended to src and dst: into their spare capacity when each has room
-// for n more indices, so a caller that reuses its buffers (and reads
-// nothing past their length) allocates no index lists here. On an eval
-// tape the layer's intermediates go back to the arena before it returns.
+// (src[k] → dst[k]); each node also attends to itself. It records the W
+// projection and then one tensor.Tape.GAT node, which scores the edges
+// with the two attention layers without gathering their rows. The
+// self-loops are appended to src and dst: into their spare capacity when
+// each has room for n more indices, so a caller that reuses its buffers
+// (and reads nothing past their length) allocates no index lists here. On
+// an eval tape the layer's intermediates go back to the arena before it
+// returns.
 func (g *GAT) Apply(c *nn.Ctx, states *tensor.Node, src, dst []int, n int) *tensor.Node {
 	t := c.Tape
 	mark := t.Len()
 	wh := g.W.Apply(c, states) // N×out
 	es := appendSelfLoops(src, n)
 	ed := appendSelfLoops(dst, n)
-	hSrc := t.GatherRows(wh, es) // E×out
-	hDst := t.GatherRows(wh, ed)
-	score := t.LeakyReLU(t.Add(g.attnSrc.Apply(c, hSrc), g.attnDst.Apply(c, hDst))) // E×1
-	alpha := t.SegmentSoftmax(score, ed, n)
-	weighted := t.MulColVec(hSrc, alpha)
-	out := t.ScatterAddRows(weighted, ed, n)
+	out := t.GAT(wh, c.Var(g.attnSrc.W), c.Var(g.attnSrc.B), c.Var(g.attnDst.W), c.Var(g.attnDst.B), es, ed, n)
 	t.ReleaseSince(mark, out)
 	return out
 }

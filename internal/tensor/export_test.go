@@ -44,6 +44,91 @@ func (t *Tape) ReLU(a *Node) *Node {
 	return n
 }
 
+// MulColVec multiplies every row i of a (E×d) by the scalar b_i (E×1).
+// With SegmentSoftmax it builds gatChain.
+func (t *Tape) MulColVec(a, b *Node) *Node {
+	if b.Value.Cols != 1 || b.Value.Rows != a.Value.Rows {
+		panic(fmt.Sprintf("tensor: MulColVec needs %dx1 column, got %s", a.Value.Rows, b.Value.shape()))
+	}
+	out := Get(a.Value.Rows, a.Value.Cols)
+	for i := 0; i < out.Rows; i++ {
+		s := b.Value.Data[i]
+		arow := a.Value.Row(i)
+		orow := out.Row(i)
+		for j := range orow {
+			orow[j] = arow[j] * s
+		}
+	}
+	n := t.op(out, anyGrad(a, b))
+	n.backward = func() {
+		if a.needGrad {
+			g := a.grad()
+			for i := 0; i < n.Grad.Rows; i++ {
+				s := b.Value.Data[i]
+				grow := g.Row(i)
+				nrow := n.Grad.Row(i)
+				for j := range grow {
+					grow[j] += nrow[j] * s
+				}
+			}
+		}
+		if b.needGrad {
+			g := b.grad()
+			for i := 0; i < n.Grad.Rows; i++ {
+				arow := a.Value.Row(i)
+				nrow := n.Grad.Row(i)
+				s := 0.0
+				for j := range arow {
+					s += arow[j] * nrow[j]
+				}
+				g.Data[i] += s
+			}
+		}
+	}
+	return n
+}
+
+// SegmentSoftmax normalises the E×1 column a with a softmax within each
+// segment: entries sharing seg[k] form one softmax group; seg values must
+// lie in [0, nSeg). The backward's per-segment dot products are arena
+// scratch returned before it does. With MulColVec it builds gatChain.
+func (t *Tape) SegmentSoftmax(a *Node, seg []int, nSeg int) *Node {
+	if a.Value.Cols != 1 || len(seg) != a.Value.Rows {
+		panic("tensor: SegmentSoftmax needs E×1 input with matching segment slice")
+	}
+	checkIndices("SegmentSoftmax", seg, nSeg)
+	out := Get(a.Value.Rows, 1)
+	copy(out.Data, a.Value.Data)
+	segmentSoftmax(out.Data, seg, nSeg)
+	n := t.op(out, a.needGrad)
+	n.backward = func() {
+		if !a.needGrad {
+			return
+		}
+		dotM := Get(1, nSeg)
+		dot := dotM.Data
+		for k, i := range seg {
+			dot[i] += n.Value.Data[k] * n.Grad.Data[k]
+		}
+		g := a.grad()
+		for k, i := range seg {
+			g.Data[k] += n.Value.Data[k] * (n.Grad.Data[k] - dot[i])
+		}
+		Put(dotM)
+	}
+	return n
+}
+
+// gatChain is the unfused form of Tape.GAT, the chain the Eq. 12 layer
+// recorded before the op existed: both ends' rows gathered, a linear
+// layer per end, Add, LeakyReLU, SegmentSoftmax over the destinations,
+// MulColVec and ScatterAddRows.
+func gatChain(tp *Tape, wh, aSrcW, aSrcB, aDstW, aDstB *Node, src, dst []int, n int) *Node {
+	hSrc, hDst := tp.GatherRows(wh, src), tp.GatherRows(wh, dst)
+	score := tp.LeakyReLU(tp.Add(tp.Affine(hSrc, aSrcW, aSrcB, ActIdent), tp.Affine(hDst, aDstW, aDstB, ActIdent)))
+	return tp.ScatterAddRows(tp.MulColVec(hSrc, tp.SegmentSoftmax(score, dst, n)), dst, n)
+}
+
 // Transpose returns aᵀ. With PairDiffT it builds pairMLPChain, the
 // unfused form of Tape.PairMLP that its tests hold it against.
 func (t *Tape) Transpose(a *Node) *Node {

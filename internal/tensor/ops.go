@@ -125,49 +125,6 @@ func (t *Tape) AddRowVec(a, b *Node) *Node {
 	return n
 }
 
-// MulColVec multiplies every row i of a (E×d) by the scalar b_i (E×1).
-func (t *Tape) MulColVec(a, b *Node) *Node {
-	if b.Value.Cols != 1 || b.Value.Rows != a.Value.Rows {
-		panic(fmt.Sprintf("tensor: MulColVec needs %dx1 column, got %s", a.Value.Rows, b.Value.shape()))
-	}
-	out := Get(a.Value.Rows, a.Value.Cols)
-	for i := 0; i < out.Rows; i++ {
-		s := b.Value.Data[i]
-		arow := a.Value.Row(i)
-		orow := out.Row(i)
-		for j := range orow {
-			orow[j] = arow[j] * s
-		}
-	}
-	n := t.op(out, anyGrad(a, b))
-	n.backward = func() {
-		if a.needGrad {
-			g := a.grad()
-			for i := 0; i < n.Grad.Rows; i++ {
-				s := b.Value.Data[i]
-				grow := g.Row(i)
-				nrow := n.Grad.Row(i)
-				for j := range grow {
-					grow[j] += nrow[j] * s
-				}
-			}
-		}
-		if b.needGrad {
-			g := b.grad()
-			for i := 0; i < n.Grad.Rows; i++ {
-				arow := a.Value.Row(i)
-				nrow := n.Grad.Row(i)
-				s := 0.0
-				for j := range arow {
-					s += arow[j] * nrow[j]
-				}
-				g.Data[i] += s
-			}
-		}
-	}
-	return n
-}
-
 // ---- Matrix products ----
 
 // MatMul returns a·b with full gradient support for both operands.
@@ -934,57 +891,200 @@ func pairMLPGrads(p, b1, w2 *Node, lo int, src, dst []int, g *Matrix) {
 	Put(dHid)
 }
 
-// SegmentSoftmax normalises the E×1 column a with a softmax within each
-// segment: entries sharing seg[k] form one softmax group. Used for graph
-// attention (softmax over each node's incoming edges). nSeg is the number
-// of distinct segments; seg values must lie in [0, nSeg). The per-segment
-// maxima and sums, and the backward's per-segment dot products, are arena
-// scratch returned before the op (or its backward) does.
-func (t *Tape) SegmentSoftmax(a *Node, seg []int, nSeg int) *Node {
-	if a.Value.Cols != 1 || len(seg) != a.Value.Rows {
-		panic("tensor: SegmentSoftmax needs E×1 input with matching segment slice")
+// GAT aggregates the rows of wh (N×d_h, one per node) over the E edges
+// src[k] → dst[k] with single-head graph attention (Veličković et al.),
+// the Eq. 12 layer of the attribute decoder, as one node:
+//
+//	pre_k  = (wh[src_k]·aSrcW + aSrcB) + (wh[dst_k]·aDstW + aDstB)
+//	α_k    = softmax over the edges into dst_k of LeakyReLU(pre_k)
+//	out[i] = Σ_{k: dst_k = i} α_k · wh[src_k], k ascending
+//
+// aSrcW and aDstW are d_h×1, aSrcB and aDstB 1×1, and every index lies in
+// [0, n) with n = N. It computes, to the bit, what the chain GatherRows
+// (both ends) → a linear layer per end → Add → LeakyReLU → segment
+// softmax → row scaling → ScatterAddRows computes, without that chain's
+// E×d_h gathered rows, products and gradients. The two attention logits
+// are taken once per node, which is exact: a gathered row is a copy, and
+// each GEMM row reads only its own multipliers. Besides the N×d_h output
+// the op keeps α (E×1) and the per-node logits (2N×1), in one buffer on a
+// node of its own recorded just before the output, so the sweep releases
+// it right after the output's backward has read it. gatGrads gives the
+// backward's order.
+func (t *Tape) GAT(wh, aSrcW, aSrcB, aDstW, aDstB *Node, src, dst []int, n int) *Node {
+	dh, e := wh.Value.Cols, len(src)
+	if aSrcW.Value.Rows != dh || aSrcW.Value.Cols != 1 || aDstW.Value.Rows != dh || aDstW.Value.Cols != 1 ||
+		aSrcB.Value.Rows != 1 || aSrcB.Value.Cols != 1 || aDstB.Value.Rows != 1 || aDstB.Value.Cols != 1 {
+		panic(fmt.Sprintf("tensor: GAT needs %dx1 attention weights and 1x1 biases, got %s, %s, %s, %s",
+			dh, aSrcW.Value.shape(), aSrcB.Value.shape(), aDstW.Value.shape(), aDstB.Value.shape()))
 	}
-	checkIndices("SegmentSoftmax", seg, nSeg)
-	e := a.Value.Rows
+	if wh.Value.Rows != n || len(dst) != e {
+		panic(fmt.Sprintf("tensor: GAT over %s for %d nodes, %d src vs %d dst", wh.Value.shape(), n, e, len(dst)))
+	}
+	checkIndices("GAT", src, n)
+	checkIndices("GAT", dst, n)
+	keep := Get(e+2*n, 1) // α, then the src and the dst logit of each node
+	alpha, eSrc, eDst := keep.Data[:e], keep.Data[e:e+n], keep.Data[e+n:]
+	v := t.rowBlock(0, keep, e, n)
+	MatMulInto(v, wh.Value, aSrcW.Value)
+	v.AddRowVecInPlace(aSrcB.Value)
+	v = t.rowBlock(0, keep, e+n, n)
+	MatMulInto(v, wh.Value, aDstW.Value)
+	v.AddRowVecInPlace(aDstB.Value)
+	for k := range alpha {
+		if pre := eSrc[src[k]] + eDst[dst[k]]; pre > 0 {
+			alpha[k] = pre
+		} else {
+			alpha[k] = LeakySlope * pre
+		}
+	}
+	segmentSoftmax(alpha, dst, n)
+	out := Get(n, dh)
+	for k, i := range dst {
+		orow, hrow, s := out.Row(i), wh.Value.Row(src[k]), alpha[k]
+		for j := range orow {
+			orow[j] += float64(hrow[j] * s) // rounded before the add, as the chain stored it
+		}
+	}
+	t.op(keep, false)
+	node := t.op(out, anyGrad(wh, aSrcW, aSrcB, aDstW, aDstB))
+	node.backward = func() {
+		t.gatGrads(wh, aSrcW, aSrcB, aDstW, aDstB, src, dst, keep.Data, node.Grad)
+	}
+	return node
+}
+
+// segmentSoftmax replaces a (one value per edge) with its softmax within
+// each segment, the edges sharing seg[k] < nSeg: the maxima, then the
+// exponentials and their sums, then the division, each over k ascending.
+// Its maxima and sums are arena scratch returned before it does.
+func segmentSoftmax(a []float64, seg []int, nSeg int) {
 	scratch := Get(2, nSeg)
 	mx, sum := scratch.Row(0), scratch.Row(1)
 	for i := range mx {
 		mx[i] = math.Inf(-1)
 	}
-	for k := 0; k < e; k++ {
-		if v := a.Value.Data[k]; v > mx[seg[k]] {
+	for k, v := range a {
+		if v > mx[seg[k]] {
 			mx[seg[k]] = v
 		}
 	}
-	out := Get(e, 1)
-	for k := 0; k < e; k++ {
-		v := math.Exp(a.Value.Data[k] - mx[seg[k]])
-		out.Data[k] = v
+	for k, v := range a {
+		v = math.Exp(v - mx[seg[k]])
+		a[k] = v
 		sum[seg[k]] += v
 	}
-	for k := 0; k < e; k++ {
+	for k := range a {
 		if s := sum[seg[k]]; s > 0 {
-			out.Data[k] /= s
+			a[k] /= s
 		}
 	}
 	Put(scratch)
-	n := t.op(out, a.needGrad)
-	n.backward = func() {
-		if !a.needGrad {
-			return
+}
+
+// gatGrads is GAT's backward, given the op's kept buffer (α, then the
+// per-node logits) and the output gradient g (N×d_h). It runs the
+// replaced chain's backward closures in the reverse of their recording
+// order, so each gradient element sees the chain's sums in the chain's
+// order:
+//
+//   - dα_k = 0 + (Σ_j wh[src_k][j]·g[dst_k][j] from +0, j ascending);
+//   - the segment softmax backward through per-segment dot products
+//     (k ascending), then LeakyReLU' of the recomputed pre_k, gives the
+//     logit gradient d_k both attention layers share;
+//   - the dst layer's weight (GemmTN, k ascending) and bias (k ascending)
+//     gradients, then the src layer's;
+//   - every dst-side row 0 + d_k·aDstWᵀ (GemmNT) added into dwh[dst_k],
+//     k ascending, before every src-side row (0 + g[dst_k]·α_k) +
+//     d_k·aSrcWᵀ into dwh[src_k].
+//
+// The rows the GEMMs read or write are built pairMLPChunk edges at a time
+// in arena scratch, so nothing E×d_h is held.
+func (t *Tape) gatGrads(wh, aSrcW, aSrcB, aDstW, aDstB *Node, src, dst []int, keep []float64, g *Matrix) {
+	e, n := len(src), wh.Value.Rows
+	alpha, eSrc, eDst := keep[:e], keep[e:e+n], keep[e+n:]
+	d, dotM := Get(e, 1), Get(1, n)
+	dot := dotM.Data
+	for k := range d.Data {
+		hrow, grow, s := wh.Value.Row(src[k]), g.Row(dst[k]), 0.0
+		for j := range hrow {
+			s += hrow[j] * grow[j]
 		}
-		dotM := Get(1, nSeg)
-		dot := dotM.Data
-		for k := 0; k < e; k++ {
-			dot[seg[k]] += n.Value.Data[k] * n.Grad.Data[k]
-		}
-		g := a.grad()
-		for k := 0; k < e; k++ {
-			g.Data[k] += n.Value.Data[k] * (n.Grad.Data[k] - dot[seg[k]])
-		}
-		Put(dotM)
+		d.Data[k] += s
 	}
-	return n
+	for k, i := range dst {
+		dot[i] += alpha[k] * d.Data[k]
+	}
+	for k, i := range dst {
+		v := alpha[k] * (d.Data[k] - dot[i])
+		if !(eSrc[src[k]]+eDst[i] > 0) {
+			v *= LeakySlope
+		}
+		d.Data[k] = 0 + v // the chain added it into zeroed gradients
+	}
+	Put(dotM)
+	blk := getUnzeroed(min(e, pairMLPChunk), wh.Value.Cols)
+	t.gatLayerGrads(aDstW, aDstB, wh.Value, dst, d, blk)
+	t.gatLayerGrads(aSrcW, aSrcB, wh.Value, src, d, blk)
+	if wh.needGrad {
+		gwh := wh.grad()
+		t.gatRowGrads(gwh, aDstW.Value, dst, d, blk, nil, nil, nil)
+		t.gatRowGrads(gwh, aSrcW.Value, src, d, blk, g, dst, alpha)
+	}
+	Put(blk)
+	Put(d)
+}
+
+// gatLayerGrads adds into the gradients of one attention layer (w, b)
+// what it owes for the logit gradients d (E×1) over its inputs wh[idx[k]]:
+// Σ_k wh[idx[k]]ᵀ·d_k by GemmTN on chunks of gathered rows in blk, then
+// Σ_k d_k into the bias, k ascending in both.
+func (t *Tape) gatLayerGrads(w, b *Node, wh *Matrix, idx []int, d, blk *Matrix) {
+	if w.needGrad {
+		gw := w.grad()
+		for k0 := 0; k0 < len(idx); k0 += pairMLPChunk {
+			x, dk := t.gatChunk(blk, d, k0)
+			for r := range x.Rows {
+				copy(x.Row(r), wh.Row(idx[k0+r]))
+			}
+			backendImpl.GemmTN(gw, x, dk)
+		}
+	}
+	if b.needGrad {
+		gb := b.grad()
+		for _, v := range d.Data {
+			gb.Data[0] += v
+		}
+	}
+}
+
+// gatRowGrads adds into gwh[idx[k]], k ascending, the gradient of the
+// layer input row k: d_k·wᵀ (GemmNT), after (0 + g[gi[k]]·α_k) when g is
+// not nil, the source rows' share of the aggregation.
+func (t *Tape) gatRowGrads(gwh, w *Matrix, idx []int, d, blk, g *Matrix, gi []int, alpha []float64) {
+	for k0 := 0; k0 < len(idx); k0 += pairMLPChunk {
+		x, dk := t.gatChunk(blk, d, k0)
+		clear(x.Data)
+		if g != nil {
+			for r := range x.Rows {
+				xrow, grow, s := x.Row(r), g.Row(gi[k0+r]), alpha[k0+r]
+				for j := range xrow {
+					xrow[j] += grow[j] * s
+				}
+			}
+		}
+		backendImpl.GemmNT(x, dk, w)
+		for r := range x.Rows {
+			backendImpl.Add(gwh.Row(idx[k0+r]), x.Row(r))
+		}
+	}
+}
+
+// gatChunk sizes blk to the edges [k0, min(k0+pairMLPChunk, E)) of the
+// E×1 d and returns it with the tape's view of those rows of d.
+func (t *Tape) gatChunk(blk, d *Matrix, k0 int) (x, dk *Matrix) {
+	c := min(pairMLPChunk, d.Rows-k0)
+	blk.Rows, blk.Data = c, blk.Data[:c*blk.Cols]
+	return blk, t.rowBlock(1, d, k0, c)
 }
 
 // ---- Reductions ----

@@ -401,6 +401,15 @@ func TestOpPanicLeavesArenaBalanced(t *testing.T) {
 		{"PairMLP/columns", func() {
 			tp.PairMLP(c(3, 4), c(1, 2), c(2, 3), c(1, 3), 3, []int{0, 1}, []int{1, 2})
 		}},
+		{"GAT/src", func() {
+			tp.GAT(c(3, 2), c(2, 1), c(1, 1), c(2, 1), c(1, 1), []int{0, 3}, []int{1, 1}, 3)
+		}},
+		{"GAT/dst", func() {
+			tp.GAT(c(3, 2), c(2, 1), c(1, 1), c(2, 1), c(1, 1), []int{0, 1}, []int{1, -1}, 3)
+		}},
+		{"GAT/bias", func() {
+			tp.GAT(c(3, 2), c(2, 1), c(1, 1), c(2, 1), c(1, 2), []int{0, 1}, []int{1, 2}, 3)
+		}},
 		{"SegmentSoftmax", func() { tp.SegmentSoftmax(c(3, 1), []int{0, 1, 2}, 2) }},
 		{"SegmentSoftmax/negative", func() { tp.SegmentSoftmax(c(3, 1), []int{0, -1, 1}, 2) }},
 		{"GaussianKL", func() { tp.GaussianKL(c(3, 2), c(3, 2), c(2, 3), c(3, 2)) }},

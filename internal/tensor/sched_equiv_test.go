@@ -163,6 +163,16 @@ func TestSchedEquivAllOps(t *testing.T) {
 			o := tp.Add(o0, tp.Tanh(o1))
 			return SchedProbe{Loss: tp.SumAll(tp.Mul(o, o)), Outputs: []*Node{o, o0, o1}, Leaves: []*Node{s, w1, b0, b1, w2, b2}}
 		}},
+		{"GAT", func(tp *Tape) SchedProbe {
+			// The decoder's shape: wh an op output, the edges' self-loops
+			// last, a repeated pair, node 4 reached only by its self-loop.
+			x, w := tp.Var(testMat(5, 3, 57)), tp.Var(testMat(3, 4, 58))
+			asw, asb := tp.Var(testMat(4, 1, 59)), tp.Var(testMat(1, 1, 60))
+			adw, adb := tp.Var(testMat(4, 1, 61)), tp.Var(testMat(1, 1, 62))
+			src, dst := withSelfLoops([]int{0, 2, 0, 3, 1}, []int{1, 1, 1, 0, 3}, 5)
+			o := tp.GAT(tp.MatMul(x, w), asw, asb, adw, adb, src, dst, 5)
+			return SchedProbe{Loss: tp.SumAll(tp.Mul(o, o)), Outputs: []*Node{o}, Leaves: []*Node{x, w, asw, asb, adw, adb}}
+		}},
 		{"SumAll", unaryCase(func(tp *Tape, a *Node) *Node { return tp.SumAll(a) })},
 		{"MeanAll", unaryCase(func(tp *Tape, a *Node) *Node { return tp.MeanAll(a) })},
 		{"SumRows", unaryCase(func(tp *Tape, a *Node) *Node { return tp.SumRows(a) })},

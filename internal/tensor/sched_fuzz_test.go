@@ -40,6 +40,7 @@ func fuzzBuild(tp *Tape, data []byte) SchedProbe {
 	// Pairs over the three rows (nodes) of a 3×3 operand: node 0 is src twice,
 	// node 1 sits on both sides, the last pair is a self pair.
 	pairSrc, pairDst := []int{0, 0, 1}, []int{1, 2, 1}
+	gatSrc, gatDst := withSelfLoops(pairSrc, pairDst, 3)
 
 	applyOp := func(op byte) {
 		hi := float64(op>>4)/8 - 0.9 // deterministic parameter in [-0.9, 0.975]
@@ -84,8 +85,12 @@ func fuzzBuild(tp *Tape, data []byte) SchedProbe {
 			// p and W₂ both off the stack: N=3 nodes, d_h=3, K=3.
 			push(tp.PairMLP(pop(), bias, pop(), bias, 0, pairSrc, pairDst))
 		case 17:
-			// Was Transpose until the pair heads became one op; it records
-			// nothing, so the committed seed-transpose still parses.
+			// wh off the stack: N=3 nodes, d_h=3, the pairs plus
+			// self-loops, so node 0's only in-edge is its own. The
+			// attention weights are columns of w, the biases entries of
+			// bias.
+			push(tp.GAT(pop(), tp.SliceCols(w, 0, 1), tp.SliceCols(bias, 0, 1), tp.SliceCols(w, 1, 2),
+				tp.SliceCols(bias, 1, 2), gatSrc, gatDst, 3))
 		}
 	}
 
@@ -121,7 +126,7 @@ func FuzzTapeSchedule(f *testing.F) {
 		"?N3?N3",                           // Exp then MatMul, an inert selector between
 		"0123456789:;<=>?@ABCDEFGHIJKLMNO", // two full opcode sweeps
 		"\xc0\r7\x02>\xa0\xb0\r\x00",       // PairMLP consumed twice, then two more and the second consumed twice
-		"\x80\r3\x90\x02\x81",              // PairMLP on itself through a MatMul, then Mul and an empty selector
+		"\x80\r3\x90\x02\x81",              // PairMLP on itself through a MatMul, then Mul and a GAT
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
