@@ -156,7 +156,7 @@ func BenchmarkCandidates(b *testing.B) {
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
 			cfg := DefaultConfig(n, 0)
 			m := New(cfg)
-			st := m.newGenState(GenOptions{T: 1, Seed: 1}, false, nil)
+			st := m.newGenState(GenOptions{T: 1, Seed: 1}, nil)
 			defer st.release()
 			for v := range st.degree {
 				st.degree[v] = 10 / float64(1+v)

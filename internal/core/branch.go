@@ -93,7 +93,7 @@ func (m *Model) decode(b *decoderBranch, st *windowStep, residuals bool) {
 		dec := m.gat.Apply(c, b.leaf, st.esrc, st.edst, snap.N)
 		xHat := m.attrMLP.Apply(c, dec)
 		if m.Cfg.UseSCE {
-			b.attr = tape.SCELoss(xHat, snap.X, m.Cfg.SCEAlpha)
+			b.attr = tape.SCELoss(xHat, snap.X, sceAlpha)
 		} else {
 			b.attr = tape.MSELoss(xHat, snap.X)
 		}

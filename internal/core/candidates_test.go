@@ -233,7 +233,7 @@ func TestCandidatesMatchReference(t *testing.T) {
 				cfg.CandidateCap = tc.cap
 				cfg.Seed = 3
 				m := New(cfg)
-				st := m.newGenState(GenOptions{T: 1, Seed: 11, DynamicNodes: tc.inactive, Parallel: parallel}, false, nil)
+				st := m.newGenState(GenOptions{T: 1, Seed: 11, DynamicNodes: tc.inactive, Parallel: parallel}, nil)
 				defer st.release()
 				if tc.inactive {
 					for i := 1; i < tc.n; i += 5 {

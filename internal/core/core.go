@@ -42,10 +42,7 @@ type Config struct {
 
 	Epochs     int     // training epochs over the sequence (default 30)
 	LR         float64 // Adam learning rate (default 5e-3)
-	KLWeight   float64 // weight on the prior-matching loss (default 1e-2)
-	SCEAlpha   float64 // α of the scaled cosine error, Eq. 18 (default 2)
 	NegSamples int     // Q, negative pairs per node per step (default 5)
-	GradClip   float64 // global-norm gradient clip (default 5)
 
 	// NeighborSample caps each node's in/out neighbourhood to r sampled
 	// neighbours during encoder message passing (the paper's r, §III-G);
@@ -105,12 +102,17 @@ func (c Config) withDefaults() Config {
 	def(&c.MLPLayers, 1)
 	def(&c.Epochs, 30)
 	deff(&c.LR, 5e-3)
-	deff(&c.KLWeight, 1e-2)
-	deff(&c.SCEAlpha, 2)
 	def(&c.NegSamples, 5)
-	deff(&c.GradClip, 5)
 	return c
 }
+
+// Training constants: the weight on the prior-matching (KL) loss, the α of
+// the scaled cosine error (Eq. 18) and Adam's global-norm gradient clip.
+const (
+	klWeight = 1e-2
+	sceAlpha = 2
+	gradClip = 5
+)
 
 // check reports a defaulted configuration New cannot build a model from.
 func (c Config) check() error {
@@ -230,7 +232,7 @@ func New(cfg Config) *Model {
 	m.gru = nn.NewGRUCell("gru", gruIn, dh, rng)
 
 	m.adam = nn.NewAdam(nn.CollectParams(m.Modules()...), cfg.LR)
-	m.adam.Clip = cfg.GradClip
+	m.adam.Clip = gradClip
 	return m
 }
 

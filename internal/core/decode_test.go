@@ -66,7 +66,7 @@ func TestPairScorerMatchesMLPForward(t *testing.T) {
 				}
 			}
 
-			st := m.newGenState(GenOptions{T: 1, Seed: 11, DynamicNodes: tc.inactive, Parallel: true}, false, nil)
+			st := m.newGenState(GenOptions{T: 1, Seed: 11, DynamicNodes: tc.inactive, Parallel: true}, nil)
 			defer st.release()
 			if tc.inactive {
 				for i := 1; i < tc.n; i += 5 {
@@ -206,7 +206,7 @@ func TestGenerateFanOutIdentical(t *testing.T) {
 					m := New(cfg)
 					opts := GenOptions{T: 4, Seed: 42, DynamicNodes: true, Tdel: 1, Parallel: true}
 
-					st := m.newGenState(opts, false, nil)
+					st := m.newGenState(opts, nil)
 					fans := st.ps.fansOut(st.active)
 					st.release()
 					if !fans {
@@ -555,7 +555,7 @@ func TestGenerateMainStreamDraws(t *testing.T) {
 	// Step 1's uniforms are drawn during step 0, for every node active; a
 	// node that finds no candidates in step 1 leaves some of them unread.
 	t.Run("unread uniforms panic", func(t *testing.T) {
-		st := exact.newGenState(GenOptions{T: 2, Seed: 93, Parallel: true}, false, nil)
+		st := exact.newGenState(GenOptions{T: 2, Seed: 93, Parallel: true}, nil)
 		defer st.release()
 		st.step(0)
 		st.ps.join()

@@ -254,7 +254,7 @@ func (m *Model) ForecastStream(ctx context.Context, st *ForecastState, opts GenO
 	if err := m.checkForecastState(st); err != nil {
 		return err
 	}
-	return m.generate(ctx, opts, yield, true, st)
+	return m.generate(ctx, opts, yield, st)
 }
 
 func (m *Model) checkForecastState(st *ForecastState) error {
@@ -269,7 +269,7 @@ func (m *Model) checkForecastState(st *ForecastState) error {
 	return nil
 }
 
-// alignSnapshot embeds a snapshot over fewer than Cfg.N nodes into the
+// alignSnapshot copies a snapshot over fewer than Cfg.N nodes into the
 // model's node universe (low indices observed, tail empty). The returned
 // cleanup, when non-nil, must run after the encoder is done with the view.
 // Full-width snapshots pass through untouched.
@@ -278,9 +278,12 @@ func (m *Model) alignSnapshot(snap *dyngraph.Snapshot) (*dyngraph.Snapshot, func
 	if snap.N == n {
 		return snap, nil
 	}
-	view := &dyngraph.Snapshot{N: n, Out: make([][]int, n), In: make([][]int, n)}
-	copy(view.Out, snap.Out) // shares the underlying neighbour lists
-	copy(view.In, snap.In)
+	view := dyngraph.NewSnapshot(n, 0)
+	for u := 0; u < snap.N; u++ {
+		for _, v := range snap.Out[u] {
+			view.AddEdge(u, v)
+		}
+	}
 	if snap.X != nil && m.Cfg.F > 0 {
 		x := tensor.Get(n, m.Cfg.F)
 		for i := 0; i < snap.N; i++ {

@@ -62,13 +62,15 @@ func (m *Model) GenerateCtx(ctx context.Context, opts GenOptions) (*dyngraph.Seq
 	return m.collect(ctx, opts, nil)
 }
 
-// collect runs generate in collecting mode and returns the sequence.
+// collect runs the streaming engine and returns a clone of each snapshot
+// it yields: the engine takes its own snapshots back, attribute buffers
+// included, and the caller's hold heap memory only.
 func (m *Model) collect(ctx context.Context, opts GenOptions, init *ForecastState) (*dyngraph.Sequence, error) {
 	g := &dyngraph.Sequence{N: m.Cfg.N, F: m.Cfg.F, Snapshots: make([]*dyngraph.Snapshot, 0, max(opts.T, 0))}
 	if err := m.generate(ctx, opts, func(s *dyngraph.Snapshot) error {
-		g.Snapshots = append(g.Snapshots, s)
+		g.Snapshots = append(g.Snapshots, s.Clone())
 		return nil
-	}, false, init); err != nil {
+	}, init); err != nil {
 		return nil, err
 	}
 	return g, nil
@@ -89,20 +91,21 @@ func (m *Model) collect(ctx context.Context, opts GenOptions, init *ForecastStat
 // snapshots are identical, value for value, to the sequence GenerateOpts
 // returns for the same options.
 func (m *Model) GenerateStream(ctx context.Context, opts GenOptions, yield func(*dyngraph.Snapshot) error) error {
-	return m.generate(ctx, opts, yield, true, nil)
+	return m.generate(ctx, opts, yield, nil)
 }
 
-// generate drives the stepper in streaming (recycle) or collecting mode.
-// init, when non-nil, warm-starts the stepper from an encoded observation
-// prefix (the forecasting path); nil reproduces unconditional generation.
-func (m *Model) generate(ctx context.Context, opts GenOptions, yield func(*dyngraph.Snapshot) error, recycle bool, init *ForecastState) error {
+// generate drives the stepper, yielding each snapshot it decodes and
+// taking it back afterwards. init, when non-nil, warm-starts the stepper
+// from an encoded observation prefix (the forecasting path); nil
+// reproduces unconditional generation.
+func (m *Model) generate(ctx context.Context, opts GenOptions, yield func(*dyngraph.Snapshot) error, init *ForecastState) error {
 	if opts.T <= 0 {
 		return fmt.Errorf("core: GenOptions.T must be positive, got %d", opts.T)
 	}
 	if opts.Tdel == 0 {
 		opts.Tdel = 3
 	}
-	st := m.newGenState(opts, recycle, init)
+	st := m.newGenState(opts, init)
 	defer st.release()
 	err := st.run(ctx, yield)
 	// Reached between steps only: a request whose step or consumer panics
@@ -163,12 +166,6 @@ type genState struct {
 	timeOff  int
 	borrowed *dyngraph.Snapshot
 
-	// Streaming mode: a snapshot handed to the consumer is taken back once
-	// it leaves the one-step history window and reused for a later
-	// timestep, holding resident snapshot memory at O(1) per request.
-	recycle bool
-	spare   *dyngraph.Snapshot
-
 	// The pair scorer over the scratch's pairBufs. The struct, with its
 	// atomics and bells, is the request's own: a stopped helper of an
 	// earlier request may still read its scorer's.
@@ -188,10 +185,10 @@ type genState struct {
 // genScratch holds the buffers a generation or forecast request decodes
 // with: the pair scorer's, the stepper's O(N) state and noise, the
 // candidate CDF, the attribute decoder's edge lists, the eval tape and the
-// streaming mode's recycled snapshots. No value in them outlives the
-// request: each request writes what it reads. A model keeps the scratch of
-// its last finished request (scratchPool), so after its first request a
-// model decodes without garbage. A scratch holds no arena buffer: the
+// engine's recycled snapshots. No value in them outlives the request: each
+// request writes what it reads. A model keeps the scratch of its last
+// finished request (scratchPool), so after its first request a model
+// decodes without garbage. A scratch holds no arena buffer: the
 // arena's gets and puts balance over every request as before.
 type genScratch struct {
 	shape decodeShape
@@ -225,14 +222,14 @@ type genScratch struct {
 	// esrc, edst are the attribute decoder's edge lists, with room for
 	// the N self-loops GAT.Apply appends.
 	esrc, edst []int
-	// snaps holds recycled snapshots for a streaming request to decode
-	// into, at most keptSnapshots of them.
+	// snaps holds recycled snapshots for a request to decode into, at
+	// most keptSnapshots of them.
 	snaps []*dyngraph.Snapshot
 }
 
 // keptSnapshots is how many recycled snapshots a scratch keeps: a
-// streaming request's working set, the one-step history window, the
-// snapshot decoded and the next step's, drawn ahead.
+// request's working set, the one-step history window, the snapshot
+// decoded and the next step's, drawn ahead.
 const keptSnapshots = 3
 
 func (m *Model) newGenScratch(sh decodeShape) *genScratch {
@@ -340,7 +337,7 @@ func (sc *genScratch) keepSnapshot(s *dyngraph.Snapshot) {
 	}
 }
 
-func (m *Model) newGenState(opts GenOptions, recycle bool, init *ForecastState) *genState {
+func (m *Model) newGenState(opts GenOptions, init *ForecastState) *genState {
 	inferenceStarts()
 	n := m.Cfg.N
 	sh := m.decodeShape(opts.Parallel)
@@ -360,7 +357,7 @@ func (m *Model) newGenState(opts GenOptions, recycle bool, init *ForecastState) 
 		rng = sc.seeded
 	}
 	st := &genState{
-		genScratch: sc, m: m, cal: m.calibrator(), opts: opts, rng: rng, n: n, recycle: recycle,
+		genScratch: sc, m: m, cal: m.calibrator(), opts: opts, rng: rng, n: n,
 		h:  tensor.Get(n, m.Cfg.HiddenDim),
 		ps: m.pairScorerOn(&sc.pairBufs, sh),
 	}
@@ -399,8 +396,7 @@ func (m *Model) newGenState(opts GenOptions, recycle bool, init *ForecastState) 
 // release returns every live buffer of an in-flight generation to the
 // arena and, when the request ended between steps, its scratch to the
 // model's pool. It runs on all exit paths, including cancellation and
-// consumer errors, so aborted requests leak nothing (collected snapshots,
-// which have escaped to the caller, are exempt).
+// consumer errors, so aborted requests leak nothing.
 func (st *genState) release() {
 	// A step that panicked may leave a candidate pass posted, which reads
 	// st.prev, recycled below; the next step's uniforms stay posted across
@@ -416,14 +412,13 @@ func (st *genState) release() {
 		tensor.Put(st.prevX)
 		st.prevX = nil
 	}
-	// The engine's own snapshots: in streaming mode all three, otherwise
-	// a next step drawn ahead but never decoded.
-	for _, s := range [...]*dyngraph.Snapshot{st.prev, st.next, st.spare} {
-		if s != nil && s != st.borrowed && (st.recycle || s == st.next) {
+	// The engine's own snapshots; a borrowed one stays the ForecastState's.
+	for _, s := range [...]*dyngraph.Snapshot{st.prev, st.next} {
+		if s != nil && s != st.borrowed {
 			st.keepSnapshot(s)
 		}
 	}
-	st.prev, st.spare, st.next, st.borrowed = nil, nil, nil, nil
+	st.prev, st.next, st.borrowed = nil, nil, nil
 	if st.clean {
 		st.m.scratch.put(st.genScratch)
 	}
@@ -431,18 +426,11 @@ func (st *genState) release() {
 }
 
 // takeSnapshot returns the snapshot to decode the next timestep into: the
-// recycled previous-previous snapshot or a pooled one when streaming, a
-// fresh one otherwise. The attribute matrix is attached by the decoder,
-// so the structure-only allocation suffices in both modes.
+// last one recycled, or a fresh one. The attribute matrix is attached by
+// the decoder, so the structure-only allocation suffices.
 func (st *genState) takeSnapshot() *dyngraph.Snapshot {
-	if s := st.spare; s != nil {
-		st.spare = nil
+	if s := st.popSnapshot(); s != nil {
 		return s
-	}
-	if st.recycle {
-		if s := st.popSnapshot(); s != nil {
-			return s
-		}
 	}
 	return dyngraph.NewSnapshot(st.n, 0)
 }
@@ -519,14 +507,12 @@ func (st *genState) step(t int) *dyngraph.Snapshot {
 
 	// Rotate the one-step history window. The snapshot leaving it was
 	// yielded before this step began and the draws that read it are made,
-	// so in streaming mode both the consumer and the engine are done with
-	// it and its buffers can be reclaimed; a borrowed one stays the
-	// ForecastState's.
+	// so both the consumer and the engine are done with it and its buffers
+	// can be reclaimed; a borrowed one stays the ForecastState's.
 	old := st.prev
 	st.prev = snap
-	if old != nil && old != st.borrowed && st.recycle {
-		old.Recycle()
-		st.spare = old
+	if old != nil && old != st.borrowed {
+		st.keepSnapshot(old)
 	}
 	if ahead {
 		st.next = st.takeSnapshot()
@@ -539,7 +525,7 @@ func (st *genState) step(t int) *dyngraph.Snapshot {
 	// Line 5: decode attributes conditioned on the new topology: the
 	// likelihood mean, which the calibration turns into a sample.
 	if m.Cfg.F > 0 {
-		st.esrc, st.edst = edgeLists(st.esrc, st.edst, snap, n)
+		st.esrc, st.edst = snap.EdgeLists(st.esrc, st.edst, n)
 		dec := m.attrMLP.Apply(c, m.gat.Apply(c, s, st.esrc, st.edst, n))
 		x := tensor.Get(n, m.Cfg.F)
 		copy(x.Data, dec.Value.Data)
@@ -548,7 +534,7 @@ func (st *genState) step(t int) *dyngraph.Snapshot {
 			tensor.Put(st.prevX)
 		}
 		st.prevX = state
-		snap.X = x // owned by the snapshot until it escapes or is recycled
+		snap.X = x // owned by the snapshot until it is recycled
 	}
 	tp.ReleaseSince(0, z) // S_t and the attribute decoder's nodes
 

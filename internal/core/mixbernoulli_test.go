@@ -73,7 +73,7 @@ func TestMixBernoulliMatchesPairwiseMLP(t *testing.T) {
 			for snap.NumEdges() < tc.edges {
 				snap.AddEdge(rng.Intn(tc.n), rng.Intn(tc.n))
 			}
-			esrc, edst := snap.EdgeLists()
+			esrc, edst := snap.EdgeLists(nil, nil, 0)
 			src, dst, targets := m.samplePairs(snap, esrc, edst, nil, nil, rng)
 			defer tensor.Put(targets)
 			if e := len(src); e == 0 || (tc.wantE > 0 && math.Abs(float64(e-tc.wantE)) > 0.1*float64(tc.wantE)) {

@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"vrdag/internal/datasets"
+	"vrdag/internal/dyngraph"
 	"vrdag/internal/tensor"
 )
 
@@ -132,7 +134,10 @@ func TestFitTapePeakBound(t *testing.T) {
 // secondary model, decoding T=2. It reads 2 097 152 bytes with the
 // Eq. 12 attention as one Tape.GAT node and 3 244 032 with the chain of
 // nine ops it replaced, whose E×d_h blocks were the step's largest
-// buffers.
+// buffers. A collected generation and a collected forecast each leave the
+// arena's live bytes where they found them: the engine takes its
+// snapshots' attribute buffers back, and the sequence it returns holds
+// heap clones.
 func TestGenerateArenaPeakBound(t *testing.T) {
 	g, _, err := datasets.Replica(datasets.Email, 1, 5)
 	if err != nil {
@@ -158,6 +163,22 @@ func TestGenerateArenaPeakBound(t *testing.T) {
 	const bound = 2097152
 	if got := tensor.ReadPoolStats().PeakLiveBytes - live; got > bound {
 		t.Fatalf("a warm generation peaked %d bytes above the %d already live, bound %d", got, live, bound)
+	}
+	if got := tensor.ReadPoolStats().LiveBytes; got != live {
+		t.Fatalf("a collected generation moved the arena's live bytes %d → %d", live, got)
+	}
+
+	prefix, err := m.Encode(context.Background(), &dyngraph.Sequence{N: g.N, F: g.F, Snapshots: g.Snapshots[:2]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer prefix.Release()
+	live = tensor.ReadPoolStats().LiveBytes
+	if _, err := m.Forecast(context.Background(), prefix, opts); err != nil {
+		t.Fatal(err)
+	}
+	if got := tensor.ReadPoolStats().LiveBytes; got != live {
+		t.Fatalf("a collected forecast moved the arena's live bytes %d → %d", live, got)
 	}
 }
 

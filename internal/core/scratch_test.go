@@ -100,10 +100,11 @@ func TestEncodeSnapshotSteadyStateGarbage(t *testing.T) {
 // allocates: after one request has left its scratch with the model, a
 // T=8 GenerateStream on an exact N=94 model and on a capped N=300 model
 // allocate only the request's own structs, the tape ops' closures and the
-// growth of recycled neighbour lists (about 21 and 28 KiB, least of
-// four requests), and a collected T=8 Forecast that plus the sequence it
-// returns (about 161 KiB). When each request built its decode buffers anew they read about
-// 441 KiB, 1.1 MiB and 492 KiB. Under the race detector sync.Pool drops a
+// growth of recycled neighbour lists (about 16 and 19 KiB, least of
+// four requests), and a collected T=8 Forecast that plus the clones it
+// returns (about 65 KiB; 127 KiB when the collecting engine decoded into
+// fresh snapshots that kept in-neighbour lists). When each request built
+// its decode buffers anew they read about 441 KiB, 1.1 MiB and 492 KiB. Under the race detector sync.Pool drops a
 // quarter of what it is given (the arena's recycled Matrix headers), so
 // the bounds double there.
 func TestGenerateSteadyStateGarbage(t *testing.T) {
@@ -126,7 +127,7 @@ func TestGenerateSteadyStateGarbage(t *testing.T) {
 		{"stream capped N300", 64 << 10, func(seed int64) error {
 			return capped.GenerateStream(context.Background(), GenOptions{T: 8, Seed: seed, Parallel: true}, discard)
 		}},
-		{"forecast N94", 224 << 10, func(seed int64) error {
+		{"forecast N94", 96 << 10, func(seed int64) error {
 			_, err := exact.Forecast(context.Background(), prefix, GenOptions{T: 8, Seed: seed, Parallel: true})
 			return err
 		}},

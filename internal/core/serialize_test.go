@@ -105,9 +105,10 @@ func TestSaveDeterministicBytes(t *testing.T) {
 // TestLoadCheckpointWithRetiredConfigFields pins that a checkpoint written
 // before a Config field was retired still loads: testdata/model_pr21.gob
 // is the Save output of an older build (toyGraph(10,1,3,53) on
-// smallConfig(10,1)), whose gob descriptor still lists four Config fields
-// since retired: TapeSched, CheckpointEvery, and the resume-checkpoint
-// knobs CheckpointPath and CheckpointEveryEpochs.
+// smallConfig(10,1)), whose gob descriptor still lists seven Config
+// fields since retired: TapeSched, CheckpointEvery, the resume-checkpoint
+// knobs CheckpointPath and CheckpointEveryEpochs, and KLWeight, SCEAlpha
+// and GradClip, which became constants at the defaults the file holds.
 // gob skips stream fields the receiver lacks, so the loaded model must be
 // the model this build trains from the same inputs: same Save bytes (the
 // new descriptor aside, nothing in the file changed) and the same
@@ -117,7 +118,7 @@ func TestLoadCheckpointWithRetiredConfigFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, field := range []string{"TapeSched", "CheckpointPath", "CheckpointEveryEpochs"} {
+	for _, field := range []string{"TapeSched", "CheckpointPath", "CheckpointEveryEpochs", "KLWeight", "SCEAlpha", "GradClip"} {
 		if !bytes.Contains(old, []byte(field)) {
 			t.Fatalf("fixture no longer carries the retired field %s; it must be a Save output from before that field was retired", field)
 		}
@@ -209,7 +210,7 @@ func TestConfigFields(t *testing.T) {
 		"N", "F",
 		"HiddenDim", "LatentDim", "EncoderDim", "TimeDim", "K",
 		"EncoderLayers", "MLPLayers",
-		"Epochs", "LR", "KLWeight", "SCEAlpha", "NegSamples", "GradClip",
+		"Epochs", "LR", "NegSamples",
 		"NeighborSample", "TBPTT",
 		"BiFlow", "UseSCE", "UseTime2Vec",
 		"CandidateCap", "DegreeCalibration",

@@ -217,7 +217,7 @@ func TestPairHelpersNeverOutliveRequest(t *testing.T) {
 		m := New(mc.cfg)
 		fc := m.NewForecastState()
 		defer fc.Release()
-		st := m.newGenState(GenOptions{T: 1, Parallel: true}, true, nil)
+		st := m.newGenState(GenOptions{T: 1, Parallel: true}, nil)
 		fans, exact := st.ps.fansOut(st.active), st.ps.exact
 		st.release()
 		if !fans || exact != (mc.cfg.N == 94) {

@@ -334,7 +334,7 @@ func (m *Model) runWindow(fs *fitScratch, g *dyngraph.Sequence, epoch, start, en
 	struc := sum(strucTerms)
 	attr := sum(attrTerms)
 	kl := sum(klTerms)
-	loss := tape.Add(tape.Add(struc, attr), tape.Scale(kl, m.Cfg.KLWeight))
+	loss := tape.Add(tape.Add(struc, attr), tape.Scale(kl, klWeight))
 	// The loss components are read for the epoch stats after Backward, so
 	// Backward must not release them; h is read for the next window's
 	// detached state.
@@ -403,7 +403,7 @@ func (m *Model) drawWindow(fs *fitScratch, g *dyngraph.Sequence, start, end int)
 			st.noise.Data[k] = m.rng.NormFloat64()
 		}
 		// The attribute decoder's GAT appends its N self-loops in place.
-		st.esrc, st.edst = edgeLists(st.esrc, st.edst, st.snap, g.N)
+		st.esrc, st.edst = st.snap.EdgeLists(st.esrc, st.edst, g.N)
 		st.src, st.dst, st.targets = m.samplePairs(st.snap, st.esrc, st.edst, st.src, st.dst, m.rng)
 	}
 	return steps
@@ -431,23 +431,6 @@ func (m *Model) gruInput(in []*tensor.Node, c *nn.Ctx, eps, z *tensor.Node, t in
 		zeros = make([]int, eps.Value.Rows)
 	}
 	return append(in, c.Tape.GatherRows(m.t2v.Encode(c, float64(t)), zeros))
-}
-
-// edgeLists fills src and dst with s's edges in EdgeLists order, reusing
-// their backing arrays when those have room for the edges and spare more
-// indices, and allocating exactly that room when not.
-func edgeLists(src, dst []int, s *dyngraph.Snapshot, spare int) ([]int, []int) {
-	if size := s.NumEdges() + spare; cap(src) < size || cap(dst) < size {
-		src, dst = make([]int, 0, size), make([]int, 0, size)
-	}
-	src, dst = src[:0], dst[:0]
-	for u := 0; u < s.N; u++ {
-		for _, v := range s.Out[u] {
-			src = append(src, u)
-			dst = append(dst, v)
-		}
-	}
-	return src, dst
 }
 
 // samplePairs returns the training pairs for the structure loss: the

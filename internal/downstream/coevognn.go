@@ -159,10 +159,9 @@ func (m *Model) Fit(seqs ...*dyngraph.Sequence) error {
 
 // linkPairs samples positives and negatives from the target snapshot.
 func (m *Model) linkPairs(s *dyngraph.Snapshot) (src, dst []int, targets *tensor.Matrix) {
-	esrc, edst := s.EdgeLists()
-	src = append(src, esrc...)
-	dst = append(dst, edst...)
-	for k := 0; k < len(esrc)*m.cfg.NegPerPos; k++ {
+	pos := s.NumEdges()
+	src, dst = s.EdgeLists(nil, nil, pos*m.cfg.NegPerPos)
+	for k := 0; k < pos*m.cfg.NegPerPos; k++ {
 		u, v := m.rng.Intn(s.N), m.rng.Intn(s.N)
 		if u == v || s.HasEdge(u, v) {
 			continue
@@ -171,7 +170,7 @@ func (m *Model) linkPairs(s *dyngraph.Snapshot) (src, dst []int, targets *tensor
 		dst = append(dst, v)
 	}
 	targets = tensor.New(len(src), 1)
-	for k := range esrc {
+	for k := range pos {
 		targets.Data[k] = 1
 	}
 	return src, dst, targets

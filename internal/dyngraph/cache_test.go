@@ -115,7 +115,7 @@ func TestRecycledCSRRebuildsInPlace(t *testing.T) {
 		if s.AdjCSR().T != s.AdjTCSR() || s.AdjTCSR().T != s.AdjCSR() {
 			t.Fatalf("%d edges: AdjCSR and AdjTCSR are not each other's T", edges)
 		}
-		src, dst := s.EdgeLists()
+		src, dst := s.EdgeLists(nil, nil, 0)
 		for k, c := range [2]*tensor.CSR{s.AdjCSR(), s.AdjTCSR()} {
 			want := tensor.NewCSR(n, n, src, dst)
 			if k == 1 {
@@ -129,7 +129,7 @@ func TestRecycledCSRRebuildsInPlace(t *testing.T) {
 			}
 		}
 	}
-	src, dst := s.EdgeLists()
+	src, dst := s.EdgeLists(nil, nil, 0)
 	allocs := testing.AllocsPerRun(5, func() {
 		s.Recycle()
 		for k := range src {
@@ -142,10 +142,11 @@ func TestRecycledCSRRebuildsInPlace(t *testing.T) {
 	}
 }
 
-// TestAdjTCSRTransposesOut: on a SampleNeighbors view, whose In lists are
-// sampled apart from its Out lists, AdjTCSR is the transpose of Out, the
-// lists AdjCSR reads, and not a CSR of the In lists: it is AdjCSR's T,
-// the transpose tensor.NewCSR links to a CSR of the Out lists.
+// TestAdjTCSRTransposesOut: AdjTCSR is the transpose of the Out lists,
+// the lists AdjCSR reads: AdjCSR's T, the transpose tensor.NewCSR links to
+// a CSR of them. On a full snapshot its row v holds InDegree(v) sources;
+// on a SampleNeighbors view, whose in-degrees are capped apart from its
+// sampled Out lists, it is still the transpose of the view's Out lists.
 func TestAdjTCSRTransposesOut(t *testing.T) {
 	const n = 30
 	rng := rand.New(rand.NewSource(4))
@@ -154,24 +155,25 @@ func TestAdjTCSRTransposesOut(t *testing.T) {
 		s.AddEdge(rng.Intn(n), rng.Intn(n))
 	}
 	v := s.SampleNeighbors(3, rand.New(rand.NewSource(5)))
-	var inSrc, inDst []int
-	for d, in := range v.In {
-		for _, u := range in {
-			inSrc, inDst = append(inSrc, u), append(inDst, d)
+	if v == s || v.NumEdges() >= s.NumEdges() {
+		t.Fatal("the view samples nothing; the checks below would prove nothing")
+	}
+	for _, g := range []*Snapshot{s, v} {
+		src, dst := g.EdgeLists(nil, nil, 0)
+		if !sameCSR(g.AdjTCSR(), tensor.NewCSR(n, n, dst, src)) {
+			t.Fatal("AdjTCSR is not the transpose of the Out lists")
+		}
+		if !sameCSR(g.AdjCSR(), tensor.NewCSR(n, n, src, dst)) {
+			t.Fatal("AdjCSR is not the Out lists")
+		}
+		if g.AdjCSR().T != g.AdjTCSR() || !sameCSR(g.AdjCSR().T, tensor.NewCSR(n, n, src, dst).T) {
+			t.Fatal("AdjCSR's T is not the transpose of the Out lists")
 		}
 	}
-	fromIn := tensor.NewCSR(n, n, inDst, inSrc)
-	src, dst := v.EdgeLists()
-	if sameCSR(fromIn, tensor.NewCSR(n, n, dst, src)) {
-		t.Fatal("the view's In lists are the transpose of its Out lists; the check below would prove nothing")
-	}
-	if !sameCSR(v.AdjTCSR(), tensor.NewCSR(n, n, dst, src)) {
-		t.Fatal("AdjTCSR of a sampled view is not the transpose of its Out lists")
-	}
-	if !sameCSR(v.AdjCSR(), tensor.NewCSR(n, n, src, dst)) {
-		t.Fatal("AdjCSR of a sampled view is not its Out lists")
-	}
-	if v.AdjCSR().T != v.AdjTCSR() || !sameCSR(v.AdjCSR().T, tensor.NewCSR(n, n, src, dst).T) {
-		t.Fatal("AdjCSR's T on a sampled view is not the transpose of its Out lists")
+	at := s.AdjTCSR()
+	for d := 0; d < n; d++ {
+		if got := at.RowPtr[d+1] - at.RowPtr[d]; got != s.InDegree(d) {
+			t.Fatalf("row %d of AdjTCSR holds %d sources, InDegree %d", d, got, s.InDegree(d))
+		}
 	}
 }

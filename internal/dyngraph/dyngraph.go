@@ -7,6 +7,7 @@ package dyngraph
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 
@@ -14,15 +15,17 @@ import (
 )
 
 // Snapshot is one timestep of a dynamic attributed graph: a directed graph
-// over N nodes with an optional N×F attribute matrix. Adjacency is stored
-// as sorted out- and in-neighbour lists, which keeps edge insertion
-// deduplicated and membership queries O(log deg).
+// over N nodes with an optional N×F attribute matrix. Each edge is stored
+// once, in its source's sorted out-neighbour list, which keeps edge
+// insertion deduplicated and membership queries O(log deg); in-neighbours
+// are read off the memoised transpose (AdjTCSR) and in-degrees off one
+// count per node.
 type Snapshot struct {
-	N   int
-	Out [][]int        // Out[u] = sorted destinations of u
-	In  [][]int        // In[v]  = sorted sources of v
-	X   *tensor.Matrix // N×F attributes; nil when the graph is unattributed
-	m   int            // edge count
+	N     int
+	Out   [][]int        // Out[u] = sorted destinations of u
+	X     *tensor.Matrix // N×F attributes; nil when the graph is unattributed
+	m     int            // edge count
+	indeg []int          // indeg[v] = how many Out lists hold v
 
 	// Memoised CSR pair of the adjacency, A with Aᵀ in its T. The bi-flow
 	// encoder asks for both matrices once per layer per epoch, and the
@@ -39,7 +42,7 @@ type Snapshot struct {
 // NewSnapshot returns an empty snapshot over n nodes with f attribute
 // dimensions (f == 0 leaves X nil).
 func NewSnapshot(n, f int) *Snapshot {
-	s := &Snapshot{N: n, Out: make([][]int, n), In: make([][]int, n)}
+	s := &Snapshot{N: n, Out: make([][]int, n), indeg: make([]int, n)}
 	if f > 0 {
 		s.X = tensor.New(n, f)
 	}
@@ -69,7 +72,7 @@ func (s *Snapshot) AddEdge(u, v int) bool {
 		return false
 	}
 	s.Out[u] = out
-	s.In[v], _ = insertSorted(s.In[v], u)
+	s.indeg[v]++
 	s.m++
 	s.invalidateCSR()
 	return true
@@ -97,8 +100,8 @@ func (s *Snapshot) NumEdges() int { return s.m }
 // OutDegree returns |Out(u)|.
 func (s *Snapshot) OutDegree(u int) int { return len(s.Out[u]) }
 
-// InDegree returns |In(v)|.
-func (s *Snapshot) InDegree(v int) int { return len(s.In[v]) }
+// InDegree returns how many nodes have an edge into v.
+func (s *Snapshot) InDegree(v int) int { return s.indeg[v] }
 
 // Edges returns all directed edges as (src, dst) pairs in deterministic
 // (src-major, dst-minor) order.
@@ -112,11 +115,15 @@ func (s *Snapshot) Edges() [][2]int {
 	return out
 }
 
-// EdgeLists returns parallel src/dst index slices (handy for CSR and
-// gather/scatter message passing).
-func (s *Snapshot) EdgeLists() (src, dst []int) {
-	src = make([]int, 0, s.m)
-	dst = make([]int, 0, s.m)
+// EdgeLists fills src and dst with the edges as parallel index slices in
+// Edges order (handy for CSR and gather/scatter message passing), reusing
+// their backing arrays when those have room for the edges and spare more
+// indices, and allocating exactly that room when not.
+func (s *Snapshot) EdgeLists(src, dst []int, spare int) ([]int, []int) {
+	if size := s.m + spare; cap(src) < size || cap(dst) < size {
+		src, dst = make([]int, 0, size), make([]int, 0, size)
+	}
+	src, dst = src[:0], dst[:0]
 	for u := 0; u < s.N; u++ {
 		for _, v := range s.Out[u] {
 			src = append(src, u)
@@ -141,10 +148,9 @@ func (s *Snapshot) AdjCSR() *tensor.CSR {
 	return s.adj
 }
 
-// AdjTCSR returns Aᵀ, AdjCSR().T; Aᵀ·H aggregates in-neighbour states. It
-// is the transpose of the Out lists, which on a SampleNeighbors view
-// differs from the In lists (sampled on their own): it equals
-// tensor.NewCSR(N, N, dst, src) of EdgeLists.
+// AdjTCSR returns Aᵀ, AdjCSR().T; Aᵀ·H aggregates in-neighbour states.
+// It is the transpose of the Out lists, tensor.NewCSR(N, N, dst, src) of
+// EdgeLists: row v lists v's sources in ascending order.
 func (s *Snapshot) AdjTCSR() *tensor.CSR { return s.AdjCSR().T }
 
 // buildCSR builds A from the Out lists and links its transpose, into c's
@@ -188,8 +194,8 @@ func resize(s []int, n int) []int {
 // Recycle empties the snapshot in place for reuse by a streaming
 // producer: the attribute matrix is returned to the tensor arena and
 // detached, the neighbour lists are truncated with their backing arrays
-// kept, and the memoised CSR pair is invalidated with its arrays kept,
-// which the next AdjCSR rebuilds both forms into. After Recycle the
+// kept, the in-degrees zeroed, and the memoised CSR pair is invalidated
+// with its arrays kept, which the next AdjCSR rebuilds both forms into. After Recycle the
 // snapshot is equivalent to NewSnapshot(N, 0) except that rebuilding a
 // similar timestep into it, CSR pair included, allocates nothing.
 //
@@ -202,8 +208,8 @@ func (s *Snapshot) Recycle() {
 	}
 	for i := range s.Out {
 		s.Out[i] = s.Out[i][:0]
-		s.In[i] = s.In[i][:0]
 	}
+	clear(s.indeg)
 	s.m = 0
 	s.csrMu.Lock()
 	if s.adj != nil {
@@ -214,10 +220,9 @@ func (s *Snapshot) Recycle() {
 
 // Clone returns a deep copy of the snapshot.
 func (s *Snapshot) Clone() *Snapshot {
-	c := &Snapshot{N: s.N, Out: make([][]int, s.N), In: make([][]int, s.N), m: s.m}
+	c := &Snapshot{N: s.N, Out: make([][]int, s.N), m: s.m, indeg: slices.Clone(s.indeg)}
 	for i := range s.Out {
 		c.Out[i] = append([]int(nil), s.Out[i]...)
-		c.In[i] = append([]int(nil), s.In[i]...)
 	}
 	if s.X != nil {
 		c.X = s.X.Clone()
@@ -227,12 +232,15 @@ func (s *Snapshot) Clone() *Snapshot {
 
 // UndirectedNeighbors returns the union of in- and out-neighbours of u
 // (used by clustering coefficient, coreness, and components, which the
-// paper computes on the underlying undirected graph).
+// paper computes on the underlying undirected graph): Out[u] merged with
+// row u of AdjTCSR.
 func (s *Snapshot) UndirectedNeighbors(u int) []int {
-	res := make([]int, 0, len(s.Out[u])+len(s.In[u]))
+	t := s.AdjTCSR()
+	out, in := s.Out[u], t.ColIdx[t.RowPtr[u]:t.RowPtr[u+1]]
+	res := make([]int, 0, len(out)+len(in))
 	i, j := 0, 0
-	for i < len(s.Out[u]) && j < len(s.In[u]) {
-		a, b := s.Out[u][i], s.In[u][j]
+	for i < len(out) && j < len(in) {
+		a, b := out[i], in[j]
 		switch {
 		case a == b:
 			res = append(res, a)
@@ -246,34 +254,33 @@ func (s *Snapshot) UndirectedNeighbors(u int) []int {
 			j++
 		}
 	}
-	res = append(res, s.Out[u][i:]...)
-	res = append(res, s.In[u][j:]...)
+	res = append(res, out[i:]...)
+	res = append(res, in[j:]...)
 	return res
 }
 
 // SampleNeighbors returns a view of the snapshot in which every node
-// keeps at most r out-neighbours and r in-neighbours, sampled without
-// replacement. Attribute data is shared (not copied). This implements the
-// per-node neighbour sampling (the paper's r in §III-G) that bounds
-// message-passing cost on high-degree graphs; with r <= 0 or no node above
-// the cap, the receiver itself is returned.
+// keeps at most r out-neighbours, sampled without replacement, and reports
+// an in-degree of at most r. Attribute data is shared (not copied). This
+// implements the per-node neighbour sampling (the paper's r in §III-G)
+// that bounds message-passing cost on high-degree graphs; with r <= 0 or
+// no node above the cap, the receiver itself is returned.
 //
-// The view is intended for encoder message passing only: because the two
-// directions are sampled independently, it does not maintain the In/Out
-// symmetry invariant of a full Snapshot and must not be mutated or
-// Validated.
+// The view is intended for encoder message passing only: its in-degrees
+// are capped apart from its Out lists, so it does not keep the invariant
+// of a full Snapshot and must not be mutated or Validated.
 func (s *Snapshot) SampleNeighbors(r int, rng *rand.Rand) *Snapshot {
 	if r <= 0 {
 		return s
 	}
 	over := false
 	for v := 0; v < s.N && !over; v++ {
-		over = len(s.Out[v]) > r || len(s.In[v]) > r
+		over = len(s.Out[v]) > r || s.indeg[v] > r
 	}
 	if !over {
 		return s
 	}
-	out := &Snapshot{N: s.N, Out: make([][]int, s.N), In: make([][]int, s.N), X: s.X}
+	out := &Snapshot{N: s.N, Out: make([][]int, s.N), indeg: make([]int, s.N), X: s.X}
 	pick := func(list []int) []int {
 		if len(list) <= r {
 			return append([]int(nil), list...)
@@ -289,7 +296,14 @@ func (s *Snapshot) SampleNeighbors(r int, rng *rand.Rand) *Snapshot {
 	count := 0
 	for v := 0; v < s.N; v++ {
 		out.Out[v] = pick(s.Out[v])
-		out.In[v] = pick(s.In[v])
+		out.indeg[v] = min(s.indeg[v], r)
+		if s.indeg[v] > r {
+			// The draw that sampled the in-list the view kept when it
+			// stored one. Nothing reads its result (the encoder aggregates
+			// over the transpose of the sampled Out lists), but the main
+			// stream's draw order is part of the trained bits.
+			rng.Perm(s.indeg[v])
+		}
 		count += len(out.Out[v])
 	}
 	out.m = count
@@ -338,9 +352,10 @@ func (g *Sequence) Clone() *Sequence {
 }
 
 // maxSequenceWords bounds what a header read from bytes may make a reader
-// allocate: T·N·(F+6) eight-byte words (each node's attribute row and its
-// two neighbour-list headers per snapshot), 16 GiB. A larger header is
-// corrupt or hostile, not a graph this repository can hold.
+// allocate: T·N·(F+6) eight-byte words, 16 GiB. Each node costs its
+// attribute row, its neighbour-list header and its in-degree count per
+// snapshot, F+4 words, so the bound over-counts, the safe side. A larger
+// header is corrupt or hostile, not a graph this repository can hold.
 const maxSequenceWords = 1 << 31
 
 // checkDims is the header rule both sequence readers (Load and
@@ -365,9 +380,11 @@ func checkEdge(n, u, v int) error {
 	return nil
 }
 
-// Validate checks internal consistency (out/in symmetry, sortedness,
-// attribute shapes) and returns a descriptive error on the first violation.
+// Validate checks internal consistency (sortedness, edge and in-degree
+// counts, attribute shapes) and returns a descriptive error on the first
+// violation.
 func (g *Sequence) Validate() error {
+	indeg := make([]int, g.N)
 	for t, s := range g.Snapshots {
 		if s.N != g.N {
 			return fmt.Errorf("dyngraph: snapshot %d has N=%d, sequence N=%d", t, s.N, g.N)
@@ -382,6 +399,8 @@ func (g *Sequence) Validate() error {
 			}
 		}
 		count := 0
+		clear(indeg)
+		copy(indeg, s.indeg)
 		for u := 0; u < s.N; u++ {
 			if !sort.IntsAreSorted(s.Out[u]) {
 				return fmt.Errorf("dyngraph: snapshot %d Out[%d] unsorted", t, u)
@@ -391,21 +410,16 @@ func (g *Sequence) Validate() error {
 				if u == v {
 					return fmt.Errorf("dyngraph: snapshot %d self-loop at %d", t, u)
 				}
-				i := sort.SearchInts(s.In[v], u)
-				if i >= len(s.In[v]) || s.In[v][i] != u {
-					return fmt.Errorf("dyngraph: snapshot %d edge %d->%d missing from In", t, u, v)
-				}
+				indeg[v]--
 			}
 		}
 		if count != s.m {
 			return fmt.Errorf("dyngraph: snapshot %d edge count %d != m %d", t, count, s.m)
 		}
-		inCount := 0
-		for v := 0; v < s.N; v++ {
-			inCount += len(s.In[v])
-		}
-		if inCount != s.m {
-			return fmt.Errorf("dyngraph: snapshot %d in-list count %d != m %d", t, inCount, s.m)
+		for v, d := range indeg {
+			if d != 0 {
+				return fmt.Errorf("dyngraph: snapshot %d in-degree count of %d is off by %d", t, v, d)
+			}
 		}
 	}
 	return nil

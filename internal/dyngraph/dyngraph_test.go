@@ -45,8 +45,8 @@ func TestRemoveEdge(t *testing.T) {
 	if s.NumEdges() != 1 || s.HasEdge(0, 1) || !s.HasEdge(0, 2) {
 		t.Fatal("inconsistent state after removal")
 	}
-	if len(s.In[1]) != 0 {
-		t.Fatal("In list not updated on removal")
+	if s.InDegree(1) != 0 || s.InDegree(2) != 1 {
+		t.Fatal("in-degree not updated on removal")
 	}
 }
 
@@ -68,7 +68,7 @@ func TestDegreesAndEdges(t *testing.T) {
 			t.Fatalf("Edges()[%d] = %v, want %v", i, edges[i], want[i])
 		}
 	}
-	src, dst := s.EdgeLists()
+	src, dst := s.EdgeLists(nil, nil, 0)
 	if len(src) != 3 || src[0] != 1 || dst[2] != 2 {
 		t.Fatalf("EdgeLists = %v %v", src, dst)
 	}
@@ -136,10 +136,10 @@ func TestSequenceValidate(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatalf("valid sequence rejected: %v", err)
 	}
-	// corrupt: break In symmetry
-	g.At(0).In[1] = nil
+	// corrupt: an in-degree count the Out lists do not back
+	g.At(0).indeg[1] = 0
 	if err := g.Validate(); err == nil {
-		t.Fatal("Validate must detect asymmetric adjacency")
+		t.Fatal("Validate must detect a wrong in-degree count")
 	}
 }
 
@@ -217,8 +217,8 @@ func TestLoadRejectsBadInput(t *testing.T) {
 }
 
 // Property: after any sequence of random insertions and deletions, the
-// snapshot stays internally consistent (sorted lists, in/out symmetry,
-// correct count).
+// snapshot stays internally consistent (sorted lists, edge and in-degree
+// counts) and its transpose's rows are sorted.
 func TestSnapshotInvariantUnderRandomOps(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -237,8 +237,9 @@ func TestSnapshotInvariantUnderRandomOps(t *testing.T) {
 			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
+		at := s.AdjTCSR()
 		for u := 0; u < n; u++ {
-			if !sort.IntsAreSorted(s.In[u]) {
+			if !sort.IntsAreSorted(at.ColIdx[at.RowPtr[u]:at.RowPtr[u+1]]) {
 				return false
 			}
 		}

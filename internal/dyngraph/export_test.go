@@ -12,8 +12,7 @@ func (s *Snapshot) RemoveEdge(u, v int) bool {
 		return false
 	}
 	s.Out[u] = append(s.Out[u][:i], s.Out[u][i+1:]...)
-	j := sort.SearchInts(s.In[v], u)
-	s.In[v] = append(s.In[v][:j], s.In[v][j+1:]...)
+	s.indeg[v]--
 	s.m--
 	s.invalidateCSR()
 	return true

@@ -43,7 +43,7 @@ func BenchmarkEncode(b *testing.B) {
 func BenchmarkGATApply(b *testing.B) {
 	g := NewGAT("g", 24, 16, rand.New(rand.NewSource(3)))
 	s := benchGraph(1000, 8000)
-	src, dst := s.EdgeLists()
+	src, dst := s.EdgeLists(nil, nil, 0)
 	tape := tensor.NewTape()
 	c := nn.NewEvalCtx(tape)
 	states := tape.Const(tensor.Randn(1000, 24, 1, rand.New(rand.NewSource(4))))

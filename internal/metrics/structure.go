@@ -124,7 +124,7 @@ func ComponentSizes(s *dyngraph.Snapshot) []int {
 	var sizes []int
 	stack := make([]int, 0, 64)
 	for start := 0; start < s.N; start++ {
-		if visited[start] || (len(s.Out[start]) == 0 && len(s.In[start]) == 0) {
+		if visited[start] || (s.OutDegree(start) == 0 && s.InDegree(start) == 0) {
 			continue
 		}
 		size := 0
